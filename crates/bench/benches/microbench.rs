@@ -12,7 +12,7 @@
 
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
-use movr::relay::{relay_link, round_trip_reflection_dbm};
+use movr::relay::{relay_link, round_trip_reflection_batched};
 use movr::system::{MovrSystem, SystemConfig};
 use movr_math::Vec2;
 use movr_motion::{PlayerState, WorldState};
@@ -45,8 +45,21 @@ fn bench_relay_budget(opts: &BenchOptions) -> Vec<BenchReport> {
         bench_fn("relay_budget", opts, || {
             relay_link(&scene, &ap, &reflector, &hs)
         }),
+        // One backscatter probe at the live beams from scratch: trace
+        // both legs, batch them, compute the four gain rows, fold.
         bench_fn("round_trip_probe", opts, || {
-            round_trip_reflection_dbm(&scene, &ap, &reflector)
+            let fwd = scene.trace_link(ap.position(), reflector.position()).batch();
+            let bck = scene.trace_link(reflector.position(), ap.position()).batch();
+            round_trip_reflection_batched(
+                &fwd,
+                &bck,
+                &ap.array().gain_dbi_batch(fwd.departure_deg()),
+                &ap.array().gain_dbi_batch(bck.arrival_deg()),
+                ap.tx_power_dbm(),
+                reflector.effective_gain_db(),
+                &reflector.rx_array().gain_dbi_batch(fwd.arrival_deg()),
+                &reflector.tx_array().gain_dbi_batch(bck.departure_deg()),
+            )
         }),
     ]
 }
@@ -180,24 +193,21 @@ fn bench_batch_kernels(opts: &BenchOptions) -> Vec<BenchReport> {
 }
 
 fn bench_pool_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
-    // The dispatch cost the persistent pool exists to remove: 8
-    // near-free jobs on 2 workers, so the timing is almost entirely
-    // fan-out overhead. `par_map` pays two `thread::spawn` + join per
-    // call (stack mapping, TLS setup, scheduler wake-up); `pool_map`
-    // pays two channel round-trips to workers that already exist. The
-    // thread count is pinned at 2 — not `available_threads()` — so the
-    // two rows compare the same fan-out shape on every box, including
-    // single-core CI containers (where `available_threads()` would put
-    // both on the serial fast path and measure nothing).
-    use movr_sim::{par_map, pool_map};
+    // The pool's dispatch cost: 8 near-free jobs on 2 workers, so the
+    // timing is almost entirely fan-out overhead — two channel
+    // round-trips to workers that already exist. The thread count is
+    // pinned at 2 — not `available_threads()` — so the row measures the
+    // same fan-out shape on every box, including single-core CI
+    // containers (where `available_threads()` would take the serial
+    // fast path and measure nothing).
+    use movr_sim::pool_map;
     fn tiny(_i: usize, x: &u64) -> u64 {
         x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(13)
     }
     let items: Vec<u64> = (0..8).collect();
-    vec![
-        bench_fn("par_tiny_scoped_spawn", opts, || par_map(&items, 2, tiny)),
-        bench_fn("par_tiny_worker_pool", opts, || pool_map(items.clone(), 2, tiny)),
-    ]
+    vec![bench_fn("par_tiny_worker_pool", opts, || {
+        pool_map(items.clone(), 2, tiny)
+    })]
 }
 
 fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {

@@ -12,33 +12,35 @@
 //!   reflector's *input*. We model this as
 //!   `SNR_end = min(SNR_hop1, SNR_hop2)` — the standard cascade bound for
 //!   an amplify-and-forward relay.
+//!
+//! The relayed-link budget has one scalar form, which queries the
+//! antenna patterns per traced path and serves the per-frame decision
+//! ([`relay_link_on`]), and one batched form over precomputed gain rows,
+//! which serves the reflection sweep ([`relay_end_snr_batched`]). Both
+//! apply the same cascade and end in the same coherent fold in
+//! `movr-rfsim`, so they agree bit for bit. The backscatter round trip
+//! is only ever taken inside a sweep, so it has the batched form alone
+//! ([`round_trip_reflection_batched`]).
 
 use crate::reflector::MovrReflector;
 use movr_phased_array::SteeredArray;
 use movr_radio::{ArrayPattern, RadioEndpoint};
-use movr_rfsim::{LinkBatch, NoiseModel, Pattern, Scene, TracedLink};
+use movr_rfsim::{LinkBatch, LinkEval, NoiseModel, Scene, TracedLink};
 
-/// The reflector's analog front end is a low-noise amplifier chain with no
-/// baseband processing: a better noise figure and none of the headset's
-/// implementation loss. Its input SNR — which bounds the end-to-end SNR of
-/// the relayed link — is therefore computed against this model, not the
-/// headset's.
-fn relay_front_end_noise(scene: &Scene) -> NoiseModel {
+/// The reflector front end's noise model in `scene` — the budget hop-1
+/// SNR is computed against. The front end is a low-noise amplifier chain
+/// with no baseband processing: a better noise figure and none of the
+/// headset's implementation loss. Its input SNR, which bounds the
+/// end-to-end SNR of the relayed link, is therefore computed against
+/// this model, not the headset's. Batched sweeps fold it into a
+/// [`LinkBatch`] once with [`LinkBatch::with_noise`].
+pub fn relay_input_noise(scene: &Scene) -> NoiseModel {
     NoiseModel {
         bandwidth_hz: scene.noise().bandwidth_hz,
         noise_figure_db: 4.0,
         implementation_loss_db: 0.0,
         temperature_k: scene.noise().temperature_k,
     }
-}
-
-/// The reflector front end's noise model in `scene` — the budget hop-1
-/// SNR is computed against. Exposed so batched sweeps can fold it into a
-/// [`LinkBatch`] once (via [`LinkBatch::with_noise`]) instead of
-/// rebuilding it per probe; both routes compute the same floor from the
-/// same fields, so the SNRs are bit-identical.
-pub fn relay_input_noise(scene: &Scene) -> NoiseModel {
-    relay_front_end_noise(scene)
 }
 
 /// The budget of a relayed link.
@@ -76,9 +78,9 @@ pub fn relay_link(
 
 /// [`relay_link`] over already-traced hops: `hop1` must be
 /// AP → reflector and `hop2` reflector → headset in the same scene.
-/// Sweeps trace each hop once and call this per beam candidate, paying
-/// only the O(paths) reweighting; the result is bit-identical to
-/// [`relay_link`].
+/// Callers that evaluate several beam candidates trace each hop once and
+/// pay only the O(paths) reweighting per call; the result is
+/// bit-identical to [`relay_link`].
 pub fn relay_link_on(
     hop1: &TracedLink<'_>,
     hop2: &TracedLink<'_>,
@@ -86,61 +88,52 @@ pub fn relay_link_on(
     reflector: &MovrReflector,
     headset_array: &SteeredArray,
 ) -> RelayBudget {
-    relay_link_with(
-        hop1,
-        hop2,
+    let hop1_eval = hop1.evaluate(
         &ArrayPattern(ap.array()),
         ap.tx_power_dbm(),
-        reflector,
         &ArrayPattern(reflector.rx_array()),
-        &ArrayPattern(reflector.tx_array()),
-        &ArrayPattern(headset_array),
+    );
+    let hop1_snr_db = relay_input_noise(hop1.scene()).snr_db(hop1_eval.received_dbm);
+    let relay_tx = ArrayPattern(reflector.tx_array());
+    let headset = ArrayPattern(headset_array);
+    cascade(
+        hop1_eval.received_dbm,
+        hop1_snr_db,
+        reflector.effective_gain_db(),
+        reflector.is_saturated(),
+        |out_dbm| hop2.evaluate(&relay_tx, out_dbm, &headset),
     )
 }
 
-/// [`relay_link_on`] with the four antenna patterns supplied by the
-/// caller. The patterns **must** describe the same steering as the live
-/// endpoints (`ap_pattern` = AP array, `relay_rx`/`relay_tx` = the
-/// reflector's arrays) — the point is that a sweep can wrap each one in
-/// a [`movr_rfsim::MemoPattern`] scoped to where its steering is fixed,
-/// so repeated path-angle queries cost a lookup. Bit-identical to
-/// [`relay_link_on`] for faithful patterns.
-#[allow(clippy::too_many_arguments)] // lint: the four patterns + reflector are the point of this entry
-pub fn relay_link_with(
-    hop1: &TracedLink<'_>,
-    hop2: &TracedLink<'_>,
-    ap_pattern: &dyn Pattern,
-    ap_tx_power_dbm: f64,
-    reflector: &MovrReflector,
-    relay_rx: &dyn Pattern,
-    relay_tx: &dyn Pattern,
-    headset_pattern: &dyn Pattern,
+/// The amplify-and-forward cascade shared by the scalar and batched
+/// relay budgets: the amplifier re-radiates hop 1's received power at
+/// `relay_gain_db` (`None` when it is off or saturated), `hop2` carries
+/// that output to the receiver, and the end SNR is `min(hop1, hop2)` —
+/// or −∞ when there is no output, in which case hop 2 is not evaluated.
+#[inline]
+fn cascade(
+    hop1_received_dbm: f64,
+    hop1_snr_db: f64,
+    relay_gain_db: Option<f64>,
+    saturated: bool,
+    hop2: impl FnOnce(f64) -> LinkEval,
 ) -> RelayBudget {
-    let scene = hop1.scene();
-    let hop1_eval = hop1.evaluate(ap_pattern, ap_tx_power_dbm, relay_rx);
-    let hop1_snr_db = relay_front_end_noise(scene).snr_db(hop1_eval.received_dbm);
-
-    let saturated = reflector.is_saturated();
-    let relay_output_dbm = reflector
-        .effective_gain_db()
-        .map(|g| hop1_eval.received_dbm + g);
-
-    match relay_output_dbm {
-        Some(out_dbm) => {
-            let hop2_eval = hop2.evaluate(relay_tx, out_dbm, headset_pattern);
-            let hop2_snr_db = scene.noise().snr_db(hop2_eval.received_dbm);
+    match relay_gain_db {
+        Some(gain_db) => {
+            let out_dbm = hop1_received_dbm + gain_db;
+            let hop2 = hop2(out_dbm);
             RelayBudget {
-                hop1_received_dbm: hop1_eval.received_dbm,
+                hop1_received_dbm,
                 hop1_snr_db,
-                relay_output_dbm,
-                hop2_received_dbm: hop2_eval.received_dbm,
-                hop2_snr_db,
-                end_snr_db: hop1_snr_db.min(hop2_snr_db),
+                relay_output_dbm: Some(out_dbm),
+                hop2_received_dbm: hop2.received_dbm,
+                hop2_snr_db: hop2.snr_db,
+                end_snr_db: hop1_snr_db.min(hop2.snr_db),
                 saturated,
             }
         }
         None => RelayBudget {
-            hop1_received_dbm: hop1_eval.received_dbm,
+            hop1_received_dbm,
             hop1_snr_db,
             relay_output_dbm: None,
             hop2_received_dbm: f64::NEG_INFINITY,
@@ -153,76 +146,23 @@ pub fn relay_link_with(
 
 /// Round-trip reflection power back at the AP, dBm — what the AP's
 /// backscatter probe measures (before modulation conversion): AP →
-/// reflector (current beams) → amplifier → back toward the AP → AP's
-/// receive array. `None` when the amplifier is off or saturated.
-pub fn round_trip_reflection_dbm(
-    scene: &Scene,
-    ap: &RadioEndpoint,
-    reflector: &MovrReflector,
-) -> Option<f64> {
-    let forward = scene.trace_link(ap.position(), reflector.position());
-    let back = scene.trace_link(reflector.position(), ap.position());
-    round_trip_reflection_on(&forward, &back, ap.array(), ap.tx_power_dbm(), reflector)
-}
-
-/// [`round_trip_reflection_dbm`] over already-traced hops: `forward`
-/// must be AP → reflector and `back` reflector → AP in the same scene.
-/// `ap_array` is the AP's current (possibly pre-steered) array, used on
-/// both ends of the round trip. Bit-identical to the plain form; the
-/// alignment sweep calls this 10,201 times over two fixed traces.
-pub fn round_trip_reflection_on(
-    forward: &TracedLink<'_>,
-    back: &TracedLink<'_>,
-    ap_array: &SteeredArray,
-    ap_tx_power_dbm: f64,
-    reflector: &MovrReflector,
-) -> Option<f64> {
-    round_trip_reflection_with(
-        forward,
-        back,
-        &ArrayPattern(ap_array),
-        ap_tx_power_dbm,
-        reflector.effective_gain_db(),
-        &ArrayPattern(reflector.rx_array()),
-        &ArrayPattern(reflector.tx_array()),
-    )
-}
-
-/// [`round_trip_reflection_on`] with the patterns (and the reflector's
-/// effective gain) supplied by the caller, so a sweep can memoize gain
-/// queries per candidate beam ([`movr_rfsim::MemoPattern`]) and hoist
-/// the per-posture gain computation out of its inner loop. The patterns
-/// must describe the same steering as the live devices; the result is
-/// then bit-identical to [`round_trip_reflection_on`].
-pub fn round_trip_reflection_with(
-    forward: &TracedLink<'_>,
-    back: &TracedLink<'_>,
-    ap_pattern: &dyn Pattern,
-    ap_tx_power_dbm: f64,
-    relay_gain_db: Option<f64>,
-    relay_rx: &dyn Pattern,
-    relay_tx: &dyn Pattern,
-) -> Option<f64> {
-    let hop1 = forward.evaluate(ap_pattern, ap_tx_power_dbm, relay_rx);
-    let out_dbm = hop1.received_dbm + relay_gain_db?;
-    let hop2 = back.evaluate(relay_tx, out_dbm, ap_pattern);
-    Some(hop2.received_dbm)
-}
-
-/// [`round_trip_reflection_with`] over frozen hops and per-path gain
-/// rows: `forward`/`back` are the two legs as [`LinkBatch`]es and each
-/// gain slice weights that leg's paths in path order (AP gains over the
+/// reflector → amplifier → back toward the AP → AP's receive array.
+/// `None` when the amplifier is off or saturated (`relay_gain_db` is
+/// `None`).
+///
+/// `forward`/`back` are the two legs as [`LinkBatch`]es, and each gain
+/// slice weights that leg's paths in path order: AP gains over the
 /// forward departures and back arrivals, reflector RX over the forward
-/// arrivals, reflector TX over the back departures). A sweep computes
-/// the AP rows once per codebook page and the reflector rows once per
-/// posture, so each probe is two multiply-accumulate passes.
-/// Bit-identical to [`round_trip_reflection_with`] for faithful rows:
-/// the hop evaluations replicate [`movr_rfsim::Scene::eval_paths`]
-/// term-for-term, and the hop-1 power skipped when the amplifier is
-/// off/saturated was computed-then-discarded in the scalar form.
+/// arrivals, reflector TX over the back departures. A sweep computes the
+/// AP rows once per codebook page and the reflector rows once per
+/// posture, so each probe is two multiply-accumulate passes. Both legs
+/// end in the same coherent fold as [`TracedLink::evaluate`], so the
+/// result is bit-identical to evaluating the legs one pattern query per
+/// path.
 ///
 /// # Panics
-/// Panics if a gain row's length differs from its leg's tap count.
+/// Panics if a gain row's length differs from its leg's tap count. With
+/// no relay gain the rows are not read, so they are not checked either.
 #[allow(clippy::too_many_arguments)] // lint: the four gain rows are the point of this entry
 pub fn round_trip_reflection_batched(
     forward: &LinkBatch,
@@ -245,12 +185,13 @@ pub fn round_trip_reflection_batched(
 /// (received power plus front-end SNR against [`relay_input_noise`],
 /// both loop invariants) and this folds in the per-candidate hop 2.
 /// `hop2` must carry the scene's receiver noise (the default from
-/// [`movr_rfsim::TracedLink::batch`]); `relay_tx_gains` weight its
-/// departures and `headset_gains` its arrivals. Bit-identical to
-/// [`relay_link_with`]'s `end_snr_db` for faithful rows.
+/// [`TracedLink::batch`]); `relay_tx_gains` weight its departures and
+/// `headset_gains` its arrivals. Bit-identical to [`relay_link_on`]'s
+/// `end_snr_db` for faithful rows: both apply the same cascade.
 ///
 /// # Panics
-/// Panics if a gain row's length differs from `hop2`'s tap count.
+/// Panics if a gain row's length differs from `hop2`'s tap count while
+/// the amplifier is on.
 pub fn relay_end_snr_batched(
     hop1_received_dbm: f64,
     hop1_snr_db: f64,
@@ -259,14 +200,15 @@ pub fn relay_end_snr_batched(
     relay_tx_gains: &[f64],
     headset_gains: &[f64],
 ) -> f64 {
-    match relay_gain_db {
-        Some(gain_db) => {
-            let out_dbm = hop1_received_dbm + gain_db;
-            let hop2_received = hop2.received_dbm(out_dbm, relay_tx_gains, headset_gains);
-            hop1_snr_db.min(hop2.snr_db(hop2_received))
-        }
-        None => f64::NEG_INFINITY,
-    }
+    // Only the end SNR is read, so the saturation flag is immaterial.
+    cascade(
+        hop1_received_dbm,
+        hop1_snr_db,
+        relay_gain_db,
+        false,
+        |out_dbm| hop2.eval(out_dbm, relay_tx_gains, headset_gains),
+    )
+    .end_snr_db
 }
 
 #[cfg(test)]
@@ -297,6 +239,47 @@ mod tests {
         let safe = reflector.loop_attenuation_db() - 6.0;
         reflector.set_gain_db(safe);
         (scene, ap, reflector, headset)
+    }
+
+    /// The AP's backscatter probe at the live beams, the way the
+    /// alignment sweep takes it: two traced legs, gain rows, one fold.
+    fn round_trip(scene: &Scene, ap: &RadioEndpoint, reflector: &MovrReflector) -> Option<f64> {
+        let fwd = scene
+            .trace_link(ap.position(), reflector.position())
+            .batch();
+        let bck = scene
+            .trace_link(reflector.position(), ap.position())
+            .batch();
+        round_trip_reflection_batched(
+            &fwd,
+            &bck,
+            &ap.array().gain_dbi_batch(fwd.departure_deg()),
+            &ap.array().gain_dbi_batch(bck.arrival_deg()),
+            ap.tx_power_dbm(),
+            reflector.effective_gain_db(),
+            &reflector.rx_array().gain_dbi_batch(fwd.arrival_deg()),
+            &reflector.tx_array().gain_dbi_batch(bck.departure_deg()),
+        )
+    }
+
+    /// Scalar reference for the round trip: both legs evaluated one
+    /// pattern query per traced path, as the per-call probe did before
+    /// the sweep went batched.
+    fn scalar_round_trip(
+        forward: &TracedLink<'_>,
+        back: &TracedLink<'_>,
+        ap: &RadioEndpoint,
+        reflector: &MovrReflector,
+    ) -> Option<f64> {
+        let ap_pattern = ArrayPattern(ap.array());
+        let hop1 = forward.evaluate(
+            &ap_pattern,
+            ap.tx_power_dbm(),
+            &ArrayPattern(reflector.rx_array()),
+        );
+        let out_dbm = hop1.received_dbm + reflector.effective_gain_db()?;
+        let hop2 = back.evaluate(&ArrayPattern(reflector.tx_array()), out_dbm, &ap_pattern);
+        Some(hop2.received_dbm)
     }
 
     #[test]
@@ -388,11 +371,11 @@ mod tests {
         let to_ap = reflector.position().bearing_deg_to(ap.position());
         reflector.steer_both(to_ap);
         reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
-        let aimed = round_trip_reflection_dbm(&scene, &ap, &reflector).unwrap();
+        let aimed = round_trip(&scene, &ap, &reflector).unwrap();
         // Swing the beams away: the echo collapses.
         reflector.steer_both(to_ap + 35.0);
         reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
-        let away = round_trip_reflection_dbm(&scene, &ap, &reflector).unwrap();
+        let away = round_trip(&scene, &ap, &reflector).unwrap();
         assert!(aimed - away > 15.0, "aimed={aimed} away={away}");
     }
 
@@ -400,7 +383,7 @@ mod tests {
     fn round_trip_none_when_off() {
         let (scene, ap, mut reflector, _hs) = setup();
         reflector.set_amplifier_enabled(false);
-        assert!(round_trip_reflection_dbm(&scene, &ap, &reflector).is_none());
+        assert!(round_trip(&scene, &ap, &reflector).is_none());
     }
 
     #[test]
@@ -418,14 +401,7 @@ mod tests {
             reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
             let rx = reflector.rx_array().gain_dbi_batch(fwd.arrival_deg());
             let tx = reflector.tx_array().gain_dbi_batch(bck.departure_deg());
-            let scalar = round_trip_reflection_on(
-                &forward,
-                &back,
-                ap.array(),
-                ap.tx_power_dbm(),
-                &reflector,
-            )
-            .expect("amplifier on");
+            let scalar = scalar_round_trip(&forward, &back, &ap, &reflector).expect("amplifier on");
             let batched = round_trip_reflection_batched(
                 &fwd,
                 &bck,

@@ -675,14 +675,14 @@ mod tests {
 
     #[test]
     fn carrier_struct_reaching_par_closure_through_helper_flags() {
-        let src = "pub struct Ctx { pub rng: SimRng }\nfn jitter(x: u64, ctx: &mut Ctx) -> u64 { x ^ ctx.rng.next_u64() }\npub fn batched(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {\n  par_map(items, 4, |_, &x| jitter(x, ctx))\n}";
+        let src = "pub struct Ctx { pub rng: SimRng }\nfn jitter(x: u64, ctx: &mut Ctx) -> u64 { x ^ ctx.rng.next_u64() }\npub fn batched(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {\n  pool_map(items, 4, |_, &x| jitter(x, ctx))\n}";
         let hits = run(&[("crates/par/src/lib.rs", src)]);
         assert_eq!(hits, [("rng-reaches-par-unforked", "crates/par/src/lib.rs".to_string(), 4)]);
     }
 
     #[test]
     fn per_item_fork_from_the_carrier_is_clean() {
-        let src = "pub struct Ctx { pub rng: SimRng }\nfn scramble(x: u64, r: &mut SimRng) -> u64 { x ^ r.next_u64() }\npub fn batched(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {\n  par_map(items, 4, |i, &x| { let mut child = ctx.rng.fork(4000 + i); scramble(x, &mut child) })\n}";
+        let src = "pub struct Ctx { pub rng: SimRng }\nfn scramble(x: u64, r: &mut SimRng) -> u64 { x ^ r.next_u64() }\npub fn batched(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {\n  pool_map(items, 4, |i, &x| { let mut child = ctx.rng.fork(4000 + i); scramble(x, &mut child) })\n}";
         assert!(run(&[("crates/par/src/lib.rs", src)]).is_empty());
     }
 

@@ -1,6 +1,6 @@
 //! Parallel-capture analysis: what a closure drags across a thread
-//! boundary. `movr_sim::par_map` and `std::thread::scope` spawns are
-//! the workspace's only fan-out primitives, and their determinism
+//! boundary. `movr_sim::pool_map` and `std::thread::scope` spawns are
+//! the fan-out calls the analysis recognises, and their determinism
 //! guarantee ("byte-identical at any thread count") holds *only* when
 //! worker closures share nothing mutable and draw no randomness from a
 //! stream owned outside the closure. The borrow checker stops the
@@ -21,19 +21,21 @@
 //!   and join in spawn order instead.
 //! * **`interior-mut-crosses-threads`** — a parallel closure captures a
 //!   binding of an interior-mutability type (`RefCell`, `Cell`, `Rc`,
-//!   the `MemoPattern` gain table) or touches a `static mut`. Shared
-//!   interior state makes per-worker results order-dependent (and
-//!   `RefCell`/`Rc` are not `Sync` — the "fix" is usually a lock, which
-//!   trades the compile error for nondeterminism). Atomics are
-//!   deliberately *not* flagged: monotonic progress tracking is the
-//!   sanctioned pattern (see `par_map`'s panic bookkeeping).
+//!   the sweep bench's `MemoPattern` gain memo) or touches a
+//!   `static mut`. Shared interior state makes per-worker results
+//!   order-dependent (and `RefCell`/`Rc` are not `Sync` — the "fix" is
+//!   usually a lock, which trades the compile error for
+//!   nondeterminism). Atomics are deliberately *not* flagged: monotonic
+//!   progress tracking is the sanctioned pattern.
 //! * **`rng-unforked-in-par`** — a `SimRng` stream owned outside the
 //!   closure is referenced inside it other than through a per-item
 //!   `fork` whose label derives from a closure parameter. Draws would
 //!   interleave in worker order; each item must fork (or seed) its own
 //!   child keyed on the item index.
 //!
-//! Known approximations (documented in DESIGN.md): capture detection is
+//! Known approximations (documented in DESIGN.md): closures handed to
+//! `WorkerPool::map` method calls are not seen, because matching `.map(`
+//! by name would also catch every `Iterator::map`. Capture detection is
 //! name-based, so a shadowing `let` inside the closure exempts the name
 //! (under-approximation), while a binding declared in a *sibling*
 //! closure earlier in the same function is treated as enclosing
@@ -97,16 +99,16 @@ fn check_file(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// The closures handed to a parallel primitive: arguments of a
-/// `par_map(...)` call or a `.spawn(...)` method call, outermost only
+/// `pool_map(...)` call or a `.spawn(...)` method call, outermost only
 /// (a `.map(|x| …)` nested inside a spawned closure runs on the same
 /// worker and is analyzed as part of the outer body).
 pub(crate) fn parallel_closures(f: &SourceFile) -> Vec<&ClosureExpr> {
     let toks = &f.tokens;
     let mut candidates: Vec<&ClosureExpr> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        let is_par_map = t.is_ident("par_map");
+        let is_pool_map = t.is_ident("pool_map");
         let is_spawn = t.is_ident("spawn") && i >= 1 && toks[i - 1].is_punct('.');
-        if !(is_par_map || is_spawn) || !toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+        if !(is_pool_map || is_spawn) || !toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
             continue;
         }
         let close = match_delim_pub(toks, i + 1, '(', ')');
@@ -398,8 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn mutable_capture_in_par_map_flags() {
-        let src = "fn f(items: &[u64]) -> u64 {\n  let mut total = 0u64;\n  par_map(items, 4, |_, &x| { total += x; x });\n  total\n}";
+    fn mutable_capture_in_pool_map_flags() {
+        let src = "fn f(items: &[u64]) -> u64 {\n  let mut total = 0u64;\n  pool_map(items, 4, |_, &x| { total += x; x });\n  total\n}";
         assert_eq!(hits(src), [("shared-mut-in-par-closure", 3)]);
     }
 
@@ -414,39 +416,39 @@ mod tests {
 
     #[test]
     fn interior_mut_capture_flags() {
-        let src = "fn f(items: &[u64]) {\n  let memo = MemoPattern::new(1.0);\n  par_map(items, 4, |_, &x| memo.gain(x));\n}";
+        let src = "fn f(items: &[u64]) {\n  let memo = MemoPattern::new(1.0);\n  pool_map(items, 4, |_, &x| memo.gain(x));\n}";
         assert_eq!(hits(src), [("interior-mut-crosses-threads", 3)]);
         // Building the table inside the closure is per-worker state.
-        let ok = "fn f(items: &[u64]) {\n  par_map(items, 4, |_, &x| { let memo = MemoPattern::new(1.0); memo.gain(x) });\n}";
+        let ok = "fn f(items: &[u64]) {\n  pool_map(items, 4, |_, &x| { let memo = MemoPattern::new(1.0); memo.gain(x) });\n}";
         assert!(hits(ok).is_empty());
     }
 
     #[test]
     fn static_mut_is_flagged_even_unbound() {
-        let src = "static mut HITS: u64 = 0;\nfn f(items: &[u64]) {\n  par_map(items, 4, |_, &x| unsafe { HITS += x });\n}";
+        let src = "static mut HITS: u64 = 0;\nfn f(items: &[u64]) {\n  pool_map(items, 4, |_, &x| unsafe { HITS += x });\n}";
         assert_eq!(hits(src), [("interior-mut-crosses-threads", 3)]);
     }
 
     #[test]
     fn unforked_rng_flags_and_per_item_fork_passes() {
-        let bad = "fn f(items: &[u64], rng: &mut SimRng) {\n  par_map(items, 4, |_, &x| rng.next_u64() ^ x);\n}";
+        let bad = "fn f(items: &[u64], rng: &mut SimRng) {\n  pool_map(items, 4, |_, &x| rng.next_u64() ^ x);\n}";
         assert_eq!(hits(bad), [("rng-unforked-in-par", 2)]);
-        let ok = "fn f(items: &[u64], rng: &mut SimRng) {\n  par_map(items, 4, |i, &x| { let mut child = rng.fork(1000 + i); child.next_u64() ^ x });\n}";
+        let ok = "fn f(items: &[u64], rng: &mut SimRng) {\n  pool_map(items, 4, |i, &x| { let mut child = rng.fork(1000 + i); child.next_u64() ^ x });\n}";
         assert!(hits(ok).is_empty());
         // A fork whose label ignores the item is still shared order.
-        let still_bad = "fn f(items: &[u64], rng: &mut SimRng) {\n  par_map(items, 4, |i, &x| { let mut child = rng.fork(7); child.next_u64() ^ x });\n}";
+        let still_bad = "fn f(items: &[u64], rng: &mut SimRng) {\n  pool_map(items, 4, |i, &x| { let mut child = rng.fork(7); child.next_u64() ^ x });\n}";
         assert_eq!(hits(still_bad), [("rng-unforked-in-par", 2)]);
     }
 
     #[test]
     fn closure_locals_and_read_only_captures_pass() {
-        let ok = "fn f(items: &[u64], scale: u64) -> Vec<u64> {\n  par_map(items, 4, |_, &x| { let mut acc = 0; acc += x; acc * scale })\n}";
+        let ok = "fn f(items: &[u64], scale: u64) -> Vec<u64> {\n  pool_map(items, 4, |_, &x| { let mut acc = 0; acc += x; acc * scale })\n}";
         assert!(hits(ok).is_empty());
     }
 
     #[test]
     fn cfg_test_parallel_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n  fn t(items: &[u64]) { let mut n = 0; par_map(items, 2, |_, &x| { n += x; x }); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n  fn t(items: &[u64]) { let mut n = 0; pool_map(items, 2, |_, &x| { n += x; x }); }\n}";
         assert!(hits(src).is_empty());
     }
 }

@@ -847,7 +847,7 @@ mod tests {
 
     #[test]
     fn closure_params_and_expression_body() {
-        let p = parse_src("fn f() { par_map(&v, 4, |i, &x| x + i) }");
+        let p = parse_src("fn f() { pool_map(&v, 4, |i, &x| x + i) }");
         assert_eq!(p.closures.len(), 1);
         let c = &p.closures[0];
         assert_eq!(c.params, ["i", "x"]);

@@ -91,7 +91,7 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     ("layer-violation",
      "A crate references a movr_* crate that lint-layers.toml does not allow (or the crate is undeclared). The dependency DAG is part of the architecture; violations rot it silently."),
     ("shared-mut-in-par-closure",
-     "A parallel closure (par_map/scope spawn) assigns to, takes &mut of, or calls a mutating method on an enclosing binding. Which worker wrote last is scheduling-dependent; return values and join in spawn order."),
+     "A parallel closure (pool_map/scope spawn) assigns to, takes &mut of, or calls a mutating method on an enclosing binding. Which worker wrote last is scheduling-dependent; return values and join in spawn order. Closures passed to WorkerPool::map method calls are not seen: matching .map( by name would also catch every Iterator::map."),
     ("interior-mut-crosses-threads",
      "A parallel closure captures RefCell/Cell/Rc/MemoPattern state or touches a static mut. Shared interior mutability makes per-worker results order-dependent even when it compiles."),
     ("rng-unforked-in-par",

@@ -4,14 +4,14 @@
 
 use movr_math::SimRng;
 use movr_rfsim::MemoPattern;
-use movr_sim::par_map;
+use movr_sim::pool_map;
 
 /// Seeded: one closure committing all three parallel-capture sins on
 /// three distinct lines.
 pub fn tally(items: &[u64], rng: &mut SimRng) -> Vec<u64> {
     let mut total = 0u64;
     let memo = MemoPattern::new(1.0);
-    par_map(items, 4, |_, &x| {
+    pool_map(items, 4, |_, &x| {
         total += x;
         let boost = memo.gain(x);
         boost ^ rng.next_u64()
@@ -28,7 +28,7 @@ pub fn spawned(shared: &mut Vec<u64>) {
 /// Clean: per-item fork keyed on the item index, per-worker state
 /// built inside the closure, read-only capture of `scale`.
 pub fn forked(items: &[u64], rng: &mut SimRng, scale: u64) -> Vec<u64> {
-    par_map(items, 4, |i, &x| {
+    pool_map(items, 4, |i, &x| {
         let mut child = rng.fork(1000 + i);
         let mut acc = x * scale;
         acc ^= child.next_u64();
@@ -56,13 +56,13 @@ fn jitter(x: u64, ctx: &mut Ctx) -> u64 {
 
 /// Seeded: `ctx` carries the stream into `jitter`, which draws.
 pub fn batched(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {
-    par_map(items, 4, |_, &x| jitter(x, ctx))
+    pool_map(items, 4, |_, &x| jitter(x, ctx))
 }
 
 /// Clean: a per-item child forked from the carrier inside the closure
 /// is the only stream the items see.
 pub fn batched_forked(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {
-    par_map(items, 4, |i, &x| {
+    pool_map(items, 4, |i, &x| {
         let mut child = ctx.rng.fork(4000 + i);
         scramble(x, &mut child)
     })

@@ -122,49 +122,6 @@ impl SteeringVector {
         (acc_re, acc_im)
     }
 
-    /// Batch form of [`SteeringVector::array_factor`]: evaluates every
-    /// angle of `thetas_deg` into `out`. Bit-identical per angle to the
-    /// scalar path.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != thetas_deg.len()`.
-    pub fn array_factor_batch_into(&self, thetas_deg: &[f64], out: &mut [C64]) {
-        assert_eq!(
-            thetas_deg.len(),
-            out.len(),
-            "batch output length must match the input"
-        );
-        let chunks = thetas_deg
-            .chunks(BATCH_LANES)
-            .zip(out.chunks_mut(BATCH_LANES));
-        for (t_chunk, o_chunk) in chunks {
-            if t_chunk.len() == BATCH_LANES {
-                let mut sin_t = [0.0; BATCH_LANES];
-                for (st, th) in sin_t.iter_mut().zip(t_chunk) {
-                    *st = th.to_radians().sin();
-                }
-                let (acc_re, acc_im) = self.accumulate_lanes(&sin_t);
-                for ((o, re), im) in o_chunk.iter_mut().zip(acc_re).zip(acc_im) {
-                    *o = C64::new(re, im) / self.weight_sum;
-                }
-            } else {
-                // Remainder lanes take the scalar path (bit-identical
-                // by the scalar kernel's own guarantee).
-                for (o, &th) in o_chunk.iter_mut().zip(t_chunk) {
-                    *o = self.array_factor(th);
-                }
-            }
-        }
-    }
-
-    /// Batch form of [`SteeringVector::array_factor`], allocating the
-    /// output.
-    pub fn array_factor_batch(&self, thetas_deg: &[f64]) -> Vec<C64> {
-        let mut out = vec![C64::ZERO; thetas_deg.len()];
-        self.array_factor_batch_into(thetas_deg, &mut out);
-        out
-    }
-
     /// Batch form of [`SteeringVector::gain_dbi`]: evaluates every
     /// angle of `thetas_deg` into `out`. Bit-identical per angle to the
     /// scalar path.
@@ -636,10 +593,33 @@ mod tests {
         }
     }
 
-    /// Same discipline as `tests/cache_equivalence.rs`: the batch SoA
-    /// kernels must reproduce the scalar reference bit-for-bit across
-    /// tapers, quantisation settings, full/remainder lane groups, and
-    /// both hemispheres (including far wraps beyond ±180°).
+    /// Normalised array factors from the lane kernel: full lane groups
+    /// through [`SteeringVector::accumulate_lanes`], the remainder
+    /// through the scalar path — the layout `gain_dbi_batch_into` uses,
+    /// with the raw array factor exposed so it can be compared.
+    fn lane_array_factors(sv: &SteeringVector, thetas_deg: &[f64]) -> Vec<C64> {
+        let mut out = Vec::with_capacity(thetas_deg.len());
+        for chunk in thetas_deg.chunks(BATCH_LANES) {
+            if chunk.len() == BATCH_LANES {
+                let mut sin_t = [0.0; BATCH_LANES];
+                for (st, th) in sin_t.iter_mut().zip(chunk) {
+                    *st = th.to_radians().sin();
+                }
+                let (acc_re, acc_im) = sv.accumulate_lanes(&sin_t);
+                for (re, im) in acc_re.into_iter().zip(acc_im) {
+                    out.push(C64::new(re, im) / sv.weight_sum);
+                }
+            } else {
+                out.extend(chunk.iter().map(|&th| sv.array_factor(th)));
+            }
+        }
+        out
+    }
+
+    /// The batch SoA kernels must reproduce the scalar reference
+    /// bit-for-bit across tapers, quantisation settings, full/remainder
+    /// lane groups, and both hemispheres (including far wraps beyond
+    /// ±180°).
     #[test]
     fn batch_kernels_bit_identical_to_scalar() {
         let arrays = [
@@ -657,7 +637,7 @@ mod tests {
             for arr in &arrays {
                 for steer in [-61.3, 0.0, 45.0] {
                     let sv = arr.steering_vector(steer);
-                    let af_batch = sv.array_factor_batch(&thetas);
+                    let af_batch = lane_array_factors(&sv, &thetas);
                     let g_batch = sv.gain_dbi_batch(&thetas);
                     assert_eq!(af_batch.len(), len);
                     for ((&th, af), g) in thetas.iter().zip(&af_batch).zip(&g_batch) {

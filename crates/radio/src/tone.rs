@@ -16,7 +16,7 @@
 //!   leaving a residual that can still swamp a weak reflection.
 //! * **A narrowband noise floor and log-normal measurement jitter.**
 
-use movr_math::db::{dbm_to_watts, sum_dbm, watts_to_dbm};
+use movr_math::db::{dbm_to_watts, watts_to_dbm};
 use movr_math::SimRng;
 
 /// One sideband power reading.
@@ -59,48 +59,13 @@ impl ToneProbe {
         tx_power_dbm - self.ap_coupling_db
     }
 
-    /// Measures the f₁+f₂ sideband with the reflector *modulating*.
+    /// The meter for the f₁+f₂ sideband with the reflector *modulating*,
+    /// at a fixed transmit power.
     ///
-    /// `reflected_carrier_dbm` is the power of the round-trip reflection
-    /// arriving back at the AP with the reflector's amplifier continuously
-    /// on; modulation shifts it into the sideband at a conversion loss.
-    /// The leakage contributes only its filtered residual.
-    pub fn measure_modulated(
-        &self,
-        reflected_carrier_dbm: f64,
-        tx_power_dbm: f64,
-        rng: &mut SimRng,
-    ) -> ToneMeasurement {
-        let sideband = reflected_carrier_dbm - self.modulation_loss_db;
-        let residual_leak = self.ap_leakage_dbm(tx_power_dbm) - self.filter_rejection_db;
-        let total = sum_dbm(&[sideband, residual_leak, self.noise_floor_dbm]);
-        ToneMeasurement {
-            power_dbm: total + rng.normal(0.0, self.sigma_db),
-        }
-    }
-
-    /// Measures at f₁ with the reflector *not* modulating — the ablation
-    /// case. The AP's own leakage lands in-band at full strength and
-    /// swamps the reflection, which is why the paper needs modulation.
-    pub fn measure_unmodulated(
-        &self,
-        reflected_carrier_dbm: f64,
-        tx_power_dbm: f64,
-        rng: &mut SimRng,
-    ) -> ToneMeasurement {
-        let leak = self.ap_leakage_dbm(tx_power_dbm);
-        let total = sum_dbm(&[reflected_carrier_dbm, leak, self.noise_floor_dbm]);
-        ToneMeasurement {
-            power_dbm: total + rng.normal(0.0, self.sigma_db),
-        }
-    }
-
-    /// Pre-resolves the sweep-constant terms of [`measure_modulated`]
-    /// for a fixed transmit power: the filtered-leakage residual and
-    /// the noise floor convert to watts once instead of per probe. The
-    /// meter's readings (and its RNG draws) are bit-identical to
-    /// calling `measure_modulated` — the per-probe watt sum keeps the
-    /// exact fold order of [`sum_dbm`].
+    /// Modulation shifts the round-trip reflection into the sideband at
+    /// the conversion loss; the AP's leakage contributes only its
+    /// filtered residual. That residual and the noise floor convert to
+    /// watts once here instead of per probe.
     pub fn modulated_meter(&self, tx_power_dbm: f64) -> ToneMeter {
         ToneMeter {
             loss_db: self.modulation_loss_db,
@@ -110,9 +75,11 @@ impl ToneProbe {
         }
     }
 
-    /// [`measure_unmodulated`]'s sweep-constant terms pre-resolved, same
-    /// contract as [`ToneProbe::modulated_meter`]: the in-band leakage
-    /// (unfiltered, no conversion loss) converts to watts once.
+    /// The meter at f₁ with the reflector *not* modulating — the
+    /// ablation case. The AP's own leakage lands in-band at full
+    /// strength (unfiltered, no conversion loss) and swamps the
+    /// reflection, which is why the paper needs modulation. The leakage
+    /// converts to watts once, as in [`ToneProbe::modulated_meter`].
     pub fn unmodulated_meter(&self, tx_power_dbm: f64) -> ToneMeter {
         ToneMeter {
             loss_db: 0.0,
@@ -124,10 +91,10 @@ impl ToneProbe {
 }
 
 /// A [`ToneProbe`] bound to one transmit power, with every probe-
-/// invariant conversion hoisted: repeated sideband readings cost one
-/// dBm→watt conversion and one watt→dBm conversion each instead of
-/// three and one. Readings are bit-identical to the corresponding
-/// `ToneProbe::measure_*` call (same float-op order, same RNG draws).
+/// invariant conversion hoisted: each reading costs one dBm→watt and one
+/// watt→dBm conversion. Readings are bit-identical to summing the three
+/// powers with [`sum_dbm`](movr_math::db::sum_dbm) per probe (same
+/// float-op order, same RNG draws).
 #[derive(Debug, Clone, Copy)]
 pub struct ToneMeter {
     /// Conversion loss applied to the reflected carrier, dB (0 for the
@@ -160,6 +127,7 @@ impl ToneMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use movr_math::db::sum_dbm;
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(99)
@@ -175,7 +143,7 @@ mod tests {
     #[test]
     fn strong_reflection_dominates_modulated_reading() {
         let p = quiet_probe();
-        let m = p.measure_modulated(-50.0, 10.0, &mut rng());
+        let m = p.modulated_meter(10.0).measure(-50.0, &mut rng());
         // Sideband = -57 dBm; residual leak = 10-45-60 = -95 dBm; floor -95.
         assert!((m.power_dbm - (-57.0)).abs() < 0.1, "m={}", m.power_dbm);
     }
@@ -185,8 +153,9 @@ mod tests {
         // A 10 dB change in reflected power moves the reading ~10 dB —
         // this is what lets the AP rank beam combinations.
         let p = quiet_probe();
-        let hi = p.measure_modulated(-50.0, 10.0, &mut rng()).power_dbm;
-        let lo = p.measure_modulated(-60.0, 10.0, &mut rng()).power_dbm;
+        let meter = p.modulated_meter(10.0);
+        let hi = meter.measure(-50.0, &mut rng()).power_dbm;
+        let lo = meter.measure(-60.0, &mut rng()).power_dbm;
         assert!((hi - lo - 10.0).abs() < 0.5, "hi={hi} lo={lo}");
     }
 
@@ -195,8 +164,9 @@ mod tests {
         // Without modulation the reading barely moves when the reflection
         // changes: leakage at -35 dBm dominates both cases.
         let p = quiet_probe();
-        let hi = p.measure_unmodulated(-50.0, 10.0, &mut rng()).power_dbm;
-        let lo = p.measure_unmodulated(-60.0, 10.0, &mut rng()).power_dbm;
+        let meter = p.unmodulated_meter(10.0);
+        let hi = meter.measure(-50.0, &mut rng()).power_dbm;
+        let lo = meter.measure(-60.0, &mut rng()).power_dbm;
         assert!((hi - lo).abs() < 0.2, "hi={hi} lo={lo}");
         // And the absolute level is essentially the leakage.
         assert!((hi - (-35.0)).abs() < 0.3, "hi={hi}");
@@ -205,7 +175,7 @@ mod tests {
     #[test]
     fn weak_reflection_bottoms_out_at_floor() {
         let p = quiet_probe();
-        let m = p.measure_modulated(-130.0, 10.0, &mut rng());
+        let m = p.modulated_meter(10.0).measure(-130.0, &mut rng());
         // Sideband -137 dBm is far below the floor; the reading is the sum
         // of the -95 dBm residual leak and the -95 dBm floor (≈ -92 dBm).
         assert!(m.power_dbm > -93.5 && m.power_dbm < -91.0, "m={}", m.power_dbm);
@@ -214,9 +184,10 @@ mod tests {
     #[test]
     fn jitter_is_applied() {
         let p = ToneProbe::default();
+        let meter = p.modulated_meter(10.0);
         let mut r = rng();
-        let a = p.measure_modulated(-50.0, 10.0, &mut r).power_dbm;
-        let b = p.measure_modulated(-50.0, 10.0, &mut r).power_dbm;
+        let a = meter.measure(-50.0, &mut r).power_dbm;
+        let b = meter.measure(-50.0, &mut r).power_dbm;
         assert_ne!(a, b);
         assert!((a - b).abs() < 5.0);
     }
@@ -225,6 +196,27 @@ mod tests {
     fn ap_leakage_level() {
         let p = ToneProbe::default();
         assert_eq!(p.ap_leakage_dbm(10.0), -35.0);
+    }
+
+    /// Reference for the meters: the whole reading recomputed per call,
+    /// summing the three powers with `sum_dbm` — the formula the meters
+    /// hoist their constant terms out of.
+    fn per_call_dbm(
+        p: &ToneProbe,
+        modulated: bool,
+        reflected_carrier_dbm: f64,
+        tx_power_dbm: f64,
+        rng: &mut SimRng,
+    ) -> f64 {
+        let (signal, leak) = if modulated {
+            (
+                reflected_carrier_dbm - p.modulation_loss_db,
+                p.ap_leakage_dbm(tx_power_dbm) - p.filter_rejection_db,
+            )
+        } else {
+            (reflected_carrier_dbm, p.ap_leakage_dbm(tx_power_dbm))
+        };
+        sum_dbm(&[signal, leak, p.noise_floor_dbm]) + rng.normal(0.0, p.sigma_db)
     }
 
     #[test]
@@ -236,10 +228,10 @@ mod tests {
             for reflected in [-30.0, -57.3, -95.0, -130.0, f64::NEG_INFINITY] {
                 let mut r1 = rng();
                 let mut r2 = rng();
-                let a = p.measure_modulated(reflected, tx_power_dbm, &mut r1).power_dbm;
+                let a = per_call_dbm(&p, true, reflected, tx_power_dbm, &mut r1);
                 let b = modulated.measure(reflected, &mut r2).power_dbm;
                 assert_eq!(a.to_bits(), b.to_bits(), "modulated {reflected}");
-                let a = p.measure_unmodulated(reflected, tx_power_dbm, &mut r1).power_dbm;
+                let a = per_call_dbm(&p, false, reflected, tx_power_dbm, &mut r1);
                 let b = unmodulated.measure(reflected, &mut r2).power_dbm;
                 assert_eq!(a.to_bits(), b.to_bits(), "unmodulated {reflected}");
                 // Both consumed the same draws.

@@ -7,15 +7,16 @@
 //! invariants. [`LinkBatch`] hoists them once so the per-probe work
 //! shrinks to one multiply-accumulate pass over the taps. Every hoist is
 //! a pure recomputation of the scalar pipeline's intermediates — no
-//! algebraic rewrite — so batched results are bit-identical to
-//! [`Scene::eval_paths`](crate::Scene::eval_paths) by construction, the
-//! same contract `tests/cache_equivalence.rs` pins for [`TracedLink`].
+//! algebraic rewrite — and the pass itself is the same coherent fold the
+//! scalar [`TracedLink::evaluate`] ends in, so batched results are
+//! bit-identical to it by construction.
 //!
-//! [`TracedLink`]: crate::TracedLink
+//! [`TracedLink::evaluate`]: crate::TracedLink::evaluate
 
+use crate::channel::coherent_sum;
 use crate::noise::NoiseModel;
 use crate::scene::LinkEval;
-use movr_math::{db_to_linear, linear_to_db, C64};
+use movr_math::{linear_to_db, C64};
 
 /// A traced link frozen into structure-of-arrays form for row
 /// evaluation: one complex tap plus departure/arrival bearings per path,
@@ -84,10 +85,10 @@ impl LinkBatch {
 
     /// Received power (dBm) under per-path TX/RX gains in dBi.
     ///
-    /// `tx_gains_dbi[i]`/`rx_gains_dbi[i]` weight path `i`; the coherent
-    /// sum replicates [`Channel::combined_gain`](crate::Channel::combined_gain)
-    /// term-for-term (gain weighting first, fold from zero in path
-    /// order), so the result is bit-identical to the scalar pipeline.
+    /// `tx_gains_dbi[i]`/`rx_gains_dbi[i]` weight path `i`. The taps go
+    /// through the same coherent fold as
+    /// [`Channel::combined_gain`](crate::Channel::combined_gain), in path
+    /// order, so the result is bit-identical to the scalar pipeline.
     ///
     /// # Panics
     /// Panics if either gain slice's length differs from [`LinkBatch::len`].
@@ -107,11 +108,8 @@ impl LinkBatch {
             self.taps.len(),
             "rx gain row length must match the tap count"
         );
-        let mut sum = C64::ZERO;
-        let weighted = self.taps.iter().zip(tx_gains_dbi).zip(rx_gains_dbi);
-        for ((tap, gt), gr) in weighted {
-            sum += *tap * db_to_linear(gt + gr).sqrt();
-        }
+        let terms = self.taps.iter().zip(tx_gains_dbi).zip(rx_gains_dbi);
+        let sum = coherent_sum(terms.map(|((tap, gt), gr)| (*tap, gt + gr)));
         tx_power_dbm + linear_to_db(sum.norm_sq())
     }
 

@@ -1,28 +1,26 @@
-//! Traced-path caching: separate the expensive geometry (ray tracing)
-//! from the cheap per-beam reweighting.
+//! Traced links: separate the expensive geometry (ray tracing) from the
+//! cheap per-beam reweighting.
 //!
 //! A 101×101 alignment sweep evaluates the same TX/RX positions 10,201
 //! times with different beam weights; the image-method trace is identical
-//! for every probe. [`TracedLink`] traces once and reweights per query.
-//! [`LinkCache`] is the owning form for callers that outlive a single
-//! scene borrow: it keys entries on (tx, rx) and invalidates the whole
-//! cache when [`Scene::generation`] moves (obstacles changed).
-//!
-//! Both forms evaluate through [`Scene::eval_paths`] — the same routine
-//! `Scene::link_budget` uses — so cached and uncached results are
-//! bit-identical by construction (same float op order).
+//! for every probe. [`TracedLink`] traces once and reweights per query,
+//! either one pattern query per path ([`TracedLink::evaluate`], the
+//! per-frame path) or frozen into a [`LinkBatch`] that takes precomputed
+//! gain rows ([`TracedLink::batch`], the sweeps). Both end in the same
+//! coherent fold as [`Scene::link_budget`], so every form is
+//! bit-identical to re-tracing by construction.
 
 use crate::batch::LinkBatch;
 use crate::pattern::Pattern;
 use crate::raytrace::Path;
-use crate::scene::{LinkBudget, LinkEval, Scene};
+use crate::scene::{LinkEval, Scene};
 use movr_math::Vec2;
 
 /// A link whose paths were traced once and can be reweighted cheaply.
 ///
 /// Holds a shared borrow of the [`Scene`], so the scene cannot be mutated
-/// (no obstacle can move) while this exists — a stale-generation read is
-/// impossible by construction, not by runtime check.
+/// (no obstacle can move) while this exists — a stale read is impossible
+/// by construction, not by runtime check.
 #[derive(Debug)]
 pub struct TracedLink<'s> {
     scene: &'s Scene,
@@ -91,108 +89,13 @@ impl<'s> TracedLink<'s> {
         self.scene
             .eval_paths(&self.paths, tx_pattern, tx_power_dbm, rx_pattern)
     }
-
-    /// Like [`TracedLink::evaluate`] but returns a full [`LinkBudget`]
-    /// (clones the path list).
-    pub fn budget(
-        &self,
-        tx_pattern: &dyn Pattern,
-        tx_power_dbm: f64,
-        rx_pattern: &dyn Pattern,
-    ) -> LinkBudget {
-        let eval = self.evaluate(tx_pattern, tx_power_dbm, rx_pattern);
-        LinkBudget {
-            received_dbm: eval.received_dbm,
-            snr_db: eval.snr_db,
-            paths: self.paths.clone(),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    tx: Vec2,
-    rx: Vec2,
-    paths: Vec<Path>,
-}
-
-/// An owning cache of traced paths keyed on (tx, rx, obstacle epoch).
-///
-/// Unlike [`TracedLink`] this does not borrow the scene, so it can live
-/// across frames: every lookup compares its recorded generation against
-/// [`Scene::generation`] and drops all entries if the obstacles moved.
-#[derive(Debug, Clone, Default)]
-pub struct LinkCache {
-    generation: u64,
-    entries: Vec<CacheEntry>,
-}
-
-impl LinkCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        LinkCache::default()
-    }
-
-    /// Number of cached (tx, rx) entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    fn sync(&mut self, scene: &Scene) {
-        if self.generation != scene.generation() {
-            self.entries.clear();
-            self.generation = scene.generation();
-        }
-    }
-
-    /// The traced paths for `tx → rx` under the scene's current obstacle
-    /// set, tracing on the first miss. Positions are matched exactly.
-    pub fn paths(&mut self, scene: &Scene, tx: Vec2, rx: Vec2) -> &[Path] {
-        self.sync(scene);
-        if let Some(i) = self
-            .entries
-            .iter()
-            .position(|e| e.tx == tx && e.rx == rx)
-        {
-            return &self.entries[i].paths;
-        }
-        let paths = scene.paths_between(tx, rx);
-        self.entries.push(CacheEntry { tx, rx, paths });
-        &self.entries[self.entries.len() - 1].paths
-    }
-
-    /// Cached equivalent of [`Scene::link_budget`] minus the owned path
-    /// list: traces on miss, reweights on hit. Bit-identical to the
-    /// uncached evaluation.
-    pub fn evaluate(
-        &mut self,
-        scene: &Scene,
-        tx: Vec2,
-        tx_pattern: &dyn Pattern,
-        tx_power_dbm: f64,
-        rx: Vec2,
-        rx_pattern: &dyn Pattern,
-    ) -> LinkEval {
-        let paths = self.paths(scene, tx, rx);
-        scene.eval_paths(paths, tx_pattern, tx_power_dbm, rx_pattern)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obstacle::{BodyPart, Obstacle};
-    use crate::pattern::{IsotropicPattern, SectorPattern};
+    use crate::pattern::SectorPattern;
 
     #[test]
     fn traced_link_matches_link_budget_bitwise() {
@@ -208,54 +111,5 @@ mod tests {
         assert_eq!(cached.received_dbm, plain.received_dbm);
         assert_eq!(cached.snr_db, plain.snr_db);
         assert_eq!(link.paths().len(), plain.paths.len());
-    }
-
-    #[test]
-    fn generation_bumps_on_every_mutation() {
-        let mut scene = Scene::paper_office();
-        let g0 = scene.generation();
-        let idx = scene.add_obstacle(Obstacle::new(BodyPart::Torso, Vec2::new(2.0, 2.0)));
-        assert_eq!(scene.generation(), g0 + 1);
-        scene.move_obstacle(idx, Vec2::new(3.0, 3.0));
-        assert_eq!(scene.generation(), g0 + 2);
-        scene.set_obstacles(vec![]);
-        assert_eq!(scene.generation(), g0 + 3);
-        scene.clear_obstacles();
-        assert_eq!(scene.generation(), g0 + 4);
-    }
-
-    #[test]
-    fn link_cache_invalidates_on_obstacle_motion() {
-        let mut scene = Scene::paper_office();
-        let idx = scene.add_obstacle(Obstacle::new(BodyPart::Hand, Vec2::new(2.5, 2.5)));
-        let tx = Vec2::new(0.5, 2.5);
-        let rx = Vec2::new(4.5, 2.5);
-        let iso = IsotropicPattern;
-        let mut cache = LinkCache::new();
-        let before = cache.evaluate(&scene, tx, &iso, 10.0, rx, &iso);
-        assert_eq!(cache.len(), 1);
-        // Move the blocker off the LOS: the cache must re-trace, not
-        // serve the stale shadowed paths.
-        scene.move_obstacle(idx, Vec2::new(2.5, 0.5));
-        let after = cache.evaluate(&scene, tx, &iso, 10.0, rx, &iso);
-        let fresh = scene.link_budget(tx, &iso, 10.0, rx, &iso);
-        assert_eq!(after.received_dbm, fresh.received_dbm);
-        assert_eq!(after.snr_db, fresh.snr_db);
-        assert!(after.snr_db > before.snr_db, "unblocking must help");
-    }
-
-    #[test]
-    fn link_cache_hits_do_not_grow() {
-        let scene = Scene::paper_office();
-        let tx = Vec2::new(1.0, 1.0);
-        let rx = Vec2::new(4.0, 4.0);
-        let iso = IsotropicPattern;
-        let mut cache = LinkCache::new();
-        for _ in 0..5 {
-            cache.evaluate(&scene, tx, &iso, 0.0, rx, &iso);
-        }
-        assert_eq!(cache.len(), 1);
-        cache.evaluate(&scene, rx, &iso, 0.0, tx, &iso);
-        assert_eq!(cache.len(), 2);
     }
 }

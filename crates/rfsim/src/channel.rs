@@ -8,7 +8,7 @@
 
 use crate::raytrace::Path;
 use crate::{fspl_db, wavelength_m};
-use movr_math::{db_to_linear, linear_to_db, C64};
+use movr_math::{db_to_linear, C64};
 use std::f64::consts::PI;
 
 /// The complex gain contributed by one path, before antenna gains.
@@ -69,28 +69,34 @@ impl Channel {
         tx_gain_dbi: impl Fn(f64) -> f64,
         rx_gain_dbi: impl Fn(f64) -> f64,
     ) -> C64 {
-        paths
-            .iter()
-            .map(|p| {
-                let tap = self.path_gain(p);
-                let g_db = tx_gain_dbi(p.departure_deg) + rx_gain_dbi(p.arrival_deg);
-                tap.coefficient * db_to_linear(g_db).sqrt()
-            })
-            .sum()
+        coherent_sum(paths.iter().map(|p| {
+            let gain_db = tx_gain_dbi(p.departure_deg) + rx_gain_dbi(p.arrival_deg);
+            (self.path_gain(p).coefficient, gain_db)
+        }))
     }
+}
 
-    /// Received power in dBm for a transmit power and the combined complex
-    /// gain returned by [`Channel::combined_gain`].
-    pub fn received_power_dbm(tx_power_dbm: f64, combined: C64) -> f64 {
-        tx_power_dbm + linear_to_db(combined.norm_sq())
+/// The coherent sum over `(tap, antenna gain in dB)` terms, taken in
+/// path order: each tap is weighted by the square root of its power
+/// gain and the weighted taps fold from zero.
+///
+/// Every link evaluation ends here — [`Channel::combined_gain`] for the
+/// scalar path and [`LinkBatch`](crate::LinkBatch) for precomputed gain
+/// rows — so the two agree bit for bit by construction.
+#[inline]
+pub(crate) fn coherent_sum(terms: impl Iterator<Item = (C64, f64)>) -> C64 {
+    let mut sum = C64::ZERO;
+    for (tap, gain_db) in terms {
+        sum += tap * db_to_linear(gain_db).sqrt();
     }
+    sum
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::raytrace::PathKind;
-    use movr_math::Vec2;
+    use movr_math::{linear_to_db, Vec2};
 
     fn los_path(len: f64) -> Path {
         Path {
@@ -173,13 +179,6 @@ mod tests {
             |deg| if (deg - 180.0).abs() < 1.0 { -200.0 } else { 0.0 },
         );
         assert!(combined.abs() < 1e-8);
-    }
-
-    #[test]
-    fn received_power_formula() {
-        let p = Channel::received_power_dbm(10.0, C64::new(0.1, 0.0));
-        // |0.1|² = -20 dB → 10 dBm - 20 dB = -10 dBm.
-        assert!((p - (-10.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -36,13 +36,13 @@ pub mod scene;
 pub mod wideband;
 
 pub use batch::LinkBatch;
-pub use cache::{LinkCache, TracedLink};
+pub use cache::TracedLink;
 pub use channel::{Channel, PathGain};
 pub use geometry::{Room, Segment, Surface, Wall};
 pub use material::Material;
 pub use noise::NoiseModel;
 pub use obstacle::{BodyPart, Obstacle};
-pub use pattern::{IsotropicPattern, MemoPattern, Pattern, SectorPattern};
+pub use pattern::{IsotropicPattern, Pattern, SectorPattern};
 pub use raytrace::{trace_paths, Path, PathKind, TraceConfig, Vertices, MAX_PATH_VERTICES};
 pub use scene::{LinkBudget, LinkEval, Scene};
 pub use wideband::{wideband_snr_db, WidebandBudget};

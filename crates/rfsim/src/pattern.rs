@@ -7,7 +7,6 @@
 //! patterns here serve as probes and test fixtures.
 
 use movr_math::wrap_deg_180;
-use std::cell::RefCell;
 
 /// Directional gain of an antenna, queried by absolute direction in the
 /// room plane (degrees, counter-clockwise from +x).
@@ -93,48 +92,6 @@ impl Pattern for SectorPattern {
     }
 }
 
-/// Memoizes the gain queries of an inner pattern.
-///
-/// A link sweep with frozen path geometry queries the *same* handful of
-/// departure/arrival angles over and over — once per beam combination.
-/// Wrapping each candidate pattern in a `MemoPattern` scoped to the part
-/// of the sweep where its steering is fixed turns all but the first
-/// query per angle into a table lookup. Results are **bit-identical** to
-/// the inner pattern: the memo stores and replays the exact `f64` the
-/// inner pattern produced, keyed by the query angle's bit pattern.
-///
-/// The table is a linear-scanned `Vec` — sweeps query only a few dozen
-/// distinct angles, where a hash map would cost more than it saves.
-pub struct MemoPattern<'a> {
-    inner: &'a dyn Pattern,
-    memo: RefCell<Vec<(u64, f64)>>,
-}
-
-impl<'a> MemoPattern<'a> {
-    /// Wraps `inner`. The memo starts empty and only ever grows; drop
-    /// the wrapper (or build a fresh one) when the inner pattern's
-    /// steering changes.
-    pub fn new(inner: &'a dyn Pattern) -> Self {
-        MemoPattern {
-            inner,
-            memo: RefCell::new(Vec::new()),
-        }
-    }
-}
-
-impl Pattern for MemoPattern<'_> {
-    fn gain_dbi(&self, direction_deg: f64) -> f64 {
-        let key = direction_deg.to_bits();
-        let mut memo = self.memo.borrow_mut();
-        if let Some(&(_, gain)) = memo.iter().find(|&&(k, _)| k == key) {
-            return gain;
-        }
-        let gain = self.inner.gain_dbi(direction_deg);
-        memo.push((key, gain));
-        gain
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,28 +145,5 @@ mod tests {
     #[should_panic(expected = "beamwidth")]
     fn zero_beamwidth_rejected() {
         SectorPattern::new(0.0, 0.0, 10.0);
-    }
-
-    #[test]
-    fn memo_replays_bit_identical_and_computes_once() {
-        use std::cell::Cell;
-        struct Counting(Cell<usize>);
-        impl Pattern for Counting {
-            fn gain_dbi(&self, d: f64) -> f64 {
-                self.0.set(self.0.get() + 1);
-                d * 0.5 - 1.0
-            }
-        }
-        let inner = Counting(Cell::new(0));
-        let memo = MemoPattern::new(&inner);
-        for _ in 0..5 {
-            assert_eq!(
-                memo.gain_dbi(37.25).to_bits(),
-                (37.25_f64 * 0.5 - 1.0).to_bits()
-            );
-            assert_eq!(memo.gain_dbi(-12.5), -12.5 * 0.5 - 1.0);
-        }
-        // Two distinct angles → exactly two inner computations.
-        assert_eq!(inner.0.get(), 2);
     }
 }

@@ -55,8 +55,9 @@ pub struct Scene {
     noise: NoiseModel,
     trace: TraceConfig,
     obstacles: Vec<Obstacle>,
-    /// Bumped on every obstacle mutation; lets path caches detect that
-    /// previously-traced geometry is stale.
+    /// Bumped on every obstacle mutation. No evaluation reads it;
+    /// version 1 of the `MOVRSNAP` session snapshot layout stores it, so
+    /// it is kept (and restored) for that layout alone.
     generation: u64,
 }
 
@@ -121,9 +122,8 @@ impl Scene {
         &self.obstacles
     }
 
-    /// The obstacle epoch: incremented on every obstacle mutation.
-    /// Path caches keyed on (tx, rx, generation) invalidate correctly
-    /// when the hand/head blockers move.
+    /// The obstacle epoch: incremented on every obstacle mutation. Session
+    /// snapshots record it (see [`Scene::restore_obstacle_state`]).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -159,9 +159,9 @@ impl Scene {
 
     /// Restores the obstacle set *and* the epoch counter exactly, for
     /// checkpoint restore. Unlike [`Scene::set_obstacles`], this does not
-    /// bump the generation: a resumed session must observe the same epoch
-    /// sequence as the uninterrupted run, or (generation-keyed) path
-    /// caches would diverge between the two.
+    /// bump the generation. No evaluation depends on the counter; it
+    /// exists only because version 1 of the `MOVRSNAP` snapshot layout
+    /// stores it, and a resumed session must re-encode byte-identically.
     pub fn restore_obstacle_state(&mut self, obstacles: Vec<Obstacle>, generation: u64) {
         self.obstacles = obstacles;
         self.generation = generation;
@@ -182,9 +182,9 @@ impl Scene {
     }
 
     /// Reweights an already-traced path set under the given patterns and
-    /// transmit power. This is the single evaluation routine shared by
-    /// [`Scene::link_budget`] and the cached forms ([`TracedLink`],
-    /// [`crate::LinkCache`]), so cached and uncached results are
+    /// transmit power. This is the scalar evaluation routine shared by
+    /// [`Scene::link_budget`] and [`TracedLink::evaluate`]; it ends in the
+    /// same coherent fold as [`crate::LinkBatch`], so every form is
     /// bit-identical by construction.
     pub fn eval_paths(
         &self,
@@ -292,6 +292,20 @@ mod tests {
         assert_eq!(scene.obstacles()[0].center, Vec2::new(3.0, 3.0));
         scene.clear_obstacles();
         assert!(scene.obstacles().is_empty());
+    }
+
+    #[test]
+    fn generation_bumps_on_every_mutation() {
+        let mut scene = Scene::paper_office();
+        let g0 = scene.generation();
+        let idx = scene.add_obstacle(Obstacle::new(BodyPart::Torso, Vec2::new(2.0, 2.0)));
+        assert_eq!(scene.generation(), g0 + 1);
+        scene.move_obstacle(idx, Vec2::new(3.0, 3.0));
+        assert_eq!(scene.generation(), g0 + 2);
+        scene.set_obstacles(vec![]);
+        assert_eq!(scene.generation(), g0 + 3);
+        scene.clear_obstacles();
+        assert_eq!(scene.generation(), g0 + 4);
     }
 
     #[test]

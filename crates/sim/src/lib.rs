@@ -13,12 +13,10 @@
 //! dispatches them itself, so all state lives in ordinary structs with no
 //! interior mutability or `dyn FnOnce` gymnastics.
 
-pub mod par;
 pub mod pool;
 pub mod queue;
 pub mod time;
 
-pub use par::{available_threads, par_map};
-pub use pool::{global_pool, pool_map, WorkerPool};
+pub use pool::{available_threads, global_pool, pool_map, WorkerPool};
 pub use queue::{EventQueue, PastEventError};
 pub use time::{Periodic, SimTime};

@@ -1,28 +1,28 @@
-//! A persistent worker pool with the same determinism contract as
-//! [`par_map`](crate::par_map).
+//! A persistent worker pool for deterministic parallel maps.
 //!
-//! `par_map` spawns and joins OS threads on every call. That is correct
-//! and simple, but a Monte Carlo fleet or a coverage map calls it once
-//! per batch and a bench harness thousands of times — at which point
-//! thread creation (stack mapping, scheduler wake-up, TLS setup)
-//! dominates small workloads. [`WorkerPool`] keeps the threads alive:
+//! Coverage maps, blockage surveys, Monte Carlo session fleets and the
+//! trace reducer are embarrassingly parallel: every item is independent
+//! and the output is just the per-item results in input order.
+//! [`WorkerPool`] fans such work out over threads that stay alive:
 //! workers are spawned lazily on first use, fed jobs over channels, and
-//! reused for every subsequent call.
+//! reused for every subsequent call, so a caller that maps once per
+//! batch pays thread creation once, not per call.
 //!
-//! The determinism argument is the same as `par_map`'s, point for point:
+//! The output is **byte-identical for any thread count**, because
 //!
-//! * the input is split into contiguous chunks in order (balanced
-//!   layout, shared with `par_map`),
+//! * the input is split into contiguous chunks in order, balanced so
+//!   chunk sizes differ by at most one,
 //! * chunk `i` always goes to worker `i` — assignment is a function of
 //!   `(items.len(), threads)` alone, never of scheduling,
 //! * workers share no mutable state (each chunk returns its own `Vec`),
 //! * chunk results are reassembled by chunk index, not arrival order.
 //!
-//! So [`WorkerPool::map`] is **byte-identical for any thread count**,
-//! including to the serial map. Panics inside a job are caught per item,
-//! reported with the item's input index (same attribution contract as
-//! `par_map`), and leave the pool healthy — workers survive and the next
-//! call proceeds normally.
+//! So [`WorkerPool::map`] is byte-identical to the serial map. Each
+//! item's closure receives the item's index in the input, so callers
+//! that need randomness can fork a deterministic per-item RNG instead of
+//! sharing a sequence across threads. Panics inside a job are caught per
+//! item, reported with the item's input index, and leave the pool
+//! healthy — workers survive and the next call proceeds normally.
 //!
 //! Nested calls from inside a worker run inline on the calling worker:
 //! fanning out from a worker onto the same pool could otherwise deadlock
@@ -30,7 +30,6 @@
 //! execution preserves the byte-identity contract (it *is* the serial
 //! path).
 
-use crate::par::{chunk_bounds, panic_detail};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,8 +37,48 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
+/// Number of worker threads worth spawning on this machine (≥ 1).
+pub fn available_threads() -> usize {
+    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Balanced contiguous chunk layout: `(start, end)` bounds splitting
+/// `len` items over exactly `chunks` workers, in order. Every chunk gets
+/// `len / chunks` items and the first `len % chunks` chunks one extra,
+/// so chunk sizes never differ by more than one and no trailing chunk is
+/// empty. (`ceil`-sized splitting would strand trailing workers: 5 items
+/// over 4 threads in chunks of ⌈5/4⌉ = 2 make [2, 2, 1] and leave the
+/// fourth worker idle; this yields [2, 1, 1, 1].)
+///
+/// `chunks` must be in `1..=len`; [`WorkerPool::map`] clamps before
+/// calling.
+fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
+    debug_assert!(chunks >= 1 && chunks <= len);
+    let base = len / chunks;
+    let extra = len % chunks;
+    let mut bounds = Vec::with_capacity(chunks);
+    let mut start = 0;
+    for i in 0..chunks {
+        let size = base + usize::from(i < extra);
+        bounds.push((start, start + size));
+        start += size;
+    }
+    bounds
+}
+
+/// Renders a propagated panic payload for attribution messages.
+fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// An owned job: closures are `'static` because pool workers outlive any
-/// single call (unlike `thread::scope`, which lets `par_map` borrow).
+/// single call.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
@@ -95,9 +134,9 @@ impl WorkerPool {
     }
 
     /// Maps `f` over `items` on up to `threads` pool workers, returning
-    /// the results in input order; `f` receives `(index, &item)` exactly
-    /// like [`par_map`](crate::par_map), and the output is byte-identical
-    /// to it (and to the serial map) for every `threads` value.
+    /// the results in input order; `f` receives `(index, &item)` where
+    /// `index` is the item's position in `items`, and the output is
+    /// byte-identical to the serial map for every `threads` value.
     ///
     /// Takes `items` by value: chunks are moved to the workers, so the
     /// items (and `f`) must be `'static` — the price of workers that
@@ -172,8 +211,7 @@ impl WorkerPool {
         // Drain every chunk before reporting anything: results arrive in
         // completion order, the output is assembled in chunk order, and
         // a failure is reported only after all workers are quiescent (so
-        // the earliest-chunk failure wins deterministically, matching
-        // `par_map`'s join-in-spawn-order attribution).
+        // the earliest-chunk failure wins deterministically).
         let mut slots: Vec<Option<Vec<R>>> = (0..threads).map(|_| None).collect();
         let mut failure: Option<(usize, usize, String)> = None;
         for _ in 0..threads {
@@ -204,9 +242,8 @@ pub fn global_pool() -> &'static WorkerPool {
     GLOBAL.get_or_init(WorkerPool::new)
 }
 
-/// [`WorkerPool::map`] on the process-wide pool: the drop-in persistent
-/// counterpart of [`par_map`](crate::par_map) for owned inputs. First
-/// call spawns the workers; later calls reuse them.
+/// [`WorkerPool::map`] on the process-wide pool. First call spawns the
+/// workers; later calls reuse them.
 ///
 /// # Panics
 /// Propagates job panics with item attribution, like [`WorkerPool::map`].
@@ -222,7 +259,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::par_map;
 
     /// movr-sim has zero dependencies by design, so the property test
     /// carries its own LCG (Knuth's MMIX constants).
@@ -242,8 +278,13 @@ mod tests {
         x.wrapping_mul(2654435761).rotate_left(13) ^ salt
     }
 
+    /// The serial map every pool output must equal.
+    fn serial(items: &[u64]) -> Vec<u64> {
+        items.iter().enumerate().map(|(i, x)| work(i, x)).collect()
+    }
+
     #[test]
-    fn property_pool_matches_serial_par_map() {
+    fn property_pool_matches_serial_map() {
         // Random item counts and thread counts, including threads ≫ len,
         // threads == len ± 1, and single items.
         let pool = WorkerPool::new();
@@ -252,7 +293,7 @@ mod tests {
             let len = (rng.next() % 65) as usize;
             let threads = (rng.next() % 9) as usize;
             let items: Vec<u64> = (0..len).map(|_| rng.next()).collect();
-            let expect = par_map(&items, 1, work);
+            let expect = serial(&items);
             let got = pool.map(items, threads, work);
             assert_eq!(got, expect, "round={round} len={len} threads={threads}");
         }
@@ -309,7 +350,7 @@ mod tests {
         );
         // The workers caught the panic and are still serving jobs.
         let after = pool.map((0..16u64).collect(), 4, work);
-        assert_eq!(after, par_map(&(0..16u64).collect::<Vec<_>>(), 1, work));
+        assert_eq!(after, serial(&(0..16u64).collect::<Vec<_>>()));
         assert_eq!(pool.threads_spawned(), 4, "no respawn after a job panic");
     }
 
@@ -340,12 +381,74 @@ mod tests {
         let outer: Vec<u64> = (0..4).collect();
         let got = pool_map(outer, 4, |i, &x| {
             let inner: Vec<u64> = (0..8).map(|k| x.wrapping_add(k)).collect();
-            let inner_expect = par_map(&inner, 1, work);
+            let inner_expect = serial(&inner);
             let inner_got = pool_map(inner, 4, work);
             assert_eq!(inner_got, inner_expect, "outer item {i}");
             inner_got.iter().fold(0u64, |a, &b| a.wrapping_add(b))
         });
         assert_eq!(got.len(), 4);
+    }
+
+    #[test]
+    fn available_threads_is_positive() {
+        assert!(available_threads() >= 1);
+    }
+
+    #[test]
+    fn chunk_sizes_differ_by_at_most_one_and_cover_everything() {
+        // The regression case: 5 items over 4 threads must not split
+        // [2, 2, 1] with a fourth worker idle. Balanced sizing gives
+        // every worker something to do.
+        assert_eq!(chunk_bounds(5, 4), [(0, 2), (2, 3), (3, 4), (4, 5)]);
+        for len in 1..=64usize {
+            for chunks in 1..=len {
+                let bounds = chunk_bounds(len, chunks);
+                assert_eq!(bounds.len(), chunks, "len={len} chunks={chunks}");
+                let mut expect_start = 0;
+                let mut min_size = usize::MAX;
+                let mut max_size = 0;
+                for &(start, end) in &bounds {
+                    assert_eq!(start, expect_start, "contiguous, in order");
+                    assert!(end > start, "no empty chunk (len={len} chunks={chunks})");
+                    min_size = min_size.min(end - start);
+                    max_size = max_size.max(end - start);
+                    expect_start = end;
+                }
+                assert_eq!(expect_start, len, "chunks cover the input");
+                assert!(max_size - min_size <= 1, "balanced (len={len} chunks={chunks})");
+            }
+        }
+    }
+
+    #[test]
+    fn threads_near_item_count_leave_no_worker_idle() {
+        // Behavioural form of the same regression: with 5 items on 4
+        // threads the observed worker set must span 4 distinct threads.
+        use std::collections::HashSet;
+        let pool = WorkerPool::new();
+        let seen: Arc<Mutex<HashSet<thread::ThreadId>>> = Arc::default();
+        let record = Arc::clone(&seen);
+        let out = pool.map((0..5u32).collect(), 4, move |_, &x| {
+            record
+                .lock()
+                .expect("clean lock")
+                .insert(thread::current().id());
+            x * 10
+        });
+        assert_eq!(out, [0, 10, 20, 30, 40]);
+        assert_eq!(
+            seen.lock().expect("clean lock").len(),
+            4,
+            "all four workers busy"
+        );
+    }
+
+    #[test]
+    fn indices_match_positions() {
+        let pool = WorkerPool::new();
+        let items = vec!["a", "b", "c", "d", "e"];
+        let got = pool.map(items, 2, |i, &s| format!("{i}:{s}"));
+        assert_eq!(got, ["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
     #[test]

@@ -44,6 +44,9 @@ cargo test -q --offline
 echo "==> workspace tests (all crates)"
 cargo test --workspace -q --offline
 
+echo "==> paper shapes: every figure's PASS/FAIL checks (exit 1 on any FAIL)"
+cargo run -q --release --offline -p movr-bench --bin repro_all
+
 echo "==> checkpoint gate: random-cut resume bit-identity + corruption rejection"
 cargo test -q --offline --test checkpoint
 
@@ -112,7 +115,7 @@ grep -q '"name":"par_tiny_worker_pool"' out/BENCH_micro.json || {
     exit 1
 }
 
-echo "==> bench: sweep-rate gate (batched bit-identical and >= 3x over memoized,"
+echo "==> bench: sweep-rate gate (batched bit-identical and >= 2.5x over memoized,"
 echo "    memoized >= 5x over uncached; fleet byte-identical, thread ladder)"
 cargo bench -p movr-bench --bench sweep --offline -- --quick 2>/dev/null \
     | grep '^{' > out/BENCH_sweep.json

@@ -1,14 +1,16 @@
-//! Batched vs memoized-scalar evaluation must be **bit-identical**.
+//! Batched vs scalar evaluation must be **bit-identical**.
 //!
 //! The batched sweep engine (SoA gain kernels, `GainPage` codebook
-//! pages, `LinkBatch` tap rows) is a pure restructuring of the memoized
-//! scalar path it replaced: every batch entry point promises the same
-//! float-op order as per-cell `MemoPattern` queries through the traced
-//! links. These tests pin that promise on the paper setup for the three
-//! load-bearing sweeps — `estimate_incidence`, `estimate_reflection`,
-//! and the `opt_nlos` baseline — by re-running each against a scalar
-//! replica of the pre-batch implementation (same discipline as
-//! `cache_equivalence.rs`, one optimization generation later).
+//! pages, `LinkBatch` tap rows, the hoisted `ToneMeter`) is a pure
+//! restructuring of the scalar sweep it replaced, which queried each
+//! antenna pattern once per traced path per probe. These tests pin that
+//! promise on the paper setup for the three load-bearing sweeps —
+//! `estimate_incidence`, `estimate_reflection`, and the `opt_nlos`
+//! baseline — by re-running each against a scalar reference built on
+//! `TracedLink::evaluate`, with its own copy of the tone-probe formula
+//! and of the relay cascade. (The scalar generation also memoized its
+//! gain queries; a memo replays the exact `f64` it stored, so the
+//! references query the patterns directly.)
 
 use movr::alignment::{
     estimate_incidence, estimate_reflection, AlignmentConfig, SweepParams,
@@ -16,15 +18,37 @@ use movr::alignment::{
 use movr::baselines::opt_nlos;
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
-use movr::relay::{relay_link_with, round_trip_reflection_with};
+use movr_math::db::sum_dbm;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
 use movr_phased_array::{Codebook, PatternTable};
-use movr_radio::{ArrayPattern, RadioEndpoint};
-use movr_rfsim::{MemoPattern, Scene};
+use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
+use movr_rfsim::{NoiseModel, Scene};
 
-/// Scalar replica of the pre-batch `estimate_incidence` core: traced
-/// links, a pre-steered AP table, and per-pattern gain memos, probing
-/// each (θ₁, θ₂) pair through `round_trip_reflection_with`.
+/// One sideband reading computed whole per call: the reflection (after
+/// conversion loss when modulated), the AP leakage (filtered when
+/// modulated, in-band otherwise) and the noise floor summed in watts,
+/// plus the jitter draw.
+fn tone_reading(
+    probe: &ToneProbe,
+    modulated: bool,
+    reflected_dbm: f64,
+    tx_power_dbm: f64,
+    rng: &mut SimRng,
+) -> f64 {
+    let (signal, leak) = if modulated {
+        (
+            reflected_dbm - probe.modulation_loss_db,
+            probe.ap_leakage_dbm(tx_power_dbm) - probe.filter_rejection_db,
+        )
+    } else {
+        (reflected_dbm, probe.ap_leakage_dbm(tx_power_dbm))
+    };
+    sum_dbm(&[signal, leak, probe.noise_floor_dbm]) + rng.normal(0.0, probe.sigma_db)
+}
+
+/// Scalar reference for the `estimate_incidence` core: traced links and
+/// a pre-steered AP table, evaluating both legs of each (θ₁, θ₂) round
+/// trip one pattern query per path.
 fn memoized_incidence(
     scene: &Scene,
     ap: &RadioEndpoint,
@@ -37,10 +61,6 @@ fn memoized_incidence(
     let forward = scene.trace_link(ap.position(), reflector.position());
     let back = scene.trace_link(reflector.position(), ap.position());
     let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);
-    let ap_patterns: Vec<ArrayPattern<'_>> =
-        ap_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let ap_memos: Vec<MemoPattern<'_>> =
-        ap_patterns.iter().map(|p| MemoPattern::new(p)).collect();
 
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
     for &theta1 in config.reflector_codebook.beams() {
@@ -48,26 +68,17 @@ fn memoized_incidence(
         let relay_gain_db = reflector.effective_gain_db();
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
-        let rx_memo = MemoPattern::new(&rx_pattern);
-        let tx_memo = MemoPattern::new(&tx_pattern);
-        for ((theta2, _), ap_memo) in ap_table.entries().zip(&ap_memos) {
-            let reflected = round_trip_reflection_with(
-                &forward,
-                &back,
-                ap_memo,
-                ap.tx_power_dbm(),
-                relay_gain_db,
-                &rx_memo,
-                &tx_memo,
-            )
-            .unwrap_or(f64::NEG_INFINITY);
-            let reading = if config.modulated {
-                config.probe.measure_modulated(reflected, ap.tx_power_dbm(), rng)
-            } else {
-                config.probe.measure_unmodulated(reflected, ap.tx_power_dbm(), rng)
-            };
-            if reading.power_dbm > best.0 {
-                best = (reading.power_dbm, theta1, theta2);
+        for (theta2, ap_array) in ap_table.entries() {
+            let ap_pattern = ArrayPattern(ap_array);
+            let reflected = relay_gain_db.map_or(f64::NEG_INFINITY, |gain_db| {
+                let hop1 = forward.evaluate(&ap_pattern, ap.tx_power_dbm(), &rx_pattern);
+                back.evaluate(&tx_pattern, hop1.received_dbm + gain_db, &ap_pattern)
+                    .received_dbm
+            });
+            let reading =
+                tone_reading(&config.probe, config.modulated, reflected, ap.tx_power_dbm(), rng);
+            if reading > best.0 {
+                best = (reading, theta1, theta2);
             }
         }
     }
@@ -104,10 +115,13 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
     }
 }
 
-/// Scalar replica of the pre-batch `estimate_reflection` core: the
-/// reflector's RX beam stays put, its TX beam sweeps the codebook (with
-/// the §4.2 gain loop re-run per candidate), and the headset reports a
-/// noisy SNR per receive beam through `relay_link_with`.
+/// Scalar reference for the `estimate_reflection` core: the reflector's
+/// RX beam stays put, its TX beam sweeps the codebook (with the §4.2
+/// gain loop re-run per candidate), and the headset reports a noisy SNR
+/// per receive beam. Each probe evaluates both hops one pattern query
+/// per path and applies the amplify-and-forward cascade itself: hop-1
+/// SNR against the reflector's low-noise front end, end SNR the minimum
+/// of the two hops, −∞ when the amplifier is off or saturated.
 fn memoized_reflection(
     scene: &Scene,
     ap: &RadioEndpoint,
@@ -118,15 +132,16 @@ fn memoized_reflection(
 ) -> (f64, f64, f64) {
     reflector.set_modulating(false);
     let snr_sigma_db = 0.5;
+    let front_end = NoiseModel {
+        bandwidth_hz: scene.noise().bandwidth_hz,
+        noise_figure_db: 4.0,
+        implementation_loss_db: 0.0,
+        temperature_k: scene.noise().temperature_k,
+    };
     let hop1 = scene.trace_link(ap.position(), reflector.position());
     let hop2 = scene.trace_link(reflector.position(), headset.position());
     let hs_table = PatternTable::new(headset.array(), sweep.headset_codebook);
     let ap_pattern = ArrayPattern(ap.array());
-    let ap_memo = MemoPattern::new(&ap_pattern);
-    let hs_patterns: Vec<ArrayPattern<'_>> =
-        hs_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let hs_memos: Vec<MemoPattern<'_>> =
-        hs_patterns.iter().map(|p| MemoPattern::new(p)).collect();
 
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
     for &tx_deg in sweep.tx_codebook.beams() {
@@ -134,20 +149,15 @@ fn memoized_reflection(
         run_gain_control(&mut reflector, &GainControlConfig::default());
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
-        let rx_memo = MemoPattern::new(&rx_pattern);
-        let tx_memo = MemoPattern::new(&tx_pattern);
-        for ((rx_deg, _), hs_memo) in hs_table.entries().zip(&hs_memos) {
-            let budget = relay_link_with(
-                &hop1,
-                &hop2,
-                &ap_memo,
-                ap.tx_power_dbm(),
-                &reflector,
-                &rx_memo,
-                &tx_memo,
-                hs_memo,
-            );
-            let reported = budget.end_snr_db + rng.normal(0.0, snr_sigma_db);
+        for (rx_deg, hs_array) in hs_table.entries() {
+            let hop1_eval = hop1.evaluate(&ap_pattern, ap.tx_power_dbm(), &rx_pattern);
+            let hop1_snr_db = front_end.snr_db(hop1_eval.received_dbm);
+            let end_snr_db = reflector.effective_gain_db().map_or(f64::NEG_INFINITY, |gain_db| {
+                let out_dbm = hop1_eval.received_dbm + gain_db;
+                let hop2_eval = hop2.evaluate(&tx_pattern, out_dbm, &ArrayPattern(hs_array));
+                hop1_snr_db.min(hop2_eval.snr_db)
+            });
+            let reported = end_snr_db + rng.normal(0.0, snr_sigma_db);
             if reported > best.0 {
                 best = (reported, tx_deg, rx_deg);
             }
@@ -209,33 +219,28 @@ fn batched_opt_nlos_is_bit_identical_to_memoized_scalar() {
 
     let batched = opt_nlos(&scene, &ap, &headset, &ap_codebook, &hs_codebook, exclude_cone_deg);
 
-    // Scalar replica of the pre-batch search: pre-steered tables with a
-    // gain memo per candidate pattern, evaluated through the traced link.
+    // Scalar reference for the search: pre-steered tables, each
+    // candidate pair evaluated through the traced link one pattern
+    // query per path.
     let direct_ap = ap.position().bearing_deg_to(hs_pos);
     let direct_hs = hs_pos.bearing_deg_to(ap.position());
     let link = scene.trace_link(ap.position(), hs_pos);
     let ap_table = PatternTable::new(ap.array(), &ap_codebook);
     let hs_table = PatternTable::new(headset.array(), &hs_codebook);
-    let ap_patterns: Vec<ArrayPattern<'_>> =
-        ap_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let ap_memos: Vec<MemoPattern<'_>> =
-        ap_patterns.iter().map(|p| MemoPattern::new(p)).collect();
-    let hs_patterns: Vec<ArrayPattern<'_>> =
-        hs_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let hs_memos: Vec<MemoPattern<'_>> =
-        hs_patterns.iter().map(|p| MemoPattern::new(p)).collect();
 
     let mut best = (f64::NEG_INFINITY, direct_ap, direct_hs);
     let mut combinations = 0usize;
-    for ((a, _), ap_memo) in ap_table.entries().zip(&ap_memos) {
+    for (a, ap_array) in ap_table.entries() {
         let ap_is_direct = wrap_deg_180(a - direct_ap).abs() <= exclude_cone_deg;
-        for ((h, _), hs_memo) in hs_table.entries().zip(&hs_memos) {
+        for (h, hs_array) in hs_table.entries() {
             let hs_is_direct = wrap_deg_180(h - direct_hs).abs() <= exclude_cone_deg;
             if ap_is_direct && hs_is_direct {
                 continue;
             }
             combinations += 1;
-            let snr = link.evaluate(ap_memo, ap.tx_power_dbm(), hs_memo).snr_db;
+            let snr = link
+                .evaluate(&ArrayPattern(ap_array), ap.tx_power_dbm(), &ArrayPattern(hs_array))
+                .snr_db;
             if snr > best.0 {
                 best = (snr, a, h);
             }

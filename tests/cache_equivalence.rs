@@ -1,19 +1,22 @@
-//! Cached vs uncached evaluation must be **bit-identical**.
+//! Traced-once vs re-traced evaluation must be **bit-identical**.
 //!
-//! The sweep-rate engine (traced-path caching, steering-vector reuse,
-//! memoized gain lookups) is a pure restructuring: every cached entry
-//! point promises the same float-op order as the plain one. These tests
-//! pin that promise on the paper setup for the three load-bearing
-//! evaluators — `relay_link`, `round_trip_reflection_dbm`, and the full
-//! `estimate_incidence` sweep — plus the raw `LinkCache`.
+//! Tracing a link once and reweighting it per query is a pure
+//! restructuring: every entry point that takes traced hops promises the
+//! same float-op order as re-tracing on every call. These tests pin that
+//! promise on the paper setup for the three load-bearing evaluators —
+//! `relay_link_on`, the backscatter round trip, and the full
+//! `estimate_incidence` sweep — against references that re-trace per
+//! call through `Scene::link_budget` and carry their own copy of the
+//! tone-probe formula.
 
 use movr::alignment::{estimate_incidence, AlignmentConfig};
 use movr::reflector::MovrReflector;
-use movr::relay::{relay_link, relay_link_on, round_trip_reflection_dbm, round_trip_reflection_on};
+use movr::relay::{relay_link, relay_link_on, round_trip_reflection_batched};
+use movr_math::db::sum_dbm;
 use movr_math::{SimRng, Vec2};
 use movr_phased_array::Codebook;
-use movr_radio::{evaluate_link, ArrayPattern, RadioEndpoint};
-use movr_rfsim::{BodyPart, LinkCache, Obstacle, Scene};
+use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
+use movr_rfsim::{BodyPart, Obstacle, Scene};
 
 /// The canonical relay layout: AP mid-west wall, reflector on the north
 /// wall, headset in the play area, beams aimed, gain safely below leak.
@@ -30,6 +33,46 @@ fn relay_setup() -> (Scene, RadioEndpoint, MovrReflector, RadioEndpoint) {
     headset.steer_toward(reflector.position());
     reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
     (scene, ap, reflector, headset)
+}
+
+/// Re-traced round trip: both legs of the AP ↔ reflector loop traced
+/// and evaluated per call, the AP's array on both ends.
+fn retraced_round_trip(
+    scene: &Scene,
+    ap: &RadioEndpoint,
+    reflector: &MovrReflector,
+) -> Option<f64> {
+    let ap_pattern = ArrayPattern(ap.array());
+    let hop1 = scene.link_budget(
+        ap.position(),
+        &ap_pattern,
+        ap.tx_power_dbm(),
+        reflector.position(),
+        &ArrayPattern(reflector.rx_array()),
+    );
+    let out_dbm = hop1.received_dbm + reflector.effective_gain_db()?;
+    let hop2 = scene.link_budget(
+        reflector.position(),
+        &ArrayPattern(reflector.tx_array()),
+        out_dbm,
+        ap.position(),
+        &ap_pattern,
+    );
+    Some(hop2.received_dbm)
+}
+
+/// One modulated sideband reading, computed whole per call: reflection
+/// after conversion loss, filtered leakage residual and noise floor
+/// summed in watts, plus the jitter draw.
+fn modulated_reading(
+    probe: &ToneProbe,
+    reflected_dbm: f64,
+    tx_power_dbm: f64,
+    rng: &mut SimRng,
+) -> f64 {
+    let sideband = reflected_dbm - probe.modulation_loss_db;
+    let residual_leak = probe.ap_leakage_dbm(tx_power_dbm) - probe.filter_rejection_db;
+    sum_dbm(&[sideband, residual_leak, probe.noise_floor_dbm]) + rng.normal(0.0, probe.sigma_db)
 }
 
 #[test]
@@ -62,21 +105,43 @@ fn relay_link_on_is_bit_identical_to_relay_link() {
 fn round_trip_on_is_bit_identical_to_plain() {
     let (scene, ap, mut reflector, _hs) = relay_setup();
     let to_ap = reflector.position().bearing_deg_to(ap.position());
+    // Traced once, as the alignment sweep does: both legs frozen into
+    // batches, the AP's rows computed once, the reflector's per posture.
+    let forward = scene.trace_link(ap.position(), reflector.position()).batch();
+    let back = scene.trace_link(reflector.position(), ap.position()).batch();
+    let ap_forward = ap.array().gain_dbi_batch(forward.departure_deg());
+    let ap_back = ap.array().gain_dbi_batch(back.arrival_deg());
+    let traced = |reflector: &MovrReflector| {
+        round_trip_reflection_batched(
+            &forward,
+            &back,
+            &ap_forward,
+            &ap_back,
+            ap.tx_power_dbm(),
+            reflector.effective_gain_db(),
+            &reflector.rx_array().gain_dbi_batch(forward.arrival_deg()),
+            &reflector.tx_array().gain_dbi_batch(back.departure_deg()),
+        )
+    };
     for offset in [0.0, 7.0, -13.0, 31.0] {
         reflector.steer_both(to_ap + offset);
         reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
-        let plain = round_trip_reflection_dbm(&scene, &ap, &reflector);
-        let forward = scene.trace_link(ap.position(), reflector.position());
-        let back = scene.trace_link(reflector.position(), ap.position());
-        let cached =
-            round_trip_reflection_on(&forward, &back, ap.array(), ap.tx_power_dbm(), &reflector);
-        assert_eq!(plain.map(f64::to_bits), cached.map(f64::to_bits), "offset={offset}");
+        let plain = retraced_round_trip(&scene, &ap, &reflector);
+        assert!(plain.is_some(), "amplifier on at offset={offset}");
+        assert_eq!(
+            plain.map(f64::to_bits),
+            traced(&reflector).map(f64::to_bits),
+            "offset={offset}"
+        );
     }
+    reflector.set_amplifier_enabled(false);
+    assert_eq!(retraced_round_trip(&scene, &ap, &reflector), None);
+    assert_eq!(traced(&reflector), None);
 }
 
 /// The seed-era incidence sweep: steer the live AP per candidate and
-/// re-trace per probe through the plain entry points. The cached
-/// `estimate_incidence` must reproduce its argmax and peak bit-for-bit.
+/// re-trace per probe. The traced-once `estimate_incidence` must
+/// reproduce its argmax and peak bit-for-bit.
 fn uncached_incidence(
     scene: &Scene,
     mut ap: RadioEndpoint,
@@ -84,6 +149,7 @@ fn uncached_incidence(
     config: &AlignmentConfig,
     rng: &mut SimRng,
 ) -> (f64, f64, f64) {
+    assert!(config.modulated, "reference implements the modulated protocol");
     reflector.set_gain_db(config.probe_gain_db);
     reflector.set_modulating(true);
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
@@ -91,13 +157,11 @@ fn uncached_incidence(
         reflector.steer_both(theta1);
         for &theta2 in config.ap_codebook.beams() {
             ap.steer_to(theta2);
-            let reflected = round_trip_reflection_dbm(scene, &ap, &reflector)
-                .unwrap_or(f64::NEG_INFINITY);
-            let reading = config
-                .probe
-                .measure_modulated(reflected, ap.tx_power_dbm(), rng);
-            if reading.power_dbm > best.0 {
-                best = (reading.power_dbm, theta1, theta2);
+            let reflected =
+                retraced_round_trip(scene, &ap, &reflector).unwrap_or(f64::NEG_INFINITY);
+            let reading = modulated_reading(&config.probe, reflected, ap.tx_power_dbm(), rng);
+            if reading > best.0 {
+                best = (reading, theta1, theta2);
             }
         }
     }
@@ -130,30 +194,4 @@ fn estimate_incidence_is_bit_identical_to_uncached_sweep() {
     // Both RNGs must have consumed the same draws: the next sample from
     // each is identical.
     assert_eq!(rng_c.uniform(0.0, 1.0).to_bits(), rng_u.uniform(0.0, 1.0).to_bits());
-}
-
-#[test]
-fn link_cache_evaluation_is_bit_identical_across_obstacle_churn() {
-    let mut scene = Scene::paper_office();
-    let mut ap = RadioEndpoint::paper_radio(Vec2::new(0.5, 2.5), 20.0);
-    let mut hs = RadioEndpoint::paper_radio(Vec2::new(4.0, 2.0), 180.0);
-    ap.steer_toward(hs.position());
-    hs.steer_toward(ap.position());
-    let mut cache = LinkCache::new();
-
-    let idx = scene.add_obstacle(Obstacle::new(BodyPart::Hand, Vec2::new(2.0, 2.3)));
-    for step in 0..6 {
-        scene.move_obstacle(idx, Vec2::new(2.0 + 0.3 * f64::from(step), 2.3));
-        let plain = evaluate_link(&scene, &ap, &hs);
-        let cached = cache.evaluate(
-            &scene,
-            ap.position(),
-            &ArrayPattern(ap.array()),
-            ap.tx_power_dbm(),
-            hs.position(),
-            &ArrayPattern(hs.array()),
-        );
-        assert_eq!(plain.received_dbm.to_bits(), cached.received_dbm.to_bits(), "step={step}");
-        assert_eq!(plain.snr_db.to_bits(), cached.snr_db.to_bits(), "step={step}");
-    }
 }

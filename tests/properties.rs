@@ -12,14 +12,15 @@
 
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
+use movr::relay::{relay_end_snr_batched, relay_input_noise, relay_link_on};
 use movr_math::{db_to_linear, linear_to_db, wrap_deg_180, Cdf, Vec2};
 use movr_phased_array::UniformLinearArray;
-use movr_radio::RateTable;
-use movr_rfsim::{trace_paths, BodyPart, LinkCache, Obstacle, Room, Scene, TraceConfig};
+use movr_radio::{ArrayPattern, RadioEndpoint, RateTable};
+use movr_rfsim::{trace_paths, BodyPart, Obstacle, Room, Scene, TraceConfig};
 use movr_sim::{EventQueue, SimTime};
 use movr_testkit::{
-    choice, f64_range, prop_assert, prop_assert_eq, prop_assume, property, u64_range,
-    usize_range, vec_of,
+    angle_deg, choice, f64_range, prop_assert, prop_assert_eq, prop_assume, property, u64_range,
+    usize_range, vec2_in, vec_of,
 };
 
 // ---------------- math ----------------
@@ -348,41 +349,123 @@ property! {
     }
 }
 
-// ---------------- link cache ----------------
+// ---------------- link evaluation ----------------
+
+/// How a drawn case sets the reflector's amplifier, relative to the
+/// loop attenuation `L` of its drawn beam pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum GainSetting {
+    /// Comfortably stable: `L` minus the drawn margin.
+    Below,
+    /// Within a dB of `L`: stable or saturated depending on the draw.
+    Near,
+    /// The amplifier's maximum — often past `L`, hence saturated.
+    Max,
+    /// Amplifier switched off.
+    Off,
+}
 
 property! {
-    fn link_cache_tracks_obstacle_motion_exactly(
-        tx_x in f64_range(0.3, 4.7),
-        rx_y in f64_range(0.3, 4.7),
-        ox in f64_range(0.5, 4.5),
-        dx in f64_range(-0.4, 0.4),
-        kind in choice(vec![BodyPart::Hand, BodyPart::Head, BodyPart::Torso]),
+    // A thousand cases keep every cascade branch well populated: about
+    // half live, a quarter off, a quarter saturated.
+    cases = 1000,
+    fn scalar_and_batched_evaluation_agree_on_random_geometry(
+        furnished in choice(vec![false, true]),
+        nodes in (
+            vec2_in(0.2, 4.8, 0.2, 4.8),
+            vec2_in(0.2, 4.8, 0.2, 4.8),
+            vec2_in(0.2, 4.8, 0.2, 4.8),
+        ),
+        obstacles in vec_of(
+            (
+                choice(vec![BodyPart::Hand, BodyPart::Head, BodyPart::Torso]),
+                vec2_in(0.2, 4.8, 0.2, 4.8),
+            ),
+            0,
+            3,
+        ),
+        steering in (angle_deg(), angle_deg(), angle_deg(), angle_deg(), angle_deg()),
+        gain in (
+            choice(vec![GainSetting::Below, GainSetting::Near, GainSetting::Max, GainSetting::Off]),
+            f64_range(0.0, 1.0),
+            u64_range(0, 15),
+        ),
     ) {
-        let tx = Vec2::new(tx_x, 0.8);
-        let rx = Vec2::new(4.2, rx_y);
-        let (ox, oy) = (ox, 2.5);
-        let (dx, dy) = (dx, -dx / 2.0);
-        prop_assume!(tx.distance(rx) > 0.05);
+        let (ap_pos, refl_pos, hs_pos) = nodes;
+        prop_assume!(ap_pos.distance(refl_pos) > 0.05);
+        prop_assume!(refl_pos.distance(hs_pos) > 0.05);
+        prop_assume!(ap_pos.distance(hs_pos) > 0.05);
+        let (ap_deg, facing_deg, rx_deg, tx_deg, hs_deg) = steering;
+        let (setting, fraction, device_seed) = gain;
 
-        let mut scene = Scene::paper_office();
-        let idx = scene.add_obstacle(Obstacle::new(kind, Vec2::new(ox, oy)));
-        let mut cache = LinkCache::new();
-        // Warm the cache on the original obstacle position…
-        let _ = cache.paths(&scene, tx, rx);
-        // …then move the obstacle and read the link again through the
-        // cache. (A stale read is impossible by construction: the cache
-        // takes `&Scene` at the read, so any scene mutation — which bumps
-        // the generation — is visible to it.)
-        scene.move_obstacle(idx, Vec2::new(ox + dx, oy + dy));
-        let cached = cache.paths(&scene, tx, rx).to_vec();
+        let mut scene = if furnished { Scene::furnished_office() } else { Scene::paper_office() };
+        for &(kind, center) in &obstacles {
+            scene.add_obstacle(Obstacle::new(kind, center));
+        }
+        let mut ap = RadioEndpoint::paper_radio(ap_pos, ap_pos.bearing_deg_to(refl_pos));
+        ap.steer_to(ap_deg);
+        let mut headset = RadioEndpoint::paper_radio(hs_pos, hs_pos.bearing_deg_to(refl_pos));
+        headset.steer_to(hs_deg);
+        let mut reflector = MovrReflector::wall_mounted(refl_pos, facing_deg, device_seed);
+        reflector.steer_rx(rx_deg);
+        reflector.steer_tx(tx_deg);
+        let leak = reflector.loop_attenuation_db();
+        match setting {
+            GainSetting::Below => {
+                reflector.set_gain_db(leak - 3.0 - 17.0 * fraction);
+            }
+            GainSetting::Near => {
+                reflector.set_gain_db(leak - 1.0 + 2.0 * fraction);
+            }
+            GainSetting::Max => {
+                reflector.set_gain_db(reflector.amplifier().max_gain_db);
+            }
+            GainSetting::Off => reflector.set_amplifier_enabled(false),
+        }
 
-        // Reference: a scene built directly with the final obstacle
-        // position, traced fresh. Must match the cache *exactly* — same
-        // path count, every float bit-identical.
-        let mut fresh = Scene::paper_office();
-        fresh.add_obstacle(Obstacle::new(kind, Vec2::new(ox + dx, oy + dy)));
-        let expect = fresh.trace_link(tx, rx);
-        prop_assert_eq!(cached.as_slice(), expect.paths());
+        let hop1 = scene.trace_link(ap.position(), reflector.position());
+        let hop2 = scene.trace_link(reflector.position(), headset.position());
+
+        // One hop, both ways: patterns queried per traced path against
+        // gain rows from the batch kernels.
+        let legs = [
+            (&hop1, ap.array(), ap.tx_power_dbm(), reflector.rx_array()),
+            (&hop2, reflector.tx_array(), 10.0, headset.array()),
+        ];
+        for (link, tx, tx_power_dbm, rx) in legs {
+            let scalar = link.evaluate(&ArrayPattern(tx), tx_power_dbm, &ArrayPattern(rx));
+            let batch = link.batch();
+            let rowed = batch.eval(
+                tx_power_dbm,
+                &tx.gain_dbi_batch(batch.departure_deg()),
+                &rx.gain_dbi_batch(batch.arrival_deg()),
+            );
+            prop_assert_eq!(scalar.received_dbm.to_bits(), rowed.received_dbm.to_bits());
+            prop_assert_eq!(scalar.snr_db.to_bits(), rowed.snr_db.to_bits());
+        }
+
+        // The relayed link: the per-frame scalar budget against the
+        // reflection sweep's batched fold and cascade.
+        let scalar = relay_link_on(&hop1, &hop2, &ap, &reflector, headset.array());
+        let h1 = hop1.batch().with_noise(&relay_input_noise(&scene));
+        let h2 = hop2.batch();
+        let hop1_received_dbm = h1.received_dbm(
+            ap.tx_power_dbm(),
+            &ap.array().gain_dbi_batch(h1.departure_deg()),
+            &reflector.rx_array().gain_dbi_batch(h1.arrival_deg()),
+        );
+        let hop1_snr_db = h1.snr_db(hop1_received_dbm);
+        let end_snr_db = relay_end_snr_batched(
+            hop1_received_dbm,
+            hop1_snr_db,
+            reflector.effective_gain_db(),
+            &h2,
+            &reflector.tx_array().gain_dbi_batch(h2.departure_deg()),
+            &headset.array().gain_dbi_batch(h2.arrival_deg()),
+        );
+        prop_assert_eq!(scalar.hop1_received_dbm.to_bits(), hop1_received_dbm.to_bits());
+        prop_assert_eq!(scalar.hop1_snr_db.to_bits(), hop1_snr_db.to_bits());
+        prop_assert_eq!(scalar.end_snr_db.to_bits(), end_snr_db.to_bits());
     }
 }
 
