@@ -14,9 +14,10 @@
 //! bit-identically.
 
 use crate::system::{LinkMode, MovrSystem, SystemConfig};
-use movr_math::SimRng;
+use movr_math::convert::{u64_to_f64, usize_to_f64, usize_to_u64};
+use movr_math::{SimRng, Summary};
 use movr_motion::MotionTrace;
-use movr_obs::{Event, Histogram, MetricsRegistry, MetricsSnapshot, NullRecorder, Recorder};
+use movr_obs::{Event, Histogram, MetricsSnapshot, NullRecorder, Recorder};
 use movr_radio::{
     BadMcsIndex, FrameConfig, Hysteresis, McsEntry, Oracle, PerModel, RateAdapter,
     SnrThreshold,
@@ -174,9 +175,10 @@ pub struct SessionOutcome {
     pub duration_s: f64,
     /// Frame-delivery accounting.
     pub glitches: GlitchReport,
-    /// Mean link SNR across frames, dB.
+    /// Mean link SNR across the frames with a finite SNR, dB; +∞ when
+    /// there are none (every tethered frame is +∞).
     pub mean_snr_db: f64,
-    /// Worst frame SNR, dB.
+    /// Worst finite frame SNR, dB; +∞ when there is none.
     pub min_snr_db: f64,
     /// Mode switches (direct ↔ reflector).
     pub mode_switches: usize,
@@ -186,8 +188,9 @@ pub struct SessionOutcome {
     pub reflector_fraction: f64,
     /// Structured session metrics: counters (`frames_*`, `mode_switches`,
     /// `rate_up`, ...) and histograms (`frame_snr_db`, `frame_airtime_ns`,
-    /// `realign_stall_ns`). Always populated — the registry is part of
-    /// the session's accounting, independent of any event recorder.
+    /// `realign_stall_ns`), built from the session's typed accounting. A
+    /// counter appears once it is non-zero, a histogram once it has been
+    /// observed into; always populated, independent of any event recorder.
     pub metrics: MetricsSnapshot,
 }
 
@@ -210,32 +213,45 @@ pub(crate) enum SessionEvent {
 /// deployment's calibration/geometry) are construction inputs that a
 /// restore target must supply identically. Fields are crate-private; the
 /// public surface is [`Session`] plus [`crate::snapshot::Snapshot`].
+///
+/// The typed fields are the session's only accounting: the frame count
+/// is the glitch tracker's, the worst SNR is the SNR histogram's exact
+/// minimum, and [`Session::outcome`] derives the metrics snapshot.
 pub struct SessionState {
     pub(crate) system: MovrSystem,
     pub(crate) adapter: AdapterImpl,
     pub(crate) report_rng: SimRng,
     pub(crate) glitches: GlitchTracker,
+    /// Sum of the finite frame SNRs: the reported mean is this over the
+    /// finite count, which is not bit-identical to the Welford mean.
     pub(crate) snr_sum: f64,
-    pub(crate) snr_min: f64,
-    pub(crate) frames: usize,
     pub(crate) mode_switches: usize,
     pub(crate) realignments: usize,
     pub(crate) reflector_frames: usize,
+    pub(crate) rate_up: usize,
+    pub(crate) rate_down: usize,
+    pub(crate) rate_outage: usize,
     pub(crate) last_mode: Option<LinkMode>,
     /// The link is unusable until this instant while a sweep is running.
     pub(crate) blocked_until: SimTime,
-    pub(crate) metrics: MetricsRegistry,
+    // `frame_snr_db`, `frame_airtime_ns` and `realign_stall_ns`, each
+    // created by its first observation.
+    pub(crate) snr_hist: Option<Histogram>,
+    pub(crate) airtime_hist: Option<Histogram>,
+    pub(crate) stall_hist: Option<Histogram>,
     pub(crate) queue: EventQueue<SessionEvent>,
 }
 
-fn snr_hist(m: &mut MetricsRegistry) -> &mut Histogram {
-    m.histogram("frame_snr_db", || Histogram::linear(-10.0, 50.0, 60))
+// Bucket layouts of the session histograms. A snapshot stores only their
+// counts, so changing a layout changes the snapshot format.
+pub(crate) fn snr_layout() -> Histogram {
+    Histogram::linear(-10.0, 50.0, 60)
 }
-fn airtime_hist(m: &mut MetricsRegistry) -> &mut Histogram {
-    m.histogram("frame_airtime_ns", || Histogram::log_spaced(1e5, 1e8, 30))
+pub(crate) fn airtime_layout() -> Histogram {
+    Histogram::log_spaced(1e5, 1e8, 30)
 }
-fn stall_hist(m: &mut MetricsRegistry) -> &mut Histogram {
-    m.histogram("realign_stall_ns", || Histogram::log_spaced(1e6, 1e10, 24))
+pub(crate) fn stall_layout() -> Histogram {
+    Histogram::log_spaced(1e6, 1e10, 24)
 }
 
 /// A stepwise VR session: the frame loop of [`run_session`] opened up at
@@ -267,14 +283,17 @@ impl Session {
                 report_rng: SimRng::seed_from_u64(config.system.seed ^ 0x5E55_1055),
                 glitches: GlitchTracker::new(),
                 snr_sum: 0.0,
-                snr_min: f64::INFINITY,
-                frames: 0,
                 mode_switches: 0,
                 realignments: 0,
                 reflector_frames: 0,
+                rate_up: 0,
+                rate_down: 0,
+                rate_outage: 0,
                 last_mode: None,
                 blocked_until: SimTime::ZERO,
-                metrics: MetricsRegistry::new(),
+                snr_hist: None,
+                airtime_hist: None,
+                stall_hist: None,
                 queue,
             },
         }
@@ -297,7 +316,7 @@ impl Session {
 
     /// Frames processed so far.
     pub fn frames(&self) -> usize {
-        self.state.frames
+        self.state.glitches.frames_total()
     }
 
     /// The session clock: the timestamp of the last processed event.
@@ -353,8 +372,6 @@ impl Session {
         let per_model = PerModel::default();
         let t_s = now.as_secs_f64();
         let world = trace.world_at(t_s);
-        st.frames += 1;
-        st.metrics.inc("frames_total");
 
         let mut frame_mode: Option<LinkMode> = None;
         let snr_db = match config.strategy {
@@ -364,12 +381,12 @@ impl Session {
                 let d = st.system.evaluate_at_recorded(t_s, &world, rec);
                 if d.realigned {
                     st.realignments += 1;
-                    st.metrics.inc("realignments");
                     let done = now + d.realignment_cost;
                     st.blocked_until = st.blocked_until.max(done);
                     if d.realignment_cost > SimTime::ZERO {
-                        stall_hist(&mut st.metrics)
-                            .observe(d.realignment_cost.as_nanos() as f64);
+                        st.stall_hist
+                            .get_or_insert_with(stall_layout)
+                            .observe(u64_to_f64(d.realignment_cost.as_nanos()));
                     }
                     if rec.enabled() {
                         rec.record(
@@ -386,7 +403,6 @@ impl Session {
                 if st.last_mode != Some(d.mode) {
                     if st.last_mode.is_some() {
                         st.mode_switches += 1;
-                        st.metrics.inc("mode_switches");
                     }
                     if rec.enabled() {
                         let mut e = Event::new(now, "mode_switch")
@@ -403,7 +419,6 @@ impl Session {
                 }
                 if matches!(d.mode, LinkMode::Reflector(_)) {
                     st.reflector_frames += 1;
-                    st.metrics.inc("reflector_frames");
                 }
                 frame_mode = Some(d.mode);
                 d.snr_db
@@ -412,9 +427,8 @@ impl Session {
 
         if snr_db.is_finite() {
             st.snr_sum += snr_db;
-            st.snr_min = st.snr_min.min(snr_db);
         }
-        snr_hist(&mut st.metrics).observe(snr_db);
+        st.snr_hist.get_or_insert_with(snr_layout).observe(snr_db);
 
         let rate_before = st.adapter.current_index();
         let mut frame_mcs: Option<&'static McsEntry> = None;
@@ -441,23 +455,20 @@ impl Session {
                     let airtime =
                         SimTime::from_secs_f64(base.as_secs_f64() / (1.0 - per));
                     frame_airtime = Some(airtime);
-                    airtime_hist(&mut st.metrics).observe(airtime.as_nanos() as f64);
+                    st.airtime_hist
+                        .get_or_insert_with(airtime_layout)
+                        .observe(u64_to_f64(airtime.as_nanos()));
                     let stall = st.blocked_until.saturating_since(now);
                     config.latency.meets_deadline(airtime, stall)
                 }
             }
         };
         match (rate_before, st.adapter.current_index()) {
-            (Some(b), Some(a)) if a > b => st.metrics.inc("rate_up"),
-            (Some(b), Some(a)) if a < b => st.metrics.inc("rate_down"),
-            (Some(_), None) => st.metrics.inc("rate_outage"),
+            (Some(b), Some(a)) if a > b => st.rate_up += 1,
+            (Some(b), Some(a)) if a < b => st.rate_down += 1,
+            (Some(_), None) => st.rate_outage += 1,
             _ => {}
         }
-        st.metrics.inc(if delivered {
-            "frames_delivered"
-        } else {
-            "frames_missed"
-        });
         let stall_before = st.glitches.current_stall_frames();
         st.glitches.record(delivered);
         if rec.enabled() {
@@ -495,24 +506,65 @@ impl Session {
     /// what [`run_session`] returns).
     pub fn outcome(&self, duration_s: f64) -> SessionOutcome {
         let st = &self.state;
+        let glitches = st.glitches.report();
+        let frames = glitches.frames_total;
+        let snr = st.snr_hist.as_ref().map(Histogram::summary);
+        let finite = snr.map_or(0, Summary::count);
         SessionOutcome {
             duration_s,
-            glitches: st.glitches.report(),
-            mean_snr_db: if st.frames > 0 && st.snr_sum.is_finite() {
-                st.snr_sum / st.frames as f64
-            } else {
+            glitches,
+            mean_snr_db: if finite == 0 {
                 f64::INFINITY
+            } else {
+                st.snr_sum / usize_to_f64(finite)
             },
-            min_snr_db: st.snr_min,
+            min_snr_db: snr.map_or(f64::INFINITY, Summary::min),
             mode_switches: st.mode_switches,
             realignments: st.realignments,
-            reflector_fraction: if st.frames == 0 {
+            reflector_fraction: if frames == 0 {
                 0.0
             } else {
-                st.reflector_frames as f64 / st.frames as f64
+                usize_to_f64(st.reflector_frames) / usize_to_f64(frames)
             },
-            metrics: st.metrics.snapshot(),
+            metrics: metrics_snapshot(st, &glitches),
         }
+    }
+}
+
+/// The session's metrics, derived from its typed accounting: a counter
+/// appears once it is non-zero and a histogram once it exists, each list
+/// sorted by name.
+fn metrics_snapshot(st: &SessionState, glitches: &GlitchReport) -> MetricsSnapshot {
+    let counters = [
+        ("frames_delivered", glitches.frames_delivered),
+        (
+            "frames_missed",
+            glitches.frames_total - glitches.frames_delivered,
+        ),
+        ("frames_total", glitches.frames_total),
+        ("mode_switches", st.mode_switches),
+        ("rate_down", st.rate_down),
+        ("rate_outage", st.rate_outage),
+        ("rate_up", st.rate_up),
+        ("realignments", st.realignments),
+        ("reflector_frames", st.reflector_frames),
+    ];
+    let histograms = [
+        ("frame_airtime_ns", &st.airtime_hist),
+        ("frame_snr_db", &st.snr_hist),
+        ("realign_stall_ns", &st.stall_hist),
+    ];
+    MetricsSnapshot {
+        counters: counters
+            .into_iter()
+            .filter(|&(_, n)| n > 0)
+            .map(|(name, n)| (name.to_string(), usize_to_u64(n)))
+            .collect(),
+        gauges: Vec::new(),
+        histograms: histograms
+            .into_iter()
+            .filter_map(|(name, h)| Some((name.to_string(), h.clone()?)))
+            .collect(),
     }
 }
 
@@ -590,6 +642,9 @@ mod tests {
         let out = run_session(&trace, &SessionConfig::with_strategy(Strategy::Tethered));
         assert_eq!(out.glitches.loss_rate, 0.0);
         assert!(out.glitches.frames_total > 170);
+        // A cable has no link SNR: no finite frame, so the mean is +∞.
+        assert_eq!(out.mean_snr_db, f64::INFINITY);
+        assert!(out.min_snr_db <= out.mean_snr_db);
     }
 
     #[test]
@@ -748,6 +803,9 @@ mod tests {
             &SessionConfig::with_strategy(Strategy::Movr { tracking: true }),
         );
         let m = &out.metrics;
+        // `MetricsSnapshot::to_json` relies on name-sorted sections.
+        assert!(m.counters.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(m.histograms.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(
             m.counter("frames_total"),
             Some(out.glitches.frames_total as u64)

@@ -6,30 +6,39 @@
 //! accumulates the same f64 bit patterns, and records the same timeline
 //! as the uninterrupted run (property-tested in `tests/checkpoint.rs`).
 //!
-//! ## Format (version 1)
+//! ## Format (version 2)
 //!
 //! Little-endian throughout; f64s are stored as raw `to_bits` patterns
-//! (NaN payloads, `-0.0`, and infinities survive verbatim); strings and
-//! byte fields are length-prefixed.
+//! (NaN payloads, `-0.0`, and infinities survive verbatim); lists are
+//! length-prefixed.
 //!
 //! | offset | field |
 //! |---|---|
 //! | 0 | magic `"MOVRSNAP"` (8 bytes, as a little-endian u64) |
 //! | 8 | format version (u32) |
 //! | 12 | [`config_fingerprint`] of the capturing [`SessionConfig`] (u64) |
-//! | 20 | body: clock, accumulators, RNG streams, adapter, event queue, metrics, system checkpoint |
+//! | 20 | body: clock and event queue, accounting, link state, system checkpoint, histograms |
 //! | len−8 | FNV-1a 64 checksum of everything before it |
+//!
+//! The body stores typed state only: no metric names, no histogram bucket
+//! edges (the layouts are constants of the session), and no counter that
+//! duplicates another. Each histogram is a presence byte followed, when
+//! present, by its bucket counts and exact Welford state. The frame count
+//! is the glitch tracker's, so it cannot disagree with a second copy.
 //!
 //! Restore checks, in order: buffer length → magic → version → checksum
 //! → config fingerprint → body decode — so *any* single-byte corruption
-//! yields a structured [`SnapshotError`], never a panic.
+//! yields a structured [`SnapshotError`], never a panic. A checksum-valid
+//! body whose parts contradict each other (more delivered frames than
+//! frames, a histogram summary larger than its buckets, bucket counts
+//! that overflow) is [`SnapshotError::Malformed`].
 //!
 //! ## What is (and isn't) in a snapshot
 //!
 //! **In:** every value the frame loop mutates — sim clock and pending
 //! events, RNG streams (SNR reports, tracker noise, fault injection,
-//! sensor noise), rate-adapter state, glitch tracker, metric counters and
-//! histograms (exact Welford state), beam steering, amplifier gain,
+//! sensor noise), rate-adapter state, glitch tracker, session counters and
+//! histogram counts (exact Welford state), beam steering, amplifier gain,
 //! in-flight beam commands, tracker/predictor history, scene obstacles.
 //!
 //! **Out:** everything derivable from construction inputs — the
@@ -47,42 +56,27 @@
 //! attempt migration — a snapshot is a short-lived mid-run artifact, not
 //! an archival format.
 
-use crate::session::{AdapterImpl, RatePolicy, Session, SessionConfig, SessionEvent, SessionState, Strategy};
+use crate::session::{
+    airtime_layout, snr_layout, stall_layout, AdapterImpl, RatePolicy, Session, SessionConfig,
+    SessionEvent, SessionState, Strategy,
+};
 use crate::system::{LinkMode, MovrSystem, ReflectorCheckpoint, SystemCheckpoint};
 use movr_math::{fnv1a64, SimRng, Summary, WireError, WireReader, WireWriter};
 use movr_motion::TrackedPose;
-use movr_obs::{Histogram, MetricsRegistry};
+use movr_obs::Histogram;
 use movr_rfsim::{BodyPart, Obstacle};
 use movr_sim::{EventQueue, SimTime};
 use movr_vr::GlitchTracker;
 use std::fmt;
 
 /// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// `"MOVRSNAP"` as a little-endian u64 — the first eight bytes.
 const MAGIC: u64 = u64::from_le_bytes(*b"MOVRSNAP");
 
 /// Minimum plausible snapshot: header (8 + 4 + 8) plus checksum footer.
 const MIN_LEN: usize = 8 + 4 + 8 + 8;
-
-/// Every metric name a session registry can contain. Registry keys are
-/// `&'static str`; decoded names are interned against this list so a
-/// restored registry points at the same statics the live loop uses.
-const METRIC_NAMES: [&str; 12] = [
-    "frames_total",
-    "frames_delivered",
-    "frames_missed",
-    "mode_switches",
-    "realignments",
-    "reflector_frames",
-    "rate_up",
-    "rate_down",
-    "rate_outage",
-    "frame_snr_db",
-    "frame_airtime_ns",
-    "realign_stall_ns",
-];
 
 /// Why a snapshot failed to restore. Every variant is a structured,
 /// non-panicking rejection of external bytes.
@@ -327,6 +321,23 @@ fn body_part_tag(kind: BodyPart) -> u8 {
     }
 }
 
+fn encode_histogram(w: &mut WireWriter, h: Option<&Histogram>) {
+    let Some(h) = h else {
+        w.bool(false);
+        return;
+    };
+    w.bool(true);
+    for c in h.bucket_counts() {
+        w.u64(*c);
+    }
+    let (n, mean, m2, min, max) = h.summary().welford_state();
+    w.usize(n);
+    w.f64(mean);
+    w.f64(m2);
+    w.f64(min);
+    w.f64(max);
+}
+
 fn encode_state(w: &mut WireWriter, st: &SessionState) {
     // Clock and pending events (pop order is the canonical order; the
     // (timestamp, insertion) tie-break is re-minted on restore).
@@ -340,28 +351,29 @@ fn encode_state(w: &mut WireWriter, st: &SessionState) {
         }
     }
 
-    // Frame-loop accumulators.
-    w.usize(st.frames);
-    w.usize(st.mode_switches);
-    w.usize(st.realignments);
-    w.usize(st.reflector_frames);
-    w.f64(st.snr_sum);
-    w.f64(st.snr_min);
-    match st.last_mode {
-        None => w.u8(0),
-        Some(mode) => encode_mode(w, mode),
-    }
-    w.u64(st.blocked_until.as_nanos());
-
-    // Glitch tracker.
+    // Accounting: the glitch tracker (which owns the frame count), the
+    // SNR sum, and the session counters.
     let (total, delivered, events, current, longest) = st.glitches.state();
     w.usize(total);
     w.usize(delivered);
     w.usize(events);
     w.usize(current);
     w.usize(longest);
+    w.f64(st.snr_sum);
+    w.usize(st.mode_switches);
+    w.usize(st.realignments);
+    w.usize(st.reflector_frames);
+    w.usize(st.rate_up);
+    w.usize(st.rate_down);
+    w.usize(st.rate_outage);
 
-    // SNR-report noise stream and rate adapter.
+    // Link state: serving mode, stall horizon, SNR-report noise stream
+    // and rate adapter.
+    match st.last_mode {
+        None => w.u8(0),
+        Some(mode) => encode_mode(w, mode),
+    }
+    w.u64(st.blocked_until.as_nanos());
     encode_rng(w, st.report_rng.state());
     let (current_mcs, up_streak) = st.adapter.state();
     match current_mcs {
@@ -372,38 +384,6 @@ fn encode_state(w: &mut WireWriter, st: &SessionState) {
         }
     }
     w.usize(up_streak);
-
-    // Metrics registry, via its deterministic (name-sorted) snapshot.
-    let m = st.metrics.snapshot();
-    w.usize(m.counters.len());
-    for (name, v) in &m.counters {
-        w.str(name);
-        w.u64(*v);
-    }
-    w.usize(m.gauges.len());
-    for (name, v) in &m.gauges {
-        w.str(name);
-        w.f64(*v);
-    }
-    w.usize(m.histograms.len());
-    for (name, h) in &m.histograms {
-        w.str(name);
-        w.usize(h.edges().len());
-        for e in h.edges() {
-            w.f64(*e);
-        }
-        w.usize(h.bucket_counts().len());
-        for c in h.bucket_counts() {
-            w.u64(*c);
-        }
-        w.u64(h.count());
-        let (n, mean, m2, min, max) = h.summary().welford_state();
-        w.usize(n);
-        w.f64(mean);
-        w.f64(m2);
-        w.f64(min);
-        w.f64(max);
-    }
 
     // Deployment state.
     let cp = st.system.checkpoint();
@@ -436,13 +416,17 @@ fn encode_state(w: &mut WireWriter, st: &SessionState) {
         encode_pose(w, *p);
     }
     encode_rng(w, cp.fault_rng);
-    w.u64(cp.scene_generation);
     w.usize(cp.obstacles.len());
     for o in &cp.obstacles {
         w.u8(body_part_tag(o.kind));
         w.f64(o.center.x);
         w.f64(o.center.y);
     }
+
+    // Histograms, in the session's fixed order.
+    encode_histogram(w, st.snr_hist.as_ref());
+    encode_histogram(w, st.airtime_hist.as_ref());
+    encode_histogram(w, st.stall_hist.as_ref());
 }
 
 // --- body decoding ---------------------------------------------------------
@@ -477,15 +461,26 @@ fn decode_body_part(tag: u8) -> Result<BodyPart, SnapshotError> {
     }
 }
 
-/// Interns a decoded metric name against the static vocabulary — the
-/// registry keys on `&'static str`, and an unknown name in a
-/// checksum-valid snapshot means a vocabulary drift, not a new metric.
-fn intern_metric(name: &str) -> Result<&'static str, SnapshotError> {
-    METRIC_NAMES
-        .iter()
-        .find(|&&n| n == name)
-        .copied()
-        .ok_or_else(|| malformed(format!("unknown metric name {name:?}")))
+/// Reads one [`encode_histogram`] record into the bucket layout `layout`
+/// builds, re-validated by [`Histogram::from_parts`].
+fn decode_histogram(
+    r: &mut WireReader,
+    layout: fn() -> Histogram,
+) -> Result<Option<Histogram>, SnapshotError> {
+    if !r.bool()? {
+        return Ok(None);
+    }
+    let layout = layout();
+    let mut counts = Vec::new();
+    for _ in layout.bucket_counts() {
+        counts.push(r.u64()?);
+    }
+    // An overflowing sum saturates, and `from_parts` rejects it.
+    let total = counts.iter().fold(0u64, |a, &c| a.saturating_add(c));
+    let summary = Summary::from_welford_state((r.usize()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?));
+    Histogram::from_parts(layout.edges().to_vec(), counts, total, summary)
+        .map(Some)
+        .map_err(|e| malformed(e.to_string()))
 }
 
 fn decode_state(
@@ -506,13 +501,24 @@ fn decode_state(
     }
     let queue = EventQueue::restore(now, pending).map_err(|e| malformed(e.to_string()))?;
 
-    // Accumulators.
-    let frames = r.usize()?;
+    // Accounting.
+    let (frames, delivered) = (r.usize()?, r.usize()?);
+    if delivered > frames {
+        return Err(malformed(
+            "glitch tracker delivered more frames than it saw",
+        ));
+    }
+    let glitches =
+        GlitchTracker::from_state((frames, delivered, r.usize()?, r.usize()?, r.usize()?));
+    let snr_sum = r.f64()?;
     let mode_switches = r.usize()?;
     let realignments = r.usize()?;
     let reflector_frames = r.usize()?;
-    let snr_sum = r.f64()?;
-    let snr_min = r.f64()?;
+    let rate_up = r.usize()?;
+    let rate_down = r.usize()?;
+    let rate_outage = r.usize()?;
+
+    // Link state.
     let last_mode = match r.u8()? {
         0 => None,
         1 => Some(LinkMode::Direct),
@@ -520,17 +526,6 @@ fn decode_state(
         tag => return Err(malformed(format!("unknown link-mode tag {tag}"))),
     };
     let blocked_until = SimTime::from_nanos(r.u64()?);
-
-    // Glitch tracker.
-    let glitches = GlitchTracker::from_state((
-        r.usize()?,
-        r.usize()?,
-        r.usize()?,
-        r.usize()?,
-        r.usize()?,
-    ));
-
-    // Report RNG and rate adapter.
     let report_rng = SimRng::from_state(decode_rng(r)?);
     let current_mcs = if r.bool()? { Some(r.usize()?) } else { None };
     let up_streak = r.usize()?;
@@ -538,44 +533,6 @@ fn decode_state(
     adapter
         .restore_state(current_mcs, up_streak)
         .map_err(|e| malformed(e.to_string()))?;
-
-    // Metrics.
-    let mut metrics = MetricsRegistry::new();
-    let n_counters = r.usize()?;
-    for _ in 0..n_counters {
-        let name = intern_metric(r.str()?)?;
-        metrics.set_counter(name, r.u64()?);
-    }
-    let n_gauges = r.usize()?;
-    for _ in 0..n_gauges {
-        let name = intern_metric(r.str()?)?;
-        metrics.set_gauge(name, r.f64()?);
-    }
-    let n_hists = r.usize()?;
-    for _ in 0..n_hists {
-        let name = intern_metric(r.str()?)?;
-        let n_edges = r.usize()?;
-        let mut edges = Vec::new();
-        for _ in 0..n_edges {
-            edges.push(r.f64()?);
-        }
-        let n_counts = r.usize()?;
-        let mut counts = Vec::new();
-        for _ in 0..n_counts {
-            counts.push(r.u64()?);
-        }
-        let total = r.u64()?;
-        let summary = Summary::from_welford_state((
-            r.usize()?,
-            r.f64()?,
-            r.f64()?,
-            r.f64()?,
-            r.f64()?,
-        ));
-        let h = Histogram::from_parts(edges, counts, total, summary)
-            .map_err(|e| malformed(e.to_string()))?;
-        metrics.insert_histogram(name, h);
-    }
 
     // Deployment state.
     let ap_steering_deg = r.f64()?;
@@ -608,7 +565,6 @@ fn decode_state(
         predictor_history.push((t, decode_pose(r)?));
     }
     let fault_rng = decode_rng(r)?;
-    let scene_generation = r.u64()?;
     let n_obstacles = r.usize()?;
     let mut obstacles = Vec::new();
     for _ in 0..n_obstacles {
@@ -625,9 +581,13 @@ fn decode_state(
             predictor_history,
             fault_rng,
             obstacles,
-            scene_generation,
         })
         .map_err(|what| SnapshotError::SystemMismatch { what })?;
+
+    // Histograms.
+    let snr_hist = decode_histogram(r, snr_layout)?;
+    let airtime_hist = decode_histogram(r, airtime_layout)?;
+    let stall_hist = decode_histogram(r, stall_layout)?;
 
     Ok(SessionState {
         system,
@@ -635,14 +595,17 @@ fn decode_state(
         report_rng,
         glitches,
         snr_sum,
-        snr_min,
-        frames,
         mode_switches,
         realignments,
         reflector_frames,
+        rate_up,
+        rate_down,
+        rate_outage,
         last_mode,
         blocked_until,
-        metrics,
+        snr_hist,
+        airtime_hist,
+        stall_hist,
         queue,
     })
 }
@@ -714,8 +677,8 @@ mod tests {
 
     #[test]
     fn fresh_session_round_trips() {
-        // Zero frames processed: all sentinels (snr_min = +inf, NaN beam
-        // bearings, empty histograms) survive the trip.
+        // Zero frames processed: all sentinels (NaN beam bearings, absent
+        // histograms) survive the trip.
         let cfg = config();
         let s = Session::new(&cfg);
         let bytes = Snapshot::capture(&s);
@@ -737,7 +700,7 @@ mod tests {
         assert_eq!(err, SnapshotError::UnsupportedVersion { found: 99 });
         let msg = err.to_string();
         assert!(msg.contains("version 99"), "{msg}");
-        assert!(msg.contains("format version 1"), "{msg}");
+        assert!(msg.contains("format version 2"), "{msg}");
     }
 
     #[test]

@@ -462,7 +462,6 @@ impl MovrSystem {
             predictor_history: self.predictor.history(),
             fault_rng: self.fault_rng.state(),
             obstacles: self.scene.obstacles().to_vec(),
-            scene_generation: self.scene.generation(),
         }
     }
 
@@ -505,8 +504,7 @@ impl MovrSystem {
         self.tracker.restore_state(cp.tracker);
         self.predictor.restore_history(cp.predictor_history);
         self.fault_rng = movr_math::SimRng::from_state(cp.fault_rng);
-        self.scene
-            .restore_obstacle_state(cp.obstacles, cp.scene_generation);
+        self.scene.set_obstacles(cp.obstacles);
         Ok(())
     }
 
@@ -547,8 +545,6 @@ pub(crate) struct SystemCheckpoint {
     pub(crate) fault_rng: [u64; 4],
     /// Scene obstacles in force at the checkpoint instant.
     pub(crate) obstacles: Vec<movr_rfsim::Obstacle>,
-    /// Scene obstacle-generation counter.
-    pub(crate) scene_generation: u64,
 }
 
 /// One reflector's mutable state within a [`SystemCheckpoint`].

@@ -18,9 +18,11 @@
 //!   Sim-time *spans* ([`Recorder::start_span`] / [`Recorder::end_span`])
 //!   make durations (alignment sweeps, gain ramps, realignment stalls)
 //!   first-class.
-//! * **Metrics** ([`MetricsRegistry`], [`Histogram`], [`MetricsSnapshot`])
-//!   — counters, gauges, and fixed-bucket histograms (linear spacing for
-//!   dB, log spacing for nanoseconds), snapshotable into results.
+//! * **Metrics** ([`Histogram`], [`MetricsSnapshot`]) — fixed-bucket
+//!   histograms (linear spacing for dB, log spacing for nanoseconds) and
+//!   the name-sorted snapshot of counters, gauges, and histograms that a
+//!   producer builds from its own typed accounting and attaches to
+//!   results.
 //!
 //! The crate depends only on `movr-sim` (for `SimTime`) and `movr-math`
 //! (for `Summary`) — no external dependencies, no I/O beyond the
@@ -29,7 +31,7 @@
 //! ## Example
 //!
 //! ```
-//! use movr_obs::{Event, Histogram, MemoryRecorder, MetricsRegistry, Recorder};
+//! use movr_obs::{Event, Histogram, MemoryRecorder, MetricsSnapshot, Recorder};
 //! use movr_sim::SimTime;
 //!
 //! let mut rec = MemoryRecorder::new();
@@ -44,10 +46,15 @@
 //! rec.end_span(SimTime::from_millis(180), "alignment_sweep", sweep);
 //! assert_eq!(rec.spans()[0].0, "alignment_sweep");
 //!
-//! let mut metrics = MetricsRegistry::new();
-//! metrics.inc("frames_total");
-//! metrics.histogram("frame_snr_db", || Histogram::linear(-10.0, 50.0, 60)).observe(21.5);
-//! assert_eq!(metrics.snapshot().counter("frames_total"), Some(1));
+//! let mut snr = Histogram::linear(-10.0, 50.0, 60);
+//! snr.observe(21.5);
+//! let metrics = MetricsSnapshot {
+//!     counters: vec![("frames_total".to_string(), 1)],
+//!     gauges: Vec::new(),
+//!     histograms: vec![("frame_snr_db".to_string(), snr)],
+//! };
+//! assert_eq!(metrics.counter("frames_total"), Some(1));
+//! assert_eq!(metrics.histogram("frame_snr_db").map(Histogram::count), Some(1));
 //! ```
 
 mod capture;
@@ -63,7 +70,7 @@ mod sketch;
 pub use capture::{null_capture, Capture};
 pub use event::{Event, Value};
 pub use jsonv::{Json, JsonError};
-pub use metrics::{Histogram, InvalidHistogram, MergeError, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, InvalidHistogram, MergeError, MetricsSnapshot};
 pub use recorder::{
     JsonlSinkError, JsonlWriter, MemoryRecorder, NullRecorder, Recorder, SessionTagged, SpanId,
 };

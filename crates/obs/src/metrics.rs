@@ -1,10 +1,10 @@
-//! Metrics registry: counters, gauges, and fixed-bucket histograms.
+//! Metrics: fixed-bucket histograms and named metric snapshots.
 //!
 //! Events answer "what happened when"; metrics answer "how much, how
-//! often, how spread". The registry is deliberately simple — string-keyed
-//! maps with deterministic (sorted) iteration order — so a snapshot
-//! serialises identically across same-seed runs and can be diffed by
-//! future perf PRs.
+//! often, how spread". A [`MetricsSnapshot`] is a name-sorted set of
+//! counters, gauges, and histograms that its producer builds on demand
+//! from its own typed accounting, so it serialises identically across
+//! same-seed runs and can be diffed by future perf PRs.
 //!
 //! [`Histogram`] is fixed-bucket: the bucket edges are chosen up front
 //! (linear spacing for quantities already in a log domain like dB,
@@ -12,9 +12,8 @@
 //! underflow and overflow buckets so no observation is ever dropped. A
 //! [`movr_math::Summary`] rides along for exact mean/min/max.
 
-use movr_math::convert::{usize_to_f64, usize_to_i32};
+use movr_math::convert::{usize_to_f64, usize_to_i32, usize_to_u64};
 use movr_math::Summary;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A fixed-bucket histogram with underflow/overflow buckets and an exact
@@ -71,8 +70,8 @@ impl Histogram {
     }
 
     /// Rebuilds a histogram from checkpointed parts, re-validating every
-    /// layout invariant — the parts come from external bytes, so a bad
-    /// layout must surface as an error, not a later panic or misbin.
+    /// invariant among them — the parts come from external bytes, so a bad
+    /// layout or count must surface as an error, not a later panic or misbin.
     pub fn from_parts(
         edges: Vec<f64>,
         counts: Vec<u64>,
@@ -94,10 +93,15 @@ impl Histogram {
                 what: "bucket count list does not match edge count",
             });
         }
-        let sum: u64 = counts.iter().sum();
-        if sum != total {
+        if counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(total) {
             return Err(InvalidHistogram {
                 what: "total does not equal the sum of bucket counts",
+            });
+        }
+        // Every finite observation also lands in a bucket.
+        if usize_to_u64(summary.count()) > total {
+            return Err(InvalidHistogram {
+                what: "summary holds more observations than the buckets",
             });
         }
         Ok(Histogram {
@@ -279,73 +283,7 @@ pub(crate) fn write_json_f64(out: &mut String, x: f64) {
     }
 }
 
-/// String-keyed counters, gauges, and histograms with deterministic
-/// iteration order.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments counter `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Adds `n` to counter `name` (creating it at zero).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Sets gauge `name` to `v` (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert(name, v);
-    }
-
-    /// The histogram `name`, created with `mk` on first use.
-    pub fn histogram(
-        &mut self,
-        name: &'static str,
-        mk: impl FnOnce() -> Histogram,
-    ) -> &mut Histogram {
-        self.histograms.entry(name).or_insert_with(mk)
-    }
-
-    /// Sets counter `name` to an absolute value (checkpoint restore —
-    /// normal accounting should use [`MetricsRegistry::inc`]/
-    /// [`MetricsRegistry::add`]).
-    pub fn set_counter(&mut self, name: &'static str, v: u64) {
-        self.counters.insert(name, v);
-    }
-
-    /// Installs a fully-built histogram under `name`, replacing any
-    /// existing one (checkpoint restore).
-    pub fn insert_histogram(&mut self, name: &'static str, h: Histogram) {
-        self.histograms.insert(name, h);
-    }
-
-    /// An immutable, cloneable snapshot of everything, sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`MetricsRegistry`], sorted by name —
+/// Named counters, gauges, and histograms, each list sorted by name —
 /// attachable to results (e.g. `SessionOutcome::metrics`) and
 /// serialisable deterministically.
 #[derive(Debug, Clone, Default)]
@@ -550,49 +488,127 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_histograms() {
-        let mut m = MetricsRegistry::new();
-        m.inc("frames_total");
-        m.inc("frames_total");
-        m.add("frames_total", 3);
-        m.set_gauge("duration_s", 2.0);
-        m.set_gauge("duration_s", 4.0); // last write wins
-        m.histogram("snr_db", || Histogram::linear(-10.0, 50.0, 60)).observe(21.5);
-        m.histogram("snr_db", || Histogram::linear(0.0, 1.0, 1)).observe(30.0);
+    fn from_parts_rebuilds_a_valid_histogram() {
+        let mut h = Histogram::linear(0.0, 1.0, 2);
+        for v in [0.2, 0.7, 5.0, f64::INFINITY] {
+            h.observe(v);
+        }
+        let back = Histogram::from_parts(
+            h.edges().to_vec(),
+            h.bucket_counts().to_vec(),
+            h.count(),
+            *h.summary(),
+        )
+        .expect("a live histogram's parts are valid");
+        assert_eq!(back.bucket_counts(), h.bucket_counts());
+        assert_eq!(back.count(), 4);
+        assert_eq!(back.summary().count(), 3);
+    }
 
-        let s = m.snapshot();
-        assert_eq!(s.counter("frames_total"), Some(5));
-        assert_eq!(s.gauge("duration_s"), Some(4.0));
-        let h = s.histogram("snr_db").unwrap();
-        assert_eq!(h.count(), 2);
-        // First-use config won: 60 interior buckets, not 1.
-        assert_eq!(h.edges().len(), 61);
-        assert_eq!(s.counter("missing"), None);
+    /// `from_parts` on the parts of `Histogram::linear(0.0, 1.0, 2)` with
+    /// one observation in each bucket, after `tweak` damages them.
+    fn rejected_parts(
+        tweak: impl FnOnce(&mut Vec<f64>, &mut Vec<u64>, &mut u64, &mut Summary),
+    ) -> &'static str {
+        let mut edges = vec![0.0, 0.5, 1.0];
+        let mut counts = vec![1, 1, 1, 1];
+        let mut total = 4;
+        let mut summary = Summary::from_slice(&[-1.0, 0.2, 0.7, 2.0]);
+        tweak(&mut edges, &mut counts, &mut total, &mut summary);
+        match Histogram::from_parts(edges, counts, total, summary) {
+            Ok(_) => panic!("damaged parts were accepted"),
+            Err(e) => e.what,
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_fewer_than_two_edges() {
+        let what = rejected_parts(|e, c, t, _| {
+            *e = vec![0.0];
+            *c = vec![1, 1];
+            *t = 2;
+        });
+        assert_eq!(what, "fewer than two bucket edges");
+    }
+
+    #[test]
+    fn from_parts_rejects_non_increasing_edges() {
+        assert_eq!(
+            rejected_parts(|e, _, _, _| e[1] = 0.0),
+            "bucket edges not strictly increasing"
+        );
+        assert_eq!(
+            rejected_parts(|e, _, _, _| e[2] = f64::NAN),
+            "bucket edges not strictly increasing"
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_a_count_list_that_misses_the_layout() {
+        assert_eq!(
+            rejected_parts(|_, c, t, _| {
+                c.pop();
+                *t = 3;
+            }),
+            "bucket count list does not match edge count"
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_a_total_that_is_not_the_bucket_sum() {
+        let what = "total does not equal the sum of bucket counts";
+        assert_eq!(rejected_parts(|_, _, t, _| *t = 5), what);
+        // A sum that overflows u64 is rejected, not wrapped or panicked on.
+        assert_eq!(
+            rejected_parts(|_, c, t, _| {
+                c[0] = u64::MAX;
+                *t = u64::MAX;
+            }),
+            what
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_a_summary_larger_than_the_buckets() {
+        assert_eq!(
+            rejected_parts(|_, _, _, s| s.push(0.3)),
+            "summary holds more observations than the buckets"
+        );
     }
 
     #[test]
     fn snapshot_json_is_deterministic_and_sorted() {
-        let mut m = MetricsRegistry::new();
-        m.inc("zeta");
-        m.inc("alpha");
-        m.set_gauge("g", 1.5);
-        m.histogram("h", || Histogram::linear(0.0, 1.0, 2)).observe(0.4);
-        let a = m.snapshot().to_json();
-        let b = m.snapshot().to_json();
-        assert_eq!(a, b);
-        let alpha = a.find("\"alpha\"").unwrap();
-        let zeta = a.find("\"zeta\"").unwrap();
-        assert!(alpha < zeta, "counters must serialise sorted: {a}");
-        assert!(a.contains("\"counts\":[0,1,0,0]"));
+        let mut h = Histogram::linear(0.0, 1.0, 2);
+        h.observe(0.4);
+        let m = MetricsSnapshot {
+            counters: vec![("alpha".to_string(), 1), ("zeta".to_string(), 1)],
+            gauges: vec![("g".to_string(), 1.5)],
+            histograms: vec![("h".to_string(), h)],
+        };
+        let a = m.to_json();
+        assert_eq!(a, m.clone().to_json());
+        assert_eq!(
+            a,
+            "{\"counters\":{\"alpha\":1,\"zeta\":1},\"gauges\":{\"g\":1.5},\
+             \"histograms\":{\"h\":{\"count\":1,\"mean\":0.4,\"min\":0.4,\"max\":0.4,\
+             \"edges\":[0,0.5,1],\"counts\":[0,1,0,0]}}}"
+        );
+        assert_eq!(m.counter("zeta"), Some(1));
+        assert_eq!(m.gauge("g"), Some(1.5));
+        assert_eq!(m.histogram("h").map(Histogram::count), Some(1));
+        assert_eq!(m.counter("missing"), None);
     }
 
     #[test]
     fn render_table_mentions_every_metric() {
-        let mut m = MetricsRegistry::new();
-        m.inc("frames_total");
-        m.set_gauge("mean_snr_db", 21.0);
-        m.histogram("airtime_ns", || Histogram::log_spaced(1e3, 1e9, 10)).observe(2e6);
-        let t = m.snapshot().render_table();
+        let mut h = Histogram::log_spaced(1e3, 1e9, 10);
+        h.observe(2e6);
+        let m = MetricsSnapshot {
+            counters: vec![("frames_total".to_string(), 1)],
+            gauges: vec![("mean_snr_db".to_string(), 21.0)],
+            histograms: vec![("airtime_ns".to_string(), h)],
+        };
+        let t = m.render_table();
         assert!(t.contains("frames_total"));
         assert!(t.contains("mean_snr_db"));
         assert!(t.contains("airtime_ns"));

@@ -55,10 +55,6 @@ pub struct Scene {
     noise: NoiseModel,
     trace: TraceConfig,
     obstacles: Vec<Obstacle>,
-    /// Bumped on every obstacle mutation. No evaluation reads it;
-    /// version 1 of the `MOVRSNAP` session snapshot layout stores it, so
-    /// it is kept (and restored) for that layout alone.
-    generation: u64,
 }
 
 impl Scene {
@@ -70,7 +66,6 @@ impl Scene {
             noise,
             trace: TraceConfig::default(),
             obstacles: Vec::new(),
-            generation: 0,
         }
     }
 
@@ -122,15 +117,8 @@ impl Scene {
         &self.obstacles
     }
 
-    /// The obstacle epoch: incremented on every obstacle mutation. Session
-    /// snapshots record it (see [`Scene::restore_obstacle_state`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Adds an obstacle, returning its index for later updates.
     pub fn add_obstacle(&mut self, o: Obstacle) -> usize {
-        self.generation += 1;
         self.obstacles.push(o);
         self.obstacles.len() - 1
     }
@@ -140,31 +128,19 @@ impl Scene {
     /// # Panics
     /// Panics if `index` is out of range.
     pub fn move_obstacle(&mut self, index: usize, center: Vec2) {
-        self.generation += 1;
         let o = self.obstacles[index];
         self.obstacles[index] = o.moved_to(center);
     }
 
     /// Removes all obstacles.
     pub fn clear_obstacles(&mut self) {
-        self.generation += 1;
         self.obstacles.clear();
     }
 
-    /// Replaces the whole obstacle set (used by motion traces each tick).
+    /// Replaces the whole obstacle set (used by motion traces each tick
+    /// and by session checkpoint restore).
     pub fn set_obstacles(&mut self, obstacles: Vec<Obstacle>) {
-        self.generation += 1;
         self.obstacles = obstacles;
-    }
-
-    /// Restores the obstacle set *and* the epoch counter exactly, for
-    /// checkpoint restore. Unlike [`Scene::set_obstacles`], this does not
-    /// bump the generation. No evaluation depends on the counter; it
-    /// exists only because version 1 of the `MOVRSNAP` snapshot layout
-    /// stores it, and a resumed session must re-encode byte-identically.
-    pub fn restore_obstacle_state(&mut self, obstacles: Vec<Obstacle>, generation: u64) {
-        self.obstacles = obstacles;
-        self.generation = generation;
     }
 
     /// Traces propagation paths between two points under the current
@@ -292,20 +268,6 @@ mod tests {
         assert_eq!(scene.obstacles()[0].center, Vec2::new(3.0, 3.0));
         scene.clear_obstacles();
         assert!(scene.obstacles().is_empty());
-    }
-
-    #[test]
-    fn generation_bumps_on_every_mutation() {
-        let mut scene = Scene::paper_office();
-        let g0 = scene.generation();
-        let idx = scene.add_obstacle(Obstacle::new(BodyPart::Torso, Vec2::new(2.0, 2.0)));
-        assert_eq!(scene.generation(), g0 + 1);
-        scene.move_obstacle(idx, Vec2::new(3.0, 3.0));
-        assert_eq!(scene.generation(), g0 + 2);
-        scene.set_obstacles(vec![]);
-        assert_eq!(scene.generation(), g0 + 3);
-        scene.clear_obstacles();
-        assert_eq!(scene.generation(), g0 + 4);
     }
 
     #[test]

@@ -44,6 +44,9 @@ cargo test -q --offline
 echo "==> workspace tests (all crates)"
 cargo test --workspace -q --offline
 
+echo "==> perfbench: build the benchmark against the public API and run its tests"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> paper shapes: every figure's PASS/FAIL checks (exit 1 on any FAIL)"
 cargo run -q --release --offline -p movr-bench --bin repro_all
 

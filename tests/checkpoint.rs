@@ -4,13 +4,13 @@
 //! These are the gate tests for the snapshot subsystem
 //! (`movr::snapshot`): the property runs random (strategy, rate policy,
 //! seed, cut frame) tuples and asserts the resumed half reproduces the
-//! remaining frames, the final [`SessionOutcome`], the metrics registry,
+//! remaining frames, the final [`SessionOutcome`], its metrics,
 //! and the recorded JSONL timeline byte-for-byte; the corruption
 //! properties assert that *no* byte-level damage — truncation, bit flips,
 //! version skew, config mismatch — ever panics or slips through as a
 //! successful restore.
 //!
-//! A golden fixture (`tests/fixtures/snapshot_seed42_v1.bin`) pins the
+//! A golden fixture (`tests/fixtures/snapshot_seed42_v2.bin`) pins the
 //! on-disk format: if the encoder's byte layout drifts without a
 //! [`FORMAT_VERSION`] bump, the fixture tests fail.
 
@@ -308,6 +308,106 @@ fn future_format_version_is_rejected_by_name_even_with_a_valid_checksum() {
     );
 }
 
+/// Rewrites the checksum footer so edited bytes pass the integrity check
+/// and reach the check under test.
+fn reseal(bytes: &mut [u8]) {
+    let payload_len = bytes.len() - 8;
+    let digest = fnv1a64(&bytes[..payload_len]);
+    bytes[payload_len..].copy_from_slice(&digest.to_le_bytes());
+}
+
+#[test]
+fn version_1_snapshot_is_rejected_as_unsupported() {
+    // Version 1 stored metric names, bucket edges and duplicated counters;
+    // this build has no reader for it.
+    let (_, cfg) = scenario(Strategy::Movr { tracking: true }, POLICIES[1], 4);
+    let mut bytes = snapshot_under(&cfg, 5);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut bytes);
+    match Session::restore(&bytes, &cfg) {
+        Err(SnapshotError::UnsupportedVersion { found: 1 }) => {}
+        Err(other) => panic!("expected UnsupportedVersion {{ found: 1 }}, got {other:?}"),
+        Ok(_) => panic!("a version 1 snapshot restored successfully"),
+    }
+}
+
+#[test]
+fn inconsistent_histogram_section_is_malformed_not_a_panic() {
+    // A tethered session's only histogram is the SNR one, every frame an
+    // overflowing +inf, so the body ends with: SNR histogram present,
+    // 62 bucket counts, Welford (n, mean, m2, min, max), airtime and
+    // stall histograms absent, then the checksum footer.
+    let frames = 6u64;
+    let (_, cfg) = scenario(Strategy::Tethered, RatePolicy::Oracle, 8);
+    let bytes = snapshot_under(&cfg, 6);
+    let len = bytes.len();
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let welford_n = len - 8 - 2 - 5 * 8;
+    let overflow_bucket = welford_n - 8;
+    assert_eq!(
+        &bytes[len - 10..len - 8],
+        &[0, 0],
+        "airtime and stall absent"
+    );
+    assert_eq!(u64_at(&bytes, welford_n), 0, "no finite SNR on a cable");
+    assert_eq!(
+        u64_at(&bytes, overflow_bucket),
+        frames,
+        "every frame overflows"
+    );
+    assert_eq!(
+        bytes[overflow_bucket - 61 * 8 - 1],
+        1,
+        "SNR histogram present"
+    );
+
+    // More finite observations than observations.
+    let mut more_finite = bytes.clone();
+    more_finite[welford_n..welford_n + 8].copy_from_slice(&(frames + 1).to_le_bytes());
+    // Bucket counts whose sum overflows u64.
+    let mut overflowing = bytes.clone();
+    overflowing[overflow_bucket - 8..overflow_bucket].copy_from_slice(&u64::MAX.to_le_bytes());
+    // A presence byte that is neither 0 nor 1.
+    let mut bad_flag = bytes.clone();
+    bad_flag[len - 9] = 2;
+    for (what, mut corrupt) in [
+        ("summary larger than the buckets", more_finite),
+        ("bucket sum overflow", overflowing),
+        ("presence byte", bad_flag),
+    ] {
+        reseal(&mut corrupt);
+        match Session::restore(&corrupt, &cfg) {
+            Err(SnapshotError::Malformed { .. }) => {}
+            Err(other) => panic!("{what}: expected Malformed, got {other:?}"),
+            Ok(_) => panic!("{what}: an inconsistent histogram restored"),
+        }
+    }
+    assert!(
+        Session::restore(&bytes, &cfg).is_ok(),
+        "the untouched bytes restore"
+    );
+}
+
+#[test]
+fn more_delivered_than_total_frames_is_malformed_not_a_panic() {
+    // The body opens with the clock, one pending frame event (count, time,
+    // tag), then the glitch tracker's total and delivered frame counts.
+    let (_, cfg) = scenario(Strategy::DirectOnly, RatePolicy::Oracle, 2);
+    let mut bytes = snapshot_under(&cfg, 7);
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let (pending, total, delivered) = (28, 28 + 8 + 9, 28 + 8 + 9 + 8);
+    assert_eq!(u64_at(&bytes, pending), 1, "one frame event pending");
+    assert_eq!(u64_at(&bytes, total), 7, "seven frames seen");
+    assert!(u64_at(&bytes, delivered) <= 7);
+    bytes[delivered..delivered + 8].copy_from_slice(&8u64.to_le_bytes());
+    reseal(&mut bytes);
+    match Session::restore(&bytes, &cfg) {
+        Err(SnapshotError::Malformed { .. }) => {}
+        Err(other) => panic!("expected Malformed, got {other:?}"),
+        Ok(_) => panic!("a tracker with more delivered than total frames restored"),
+    }
+}
+
 #[test]
 fn restore_under_a_different_config_is_a_config_mismatch() {
     let (_, cfg) = scenario(Strategy::Movr { tracking: true }, POLICIES[1], 21);
@@ -383,7 +483,7 @@ fn golden_scenario() -> (HandRaise, SessionConfig) {
 }
 
 const GOLDEN_CUT_FRAMES: usize = 30;
-const GOLDEN: &[u8] = include_bytes!("fixtures/snapshot_seed42_v1.bin");
+const GOLDEN: &[u8] = include_bytes!("fixtures/snapshot_seed42_v2.bin");
 
 #[test]
 fn golden_fixture_header_pins_version_and_fingerprint() {
@@ -433,7 +533,7 @@ fn golden_fixture_restores_and_reencodes_byte_identically() {
 /// intentional format change (with its version bump):
 /// `cargo test --test checkpoint regenerate_golden_fixture -- --ignored`
 #[test]
-#[ignore = "writes tests/fixtures/snapshot_seed42_v1.bin; run by hand on format changes"]
+#[ignore = "writes tests/fixtures/snapshot_seed42_v2.bin; run by hand on format changes"]
 fn regenerate_golden_fixture() {
     let (trace, cfg) = golden_scenario();
     let mut session = Session::new(&cfg);
@@ -442,7 +542,7 @@ fn regenerate_golden_fixture() {
     }
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot_seed42_v1.bin"
+        "/tests/fixtures/snapshot_seed42_v2.bin"
     );
     std::fs::write(path, session.snapshot()).expect("write fixture");
 }

@@ -12,8 +12,12 @@
 //! cargo run --release -p movr-obs -- reduce --out tests/fixtures/fleet_rollup.golden.json out/fleet/session-*.jsonl
 //! ```
 
-use movr_obs::{diff_json, reduce_one_stream, reduce_streams, Json, Rollup};
+use movr::session::{RatePolicy, Session, SessionConfig, SessionOutcome, Strategy};
+use movr_math::{Summary, Vec2};
+use movr_motion::{HandRaise, MotionTrace, PlayerState};
+use movr_obs::{diff_json, reduce_one_stream, reduce_streams, Json, MemoryRecorder, Rollup};
 use movr_system::fleet::fleet_jsonl;
+use movr_testkit::{choice, prop_assert_eq, property, u64_range, usize_range, PropError};
 
 const GOLDEN: &str = include_str!("fixtures/fleet_rollup.golden.json");
 
@@ -138,4 +142,117 @@ fn reducer_folds_a_100k_event_fleet_in_one_pass() {
         merged.merge(&part).expect("same schema");
     }
     assert_eq!(merged.to_json(), rollup.to_json());
+}
+
+// ---------------- observability oracle ----------------
+
+/// Runs a hand-raise session to the end on a `MemoryRecorder` and returns
+/// its outcome and JSONL timeline. With `cut`, the session goes through a
+/// snapshot round trip after that many frames and the two halves of the
+/// timeline are stitched, span ids carried on as
+/// `examples/checkpoint_resume` does.
+fn recorded_session(cfg: &SessionConfig, cut: Option<usize>) -> (SessionOutcome, String) {
+    let center = Vec2::new(4.0, 2.5);
+    let trace = HandRaise {
+        base: PlayerState::standing(center, center.bearing_deg_to(Vec2::new(0.5, 2.5))),
+        raise_at_s: 0.4,
+        lower_at_s: 0.9,
+        duration_s: 1.2,
+    };
+    let mut session = Session::new(cfg);
+    let mut rec = MemoryRecorder::new();
+    let mut jsonl = String::new();
+    if let Some(cut) = cut {
+        for _ in 0..cut {
+            assert!(
+                session.step_frame_recorded(&trace, &mut rec),
+                "cut {cut} past the end"
+            );
+        }
+        session = Session::restore(&session.snapshot(), cfg).expect("fresh snapshot restores");
+        jsonl = rec.to_jsonl();
+        rec = MemoryRecorder::with_next_span_id(rec.next_span_id());
+    }
+    while session.step_frame_recorded(&trace, &mut rec) {}
+    jsonl.push_str(&rec.to_jsonl());
+    (session.outcome(trace.duration_s()), jsonl)
+}
+
+/// A summary's exact accumulator bits, for bit-level comparison.
+fn summary_bits(s: &Summary) -> (usize, [u64; 4]) {
+    let (n, mean, m2, min, max) = s.welford_state();
+    (
+        n,
+        [mean.to_bits(), m2.to_bits(), min.to_bits(), max.to_bits()],
+    )
+}
+
+/// Reducing a session's JSONL must reproduce its `MetricsSnapshot`: the
+/// event stream and the typed accounting are independent paths to the
+/// same counts.
+fn reduced_timeline_matches_metrics(out: &SessionOutcome, jsonl: &str) -> Result<(), PropError> {
+    let (rollup, _) = match reduce_one_stream("session", jsonl.as_bytes()) {
+        Ok(r) => r,
+        Err(e) => return Err(PropError::failed(format!("timeline does not reduce: {e}"))),
+    };
+    let m = &out.metrics;
+    let counter = |name: &str| m.counter(name).unwrap_or(0);
+    // A histogram the session never created reads as an empty one.
+    let hist = |name: &str| {
+        m.histogram(name)
+            .map_or((0, summary_bits(&Summary::new())), |h| {
+                (h.count(), summary_bits(h.summary()))
+            })
+    };
+    let sketch = |name: &str| {
+        let s = rollup.sketch(name).expect("fleet sketch");
+        (s.count(), summary_bits(s.histogram().summary()))
+    };
+    let s = rollup.sessions().get(&0).cloned().unwrap_or_default();
+    prop_assert_eq!(s.frames_total, counter("frames_total"));
+    prop_assert_eq!(s.frames_delivered, counter("frames_delivered"));
+    prop_assert_eq!(s.mode_switches, counter("mode_switches"));
+    prop_assert_eq!(s.realigns, counter("realignments"));
+    // The reducer sees only finite SNRs (JSON has no infinities).
+    let snr = m
+        .histogram("frame_snr_db")
+        .map_or(0, |h| h.summary().count());
+    prop_assert_eq!(sketch("snr_db").0, movr_math::convert::usize_to_u64(snr));
+    prop_assert_eq!(sketch("airtime_ns"), hist("frame_airtime_ns"));
+    prop_assert_eq!(sketch("stall_ns"), hist("realign_stall_ns"));
+    prop_assert_eq!(s.stall_spans, hist("realign_stall_ns").0);
+    prop_assert_eq!(sketch("realign_cost_ns").0, counter("realignments"));
+    Ok(())
+}
+
+property! {
+    cases = 16,
+    /// Over random seeds, strategies and rate policies, uninterrupted and
+    /// cut at a random frame: `movr-obs reduce` over the session's JSONL
+    /// agrees with the session's own metrics.
+    fn reduced_session_timeline_reproduces_its_metrics(
+        strategy in choice(vec![
+            Strategy::Tethered,
+            Strategy::DirectOnly,
+            Strategy::Movr { tracking: true },
+            Strategy::Movr { tracking: false },
+        ]),
+        policy in choice(vec![
+            RatePolicy::Oracle,
+            RatePolicy::Threshold { backoff_db: 1.0 },
+            RatePolicy::HysteresisPolicy { up_margin_db: 2.0, up_count: 3, backoff_db: 1.0 },
+        ]),
+        seed in u64_range(0, u64::MAX),
+        cut_raw in usize_range(0, 1000),
+    ) {
+        let mut cfg = SessionConfig::with_strategy(strategy);
+        cfg.rate_policy = policy;
+        cfg.system.seed = seed;
+        let (out, jsonl) = recorded_session(&cfg, None);
+        reduced_timeline_matches_metrics(&out, &jsonl)?;
+        let frames = out.glitches.frames_total;
+        let (cut_out, cut_jsonl) = recorded_session(&cfg, Some(1 + cut_raw % (frames - 1)));
+        prop_assert_eq!(&cut_jsonl, &jsonl);
+        reduced_timeline_matches_metrics(&cut_out, &cut_jsonl)?;
+    }
 }
