@@ -170,6 +170,36 @@ fn bench_obs_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
     ]
 }
 
+fn bench_obs_reduce(opts: &BenchOptions) -> Vec<BenchReport> {
+    // `movr-obs reduce` without the disk: the canonical 8 x 1 s fleet
+    // (gaze walks under MoVR with tracking, seeds 0..8), each session
+    // recorded through `SessionTagged` into an in-memory `JsonlWriter`
+    // once in setup. The timed body parses and folds every line, about
+    // 12k of them, most `gain_step`s.
+    use movr::session::{run_session_recorded, SessionConfig, Strategy};
+    use movr_motion::RandomWalk;
+    use movr_obs::{reduce_lines, JsonlWriter, Rollup, SessionTagged};
+    use movr_rfsim::Room;
+    let room = Room::paper_office();
+    let cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: true });
+    let streams: Vec<String> = (0..8u64)
+        .map(|id| {
+            let trace = RandomWalk::with_gaze(&room, id, 1.0, Vec2::new(0.5, 2.5));
+            let mut writer = JsonlWriter::new(Vec::new());
+            run_session_recorded(&trace, &cfg, &mut SessionTagged::new(&mut writer, id));
+            let bytes = writer.finish().expect("in-memory sink never fails");
+            String::from_utf8(bytes).expect("JSONL is UTF-8")
+        })
+        .collect();
+    vec![bench_fn("obs_reduce_fleet_8x1s", opts, || {
+        let mut rollup = Rollup::new();
+        for text in &streams {
+            reduce_lines("fleet", text.lines(), &mut rollup).expect("recorded fleet reduces");
+        }
+        rollup
+    })]
+}
+
 fn bench_batch_kernels(opts: &BenchOptions) -> Vec<BenchReport> {
     // The SoA batch entry point against the scalar loop it replaces:
     // one steered array, one full 101-bearing probe row (what a single
@@ -243,7 +273,7 @@ fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
 
 fn main() {
     let opts = BenchOptions::from_args(std::env::args().skip(1));
-    let suites: [fn(&BenchOptions) -> Vec<BenchReport>; 11] = [
+    let suites: [fn(&BenchOptions) -> Vec<BenchReport>; 12] = [
         bench_link_budget,
         bench_relay_budget,
         bench_gain_control,
@@ -252,6 +282,7 @@ fn main() {
         bench_alignment_sweep,
         bench_session_second,
         bench_obs_overhead,
+        bench_obs_reduce,
         bench_batch_kernels,
         bench_pool_overhead,
         bench_lint_workspace,

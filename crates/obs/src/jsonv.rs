@@ -8,38 +8,76 @@
 //! emit — objects, arrays, strings with escapes, numbers, `true` /
 //! `false` / `null` — kept in-tree so the crate stays dependency-free.
 //!
-//! Numbers parse to `f64`. Every integer the simulator serialises
+//! A parsed [`Json`] borrows from its input: string values and object
+//! keys are [`JsonStr`]s that slice the document, and only text spelled
+//! with escapes is copied out and owned. Reading an event line therefore
+//! allocates one `Vec` per object and nothing per field.
+//!
+//! Numbers follow RFC 8259's grammar exactly (no leading zeros, no bare
+//! `.` or exponent) and parse to `f64`; a number too large for `f64` is
+//! an error, never `±∞`. Every integer the simulator serialises
 //! (counts, nanosecond timestamps) is far below 2^53, so round-tripping
 //! through `f64` is exact; [`Json::as_u64`] re-checks exactness instead
 //! of trusting that argument.
 
 use movr_math::convert::f64_to_u64;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 
-/// A parsed JSON value. Object fields keep their document order (the
-/// differ reports paths in a canonical sorted order regardless).
+/// A string value or object key of a parsed document, unescaped: a
+/// slice of the document when the text holds no escapes, an owned copy
+/// when it does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonStr<'a>(Cow<'a, str>);
+
+impl JsonStr<'_> {
+    /// The unescaped text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for JsonStr<'_> {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<&str> for JsonStr<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+/// A parsed JSON value, borrowing from the text it was parsed from.
+/// Object fields keep their document order (the differ reports paths in
+/// a canonical sorted order regardless).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// Any JSON number (finite when parsed).
     Num(f64),
     /// A string, unescaped.
-    Str(String),
+    Str(JsonStr<'a>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object, in document order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(JsonStr<'a>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parses one complete JSON document; trailing non-whitespace is an
     /// error.
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
+    pub fn parse(text: &'a str) -> Result<Json<'a>, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -53,9 +91,12 @@ impl Json {
     }
 
     /// Object field by name (first match), if this is an object.
-    pub fn get(&self, name: &str) -> Option<&Json> {
+    pub fn get(&self, name: &str) -> Option<&Json<'a>> {
         match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+            Json::Obj(fields) => fields
+                .iter()
+                .find(|(k, _)| k.as_str() == name)
+                .map(|(_, v)| v),
             _ => None,
         }
     }
@@ -82,7 +123,7 @@ impl Json {
     /// The string, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Json::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -96,7 +137,7 @@ impl Json {
     }
 
     /// Object fields in document order, if this is an object.
-    pub fn fields(&self) -> Option<&[(String, Json)]> {
+    pub fn fields(&self) -> Option<&[(JsonStr<'a>, Json<'a>)]> {
         match self {
             Json::Obj(f) => Some(f),
             _ => None,
@@ -105,7 +146,7 @@ impl Json {
 
     /// Object fields as a sorted map (duplicate keys: last wins), if
     /// this is an object.
-    pub fn to_map(&self) -> Option<BTreeMap<&str, &Json>> {
+    pub fn to_map(&self) -> Option<BTreeMap<&str, &Json<'a>>> {
         match self {
             Json::Obj(f) => Some(f.iter().map(|(k, v)| (k.as_str(), v)).collect()),
             _ => None,
@@ -134,12 +175,18 @@ impl std::error::Error for JsonError {}
 /// keeps a malicious or corrupt input from overflowing the stack.
 const MAX_DEPTH: usize = 64;
 
+/// Fields reserved per object up front: an event line carries `t_ns`,
+/// `kind`, its own fields and the `session` tag — five for the
+/// `gain_step` lines that dominate a fleet, up to ten for a `frame`.
+const OBJECT_FIELDS: usize = 10;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, what: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -166,7 +213,7 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
+    fn eat_lit(&mut self, lit: &str, v: Json<'a>) -> Result<Json<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
@@ -175,7 +222,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("document nests too deeply"));
         }
@@ -192,14 +239,14 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
         self.eat(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let mut fields = Vec::with_capacity(OBJECT_FIELDS);
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -220,7 +267,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -243,97 +290,152 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string literal. Runs of plain text are sliced from the
+    /// document; the first escape switches to an owned copy. Every run
+    /// starts just after a `"` or an escape and ends at a `"` or `\`,
+    /// all ASCII, so each slice falls on character boundaries.
+    fn string(&mut self) -> Result<JsonStr<'a>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
+        let mut run = self.pos;
         loop {
+            let rest = &self.bytes[self.pos..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(JsonStr(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    }));
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(&self.text[run..self.pos]);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Timelines only escape control characters;
-                            // surrogate pairs are out of scope, and a
-                            // lone surrogate is an error, not data.
-                            match char::from_u32(cp) {
-                                Some(c) => out.push(c),
-                                None => {
-                                    return Err(
-                                        self.err("\\u escape is not a scalar value")
-                                    )
-                                }
-                            }
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
+                    run = self.pos;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so
-                    // boundaries are trustworthy).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0xC0) == 0x80
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input slice came from a &str"),
-                    );
-                }
+                // The scan stops only at `"`, `\`, a control byte or the end.
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
 
+    /// Decodes the escape after a backslash, leaving `pos` past it.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                // Timelines only escape control characters; surrogate
+                // pairs are out of scope, and a lone surrogate is an
+                // error, not data.
+                return char::from_u32(cp)
+                    .ok_or_else(|| self.err("\\u escape is not a scalar value"));
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Exactly four hex digits (no sign, no fewer digits).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut cp = 0;
+        for &b in digits {
+            cp = cp * 16
+                + char::from(b)
+                    .to_digit(16)
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ASCII in \\u escape"))?;
-        let cp = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// A number: the maximal run of number characters must match RFC
+    /// 8259's grammar as a whole and parse to a finite `f64`; otherwise
+    /// the error sits at the end of the run.
+    fn number(&mut self) -> Result<Json<'a>, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        let grammatical = self.number_grammar();
+        let end = self.pos;
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("invalid number `{text}`")))
+        // The run is ASCII, so the slice falls on character boundaries.
+        let text = &self.text[start..self.pos];
+        if !grammatical || self.pos != end {
+            return Err(self.err(format!("invalid number `{text}`")));
+        }
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => Err(self.err(format!("number `{text}` is out of range for f64"))),
+            Err(_) => Err(self.err(format!("invalid number `{text}`"))),
+        }
+    }
+
+    /// Advances over `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`;
+    /// `false` where the text breaks that grammar.
+    fn number_grammar(&mut self) -> bool {
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return false,
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return false;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Advances over a run of ASCII digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -381,7 +483,8 @@ mod tests {
         let e = Event::new(SimTime::from_micros(7), "has \"quote\"")
             .with("nan", f64::NAN)
             .with("neg", -3i64);
-        let v = Json::parse(&e.json_line()).expect("writer output must parse");
+        let line = e.json_line();
+        let v = Json::parse(&line).expect("writer output must parse");
         assert_eq!(v.get("kind").and_then(Json::as_str), Some("has \"quote\""));
         assert_eq!(v.get("nan"), Some(&Json::Null));
         assert_eq!(v.get("neg").and_then(Json::as_f64), Some(-3.0));
@@ -397,10 +500,87 @@ mod tests {
             ("truex", 4),
             ("\"unterminated", 13),
             ("{\"a\":1} extra", 8),
+            ("\"a\\x\"", 3),
+            ("\"a\u{1}\"", 2),
+            ("\"\\ud800\"", 7),
+            // `\u` takes exactly four hex digits: no sign, no short form.
+            ("\"\\u+041\"", 3),
+            ("\"\\u-041\"", 3),
+            ("\"\\u004\"", 3),
+            ("\"\\u12", 3),
         ] {
             let e = Json::parse(text).expect_err(text);
             assert_eq!(e.at, at, "{text}: {e}");
         }
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259_and_stay_finite() {
+        for (text, x) in [
+            ("0", 0.0_f64),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-1.25e-3", -1.25e-3),
+            ("1E+3", 1000.0),
+            ("2e0", 2.0),
+            ("1e-999", 0.0),
+        ] {
+            let v = Json::parse(text).expect(text).as_f64().expect(text);
+            assert_eq!(v.to_bits(), x.to_bits(), "{text}");
+        }
+        // Each error sits at the end of the run of number characters.
+        for (text, at) in [
+            ("01", 2),
+            ("00", 2),
+            ("-01", 3),
+            ("1.", 2),
+            ("-.5", 3),
+            ("1.e3", 4),
+            ("1e", 2),
+            ("1e+", 3),
+            ("-", 1),
+            ("1.2.3", 5),
+            ("[1,01]", 5),
+            ("1e999", 5),
+            ("-1e999", 6),
+            ("{\"snr_db\":1e999}", 15),
+        ] {
+            let e = Json::parse(text).expect_err(text);
+            assert_eq!(e.at, at, "{text}: {e}");
+        }
+        assert!(Json::parse("1e999")
+            .expect_err("overflow")
+            .what
+            .contains("out of range"));
+        // A leading `+` or `.` is not a number at all.
+        assert_eq!(Json::parse("+1").expect_err("+1").at, 0);
+        assert_eq!(Json::parse(".5").expect_err(".5").at, 0);
+    }
+
+    #[test]
+    fn plain_text_is_borrowed_and_escaped_text_is_owned() {
+        let line = r#"{"kind":"gain_step","k\"ey":"a\nb","mé":"déjà"}"#;
+        let v = Json::parse(line).expect("valid line");
+        let fields = v.fields().expect("object");
+        let borrowed = |s: &JsonStr<'_>| matches!(s.0, Cow::Borrowed(_));
+        assert_eq!(fields[0].0, "kind");
+        assert!(borrowed(&fields[0].0));
+        let Json::Str(kind) = &fields[0].1 else {
+            panic!("kind is a string");
+        };
+        assert!(borrowed(kind) && *kind == "gain_step");
+        // An escape in a key or a value makes that string owned.
+        assert_eq!(fields[1].0, "k\"ey");
+        assert!(!borrowed(&fields[1].0));
+        let Json::Str(val) = &fields[1].1 else {
+            panic!("value is a string");
+        };
+        assert!(!borrowed(val) && *val == "a\nb");
+        // Non-ASCII text without escapes is still a slice.
+        assert_eq!(fields[2].0, "mé");
+        assert!(borrowed(&fields[2].0));
+        assert_eq!(fields[2].1.as_str(), Some("déjà"));
     }
 
     #[test]
@@ -410,7 +590,7 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(1e16).as_u64(), None);
-        assert_eq!(Json::Str("7".into()).as_u64(), None);
+        assert_eq!(Json::Str(JsonStr(Cow::Borrowed("7"))).as_u64(), None);
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod sketch;
 
 pub use capture::{null_capture, Capture};
 pub use event::{Event, Value};
-pub use jsonv::{Json, JsonError};
+pub use jsonv::{Json, JsonError, JsonStr};
 pub use metrics::{Histogram, InvalidHistogram, MergeError, MetricsSnapshot};
 pub use recorder::{
     JsonlSinkError, JsonlWriter, MemoryRecorder, NullRecorder, Recorder, SessionTagged, SpanId,

@@ -128,8 +128,12 @@ fn cmd_reduce(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-fn load_json(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+fn read_text(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Parses a rollup document; the result borrows from `text`.
+fn parse_json<'t>(path: &str, text: &'t str) -> Result<Json<'t>, String> {
     Json::parse(text.trim_end()).map_err(|e| format!("{path}: {e}"))
 }
 
@@ -137,8 +141,13 @@ fn cmd_diff(args: &[String]) -> Result<i32, String> {
     let [a_path, b_path] = args else {
         return Err(format!("`diff` takes exactly two rollup files\n{USAGE}"));
     };
-    let a = load_json(a_path)?;
-    let b = load_json(b_path)?;
+    // The documents borrow from the texts, which live until the diff is
+    // printed. Each file is read and parsed before the next is opened,
+    // so the first bad file is the one reported.
+    let a_text = read_text(a_path)?;
+    let a = parse_json(a_path, &a_text)?;
+    let b_text = read_text(b_path)?;
+    let b = parse_json(b_path, &b_text)?;
     let entries = diff_json(&a, &b);
     if entries.is_empty() {
         println!("identical");

@@ -159,7 +159,7 @@ fn fold_line(
     Ok(())
 }
 
-fn span_fields(doc: &Json) -> Result<(&str, u64), String> {
+fn span_fields<'d>(doc: &'d Json<'_>) -> Result<(&'d str, u64), String> {
     let name = doc
         .get("span")
         .and_then(Json::as_str)
@@ -382,6 +382,24 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_number_is_an_error_naming_stream_and_line() {
+        // `1e999` is no `f64`: it must stop the reduce at its line
+        // instead of folding +inf into the SNR sketch.
+        let lines = [
+            "{\"t_ns\":0,\"kind\":\"frame\",\"delivered\":true,\"snr_db\":21.5}",
+            "{\"t_ns\":11,\"kind\":\"frame\",\"delivered\":true,\"snr_db\":1e999}",
+        ];
+        let mut r = Rollup::new();
+        let err = reduce_lines("fleet-5.jsonl", lines, &mut r).expect_err("1e999");
+        assert_eq!((err.stream.as_str(), err.line), ("fleet-5.jsonl", 2));
+        assert!(err.what.contains("out of range"), "{err}");
+
+        let text = lines.join("\n");
+        let err = reduce_one_stream("fleet-5.jsonl", text.as_bytes()).expect_err("1e999");
+        assert_eq!((err.stream.as_str(), err.line), ("fleet-5.jsonl", 2));
+    }
+
+    #[test]
     fn span_cut_across_stream_boundary_is_dropped_not_crashed() {
         let start = "{\"t_ns\":5,\"kind\":\"span_start\",\"span\":\"realign_stall\",\"span_id\":9}";
         let end = "{\"t_ns\":8,\"kind\":\"span_end\",\"span\":\"realign_stall\",\"span_id\":9}";
@@ -396,7 +414,8 @@ mod tests {
     fn rollup_json_from_reduce_parses_and_counts_match() {
         let mut r = Rollup::new();
         reduce_lines("<t>", SAMPLE.lines(), &mut r).expect("valid");
-        let doc = Json::parse(&r.to_json()).expect("rollup parses");
+        let json = r.to_json();
+        let doc = Json::parse(&json).expect("rollup parses");
         let fleet = doc.get("fleet").expect("fleet");
         assert_eq!(fleet.get("events").and_then(Json::as_u64), Some(9));
         assert_eq!(fleet.get("sessions").and_then(Json::as_u64), Some(1));

@@ -297,7 +297,7 @@ impl std::fmt::Display for DiffEntry {
     }
 }
 
-fn render(j: &Json) -> String {
+fn render(j: &Json<'_>) -> String {
     match j {
         Json::Null => "null".to_string(),
         Json::Bool(b) => b.to_string(),
@@ -306,21 +306,26 @@ fn render(j: &Json) -> String {
             write_json_f64(&mut s, *x);
             s
         }
-        Json::Str(s) => format!("\"{s}\""),
+        Json::Str(s) => format!("\"{}\"", s.as_str()),
         Json::Arr(a) => format!("[…{} items]", a.len()),
         Json::Obj(o) => format!("{{…{} keys}}", o.len()),
     }
 }
 
-fn diff_walk(path: &str, a: &Json, b: &Json, out: &mut Vec<DiffEntry>) {
+/// The dotted path of object key `k` under `path`.
+fn key_path(path: &str, k: &str) -> String {
+    if path.is_empty() {
+        k.to_string()
+    } else {
+        format!("{path}.{k}")
+    }
+}
+
+fn diff_walk(path: &str, a: &Json<'_>, b: &Json<'_>, out: &mut Vec<DiffEntry>) {
     match (a, b) {
         (Json::Obj(ao), Json::Obj(bo)) => {
             for (k, av) in ao {
-                let sub = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
+                let sub = key_path(path, k);
                 match bo.iter().find(|(bk, _)| bk == k) {
                     Some((_, bv)) => diff_walk(&sub, av, bv, out),
                     None => out.push(DiffEntry {
@@ -332,13 +337,8 @@ fn diff_walk(path: &str, a: &Json, b: &Json, out: &mut Vec<DiffEntry>) {
             }
             for (k, bv) in bo {
                 if !ao.iter().any(|(ak, _)| ak == k) {
-                    let sub = if path.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{path}.{k}")
-                    };
                     out.push(DiffEntry {
-                        path: sub,
+                        path: key_path(path, k),
                         left: None,
                         right: Some(render(bv)),
                     });
@@ -387,7 +387,7 @@ fn diff_walk(path: &str, a: &Json, b: &Json, out: &mut Vec<DiffEntry>) {
 /// diverging path (empty = identical). Object key order is ignored;
 /// numbers compare bit-exactly (so `-0.0 != 0.0`, and `null`-encoded
 /// non-finites only equal `null`).
-pub fn diff_json(a: &Json, b: &Json) -> Vec<DiffEntry> {
+pub fn diff_json(a: &Json<'_>, b: &Json<'_>) -> Vec<DiffEntry> {
     let mut out = Vec::new();
     diff_walk("", a, b, &mut out);
     out
@@ -468,7 +468,8 @@ mod tests {
         let mut a = sample();
         let b = sample();
         a.merge(&b).expect("same schema");
-        let doc = Json::parse(&a.to_json()).expect("parses");
+        let json = a.to_json();
+        let doc = Json::parse(&json).expect("parses");
         let fleet = doc.get("fleet").expect("fleet");
         assert_eq!(fleet.get("frames_total").and_then(Json::as_u64), Some(8));
         assert_eq!(fleet.get("sessions").and_then(Json::as_u64), Some(1));
@@ -490,8 +491,9 @@ mod tests {
 
     #[test]
     fn diff_of_identical_rollups_is_empty() {
-        let a = Json::parse(&sample().to_json()).expect("a");
-        let b = Json::parse(&sample().to_json()).expect("b");
+        let (a_text, b_text) = (sample().to_json(), sample().to_json());
+        let a = Json::parse(&a_text).expect("a");
+        let b = Json::parse(&b_text).expect("b");
         assert!(diff_json(&a, &b).is_empty());
     }
 

@@ -117,6 +117,10 @@ grep -q '"name":"par_tiny_worker_pool"' out/BENCH_micro.json || {
     echo "pool-overhead bench missing from microbench output" >&2
     exit 1
 }
+grep -q '"name":"obs_reduce_fleet_8x1s"' out/BENCH_micro.json || {
+    echo "movr-obs reduce bench missing from microbench output" >&2
+    exit 1
+}
 
 echo "==> bench: sweep-rate gate (batched bit-identical and >= 2.5x over memoized,"
 echo "    memoized >= 5x over uncached; fleet byte-identical, thread ladder)"
