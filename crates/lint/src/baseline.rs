@@ -4,9 +4,12 @@
 //! fails (a *stale* entry), so counts can only go down.
 //!
 //! The file is a deliberately tiny TOML subset — `[[entry]]` tables with
-//! `file`, `rule`, and `count` keys — parsed in-tree so the analyzer
-//! stays dependency-free.
+//! `file`, `rule`, and `count` keys — read by [`movr_math::toml`], so a
+//! key set twice is an error, not a silent override. [`Baseline::render`]
+//! quotes through [`movr_math::json::write_str`], so any path reads back.
 
+use movr_math::json::{write_str, Json};
+use movr_math::toml::{self, Table};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,62 +48,21 @@ impl Baseline {
         self.entries.is_empty()
     }
 
-    /// Parses the TOML subset. Errors carry the offending line number.
+    /// Parses the file: `[[entry]]` tables, each with a string `file`
+    /// and `rule` and a non-negative integer `count`. Errors carry the
+    /// offending line number.
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let mut entries = BTreeMap::new();
-        let mut cur: Option<(Option<String>, Option<String>, Option<usize>)> = None;
-        let mut flush = |cur: &mut Option<(Option<String>, Option<String>, Option<usize>)>,
-                         lineno: usize|
-         -> Result<(), String> {
-            if let Some((file, rule, count)) = cur.take() {
-                match (file, rule, count) {
-                    (Some(f), Some(r), Some(c)) => {
-                        if entries.insert((f.clone(), r.clone()), c).is_some() {
-                            return Err(format!(
-                                "line {lineno}: duplicate baseline entry for {f} / {r}"
-                            ));
-                        }
-                        Ok(())
-                    }
-                    _ => Err(format!(
-                        "entry ending before line {lineno} is missing file/rule/count"
-                    )),
-                }
-            } else {
-                Ok(())
-            }
-        };
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[[entry]]" {
-                flush(&mut cur, lineno)?;
-                cur = Some((None, None, None));
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("line {lineno}: expected `key = value`, got `{line}`"));
-            };
-            let Some(cur) = cur.as_mut() else {
-                return Err(format!("line {lineno}: `{key}` outside an [[entry]] table"));
-            };
-            let key = key.trim();
-            let value = value.trim();
-            match key {
-                "file" => cur.0 = Some(unquote(value, lineno)?),
-                "rule" => cur.1 = Some(unquote(value, lineno)?),
-                "count" => {
-                    cur.2 = Some(value.parse().map_err(|_| {
-                        format!("line {lineno}: count must be a non-negative integer")
-                    })?);
-                }
-                other => return Err(format!("line {lineno}: unknown key `{other}`")),
+        for entry in array_tables(text, "entry", &["file", "rule", "count"])? {
+            let (file, rule) = (string(&entry, "file")?, string(&entry, "rule")?);
+            let pinned = entries.insert((file.clone(), rule.clone()), uint(&entry, "count")?);
+            if pinned.is_some() {
+                let at = entry.line;
+                return Err(format!(
+                    "line {at}: duplicate baseline entry for {file} / {rule}"
+                ));
             }
         }
-        flush(&mut cur, text.lines().count() + 1)?;
         Ok(Baseline { entries })
     }
 
@@ -121,21 +83,63 @@ impl Baseline {
             if *count == 0 {
                 continue;
             }
-            let _ = writeln!(out, "[[entry]]");
-            let _ = writeln!(out, "file = \"{file}\"");
-            let _ = writeln!(out, "rule = \"{rule}\"");
-            let _ = writeln!(out, "count = {count}\n");
+            out.push_str("[[entry]]\nfile = ");
+            write_str(&mut out, file);
+            out.push_str("\nrule = ");
+            write_str(&mut out, rule);
+            let _ = writeln!(out, "\ncount = {count}\n");
         }
         out
     }
 }
 
-fn unquote(value: &str, lineno: usize) -> Result<String, String> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| format!("line {lineno}: expected a double-quoted string"))?;
-    Ok(inner.to_string())
+/// The `[[name]]` tables of a lint config, each holding only `keys`: a
+/// key outside them, any other table or any other key is an error.
+pub(crate) fn array_tables<'a>(
+    text: &'a str,
+    name: &str,
+    keys: &[&str],
+) -> Result<Vec<Table<'a>>, String> {
+    let mut out = Vec::new();
+    for table in toml::parse(text).map_err(|e| e.to_string())? {
+        let (at, header) = (table.line, table.name);
+        if at > 0 && !(table.array && header == name) {
+            return Err(format!("line {at}: unknown table `{header}`"));
+        }
+        for (key, _, line) in &table.keys {
+            if at == 0 {
+                return Err(format!("line {line}: `{key}` outside an [[{name}]] table"));
+            } else if !keys.contains(key) {
+                return Err(format!("line {line}: unknown key `{key}`"));
+            }
+        }
+        if at > 0 {
+            out.push(table);
+        }
+    }
+    Ok(out)
+}
+
+/// The value of `key` in `table` and its line, or an error if unset.
+fn need<'t, 'a>(table: &'t Table<'a>, key: &str) -> Result<(&'t Json<'a>, usize), String> {
+    let (at, name) = (table.line, table.name);
+    let missing = || format!("line {at}: [[{name}]] is missing `{key}`");
+    table.get(key).ok_or_else(missing)
+}
+
+/// The string under `key` in `table`.
+pub(crate) fn string(table: &Table<'_>, key: &str) -> Result<String, String> {
+    match need(table, key)? {
+        (Json::Str(s), _) => Ok(s.to_string()),
+        (_, line) => Err(format!("line {line}: {key} must be a quoted string")),
+    }
+}
+
+/// The non-negative integer under `key` in `table`, as a `T`.
+pub(crate) fn uint<T: TryFrom<u64>>(table: &Table<'_>, key: &str) -> Result<T, String> {
+    let (value, line) = need(table, key)?;
+    let n = value.as_u64().and_then(|n| T::try_from(n).ok());
+    n.ok_or_else(|| format!("line {line}: {key} must be a non-negative integer"))
 }
 
 #[cfg(test)]
@@ -174,6 +178,12 @@ mod tests {
             .contains("integer"));
         let dup = "[[entry]]\nfile = \"a\"\nrule = \"r\"\ncount = 1\n\n[[entry]]\nfile = \"a\"\nrule = \"r\"\ncount = 2\n";
         assert!(Baseline::parse(dup).unwrap_err().contains("duplicate"));
+        // A key set twice in one entry is an error naming the second line.
+        for key in ["file = \"b\"", "rule = \"q\"", "count = 9"] {
+            let twice = format!("[[entry]]\nfile = \"a\"\nrule = \"r\"\ncount = 1\n{key}\n");
+            let e = Baseline::parse(&twice).unwrap_err();
+            assert!(e.contains("line 5"), "{key}: {e}");
+        }
     }
 
     #[test]

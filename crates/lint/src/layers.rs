@@ -6,7 +6,8 @@
 //! any reference not on the declared edge list, so back-edges need an
 //! explicit spec change to land.
 //!
-//! The spec is the same dependency-free TOML subset the baseline uses:
+//! The spec is the same TOML subset the baseline uses, read by the
+//! workspace's one TOML reader, [`movr_math::toml`]:
 //!
 //! ```toml
 //! [[crate]]
@@ -19,10 +20,12 @@
 //! must be declared, and must sit on a *strictly lower* layer — which
 //! makes the declared graph a DAG by construction.
 
+use crate::baseline::{array_tables, string, uint};
 use crate::lexer::TokenKind;
 use crate::rng_flow::crate_of_extern_root;
 use crate::rules::Diagnostic;
 use crate::source::{FileKind, SourceFile};
+use movr_math::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Name of the committed layer spec at the workspace root.
@@ -59,73 +62,29 @@ impl LayerSpec {
         self.crates.is_empty()
     }
 
-    /// Parses and validates the TOML subset. Errors carry line numbers
-    /// for syntax problems and name/layer detail for graph problems.
+    /// Parses and validates the spec: `[[crate]]` tables, each with a
+    /// string `name`, a non-negative integer `layer` and an optional
+    /// `allowed` list of crate names. Errors carry line numbers for
+    /// syntax problems and name/layer detail for graph problems.
     pub fn parse(text: &str) -> Result<LayerSpec, String> {
         let mut crates: BTreeMap<String, CrateSpec> = BTreeMap::new();
-        let mut cur: Option<(Option<String>, Option<u32>, Option<BTreeSet<String>>)> = None;
-        let flush = |cur: &mut Option<(Option<String>, Option<u32>, Option<BTreeSet<String>>)>,
-                         crates: &mut BTreeMap<String, CrateSpec>,
-                         lineno: usize|
-         -> Result<(), String> {
-            if let Some((name, layer, allowed)) = cur.take() {
-                let name = name
-                    .ok_or_else(|| format!("[[crate]] ending before line {lineno} has no name"))?;
-                let layer = layer
-                    .ok_or_else(|| format!("crate `{name}` has no layer"))?;
-                if crates
-                    .insert(name.clone(), CrateSpec { layer, allowed: allowed.unwrap_or_default() })
-                    .is_some()
-                {
-                    return Err(format!("crate `{name}` declared twice"));
+        for table in array_tables(text, "crate", &["name", "layer", "allowed"])? {
+            let (name, layer) = (string(&table, "name")?, uint(&table, "layer")?);
+            let mut allowed = BTreeSet::new();
+            if let Some((list, line)) = table.get("allowed") {
+                let bad = || format!("line {line}: allowed must be a [\"…\"] list");
+                let Json::Arr(deps) = list else {
+                    return Err(bad());
+                };
+                for dep in deps {
+                    allowed.insert(dep.as_str().ok_or_else(bad)?.to_string());
                 }
             }
-            Ok(())
-        };
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[[crate]]" {
-                flush(&mut cur, &mut crates, lineno)?;
-                cur = Some((None, None, None));
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("line {lineno}: expected `key = value`, got `{line}`"));
-            };
-            let Some(cur) = cur.as_mut() else {
-                return Err(format!("line {lineno}: `{}` outside a [[crate]] table", key.trim()));
-            };
-            let value = value.trim();
-            match key.trim() {
-                "name" => cur.0 = Some(unquote(value, lineno)?),
-                "layer" => {
-                    cur.1 = Some(value.parse().map_err(|_| {
-                        format!("line {lineno}: layer must be a non-negative integer")
-                    })?);
-                }
-                "allowed" => {
-                    let inner = value
-                        .strip_prefix('[')
-                        .and_then(|v| v.strip_suffix(']'))
-                        .ok_or_else(|| format!("line {lineno}: allowed must be a [\"…\"] list"))?;
-                    let mut set = BTreeSet::new();
-                    for piece in inner.split(',') {
-                        let piece = piece.trim();
-                        if piece.is_empty() {
-                            continue;
-                        }
-                        set.insert(unquote(piece, lineno)?);
-                    }
-                    cur.2 = Some(set);
-                }
-                other => return Err(format!("line {lineno}: unknown key `{other}`")),
+            let (at, spec) = (table.line, CrateSpec { layer, allowed });
+            if crates.insert(name.clone(), spec).is_some() {
+                return Err(format!("line {at}: crate `{name}` declared twice"));
             }
         }
-        flush(&mut cur, &mut crates, text.lines().count() + 1)?;
         // Graph validation: targets declared, edges strictly downward.
         for (name, spec) in &crates {
             for dep in &spec.allowed {
@@ -144,14 +103,6 @@ impl LayerSpec {
         }
         Ok(LayerSpec { crates })
     }
-}
-
-fn unquote(value: &str, lineno: usize) -> Result<String, String> {
-    value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {lineno}: expected a double-quoted string"))
 }
 
 /// Enforces the declared DAG over every library file: each `movr_*`

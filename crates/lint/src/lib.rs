@@ -36,6 +36,7 @@ pub use rules::{rule_doc, Diagnostic, RULES, RULE_DOCS};
 pub use source::SourceFile;
 pub use units::UnitClass;
 
+use movr_math::json::write_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -121,37 +122,36 @@ impl Report {
         out
     }
 
-    /// Machine-readable rendering: one JSON object (hand-rolled, no
-    /// dependencies) with `new`, `stale`, and summary fields.
+    /// Machine-readable rendering: one JSON object (hand-rolled, strings
+    /// through [`movr_math::json::write_str`]) with `new`, `stale`, and
+    /// summary fields.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"new\": [");
         for (i, d) in self.new.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"snippet\": \"{}\", \"hint\": \"{}\"}}",
-                json_escape(d.rule),
-                json_escape(&d.file),
-                d.line,
-                json_escape(&d.snippet),
-                json_escape(&d.hint)
-            );
+            out.push_str("\n    {\"rule\": ");
+            write_str(&mut out, d.rule);
+            out.push_str(", \"file\": ");
+            write_str(&mut out, &d.file);
+            let _ = write!(out, ", \"line\": {}, \"snippet\": ", d.line);
+            write_str(&mut out, &d.snippet);
+            out.push_str(", \"hint\": ");
+            write_str(&mut out, &d.hint);
+            out.push('}');
         }
         out.push_str("\n  ],\n  \"stale\": [");
         for (i, s) in self.stale.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"pinned\": {}, \"actual\": {}}}",
-                json_escape(&s.rule),
-                json_escape(&s.file),
-                s.pinned,
-                s.actual
-            );
+            out.push_str("\n    {\"rule\": ");
+            write_str(&mut out, &s.rule);
+            out.push_str(", \"file\": ");
+            write_str(&mut out, &s.file);
+            let _ = write!(out, ", \"pinned\": {}", s.pinned);
+            let _ = write!(out, ", \"actual\": {}}}", s.actual);
         }
         let _ = write!(
             out,
@@ -163,24 +163,6 @@ impl Report {
         );
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Collects the workspace-relative paths of every `.rs` file under
@@ -277,16 +259,26 @@ pub fn load_workspace_threaded(root: &Path, threads: usize) -> io::Result<Vec<So
 /// a subdirectory). A present-but-invalid file is an error: a typo in
 /// the spec must not silently disable the analysis.
 pub fn load_layer_spec(root: &Path) -> io::Result<Option<LayerSpec>> {
-    let path = root.join(LAYERS_FILE);
+    load_config(root, LAYERS_FILE, LayerSpec::parse)
+}
+
+/// Reads and parses the config file `name` at `root`: `Ok(None)` when
+/// it is missing, an `InvalidData` error naming the file when it does
+/// not parse.
+fn load_config<T>(
+    root: &Path,
+    name: &str,
+    parse: fn(&str) -> Result<T, String>,
+) -> io::Result<Option<T>> {
+    let path = root.join(name);
     if !path.exists() {
         return Ok(None);
     }
     let text = fs::read_to_string(&path)?;
-    LayerSpec::parse(&text)
-        .map(Some)
-        .map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
-        })
+    parse(&text).map(Some).map_err(|e| {
+        let what = format!("{}: {e}", path.display());
+        io::Error::new(io::ErrorKind::InvalidData, what)
+    })
 }
 
 /// Runs every rule over the workspace at `root` with no baseline
@@ -395,18 +387,7 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
 /// The report is byte-identical for any `threads` value.
 pub fn check_workspace_threaded(root: &Path, threads: usize) -> io::Result<Report> {
     let report = analyze_threaded(root, threads)?;
-    let baseline_path = root.join(BASELINE_FILE);
-    let baseline = if baseline_path.exists() {
-        let text = fs::read_to_string(&baseline_path)?;
-        Baseline::parse(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: {e}", baseline_path.display()),
-            )
-        })?
-    } else {
-        Baseline::empty()
-    };
+    let baseline = load_config(root, BASELINE_FILE, Baseline::parse)?.unwrap_or_default();
     Ok(apply_baseline(report, &baseline))
 }
 

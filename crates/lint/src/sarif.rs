@@ -2,19 +2,23 @@
 //!
 //! CI annotators (GitHub code scanning and friends) ingest SARIF; this
 //! module renders a [`crate::Report`] as a single-run SARIF log —
-//! hand-rolled like every serializer in the workspace — and, because we
+//! hand-rolled like every serializer in the workspace, with every
+//! string spelled by [`movr_math::json::write_str`] — and, because we
 //! cannot ship the real JSON Schema validator offline, pairs it with a
-//! small structural checker: a dependency-free JSON parser plus the
-//! SARIF shape rules the annotators actually rely on (version string,
-//! tool driver, rule index integrity, result locations with relative
-//! URIs and 1-based lines).
+//! small structural checker: the workspace's one JSON reader,
+//! [`movr_math::json`], plus the SARIF shape rules the annotators
+//! actually rely on (version string, tool driver, rule index integrity,
+//! result locations with relative URIs and 1-based lines). A deep,
+//! overflowing or otherwise malformed log is an error, never a crash or
+//! a pass.
 //!
 //! New diagnostics render as `error` results; stale baseline entries as
 //! `warning` results under the synthetic `stale-baseline-entry` rule,
 //! so a ratchet that needs tightening still shows up on the PR.
 
-use crate::rules::{Diagnostic, RULES};
-use crate::{Report, StaleEntry};
+use crate::rules::RULES;
+use crate::Report;
+use movr_math::json::{write_str, Json};
 use std::fmt::Write as _;
 
 /// The rule id used for stale baseline entries in SARIF output.
@@ -35,7 +39,9 @@ pub fn render(report: &Report) -> String {
     let mut rule_ids: Vec<&str> = RULES.to_vec();
     rule_ids.push(STALE_RULE_ID);
     for (i, id) in rule_ids.iter().enumerate() {
-        let _ = write!(out, "            {{\"id\": \"{}\"}}", escape(id));
+        out.push_str("            {\"id\": ");
+        write_str(&mut out, id);
+        out.push('}');
         out.push_str(if i + 1 < rule_ids.len() { ",\n" } else { "\n" });
     }
     out.push_str("          ]\n        }\n      },\n");
@@ -43,11 +49,16 @@ pub fn render(report: &Report) -> String {
     let mut first = true;
     for d in &report.new {
         push_sep(&mut out, &mut first);
-        render_diag(&mut out, d);
+        let text = format!("{} — {}", d.snippet, d.hint);
+        render_result(&mut out, d.rule, "error", &text, &d.file, d.line);
     }
     for s in &report.stale {
         push_sep(&mut out, &mut first);
-        render_stale(&mut out, s);
+        let text = format!(
+            "baseline pins {} `{}` finding(s) but only {} remain; shrink the baseline",
+            s.pinned, s.rule, s.actual
+        );
+        render_result(&mut out, STALE_RULE_ID, "warning", &text, &s.file, 1);
     }
     if first {
         out.push_str("]\n");
@@ -67,247 +78,25 @@ fn push_sep(out: &mut String, first: &mut bool) {
     }
 }
 
-fn render_diag(out: &mut String, d: &Diagnostic) {
+/// One result: its rule, level and message, located at `uri:line`.
+fn render_result(out: &mut String, rule: &str, level: &str, text: &str, uri: &str, line: usize) {
+    let [rule, text, uri] = [rule, text, uri].map(|s| {
+        let mut quoted = String::new();
+        write_str(&mut quoted, s);
+        quoted
+    });
     let _ = write!(
         out,
-        "        {{\n          \"ruleId\": \"{}\",\n          \"level\": \"error\",\n          \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [\n            {{\n              \"physicalLocation\": {{\n                \"artifactLocation\": {{\"uri\": \"{}\"}},\n                \"region\": {{\"startLine\": {}}}\n              }}\n            }}\n          ]\n        }}",
-        escape(d.rule),
-        escape(&format!("{} — {}", d.snippet, d.hint)),
-        escape(&d.file),
-        d.line
+        "        {{\n          \"ruleId\": {rule},\n          \"level\": \"{level}\",\n          \"message\": {{\"text\": {text}}},\n          \"locations\": [\n            {{\n              \"physicalLocation\": {{\n                \"artifactLocation\": {{\"uri\": {uri}}},\n                \"region\": {{\"startLine\": {line}}}\n              }}\n            }}\n          ]\n        }}"
     );
-}
-
-fn render_stale(out: &mut String, s: &StaleEntry) {
-    let _ = write!(
-        out,
-        "        {{\n          \"ruleId\": \"{STALE_RULE_ID}\",\n          \"level\": \"warning\",\n          \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [\n            {{\n              \"physicalLocation\": {{\n                \"artifactLocation\": {{\"uri\": \"{}\"}},\n                \"region\": {{\"startLine\": 1}}\n              }}\n            }}\n          ]\n        }}",
-        escape(&format!(
-            "baseline pins {} `{}` finding(s) but only {} remain; shrink the baseline",
-            s.pinned, s.rule, s.actual
-        )),
-        escape(&s.file)
-    );
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // --- In-tree structural validation -----------------------------------
 
-/// A parsed JSON value (just enough for validation).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (f64 is plenty for line numbers).
-    Num(f64),
-    /// String with escapes decoded.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object with insertion order preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document. Errors carry a byte offset.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let b = text.as_bytes();
-    let mut i = 0;
-    let v = parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing content at byte {i}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => {
-            *i += 1;
-            let mut members = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, i);
-                let Json::Str(key) = parse_value(b, i)? else {
-                    return Err(format!("object key at byte {i} is not a string", i = *i));
-                };
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {}", *i));
-                }
-                *i += 1;
-                let val = parse_value(b, i)?;
-                members.push((key, val));
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", *i)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            let mut items = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, i)?);
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", *i)),
-                }
-            }
-        }
-        Some(b'"') => {
-            *i += 1;
-            let mut s = String::new();
-            while *i < b.len() {
-                match b[*i] {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    b'\\' => {
-                        *i += 1;
-                        match b.get(*i) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*i + 1..*i + 5)
-                                    .ok_or_else(|| format!("truncated \\u escape at byte {}", *i))?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| format!("bad \\u escape at byte {}", *i))?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape at byte {}", *i))?;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *i += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {}", *i)),
-                        }
-                        *i += 1;
-                    }
-                    _ => {
-                        // Copy a full UTF-8 sequence.
-                        let start = *i;
-                        *i += 1;
-                        while *i < b.len() && b[*i] & 0xC0 == 0x80 {
-                            *i += 1;
-                        }
-                        s.push_str(
-                            std::str::from_utf8(&b[start..*i])
-                                .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
-                        );
-                    }
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-        Some(b't') if b[*i..].starts_with(b"true") => {
-            *i += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*i..].starts_with(b"false") => {
-            *i += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*i..].starts_with(b"null") => {
-            *i += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *i;
-            while *i < b.len()
-                && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *i += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*i])
-                .map_err(|_| format!("bad number at byte {start}"))?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))
-        }
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
 /// Structurally validates a SARIF 2.1.0 document: the invariants CI
 /// annotators depend on. Returns every violation found (empty = valid).
 pub fn validate(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse_json(text) {
+    let doc = match Json::parse(text) {
         Ok(doc) => doc,
         Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
     };
@@ -322,7 +111,7 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
     } else {
         errs.push("`$schema` is missing or not a string".to_string());
     }
-    let Some(runs) = doc.get("runs").and_then(Json::as_arr) else {
+    let Some(Json::Arr(runs)) = doc.get("runs") else {
         errs.push("`runs` must be an array".to_string());
         return Err(errs);
     };
@@ -339,7 +128,7 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
             errs.push(format!("runs[{ri}] tool.driver.name missing or empty"));
         }
         let mut rule_ids: Vec<&str> = Vec::new();
-        if let Some(rules) = driver.get("rules").and_then(Json::as_arr) {
+        if let Some(Json::Arr(rules)) = driver.get("rules") {
             for (qi, rule) in rules.iter().enumerate() {
                 match rule.get("id").and_then(Json::as_str) {
                     Some(id) if !id.is_empty() => {
@@ -352,7 +141,7 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
                 }
             }
         }
-        let Some(results) = run.get("results").and_then(Json::as_arr) else {
+        let Some(Json::Arr(results)) = run.get("results") else {
             errs.push(format!("runs[{ri}].results must be an array"));
             continue;
         };
@@ -379,7 +168,7 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
             {
                 errs.push(format!("{at}: message.text missing or empty"));
             }
-            let Some(locations) = result.get("locations").and_then(Json::as_arr) else {
+            let Some(Json::Arr(locations)) = result.get("locations") else {
                 errs.push(format!("{at}: locations missing"));
                 continue;
             };
@@ -401,7 +190,7 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
                     .and_then(|p| p.get("region"))
                     .and_then(|r| r.get("startLine"))
                 {
-                    Some(Json::Num(n)) if *n >= 1.0 && *n == n.trunc() => {}
+                    Some(n) if n.as_u64().is_some_and(|n| n >= 1) => {}
                     Some(_) => errs.push(format!("{at}: region.startLine must be an integer ≥ 1")),
                     None => errs.push(format!("{at}: region.startLine missing")),
                 }
@@ -418,6 +207,8 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::Diagnostic;
+    use crate::StaleEntry;
 
     fn report_with(diags: Vec<Diagnostic>) -> Report {
         Report {
@@ -473,18 +264,14 @@ mod tests {
         let unknown_rule =
             render(&report_with(vec![demo_diag()])).replace("\"ruleId\": \"no-wall-clock\"", "\"ruleId\": \"ghost\"");
         assert!(validate(&unknown_rule).is_err());
-    }
-
-    #[test]
-    fn json_parser_roundtrips_escapes() {
-        let v = parse_json("{\"a\": [1, -2.5e1, \"x\\n\\\"y\\u0041\"], \"b\": {\"c\": true, \"d\": null}}")
-            .expect("parses");
-        let arr = v.get("a").and_then(Json::as_arr).expect("array");
-        assert_eq!(arr[0], Json::Num(1.0));
-        assert_eq!(arr[1], Json::Num(-25.0));
-        assert_eq!(arr[2], Json::Str("x\n\"yA".to_string()));
-        assert_eq!(v.get("b").and_then(|b| b.get("d")), Some(&Json::Null));
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("{} trailing").is_err());
+        // Deep nesting, non-RFC 8259 numbers and raw control characters
+        // in strings are invalid JSON, not a crash or a pass.
+        assert!(validate(&"[".repeat(200_000)).is_err());
+        let valid = render(&report_with(vec![demo_diag()]));
+        for line in ["\"startLine\": 1e999", "\"startLine\": 007"] {
+            let mutant = valid.replace("\"startLine\": 7", line);
+            assert!(validate(&mutant).is_err(), "{line}");
+        }
+        assert!(validate(&valid.replace("use SimTime", "use\tSimTime")).is_err());
     }
 }

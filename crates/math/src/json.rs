@@ -1,12 +1,14 @@
-//! A minimal JSON reader for the analytics side of the crate.
+//! The workspace's one JSON reader and its one JSON string writer.
 //!
-//! The *writing* half of movr-obs (events, metrics, rollups) hand-rolls
-//! its serialisation; this module is the matching *reading* half, used
-//! by the fleet reducer (JSONL event lines), the rollup differ (two
-//! rollup documents), and the perf ratchet (bench JSON lines). It is a
-//! strict recursive-descent parser over the JSON subset those producers
-//! emit — objects, arrays, strings with escapes, numbers, `true` /
-//! `false` / `null` — kept in-tree so the crate stays dependency-free.
+//! Writers across the workspace (events, metrics, rollups, bench lines,
+//! lint reports, SARIF) hand-roll their serialisation and spell every
+//! string through [`write_str`]; this module is the matching *reading*
+//! half, used by movr-obs's fleet reducer (JSONL event lines), rollup
+//! differ and perf ratchet (bench JSON lines), by movr-lint's SARIF
+//! checker, and by the [`crate::toml`] reader for its values. It is a
+//! strict recursive-descent parser over RFC 8259 JSON — objects,
+//! arrays, strings with escapes, numbers, `true` / `false` / `null` —
+//! kept in-tree so the workspace has no external dependencies.
 //!
 //! A parsed [`Json`] borrows from its input: string values and object
 //! keys are [`JsonStr`]s that slice the document, and only text spelled
@@ -20,11 +22,30 @@
 //! through `f64` is exact; [`Json::as_u64`] re-checks exactness instead
 //! of trusting that argument.
 
-use movr_math::convert::f64_to_u64;
+use crate::convert::f64_to_u64;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::ops::Deref;
+
+/// Appends `s` to `out` as a JSON string literal: quotes, `"` and `\`
+/// backslash-escaped, control characters as `\u00XX`, everything else
+/// verbatim. [`Json::parse`] reads the result back to `s`.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
 
 /// A string value or object key of a parsed document, unescaped: a
 /// slice of the document when the text holds no escapes, an owned copy
@@ -76,6 +97,20 @@ impl<'a> Json<'a> {
     /// Parses one complete JSON document; trailing non-whitespace is an
     /// error.
     pub fn parse(text: &'a str) -> Result<Json<'a>, JsonError> {
+        let (v, end) = Json::parse_prefix(text)?;
+        if end != text.len() {
+            return Err(JsonError {
+                at: end,
+                what: "trailing characters after the document".to_string(),
+            });
+        }
+        Ok(v)
+    }
+
+    /// Parses the value that starts `text` and returns it with the offset
+    /// past it and any whitespace after it, leaving the rest to the
+    /// caller: the TOML reader stops a value at a trailing `# comment`.
+    pub(crate) fn parse_prefix(text: &'a str) -> Result<(Json<'a>, usize), JsonError> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
@@ -84,10 +119,7 @@ impl<'a> Json<'a> {
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
-        Ok(v)
+        Ok((v, p.pos))
     }
 
     /// Object field by name (first match), if this is an object.
@@ -477,20 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_event_json() {
-        use crate::Event;
-        use movr_sim::SimTime;
-        let e = Event::new(SimTime::from_micros(7), "has \"quote\"")
-            .with("nan", f64::NAN)
-            .with("neg", -3i64);
-        let line = e.json_line();
-        let v = Json::parse(&line).expect("writer output must parse");
-        assert_eq!(v.get("kind").and_then(Json::as_str), Some("has \"quote\""));
-        assert_eq!(v.get("nan"), Some(&Json::Null));
-        assert_eq!(v.get("neg").and_then(Json::as_f64), Some(-3.0));
-    }
-
-    #[test]
     fn rejects_garbage_with_positions() {
         for (text, at) in [
             ("", 0),
@@ -591,6 +609,25 @@ mod tests {
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(1e16).as_u64(), None);
         assert_eq!(Json::Str(JsonStr(Cow::Borrowed("7"))).as_u64(), None);
+    }
+
+    #[test]
+    fn written_strings_read_back() {
+        for s in [
+            "",
+            "plain",
+            "q\"b\\s",
+            "tab\tnl\ncr\r\u{1}\u{1f}",
+            "mé/déjà #=",
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert!(!out[1..out.len() - 1].bytes().any(|b| b < 0x20), "{out}");
+            assert_eq!(Json::parse(&out).expect(&out).as_str(), Some(s));
+        }
+        let mut out = String::new();
+        write_str(&mut out, "a\"\\\n");
+        assert_eq!(out, "\"a\\\"\\\\\\u000a\"");
     }
 
     #[test]

@@ -13,13 +13,18 @@
 //! * angles in **degrees** at API boundaries (the paper's figures are in
 //!   degrees), radians internally where trigonometry happens,
 //! * distances in **metres**, frequencies in **Hz**.
+//!
+//! It also holds the workspace's data codecs: [`wire`] for checkpoints,
+//! and the one JSON ([`json`]) and TOML-subset ([`toml`]) reader.
 
 pub mod angle;
 pub mod complex;
 pub mod convert;
 pub mod db;
+pub mod json;
 pub mod rng;
 pub mod stats;
+pub mod toml;
 pub mod vec2;
 pub mod wire;
 

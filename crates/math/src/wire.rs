@@ -41,8 +41,8 @@ pub enum WireError {
         /// Bytes actually remaining.
         remaining: usize,
     },
-    /// A decoded value violated the field's invariant (bad enum tag,
-    /// non-UTF-8 string, absurd length prefix).
+    /// A decoded value violated the field's invariant (a bool byte
+    /// other than 0 or 1, a `u64` too large for `usize`).
     Malformed {
         /// Byte offset of the offending field.
         at: usize,
@@ -134,17 +134,6 @@ impl WireWriter {
         self.u8(u8::from(v));
     }
 
-    /// Writes a length-prefixed byte slice.
-    pub fn bytes_field(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes_field(v.as_bytes());
-    }
-
     /// Appends the FNV-1a checksum of everything written so far. Call
     /// last; the matching read is [`WireReader::verify_checksum_footer`].
     pub fn finish_with_checksum(mut self) -> Vec<u8> {
@@ -183,8 +172,8 @@ impl<'a> WireReader<'a> {
             needed: n,
             remaining: self.remaining(),
         };
-        // `get` + `checked_add` keep the whole read panic-free even for
-        // an absurd length prefix near `usize::MAX`.
+        // `get` + `checked_add` keep the whole read panic-free for any
+        // width at any offset.
         let end = self.pos.checked_add(n).ok_or_else(|| trunc.clone())?;
         let s = self.buf.get(self.pos..end).ok_or(trunc)?;
         self.pos = end;
@@ -245,22 +234,6 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Reads a length-prefixed byte slice.
-    pub fn bytes_field(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.usize()?;
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, WireError> {
-        let at = self.pos;
-        let raw = self.bytes_field()?;
-        std::str::from_utf8(raw).map_err(|_| WireError::Malformed {
-            at,
-            what: "string field is not UTF-8",
-        })
-    }
-
     /// A reader over only the payload of a checksummed buffer (all but
     /// the final 8 bytes), after verifying the FNV-1a footer written by
     /// [`WireWriter::finish_with_checksum`]. `Ok(None)` means the
@@ -301,7 +274,7 @@ mod tests {
         w.f64(f64::NEG_INFINITY);
         w.bool(true);
         w.bool(false);
-        w.str("checkpoint");
+        w.usize(0);
         let bytes = w.into_bytes();
 
         let mut r = WireReader::new(&bytes);
@@ -314,7 +287,7 @@ mod tests {
         assert_eq!(r.f64().unwrap(), f64::NEG_INFINITY);
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
-        assert_eq!(r.str().unwrap(), "checkpoint");
+        assert_eq!(r.usize().unwrap(), 0);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -334,46 +307,27 @@ mod tests {
     fn truncated_reads_error_not_panic() {
         let mut w = WireWriter::new();
         w.u64(99);
-        w.str("hello");
+        w.usize(5);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = WireReader::new(&bytes[..cut]);
             // Whatever partial decode succeeds, the full sequence can't.
-            let ok = r.u64().is_ok() && r.str().is_ok();
+            let ok = r.u64().is_ok() && r.usize().is_ok();
             assert!(!ok, "cut at {cut} decoded successfully");
         }
     }
 
     #[test]
-    fn bad_bool_and_bad_utf8_are_malformed() {
+    fn bad_bool_is_malformed() {
         let mut r = WireReader::new(&[2]);
         assert!(matches!(r.bool(), Err(WireError::Malformed { .. })));
-
-        let mut w = WireWriter::new();
-        w.bytes_field(&[0xFF, 0xFE]);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert!(matches!(r.str(), Err(WireError::Malformed { .. })));
-    }
-
-    #[test]
-    fn absurd_length_prefix_is_rejected() {
-        let mut w = WireWriter::new();
-        w.u64(u64::MAX); // length prefix far beyond the buffer
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let err = r.bytes_field().unwrap_err();
-        assert!(matches!(
-            err,
-            WireError::Truncated { .. } | WireError::Malformed { .. }
-        ));
     }
 
     #[test]
     fn checksum_footer_detects_any_single_byte_flip() {
         let mut w = WireWriter::new();
         w.u64(0x0123_4567_89AB_CDEF);
-        w.str("payload");
+        w.usize(7);
         let bytes = w.finish_with_checksum();
         assert!(WireReader::verify_checksum_footer(&bytes)
             .unwrap()

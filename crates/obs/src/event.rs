@@ -6,12 +6,14 @@
 //! is a pure function of the seed — the determinism tests compare JSONL
 //! output byte-for-byte across runs.
 //!
-//! The JSON encoding is hand-rolled (the crate is dependency-free by
-//! design) and deterministic: fields serialise in insertion order, floats
-//! use Rust's shortest-roundtrip `Display`, and non-finite floats become
-//! `null` (JSON has no `inf`/`NaN`).
+//! The JSON encoding is hand-rolled (strings through the workspace's one
+//! writer, [`movr_math::json::write_str`]) and deterministic: fields
+//! serialise in insertion order, floats use Rust's shortest-roundtrip
+//! `Display`, and non-finite floats become `null` (JSON has no `inf`/`NaN`).
 
+use crate::metrics::write_json_f64;
 use movr_math::convert::usize_to_u64;
+use movr_math::json::write_str;
 use movr_sim::SimTime;
 use std::fmt::Write as _;
 
@@ -103,31 +105,16 @@ impl Event {
     pub fn json_line(&self) -> String {
         let mut out = String::with_capacity(48 + 24 * self.fields.len());
         let _ = write!(out, "{{\"t_ns\":{},\"kind\":", self.t.as_nanos());
-        write_json_str(&mut out, self.kind);
+        write_str(&mut out, self.kind);
         for (name, value) in &self.fields {
             out.push(',');
-            write_json_str(&mut out, name);
+            write_str(&mut out, name);
             out.push(':');
             write_json_value(&mut out, value);
         }
         out.push('}');
         out
     }
-}
-
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn write_json_value(out: &mut String, v: &Value) {
@@ -141,17 +128,27 @@ fn write_json_value(out: &mut String, v: &Value) {
         Value::I64(n) => {
             let _ = write!(out, "{n}");
         }
-        Value::F64(x) if x.is_finite() => {
-            let _ = write!(out, "{x}");
-        }
-        Value::F64(_) => out.push_str("null"),
-        Value::Str(s) => write_json_str(out, s),
+        Value::F64(x) => write_json_f64(out, *x),
+        Value::Str(s) => write_str(out, s),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use movr_math::json::Json;
+
+    #[test]
+    fn round_trips_event_json() {
+        let e = Event::new(SimTime::from_micros(7), "has \"quote\"")
+            .with("nan", f64::NAN)
+            .with("neg", -3i64);
+        let line = e.json_line();
+        let v = Json::parse(&line).expect("writer output must parse");
+        assert_eq!(v.get("kind").and_then(Json::as_str), Some("has \"quote\""));
+        assert_eq!(v.get("nan"), Some(&Json::Null));
+        assert_eq!(v.get("neg").and_then(Json::as_f64), Some(-3.0));
+    }
 
     #[test]
     fn json_line_shape() {

@@ -25,8 +25,8 @@
 //!   results.
 //!
 //! The crate depends only on `movr-sim` (for `SimTime`) and `movr-math`
-//! (for `Summary`) — no external dependencies, no I/O beyond the
-//! caller-supplied `io::Write` sink.
+//! (for `Summary` and the JSON and TOML readers) — no external
+//! dependencies, no I/O beyond the caller-supplied `io::Write` sink.
 //!
 //! ## Example
 //!
@@ -59,7 +59,6 @@
 
 mod capture;
 mod event;
-mod jsonv;
 mod metrics;
 mod ratchet;
 mod recorder;
@@ -69,8 +68,10 @@ mod sketch;
 
 pub use capture::{null_capture, Capture};
 pub use event::{Event, Value};
-pub use jsonv::{Json, JsonError, JsonStr};
 pub use metrics::{Histogram, InvalidHistogram, MergeError, MetricsSnapshot};
+// The JSON reader lives in movr-math; re-exported for the callers
+// that read rollups and bench lines through `movr_obs::Json`.
+pub use movr_math::json::{Json, JsonError, JsonStr};
 pub use recorder::{
     JsonlSinkError, JsonlWriter, MemoryRecorder, NullRecorder, Recorder, SessionTagged, SpanId,
 };

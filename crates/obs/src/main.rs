@@ -133,7 +133,7 @@ fn read_text(path: &str) -> Result<String, String> {
 }
 
 /// Parses a rollup document; the result borrows from `text`.
-fn parse_json<'t>(path: &str, text: &'t str) -> Result<Json<'t>, String> {
+fn parse_rollup<'t>(path: &str, text: &'t str) -> Result<Json<'t>, String> {
     Json::parse(text.trim_end()).map_err(|e| format!("{path}: {e}"))
 }
 
@@ -145,9 +145,9 @@ fn cmd_diff(args: &[String]) -> Result<i32, String> {
     // printed. Each file is read and parsed before the next is opened,
     // so the first bad file is the one reported.
     let a_text = read_text(a_path)?;
-    let a = parse_json(a_path, &a_text)?;
+    let a = parse_rollup(a_path, &a_text)?;
     let b_text = read_text(b_path)?;
-    let b = parse_json(b_path, &b_text)?;
+    let b = parse_rollup(b_path, &b_text)?;
     let entries = diff_json(&a, &b);
     if entries.is_empty() {
         println!("identical");
@@ -166,12 +166,10 @@ fn cmd_check(args: &[String]) -> Result<i32, String> {
     let [bench_path] = files.as_slice() else {
         return Err(format!("`check` takes exactly one bench JSON file\n{USAGE}"));
     };
-    let baseline_text = std::fs::read_to_string(&baseline_path)
-        .map_err(|e| format!("{baseline_path}: {e}"))?;
+    let baseline_text = read_text(&baseline_path)?;
     let baseline =
         parse_baseline(&baseline_text).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let bench_text =
-        std::fs::read_to_string(bench_path).map_err(|e| format!("{bench_path}: {e}"))?;
+    let bench_text = read_text(bench_path)?;
     let outcomes = check(&baseline, &bench_text).map_err(|e| format!("{bench_path}: {e}"))?;
 
     let mut failures = 0u32;

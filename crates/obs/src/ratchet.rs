@@ -1,7 +1,9 @@
 //! The perf ratchet: pins bench medians in a checked-in baseline and
 //! fails when a run regresses past its tolerance.
 //!
-//! The baseline is a small TOML subset (`bench-baseline.toml`):
+//! The baseline is a small TOML subset (`bench-baseline.toml`) read by
+//! [`movr_math::toml`], so a key set twice or a repeated `[bench.*]`
+//! header is an error naming its line, never a silently loosened pin:
 //!
 //! ```toml
 //! schema = 1
@@ -19,18 +21,20 @@
 //! ```
 //!
 //! Bench results arrive as the JSON lines `cargo bench` writes (see
-//! `out/BENCH_sweep.json`): measurement lines carry `median_ns`,
-//! summary lines carry `speedup` (and optionally `threads`). Two rules
-//! are built in on top of the baseline entries: a named line missing
-//! from the run fails, and any `bit_identical` / `byte_identical`
-//! field present in a checked line must be `true`.
+//! `out/BENCH_sweep.json`), read by [`movr_math::json`]: measurement
+//! lines carry `median_ns`, summary lines carry `speedup` (and
+//! optionally `threads`). Two rules are built in on top of the baseline
+//! entries: a named line missing from the run fails, and any
+//! `bit_identical` / `byte_identical` field present in a checked line
+//! must be `true`.
 //!
 //! Tolerances are deliberately wide ratios, not absolute bounds — the
 //! ratchet must pass on any machine while still catching a lost
 //! order-of-magnitude (a cache that stopped caching, a fan-out that
 //! went serial).
 
-use crate::jsonv::Json;
+use movr_math::json::Json;
+use movr_math::toml;
 use std::fmt::Write as _;
 
 /// One pinned measurement bench: fail when the measured `median_ns`
@@ -70,7 +74,7 @@ pub struct BenchBaseline {
 /// A baseline file or bench stream that could not be interpreted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RatchetError {
-    /// 1-based line in the offending file (0 when not line-specific).
+    /// 1-based line in the offending file.
     pub line: u64,
     /// What went wrong.
     pub what: String,
@@ -84,93 +88,66 @@ impl std::fmt::Display for RatchetError {
 
 impl std::error::Error for RatchetError {}
 
-fn bad(line: u64, what: impl Into<String>) -> RatchetError {
+fn bad(line: usize, what: impl Into<String>) -> RatchetError {
     RatchetError {
-        line,
+        line: movr_math::convert::usize_to_u64(line),
         what: what.into(),
     }
 }
 
-/// Parses the TOML subset the baseline uses: full-line comments,
-/// `[section.name]` headers, and `key = value` pairs where the value is
-/// a number. Anything else is an error — the file is checked in, so
-/// strictness costs nothing and catches typos.
+/// Parses the baseline: an optional root `schema = 1`, `[bench.NAME]`
+/// tables with `median_ns` and `max_ratio`, and `[speedup.NAME]` tables
+/// with `min` and an optional integer `skip_below_threads`. Anything
+/// else is an error — the file is checked in, so strictness costs
+/// nothing and catches typos.
 pub fn parse_baseline(text: &str) -> Result<BenchBaseline, RatchetError> {
-    enum Section {
-        None,
-        Bench(usize),
-        Speedup(usize),
-    }
     let mut out = BenchBaseline::default();
-    let mut section = Section::None;
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = movr_math::convert::usize_to_u64(i) + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = match header.split_once('.') {
-                Some(("bench", name)) if !name.is_empty() => {
-                    out.benches.push(BenchPin {
-                        name: name.to_string(),
-                        median_ns: f64::NAN,
-                        max_ratio: f64::NAN,
-                    });
-                    Section::Bench(out.benches.len() - 1)
-                }
-                Some(("speedup", name)) if !name.is_empty() => {
-                    out.speedups.push(SpeedupPin {
-                        name: name.to_string(),
-                        min: f64::NAN,
-                        skip_below_threads: None,
-                    });
-                    Section::Speedup(out.speedups.len() - 1)
-                }
-                _ => return Err(bad(lineno, format!("unknown section `[{header}]`"))),
-            };
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(bad(lineno, format!("expected `key = value`, got `{line}`")));
+    for table in toml::parse(text).map_err(|e| bad(e.line, e.what))? {
+        let (header, at) = (table.name, table.line);
+        let (section, name) = match header.split_once('.') {
+            _ if at == 0 => ("", ""),
+            Some((s @ ("bench" | "speedup"), name)) if !table.array => (s, name),
+            _ => return Err(bad(at, format!("unknown section `[{header}]`"))),
         };
-        let (key, value) = (key.trim(), value.trim());
-        // Trailing comments are allowed after the value.
-        let value = value.split('#').next().map_or(value, str::trim);
-        let num = |v: &str| -> Result<f64, RatchetError> {
-            v.parse::<f64>()
-                .map_err(|_| bad(lineno, format!("`{key}` is not a number: `{v}`")))
-        };
-        match (&section, key) {
-            (Section::None, "schema") => {
-                if value != "1" {
-                    return Err(bad(lineno, format!("unsupported schema `{value}`")));
+        let (mut median_ns, mut max_ratio, mut min, mut skip) = (None, None, None, None);
+        for (key, value, line) in &table.keys {
+            let num = value
+                .as_f64()
+                .ok_or_else(|| bad(*line, format!("`{key}` is not a number")));
+            match (section, *key) {
+                ("", "schema") if value.as_u64() == Some(1) => {}
+                ("", "schema") => return Err(bad(*line, format!("unsupported schema `{}`", num?))),
+                ("bench", "median_ns") => median_ns = Some(num?),
+                ("bench", "max_ratio") => max_ratio = Some(num?),
+                ("speedup", "min") => min = Some(num?),
+                ("speedup", "skip_below_threads") => {
+                    let n = value.as_u64();
+                    skip =
+                        Some(n.ok_or_else(|| bad(*line, "skip_below_threads must be an integer"))?);
                 }
+                _ => return Err(bad(*line, format!("unexpected key `{key}` here"))),
             }
-            (Section::Bench(idx), "median_ns") => out.benches[*idx].median_ns = num(value)?,
-            (Section::Bench(idx), "max_ratio") => out.benches[*idx].max_ratio = num(value)?,
-            (Section::Speedup(idx), "min") => out.speedups[*idx].min = num(value)?,
-            (Section::Speedup(idx), "skip_below_threads") => {
-                let n = num(value)?;
-                out.speedups[*idx].skip_below_threads = Json::Num(n)
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| bad(lineno, "skip_below_threads must be an integer"))?;
+        }
+        let name = name.to_string();
+        match (section, median_ns, max_ratio, min) {
+            ("bench", Some(median_ns), Some(max_ratio), _) => out.benches.push(BenchPin {
+                name,
+                median_ns,
+                max_ratio,
+            }),
+            ("speedup", _, _, Some(min)) => out.speedups.push(SpeedupPin {
+                name,
+                min,
+                skip_below_threads: skip,
+            }),
+            ("bench", ..) => {
+                return Err(bad(
+                    at,
+                    format!("[{header}] needs `median_ns` and `max_ratio`"),
+                ))
             }
-            _ => return Err(bad(lineno, format!("unexpected key `{key}` here"))),
-        }
-    }
-    for b in &out.benches {
-        if !(b.median_ns.is_finite() && b.max_ratio.is_finite()) {
-            return Err(bad(
-                0,
-                format!("[bench.{}] needs `median_ns` and `max_ratio`", b.name),
-            ));
-        }
-    }
-    for s in &out.speedups {
-        if !s.min.is_finite() {
-            return Err(bad(0, format!("[speedup.{}] needs `min`", s.name)));
+            ("speedup", ..) => return Err(bad(at, format!("[{header}] needs `min`"))),
+            _ => {}
         }
     }
     Ok(out)
@@ -215,8 +192,7 @@ pub fn check(
         if !line.starts_with('{') {
             continue;
         }
-        let doc = Json::parse(line)
-            .map_err(|e| bad(movr_math::convert::usize_to_u64(i) + 1, e.to_string()))?;
+        let doc = Json::parse(line).map_err(|e| bad(i + 1, e.to_string()))?;
         rows.push(doc);
     }
     let find = |name: &str| {
@@ -368,6 +344,13 @@ skip_below_threads = 2\n";
         assert!(parse_baseline("[bench.x]\nmedian_ns = 1.0\n").is_err());
         assert!(parse_baseline("[speedup.x]\n").is_err());
         assert!(parse_baseline("schema = 2\n").is_err());
+        // A repeated key or `[bench.*]` header is an error, not an override.
+        let e = parse_baseline("[bench.x]\nmedian_ns = 1.0\nmax_ratio = 1.0\nmedian_ns = 1e12\n")
+            .expect_err("repeated key");
+        assert_eq!(e.line, 4);
+        let pin = "[bench.x]\nmedian_ns = 1.0\nmax_ratio = 1.0\n";
+        let e = parse_baseline(&format!("{pin}{pin}")).expect_err("repeated header");
+        assert_eq!(e.line, 4);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! `span_end`, and unclosed spans are dropped, matching
 //! [`crate::MemoryRecorder::spans`].)
 
-use crate::jsonv::Json;
 use crate::rollup::Rollup;
+use movr_math::json::Json;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
@@ -261,7 +261,7 @@ pub fn reduce_streams<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonv::Json;
+    use movr_math::json::Json;
 
     const SAMPLE: &str = "\
 {\"t_ns\":0,\"kind\":\"mode_switch\",\"to\":\"los\",\"session\":1}\n\

@@ -17,9 +17,9 @@
 //! golden pinning. [`diff_json`] reports the structural difference of
 //! two such documents path by path.
 
-use crate::jsonv::Json;
 use crate::metrics::{write_json_f64, MergeError};
 use crate::sketch::{Sketch, SketchSpec, Spacing};
+use movr_math::json::{write_str, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -157,7 +157,9 @@ fn write_transitions(out: &mut String, m: &BTreeMap<(String, String), u64>) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{from}->{to}\":{n}");
+        // Mode names come from the input stream, so the key is escaped.
+        write_str(out, &format!("{from}->{to}"));
+        let _ = write!(out, ":{n}");
     }
     out.push('}');
 }
@@ -298,18 +300,16 @@ impl std::fmt::Display for DiffEntry {
 }
 
 fn render(j: &Json<'_>) -> String {
+    let mut s = String::new();
     match j {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(x) => {
-            let mut s = String::new();
-            write_json_f64(&mut s, *x);
-            s
-        }
-        Json::Str(s) => format!("\"{}\"", s.as_str()),
-        Json::Arr(a) => format!("[…{} items]", a.len()),
-        Json::Obj(o) => format!("{{…{} keys}}", o.len()),
+        Json::Null => s.push_str("null"),
+        Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
+        Json::Num(x) => write_json_f64(&mut s, *x),
+        Json::Str(text) => write_str(&mut s, text),
+        Json::Arr(a) => s = format!("[…{} items]", a.len()),
+        Json::Obj(o) => s = format!("{{…{} keys}}", o.len()),
     }
+    s
 }
 
 /// The dotted path of object key `k` under `path`.

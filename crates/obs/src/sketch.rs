@@ -269,7 +269,7 @@ mod tests {
         assert!(json.contains("\"p50\":null"));
         assert!(json.contains("\"mean\":null"));
         assert!(json.contains("\"spacing\":\"log\""));
-        crate::jsonv::Json::parse(&json).expect("sketch JSON must parse");
+        movr_math::json::Json::parse(&json).expect("sketch JSON must parse");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! per-iteration nanoseconds. One JSON object per line keeps the output
 //! trivially machine-parsable (`cargo bench … | grep '^{'`).
 
+use movr_math::json::write_str;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -125,10 +126,11 @@ impl BenchReport {
 
     /// One self-contained JSON object, no trailing newline.
     pub fn json_line(&self) -> String {
+        let mut name = String::new();
+        write_str(&mut name, &self.name);
         format!(
-            "{{\"name\":\"{}\",\"median_ns\":{:.1},\"p95_ns\":{:.1},\"mean_ns\":{:.1},\
+            "{{\"name\":{name},\"median_ns\":{:.1},\"p95_ns\":{:.1},\"mean_ns\":{:.1},\
              \"min_ns\":{:.1},\"max_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}}}",
-            escape_json(&self.name),
             self.median_ns,
             self.p95_ns,
             self.mean_ns,
@@ -138,17 +140,6 @@ impl BenchReport {
             self.iters_per_sample
         )
     }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Linear-interpolated quantile of an ascending slice.

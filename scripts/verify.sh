@@ -22,6 +22,15 @@ mkdir -p out
 cargo run -q -p movr-lint --offline -- --root . --sarif out/lint.sarif
 cargo run -q -p movr-lint --offline -- --check-sarif out/lint.sarif
 
+echo "==> movr-lint: a 200,000-deep array is invalid SARIF (exit 2), not a crash"
+head -c 200000 /dev/zero | tr '\0' '[' > out/deep.sarif
+code=0
+cargo run -q -p movr-lint --offline -- --check-sarif out/deep.sarif 2>/dev/null || code=$?
+if [ "$code" -ne 2 ]; then
+    echo "--check-sarif on a 200,000-deep array exited $code, expected 2" >&2
+    exit 1
+fi
+
 echo "==> movr-lint: v3/v4 rule catalogue present in SARIF"
 for rule in shared-mut-in-par-closure interior-mut-crosses-threads \
             rng-unforked-in-par snapshot-field-uncovered unordered-iter-in-output \
@@ -138,5 +147,15 @@ echo "==> perf ratchet: bench medians within tolerance of bench-baseline.toml"
 cat out/BENCH_sweep.json out/BENCH_micro.json > out/BENCH_all.json
 cargo run -q --release -p movr-obs --offline -- check \
     --baseline bench-baseline.toml out/BENCH_all.json
+
+echo "==> perf ratchet: a baseline that sets a key twice is an error (exit 2)"
+printf '[bench.x]\nmedian_ns = 1.0\nmax_ratio = 1.0\nmedian_ns = 1e12\n' > out/bench-dup-key.toml
+code=0
+cargo run -q --release -p movr-obs --offline -- check \
+    --baseline out/bench-dup-key.toml out/BENCH_all.json 2>/dev/null || code=$?
+if [ "$code" -ne 2 ]; then
+    echo "movr-obs check on a repeated median_ns exited $code, expected 2" >&2
+    exit 1
+fi
 
 echo "==> OK"

@@ -89,6 +89,23 @@ fn golden_fixture_is_internally_consistent() {
 }
 
 #[test]
+fn mode_names_from_the_stream_are_escaped_in_the_rollup() {
+    let line = r#"{"t_ns":0,"kind":"mode_switch","to":"lo\"s","session":1}"#;
+    let (rollup, _) = reduce_one_stream("quoted.jsonl", line.as_bytes()).expect("valid line");
+    let text = rollup.to_json();
+    let doc = Json::parse(&text).expect("the rollup parses");
+    let transitions = doc
+        .get("sessions")
+        .and_then(|s| s.get("1"))
+        .and_then(|s| s.get("transitions"))
+        .and_then(Json::fields)
+        .expect("session 1 transitions");
+    assert_eq!(transitions.len(), 1);
+    assert_eq!(transitions[0].0, "start->lo\"s");
+    assert!(diff_json(&doc, &doc).is_empty());
+}
+
+#[test]
 fn reducer_folds_a_100k_event_fleet_in_one_pass() {
     // A synthetic 100 000-event fleet with exactly known aggregates:
     // 40 sessions × 2500 events (2497 frames + a realign span pair +
