@@ -12,7 +12,7 @@
 
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
-use movr::relay::{relay_link, round_trip_reflection_batched};
+use movr::relay::{relay_link_on, round_trip_reflection_batched};
 use movr::system::{MovrSystem, SystemConfig};
 use movr_math::Vec2;
 use movr_motion::{PlayerState, WorldState};
@@ -42,8 +42,11 @@ fn bench_relay_budget(opts: &BenchOptions) -> Vec<BenchReport> {
     reflector.set_gain_db(40.0);
     hs.steer_toward(reflector.position());
     vec![
+        // Both hops traced afresh, then the relay budget.
         bench_fn("relay_budget", opts, || {
-            relay_link(&scene, &ap, &reflector, &hs)
+            let hop1 = scene.trace_link(ap.position(), reflector.position());
+            let hop2 = scene.trace_link(reflector.position(), hs.position());
+            relay_link_on(&hop1, &hop2, &ap, &reflector, hs.array())
         }),
         // One backscatter probe at the live beams from scratch: trace
         // both legs, batch them, compute the four gain rows, fold.

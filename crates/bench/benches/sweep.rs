@@ -6,9 +6,9 @@
 //! Only the batched generation is library code. The other two are
 //! frozen replicas kept here as timing baselines: each repeats its
 //! generation's per-probe work with private copies of what the library
-//! no longer ships — the gain memo, the scalar round trip, and the
-//! per-call tone reading — so the speedups keep measuring the same
-//! ratios.
+//! no longer ships — the gain memo, the scalar round trip with its
+//! per-call path taps, and the per-call tone reading — so the speedups
+//! keep measuring the same ratios.
 //!
 //! Three claims are *asserted*, not just timed:
 //!
@@ -35,7 +35,7 @@ use movr::alignment::{estimate_incidence, AlignmentConfig};
 use movr::reflector::MovrReflector;
 use movr::session::{run_session, SessionConfig, Strategy};
 use movr_math::db::sum_dbm;
-use movr_math::{wrap_deg_180, SimRng, Vec2};
+use movr_math::{linear_to_db, wrap_deg_180, SimRng, Vec2};
 use movr_motion::RandomWalk;
 use movr_phased_array::{PatternTable, SteeredArray};
 use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
@@ -162,6 +162,25 @@ impl Pattern for MemoPattern<'_> {
     }
 }
 
+/// The memoized generation's per-call link evaluation: one pattern
+/// query per path and end, and every path's tap recomputed on every call
+/// (`Channel::combined_gain`), as that generation did before traced
+/// links stored their taps. Same fold, so same bits as
+/// `TracedLink::evaluate`.
+fn received_dbm_per_call(
+    link: &TracedLink<'_>,
+    tx_pattern: &dyn Pattern,
+    tx_power_dbm: f64,
+    rx_pattern: &dyn Pattern,
+) -> f64 {
+    let sum = link.scene().channel().combined_gain(
+        link.paths(),
+        |deg| tx_pattern.gain_dbi(deg),
+        |deg| rx_pattern.gain_dbi(deg),
+    );
+    tx_power_dbm + linear_to_db(sum.norm_sq())
+}
+
 /// The memoized generation's scalar round trip over already-traced
 /// legs: both legs reweighted one pattern query per path, the AP's
 /// pattern on both ends.
@@ -174,10 +193,9 @@ fn round_trip_with(
     relay_rx: &dyn Pattern,
     relay_tx: &dyn Pattern,
 ) -> Option<f64> {
-    let hop1 = forward.evaluate(ap_pattern, ap_tx_power_dbm, relay_rx);
-    let out_dbm = hop1.received_dbm + relay_gain_db?;
-    let hop2 = back.evaluate(relay_tx, out_dbm, ap_pattern);
-    Some(hop2.received_dbm)
+    let hop1_dbm = received_dbm_per_call(forward, ap_pattern, ap_tx_power_dbm, relay_rx);
+    let out_dbm = hop1_dbm + relay_gain_db?;
+    Some(received_dbm_per_call(back, relay_tx, out_dbm, ap_pattern))
 }
 
 /// The memoized generation of the sweep: traced links, pre-steered

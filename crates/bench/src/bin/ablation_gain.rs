@@ -16,7 +16,7 @@
 //! ```
 
 use movr::gain_control::{run_gain_control, GainControlConfig};
-use movr::relay::relay_link;
+use movr::relay::relay_link_on;
 use movr::system::{MovrSystem, SystemConfig};
 use movr_bench::{ap_position, figure_header, random_headset_pose, reflector_position};
 use movr_math::{SimRng, Summary};
@@ -74,7 +74,9 @@ fn main() {
                 }
             }
 
-            let b = relay_link(sys.scene(), &ap, &reflector, &hs);
+            let hop1 = sys.scene().trace_link(ap.position(), reflector.position());
+            let hop2 = sys.scene().trace_link(reflector.position(), hs.position());
+            let b = relay_link_on(&hop1, &hop2, &ap, &reflector, hs.array());
             if b.saturated {
                 saturations[p] += 1;
             }

@@ -13,7 +13,7 @@
 //! ```
 
 use movr::reflector::MovrReflector;
-use movr::relay::relay_link;
+use movr::relay::relay_link_on;
 use movr_bench::{ap_position, figure_header, reflector_position};
 use movr_math::Vec2;
 use movr_phased_array::{PatchElement, PhaseShifter, SteeredArray, UniformLinearArray};
@@ -55,7 +55,9 @@ fn scenario(freq_hz: f64, elements: usize) -> (f64, f64) {
     );
     let mut hs_r = hs;
     hs_r.steer_toward(reflector.position());
-    let via = relay_link(&scene, &ap_r, &reflector, &hs_r).end_snr_db;
+    let hop1 = scene.trace_link(ap_r.position(), reflector.position());
+    let hop2 = scene.trace_link(reflector.position(), hs_r.position());
+    let via = relay_link_on(&hop1, &hop2, &ap_r, &reflector, hs_r.array()).end_snr_db;
     (direct, via)
 }
 

@@ -66,7 +66,7 @@ pub mod tracking;
 pub use alignment::{AlignmentConfig, AlignmentResult};
 pub use gain_control::{GainControlConfig, GainControlResult};
 pub use reflector::MovrReflector;
-pub use relay::{relay_link, relay_link_on, RelayBudget};
+pub use relay::{relay_link_on, RelayBudget};
 pub use session::{
     run_session, run_session_on, run_session_on_recorded, run_session_recorded, RatePolicy,
     Session, SessionConfig, SessionOutcome, Strategy,

@@ -64,23 +64,11 @@ pub struct RelayBudget {
 }
 
 /// Evaluates the relayed link with the current beam/gain settings of all
-/// three nodes.
-pub fn relay_link(
-    scene: &Scene,
-    ap: &RadioEndpoint,
-    reflector: &MovrReflector,
-    headset: &RadioEndpoint,
-) -> RelayBudget {
-    let hop1 = scene.trace_link(ap.position(), reflector.position());
-    let hop2 = scene.trace_link(reflector.position(), headset.position());
-    relay_link_on(&hop1, &hop2, ap, reflector, headset.array())
-}
-
-/// [`relay_link`] over already-traced hops: `hop1` must be
-/// AP → reflector and `hop2` reflector → headset in the same scene.
-/// Callers that evaluate several beam candidates trace each hop once and
-/// pay only the O(paths) reweighting per call; the result is
-/// bit-identical to [`relay_link`].
+/// three nodes over traced hops: `hop1` must be AP → reflector and
+/// `hop2` reflector → headset in the same scene. The caller owns the
+/// tracing, so a caller that evaluates several beam candidates, or keeps
+/// each hop in a [`movr_rfsim::LinkMemo`] across frames as `MovrSystem`
+/// does, pays only the O(paths) reweighting per call.
 pub fn relay_link_on(
     hop1: &TracedLink<'_>,
     hop2: &TracedLink<'_>,
@@ -241,6 +229,18 @@ mod tests {
         (scene, ap, reflector, headset)
     }
 
+    /// The relayed budget over hops traced afresh.
+    fn traced_relay(
+        scene: &Scene,
+        ap: &RadioEndpoint,
+        reflector: &MovrReflector,
+        headset: &RadioEndpoint,
+    ) -> RelayBudget {
+        let hop1 = scene.trace_link(ap.position(), reflector.position());
+        let hop2 = scene.trace_link(reflector.position(), headset.position());
+        relay_link_on(&hop1, &hop2, ap, reflector, headset.array())
+    }
+
     /// The AP's backscatter probe at the live beams, the way the
     /// alignment sweep takes it: two traced legs, gain rows, one fold.
     fn round_trip(scene: &Scene, ap: &RadioEndpoint, reflector: &MovrReflector) -> Option<f64> {
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn relayed_link_is_vr_grade() {
         let (scene, ap, reflector, headset) = setup();
-        let b = relay_link(&scene, &ap, &reflector, &headset);
+        let b = traced_relay(&scene, &ap, &reflector, &headset);
         assert!(!b.saturated);
         assert!(b.relay_output_dbm.is_some());
         assert!(
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn end_snr_is_min_of_hops() {
         let (scene, ap, reflector, headset) = setup();
-        let b = relay_link(&scene, &ap, &reflector, &headset);
+        let b = traced_relay(&scene, &ap, &reflector, &headset);
         assert_eq!(b.end_snr_db, b.hop1_snr_db.min(b.hop2_snr_db));
     }
 
@@ -310,7 +310,7 @@ mod tests {
         // coupling sits near its 35 dB floor (loop ≈ 43 dB), so some beam
         // pairs saturate at full gain.
         if reflector.is_saturated() {
-            let b = relay_link(&scene, &ap, &reflector, &headset);
+            let b = traced_relay(&scene, &ap, &reflector, &headset);
             assert!(b.saturated);
             assert_eq!(b.end_snr_db, f64::NEG_INFINITY);
             assert!(b.relay_output_dbm.is_none());
@@ -321,7 +321,7 @@ mod tests {
     fn amplifier_off_kills_the_link() {
         let (scene, ap, mut reflector, headset) = setup();
         reflector.set_amplifier_enabled(false);
-        let b = relay_link(&scene, &ap, &reflector, &headset);
+        let b = traced_relay(&scene, &ap, &reflector, &headset);
         assert!(!b.saturated);
         assert_eq!(b.end_snr_db, f64::NEG_INFINITY);
     }
@@ -332,10 +332,10 @@ mod tests {
         let leak = reflector.loop_attenuation_db();
         let g_low = reflector.set_gain_db(leak - 20.0);
         let eff_low = reflector.effective_gain_db().unwrap();
-        let low = relay_link(&scene, &ap, &reflector, &headset);
+        let low = traced_relay(&scene, &ap, &reflector, &headset);
         let g_high = reflector.set_gain_db(leak - 6.0);
         let eff_high = reflector.effective_gain_db().unwrap();
-        let high = relay_link(&scene, &ap, &reflector, &headset);
+        let high = traced_relay(&scene, &ap, &reflector, &headset);
         assert!(g_high - g_low > 3.0, "gain range too small to test");
         // hop2 tracks the *effective* (closed-loop) gain difference
         // exactly — regeneration at the tighter margin included.
@@ -355,12 +355,12 @@ mod tests {
     #[test]
     fn misaimed_reflector_tx_loses_headset() {
         let (scene, ap, mut reflector, headset) = setup();
-        let aligned = relay_link(&scene, &ap, &reflector, &headset).end_snr_db;
+        let aligned = traced_relay(&scene, &ap, &reflector, &headset).end_snr_db;
         let to_hs = reflector.position().bearing_deg_to(headset.position());
         reflector.steer_tx(to_hs + 40.0);
         // Re-apply a safe gain for the new beam pair.
         reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
-        let misaimed = relay_link(&scene, &ap, &reflector, &headset).end_snr_db;
+        let misaimed = traced_relay(&scene, &ap, &reflector, &headset).end_snr_db;
         assert!(aligned - misaimed > 10.0, "aligned={aligned} misaimed={misaimed}");
     }
 
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn batched_relay_end_snr_bit_identical_to_scalar() {
         let (scene, ap, reflector, headset) = setup();
-        let scalar = relay_link(&scene, &ap, &reflector, &headset);
+        let scalar = traced_relay(&scene, &ap, &reflector, &headset);
         let hop1 = scene.trace_link(ap.position(), reflector.position());
         let hop2 = scene.trace_link(reflector.position(), headset.position());
         let h1 = hop1.batch().with_noise(&relay_input_noise(&scene));

@@ -8,7 +8,8 @@
 //!    and hand are obstacles, plus any bystanders),
 //! 2. evaluates the direct AP→headset link and each reflector path
 //!    (receive beam on the calibrated AP bearing, transmit beam at the
-//!    headset, gain set by the §4.2 loop),
+//!    headset, gain set by the §4.2 loop), re-tracing a link only when
+//!    its obstacles or endpoints changed since the last evaluation,
 //! 3. serves the direct path while it is VR-grade, otherwise fails over
 //!    to the best reflector (§4: "in the case of a blockage ... the AP
 //!    steers its beam towards the MoVR reflector"),
@@ -19,12 +20,12 @@
 
 use crate::gain_control::{run_gain_control, run_gain_control_recorded, GainControlConfig};
 use crate::reflector::MovrReflector;
-use crate::relay::{relay_link, relay_link_on, RelayBudget};
+use crate::relay::{relay_link_on, RelayBudget};
 use movr_math::{wrap_deg_180, Vec2};
 use movr_motion::{LighthouseTracker, WorldState};
 use movr_obs::{NullRecorder, Recorder};
-use movr_radio::{evaluate_link, RadioEndpoint, RateTable};
-use movr_rfsim::Scene;
+use movr_radio::{ArrayPattern, RadioEndpoint, RateTable};
+use movr_rfsim::{LinkMemo, Scene, TracedLink};
 use movr_sim::SimTime;
 
 /// Device seed of the canonical `paper_setup` reflector unit.
@@ -131,6 +132,22 @@ pub struct MovrSystem {
     rate_table: RateTable,
     mode: LinkMode,
     config: SystemConfig,
+    /// Last trace of the AP → headset link.
+    direct_trace: LinkMemo,
+    /// Last traces of each reflector's AP → reflector and reflector →
+    /// headset hops, in installation order. Like `direct_trace`, derived
+    /// from the scene and the endpoints, so not checkpointed.
+    hop_traces: Vec<[LinkMemo; 2]>,
+}
+
+/// SNR of `tx → rx` over a traced link, as `evaluate_link` computes it.
+fn link_snr_db(link: &TracedLink<'_>, tx: &RadioEndpoint, rx: &RadioEndpoint) -> f64 {
+    link.evaluate(
+        &ArrayPattern(tx.array()),
+        tx.tx_power_dbm(),
+        &ArrayPattern(rx.array()),
+    )
+    .snr_db
 }
 
 impl MovrSystem {
@@ -150,6 +167,8 @@ impl MovrSystem {
             rate_table: RateTable,
             mode: LinkMode::Direct,
             config,
+            direct_trace: LinkMemo::new(),
+            hop_traces: Vec::new(),
         }
     }
 
@@ -187,6 +206,7 @@ impl MovrSystem {
         self.ap_to_reflector_deg.push(ap_bearing);
         self.last_tx_deg.push(f64::NAN);
         self.commanded_tx.push(f64::NAN);
+        self.hop_traces.push(Default::default());
         let i = self.reflectors.len() - 1;
         self.reflectors[i].steer_rx(incidence); // lint: i = len - 1 of the vec pushed two lines up
         i
@@ -233,7 +253,10 @@ impl MovrSystem {
         let mut hs = self.headset_for(world);
         ap.steer_toward(hs.position());
         hs.steer_toward(ap.position());
-        evaluate_link(&self.scene, &ap, &hs).snr_db
+        let link = self
+            .direct_trace
+            .trace(&self.scene, ap.position(), hs.position());
+        link_snr_db(&link, &ap, &hs)
     }
 
     /// The relayed budget via reflector `i` with ideal (oracle) transmit
@@ -252,7 +275,11 @@ impl MovrSystem {
         self.reflectors[i].steer_rx(self.incidence_deg[i]);
         self.reflectors[i].steer_tx(tx_deg);
         run_gain_control(&mut self.reflectors[i], &self.config.gain_control);
-        relay_link(&self.scene, &ap, &self.reflectors[i], &hs)
+        let mount = self.reflectors[i].position();
+        let [to_reflector, to_headset] = &mut self.hop_traces[i];
+        let hop1 = to_reflector.trace(&self.scene, ap.position(), mount);
+        let hop2 = to_headset.trace(&self.scene, mount, hs.position());
+        relay_link_on(&hop1, &hop2, &ap, &self.reflectors[i], hs.array())
     }
 
     /// The cost of a no-tracking windowed re-sweep of one reflector's
@@ -299,7 +326,10 @@ impl MovrSystem {
         ap_direct.steer_toward(tracked.receiver_position());
         let mut hs_direct = hs;
         hs_direct.steer_toward(ap_direct.position());
-        let direct_snr = evaluate_link(&self.scene, &ap_direct, &hs_direct).snr_db;
+        let direct =
+            self.direct_trace
+                .trace(&self.scene, ap_direct.position(), hs_direct.position());
+        let direct_snr = link_snr_db(&direct, &ap_direct, &hs_direct);
 
         if direct_snr >= self.config.snr_switch_threshold_db {
             let realigned = self.mode != LinkMode::Direct;
@@ -309,6 +339,7 @@ impl MovrSystem {
         }
 
         // --- Reflector candidates ---------------------------------------------
+        let sweep_cost = self.sweep_realignment_cost();
         let mut best: Option<(usize, f64, bool, SimTime)> = None;
         for i in 0..self.reflectors.len() {
             let mut ap_r = self.ap;
@@ -317,14 +348,14 @@ impl MovrSystem {
             self.reflectors[i].steer_rx(self.incidence_deg[i]);
 
             // Geometry is frozen for this evaluation (the scene was
-            // synced above), so trace both relay hops once; the initial
-            // budget and any degraded-beam re-run below only reweight.
-            let hop1 = self
-                .scene
-                .trace_link(ap_r.position(), self.reflectors[i].position());
-            let hop2 = self
-                .scene
-                .trace_link(self.reflectors[i].position(), hs.position());
+            // synced above), so each relay hop is traced at most once —
+            // not at all when it repeats the last evaluation's — and the
+            // initial budget and any degraded-beam re-run below only
+            // reweight.
+            let mount = self.reflectors[i].position();
+            let [to_reflector, to_headset] = &mut self.hop_traces[i];
+            let hop1 = to_reflector.trace(&self.scene, ap_r.position(), mount);
+            let hop2 = to_headset.trace(&self.scene, mount, hs.position());
 
             let ideal_tx = self.reflectors[i]
                 .position()
@@ -367,7 +398,7 @@ impl MovrSystem {
                 (in_effect, moved, SimTime::ZERO)
             } else if self.last_tx_deg[i].is_nan() {
                 // First use: full windowed sweep to find the headset.
-                (ideal_tx, true, self.sweep_realignment_cost())
+                (ideal_tx, true, sweep_cost)
             } else {
                 // Keep the stale beam; a re-sweep happens only if the
                 // served SNR degrades (checked below).
@@ -397,7 +428,7 @@ impl MovrSystem {
                 );
                 budget = relay_link_on(&hop1, &hop2, &ap_r, &self.reflectors[i], hs.array());
                 realigned = true;
-                cost = self.sweep_realignment_cost();
+                cost = sweep_cost;
             }
 
             let applied_tx = self.reflectors[i].tx_array().steering_deg();
@@ -735,6 +766,94 @@ mod tests {
             assert_eq!(a.snr_db.to_bits(), b.snr_db.to_bits(), "t={t}");
             assert_eq!(a.realigned, b.realigned, "t={t}");
             assert_eq!(a.realignment_cost, b.realignment_cost, "t={t}");
+        }
+    }
+
+    /// A decision as comparable data, every f64 by its bits.
+    fn decision_bits(d: &LinkDecision) -> (LinkMode, u64, u64, bool, bool, SimTime) {
+        (
+            d.mode,
+            d.snr_db.to_bits(),
+            d.rate_mbps.to_bits(),
+            d.supports_vr,
+            d.realigned,
+            d.realignment_cost,
+        )
+    }
+
+    #[test]
+    fn remembered_traces_decide_bit_identically_to_fresh_ones() {
+        // 64 seeded cases: {static, hand raise, walker, gaze walk} ×
+        // tracking on/off. A system stepped frame by frame, whose memos
+        // replay every link whose geometry repeats, must decide exactly
+        // like a twin whose memos are emptied before every frame. Mid-run
+        // the stepped system is checkpointed and restored into a unit
+        // whose memos hold another frame's geometry.
+        use movr_math::SimRng;
+        use movr_motion::{HandRaise, MotionTrace, RandomWalk, StaticScene, WalkerCrossing};
+        const FRAMES: usize = 72;
+        let ap = Vec2::new(0.5, 2.5);
+        let d = FRAMES as f64 / 90.0;
+        for case in 0..64u64 {
+            let mut r = SimRng::seed_from_u64(case);
+            let facing_ap = |r: &mut SimRng| {
+                let pos = Vec2::new(r.uniform(2.5, 4.5), r.uniform(1.0, 4.0));
+                PlayerState::standing(pos, pos.bearing_deg_to(ap) + r.uniform(-20.0, 20.0))
+            };
+            let trace: Box<dyn MotionTrace> = match case % 4 {
+                0 => Box::new(StaticScene::new(facing_ap(&mut r), d)),
+                1 => Box::new(HandRaise {
+                    base: facing_ap(&mut r),
+                    raise_at_s: r.uniform(0.0, d / 2.0),
+                    lower_at_s: r.uniform(d / 2.0, d),
+                    duration_s: d,
+                }),
+                2 => {
+                    let x = r.uniform(1.2, 2.4);
+                    Box::new(WalkerCrossing {
+                        player: facing_ap(&mut r),
+                        from: Vec2::new(x, 1.5),
+                        to: Vec2::new(x, 3.5),
+                        start_s: r.uniform(0.0, d / 2.0),
+                        speed_mps: 1.2,
+                        duration_s: d,
+                    })
+                }
+                _ => Box::new(RandomWalk::with_gaze(
+                    &movr_rfsim::Room::paper_office(),
+                    r.next_u64(),
+                    d,
+                    ap,
+                )),
+            };
+            let config = SystemConfig {
+                use_tracking: case % 8 < 4,
+                command_loss_probability: 0.1,
+                seed: r.next_u64(),
+                ..Default::default()
+            };
+            let cut = r.uniform_usize(1, FRAMES);
+            let mut live = MovrSystem::paper_setup(config);
+            let mut twin = MovrSystem::paper_setup(config);
+            for k in 0..FRAMES {
+                let t = k as f64 / 90.0;
+                let world = trace.world_at(t);
+                if k == cut {
+                    let mut resumed = MovrSystem::paper_setup(config);
+                    resumed.evaluate_at(0.0, &trace.world_at(0.0));
+                    resumed.restore_checkpoint(live.checkpoint()).unwrap();
+                    live = resumed;
+                }
+                twin.direct_trace = LinkMemo::new();
+                twin.hop_traces.fill(Default::default());
+                let a = live.evaluate_at(t, &world);
+                let b = twin.evaluate_at(t, &world);
+                assert_eq!(
+                    decision_bits(&a),
+                    decision_bits(&b),
+                    "case {case} frame {k}"
+                );
+            }
         }
     }
 

@@ -121,7 +121,7 @@ impl LinkBatch {
 
     /// Full link evaluation: [`LinkBatch::received_dbm`] plus
     /// [`LinkBatch::snr_db`], mirroring
-    /// [`Scene::eval_paths`](crate::Scene::eval_paths).
+    /// [`TracedLink::evaluate`](crate::TracedLink::evaluate).
     ///
     /// # Panics
     /// Panics if either gain slice's length differs from [`LinkBatch::len`].
@@ -151,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_eval_bit_identical_to_eval_paths() {
+    fn batch_eval_bit_identical_to_evaluate() {
         let mut scene = Scene::paper_office();
         scene.add_obstacle(Obstacle::new(BodyPart::Hand, Vec2::new(2.4, 2.5)));
         let endpoints = [
@@ -181,12 +181,17 @@ mod tests {
     #[test]
     fn empty_path_set_yields_silent_link() {
         // Zero taps must reproduce the scalar pipeline's empty case:
-        // |0|² → −∞ dBm received.
-        let scene = Scene::paper_office();
-        let batch = super::LinkBatch::new(vec![], vec![], vec![], scene.noise());
+        // |0|² → −∞ dBm received. Two metal cabinets on the transmitter
+        // put 120 dB on every path, past the tracer's 80 dB pruning.
+        let mut scene = Scene::paper_office();
+        let tx = Vec2::new(1.0, 2.5);
+        scene.set_obstacles(vec![Obstacle::new(BodyPart::MetalFurniture, tx); 2]);
+        let link = scene.trace_link(tx, Vec2::new(4.0, 2.5));
+        let batch = link.batch();
         assert!(batch.is_empty());
-        let scalar = scene.eval_paths(&[], &IsotropicPattern, 10.0, &IsotropicPattern);
+        let scalar = link.evaluate(&IsotropicPattern, 10.0, &IsotropicPattern);
         let rowed = batch.eval(10.0, &[], &[]);
+        assert_eq!(scalar.received_dbm, f64::NEG_INFINITY);
         assert_eq!(rowed.received_dbm.to_bits(), scalar.received_dbm.to_bits());
         assert_eq!(rowed.snr_db.to_bits(), scalar.snr_db.to_bits());
     }

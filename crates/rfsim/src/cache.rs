@@ -1,42 +1,67 @@
-//! Traced links: separate the expensive geometry (ray tracing) from the
-//! cheap per-beam reweighting.
+//! Traced links: separate the expensive geometry (ray tracing and the
+//! per-path taps) from the cheap per-beam reweighting.
 //!
 //! A 101×101 alignment sweep evaluates the same TX/RX positions 10,201
 //! times with different beam weights; the image-method trace is identical
-//! for every probe. [`TracedLink`] traces once and reweights per query,
-//! either one pattern query per path ([`TracedLink::evaluate`], the
-//! per-frame path) or frozen into a [`LinkBatch`] that takes precomputed
-//! gain rows ([`TracedLink::batch`], the sweeps). Both end in the same
-//! coherent fold as [`Scene::link_budget`], so every form is
-//! bit-identical to re-tracing by construction.
+//! for every probe. [`TracedLink`] traces once, computes each path's
+//! complex tap once, and reweights per query, either one pattern query
+//! per path ([`TracedLink::evaluate`], the per-frame path) or frozen into
+//! a [`LinkBatch`] that takes precomputed gain rows
+//! ([`TracedLink::batch`], the sweeps). Both fold the stored taps through
+//! the same coherent sum, so every form is bit-identical to re-tracing by
+//! construction.
+//!
+//! Across frames the geometry often holds still: a held pose or a static
+//! scene repeats the previous frame's obstacles and endpoints bit for
+//! bit. A [`LinkMemo`] remembers one link's last trace and hands it back
+//! while that geometry repeats.
 
 use crate::batch::LinkBatch;
+use crate::channel::coherent_sum;
+use crate::obstacle::Obstacle;
 use crate::pattern::Pattern;
 use crate::raytrace::Path;
 use crate::scene::{LinkEval, Scene};
-use movr_math::Vec2;
+use movr_math::{linear_to_db, Vec2, C64};
+use std::borrow::Cow;
 
-/// A link whose paths were traced once and can be reweighted cheaply.
+/// A link whose paths and taps were computed once and can be reweighted
+/// cheaply.
 ///
-/// Holds a shared borrow of the [`Scene`], so the scene cannot be mutated
-/// (no obstacle can move) while this exists — a stale read is impossible
-/// by construction, not by runtime check.
+/// Holds a shared borrow of the [`Scene`] (and, when it came from a
+/// [`LinkMemo`], of the memo), so neither can be mutated — no obstacle
+/// can move — while this exists: a stale read is impossible by
+/// construction, not by runtime check.
 #[derive(Debug)]
 pub struct TracedLink<'s> {
     scene: &'s Scene,
     tx: Vec2,
     rx: Vec2,
-    paths: Vec<Path>,
+    paths: Cow<'s, [Path]>,
+    /// `Channel::path_gain(paths[i]).coefficient`, in path order.
+    taps: Cow<'s, [C64]>,
+}
+
+/// Traces `tx → rx` in `scene` and computes each path's tap.
+fn trace(scene: &Scene, tx: Vec2, rx: Vec2) -> (Vec<Path>, Vec<C64>) {
+    let paths = scene.paths_between(tx, rx);
+    let channel = scene.channel();
+    let taps = paths
+        .iter()
+        .map(|p| channel.path_gain(p).coefficient)
+        .collect();
+    (paths, taps)
 }
 
 impl<'s> TracedLink<'s> {
     pub(crate) fn new(scene: &'s Scene, tx: Vec2, rx: Vec2) -> Self {
-        let paths = scene.paths_between(tx, rx);
+        let (paths, taps) = trace(scene, tx, rx);
         TracedLink {
             scene,
             tx,
             rx,
-            paths,
+            paths: Cow::Owned(paths),
+            taps: Cow::Owned(taps),
         }
     }
 
@@ -60,41 +85,113 @@ impl<'s> TracedLink<'s> {
         &self.paths
     }
 
+    /// The traced paths, owned.
+    pub(crate) fn into_paths(self) -> Vec<Path> {
+        self.paths.into_owned()
+    }
+
     /// Freezes the traced paths into a [`LinkBatch`]: complex taps and
     /// departure/arrival bearings in path order, plus the scene's noise
     /// budget. The batch owns its data (no scene borrow) and evaluates
     /// bit-identically to [`TracedLink::evaluate`] given the same
     /// per-path gains.
     pub fn batch(&self) -> LinkBatch {
-        let channel = self.scene.channel();
-        let mut taps = Vec::with_capacity(self.paths.len());
-        let mut departure = Vec::with_capacity(self.paths.len());
-        let mut arrival = Vec::with_capacity(self.paths.len());
-        for p in &self.paths {
-            taps.push(channel.path_gain(p).coefficient);
-            departure.push(p.departure_deg);
-            arrival.push(p.arrival_deg);
-        }
-        LinkBatch::new(taps, departure, arrival, self.scene.noise())
+        let departure = self.paths.iter().map(|p| p.departure_deg).collect();
+        let arrival = self.paths.iter().map(|p| p.arrival_deg).collect();
+        LinkBatch::new(self.taps.to_vec(), departure, arrival, self.scene.noise())
     }
 
     /// Reweights the traced paths under the given patterns and transmit
-    /// power. O(paths), no ray tracing.
+    /// power: one pattern query per path and end, folded with the stored
+    /// taps. O(paths), no ray tracing.
     pub fn evaluate(
         &self,
         tx_pattern: &dyn Pattern,
         tx_power_dbm: f64,
         rx_pattern: &dyn Pattern,
     ) -> LinkEval {
-        self.scene
-            .eval_paths(&self.paths, tx_pattern, tx_power_dbm, rx_pattern)
+        let terms = self.taps.iter().zip(self.paths.iter()).map(|(tap, p)| {
+            let gain_db = tx_pattern.gain_dbi(p.departure_deg) + rx_pattern.gain_dbi(p.arrival_deg);
+            (*tap, gain_db)
+        });
+        let received_dbm = tx_power_dbm + linear_to_db(coherent_sum(terms).norm_sq());
+        LinkEval {
+            received_dbm,
+            snr_db: self.scene.noise().snr_db(received_dbm),
+        }
+    }
+}
+
+/// One link's last trace, reused while its geometry repeats.
+///
+/// The key is the scene's obstacle list and both endpoints, compared bit
+/// for bit (`f64::to_bits`, so −0.0 and +0.0 differ). Everything else the
+/// trace reads — room, carrier, trace configuration — is fixed when a
+/// [`Scene`] is built, so a memo serves the one scene its owner keeps
+/// beside it. Memory is one link's paths and taps plus a copy of the
+/// obstacle list.
+#[derive(Debug, Clone, Default)]
+pub struct LinkMemo {
+    /// Endpoints of the remembered trace; `None` before the first.
+    ends: Option<(Vec2, Vec2)>,
+    obstacles: Vec<Obstacle>,
+    paths: Vec<Path>,
+    taps: Vec<C64>,
+}
+
+fn same_point(a: Vec2, b: Vec2) -> bool {
+    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
+}
+
+impl LinkMemo {
+    /// An empty memo: the first [`LinkMemo::trace`] traces.
+    pub fn new() -> Self {
+        LinkMemo::default()
+    }
+
+    /// True when `scene`'s obstacles and the endpoints `tx → rx` equal
+    /// the remembered trace's bit for bit, so [`LinkMemo::trace`] would
+    /// hand back the remembered paths.
+    pub fn hits(&self, scene: &Scene, tx: Vec2, rx: Vec2) -> bool {
+        let ends = self
+            .ends
+            .is_some_and(|(t, r)| same_point(t, tx) && same_point(r, rx));
+        ends && self.obstacles.len() == scene.obstacles().len()
+            && self
+                .obstacles
+                .iter()
+                .zip(scene.obstacles())
+                .all(|(a, b)| a.kind == b.kind && same_point(a.center, b.center))
+    }
+
+    /// The `tx → rx` link in `scene`: the remembered paths and taps when
+    /// [`LinkMemo::hits`], otherwise a fresh trace, which is remembered.
+    /// Either way the result is bit-identical to
+    /// [`Scene::trace_link`]`(tx, rx)`, because the trace is a pure
+    /// function of the key and the scene's fixed parts.
+    pub fn trace<'a>(&'a mut self, scene: &'a Scene, tx: Vec2, rx: Vec2) -> TracedLink<'a> {
+        if !self.hits(scene, tx, rx) {
+            let (paths, taps) = trace(scene, tx, rx);
+            self.ends = Some((tx, rx));
+            self.obstacles.clear();
+            self.obstacles.extend_from_slice(scene.obstacles());
+            self.paths = paths;
+            self.taps = taps;
+        }
+        TracedLink {
+            scene,
+            tx,
+            rx,
+            paths: Cow::Borrowed(&self.paths),
+            taps: Cow::Borrowed(&self.taps),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obstacle::{BodyPart, Obstacle};
+    use crate::obstacle::BodyPart;
     use crate::pattern::SectorPattern;
 
     #[test]

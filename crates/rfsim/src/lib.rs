@@ -36,7 +36,7 @@ pub mod scene;
 pub mod wideband;
 
 pub use batch::LinkBatch;
-pub use cache::TracedLink;
+pub use cache::{LinkMemo, TracedLink};
 pub use channel::{Channel, PathGain};
 pub use geometry::{Room, Segment, Surface, Wall};
 pub use material::Material;

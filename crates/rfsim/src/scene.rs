@@ -11,7 +11,7 @@ use crate::noise::NoiseModel;
 use crate::obstacle::Obstacle;
 use crate::pattern::Pattern;
 use crate::raytrace::{trace_paths, Path, TraceConfig};
-use movr_math::{linear_to_db, Vec2};
+use movr_math::Vec2;
 
 /// The cheap half of a link evaluation: received power and SNR for one
 /// weighting of an already-traced path set. [`LinkBudget`] is this plus
@@ -33,18 +33,6 @@ pub struct LinkBudget {
     pub snr_db: f64,
     /// The traced paths that contributed (post pruning).
     pub paths: Vec<Path>,
-}
-
-impl LinkBudget {
-    /// The single strongest path by per-path power gain (before antenna
-    /// weighting), if any survived tracing.
-    pub fn dominant_path(&self) -> Option<&Path> {
-        self.paths.iter().min_by(|a, b| {
-            (a.length_m + a.excess_loss_db())
-                .partial_cmp(&(b.length_m + b.excess_loss_db()))
-                .expect("finite path metrics")
-        })
-    }
 }
 
 /// A simulation scene: geometry, carrier, noise and mutable obstacles.
@@ -91,12 +79,6 @@ impl Scene {
         )
     }
 
-    /// Overrides the trace configuration.
-    pub fn with_trace_config(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// The room geometry.
     pub fn room(&self) -> &Room {
         &self.room
@@ -117,19 +99,10 @@ impl Scene {
         &self.obstacles
     }
 
-    /// Adds an obstacle, returning its index for later updates.
+    /// Adds an obstacle, returning its index in [`Scene::obstacles`].
     pub fn add_obstacle(&mut self, o: Obstacle) -> usize {
         self.obstacles.push(o);
         self.obstacles.len() - 1
-    }
-
-    /// Moves an existing obstacle.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range.
-    pub fn move_obstacle(&mut self, index: usize, center: Vec2) {
-        let o = self.obstacles[index];
-        self.obstacles[index] = o.moved_to(center);
     }
 
     /// Removes all obstacles.
@@ -157,33 +130,10 @@ impl Scene {
         TracedLink::new(self, tx, rx)
     }
 
-    /// Reweights an already-traced path set under the given patterns and
-    /// transmit power. This is the scalar evaluation routine shared by
-    /// [`Scene::link_budget`] and [`TracedLink::evaluate`]; it ends in the
-    /// same coherent fold as [`crate::LinkBatch`], so every form is
-    /// bit-identical by construction.
-    pub fn eval_paths(
-        &self,
-        paths: &[Path],
-        tx_pattern: &dyn Pattern,
-        tx_power_dbm: f64,
-        rx_pattern: &dyn Pattern,
-    ) -> LinkEval {
-        let combined = self.channel.combined_gain(
-            paths,
-            |deg| tx_pattern.gain_dbi(deg),
-            |deg| rx_pattern.gain_dbi(deg),
-        );
-        let received_dbm = tx_power_dbm + linear_to_db(combined.norm_sq());
-        LinkEval {
-            received_dbm,
-            snr_db: self.noise.snr_db(received_dbm),
-        }
-    }
-
     /// Evaluates the full link budget for a transmitter at `tx_pos`
     /// radiating `tx_power_dbm` through `tx_pattern`, received at `rx_pos`
-    /// through `rx_pattern`.
+    /// through `rx_pattern`: [`Scene::trace_link`], then
+    /// [`TracedLink::evaluate`].
     pub fn link_budget(
         &self,
         tx_pos: Vec2,
@@ -192,12 +142,12 @@ impl Scene {
         rx_pos: Vec2,
         rx_pattern: &dyn Pattern,
     ) -> LinkBudget {
-        let paths = self.paths_between(tx_pos, rx_pos);
-        let eval = self.eval_paths(&paths, tx_pattern, tx_power_dbm, rx_pattern);
+        let link = self.trace_link(tx_pos, rx_pos);
+        let eval = link.evaluate(tx_pattern, tx_power_dbm, rx_pattern);
         LinkBudget {
             received_dbm: eval.received_dbm,
             snr_db: eval.snr_db,
-            paths,
+            paths: link.into_paths(),
         }
     }
 }
@@ -246,26 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn dominant_path_is_los_when_clear() {
-        let scene = Scene::paper_office();
-        let lb = scene.link_budget(
-            Vec2::new(1.0, 1.0),
-            &IsotropicPattern,
-            10.0,
-            Vec2::new(4.0, 4.0),
-            &IsotropicPattern,
-        );
-        let dom = lb.dominant_path().expect("paths exist");
-        assert_eq!(dom.kind, crate::raytrace::PathKind::LineOfSight);
-    }
-
-    #[test]
     fn obstacle_management() {
         let mut scene = Scene::paper_office();
         let idx = scene.add_obstacle(Obstacle::new(BodyPart::Torso, Vec2::new(2.0, 2.0)));
-        assert_eq!(scene.obstacles().len(), 1);
-        scene.move_obstacle(idx, Vec2::new(3.0, 3.0));
-        assert_eq!(scene.obstacles()[0].center, Vec2::new(3.0, 3.0));
+        assert_eq!(idx, 0);
+        assert_eq!(scene.obstacles()[idx].center, Vec2::new(2.0, 2.0));
         scene.clear_obstacles();
         assert!(scene.obstacles().is_empty());
     }

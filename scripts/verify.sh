@@ -56,6 +56,16 @@ cargo test --workspace -q --offline
 echo "==> perfbench: build the benchmark against the public API and run its tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench: seed-1 warm-up outputs match scripts/perfbench-seed1.expected"
+# With --seconds 0 nothing is timed, so the run reports correct=false and
+# exits 1; the comparison below is the check (a crash or a failed
+# operation changes the lines).
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 0 > out/perfbench-seed1.log || true
+awk '/^perfbench /{w=$2} /^  (attempted |alignment\.|session\.|fleet\.)/{$1=$1; print w ": " $0}' \
+    out/perfbench-seed1.log > out/perfbench-seed1.txt
+grep -v '^#' scripts/perfbench-seed1.expected | diff -u - out/perfbench-seed1.txt
+
 echo "==> paper shapes: every figure's PASS/FAIL checks (exit 1 on any FAIL)"
 cargo run -q --release --offline -p movr-bench --bin repro_all
 

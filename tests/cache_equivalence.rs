@@ -4,19 +4,20 @@
 //! restructuring: every entry point that takes traced hops promises the
 //! same float-op order as re-tracing on every call. These tests pin that
 //! promise on the paper setup for the three load-bearing evaluators —
-//! `relay_link_on`, the backscatter round trip, and the full
-//! `estimate_incidence` sweep — against references that re-trace per
-//! call through `Scene::link_budget` and carry their own copy of the
-//! tone-probe formula.
+//! `relay_link_on` (over hops traced directly and through a `LinkMemo`),
+//! the backscatter round trip, and the full `estimate_incidence` sweep —
+//! against references that re-trace per call through `Scene::link_budget`
+//! and carry their own copy of the relay cascade and the tone-probe
+//! formula.
 
 use movr::alignment::{estimate_incidence, AlignmentConfig};
 use movr::reflector::MovrReflector;
-use movr::relay::{relay_link, relay_link_on, round_trip_reflection_batched};
+use movr::relay::{relay_link_on, round_trip_reflection_batched, RelayBudget};
 use movr_math::db::sum_dbm;
 use movr_math::{SimRng, Vec2};
 use movr_phased_array::Codebook;
 use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
-use movr_rfsim::{BodyPart, Obstacle, Scene};
+use movr_rfsim::{BodyPart, LinkMemo, NoiseModel, Obstacle, Scene};
 
 /// The canonical relay layout: AP mid-west wall, reflector on the north
 /// wall, headset in the play area, beams aimed, gain safely below leak.
@@ -33,6 +34,58 @@ fn relay_setup() -> (Scene, RadioEndpoint, MovrReflector, RadioEndpoint) {
     headset.steer_toward(reflector.position());
     reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
     (scene, ap, reflector, headset)
+}
+
+/// Re-traced relay budget: each hop traced and evaluated per call, hop-1
+/// SNR against the reflector's low-noise front end, end SNR the minimum
+/// of the two hops, −∞ when the amplifier is off or saturated.
+fn retraced_relay(
+    scene: &Scene,
+    ap: &RadioEndpoint,
+    reflector: &MovrReflector,
+    headset: &RadioEndpoint,
+) -> RelayBudget {
+    let front_end = NoiseModel {
+        bandwidth_hz: scene.noise().bandwidth_hz,
+        noise_figure_db: 4.0,
+        implementation_loss_db: 0.0,
+        temperature_k: scene.noise().temperature_k,
+    };
+    let hop1 = scene.link_budget(
+        ap.position(),
+        &ArrayPattern(ap.array()),
+        ap.tx_power_dbm(),
+        reflector.position(),
+        &ArrayPattern(reflector.rx_array()),
+    );
+    let hop1_snr_db = front_end.snr_db(hop1.received_dbm);
+    let out_dbm = reflector.effective_gain_db().map(|g| hop1.received_dbm + g);
+    let (hop2_received_dbm, hop2_snr_db) = match out_dbm {
+        Some(out_dbm) => {
+            let hop2 = scene.link_budget(
+                reflector.position(),
+                &ArrayPattern(reflector.tx_array()),
+                out_dbm,
+                headset.position(),
+                &ArrayPattern(headset.array()),
+            );
+            (hop2.received_dbm, hop2.snr_db)
+        }
+        None => (f64::NEG_INFINITY, f64::NEG_INFINITY),
+    };
+    RelayBudget {
+        hop1_received_dbm: hop1.received_dbm,
+        hop1_snr_db,
+        relay_output_dbm: out_dbm,
+        hop2_received_dbm,
+        hop2_snr_db,
+        end_snr_db: if out_dbm.is_some() {
+            hop1_snr_db.min(hop2_snr_db)
+        } else {
+            f64::NEG_INFINITY
+        },
+        saturated: reflector.is_saturated(),
+    }
 }
 
 /// Re-traced round trip: both legs of the AP ↔ reflector loop traced
@@ -77,27 +130,50 @@ fn modulated_reading(
 
 #[test]
 fn relay_link_on_is_bit_identical_to_relay_link() {
-    let (mut scene, ap, reflector, headset) = relay_setup();
-    // Exercise clear and obstructed geometry.
-    for obstacle in [None, Some(Obstacle::new(BodyPart::Torso, Vec2::new(2.2, 2.2)))] {
-        scene.clear_obstacles();
-        if let Some(o) = obstacle {
-            scene.add_obstacle(o);
-        }
-        let plain = relay_link(&scene, &ap, &reflector, &headset);
+    let (mut scene, ap, mut reflector, headset) = relay_setup();
+    let mut memos = [LinkMemo::new(), LinkMemo::new()];
+    // Exercise clear and obstructed geometry, then the amplifier off.
+    let torso = Obstacle::new(BodyPart::Torso, Vec2::new(2.2, 2.2));
+    for (obstacles, amp_on) in [(vec![], true), (vec![torso], true), (vec![torso], false)] {
+        scene.set_obstacles(obstacles);
+        reflector.set_amplifier_enabled(amp_on);
+        let plain = retraced_relay(&scene, &ap, &reflector, &headset);
         let hop1 = scene.trace_link(ap.position(), reflector.position());
         let hop2 = scene.trace_link(reflector.position(), headset.position());
-        let cached = relay_link_on(&hop1, &hop2, &ap, &reflector, headset.array());
-        assert_eq!(plain.hop1_received_dbm.to_bits(), cached.hop1_received_dbm.to_bits());
-        assert_eq!(plain.hop1_snr_db.to_bits(), cached.hop1_snr_db.to_bits());
-        assert_eq!(
-            plain.relay_output_dbm.map(f64::to_bits),
-            cached.relay_output_dbm.map(f64::to_bits)
-        );
-        assert_eq!(plain.hop2_received_dbm.to_bits(), cached.hop2_received_dbm.to_bits());
-        assert_eq!(plain.hop2_snr_db.to_bits(), cached.hop2_snr_db.to_bits());
-        assert_eq!(plain.end_snr_db.to_bits(), cached.end_snr_db.to_bits());
-        assert_eq!(plain.saturated, cached.saturated);
+        let traced = relay_link_on(&hop1, &hop2, &ap, &reflector, headset.array());
+        // Through memos: the first call of a geometry traces, the
+        // second replays the remembered hops.
+        let mut remembered = Vec::new();
+        for _ in 0..2 {
+            let [m1, m2] = &mut memos;
+            let hop1 = m1.trace(&scene, ap.position(), reflector.position());
+            let hop2 = m2.trace(&scene, reflector.position(), headset.position());
+            remembered.push(relay_link_on(
+                &hop1,
+                &hop2,
+                &ap,
+                &reflector,
+                headset.array(),
+            ));
+        }
+        for cached in std::iter::once(traced).chain(remembered) {
+            assert_eq!(
+                plain.hop1_received_dbm.to_bits(),
+                cached.hop1_received_dbm.to_bits()
+            );
+            assert_eq!(plain.hop1_snr_db.to_bits(), cached.hop1_snr_db.to_bits());
+            assert_eq!(
+                plain.relay_output_dbm.map(f64::to_bits),
+                cached.relay_output_dbm.map(f64::to_bits)
+            );
+            assert_eq!(
+                plain.hop2_received_dbm.to_bits(),
+                cached.hop2_received_dbm.to_bits()
+            );
+            assert_eq!(plain.hop2_snr_db.to_bits(), cached.hop2_snr_db.to_bits());
+            assert_eq!(plain.end_snr_db.to_bits(), cached.end_snr_db.to_bits());
+            assert_eq!(plain.saturated, cached.saturated);
+        }
     }
 }
 

@@ -16,7 +16,10 @@ use movr::relay::{relay_end_snr_batched, relay_input_noise, relay_link_on};
 use movr_math::{db_to_linear, linear_to_db, wrap_deg_180, Cdf, Vec2};
 use movr_phased_array::UniformLinearArray;
 use movr_radio::{ArrayPattern, RadioEndpoint, RateTable};
-use movr_rfsim::{trace_paths, BodyPart, Obstacle, Room, Scene, TraceConfig};
+use movr_rfsim::{
+    trace_paths, BodyPart, IsotropicPattern, LinkMemo, Obstacle, Room, Scene, SectorPattern,
+    TraceConfig,
+};
 use movr_sim::{EventQueue, SimTime};
 use movr_testkit::{
     angle_deg, choice, f64_range, prop_assert, prop_assert_eq, prop_assume, property, u64_range,
@@ -466,6 +469,102 @@ property! {
         prop_assert_eq!(scalar.hop1_received_dbm.to_bits(), hop1_received_dbm.to_bits());
         prop_assert_eq!(scalar.hop1_snr_db.to_bits(), hop1_snr_db.to_bits());
         prop_assert_eq!(scalar.end_snr_db.to_bits(), end_snr_db.to_bits());
+    }
+}
+
+// ---------------- trace memo ----------------
+
+property! {
+    fn link_cache_tracks_obstacle_motion_exactly(
+        tx_x in f64_range(0.3, 4.7),
+        rx_y in f64_range(0.3, 4.7),
+        ox in f64_range(0.5, 4.5),
+        dx in f64_range(-0.4, 0.4),
+        kind in choice(vec![BodyPart::Hand, BodyPart::Head, BodyPart::Torso]),
+    ) {
+        let tx = Vec2::new(tx_x, 0.8);
+        let rx = Vec2::new(4.2, rx_y);
+        let (ox, oy) = (ox, 2.5);
+        let (dx, dy) = (dx, -dx / 2.0);
+        prop_assume!(tx.distance(rx) > 0.05);
+        prop_assume!(dx != 0.0);
+
+        let mut scene = Scene::paper_office();
+        scene.set_obstacles(vec![Obstacle::new(kind, Vec2::new(ox, oy))]);
+        let mut memo = LinkMemo::new();
+        // Remember the link at the original obstacle position…
+        let _ = memo.trace(&scene, tx, rx);
+        prop_assert!(memo.hits(&scene, tx, rx));
+        // …then move the obstacle and read the link again through the
+        // memo: the move must miss, and the fresh trace is remembered.
+        scene.set_obstacles(vec![Obstacle::new(kind, Vec2::new(ox + dx, oy + dy))]);
+        prop_assert!(!memo.hits(&scene, tx, rx));
+        let _ = memo.trace(&scene, tx, rx);
+        prop_assert!(memo.hits(&scene, tx, rx));
+        let remembered = memo.trace(&scene, tx, rx);
+
+        // Reference: a scene built directly with the final obstacle
+        // position, traced fresh. Must match the memo *exactly* — same
+        // path count, every float bit-identical — and so must a link
+        // evaluation over the remembered taps.
+        let mut fresh = Scene::paper_office();
+        fresh.add_obstacle(Obstacle::new(kind, Vec2::new(ox + dx, oy + dy)));
+        let expect = fresh.trace_link(tx, rx);
+        prop_assert_eq!(remembered.paths(), expect.paths());
+        let beam = SectorPattern::new(tx.bearing_deg_to(rx), 10.0, 15.0);
+        let got = remembered.evaluate(&beam, 10.0, &IsotropicPattern);
+        let want = expect.evaluate(&beam, 10.0, &IsotropicPattern);
+        prop_assert_eq!(got.received_dbm.to_bits(), want.received_dbm.to_bits());
+        prop_assert_eq!(got.snr_db.to_bits(), want.snr_db.to_bits());
+    }
+}
+
+#[test]
+fn link_memo_misses_on_any_bit_of_geometry() {
+    let tx = Vec2::new(0.5, 2.5);
+    let rx = Vec2::new(4.0, 2.0);
+    // A hand on the line of sight, and a bystander centred on the west
+    // wall's line (x = +0.0).
+    let hand = Obstacle::new(BodyPart::Hand, Vec2::new(2.2, 2.3));
+    let bystander = Obstacle::new(BodyPart::Torso, Vec2::new(0.0, 4.0));
+    let one_ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+    let base = vec![hand, bystander];
+    let cases = [
+        (
+            "hand moved by one ulp",
+            vec![hand.moved_to(Vec2::new(one_ulp(2.2), 2.3)), bystander],
+            tx,
+            rx,
+        ),
+        (
+            "bystander x flipped from +0.0 to -0.0",
+            vec![hand, bystander.moved_to(Vec2::new(-0.0, 4.0))],
+            tx,
+            rx,
+        ),
+        ("receiver moved", base.clone(), tx, Vec2::new(4.0, 2.1)),
+        ("transmitter moved", base.clone(), Vec2::new(0.5, 2.6), rx),
+        ("direction swapped", base.clone(), rx, tx),
+        ("bystander left", vec![hand], tx, rx),
+    ];
+    for (what, obstacles, t, r) in cases {
+        let mut scene = Scene::paper_office();
+        scene.set_obstacles(base.clone());
+        let mut memo = LinkMemo::new();
+        let _ = memo.trace(&scene, tx, rx);
+        assert!(memo.hits(&scene, tx, rx), "{what}: the trace is remembered");
+        scene.set_obstacles(obstacles);
+        assert!(!memo.hits(&scene, t, r), "{what}: must miss");
+        let traced = memo.trace(&scene, t, r).paths().to_vec();
+        assert_eq!(
+            traced,
+            scene.trace_link(t, r).paths(),
+            "{what}: traced afresh"
+        );
+        assert!(
+            memo.hits(&scene, t, r),
+            "{what}: the new trace is remembered"
+        );
     }
 }
 
