@@ -248,11 +248,10 @@ fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
     // lexing alone vs the full semantic pipeline (parse + unit-flow +
     // RNG dataflow + layering + the v3/v4 passes). The gap between the
     // first two is the price of the semantic analyses; the later data
-    // isolate the v3 passes (parallel-capture, snapshot-coverage,
-    // order-sensitivity) and the v4 interprocedural-effect passes
-    // (call-graph build + effect fixpoint + four rules) over pre-loaded
-    // files so their cost rides the perf ratchet independently of file
-    // I/O.
+    // isolate the v3 passes (parallel-capture, order-sensitivity) and
+    // the v4 interprocedural-effect passes (call-graph build + effect
+    // fixpoint + three rules) over pre-loaded files so their cost rides
+    // the perf ratchet independently of file I/O.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let files = movr_lint::load_workspace(&root).expect("workspace readable");
     vec![

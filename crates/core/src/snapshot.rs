@@ -339,10 +339,33 @@ fn encode_histogram(w: &mut WireWriter, h: Option<&Histogram>) {
 }
 
 fn encode_state(w: &mut WireWriter, st: &SessionState) {
+    // Exhaustive destructures (no `..`): a field added to `SessionState`,
+    // `SystemCheckpoint` or `ReflectorCheckpoint` does not compile until
+    // this encoder names it, just as `decode_state`'s struct literals must.
+    let SessionState {
+        system,
+        adapter,
+        report_rng,
+        glitches,
+        snr_sum,
+        mode_switches,
+        realignments,
+        reflector_frames,
+        rate_up,
+        rate_down,
+        rate_outage,
+        last_mode,
+        blocked_until,
+        snr_hist,
+        airtime_hist,
+        stall_hist,
+        queue,
+    } = st;
+
     // Clock and pending events (pop order is the canonical order; the
     // (timestamp, insertion) tie-break is re-minted on restore).
-    w.u64(st.queue.now().as_nanos());
-    let pending = st.queue.pending_in_pop_order();
+    w.u64(queue.now().as_nanos());
+    let pending = queue.pending_in_pop_order();
     w.usize(pending.len());
     for (at, event) in pending {
         w.u64(at.as_nanos());
@@ -353,29 +376,29 @@ fn encode_state(w: &mut WireWriter, st: &SessionState) {
 
     // Accounting: the glitch tracker (which owns the frame count), the
     // SNR sum, and the session counters.
-    let (total, delivered, events, current, longest) = st.glitches.state();
+    let (total, delivered, events, current, longest) = glitches.state();
     w.usize(total);
     w.usize(delivered);
     w.usize(events);
     w.usize(current);
     w.usize(longest);
-    w.f64(st.snr_sum);
-    w.usize(st.mode_switches);
-    w.usize(st.realignments);
-    w.usize(st.reflector_frames);
-    w.usize(st.rate_up);
-    w.usize(st.rate_down);
-    w.usize(st.rate_outage);
+    w.f64(*snr_sum);
+    w.usize(*mode_switches);
+    w.usize(*realignments);
+    w.usize(*reflector_frames);
+    w.usize(*rate_up);
+    w.usize(*rate_down);
+    w.usize(*rate_outage);
 
     // Link state: serving mode, stall horizon, SNR-report noise stream
     // and rate adapter.
-    match st.last_mode {
+    match *last_mode {
         None => w.u8(0),
         Some(mode) => encode_mode(w, mode),
     }
-    w.u64(st.blocked_until.as_nanos());
-    encode_rng(w, st.report_rng.state());
-    let (current_mcs, up_streak) = st.adapter.state();
+    w.u64(blocked_until.as_nanos());
+    encode_rng(w, report_rng.state());
+    let (current_mcs, up_streak) = adapter.state();
     match current_mcs {
         None => w.bool(false),
         Some(i) => {
@@ -386,21 +409,39 @@ fn encode_state(w: &mut WireWriter, st: &SessionState) {
     w.usize(up_streak);
 
     // Deployment state.
-    let cp = st.system.checkpoint();
-    w.f64(cp.ap_steering_deg);
-    encode_mode(w, cp.mode);
-    w.usize(cp.reflectors.len());
-    for r in &cp.reflectors {
-        w.f64(r.rx_steering_deg);
-        w.f64(r.tx_steering_deg);
-        w.f64(r.gain_db);
-        w.bool(r.amp_enabled);
-        w.bool(r.modulating);
-        encode_rng(w, r.sensor_rng);
-        w.f64(r.last_tx_deg);
-        w.f64(r.commanded_tx);
+    let SystemCheckpoint {
+        ap_steering_deg,
+        mode,
+        reflectors,
+        tracker,
+        predictor_history,
+        fault_rng,
+        obstacles,
+    } = system.checkpoint();
+    w.f64(ap_steering_deg);
+    encode_mode(w, mode);
+    w.usize(reflectors.len());
+    for r in reflectors {
+        let ReflectorCheckpoint {
+            rx_steering_deg,
+            tx_steering_deg,
+            gain_db,
+            amp_enabled,
+            modulating,
+            sensor_rng,
+            last_tx_deg,
+            commanded_tx,
+        } = r;
+        w.f64(rx_steering_deg);
+        w.f64(tx_steering_deg);
+        w.f64(gain_db);
+        w.bool(amp_enabled);
+        w.bool(modulating);
+        encode_rng(w, sensor_rng);
+        w.f64(last_tx_deg);
+        w.f64(commanded_tx);
     }
-    let (tracker_rng, last_update_s, last_pose) = cp.tracker;
+    let (tracker_rng, last_update_s, last_pose) = tracker;
     encode_rng(w, tracker_rng);
     w.f64(last_update_s);
     match last_pose {
@@ -410,23 +451,23 @@ fn encode_state(w: &mut WireWriter, st: &SessionState) {
             encode_pose(w, p);
         }
     }
-    w.usize(cp.predictor_history.len());
-    for (t, p) in &cp.predictor_history {
-        w.f64(*t);
-        encode_pose(w, *p);
+    w.usize(predictor_history.len());
+    for (t, p) in predictor_history {
+        w.f64(t);
+        encode_pose(w, p);
     }
-    encode_rng(w, cp.fault_rng);
-    w.usize(cp.obstacles.len());
-    for o in &cp.obstacles {
+    encode_rng(w, fault_rng);
+    w.usize(obstacles.len());
+    for o in &obstacles {
         w.u8(body_part_tag(o.kind));
         w.f64(o.center.x);
         w.f64(o.center.y);
     }
 
     // Histograms, in the session's fixed order.
-    encode_histogram(w, st.snr_hist.as_ref());
-    encode_histogram(w, st.airtime_hist.as_ref());
-    encode_histogram(w, st.stall_hist.as_ref());
+    encode_histogram(w, snr_hist.as_ref());
+    encode_histogram(w, airtime_hist.as_ref());
+    encode_histogram(w, stall_hist.as_ref());
 }
 
 // --- body decoding ---------------------------------------------------------

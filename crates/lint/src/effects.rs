@@ -1,4 +1,4 @@
-//! Transitive effect inference over the call graph, and the four v4
+//! Transitive effect inference over the call graph, and the three v4
 //! contract rules built on it.
 //!
 //! Each node gets a *direct* effect set from a token-vocabulary scan of
@@ -27,8 +27,8 @@
 //! * `sink-write` — a Recorder-vocabulary method call (`.record(`,
 //!   `.start_span(`, `.end_span(`). Modeled as an effect instead of
 //!   resolved dispatch so `recorded-effect-divergence` can ignore it.
-//! * `interior-mut` — the `RefCell`/`Cell`/`Rc`/`MemoPattern`
-//!   vocabulary shared with the v3 capture pass.
+//! * `interior-mut` — the `RefCell`/`Cell`/`Rc` vocabulary shared with
+//!   the v3 capture pass.
 //!
 //! Witnesses: for every (node, effect) with a direct site, the first
 //! site is remembered; diagnostics walk the graph from the root to a
@@ -38,9 +38,9 @@
 
 use crate::callgraph::{CallGraph, SINK_METHODS};
 use crate::lexer::TokenKind;
-use crate::par_capture::{closure_locals, parallel_closures, INTERIOR_MUT};
+use crate::par_capture::INTERIOR_MUT;
 use crate::rules::Diagnostic;
-use crate::source::{match_delim_pub, FileKind, SourceFile};
+use crate::source::{FileKind, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A set of the six effect kinds, joined by union.
@@ -315,7 +315,7 @@ fn is_decode_root(node: &crate::callgraph::Node) -> bool {
     node.name.starts_with("decode") || node.name.starts_with("restore")
 }
 
-/// Runs every v4 rule. One `CallGraph` + fixpoint serves all four.
+/// Runs every v4 rule. One `CallGraph` + fixpoint serves all three.
 pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     let graph = CallGraph::build(files);
     let fx = direct_effects(files, &graph);
@@ -323,7 +323,6 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     panic_reachable_from_decode(files, &graph, &fx, &effects, out);
     blocking_in_hot_loop(files, &graph, &fx, &effects, out);
     recorded_effect_divergence(files, &graph, &effects, out);
-    rng_reaches_par_unforked(files, &graph, &effects, out);
 }
 
 /// **panic-reachable-from-decode** — a `decode*`/`restore*` fn whose
@@ -341,18 +340,16 @@ fn panic_reachable_from_decode(
         if !is_decode_root(node) || !effects[id].has(PANIC) {
             continue;
         }
-        let f = &files[node.file];
-        out.push(Diagnostic {
-            rule: "panic-reachable-from-decode",
-            file: f.rel.clone(),
-            line: node.line,
-            snippet: f.snippet(node.line),
-            hint: format!(
+        out.push(Diagnostic::new(
+            &files[node.file],
+            "panic-reachable-from-decode",
+            node.line,
+            format!(
                 "`{}` can panic on malformed input ({}); decode paths must return a structured error — or justify the site with `// lint: <why>`",
                 node.name,
                 explain(graph, fx, effects, files, id, PANIC)
             ),
-        });
+        ));
     }
 }
 
@@ -372,23 +369,21 @@ fn blocking_in_hot_loop(
         if !is_hot_root(node) {
             continue;
         }
-        let f = &files[node.file];
         for bit in [BLOCKING_IO, WALL_CLOCK] {
             if !effects[id].has(bit) {
                 continue;
             }
-            out.push(Diagnostic {
-                rule: "blocking-in-hot-loop",
-                file: f.rel.clone(),
-                line: node.line,
-                snippet: f.snippet(node.line),
-                hint: format!(
+            out.push(Diagnostic::new(
+                &files[node.file],
+                "blocking-in-hot-loop",
+                node.line,
+                format!(
                     "hot-loop root `{}` reaches {} ({}); per-frame code must stay compute-only — move the effect behind a Recorder sink or out of the frame path",
                     node.name,
                     EFFECT_NAMES[usize::from(bit)],
                     explain(graph, fx, effects, files, id, bit)
                 ),
-            });
+            ));
         }
     }
 }
@@ -427,7 +422,6 @@ fn recorded_effect_divergence(
         if plain == recorded {
             continue;
         }
-        let f = &files[fi];
         let extra = recorded.diff_names(plain);
         let missing = plain.diff_names(recorded);
         let mut detail = Vec::new();
@@ -437,185 +431,16 @@ fn recorded_effect_divergence(
         if !missing.is_empty() {
             detail.push(format!("plain adds {}", missing.join(", ")));
         }
-        out.push(Diagnostic {
-            rule: "recorded-effect-divergence",
-            file: f.rel.clone(),
+        out.push(Diagnostic::new(
+            &files[fi],
+            "recorded-effect-divergence",
             line,
-            snippet: f.snippet(line),
-            hint: format!(
+            format!(
                 "`{base}` and `{base}_recorded` diverge beyond sink-write: {}; the recorded twin must be the plain computation plus events only",
                 detail.join("; ")
             ),
-        });
+        ));
     }
-}
-
-/// **rng-reaches-par-unforked** — the transitive version of v3's
-/// `rng-unforked-in-par`: a parallel closure hands an *rng-carrying*
-/// binding (a struct holding a `SimRng`, or the stream itself hidden
-/// behind a helper) to a function that transitively draws, without a
-/// per-item fork. v3 sees only direct draws on `SimRng`-typed bindings;
-/// this pass follows the draw through any number of helper calls.
-fn rng_reaches_par_unforked(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    effects: &[EffectSet],
-    out: &mut Vec<Diagnostic>,
-) {
-    let carriers = rng_carrier_types(files);
-    for (fi, f) in files.iter().enumerate() {
-        if f.kind != FileKind::Lib {
-            continue;
-        }
-        for c in parallel_closures(f) {
-            if f.in_cfg_test(c.start) {
-                continue;
-            }
-            let bindings = carrier_bindings(f, c.start, &carriers);
-            if bindings.is_empty() {
-                continue;
-            }
-            let locals = closure_locals(f, c);
-            let (lo, hi) = c.body;
-            let hi = hi.min(f.tokens.len().saturating_sub(1));
-            let mut reported: BTreeSet<String> = BTreeSet::new();
-            for j in lo..=hi {
-                let TokenKind::Ident(_) = &f.tokens[j].kind else { continue };
-                if !f.tokens.get(j + 1).is_some_and(|t| t.is_punct('(')) {
-                    continue;
-                }
-                let callees = graph.resolve_at(files, fi, j);
-                if !callees.iter().any(|&id| effects[id].has(RNG_DRAW)) {
-                    continue;
-                }
-                // Which carrier binding flows into the call? Arguments
-                // for plain/path calls; the receiver for method calls.
-                let close = match_delim_pub(&f.tokens, j + 1, '(', ')').min(hi);
-                let mut flows: Vec<&str> = f.tokens[j + 1..=close]
-                    .iter()
-                    .filter_map(|t| match &t.kind {
-                        TokenKind::Ident(w) => Some(w.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                if j >= 2 && f.tokens[j - 1].is_punct('.') {
-                    if let TokenKind::Ident(recv) = &f.tokens[j - 2].kind {
-                        flows.push(recv.as_str());
-                    }
-                }
-                for w in flows {
-                    if !bindings.contains(w) || locals.contains(w) {
-                        continue;
-                    }
-                    if reported.insert(w.to_string()) {
-                        let callee = &graph.nodes[*callees
-                            .iter()
-                            .find(|&&id| effects[id].has(RNG_DRAW))
-                            .expect("checked above")];
-                        out.push(Diagnostic {
-                            rule: "rng-reaches-par-unforked",
-                            file: f.rel.clone(),
-                            line: f.tokens[j].line,
-                            snippet: f.snippet(f.tokens[j].line),
-                            hint: format!(
-                                "`{w}` carries an RNG stream into `{}` (which transitively draws) inside a parallel closure; draws interleave in worker order — fork a per-item child (`….fork(<label from the item index>)`) inside the closure and pass that instead",
-                                callee.name
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Struct names that (transitively) hold a `SimRng` field, plus
-/// `SimRng` itself. One fixpoint over the workspace's struct defs.
-fn rng_carrier_types(files: &[SourceFile]) -> BTreeSet<String> {
-    let mut carriers: BTreeSet<String> = BTreeSet::new();
-    carriers.insert("SimRng".to_string());
-    loop {
-        let mut grew = false;
-        for f in files {
-            if f.kind != FileKind::Lib {
-                continue;
-            }
-            for st in &f.parsed.structs {
-                if carriers.contains(&st.name) {
-                    continue;
-                }
-                let holds = st.fields.iter().any(|field| {
-                    field
-                        .ty
-                        .split(|c: char| !c.is_alphanumeric() && c != '_')
-                        .any(|seg| carriers.contains(seg))
-                });
-                if holds {
-                    carriers.insert(st.name.clone());
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            return carriers;
-        }
-    }
-}
-
-/// Enclosing bindings of rng-*carrier* type visible at token `start`:
-/// parameters and `let`s of the innermost enclosing fn whose type or
-/// initializer mentions a carrier struct — but not bare `SimRng`
-/// bindings, which v3's `rng-unforked-in-par` already covers.
-fn carrier_bindings(f: &SourceFile, start: usize, carriers: &BTreeSet<String>) -> BTreeSet<String> {
-    let toks = &f.tokens;
-    let mut out = BTreeSet::new();
-    let sig = f
-        .parsed
-        .fns
-        .iter()
-        .filter(|s| s.body.is_some_and(|(open, close)| open <= start && start <= close))
-        .min_by_key(|s| {
-            let (open, close) = s.body.expect("filtered on body");
-            close - open
-        });
-    let Some(sig) = sig else { return out };
-    let is_carrier_ty = |ty: &str| {
-        let mut segs = ty.split(|c: char| !c.is_alphanumeric() && c != '_');
-        !ty.contains("SimRng") && segs.any(|seg| carriers.contains(seg))
-    };
-    for p in &sig.params {
-        if !p.name.is_empty() && is_carrier_ty(&p.ty) {
-            out.insert(p.name.clone());
-        }
-    }
-    let (open, _) = sig.body.expect("filtered on body");
-    let mut i = open;
-    while i < start {
-        if toks[i].is_ident("let") {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            if let Some(TokenKind::Ident(name)) = toks.get(j).map(|t| &t.kind) {
-                let mut k = j + 1;
-                while k < toks.len() && !toks[k].is_punct(';') {
-                    k += 1;
-                }
-                let rest = &toks[j + 1..k.min(toks.len())];
-                let mentions_carrier = rest.iter().any(
-                    |t| matches!(&t.kind, TokenKind::Ident(w) if carriers.contains(w.as_str())),
-                );
-                let mentions_simrng = rest.iter().any(|t| t.is_ident("SimRng"));
-                if mentions_carrier && !mentions_simrng {
-                    out.insert(name.clone());
-                }
-                i = k;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -627,7 +452,7 @@ mod tests {
             files.iter().map(|(rel, src)| SourceFile::parse(rel, src)).collect();
         let mut out = Vec::new();
         check(&parsed, &mut out);
-        out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+        let out = crate::rules::sorted(out);
         out.into_iter().map(|d| (d.rule, d.file, d.line)).collect()
     }
 
@@ -671,19 +496,6 @@ mod tests {
         assert_eq!(hits, [("recorded-effect-divergence", "crates/codec/src/lib.rs".to_string(), 2)]);
         let ok = "pub fn load(t: u64) -> u64 { t }\npub fn load_recorded(t: u64, r: &mut R) -> u64 {\n  let v = load(t); r.record(v); v\n}";
         assert!(run(&[("crates/codec/src/lib.rs", ok)]).is_empty());
-    }
-
-    #[test]
-    fn carrier_struct_reaching_par_closure_through_helper_flags() {
-        let src = "pub struct Ctx { pub rng: SimRng }\nfn jitter(x: u64, ctx: &mut Ctx) -> u64 { x ^ ctx.rng.next_u64() }\npub fn batched(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {\n  pool_map(items, 4, |_, &x| jitter(x, ctx))\n}";
-        let hits = run(&[("crates/par/src/lib.rs", src)]);
-        assert_eq!(hits, [("rng-reaches-par-unforked", "crates/par/src/lib.rs".to_string(), 4)]);
-    }
-
-    #[test]
-    fn per_item_fork_from_the_carrier_is_clean() {
-        let src = "pub struct Ctx { pub rng: SimRng }\nfn scramble(x: u64, r: &mut SimRng) -> u64 { x ^ r.next_u64() }\npub fn batched(items: &[u64], ctx: &mut Ctx) -> Vec<u64> {\n  pool_map(items, 4, |i, &x| { let mut child = ctx.rng.fork(4000 + i); scramble(x, &mut child) })\n}";
-        assert!(run(&[("crates/par/src/lib.rs", src)]).is_empty());
     }
 
     #[test]

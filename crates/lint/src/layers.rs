@@ -134,43 +134,38 @@ pub fn check(files: &[SourceFile], spec: &LayerSpec, out: &mut Vec<Diagnostic>) 
             }
             let Some(own) = own else {
                 if !undeclared_reported {
-                    out.push(Diagnostic {
-                        rule: "layer-violation",
-                        file: f.rel.clone(),
-                        line: t.line,
-                        snippet: f.snippet(t.line),
-                        hint: format!(
+                    out.push(Diagnostic::new(
+                        f,
+                        "layer-violation",
+                        t.line,
+                        format!(
                             "crate `{}` is not declared in {LAYERS_FILE}; add a [[crate]] entry with its layer and allowed dependencies",
                             f.crate_name
                         ),
-                    });
+                    ));
                     undeclared_reported = true;
                 }
                 continue;
             };
             if spec.get(&target).is_none() {
-                out.push(Diagnostic {
-                    rule: "layer-violation",
-                    file: f.rel.clone(),
-                    line: t.line,
-                    snippet: f.snippet(t.line),
-                    hint: format!(
-                        "reference to `{target}`, which is not declared in {LAYERS_FILE}"
-                    ),
-                });
+                out.push(Diagnostic::new(
+                    f,
+                    "layer-violation",
+                    t.line,
+                    format!("reference to `{target}`, which is not declared in {LAYERS_FILE}"),
+                ));
                 continue;
             }
             if !own.allowed.contains(&target) {
-                out.push(Diagnostic {
-                    rule: "layer-violation",
-                    file: f.rel.clone(),
-                    line: t.line,
-                    snippet: f.snippet(t.line),
-                    hint: format!(
+                out.push(Diagnostic::new(
+                    f,
+                    "layer-violation",
+                    t.line,
+                    format!(
                         "`{}` → `{target}` is not a declared edge in {LAYERS_FILE}; layering back-edges need an explicit spec change",
                         f.crate_name
                     ),
-                });
+                ));
             }
         }
     }

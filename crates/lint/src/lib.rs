@@ -25,14 +25,13 @@ mod par_capture;
 mod parser;
 mod rng_flow;
 mod rules;
-mod snapshot_cov;
 pub mod sarif;
 mod source;
 mod units;
 
 pub use baseline::Baseline;
 pub use layers::{LayerSpec, LAYERS_FILE};
-pub use rules::{rule_doc, Diagnostic, RULES, RULE_DOCS};
+pub use rules::{rule_doc, Diagnostic, RULES};
 pub use source::SourceFile;
 pub use units::UnitClass;
 
@@ -192,63 +191,14 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lexes and classifies every workspace source file under `root`,
-/// using one worker thread.
+/// Lexes and classifies every workspace source file under `root`, in
+/// sorted path order.
 pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
-    load_workspace_threaded(root, 1)
-}
-
-/// Lexes and classifies every workspace source file under `root` with
-/// `threads` workers. Output order (and therefore every downstream
-/// report) is byte-identical for any thread count: the sorted path list
-/// is split into contiguous index chunks, one per worker, and the
-/// chunks are reassembled in order.
-pub fn load_workspace_threaded(root: &Path, threads: usize) -> io::Result<Vec<SourceFile>> {
-    let paths = collect_files(root)?;
-    let rel_of = |path: &Path| {
-        path.strip_prefix(root)
-            .unwrap_or(path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/")
-    };
-    let threads = threads.max(1).min(paths.len().max(1));
-    if threads == 1 {
-        let mut files = Vec::with_capacity(paths.len());
-        for path in &paths {
-            let src = fs::read_to_string(path)?;
-            files.push(SourceFile::parse(&rel_of(path), &src));
-        }
-        return Ok(files);
-    }
-    let chunk = paths.len().div_ceil(threads);
-    let mut results: Vec<io::Result<Vec<SourceFile>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = paths
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(|| {
-                    slice
-                        .iter()
-                        .map(|path| {
-                            let src = fs::read_to_string(path)?;
-                            Ok(SourceFile::parse(&rel_of(path), &src))
-                        })
-                        .collect::<io::Result<Vec<SourceFile>>>()
-                })
-            })
-            .collect();
-        // Joined in spawn order, so chunk 0's files come first: the
-        // final Vec is exactly the single-threaded ordering.
-        results = handles
-            .into_iter()
-            .map(|h| h.join().expect("lint worker thread panicked"))
-            .collect();
-    });
-    let mut files = Vec::with_capacity(paths.len());
-    for r in results {
-        files.extend(r?);
+    let mut files = Vec::new();
+    for path in collect_files(root)? {
+        let rel = path.strip_prefix(root).unwrap_or(&path).components();
+        let rel: Vec<_> = rel.map(|c| c.as_os_str().to_string_lossy()).collect();
+        files.push(SourceFile::parse(&rel.join("/"), &fs::read_to_string(&path)?));
     }
     Ok(files)
 }
@@ -284,13 +234,7 @@ fn load_config<T>(
 /// Runs every rule over the workspace at `root` with no baseline
 /// applied: the raw diagnostic list.
 pub fn analyze(root: &Path) -> io::Result<Report> {
-    analyze_threaded(root, 1)
-}
-
-/// [`analyze`] with a worker-thread count for the parse stage. The
-/// report is byte-identical for any `threads` value.
-pub fn analyze_threaded(root: &Path, threads: usize) -> io::Result<Report> {
-    let files = load_workspace_threaded(root, threads)?;
+    let files = load_workspace(root)?;
     let layers = load_layer_spec(root)?;
     let diagnostics = rules::run_all(&files, layers.as_ref());
     Ok(Report {
@@ -302,34 +246,27 @@ pub fn analyze_threaded(root: &Path, threads: usize) -> io::Result<Report> {
     })
 }
 
-/// Runs only the v3 semantic passes (parallel-capture,
-/// snapshot-coverage, order-sensitivity) over already-loaded files,
-/// sorted by (file, line, rule). This is the bench harness's isolated
-/// datum for the passes added on top of the v2 engine; `analyze` runs
-/// them as part of the full rule catalogue.
+/// Runs only the v3 semantic passes (parallel-capture and
+/// order-sensitivity) over already-loaded files, sorted by (file, line,
+/// rule). This is the bench harness's isolated datum for the passes
+/// added on top of the v2 engine; `analyze` runs them as part of the
+/// full rule catalogue.
 pub fn run_v3_passes(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     par_capture::check(files, &mut out);
-    snapshot_cov::check(files, &mut out);
     order_io::check(files, &mut out);
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
-    out
+    rules::sorted(out)
 }
 
 /// Runs only the v4 interprocedural passes (call-graph construction,
-/// effect fixpoint, and the four transitive contract rules) over
+/// effect fixpoint, and the three transitive contract rules) over
 /// already-loaded files, sorted by (file, line, rule). This is the
 /// bench harness's isolated datum for the whole-program analysis;
 /// `analyze` runs it as part of the full rule catalogue.
 pub fn run_v4_passes(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     effects::check(files, &mut out);
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
-    out
+    rules::sorted(out)
 }
 
 /// Lexes every workspace file under `root` without parsing or running
@@ -380,13 +317,7 @@ pub fn apply_baseline(mut report: Report, baseline: &Baseline) -> Report {
 /// (missing file = empty baseline), and apply the ratchet. This is what
 /// the root package's `tests/lint_gate.rs` and `verify.sh` call.
 pub fn check_workspace(root: &Path) -> io::Result<Report> {
-    check_workspace_threaded(root, 1)
-}
-
-/// [`check_workspace`] with a worker-thread count for the parse stage.
-/// The report is byte-identical for any `threads` value.
-pub fn check_workspace_threaded(root: &Path, threads: usize) -> io::Result<Report> {
-    let report = analyze_threaded(root, threads)?;
+    let report = analyze(root)?;
     let baseline = load_config(root, BASELINE_FILE, Baseline::parse)?.unwrap_or_default();
     Ok(apply_baseline(report, &baseline))
 }

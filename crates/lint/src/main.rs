@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! movr-lint [--root DIR] [--json] [--sarif PATH] [--check-sarif PATH]
-//!           [--threads N] [--write-baseline] [--no-baseline]
-//!           [--explain RULE]
+//!           [--write-baseline] [--no-baseline] [--explain RULE]
 //! ```
 //!
 //! Exit codes: 0 = clean (exactly at the pinned baseline), 1 = new
@@ -11,8 +10,7 @@
 //! SARIF document failing validation under `--check-sarif`).
 
 use movr_lint::{
-    analyze_threaded, apply_baseline, check_workspace_threaded, rule_doc, sarif, Baseline,
-    BASELINE_FILE, RULES,
+    analyze, apply_baseline, check_workspace, rule_doc, sarif, Baseline, BASELINE_FILE, RULES,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,7 +22,6 @@ fn main() -> ExitCode {
     let mut no_baseline = false;
     let mut sarif_out: Option<PathBuf> = None;
     let mut check_sarif: Option<PathBuf> = None;
-    let mut threads = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -41,10 +38,6 @@ fn main() -> ExitCode {
                 Some(path) => check_sarif = Some(PathBuf::from(path)),
                 None => return usage("--check-sarif needs a file path"),
             },
-            "--threads" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => return usage("--threads needs a positive integer"),
-            },
             "--write-baseline" => write_baseline = true,
             "--no-baseline" => no_baseline = true,
             "--explain" => match args.next() {
@@ -56,7 +49,7 @@ fn main() -> ExitCode {
                         }
                         None => {
                             eprintln!("movr-lint: unknown rule `{rule}`; known rules:");
-                            for id in RULES {
+                            for (id, _) in RULES {
                                 eprintln!("  {id}");
                             }
                             ExitCode::from(2)
@@ -69,12 +62,11 @@ fn main() -> ExitCode {
                 println!(
                     "movr-lint: determinism & unit-safety analyzer for the MoVR workspace\n\n\
                      USAGE: movr-lint [--root DIR] [--json] [--sarif PATH] [--check-sarif PATH]\n\
-                            [--threads N] [--write-baseline] [--no-baseline] [--explain RULE]\n\n\
+                            [--write-baseline] [--no-baseline] [--explain RULE]\n\n\
                      --root DIR         workspace root (default: current directory)\n\
                      --json             machine-readable report on stdout\n\
                      --sarif PATH       also write the report as SARIF 2.1.0 (self-validated)\n\
                      --check-sarif PATH validate an existing SARIF file and exit (0 ok, 2 invalid)\n\
-                     --threads N        parse with N worker threads (output is identical for any N)\n\
                      --write-baseline   regenerate {BASELINE_FILE} from current findings\n\
                      --no-baseline      report every diagnostic, ignoring the baseline\n\
                      --explain RULE     print the doc string for a rule id and exit"
@@ -113,7 +105,7 @@ fn main() -> ExitCode {
     }
 
     if write_baseline {
-        let report = match analyze_threaded(&root, threads) {
+        let report = match analyze(&root) {
             Ok(r) => r,
             Err(e) => return fail(&format!("analysis failed: {e}")),
         };
@@ -132,9 +124,9 @@ fn main() -> ExitCode {
     }
 
     let report = if no_baseline {
-        analyze_threaded(&root, threads).map(|r| apply_baseline(r, &Baseline::empty()))
+        analyze(&root).map(|r| apply_baseline(r, &Baseline::empty()))
     } else {
-        check_workspace_threaded(&root, threads)
+        check_workspace(&root)
     };
     let report = match report {
         Ok(r) => r,

@@ -29,7 +29,7 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::rules::Diagnostic;
-use crate::source::{match_delim_pub, FileKind, SourceFile};
+use crate::source::{match_delim, FileKind, SourceFile};
 use std::collections::BTreeSet;
 
 /// Enclosing-fn name fragments that mark a rendering/output path.
@@ -86,15 +86,14 @@ fn check_file(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 continue;
             }
             if fn_is_output || has_sink(&toks[range.0..=range.1]) {
-                out.push(Diagnostic {
-                    rule: "unordered-iter-in-output",
-                    file: f.rel.clone(),
-                    line: toks[j].line,
-                    snippet: f.snippet(toks[j].line),
-                    hint: format!(
+                out.push(Diagnostic::new(
+                    f,
+                    "unordered-iter-in-output",
+                    toks[j].line,
+                    format!(
                         "iterating `{name}` (HashMap/HashSet) feeds an output path; hash order varies per process and poisons byte-identical artifacts — use BTreeMap/BTreeSet or collect-and-sort first"
                     ),
-                });
+                ));
             }
         }
     }
@@ -135,33 +134,14 @@ fn fn_unordered_names(
     let Some((open, close)) = sig.body else {
         return names;
     };
-    let toks = &f.tokens;
-    let close = close.min(toks.len().saturating_sub(1));
-    let mut i = open;
-    while i <= close {
-        if toks[i].is_ident("let") {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            if let Some(TokenKind::Ident(name)) = toks.get(j).map(|t| &t.kind) {
-                let mut k = j + 1;
-                let mut mentions = false;
-                while k <= close && !toks[k].is_punct(';') {
-                    if matches!(&toks[k].kind, TokenKind::Ident(w) if w == "HashMap" || w == "HashSet")
-                    {
-                        mentions = true;
-                    }
-                    k += 1;
-                }
-                if mentions {
-                    names.insert(name.clone());
-                }
-                i = k;
-                continue;
-            }
+    for l in f.parsed.lets_in(open, close + 1) {
+        let tail = l.tail(&f.tokens);
+        if tail
+            .iter()
+            .any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
+        {
+            names.extend(l.names.iter().cloned());
         }
-        i += 1;
     }
     names
 }
@@ -184,7 +164,7 @@ fn iteration_range(toks: &[Token], j: usize, fn_close: usize) -> Option<(usize, 
                 TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
                 TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
                 TokenKind::Punct('{') if depth == 0 => {
-                    return Some((k, match_delim_pub(toks, k, '{', '}').min(fn_close)));
+                    return Some((k, match_delim(toks, k).min(fn_close)));
                 }
                 _ => {}
             }
@@ -207,7 +187,7 @@ fn iteration_range(toks: &[Token], j: usize, fn_close: usize) -> Option<(usize, 
                         TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
                         TokenKind::Punct(';') if depth == 0 => return Some((j, k)),
                         TokenKind::Punct('{') if depth == 0 => {
-                            return Some((j, match_delim_pub(toks, k, '{', '}').min(fn_close)));
+                            return Some((j, match_delim(toks, k).min(fn_close)));
                         }
                         TokenKind::Punct('}') if depth <= 0 => return Some((j, k)),
                         _ => {}

@@ -1,8 +1,9 @@
 //! Item-level parser: just enough structure on top of the token stream
 //! for the semantic analyses. It recognises `fn` signatures (names,
 //! params with their flattened types, return type, body token range),
-//! `use` declarations (crate root + imported leaf names), and `struct`
-//! definitions (field names and types). There is deliberately **no**
+//! `use` declarations (crate root + imported leaf names), `struct`
+//! definitions (field names and types), closures and `let` statements
+//! (bound names, type span, initializer). There is deliberately **no**
 //! expression grammar — the unit-flow and RNG-dataflow analyses walk
 //! raw tokens inside the body ranges this parser hands them.
 //!
@@ -11,7 +12,7 @@
 //! bogus signature.
 
 use crate::lexer::{Token, TokenKind};
-use crate::source::match_brace;
+use crate::source::{interior, match_delim};
 
 /// A parameter (or struct field): pattern name and flattened type text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +43,8 @@ impl Param {
 pub struct FnSig {
     /// Function name.
     pub name: String,
+    /// Token index of the `fn` keyword.
+    pub start: usize,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// True for unrestricted `pub` (not `pub(crate)` etc.).
@@ -103,6 +106,32 @@ pub struct ClosureExpr {
     pub body: (usize, usize),
 }
 
+/// A `let` statement (or `if let`/`while let` condition).
+#[derive(Debug, Clone)]
+pub struct LetStmt {
+    /// Token index of the `let` keyword.
+    pub start: usize,
+    /// The names the pattern binds (`let (mut a, Some(b))` → `a`, `b`):
+    /// `mut`/`ref`, paths, constructors and field labels excluded.
+    pub names: Vec<String>,
+    /// Token range `[lo, hi)` of the type annotation, if any.
+    pub ty: Option<(usize, usize)>,
+    /// Token index of the `=` before the initializer, if any.
+    pub eq: Option<usize>,
+    /// Token index one past the statement: its `;`, the `{` of an `if
+    /// let` body, or the closer of the enclosing block.
+    pub end: usize,
+}
+
+impl LetStmt {
+    /// The type annotation and initializer: every token after the
+    /// pattern.
+    pub fn tail<'t>(&self, tokens: &'t [Token]) -> &'t [Token] {
+        let lo = self.ty.map(|(lo, _)| lo).or(self.eq).unwrap_or(self.end);
+        &tokens[lo..self.end]
+    }
+}
+
 /// Everything the item-level parser extracted from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
@@ -116,9 +145,19 @@ pub struct ParsedFile {
     /// included — a `.map(|x| …)` inside a spawned closure gets its own
     /// entry).
     pub closures: Vec<ClosureExpr>,
+    /// Every `let`, in source order (nested ones included), so sorted
+    /// by `start`.
+    pub lets: Vec<LetStmt>,
 }
 
 impl ParsedFile {
+    /// The `let`s whose keyword sits in the token range `[lo, hi)`.
+    pub fn lets_in(&self, lo: usize, hi: usize) -> &[LetStmt] {
+        let from = self.lets.partition_point(|l| l.start < lo);
+        let to = self.lets.partition_point(|l| l.start < hi);
+        &self.lets[from..to.max(from)]
+    }
+
     /// The crate a locally-imported name resolves to, if any `use`
     /// brought it in (`SimRng` → `movr_math`).
     pub fn use_root_of(&self, name: &str) -> Option<&str> {
@@ -143,6 +182,12 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
             }
             TokenKind::Ident(w) if w == "struct" => {
                 i = parse_struct(tokens, i, &mut out.structs);
+            }
+            TokenKind::Ident(w) if w == "let" => {
+                // Resume inside the statement: its initializer may hold
+                // closures and nested `let`s.
+                out.lets.push(parse_let(tokens, i));
+                i += 1;
             }
             TokenKind::Punct('|') => {
                 // Resume just past the parameter list so closures nested
@@ -217,7 +262,7 @@ fn scan_impls(tokens: &[Token]) -> Vec<(usize, usize, String)> {
             i = j.max(i + 1);
             continue;
         };
-        let close = match_brace(tokens, open);
+        let close = match_delim(tokens, open);
         if let Some(owner) = after_for.or(name) {
             out.push((open, close, owner));
         }
@@ -271,9 +316,7 @@ fn collect_use_leaves(tree: &[Token], line: usize, prefix: &[String], out: &mut 
             TokenKind::Punct('{') => {
                 // Group: split the balanced interior at top-level commas
                 // and recurse into each branch with the current prefix.
-                let close = match_brace_slice(tree, i);
-                let interior = &tree[i + 1..close.min(tree.len())];
-                for branch in split_top_level(interior, ',') {
+                for branch in split_top_level(interior(tree, i).0, ',') {
                     collect_use_leaves(branch, line, &path, out);
                 }
                 return;
@@ -298,35 +341,14 @@ fn parse_fn(tokens: &[Token], fn_idx: usize, out: &mut Vec<FnSig>) -> usize {
     };
     let name = name.clone();
     let is_pub = leading_pub(tokens, fn_idx);
-    let mut i = fn_idx + 2;
-    // Skip generics `<...>` (every `<`/`>` counted; const-generic
-    // comparisons inside are not a thing in this codebase).
-    if tokens.get(i).is_some_and(|t| t.is_punct('<')) {
-        let mut depth = 0i32;
-        while i < tokens.len() {
-            match tokens[i].kind {
-                TokenKind::Punct('<') => depth += 1,
-                TokenKind::Punct('>') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    if !tokens.get(i).is_some_and(|t| t.is_punct('(')) {
+    let open = skip_generics(tokens, fn_idx + 2);
+    if !tokens.get(open).is_some_and(|t| t.is_punct('(')) {
         return fn_idx + 2;
     }
-    let open = i;
-    let close = match_paren_slice(tokens, open);
+    let (args, close) = interior(tokens, open);
     let mut has_self = false;
     let mut params = Vec::new();
-    let interior = &tokens[open + 1..close.min(tokens.len())];
-    for (pi, part) in split_top_level(interior, ',').into_iter().enumerate() {
+    for (pi, part) in split_top_level(args, ',').into_iter().enumerate() {
         if part.is_empty() {
             continue;
         }
@@ -367,12 +389,23 @@ fn parse_fn(tokens: &[Token], fn_idx: usize, out: &mut Vec<FnSig>) -> usize {
             break;
         }
         if tokens[j].is_punct('{') {
-            body = Some((j, match_brace(tokens, j)));
+            body = Some((j, match_delim(tokens, j)));
             break;
         }
         j += 1;
     }
-    out.push(FnSig { name, line, is_pub, has_self, params, ret, body, owner: None });
+    let start = fn_idx;
+    out.push(FnSig {
+        name,
+        start,
+        line,
+        is_pub,
+        has_self,
+        params,
+        ret,
+        body,
+        owner: None,
+    });
     // Resume just past the signature so nested fns are still seen.
     close + 1
 }
@@ -414,32 +447,13 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
         return kw_idx + 1;
     };
     let name = name.clone();
-    let mut i = kw_idx + 2;
-    // Skip generics.
-    if tokens.get(i).is_some_and(|t| t.is_punct('<')) {
-        let mut depth = 0i32;
-        while i < tokens.len() {
-            match tokens[i].kind {
-                TokenKind::Punct('<') => depth += 1,
-                TokenKind::Punct('>') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
+    let i = skip_generics(tokens, kw_idx + 2);
     let mut fields = Vec::new();
     let resume;
     match tokens.get(i).map(|t| &t.kind) {
         Some(TokenKind::Punct('{')) => {
-            let close = match_brace(tokens, i);
-            let interior = &tokens[i + 1..close.min(tokens.len())];
-            for part in split_top_level(interior, ',') {
+            let (body, close) = interior(tokens, i);
+            for part in split_top_level(body, ',') {
                 if part.is_empty() {
                     continue;
                 }
@@ -453,9 +467,8 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
         }
         Some(TokenKind::Punct('(')) => {
             // Tuple struct: record types without names.
-            let close = match_paren_slice(tokens, i);
-            let interior = &tokens[i + 1..close.min(tokens.len())];
-            for part in split_top_level(interior, ',') {
+            let (body, close) = interior(tokens, i);
+            for part in split_top_level(body, ',') {
                 let part = strip_field_prefix(part);
                 if !part.is_empty() {
                     fields.push(Param {
@@ -471,6 +484,89 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
     }
     out.push(StructDef { name, line, fields });
     resume
+}
+
+/// Parses a `let` whose keyword is at `let_idx`: the names its pattern
+/// binds, its type annotation and `=`, and where the statement ends.
+fn parse_let(tokens: &[Token], let_idx: usize) -> LetStmt {
+    let prev = let_idx.checked_sub(1).map(|p| &tokens[p]);
+    let is_cond = prev.is_some_and(|t| t.is_ident("if") || t.is_ident("while") || t.is_punct('&'));
+    let (mut colon, mut eq) = (None, None);
+    let (mut depth, mut angle) = (0usize, 0usize);
+    let next_is = |k: usize, c: char| tokens.get(k + 1).is_some_and(|t| t.is_punct(c));
+    let mut end = let_idx + 1;
+    while let Some(t) = tokens.get(end) {
+        match t.kind {
+            TokenKind::Punct('{') if depth == 0 && is_cond && eq.is_some() => break,
+            TokenKind::Punct('(' | '[' | '{') => depth += 1,
+            TokenKind::Punct(')' | ']' | '}') if depth == 0 => break,
+            TokenKind::Punct(')' | ']' | '}') => depth -= 1,
+            TokenKind::Punct(';') if depth == 0 => break,
+            // Only the pattern and type, at depth 0, remain to classify.
+            _ if depth > 0 || eq.is_some() => {}
+            TokenKind::Punct(':') if colon.is_none() => {
+                let path = tokens[end - 1].is_punct(':') || next_is(end, ':');
+                colon = (!path).then_some(end);
+            }
+            TokenKind::Punct('<') if colon.is_some() => angle += 1,
+            TokenKind::Punct('>') if colon.is_some() && !tokens[end - 1].is_punct('-') => {
+                angle = angle.saturating_sub(1);
+            }
+            // `==` and `=>` are operators, not the initializer's `=`.
+            TokenKind::Punct('=') if angle == 0 => {
+                eq = (!next_is(end, '=') && !next_is(end, '>')).then_some(end);
+            }
+            _ => {}
+        }
+        end += 1;
+    }
+    let pat = &tokens[let_idx + 1..colon.or(eq).unwrap_or(end)];
+    let names = pat
+        .iter()
+        .enumerate()
+        .filter_map(|(k, t)| {
+            let TokenKind::Ident(w) = &t.kind else {
+                return None;
+            };
+            let path_tail = k >= 2 && pat[k - 1].is_punct(':') && pat[k - 2].is_punct(':');
+            let labels = pat
+                .get(k + 1)
+                .is_some_and(|n| n.is_punct('(') || n.is_punct('{') || n.is_punct(':'));
+            let binds = w != "mut" && w != "ref" && !path_tail && !labels;
+            binds.then(|| w.clone())
+        })
+        .collect();
+    let ty = colon.map(|c| (c + 1, eq.unwrap_or(end)));
+    LetStmt {
+        start: let_idx,
+        names,
+        ty,
+        eq,
+        end,
+    }
+}
+
+/// Index just past the `<…>` generics list starting at `i`, or `i` when
+/// there is none (every `<`/`>` counted).
+fn skip_generics(tokens: &[Token], mut i: usize) -> usize {
+    if !tokens.get(i).is_some_and(|t| t.is_punct('<')) {
+        return i;
+    }
+    let mut depth = 0usize;
+    while i < tokens.len() {
+        match tokens[i].kind {
+            TokenKind::Punct('<') => depth += 1,
+            TokenKind::Punct('>') => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    i
 }
 
 /// Parses a closure expression whose opening `|` is at `open`; returns
@@ -530,7 +626,7 @@ fn parse_closure(tokens: &[Token], open: usize) -> Option<(ClosureExpr, usize)> 
     // Body: a brace block, or the expression up to the enclosing
     // `,`/`;`/closing delimiter at zero depth.
     let body = match tokens.get(close + 1).map(|t| &t.kind) {
-        Some(TokenKind::Punct('{')) => (close + 1, match_brace(tokens, close + 1)),
+        Some(TokenKind::Punct('{')) => (close + 1, match_delim(tokens, close + 1)),
         Some(_) => {
             let mut depth = 0i32;
             let mut k = close + 1;
@@ -582,18 +678,15 @@ fn strip_field_prefix(mut part: &[Token]) -> &[Token] {
         match part.first().map(|t| &t.kind) {
             Some(TokenKind::Punct('#')) => {
                 // Attribute: skip to past the matching `]`.
-                let j = 1;
-                if part.get(j).is_some_and(|t| t.is_punct('[')) {
-                    let close = match_delim_slice(part, j, '[', ']');
-                    part = &part[close + 1..];
+                if part.get(1).is_some_and(|t| t.is_punct('[')) {
+                    part = &part[match_delim(part, 1) + 1..];
                 } else {
                     part = &part[1..];
                 }
             }
             Some(TokenKind::Ident(w)) if w == "pub" => {
                 if part.get(1).is_some_and(|t| t.is_punct('(')) {
-                    let close = match_paren_slice(part, 1);
-                    part = &part[close + 1..];
+                    part = &part[match_delim(part, 1) + 1..];
                 } else {
                     part = &part[1..];
                 }
@@ -715,32 +808,6 @@ fn flatten(tokens: &[Token]) -> String {
         out.push_str(piece);
     }
     out
-}
-
-/// Paren matcher usable on slices (same contract as `source::match_brace`).
-fn match_paren_slice(tokens: &[Token], open: usize) -> usize {
-    match_delim_slice(tokens, open, '(', ')')
-}
-
-fn match_brace_slice(tokens: &[Token], open: usize) -> usize {
-    match_delim_slice(tokens, open, '{', '}')
-}
-
-fn match_delim_slice(tokens: &[Token], open: usize, lo: char, hi: char) -> usize {
-    let mut depth = 0usize;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        if let TokenKind::Punct(c) = t.kind {
-            if c == lo {
-                depth += 1;
-            } else if c == hi {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return k;
-                }
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -904,6 +971,22 @@ mod tests {
             "impl<T: Into<f64>> Histogram<T> where T: Copy { fn push(&mut self, v: T) {} }",
         );
         assert_eq!(p.fns[0].owner.as_deref(), Some("Histogram"));
+    }
+
+    #[test]
+    fn lets_record_bound_names_type_and_initializer() {
+        let src = "fn f() {\n  let (mut a, Some(b)): (u8, Option<u8>) = g();\n  if let Foo { x: c, .. } = h { let d = 1; }\n  let it: Box<dyn Iterator<Item = u8>> = make();\n}";
+        let toks = lex(src);
+        let p = parse(&toks);
+        let names: Vec<_> = p.lets.iter().map(|l| l.names.join(",")).collect();
+        assert_eq!(names, ["a,b", "c", "d", "it"]);
+        let tails: Vec<_> = p.lets.iter().map(|l| flatten(l.tail(&toks))).collect();
+        assert_eq!(tails[0], "( u8 , Option < u8 > ) = g ( )");
+        assert_eq!(tails[1], "= h", "an `if let` ends at its body");
+        assert_eq!(tails[2], "= 1");
+        let (lo, hi) = p.lets[3].ty.expect("annotated");
+        assert_eq!(flatten(&toks[lo..hi]), "Box < dyn Iterator < Item = u8 > >");
+        assert!(toks[p.lets[3].eq.expect("initialised") + 1].is_ident("make"));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::lexer::TokenKind;
 use crate::parser::FnSig;
 use crate::rules::Diagnostic;
-use crate::source::{match_delim_pub, FileKind, SourceFile};
+use crate::source::{interior, match_delim, FileKind, SourceFile};
 use std::collections::HashMap;
 
 /// How a `SimRng` binding came to be.
@@ -56,10 +56,6 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn diag(f: &SourceFile, rule: &'static str, line: usize, hint: String) -> Diagnostic {
-    Diagnostic { rule, file: f.rel.clone(), line, snippet: f.snippet(line), hint }
-}
-
 fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Vec<Diagnostic>) {
     let toks = &f.tokens;
     // --- Collect SimRng bindings: parameters first, then `let`s.
@@ -69,48 +65,32 @@ fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Ve
             bindings.insert(p.name.as_str(), Origin::Raw);
         }
     }
-    let mut i = open;
-    while i <= close && i < toks.len() {
-        if toks[i].is_ident("let") {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
+    for l in f.parsed.lets_in(open, close + 1) {
+        // Type annotation and initializer.
+        let rhs = l.tail(toks);
+        let forked = rhs
+            .windows(2)
+            .any(|w| w[0].is_punct('.') && w[1].is_ident("fork"));
+        let seeded = rhs.iter().any(|t| t.is_ident("seed_from_u64"));
+        // Aliased: a clone of a known stream replays it.
+        let cloned = rhs.windows(3).find_map(|w| match &w[0].kind {
+            TokenKind::Ident(src) if w[1].is_punct('.') && w[2].is_ident("clone") => {
+                bindings.get(src.as_str()).copied()
             }
-            if let Some(TokenKind::Ident(name)) = toks.get(j).map(|t| &t.kind) {
-                // RHS tokens up to the statement end.
-                let mut k = j + 1;
-                while k <= close && !toks[k].is_punct(';') {
-                    k += 1;
-                }
-                let rhs = &toks[j + 1..k.min(toks.len())];
-                let forked = rhs
-                    .windows(2)
-                    .any(|w| w[0].is_punct('.') && w[1].is_ident("fork"));
-                let seeded = rhs.iter().any(|t| t.is_ident("seed_from_u64"));
-                let cloned_from = rhs.iter().enumerate().find_map(|(ri, t)| {
-                    (t.is_ident("clone")
-                        && ri >= 2
-                        && rhs[ri - 1].is_punct('.')
-                        && matches!(&rhs[ri - 2].kind, TokenKind::Ident(src) if bindings.contains_key(src.as_str())))
-                    .then(|| match &rhs[ri - 2].kind {
-                        TokenKind::Ident(src) => src.clone(),
-                        _ => unreachable!(),
-                    })
-                });
-                if forked {
-                    bindings.insert(name.as_str(), Origin::Fork);
-                } else if seeded {
-                    bindings.insert(name.as_str(), Origin::Raw);
-                } else if let Some(src) = &cloned_from {
-                    // Aliased: both handles replay the same stream.
-                    let origin = bindings[src.as_str()];
-                    bindings.insert(name.as_str(), origin);
-                }
-                i = k;
-                continue;
+            _ => None,
+        });
+        let origin = if forked {
+            Some(Origin::Fork)
+        } else if seeded {
+            Some(Origin::Raw)
+        } else {
+            cloned
+        };
+        if let Some(origin) = origin {
+            for name in &l.names {
+                bindings.insert(name.as_str(), origin);
             }
         }
-        i += 1;
     }
     // --- Finding 1: `.clone()` on any known stream handle.
     for k in open..=close.min(toks.len().saturating_sub(1)) {
@@ -121,7 +101,7 @@ fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Ve
         {
             if let TokenKind::Ident(recv) = &toks[k - 2].kind {
                 if bindings.contains_key(recv.as_str()) {
-                    out.push(diag(
+                    out.push(Diagnostic::new(
                         f,
                         "rng-fork-aliased",
                         toks[k].line,
@@ -146,14 +126,13 @@ fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Ve
         if !loop_ranges.iter().any(|&(lo, hi)| lo < k && k < hi) {
             continue;
         }
-        let args_close = match_delim_pub(toks, k + 1, '(', ')');
-        let args = &toks[k + 2..args_close.min(toks.len())];
+        let (args, _) = interior(toks, k + 1);
         let literal_only = !args.is_empty()
             && args
                 .iter()
                 .all(|t| matches!(t.kind, TokenKind::Number(_)));
         if literal_only {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "rng-fork-in-loop",
                 toks[k].line,
@@ -178,7 +157,7 @@ fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Ve
         if target == f.crate_name {
             continue;
         }
-        let args_close = match_delim_pub(toks, k + 1, '(', ')');
+        let args_close = match_delim(toks, k + 1);
         let mut a = k + 2;
         while a < args_close {
             // A bare (possibly `&`/`&mut`-wrapped) known raw handle.
@@ -190,7 +169,7 @@ fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Ve
                     .get(a + 1)
                     .is_some_and(|t| t.is_punct(',') || t.is_punct(')'));
                 if bare && bindings.get(arg.as_str()) == Some(&Origin::Raw) {
-                    out.push(diag(
+                    out.push(Diagnostic::new(
                         f,
                         "rng-cross-crate-untagged",
                         toks[a].line,
@@ -247,7 +226,7 @@ fn loop_body_ranges(f: &SourceFile, open: usize, close: usize) -> Vec<(usize, us
             continue;
         }
         if j <= close && j < toks.len() && toks[j].is_punct('{') {
-            out.push((j, crate::source::match_brace(toks, j)));
+            out.push((j, match_delim(toks, j)));
         }
     }
     out

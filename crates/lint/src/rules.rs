@@ -4,8 +4,8 @@
 //! the rationale behind each rule and how to add one.
 
 use crate::layers::LayerSpec;
-use crate::source::{FileKind, SourceFile};
 use crate::lexer::{Token, TokenKind};
+use crate::source::{interior, FileKind, SourceFile};
 use std::collections::HashMap;
 
 /// One finding: a rule, a location, the offending line, and a fix hint.
@@ -23,69 +23,57 @@ pub struct Diagnostic {
     pub hint: String,
 }
 
-/// All rule ids, in reporting order. Kept public so the baseline writer
-/// and the self-test can enumerate the catalogue.
-pub const RULES: &[&str] = &[
-    "no-wall-clock",
-    "no-external-rng",
-    "rng-fork-label-unique",
-    "raw-db-arithmetic",
-    "float-exact-eq",
-    "recorded-pairing",
-    "unwrap-in-lib",
-    "raw-numeric-cast",
-    "unjustified-allow",
-    "unit-mix-assign",
-    "unit-mix-arith",
-    "unit-mix-call",
-    "rng-fork-aliased",
-    "rng-fork-in-loop",
-    "rng-cross-crate-untagged",
-    "layer-violation",
-    "shared-mut-in-par-closure",
-    "interior-mut-crosses-threads",
-    "rng-unforked-in-par",
-    "snapshot-field-uncovered",
-    "unordered-iter-in-output",
-    "panic-reachable-from-decode",
-    "blocking-in-hot-loop",
-    "recorded-effect-divergence",
-    "rng-reaches-par-unforked",
-];
+impl Diagnostic {
+    /// A finding of `rule` at `line` of `f`, quoting that line.
+    pub(crate) fn new(
+        f: &SourceFile,
+        rule: &'static str,
+        line: usize,
+        hint: impl Into<String>,
+    ) -> Self {
+        let (file, snippet, hint) = (f.rel.clone(), f.snippet(line), hint.into());
+        Diagnostic {
+            rule,
+            file,
+            line,
+            snippet,
+            hint,
+        }
+    }
+}
 
-/// One-paragraph doc string per rule id, in the same order as [`RULES`],
-/// printed by `movr-lint --explain <rule>` and embedded in the SARIF
-/// catalogue consumers. Kept as data (not doc comments) so the binary
-/// can serve it at runtime with no proc-macro machinery.
-pub const RULE_DOCS: &[(&str, &str)] = &[
+/// The rule catalogue in reporting order: each id with the paragraph
+/// `movr-lint --explain <rule>` prints. Kept as data (not doc comments)
+/// so the binary can serve it at runtime.
+pub const RULES: &[(&str, &str)] = &[
     ("no-wall-clock",
      "std::time::Instant/SystemTime anywhere outside the testkit and bench crates. Simulation code must be a pure function of SimTime + SimRng; a wall clock breaks bit determinism silently."),
     ("no-external-rng",
      "Any randomness source other than movr_math::rng::SimRng (thread_rng, StdRng, OsRng, getrandom, rand::…). External RNGs are unseeded or version-dependent; both destroy reproducibility."),
     ("rng-fork-label-unique",
-     "Two SimRng fork/seed sites anywhere in the workspace share the same literal label. Stream identity is the label; a collision silently correlates two supposedly independent streams."),
+     "Two .fork(<number>) calls in one crate's library code (outside #[cfg(test)]) with the same literal label, compared after dropping underscores, an f32/f64 suffix and a zero fraction; labels that are not a single number are not compared. Stream identity is the label; a collision silently correlates two supposedly independent streams."),
     ("raw-db-arithmetic",
-     "Decibel quantities combined with raw +/- or 10f64.powf outside the audited movr_math::db helpers. A 10-vs-20-log10 slip skews every link-budget figure; the helpers carry the audited conversions."),
+     "A dB conversion written by hand outside crates/math/src/db.rs and #[cfg(test)]: a powf(…) whose argument divides by 10 or 20 (10f64.powf(x / 10.0)), or a 10 or 20 multiplied on the same line as a log10 call (20.0 * x.log10()). A 10-vs-20 slip skews every link-budget figure; the movr_math::db helpers carry the audited conversions."),
     ("float-exact-eq",
      "== or != between floating-point expressions in lib code. Exact float equality is almost always a latent tolerance bug; use movr_testkit::assert_close or an explicit epsilon."),
     ("recorded-pairing",
      "A fn name ends in _recorded but no unsuffixed twin exists in the same file (or vice versa where required). The observability contract is a plain/recorded pair whose plain path has zero overhead."),
     ("unwrap-in-lib",
-     ".unwrap()/.expect( in library code outside #[cfg(test)]. Library paths must surface structured errors; panics in the middle of a session kill the whole sim and its goldens."),
+     ".unwrap() in library code outside #[cfg(test)]; .expect(\"…\") does not fire. Library paths must name the invariant they rely on (expect states it) or return a structured error; a bare unwrap kills the session and its goldens without saying which invariant broke."),
     ("raw-numeric-cast",
      "A lossy `as` cast between numeric types in lib code. Silent truncation/rounding corrupts fingerprints; use the checked movr_math::convert helpers (or a justified // lint: comment where audited)."),
     ("unjustified-allow",
      "#[allow(...)] without a // lint: justification comment on the same line. Suppressions are fine when they say why; naked ones rot."),
     ("unit-mix-assign",
-     "A binding whose name declares one unit class (db/hz/meters/seconds/ratio) is assigned an expression of another. Unit slips through assignment are the quietest wrong-figure generator."),
+     "A let binding, assignment (plain or compound) or struct-literal field whose name or type declares one unit class — Db (_db), Dbm (_dbm), Linear (_linear, _lin), Radians (_rad, _radians), Degrees (_deg, _degrees, AngleDeg) or SimTime — takes a value of another class. Unit slips through assignment are the quietest wrong-figure generator."),
     ("unit-mix-arith",
-     "Additive arithmetic mixes unit classes (e.g. a _db value plus a _hz value). Multiplicative mixes are fine (gains scale quantities); additive ones are category errors."),
+     "Binary +, - or * whose operands are both classified (Db, Dbm, Linear, Radians, Degrees, SimTime) and differ in class, e.g. a _db value plus a _linear one. Db and Dbm combine under + and - (power plus gain); every other cross-class mix is a category error."),
     ("unit-mix-call",
-     "A call passes an argument whose unit class contradicts the parameter name of the callee (workspace-local signature match). The classic meters-into-hz slip."),
+     "A call passes a single-term argument whose unit class (Db, Dbm, Linear, Radians, Degrees, SimTime) contradicts the class of the callee's parameter, read from the parameter's name or type in the workspace-wide signature table; names defined with conflicting signatures are skipped. The classic dBm-into-linear slip."),
     ("rng-fork-aliased",
-     "Two forks from the same parent stream share a label expression within a function. Aliased children replay identical draws — every consumer sees correlated randomness."),
+     ".clone() of a SimRng stream within a function: a SimRng parameter, or a let bound by a fork, by seed_from_u64 or by cloning another stream. The clone replays the parent's exact draws, so the two handles stay bit-correlated; fork a labelled child instead."),
     ("rng-fork-in-loop",
-     "A fork whose label does not involve the loop variable sits inside a loop. Each iteration re-creates the same child stream and replays its draws."),
+     "A .fork(…) whose label is made only of number literals, inside a for/while/loop body. Every iteration re-creates the same child stream, told apart only by the parent's call order; derive the label from the loop variable."),
     ("rng-cross-crate-untagged",
      "A SimRng crosses a crate boundary as a bare &mut without a fork at the call site. Callees drawing from a caller's stream entangle stream state across module seams; fork a labelled child at the boundary."),
     ("layer-violation",
@@ -93,11 +81,9 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     ("shared-mut-in-par-closure",
      "A parallel closure (pool_map/scope spawn) assigns to, takes &mut of, or calls a mutating method on an enclosing binding. Which worker wrote last is scheduling-dependent; return values and join in spawn order. Closures passed to WorkerPool::map method calls are not seen: matching .map( by name would also catch every Iterator::map."),
     ("interior-mut-crosses-threads",
-     "A parallel closure captures RefCell/Cell/Rc/MemoPattern state or touches a static mut. Shared interior mutability makes per-worker results order-dependent even when it compiles."),
+     "A parallel closure captures a binding whose type or initializer names RefCell, Cell or Rc, or touches a static mut. Shared interior mutability makes per-worker results order-dependent even when it compiles."),
     ("rng-unforked-in-par",
-     "A SimRng stream owned outside a parallel closure is drawn inside it without a per-item fork keyed on the item index. Draws interleave in worker order, destroying bit-identity across thread counts."),
-    ("snapshot-field-uncovered",
-     "A field of a snapshot-codec struct is not touched by both the encode and decode paths in crates/core/src/snapshot.rs. An uncovered field silently resets on restore and the resume fingerprint diverges."),
+     "A parallel closure (pool_map/scope spawn) references an enclosing binding that holds an RNG stream — its type or initializer names SimRng or a struct that transitively holds one, or it was seeded or forked — other than through a per-item fork whose label uses a closure parameter (rng.fork(i), ctx.rng.fork(i)). Draws interleave in worker order, destroying bit-identity across thread counts."),
     ("unordered-iter-in-output",
      "Iteration over a HashMap/HashSet feeds an output channel (writer, sink, fingerprint) without an intervening sort. Hash iteration order is randomized per process; outputs must be canonically ordered."),
     ("panic-reachable-from-decode",
@@ -106,13 +92,11 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
      "A hot-loop root (step_frame, Session::step, the estimate_* sweep kernels) transitively reaches blocking-io or wall-clock effects. The motion-to-photon budget is milliseconds; one buried println! or Instant::now() in the per-frame path blows it, and the wall clock also breaks determinism."),
     ("recorded-effect-divergence",
      "A foo/foo_recorded pair whose transitive effect sets differ beyond sink-write. The recorded twin must be the plain computation plus events only; extra I/O, panics, or randomness mean the instrumented run no longer measures the plain run."),
-    ("rng-reaches-par-unforked",
-     "The transitive version of rng-unforked-in-par: a parallel closure passes an rng-carrying binding (a struct holding a SimRng, possibly nested) to a helper that transitively draws, without a per-item fork. v3 sees only direct draws; the call graph follows the draw through any number of helpers."),
 ];
 
 /// The doc string for `rule`, if it is a known rule id.
 pub fn rule_doc(rule: &str) -> Option<&'static str> {
-    RULE_DOCS
+    RULES
         .iter()
         .find(|(id, _)| *id == rule)
         .map(|(_, doc)| *doc)
@@ -138,26 +122,20 @@ pub fn run_all(files: &[SourceFile], layers: Option<&LayerSpec>) -> Vec<Diagnost
     crate::units::check(files, &mut out);
     crate::rng_flow::check(files, &mut out);
     crate::par_capture::check(files, &mut out);
-    crate::snapshot_cov::check(files, &mut out);
     crate::order_io::check(files, &mut out);
     crate::effects::check(files, &mut out);
     if let Some(spec) = layers {
         crate::layers::check(files, spec, &mut out);
     }
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
-    out
+    sorted(out)
 }
 
-fn diag(f: &SourceFile, rule: &'static str, line: usize, hint: impl Into<String>) -> Diagnostic {
-    Diagnostic {
-        rule,
-        file: f.rel.clone(),
-        line,
-        snippet: f.snippet(line),
-        hint: hint.into(),
-    }
+/// `diagnostics` in reporting order: by file, then line, then rule
+/// (stable, so one site's findings keep the order they were found in).
+pub(crate) fn sorted(mut diagnostics: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    diagnostics
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    diagnostics
 }
 
 /// **no-wall-clock** — `std::time::Instant`/`SystemTime` anywhere
@@ -171,7 +149,7 @@ fn no_wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     for t in &f.tokens {
         if let TokenKind::Ident(name) = &t.kind {
             if name == "Instant" || name == "SystemTime" {
-                out.push(diag(
+                out.push(Diagnostic::new(
                     f,
                     "no-wall-clock",
                     t.line,
@@ -205,7 +183,7 @@ fn no_external_rng(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 && f.tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
                 && f.tokens.get(i + 2).is_some_and(|t| t.is_punct(':')));
         if banned {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "no-external-rng",
                 t.line,
@@ -248,7 +226,7 @@ fn rng_fork_label_unique(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
         let key = (f.crate_name.clone(), normalize_number(label));
         let line = f.tokens[i].line;
         if let Some((first_file, first_line)) = seen.get(&key) {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "rng-fork-label-unique",
                 line,
@@ -279,14 +257,13 @@ fn raw_db_arithmetic(f: &SourceFile, out: &mut Vec<Diagnostic>) {
         }
         // powf(... / 10.0 ...) or powf(... / 20.0 ...)
         if t.is_ident("powf") && f.tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            let close = match_paren(&f.tokens, i + 1);
-            let args = &f.tokens[i + 2..close.min(f.tokens.len())];
+            let (args, _) = interior(&f.tokens, i + 1);
             let divides_by_db_factor = args.windows(2).any(|w| {
                 w[0].is_punct('/')
                     && matches!(&w[1].kind, TokenKind::Number(n) if is_db_factor(n))
             });
             if divides_by_db_factor {
-                out.push(diag(f, "raw-db-arithmetic", t.line, HINT));
+                out.push(Diagnostic::new(f, "raw-db-arithmetic", t.line, HINT));
             }
         }
         // 10.0 * (...).log10()  /  (...).log10() * 20.0  (same line)
@@ -301,7 +278,7 @@ fn raw_db_arithmetic(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                         && matches!(&w[0].kind, TokenKind::Number(n) if is_db_factor(n)))
             });
             if multiplied {
-                out.push(diag(f, "raw-db-arithmetic", line, HINT));
+                out.push(Diagnostic::new(f, "raw-db-arithmetic", line, HINT));
             }
         }
     }
@@ -348,7 +325,7 @@ fn float_exact_eq(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             }
         };
         if floaty(before, false) || floaty(after, true) {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "float-exact-eq",
                 f.tokens[i].line,
@@ -371,21 +348,7 @@ fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     if f.kind != FileKind::Lib {
         return;
     }
-    // Collect fn definition sites by name.
-    let mut defs: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, t) in f.tokens.iter().enumerate() {
-        if t.is_ident("fn") {
-            if let Some(TokenKind::Ident(name)) = f.tokens.get(i + 1).map(|t| &t.kind) {
-                defs.entry(name.as_str()).or_default().push(i);
-            }
-        }
-    }
-    let mut recorded: Vec<&str> = defs
-        .keys()
-        .copied()
-        .filter(|n| n.ends_with("_recorded"))
-        .collect();
-    recorded.sort_unstable();
+    let fns = &f.parsed.fns;
     let has_null_delegation = f
         .tokens
         .iter()
@@ -393,15 +356,17 @@ fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
         .any(|(i, t)| {
             (t.is_ident("NullRecorder") || t.is_ident("null_capture")) && !f.in_cfg_test(i)
         });
-    for name in recorded {
-        let base = name.trim_end_matches("_recorded");
-        let def_idx = defs[name][0];
-        if f.in_cfg_test(def_idx) {
+    for (k, sig) in fns.iter().enumerate() {
+        let (name, line) = (sig.name.as_str(), sig.line);
+        let Some(base) = name.strip_suffix("_recorded") else {
+            continue;
+        };
+        // A name's first definition speaks for it; test-only ones are exempt.
+        if fns[..k].iter().any(|s| s.name == name) || f.in_cfg_test(sig.start) {
             continue;
         }
-        let line = f.tokens[def_idx].line;
-        if !defs.contains_key(base) {
-            out.push(diag(
+        if !fns.iter().any(|s| s.name == base) {
+            out.push(Diagnostic::new(
                 f,
                 "recorded-pairing",
                 line,
@@ -412,13 +377,13 @@ fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
         // Inverse delegation: any `X_recorded` body that calls plain `X`
         // is sound by construction (observability layered over the
         // primitive, e.g. a default trait method).
-        let wraps_plain = defs[name].iter().any(|&di| {
-            fn_body(f, di).is_some_and(|(open, close)| {
+        let wraps_plain = fns.iter().filter(|s| s.name == name).any(|s| {
+            s.body.is_some_and(|(open, close)| {
                 f.tokens[open..=close].iter().any(|t| t.is_ident(base))
             })
         });
         if !wraps_plain && !has_null_delegation {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "recorded-pairing",
                 line,
@@ -441,7 +406,7 @@ fn unwrap_in_lib(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             && f.tokens[i - 1].is_punct('.')
             && !f.is_test_code(i)
         {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "unwrap-in-lib",
                 t.line,
@@ -472,7 +437,7 @@ fn raw_numeric_cast(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 Some(TokenKind::Ident(n)) if NUMERIC.contains(&n.as_str()))
             && !f.is_test_code(i)
         {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "raw-numeric-cast",
                 t.line,
@@ -508,7 +473,7 @@ fn unjustified_allow(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             .get(line - 1)
             .is_some_and(|l| l.contains("// lint:"));
         if !justified {
-            out.push(diag(
+            out.push(Diagnostic::new(
                 f,
                 "unjustified-allow",
                 line,
@@ -516,39 +481,6 @@ fn unjustified_allow(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// Body token range `(open_brace, close_brace)` of the fn whose `fn`
-/// keyword is at `def_idx`; `None` for a body-less trait signature
-/// (`fn x(...);`).
-fn fn_body(f: &SourceFile, def_idx: usize) -> Option<(usize, usize)> {
-    for k in def_idx..f.tokens.len() {
-        if f.tokens[k].is_punct(';') {
-            return None;
-        }
-        if f.tokens[k].is_punct('{') {
-            return Some((k, crate::source::match_brace(&f.tokens, k)));
-        }
-    }
-    None
-}
-
-/// Index of the `)` matching `tokens[open]` (which must be `(`).
-fn match_paren(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        if let TokenKind::Punct(c) = t.kind {
-            if c == '(' {
-                depth += 1;
-            } else if c == ')' {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
 }
 
 /// True for the dB conversion factors `10` / `20` in any spelling
@@ -595,17 +527,6 @@ mod tests {
             .into_iter()
             .map(|d| (d.rule, d.line))
             .collect()
-    }
-
-    #[test]
-    fn every_rule_has_exactly_one_doc_in_catalogue_order() {
-        let doc_ids: Vec<&str> = RULE_DOCS.iter().map(|(id, _)| *id).collect();
-        assert_eq!(doc_ids, RULES, "RULE_DOCS must mirror RULES exactly");
-        for (id, doc) in RULE_DOCS {
-            assert!(!doc.is_empty(), "{id} has an empty doc");
-            assert_eq!(rule_doc(id), Some(*doc));
-        }
-        assert_eq!(rule_doc("not-a-rule"), None);
     }
 
     #[test]

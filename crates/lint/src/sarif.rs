@@ -36,7 +36,7 @@ pub fn render(report: &Report) -> String {
     out.push_str("          \"name\": \"movr-lint\",\n");
     out.push_str("          \"informationUri\": \"https://github.com/movr-sim/movr\",\n");
     out.push_str("          \"rules\": [\n");
-    let mut rule_ids: Vec<&str> = RULES.to_vec();
+    let mut rule_ids: Vec<&str> = RULES.iter().map(|(id, _)| *id).collect();
     rule_ids.push(STALE_RULE_ID);
     for (i, id) in rule_ids.iter().enumerate() {
         out.push_str("            {\"id\": ");

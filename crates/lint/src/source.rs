@@ -3,7 +3,7 @@
 //! items). Rules consult this to scope themselves correctly.
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::parser::{self, ParsedFile};
+use crate::parser::{self, FnSig, ParsedFile};
 
 /// Where a `.rs` file sits in the workspace layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +79,17 @@ impl SourceFile {
             .map(|l| l.trim().to_string())
             .unwrap_or_default()
     }
+
+    /// The innermost `fn` whose body contains the token at `idx`.
+    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnSig> {
+        let body = |s: &FnSig| s.body.filter(|&(open, close)| open <= idx && idx <= close);
+        self.parsed
+            .fns
+            .iter()
+            .filter_map(|s| body(s).map(|(open, close)| (close - open, s)))
+            .min_by_key(|&(span, _)| span)
+            .map(|(_, s)| s)
+    }
 }
 
 /// Derives `(crate_name, kind)` from a workspace-relative path.
@@ -118,7 +129,7 @@ fn compute_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
                         break tokens.len();
                     }
                     if tokens[k].is_punct('{') {
-                        break match_brace(tokens, k) + 1;
+                        break match_delim(tokens, k) + 1;
                     }
                     if tokens[k].is_punct(';') {
                         break k + 1;
@@ -146,8 +157,7 @@ fn cfg_test_attr_end(tokens: &[Token], i: usize) -> Option<usize> {
     if !tokens.get(j)?.is_punct('[') {
         return None;
     }
-    let close = match_bracket(tokens, j);
-    let body = &tokens[j + 1..close.min(tokens.len())];
+    let (body, close) = interior(tokens, j);
     let has_cfg = body.iter().any(|t| t.is_ident("cfg"));
     let has_test = body.iter().any(|t| t.is_ident("test"));
     if has_cfg && has_test {
@@ -164,46 +174,41 @@ fn skip_attr(tokens: &[Token], i: usize) -> usize {
         j += 1;
     }
     if tokens.get(j).is_some_and(|t| t.is_punct('[')) {
-        match_bracket(tokens, j) + 1
+        match_delim(tokens, j) + 1
     } else {
         j
     }
 }
 
-/// `tokens[open]` is `[`; returns the index of the matching `]` (or the
-/// last token if unbalanced).
-fn match_bracket(tokens: &[Token], open: usize) -> usize {
-    match_delim(tokens, open, '[', ']')
-}
-
-/// `tokens[open]` is `{`; returns the index of the matching `}` (or the
-/// last token if unbalanced).
-pub fn match_brace(tokens: &[Token], open: usize) -> usize {
-    match_delim(tokens, open, '{', '}')
-}
-
-/// `tokens[open]` is the opening delimiter `lo`; returns the index of
-/// the matching `hi` (or the last token if unbalanced). Public variant
-/// for analyses that match parens/brackets outside this module.
-pub fn match_delim_pub(tokens: &[Token], open: usize, lo: char, hi: char) -> usize {
-    match_delim(tokens, open, lo, hi)
-}
-
-fn match_delim(tokens: &[Token], open: usize, lo: char, hi: char) -> usize {
+/// `tokens[open]` is `(`, `[` or `{`; returns the index of its matching
+/// closer. An unclosed delimiter matches itself: its interior is empty,
+/// and a scan resuming at `close + 1` still visits what follows it.
+pub fn match_delim(tokens: &[Token], open: usize) -> usize {
+    let (lo, hi) = match tokens.get(open).map(|t| &t.kind) {
+        Some(TokenKind::Punct('(')) => ('(', ')'),
+        Some(TokenKind::Punct('[')) => ('[', ']'),
+        Some(TokenKind::Punct('{')) => ('{', '}'),
+        _ => return open,
+    };
     let mut depth = 0usize;
     for (k, t) in tokens.iter().enumerate().skip(open) {
-        if let TokenKind::Punct(c) = t.kind {
-            if c == lo {
-                depth += 1;
-            } else if c == hi {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
+        if t.is_punct(lo) {
+            depth += 1;
+        } else if t.is_punct(hi) {
+            depth -= 1;
+            if depth == 0 {
+                return k;
             }
         }
     }
-    tokens.len().saturating_sub(1)
+    open
+}
+
+/// The tokens strictly inside the delimiter at `open`, and the index of
+/// its closer (see [`match_delim`]).
+pub fn interior(tokens: &[Token], open: usize) -> (&[Token], usize) {
+    let close = match_delim(tokens, open);
+    (tokens.get(open + 1..close).unwrap_or_default(), close)
 }
 
 #[cfg(test)]

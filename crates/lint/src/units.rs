@@ -26,8 +26,8 @@
 
 use crate::lexer::TokenKind;
 use crate::rules::Diagnostic;
-use crate::source::{FileKind, SourceFile};
-use std::collections::HashMap;
+use crate::source::{interior, match_delim, FileKind, SourceFile};
+use std::collections::{BTreeSet, HashMap};
 
 /// The audited conversion site where classes may mix freely.
 const EXEMPT_FILE: &str = "crates/math/src/db.rs";
@@ -173,15 +173,6 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn diag(
-    f: &SourceFile,
-    rule: &'static str,
-    line: usize,
-    hint: String,
-) -> Diagnostic {
-    Diagnostic { rule, file: f.rel.clone(), line, snippet: f.snippet(line), hint }
-}
-
 /// The classified first term of an expression starting at `i`:
 /// `(class, end_index_exclusive)`. Walks one path / call / field chain,
 /// letting classified method calls re-classify the chain
@@ -206,7 +197,7 @@ fn term_class(f: &SourceFile, start: usize) -> (Option<UnitClass>, usize) {
         Some(TokenKind::Ident(_)) => {}
         Some(TokenKind::Punct('(')) => {
             // Parenthesised subexpression: opaque.
-            return (None, crate::source::match_delim_pub(toks, i, '(', ')') + 1);
+            return (None, match_delim(toks, i) + 1);
         }
         _ => return (None, i + 1),
     }
@@ -227,7 +218,7 @@ fn term_class(f: &SourceFile, start: usize) -> (Option<UnitClass>, usize) {
     if toks.get(i).is_some_and(|t| t.is_punct('(')) {
         // Call: class of the callee name.
         cls = classify_name(&last);
-        i = crate::source::match_delim_pub(toks, i, '(', ')') + 1;
+        i = match_delim(toks, i) + 1;
     } else {
         cls = classify_name(&last).or_else(|| classify_type(&last));
     }
@@ -242,13 +233,10 @@ fn term_class(f: &SourceFile, start: usize) -> (Option<UnitClass>, usize) {
                     // combinators taking a closure (`.map(|g| …)`),
                     // where the closure decides the value's class and
                     // we can't see inside it.
-                    let close = crate::source::match_delim_pub(toks, i + 2, '(', ')');
+                    let (args, close) = interior(toks, i + 2);
                     if let Some(c) = classify_name(&w) {
                         cls = Some(c);
-                    } else if toks[i + 3..close.min(toks.len())]
-                        .iter()
-                        .any(|t| t.is_punct('|'))
-                    {
+                    } else if args.iter().any(|t| t.is_punct('|')) {
                         cls = None;
                     }
                     i = close + 1;
@@ -306,64 +294,49 @@ fn left_class(f: &SourceFile, end: usize) -> Option<UnitClass> {
 /// struct-literal / pattern field bindings.
 fn check_assignments(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     let toks = &f.tokens;
+    // -- `let name [: Type] = term`: the name classifies, else the
+    // annotation's last ident.
+    for l in &f.parsed.lets {
+        let (Some(eq), [name]) = (l.eq, l.names.as_slice()) else {
+            continue;
+        };
+        if f.is_test_code(l.start) {
+            continue;
+        }
+        let ann = l.ty.and_then(|(lo, hi)| {
+            toks[lo..hi].iter().rev().find_map(|t| match &t.kind {
+                TokenKind::Ident(w) => Some(w.as_str()),
+                _ => None,
+            })
+        });
+        let ann = ann.and_then(classify_type);
+        let (rhs, _) = term_class(f, eq + 1);
+        if let (Some(a), Some(b)) = (classify_name(name).or(ann), rhs) {
+            if !compatible(a, b, '=') {
+                out.push(Diagnostic::new(
+                    f,
+                    "unit-mix-assign",
+                    toks[l.start].line,
+                    format!(
+                        "binding classified as {} is initialised from a {} value; convert through movr_math::db / movr_math::AngleDeg first",
+                        a.name(),
+                        b.name()
+                    ),
+                ));
+            }
+        }
+    }
+    let let_eqs: BTreeSet<usize> = f.parsed.lets.iter().filter_map(|l| l.eq).collect();
     for i in 0..toks.len() {
         if f.is_test_code(i) {
             continue;
         }
-        // -- `let [mut] name [: Type] = term`
-        if toks[i].is_ident("let") {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            let Some(TokenKind::Ident(name)) = toks.get(j).map(|t| &t.kind) else {
-                continue;
-            };
-            let mut lhs = classify_name(name);
-            j += 1;
-            if toks.get(j).is_some_and(|t| t.is_punct(':'))
-                && !toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-            {
-                // Annotated: the type classifies too; walk to `=`.
-                let mut k = j + 1;
-                let mut ann_last = None;
-                while k < toks.len() && !toks[k].is_punct('=') && !toks[k].is_punct(';') {
-                    if let TokenKind::Ident(w) = &toks[k].kind {
-                        ann_last = Some(w.clone());
-                    }
-                    k += 1;
-                }
-                if lhs.is_none() {
-                    lhs = ann_last.as_deref().and_then(classify_type);
-                }
-                j = k;
-            }
-            if !toks.get(j).is_some_and(|t| t.is_punct('='))
-                || toks.get(j + 1).is_some_and(|t| t.is_punct('='))
-            {
-                continue;
-            }
-            let (rhs, _) = term_class(f, j + 1);
-            if let (Some(a), Some(b)) = (lhs, rhs) {
-                if !compatible(a, b, '=') {
-                    out.push(diag(
-                        f,
-                        "unit-mix-assign",
-                        toks[i].line,
-                        format!(
-                            "binding classified as {} is initialised from a {} value; convert through movr_math::db / movr_math::AngleDeg first",
-                            a.name(),
-                            b.name()
-                        ),
-                    ));
-                }
-            }
-            continue;
-        }
-        // -- plain `name = term` and compound `name op= term`
+        // -- plain `name = term` and compound `name op= term`; a `let`'s
+        // own `=` was handled above.
         if toks[i].is_punct('=')
             && !toks.get(i + 1).is_some_and(|t| t.is_punct('='))
             && i >= 1
+            && !let_eqs.contains(&i)
         {
             let prev = &toks[i - 1];
             // Exclude comparisons (`==`, `<=`, `>=`, `!=`) and arrows.
@@ -380,31 +353,11 @@ fn check_assignments(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 (i.checked_sub(1), '=')
             };
             let Some(lhs_end) = lhs_end else { continue };
-            // `let` bindings were handled above — skip a statement that
-            // opens with `let` within a short lookback window.
-            let mut k = lhs_end;
-            let mut is_let = false;
-            for _ in 0..8 {
-                if toks[k].is_punct(';') || toks[k].is_punct('{') || toks[k].is_punct('}') {
-                    break;
-                }
-                if toks[k].is_ident("let") {
-                    is_let = true;
-                    break;
-                }
-                if k == 0 {
-                    break;
-                }
-                k -= 1;
-            }
-            if is_let {
-                continue;
-            }
             let lhs = left_class(f, lhs_end);
             let (rhs, _) = term_class(f, i + 1);
             if let (Some(a), Some(b)) = (lhs, rhs) {
                 if !compatible(a, b, op) {
-                    out.push(diag(
+                    out.push(Diagnostic::new(
                         f,
                         "unit-mix-assign",
                         toks[i].line,
@@ -431,7 +384,7 @@ fn check_assignments(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             let (rhs, _) = term_class(f, i + 1);
             let Some(b) = rhs else { continue };
             if !compatible(a, b, '=') {
-                out.push(diag(
+                out.push(Diagnostic::new(
                     f,
                     "unit-mix-assign",
                     toks[i].line,
@@ -473,7 +426,7 @@ fn check_arithmetic(f: &SourceFile, out: &mut Vec<Diagnostic>) {
         let (rhs, _) = term_class(f, i + 1);
         if let (Some(a), Some(b)) = (lhs, rhs) {
             if !compatible(a, b, op) {
-                out.push(diag(
+                out.push(Diagnostic::new(
                     f,
                     "unit-mix-arith",
                     toks[i].line,
@@ -511,7 +464,7 @@ fn check_calls(f: &SourceFile, sigs: &HashMap<String, SigEntry>, out: &mut Vec<D
             continue;
         }
         let open = i + 1;
-        let close = crate::source::match_delim_pub(toks, open, '(', ')');
+        let close = match_delim(toks, open);
         let mut arg_start = open + 1;
         let mut arg_idx = 0usize;
         while arg_start < close && arg_idx < entry.param_classes.len() {
@@ -524,7 +477,7 @@ fn check_calls(f: &SourceFile, sigs: &HashMap<String, SigEntry>, out: &mut Vec<D
             if simple {
                 if let (Some(want), Some(got)) = (entry.param_classes[arg_idx], cls) {
                     if !compatible(want, got, '=') {
-                        out.push(diag(
+                        out.push(Diagnostic::new(
                             f,
                             "unit-mix-call",
                             toks[i].line,

@@ -3,17 +3,17 @@
 //! read-only captures, values returned instead of shared).
 
 use movr_math::SimRng;
-use movr_rfsim::MemoPattern;
 use movr_sim::pool_map;
+use std::cell::RefCell;
 
 /// Seeded: one closure committing all three parallel-capture sins on
 /// three distinct lines.
 pub fn tally(items: &[u64], rng: &mut SimRng) -> Vec<u64> {
     let mut total = 0u64;
-    let memo = MemoPattern::new(1.0);
+    let memo = RefCell::new(1u64);
     pool_map(items, 4, |_, &x| {
         total += x;
-        let boost = memo.gain(x);
+        let boost = *memo.borrow() ^ x;
         boost ^ rng.next_u64()
     })
 }
@@ -44,8 +44,8 @@ pub fn joined(shared: &mut Vec<u64>) {
     });
 }
 
-/// Carrier context: the stream hides one field deep — v3's local
-/// check cannot see the draw, the v4 call graph can.
+/// Carrier context: the stream hides one field deep, so handing `ctx`
+/// to a helper hands over the stream.
 pub struct Ctx {
     pub rng: SimRng,
 }

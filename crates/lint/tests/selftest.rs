@@ -4,7 +4,7 @@
 //! precise diff here. Also exercises the ratchet round-trip on the
 //! fixture findings.
 
-use movr_lint::{analyze, analyze_threaded, apply_baseline, Baseline, RULES};
+use movr_lint::{analyze, apply_baseline, Baseline, RULES};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -33,9 +33,6 @@ const EXPECTED: &[(&str, &str, usize)] = &[
     ("panic-reachable-from-decode", "crates/codec/src/lib.rs", 12),
     ("panic-reachable-from-decode", "crates/codec/src/lib.rs", 21),
     ("recorded-effect-divergence", "crates/codec/src/lib.rs", 57),
-    ("snapshot-field-uncovered", "crates/core/src/session.rs", 9),
-    ("snapshot-field-uncovered", "crates/core/src/session.rs", 9),
-    ("snapshot-field-uncovered", "crates/core/src/session.rs", 16),
     ("blocking-in-hot-loop", "crates/hot/src/lib.rs", 13),
     ("blocking-in-hot-loop", "crates/hot/src/lib.rs", 21),
     ("blocking-in-hot-loop", "crates/hot/src/lib.rs", 21),
@@ -46,7 +43,7 @@ const EXPECTED: &[(&str, &str, usize)] = &[
     ("interior-mut-crosses-threads", "crates/par/src/lib.rs", 16),
     ("rng-unforked-in-par", "crates/par/src/lib.rs", 17),
     ("shared-mut-in-par-closure", "crates/par/src/lib.rs", 24),
-    ("rng-reaches-par-unforked", "crates/par/src/lib.rs", 59),
+    ("rng-unforked-in-par", "crates/par/src/lib.rs", 59),
     ("rng-fork-aliased", "crates/rng/src/lib.rs", 4),
     ("rng-fork-in-loop", "crates/rng/src/lib.rs", 9),
     ("rng-cross-crate-untagged", "crates/rng/src/lib.rs", 15),
@@ -71,7 +68,7 @@ fn fixture_hits_are_exact() {
 #[test]
 fn every_rule_fires_on_the_fixture() {
     let report = analyze(&fixture_root()).expect("fixture workspace analyzes");
-    for rule in RULES {
+    for (rule, _) in RULES {
         assert!(
             report.diagnostics.iter().any(|d| d.rule == *rule),
             "rule `{rule}` produced no fixture diagnostic — catalogue untested"
@@ -123,27 +120,13 @@ fn exempt_db_file_mixes_units_cleanly() {
 }
 
 #[test]
-fn parallel_report_is_byte_identical() {
-    let one = analyze_threaded(&fixture_root(), 1).expect("single-threaded");
-    for threads in [2, 3, 8] {
-        let many = analyze_threaded(&fixture_root(), threads).expect("threaded");
-        assert_eq!(
-            one.render_json(),
-            many.render_json(),
-            "{threads}-thread report drifted from single-threaded output"
-        );
-        assert_eq!(one.files_scanned, many.files_scanned);
-    }
-}
-
-#[test]
 fn json_report_mentions_every_rule_hit() {
     let report = apply_baseline(
         analyze(&fixture_root()).expect("fixture workspace analyzes"),
         &Baseline::empty(),
     );
     let json = report.render_json();
-    for rule in RULES {
+    for (rule, _) in RULES {
         assert!(json.contains(rule), "JSON output missing rule `{rule}`");
     }
     assert!(json.contains("\"clean\": false"));

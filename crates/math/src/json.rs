@@ -24,7 +24,6 @@
 
 use crate::convert::f64_to_u64;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Deref;
@@ -172,15 +171,6 @@ impl<'a> Json<'a> {
     pub fn fields(&self) -> Option<&[(JsonStr<'a>, Json<'a>)]> {
         match self {
             Json::Obj(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// Object fields as a sorted map (duplicate keys: last wins), if
-    /// this is an object.
-    pub fn to_map(&self) -> Option<BTreeMap<&str, &Json<'a>>> {
-        match self {
-            Json::Obj(f) => Some(f.iter().map(|(k, v)| (k.as_str(), v)).collect()),
             _ => None,
         }
     }

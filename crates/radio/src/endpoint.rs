@@ -66,11 +66,6 @@ impl RadioEndpoint {
         &self.array
     }
 
-    /// The steerable array (steering access).
-    pub fn array_mut(&mut self) -> &mut SteeredArray {
-        &mut self.array
-    }
-
     /// Steers the beam toward an absolute bearing; returns the applied
     /// bearing (clamped to the scan range).
     pub fn steer_to(&mut self, absolute_deg: f64) -> f64 {

