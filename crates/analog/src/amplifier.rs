@@ -59,20 +59,6 @@ impl Default for VariableGainAmplifier {
 }
 
 impl VariableGainAmplifier {
-    /// Creates a VGA with the given gain range and default currents.
-    ///
-    /// # Panics
-    /// Panics if the range is inverted.
-    pub fn with_range(min_gain_db: f64, max_gain_db: f64) -> Self {
-        assert!(max_gain_db >= min_gain_db, "gain range inverted");
-        VariableGainAmplifier {
-            min_gain_db,
-            max_gain_db,
-            gain_db: min_gain_db,
-            ..Default::default()
-        }
-    }
-
     /// Current commanded gain, dB (0 contribution when disabled).
     pub fn gain_db(&self) -> f64 {
         self.gain_db
@@ -94,15 +80,6 @@ impl VariableGainAmplifier {
     /// Powers the amplifier on or off.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-    }
-
-    /// The *effective* forward gain, dB: `-inf` when off.
-    pub fn effective_gain_db(&self) -> f64 {
-        if self.enabled {
-            self.gain_db
-        } else {
-            f64::NEG_INFINITY
-        }
     }
 
     /// True if the amplifier is saturated given a leakage attenuation of
@@ -144,7 +121,11 @@ mod tests {
 
     #[test]
     fn gain_clamps_to_range() {
-        let mut a = VariableGainAmplifier::with_range(5.0, 30.0);
+        let mut a = VariableGainAmplifier {
+            min_gain_db: 5.0,
+            max_gain_db: 30.0,
+            ..Default::default()
+        };
         assert_eq!(a.set_gain_db(50.0), 30.0);
         assert_eq!(a.set_gain_db(-10.0), 5.0);
         assert_eq!(a.set_gain_db(17.5), 17.5);
@@ -169,7 +150,6 @@ mod tests {
         a.set_enabled(false);
         assert_eq!(a.supply_current_a(20.0), 0.0);
         assert!(!a.is_saturated(20.0));
-        assert_eq!(a.effective_gain_db(), f64::NEG_INFINITY);
         assert_eq!(a.loop_margin_db(20.0), f64::INFINITY);
     }
 
@@ -217,11 +197,5 @@ mod tests {
         let rise_early = near - far;
         let rise_late = at - near;
         assert!(rise_late > 4.0 * rise_early, "early={rise_early} late={rise_late}");
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted")]
-    fn inverted_range_rejected() {
-        VariableGainAmplifier::with_range(10.0, 5.0);
     }
 }

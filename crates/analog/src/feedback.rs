@@ -42,11 +42,6 @@ impl FeedbackLoop {
         self.gain_db < self.leakage_attenuation_db
     }
 
-    /// Stability margin `L_dB − G_dB`, dB. Positive = stable.
-    pub fn margin_db(&self) -> f64 {
-        self.leakage_attenuation_db - self.gain_db
-    }
-
     /// Closed-loop gain in dB: `Some(G − 20·log10(1 − β))` when stable,
     /// `None` when the loop is unstable (the amplifier saturates and the
     /// output is garbage, not a larger signal).
@@ -56,12 +51,6 @@ impl FeedbackLoop {
         }
         let beta = self.loop_ratio();
         Some(self.gain_db - amplitude_to_db(1.0 - beta))
-    }
-
-    /// Regeneration (closed-loop minus forward gain), dB. `None` when
-    /// unstable.
-    pub fn regeneration_db(&self) -> Option<f64> {
-        self.closed_loop_gain_db().map(|c| c - self.gain_db)
     }
 }
 
@@ -77,29 +66,27 @@ mod tests {
     }
 
     #[test]
-    fn margin_sign_convention() {
-        assert!(FeedbackLoop::new(20.0, 30.0).margin_db() > 0.0);
-        assert!(FeedbackLoop::new(40.0, 30.0).margin_db() < 0.0);
-        assert_eq!(FeedbackLoop::new(20.0, 30.0).margin_db(), 10.0);
-    }
-
-    #[test]
     fn unstable_loop_has_no_gain() {
         assert_eq!(FeedbackLoop::new(30.0, 30.0).closed_loop_gain_db(), None);
-        assert_eq!(FeedbackLoop::new(50.0, 30.0).regeneration_db(), None);
+        assert_eq!(FeedbackLoop::new(50.0, 30.0).closed_loop_gain_db(), None);
+    }
+
+    /// Closed-loop minus forward gain, dB.
+    fn regeneration_db(g: f64, l: f64) -> f64 {
+        FeedbackLoop::new(g, l).closed_loop_gain_db().unwrap() - g
     }
 
     #[test]
     fn deep_margin_means_negligible_regeneration() {
         // 40 dB margin: β = 0.01, regeneration ≈ 0.09 dB.
-        let r = FeedbackLoop::new(10.0, 50.0).regeneration_db().unwrap();
+        let r = regeneration_db(10.0, 50.0);
         assert!(r > 0.0 && r < 0.1, "r={r}");
     }
 
     #[test]
     fn regeneration_diverges_at_the_boundary() {
-        let near = FeedbackLoop::new(29.9, 30.0).regeneration_db().unwrap();
-        let nearer = FeedbackLoop::new(29.99, 30.0).regeneration_db().unwrap();
+        let near = regeneration_db(29.9, 30.0);
+        let nearer = regeneration_db(29.99, 30.0);
         assert!(near > 18.0, "0.1 dB margin regenerates strongly: {near}");
         assert!(nearer > near);
     }

@@ -69,12 +69,6 @@ impl LeakageSurface {
         (self.base_db + r1 + r2 + r3 + proximity)
             .clamp(MIN_ATTENUATION_DB, MAX_ATTENUATION_DB)
     }
-
-    /// Leakage expressed as a (negative) path gain in dB, as Fig. 7 plots
-    /// it.
-    pub fn gain_db(&self, tx_deg: f64, rx_deg: f64) -> f64 {
-        -self.attenuation_db(tx_deg, rx_deg)
-    }
 }
 
 #[cfg(test)]
@@ -126,13 +120,6 @@ mod tests {
         let c = LeakageSurface::new(11);
         assert_eq!(a.attenuation_db(90.0, 50.0), b.attenuation_db(90.0, 50.0));
         assert_ne!(a.attenuation_db(90.0, 50.0), c.attenuation_db(90.0, 50.0));
-    }
-
-    #[test]
-    fn gain_is_negative_attenuation() {
-        let s = LeakageSurface::new(4);
-        assert_eq!(s.gain_db(77.0, 50.0), -s.attenuation_db(77.0, 50.0));
-        assert!(s.gain_db(77.0, 50.0) < 0.0);
     }
 
     #[test]

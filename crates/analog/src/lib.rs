@@ -1,16 +1,14 @@
 //! Analog front-end component models.
 //!
 //! MoVR's reflector is *analog only*: two phased arrays joined by a
-//! variable-gain amplifier, a control DAC, and a DC current sensor — no
-//! transmit or receive baseband chains (paper §4). Everything the gain
-//! control algorithm can observe and actuate is modelled here:
+//! variable-gain amplifier and a DC current sensor — no transmit or
+//! receive baseband chains (paper §4). Everything the gain control
+//! algorithm can observe and actuate is modelled here:
 //!
 //! * [`amplifier`] — the PA/LNA/attenuator chain as one variable-gain
 //!   amplifier with a saturation knee and the supply-current signature the
 //!   paper's algorithm exploits: amplifiers "draw significantly higher
 //!   current as they get close to saturation mode" (§4.2).
-//! * [`attenuator`] — the HMC712-class voltage-variable attenuator.
-//! * [`dac`] — the AD7228-class 8-bit control DAC.
 //! * [`sensor`] — the INA169-class DC current sensor with quantisation
 //!   and measurement noise.
 //! * [`leakage`] — the TX→RX antenna leakage surface, which varies by
@@ -19,17 +17,11 @@
 //!   loop: stable iff `G_dB − L_dB < 0`.
 
 pub mod amplifier;
-pub mod attenuator;
-pub mod dac;
 pub mod feedback;
 pub mod leakage;
-pub mod power;
 pub mod sensor;
 
 pub use amplifier::VariableGainAmplifier;
-pub use attenuator::VoltageVariableAttenuator;
-pub use dac::Dac;
 pub use feedback::FeedbackLoop;
 pub use leakage::LeakageSurface;
-pub use power::{ReflectorPower, SupportDraw};
 pub use sensor::CurrentSensor;

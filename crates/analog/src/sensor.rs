@@ -32,16 +32,6 @@ impl CurrentSensor {
         }
     }
 
-    /// An idealised sensor with no noise (for unit tests and oracles).
-    pub fn ideal() -> Self {
-        CurrentSensor {
-            full_scale_a: 1.0,
-            adc_bits: 16,
-            noise_rms_a: 0.0,
-            rng: SimRng::seed_from_u64(0),
-        }
-    }
-
     /// The noise stream's raw RNG state, for checkpointing.
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
@@ -73,9 +63,18 @@ impl CurrentSensor {
 mod tests {
     use super::*;
 
+    /// A noise-free 16-bit sensor.
+    fn ideal() -> CurrentSensor {
+        CurrentSensor {
+            adc_bits: 16,
+            noise_rms_a: 0.0,
+            ..CurrentSensor::new(0)
+        }
+    }
+
     #[test]
     fn ideal_sensor_is_exact_to_one_lsb() {
-        let mut s = CurrentSensor::ideal();
+        let mut s = ideal();
         for i in [0.0, 0.1, 0.25, 0.333, 0.9] {
             let m = s.measure_a(i);
             assert!((m - i).abs() <= s.lsb_a() / 2.0 + 1e-12, "i={i} m={m}");
@@ -84,7 +83,7 @@ mod tests {
 
     #[test]
     fn clamps_to_range() {
-        let mut s = CurrentSensor::ideal();
+        let mut s = ideal();
         assert_eq!(s.measure_a(-0.5), 0.0);
         assert_eq!(s.measure_a(5.0), s.full_scale_a);
     }

@@ -132,11 +132,6 @@ impl ControlChannel {
         due.into_iter().map(|(at, _, msg)| (at, msg)).collect()
     }
 
-    /// Messages still in flight.
-    pub fn pending(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// The worst-case one-way latency (median + full jitter).
     pub fn max_latency(&self) -> SimTime {
         self.latency + self.jitter
@@ -156,7 +151,8 @@ mod tests {
         let d = ch.deliveries(now);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].1, ControlMessage::Ack);
-        assert_eq!(ch.pending(), 0);
+        // Nothing is left in flight.
+        assert!(ch.deliveries(SimTime::from_nanos(u64::MAX)).is_empty());
     }
 
     #[test]

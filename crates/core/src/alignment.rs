@@ -24,7 +24,7 @@
 use crate::reflector::MovrReflector;
 use crate::relay::{relay_end_snr_batched, relay_input_noise, round_trip_reflection_batched};
 use movr_math::{convert, SimRng};
-use movr_obs::{null_capture, Capture, Event};
+use movr_obs::{Event, NullRecorder, Recorder};
 use movr_phased_array::{Codebook, PatternTable};
 use movr_radio::{RadioEndpoint, ToneProbe};
 use movr_rfsim::Scene;
@@ -93,11 +93,19 @@ pub fn estimate_incidence(
     config: &AlignmentConfig,
     rng: &mut SimRng,
 ) -> AlignmentResult {
-    estimate_incidence_recorded(scene, ap, reflector, config, rng, null_capture())
+    estimate_incidence_recorded(
+        scene,
+        ap,
+        reflector,
+        config,
+        rng,
+        SimTime::ZERO,
+        &mut NullRecorder,
+    )
 }
 
 /// [`estimate_incidence`] with observability. The sweep is wrapped in an
-/// `alignment_sweep` span starting at `cap.start`; a sim-time cursor
+/// `alignment_sweep` span starting at `start`; a sim-time cursor
 /// advances by `beam_command_latency` per reflector beam change and by
 /// `dwell` per (θ₁, θ₂) probe, so every `beam_probe` event
 /// (`theta1_deg`, `theta2_deg`, `power_dbm`) is stamped with the instant
@@ -110,12 +118,12 @@ pub fn estimate_incidence_recorded(
     mut reflector: MovrReflector,
     config: &AlignmentConfig,
     rng: &mut SimRng,
-    cap: Capture<'_>,
+    start: SimTime,
+    rec: &mut dyn Recorder,
 ) -> AlignmentResult {
     reflector.set_gain_db(config.probe_gain_db);
     reflector.set_modulating(config.modulated);
 
-    let Capture { start, rec } = cap;
     let span = if rec.enabled() {
         Some(rec.start_span(start, "alignment_sweep"))
     } else {
@@ -206,101 +214,6 @@ pub fn estimate_incidence_recorded(
     }
 }
 
-/// Two-stage hierarchical incidence estimation: a coarse sweep at
-/// `coarse_step_deg` over the full codebooks locates the peak to within
-/// one coarse cell; a fine 1° sweep over that cell pins it down. Cuts
-/// the measurement count from |θ₁|·|θ₂| to roughly
-/// `(n/c)² + (2c+1)²` — for the paper's 101×101 1° sweep with a 10°
-/// coarse stage, ~121 + 441 measurements instead of 10 201 — at the same
-/// final resolution. (Real 802.11ad beam training is hierarchical for
-/// exactly this reason.)
-pub fn estimate_incidence_hierarchical(
-    scene: &Scene,
-    ap: RadioEndpoint,
-    reflector: MovrReflector,
-    config: &AlignmentConfig,
-    coarse_step_deg: f64,
-    rng: &mut SimRng,
-) -> AlignmentResult {
-    estimate_incidence_hierarchical_recorded(
-        scene,
-        ap,
-        reflector,
-        config,
-        coarse_step_deg,
-        rng,
-        null_capture(),
-    )
-}
-
-/// [`estimate_incidence_hierarchical`] with observability: each stage
-/// runs as its own recorded sweep (two `alignment_sweep` spans back to
-/// back — the fine stage starts where the coarse stage's cost model
-/// ends), so a timeline shows exactly where the measurement budget went.
-pub fn estimate_incidence_hierarchical_recorded(
-    scene: &Scene,
-    ap: RadioEndpoint,
-    reflector: MovrReflector,
-    config: &AlignmentConfig,
-    coarse_step_deg: f64,
-    rng: &mut SimRng,
-    mut cap: Capture<'_>,
-) -> AlignmentResult {
-    assert!(coarse_step_deg >= 1.0, "coarse step below the fine step");
-    let full_r = config.reflector_codebook.beams();
-    let full_a = config.ap_codebook.beams();
-    let (r_lo, r_hi) = (full_r[0], *full_r.last().expect("non-empty"));
-    let (a_lo, a_hi) = (full_a[0], *full_a.last().expect("non-empty"));
-
-    // Stage 1: coarse.
-    let coarse_cfg = AlignmentConfig {
-        reflector_codebook: Codebook::sweep(r_lo, r_hi, coarse_step_deg),
-        ap_codebook: Codebook::sweep(a_lo, a_hi, coarse_step_deg),
-        ..config.clone()
-    };
-    let coarse_start = cap.start;
-    let coarse = estimate_incidence_recorded(
-        scene,
-        ap,
-        reflector.clone(),
-        &coarse_cfg,
-        rng,
-        cap.stage(coarse_start),
-    );
-
-    // Stage 2: fine, one coarse cell around the winner (clamped to the
-    // original sweep bounds).
-    let fine_cfg = AlignmentConfig {
-        reflector_codebook: Codebook::sweep(
-            (coarse.reflector_angle_deg - coarse_step_deg).max(r_lo),
-            (coarse.reflector_angle_deg + coarse_step_deg).min(r_hi),
-            1.0,
-        ),
-        ap_codebook: Codebook::sweep(
-            (coarse.ap_angle_deg - coarse_step_deg).max(a_lo),
-            (coarse.ap_angle_deg + coarse_step_deg).min(a_hi),
-            1.0,
-        ),
-        ..config.clone()
-    };
-    let fine = estimate_incidence_recorded(
-        scene,
-        ap,
-        reflector,
-        &fine_cfg,
-        rng,
-        cap.stage(coarse_start + coarse.elapsed),
-    );
-
-    AlignmentResult {
-        reflector_angle_deg: fine.reflector_angle_deg,
-        ap_angle_deg: fine.ap_angle_deg,
-        peak_power_dbm: fine.peak_power_dbm,
-        measurements: coarse.measurements + fine.measurements,
-        elapsed: coarse.elapsed + fine.elapsed,
-    }
-}
-
 /// The outcome of the reflection-angle (reflector → headset) estimation.
 #[derive(Debug, Clone, Copy)]
 pub struct ReflectionResult {
@@ -342,14 +255,24 @@ pub fn estimate_reflection(
     sweep: &SweepParams<'_>,
     rng: &mut SimRng,
 ) -> ReflectionResult {
-    estimate_reflection_recorded(scene, ap, reflector, headset, sweep, rng, null_capture())
+    estimate_reflection_recorded(
+        scene,
+        ap,
+        reflector,
+        headset,
+        sweep,
+        rng,
+        SimTime::ZERO,
+        &mut NullRecorder,
+    )
 }
 
 /// [`estimate_reflection`] with observability: a `reflection_sweep` span
-/// wraps the search; each candidate TX beam first runs the recorded §4.2
-/// gain loop (so its `gain_ramp` span nests inside), then each headset
-/// probe emits `reflect_probe` (`tx_deg`, `rx_deg`, `snr_db`); the
-/// winner is announced as `reflection_chosen`.
+/// starting at `start` wraps the search; each candidate TX beam first
+/// runs the recorded §4.2 gain loop (so its `gain_ramp` span nests
+/// inside), then each headset probe emits `reflect_probe` (`tx_deg`,
+/// `rx_deg`, `snr_db`); the winner is announced as `reflection_chosen`.
+#[allow(clippy::too_many_arguments)] // lint: the sweep inputs plus the (start, recorder) pair every `_recorded` fn takes
 pub fn estimate_reflection_recorded(
     scene: &Scene,
     ap: &RadioEndpoint,
@@ -357,14 +280,14 @@ pub fn estimate_reflection_recorded(
     headset: RadioEndpoint,
     sweep: &SweepParams<'_>,
     rng: &mut SimRng,
-    cap: Capture<'_>,
+    start: SimTime,
+    rec: &mut dyn Recorder,
 ) -> ReflectionResult {
     let SweepParams {
         tx_codebook,
         headset_codebook,
         config,
     } = *sweep;
-    let Capture { start, rec } = cap;
     reflector.set_modulating(false);
     let span = if rec.enabled() {
         Some(rec.start_span(start, "reflection_sweep"))
@@ -583,34 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_matches_full_sweep_accuracy_far_cheaper() {
-        let (scene, ap, reflector) = setup();
-        let truth = reflector.position().bearing_deg_to(ap.position());
-        let truth_ap = ap.position().bearing_deg_to(reflector.position());
-        // A 1°-resolution config spanning ±20°.
-        let cfg = AlignmentConfig {
-            ap_codebook: Codebook::sweep(truth_ap - 20.0, truth_ap + 20.0, 1.0),
-            reflector_codebook: Codebook::sweep(truth - 20.0, truth + 20.0, 1.0),
-            ..Default::default()
-        };
-        let mut rng1 = SimRng::seed_from_u64(21);
-        let full = estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng1);
-        let mut rng2 = SimRng::seed_from_u64(21);
-        let hier =
-            estimate_incidence_hierarchical(&scene, ap, reflector, &cfg, 5.0, &mut rng2);
-
-        assert!(arc(hier.reflector_angle_deg, truth) <= 2.0, "{}", hier.reflector_angle_deg);
-        assert!(arc(hier.ap_angle_deg, truth_ap) <= 2.0);
-        assert!(
-            hier.measurements * 3 < full.measurements,
-            "hier {} vs full {}",
-            hier.measurements,
-            full.measurements
-        );
-        assert!(hier.elapsed < full.elapsed);
-    }
-
-    #[test]
     fn recorded_sweep_timeline_matches_cost_model() {
         use movr_obs::MemoryRecorder;
         let (scene, ap, reflector) = setup();
@@ -622,14 +517,8 @@ mod tests {
 
         let mut rng_b = SimRng::seed_from_u64(4);
         let mut rec = MemoryRecorder::new();
-        let rich = estimate_incidence_recorded(
-            &scene,
-            ap,
-            reflector,
-            &cfg,
-            &mut rng_b,
-            Capture::new(start, &mut rec),
-        );
+        let rich =
+            estimate_incidence_recorded(&scene, ap, reflector, &cfg, &mut rng_b, start, &mut rec);
 
         // Observability must not change the answer.
         assert_eq!(plain.reflector_angle_deg, rich.reflector_angle_deg);
@@ -649,38 +538,6 @@ mod tests {
             .of_kind("beam_probe")
             .all(|e| t0 < e.t && e.t <= t1), "probes inside the span");
         assert_eq!(rec.of_kind("alignment_chosen").count(), 1);
-    }
-
-    #[test]
-    fn recorded_hierarchical_emits_two_back_to_back_sweeps() {
-        use movr_obs::MemoryRecorder;
-        let (scene, ap, reflector) = setup();
-        let truth = reflector.position().bearing_deg_to(ap.position());
-        let truth_ap = ap.position().bearing_deg_to(reflector.position());
-        let cfg = AlignmentConfig {
-            ap_codebook: Codebook::sweep(truth_ap - 20.0, truth_ap + 20.0, 1.0),
-            reflector_codebook: Codebook::sweep(truth - 20.0, truth + 20.0, 1.0),
-            ..Default::default()
-        };
-        let mut rng = SimRng::seed_from_u64(21);
-        let mut rec = MemoryRecorder::new();
-        let r = estimate_incidence_hierarchical_recorded(
-            &scene,
-            ap,
-            reflector,
-            &cfg,
-            5.0,
-            &mut rng,
-            Capture::from_zero(&mut rec),
-        );
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 2, "coarse + fine stages");
-        let (_, c0, c1) = spans[0];
-        let (_, f0, f1) = spans[1];
-        assert_eq!(c0, SimTime::ZERO);
-        assert_eq!(f0, c1, "fine stage starts where coarse ends");
-        assert_eq!(f1, r.elapsed, "total span covers the combined cost");
-        assert_eq!(rec.of_kind("beam_probe").count(), r.measurements);
     }
 
     #[test]
@@ -711,7 +568,8 @@ mod tests {
             headset,
             &sweep,
             &mut rng,
-            Capture::from_zero(&mut rec),
+            SimTime::ZERO,
+            &mut rec,
         );
         assert_eq!(rec.of_kind("reflect_probe").count(), r.measurements);
         // One §4.2 gain ramp per candidate TX beam, inside the sweep.

@@ -339,17 +339,6 @@ impl Session {
         crate::snapshot::Snapshot::restore(bytes, config)
     }
 
-    /// Restores a [`Session::snapshot`] onto a caller-built deployment
-    /// (the [`run_session_on`] analogue — the system must match the one
-    /// the capturing session ran on).
-    pub fn restore_on(
-        bytes: &[u8],
-        system: MovrSystem,
-        config: &SessionConfig,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        crate::snapshot::Snapshot::restore_on(bytes, system, config)
-    }
-
     /// Processes the next frame event, if one is due within the trace's
     /// duration. Returns `false` when the session is over.
     pub fn step_frame(&mut self, trace: &dyn MotionTrace) -> bool {

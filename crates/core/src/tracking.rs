@@ -58,16 +58,6 @@ impl BeamPredictor {
         }
     }
 
-    /// Number of observations held.
-    pub fn observations(&self) -> usize {
-        self.history.len()
-    }
-
-    /// The latest observed pose, if any.
-    pub fn latest(&self) -> Option<TrackedPose> {
-        self.history.back().map(|&(_, p)| p)
-    }
-
     /// Estimated linear velocity (m/s) and yaw rate (deg/s) from the
     /// oldest-to-newest span of the history. `None` with fewer than two
     /// observations.
@@ -109,11 +99,6 @@ impl BeamPredictor {
             .map(|p| origin.bearing_deg_to(p.receiver_position()))
     }
 
-    /// Clears the history (e.g. after a tracking dropout).
-    pub fn reset(&mut self) {
-        self.history.clear();
-    }
-
     /// The retained observation history, oldest first, for checkpointing.
     /// Depth and horizon are construction parameters, not state.
     pub fn history(&self) -> Vec<(f64, TrackedPose)> {
@@ -148,7 +133,7 @@ mod tests {
         let p = BeamPredictor::new();
         assert!(p.predict(1.0).is_none());
         assert!(p.velocity().is_none());
-        assert!(p.latest().is_none());
+        assert!(p.history().is_empty());
     }
 
     #[test]
@@ -202,8 +187,7 @@ mod tests {
         let mut p = BeamPredictor::new();
         p.observe(0.02, pose(1.0, 0.0, 0.0));
         p.observe(0.01, pose(9.0, 9.0, 90.0)); // stale: dropped
-        assert_eq!(p.observations(), 1);
-        assert_eq!(p.latest().unwrap().center, Vec2::new(1.0, 0.0));
+        assert_eq!(p.history(), [(0.02, pose(1.0, 0.0, 0.0))]);
     }
 
     #[test]
@@ -212,7 +196,7 @@ mod tests {
         for k in 0..20 {
             p.observe(k as f64 * 0.01, pose(k as f64, 0.0, 0.0));
         }
-        assert_eq!(p.observations(), 4);
+        assert_eq!(p.history().len(), 4);
         // Velocity uses the retained window only (still 100 m/s here).
         let (v, _) = p.velocity().unwrap();
         assert!((v.x - 100.0).abs() < 1e-6);
@@ -246,7 +230,7 @@ mod tests {
         }
         let mut q = BeamPredictor::new();
         q.restore_history(p.history());
-        assert_eq!(q.observations(), p.observations());
+        assert_eq!(q.history(), p.history());
         assert_eq!(q.velocity(), p.velocity());
         let a = p.predict(0.05).unwrap();
         let b = q.predict(0.05).unwrap();
@@ -256,15 +240,8 @@ mod tests {
         let mut long: Vec<_> = (0..9).map(|k| (k as f64, pose(k as f64, 0.0, 0.0))).collect();
         let mut r = BeamPredictor::new();
         r.restore_history(std::mem::take(&mut long));
-        assert_eq!(r.observations(), 4);
-        assert_eq!(r.latest().unwrap().center, Vec2::new(8.0, 0.0));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut p = BeamPredictor::new();
-        p.observe(0.0, pose(1.0, 1.0, 0.0));
-        p.reset();
-        assert!(p.predict(1.0).is_none());
+        let h = r.history();
+        assert_eq!(h.len(), 4);
+        assert_eq!(h[3].1.center, Vec2::new(8.0, 0.0));
     }
 }

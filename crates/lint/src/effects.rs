@@ -300,8 +300,6 @@ const HOT_ROOTS: &[&str] = &[
     "step_frame_recorded",
     "estimate_incidence",
     "estimate_incidence_recorded",
-    "estimate_incidence_hierarchical",
-    "estimate_incidence_hierarchical_recorded",
     "estimate_reflection",
     "estimate_reflection_recorded",
 ];

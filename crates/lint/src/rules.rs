@@ -65,7 +65,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("unjustified-allow",
      "#[allow(...)] without a // lint: justification comment on the same line. Suppressions are fine when they say why; naked ones rot."),
     ("unit-mix-assign",
-     "A let binding, assignment (plain or compound) or struct-literal field whose name or type declares one unit class — Db (_db), Dbm (_dbm), Linear (_linear, _lin), Radians (_rad, _radians), Degrees (_deg, _degrees, AngleDeg) or SimTime — takes a value of another class. Unit slips through assignment are the quietest wrong-figure generator."),
+     "A let binding, assignment (plain or compound) or struct-literal field whose name or type declares one unit class — Db (_db), Dbm (_dbm), Linear (_linear, _lin), Radians (_rad, _radians), Degrees (_deg, _degrees) or SimTime — takes a value of another class. Unit slips through assignment are the quietest wrong-figure generator."),
     ("unit-mix-arith",
      "Binary +, - or * whose operands are both classified (Db, Dbm, Linear, Radians, Degrees, SimTime) and differ in class, e.g. a _db value plus a _linear one. Db and Dbm combine under + and - (power plus gain); every other cross-class mix is a category error."),
     ("unit-mix-call",
@@ -340,10 +340,9 @@ fn float_exact_eq(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// contract: observability is always optional). Two sound shapes:
 /// either the recorded variant's own body delegates to the plain
 /// primitive (a default trait method watching `current()`), or the file
-/// wires a `NullRecorder` / `movr_obs::null_capture()` through outside
-/// tests — delegation may be transitive (`run_session` →
-/// `run_session_on` → `run_session_on_recorded`), so that check is
-/// file-scoped.
+/// wires a `NullRecorder` through outside tests — delegation may be
+/// transitive (`run_session` → `run_session_on` →
+/// `run_session_on_recorded`), so that check is file-scoped.
 fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     if f.kind != FileKind::Lib {
         return;
@@ -353,9 +352,7 @@ fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
         .tokens
         .iter()
         .enumerate()
-        .any(|(i, t)| {
-            (t.is_ident("NullRecorder") || t.is_ident("null_capture")) && !f.in_cfg_test(i)
-        });
+        .any(|(i, t)| t.is_ident("NullRecorder") && !f.in_cfg_test(i));
     for (k, sig) in fns.iter().enumerate() {
         let (name, line) = (sig.name.as_str(), sig.line);
         let Some(base) = name.strip_suffix("_recorded") else {
@@ -370,7 +367,7 @@ fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 f,
                 "recorded-pairing",
                 line,
-                format!("`{name}` has no plain `{base}` wrapper in this file; add one delegating with NullRecorder or null_capture()"),
+                format!("`{name}` has no plain `{base}` wrapper in this file; add one delegating with NullRecorder"),
             ));
             continue;
         }
@@ -387,7 +384,7 @@ fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 f,
                 "recorded-pairing",
                 line,
-                format!("plain `{base}` exists but nothing in this file delegates with NullRecorder or null_capture(); the plain API must be the recorded one observed by nobody"),
+                format!("plain `{base}` exists but nothing in this file delegates with NullRecorder; the plain API must be the recorded one observed by nobody"),
             ));
         }
     }
@@ -613,14 +610,6 @@ mod tests {
         // Inverse delegation: the recorded variant calls the plain
         // primitive — no NullRecorder needed anywhere.
         let src = "trait T {\n  fn go(&mut self) -> u32;\n  fn go_recorded(&mut self, rec: &mut dyn Recorder) -> u32 { self.go() }\n}";
-        assert!(rules_hit(src).is_empty());
-    }
-
-    #[test]
-    fn recorded_delegation_via_null_capture_is_sound() {
-        // The Capture-era wrapper shape: the plain fn hands the recorded
-        // variant a silent capture instead of a literal NullRecorder.
-        let src = "pub fn sweep() { sweep_recorded(null_capture()) }\npub fn sweep_recorded(cap: Capture<'_>) { let _ = cap; }";
         assert!(rules_hit(src).is_empty());
     }
 

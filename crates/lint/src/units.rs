@@ -4,7 +4,7 @@
 //! a linear gain leaks into a dB expression, and the type system can't
 //! see it — everything is `f64`. This analysis recovers unit classes
 //! from the workspace's *naming conventions* (`_db`, `_dbm`, `_linear`,
-//! `_deg`, `_rad` suffixes; `SimTime`/`AngleDeg` types) and flags three
+//! `_deg`, `_rad` suffixes; the `SimTime` type) and flags three
 //! kinds of cross-class flow in library code:
 //!
 //! * **`unit-mix-assign`** — `let x_db = y_linear`, `x_db = y_linear`,
@@ -43,7 +43,7 @@ pub enum UnitClass {
     Linear,
     /// Angle in radians (`_rad`, `_radians`, `to_radians`).
     Radians,
-    /// Angle in degrees (`_deg`, `_degrees`, `to_degrees`, `AngleDeg`).
+    /// Angle in degrees (`_deg`, `_degrees`, `to_degrees`).
     Degrees,
     /// Simulation time (`SimTime`-typed values).
     SimTime,
@@ -82,11 +82,10 @@ pub fn classify_name(name: &str) -> Option<UnitClass> {
     }
 }
 
-/// Classifies a type by its final path segment (`SimTime`, `AngleDeg`).
+/// Classifies a type by its final path segment (`SimTime`).
 pub fn classify_type(last_ident: &str) -> Option<UnitClass> {
     match last_ident {
         "SimTime" => Some(UnitClass::SimTime),
-        "AngleDeg" => Some(UnitClass::Degrees),
         _ => None,
     }
 }
@@ -318,7 +317,7 @@ fn check_assignments(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                     "unit-mix-assign",
                     toks[l.start].line,
                     format!(
-                        "binding classified as {} is initialised from a {} value; convert through movr_math::db / movr_math::AngleDeg first",
+                        "binding classified as {} is initialised from a {} value; convert through movr_math::db or to_degrees/to_radians first",
                         a.name(),
                         b.name()
                     ),

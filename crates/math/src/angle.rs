@@ -26,46 +26,6 @@ pub fn wrap_deg_360(deg: f64) -> f64 {
     }
 }
 
-/// A plane angle in degrees with shortest-arc semantics.
-///
-/// Thin newtype used at API boundaries where mixing up "angle" and plain
-/// `f64` parameters (gains, distances) would be easy.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct AngleDeg(pub f64);
-
-impl AngleDeg {
-    /// Creates an angle, wrapping into `(-180, 180]`.
-    pub fn new(deg: f64) -> Self {
-        AngleDeg(wrap_deg_180(deg))
-    }
-
-    /// Raw value in degrees, in `(-180, 180]`.
-    pub fn deg(self) -> f64 {
-        self.0
-    }
-
-    /// Value in radians.
-    pub fn rad(self) -> f64 {
-        self.0.to_radians()
-    }
-
-    /// Absolute shortest-arc difference to another angle, in `[0, 180]`.
-    pub fn distance_to(self, other: AngleDeg) -> f64 {
-        wrap_deg_180(self.0 - other.0).abs()
-    }
-
-    /// Rotates by `delta` degrees (wrapping).
-    pub fn offset(self, delta: f64) -> AngleDeg {
-        AngleDeg::new(self.0 + delta)
-    }
-}
-
-impl std::fmt::Display for AngleDeg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.2}°", self.0)
-    }
-}
-
 /// Inclusive sweep of angles from `start` to `end` with the given step,
 /// mirroring the paper's "1 degree increments" exhaustive beam sweeps.
 ///
@@ -101,20 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_arc_distance() {
-        let a = AngleDeg::new(359.0);
-        let b = AngleDeg::new(1.0);
-        assert!((a.distance_to(b) - 2.0).abs() < 1e-9);
-        assert!((b.distance_to(a) - 2.0).abs() < 1e-9);
-        assert!((AngleDeg::new(0.0).distance_to(AngleDeg::new(180.0)) - 180.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn offset_wraps() {
-        assert!((AngleDeg::new(170.0).offset(20.0).deg() - (-170.0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn sweep_inclusive() {
         let s = sweep_deg(40.0, 140.0, 1.0);
         assert_eq!(s.len(), 101);
@@ -138,10 +84,5 @@ mod tests {
     #[should_panic(expected = "step must be positive")]
     fn sweep_rejects_zero_step() {
         sweep_deg(0.0, 10.0, 0.0);
-    }
-
-    #[test]
-    fn rad_conversion() {
-        assert!((AngleDeg::new(180.0).rad() - std::f64::consts::PI).abs() < 1e-12);
     }
 }

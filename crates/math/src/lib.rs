@@ -28,7 +28,7 @@ pub mod toml;
 pub mod vec2;
 pub mod wire;
 
-pub use angle::{wrap_deg_180, wrap_deg_360, AngleDeg};
+pub use angle::{wrap_deg_180, wrap_deg_360};
 pub use complex::C64;
 pub use db::{amplitude_to_db, db_to_amplitude, db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm};
 pub use rng::SimRng;

@@ -114,11 +114,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation; `+inf` if empty.
     pub fn min(&self) -> f64 {
         self.min
@@ -224,16 +219,6 @@ impl Cdf {
             .enumerate()
             .map(move |(i, &v)| (v, (i + 1) as f64 / n))
     }
-
-    /// Access to the sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-}
-
-/// Mean of a slice; 0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
-    Summary::from_slice(values).mean()
 }
 
 #[cfg(test)]
@@ -353,11 +338,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_of_empty_panics() {
         Cdf::new(vec![]).quantile(0.5);
-    }
-
-    #[test]
-    fn mean_helper() {
-        assert_eq!(mean(&[]), 0.0);
-        assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
     }
 }

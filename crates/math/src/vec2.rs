@@ -82,13 +82,6 @@ impl Vec2 {
         (target - self).angle_deg()
     }
 
-    /// Rotates the vector counter-clockwise by `deg` degrees.
-    pub fn rotated_deg(self, deg: f64) -> Vec2 {
-        let r = deg.to_radians();
-        let (s, c) = r.sin_cos();
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
-
     /// A vector perpendicular to this one (rotated +90°).
     pub fn perp(self) -> Vec2 {
         Vec2::new(-self.y, self.x)
@@ -97,23 +90,6 @@ impl Vec2 {
     /// Linear interpolation: `self` at `t == 0`, `other` at `t == 1`.
     pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
         self + (other - self) * t
-    }
-
-    /// Projects this vector onto `onto` (returns the parallel component).
-    pub fn project_onto(self, onto: Vec2) -> Vec2 {
-        let d = onto.norm_sq();
-        if d <= 0.0 {
-            Vec2::ZERO
-        } else {
-            onto * (self.dot(onto) / d)
-        }
-    }
-
-    /// Reflects this *direction* vector about a surface with unit normal
-    /// `normal` (specular reflection: angle of incidence = angle of
-    /// reflection).
-    pub fn reflect(self, normal: Vec2) -> Vec2 {
-        self - normal * (2.0 * self.dot(normal))
     }
 }
 
@@ -236,10 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn rotation_and_perp() {
+    fn perp_rotates_a_quarter_turn() {
         let v = Vec2::new(1.0, 0.0);
-        let r = v.rotated_deg(90.0);
-        assert!(close(r.x, 0.0) && close(r.y, 1.0));
         assert_eq!(v.perp(), Vec2::new(0.0, 1.0));
     }
 
@@ -253,31 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn reflection_about_vertical_wall() {
-        // A ray travelling +x hits a wall whose normal is -x: it bounces back.
-        let d = Vec2::new(1.0, 1.0).normalized();
-        let n = Vec2::new(-1.0, 0.0);
-        let r = d.reflect(n);
-        assert!(close(r.x, -d.x));
-        assert!(close(r.y, d.y));
-        // Specular reflection preserves length.
-        assert!(close(r.norm(), 1.0));
-    }
-
-    #[test]
     fn lerp_endpoints_and_midpoint() {
         let a = Vec2::new(0.0, 0.0);
         let b = Vec2::new(2.0, 4.0);
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Vec2::new(1.0, 2.0));
-    }
-
-    #[test]
-    fn projection() {
-        let v = Vec2::new(2.0, 2.0);
-        let p = v.project_onto(Vec2::new(1.0, 0.0));
-        assert_eq!(p, Vec2::new(2.0, 0.0));
-        assert_eq!(v.project_onto(Vec2::ZERO), Vec2::ZERO);
     }
 }

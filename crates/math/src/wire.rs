@@ -88,21 +88,6 @@ impl WireWriter {
         &self.buf
     }
 
-    /// Consumes the writer, returning the buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -154,11 +139,6 @@ impl<'a> WireReader<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         WireReader { buf, pos: 0 }
-    }
-
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Bytes not yet consumed.
@@ -275,9 +255,9 @@ mod tests {
         w.bool(true);
         w.bool(false);
         w.usize(0);
-        let bytes = w.into_bytes();
+        let bytes = w.bytes();
 
-        let mut r = WireReader::new(&bytes);
+        let mut r = WireReader::new(bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
@@ -297,8 +277,8 @@ mod tests {
         for bits in [0u64, 1, 0x7FF8_0000_0000_0001, 0xFFF0_0000_0000_0000, 42] {
             let mut w = WireWriter::new();
             w.f64(f64::from_bits(bits));
-            let bytes = w.into_bytes();
-            let got = WireReader::new(&bytes).f64().unwrap();
+            let bytes = w.bytes();
+            let got = WireReader::new(bytes).f64().unwrap();
             assert_eq!(got.to_bits(), bits);
         }
     }
@@ -308,7 +288,7 @@ mod tests {
         let mut w = WireWriter::new();
         w.u64(99);
         w.usize(5);
-        let bytes = w.into_bytes();
+        let bytes = w.bytes();
         for cut in 0..bytes.len() {
             let mut r = WireReader::new(&bytes[..cut]);
             // Whatever partial decode succeeds, the full sequence can't.

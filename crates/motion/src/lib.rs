@@ -19,7 +19,5 @@ pub mod trace;
 pub mod tracking;
 
 pub use pose::{PlayerState, WorldState, FACE_OFFSET_M};
-pub use trace::{
-    HandRaise, HeadTurn, MotionTrace, Playlist, RandomWalk, StaticScene, WalkerCrossing,
-};
+pub use trace::{HandRaise, HeadTurn, MotionTrace, RandomWalk, StaticScene, WalkerCrossing};
 pub use tracking::{LighthouseTracker, TrackedPose};

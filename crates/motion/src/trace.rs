@@ -146,58 +146,6 @@ impl MotionTrace for WalkerCrossing {
     }
 }
 
-/// Sequential composition of traces: plays each segment for its own
-/// duration, then the next — "stand, then turn, then raise the hand" as
-/// one scenario. Segment-local time starts at zero for each segment.
-pub struct Playlist {
-    segments: Vec<Box<dyn MotionTrace>>,
-    duration_s: f64,
-}
-
-impl Playlist {
-    /// Builds a playlist from trace segments.
-    ///
-    /// # Panics
-    /// Panics on an empty list.
-    pub fn new(segments: Vec<Box<dyn MotionTrace>>) -> Self {
-        assert!(!segments.is_empty(), "playlist needs at least one segment");
-        let duration_s = segments.iter().map(|s| s.duration_s()).sum();
-        Playlist {
-            segments,
-            duration_s,
-        }
-    }
-
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// True if the playlist has no segments (never: construction rejects
-    /// it; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-}
-
-impl MotionTrace for Playlist {
-    fn duration_s(&self) -> f64 {
-        self.duration_s
-    }
-    fn world_at(&self, t_s: f64) -> WorldState {
-        let mut t = t_s.clamp(0.0, self.duration_s);
-        for seg in &self.segments {
-            if t <= seg.duration_s() {
-                return seg.world_at(t);
-            }
-            t -= seg.duration_s();
-        }
-        // Numerical tail: the final segment's last instant.
-        let last = self.segments.last().expect("non-empty");
-        last.world_at(last.duration_s())
-    }
-}
-
 /// A seeded random session: the player wanders between waypoints, turns
 /// toward her walking direction, and occasionally raises a hand. Sampled
 /// deterministically: the full trajectory is computed at construction at
@@ -412,45 +360,6 @@ mod tests {
             .map(|i| w.world_at(i as f64 * 0.1).player.center.distance(start))
             .fold(0.0, f64::max);
         assert!(moved > 1.0, "player should wander: max displacement {moved}");
-    }
-
-    #[test]
-    fn playlist_sequences_segments() {
-        let p = Playlist::new(vec![
-            Box::new(StaticScene::new(base(), 2.0)),
-            Box::new(HandRaise {
-                base: base(),
-                raise_at_s: 0.0,
-                lower_at_s: 10.0,
-                duration_s: 3.0,
-            }),
-            Box::new(HeadTurn {
-                base: base(),
-                start_s: 0.0,
-                rate_dps: 90.0,
-                total_deg: 90.0,
-                duration_s: 2.0,
-            }),
-        ]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.duration_s(), 7.0);
-        // Segment 1: standing, hands down.
-        assert!(!p.world_at(1.0).player.hand_raised);
-        // Segment 2 (t = 2.0 .. 5.0): hand raised throughout.
-        assert!(p.world_at(3.5).player.hand_raised);
-        // Segment 3 (t = 5.0 .. 7.0): turning; at t = 6 the local time is
-        // 1 s → 90°/s × 1 s past base yaw 0.
-        let yaw = p.world_at(6.0).player.yaw_deg;
-        assert!((yaw - 90.0).abs() < 1.0, "yaw={yaw}");
-        // Past the end: clamped to the final segment's last pose.
-        let end = p.world_at(99.0).player.yaw_deg;
-        assert!((end - 90.0).abs() < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one segment")]
-    fn empty_playlist_rejected() {
-        Playlist::new(vec![]);
     }
 
     #[test]

@@ -53,18 +53,6 @@ impl LighthouseTracker {
         }
     }
 
-    /// An ideal tracker (zero noise, infinite rate) for oracles.
-    pub fn ideal() -> Self {
-        LighthouseTracker {
-            position_noise_m: 0.0,
-            yaw_noise_deg: 0.0,
-            update_rate_hz: f64::INFINITY,
-            rng: SimRng::seed_from_u64(0),
-            last_update_s: f64::NEG_INFINITY,
-            last_pose: None,
-        }
-    }
-
     /// The full mutable state — `(rng_state, last_update_s, last_pose)` —
     /// for checkpointing. `last_update_s` starts at `-inf` before the
     /// first tick; the f64 is preserved bit-exactly by the snapshot codec.
@@ -116,7 +104,13 @@ mod tests {
 
     #[test]
     fn ideal_tracker_is_exact() {
-        let mut t = LighthouseTracker::ideal();
+        // Zero noise, infinite rate.
+        let mut t = LighthouseTracker {
+            position_noise_m: 0.0,
+            yaw_noise_deg: 0.0,
+            update_rate_hz: f64::INFINITY,
+            ..LighthouseTracker::new(0)
+        };
         let p = t.track(0.0, &truth());
         assert_eq!(p.center, truth().center);
         assert_eq!(p.yaw_deg, 45.0);

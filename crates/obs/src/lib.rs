@@ -57,7 +57,6 @@
 //! assert_eq!(metrics.histogram("frame_snr_db").map(Histogram::count), Some(1));
 //! ```
 
-mod capture;
 mod event;
 mod metrics;
 mod ratchet;
@@ -66,7 +65,6 @@ mod reduce;
 mod rollup;
 mod sketch;
 
-pub use capture::{null_capture, Capture};
 pub use event::{Event, Value};
 pub use metrics::{Histogram, InvalidHistogram, MergeError, MetricsSnapshot};
 // The JSON reader lives in movr-math; re-exported for the callers

@@ -151,27 +151,15 @@ impl Histogram {
         *self.counts.last().expect("counts never empty")
     }
 
-    /// Exact summary (mean/min/max/stddev) of the finite observations.
+    /// Exact summary (mean/min/max/variance) of the finite observations.
     pub fn summary(&self) -> &Summary {
         &self.summary
     }
 
-    /// Merges `other` into `self`.
-    ///
-    /// # Panics
-    /// Panics if the bucket layouts differ — merging histograms with
-    /// different edges would silently misbin. Callers folding layouts
-    /// they did not construct themselves (e.g. the fleet reducer merging
-    /// rollups) should use [`Histogram::try_merge`] instead.
-    pub fn merge(&mut self, other: &Histogram) {
-        if let Err(e) = self.try_merge(other) {
-            panic!("cannot merge histograms with different bucket edges: {e}");
-        }
-    }
-
-    /// Fallible [`Histogram::merge`]: adds `other`'s counts and summary
-    /// into `self`, or returns a structured [`MergeError`] when the
-    /// bucket layouts differ. On error `self` is untouched.
+    /// Merges `other` into `self`: adds its counts and summary, or
+    /// returns a structured [`MergeError`] when the bucket layouts differ
+    /// (merging histograms with different edges would silently misbin).
+    /// On error `self` is untouched.
     pub fn try_merge(&mut self, other: &Histogram) -> Result<(), MergeError> {
         if self.edges != other.edges {
             return Err(MergeError::new(&self.edges, &other.edges));
@@ -300,11 +288,6 @@ impl MetricsSnapshot {
     /// Counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Histogram by name.
@@ -442,7 +425,7 @@ mod tests {
         for v in [-2.0, 5.0, 5.5, 9.0] {
             b.observe(v);
         }
-        a.merge(&b);
+        a.try_merge(&b).expect("same layout");
         assert_eq!(a.count(), 7);
         assert_eq!(a.count(), a.bucket_counts().iter().sum::<u64>());
         assert_eq!(a.underflow(), 1);
@@ -450,13 +433,6 @@ mod tests {
         assert_eq!(a.summary().count(), 7);
         assert_eq!(a.summary().min(), -2.0);
         assert_eq!(a.summary().max(), 11.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket edges")]
-    fn merge_rejects_mismatched_layout() {
-        let mut a = Histogram::linear(0.0, 10.0, 5);
-        a.merge(&Histogram::linear(0.0, 10.0, 4));
     }
 
     #[test]
@@ -594,7 +570,6 @@ mod tests {
              \"edges\":[0,0.5,1],\"counts\":[0,1,0,0]}}}"
         );
         assert_eq!(m.counter("zeta"), Some(1));
-        assert_eq!(m.gauge("g"), Some(1.5));
         assert_eq!(m.histogram("h").map(Histogram::count), Some(1));
         assert_eq!(m.counter("missing"), None);
     }

@@ -14,7 +14,6 @@
 
 use crate::element::PatchElement;
 use crate::shifter::PhaseShifter;
-use crate::taper::Taper;
 use movr_math::{amplitude_to_db, convert, linear_to_db, wrap_deg_180, C64};
 use std::f64::consts::PI;
 
@@ -34,11 +33,11 @@ pub const MAX_ELEMENTS: usize = 32;
 pub const BATCH_LANES: usize = 4;
 
 /// The per-element state of one steering command, precomputed:
-/// DAC-quantised applied phases, taper weights, and the aperture
-/// directivity term. These depend only on the steer command, not the
-/// observation angle, so a beam sweep computes them once and every
-/// subsequent [`SteeringVector::gain_dbi`] query is a single pass over
-/// the elements with no re-quantisation.
+/// DAC-quantised applied phases and the aperture directivity term. These
+/// depend only on the steer command, not the observation angle, so a
+/// beam sweep computes them once and every subsequent
+/// [`SteeringVector::gain_dbi`] query is a single pass over the elements
+/// with no re-quantisation.
 ///
 /// Evaluation reproduces [`UniformLinearArray::array_factor`] and
 /// [`UniformLinearArray::gain_dbi`] with the exact same floating-point
@@ -46,26 +45,16 @@ pub const BATCH_LANES: usize = 4;
 #[derive(Debug, Clone, Copy)]
 pub struct SteeringVector {
     n: usize,
-    steer_deg: f64,
     /// Per-element observation phase slope `i·k·d` (radians per sin θ).
     slope: [f64; MAX_ELEMENTS],
     /// Per-element applied (DAC-quantised) phase, radians.
     applied_rad: [f64; MAX_ELEMENTS],
-    /// Per-element taper weight.
-    weight: [f64; MAX_ELEMENTS],
-    weight_sum: f64,
-    /// `10·log10(n × taper efficiency)`, the aperture directivity term.
+    /// `10·log10(n)`, the aperture directivity term.
     directivity_db: f64,
     element: PatchElement,
 }
 
 impl SteeringVector {
-    /// The steer command this vector was computed for, degrees off
-    /// broadside.
-    pub fn steer_deg(&self) -> f64 {
-        self.steer_deg
-    }
-
     /// Normalised complex array factor at `theta_deg` off broadside.
     /// Bit-identical to [`UniformLinearArray::array_factor`] at the
     /// cached steer command.
@@ -74,9 +63,9 @@ impl SteeringVector {
         let mut sum = C64::ZERO;
         for i in 0..self.n {
             let phase = self.slope[i] * sin_t + self.applied_rad[i];
-            sum += C64::exp_j(phase) * self.weight[i];
+            sum += C64::exp_j(phase);
         }
-        sum / self.weight_sum
+        sum / convert::usize_to_f64(self.n)
     }
 
     /// Total array gain (dBi) toward `theta_deg` off broadside.
@@ -105,18 +94,14 @@ impl SteeringVector {
     ) -> ([f64; BATCH_LANES], [f64; BATCH_LANES]) {
         let mut acc_re = [0.0; BATCH_LANES];
         let mut acc_im = [0.0; BATCH_LANES];
-        let per_element = self
-            .slope
-            .iter()
-            .zip(self.applied_rad.iter())
-            .zip(self.weight.iter());
-        for ((sl, ar), wt) in per_element.take(self.n) {
+        let per_element = self.slope.iter().zip(self.applied_rad.iter());
+        for (sl, ar) in per_element.take(self.n) {
             let lanes = acc_re.iter_mut().zip(acc_im.iter_mut()).zip(sin_t.iter());
             for ((re, im), st) in lanes {
                 let phase = sl * st + ar;
-                // exp_j(phase) * wt, unrolled into the SoA accumulators.
-                *re += phase.cos() * wt;
-                *im += phase.sin() * wt;
+                // exp_j(phase), unrolled into the SoA accumulators.
+                *re += phase.cos();
+                *im += phase.sin();
             }
         }
         (acc_re, acc_im)
@@ -134,6 +119,7 @@ impl SteeringVector {
             out.len(),
             "batch output length must match the input"
         );
+        let n = convert::usize_to_f64(self.n);
         let chunks = thetas_deg
             .chunks(BATCH_LANES)
             .zip(out.chunks_mut(BATCH_LANES));
@@ -159,7 +145,7 @@ impl SteeringVector {
                         // scalar early return.
                         self.element.gain_dbi(w)
                     } else {
-                        let af = (C64::new(re, im) / self.weight_sum).abs();
+                        let af = (C64::new(re, im) / n).abs();
                         self.directivity_db + self.element.gain_dbi(w) + amplitude_to_db(af)
                     };
                 }
@@ -170,14 +156,6 @@ impl SteeringVector {
             }
         }
     }
-
-    /// Batch form of [`SteeringVector::gain_dbi`], allocating the
-    /// output.
-    pub fn gain_dbi_batch(&self, thetas_deg: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; thetas_deg.len()];
-        self.gain_dbi_batch_into(thetas_deg, &mut out);
-        out
-    }
 }
 
 /// An N-element uniform linear array of patch elements.
@@ -187,7 +165,6 @@ pub struct UniformLinearArray {
     spacing_wavelengths: f64,
     element: PatchElement,
     shifter: PhaseShifter,
-    taper: Taper,
 }
 
 impl UniformLinearArray {
@@ -212,19 +189,7 @@ impl UniformLinearArray {
             spacing_wavelengths,
             element,
             shifter,
-            taper: Taper::Uniform,
         }
-    }
-
-    /// The same array with an amplitude taper applied to the feed.
-    pub fn with_taper(mut self, taper: Taper) -> Self {
-        self.taper = taper;
-        self
-    }
-
-    /// The feed taper.
-    pub fn taper(&self) -> Taper {
-        self.taper
     }
 
     /// The paper's array: 10 patch elements at λ/2 with 8-bit phase
@@ -238,50 +203,34 @@ impl UniformLinearArray {
         )
     }
 
-    /// Number of elements.
-    pub fn elements(&self) -> usize {
-        self.n
-    }
-
     /// The phase shifter model used for steering.
     pub fn shifter(&self) -> &PhaseShifter {
         &self.shifter
     }
 
     /// Precomputes the per-element state for one steer command: the
-    /// DAC-quantised applied phases, taper weights, and the aperture
-    /// directivity term. This is the expensive part of a gain query;
-    /// sweeps compute it once per beam and reuse it per observation.
+    /// DAC-quantised applied phases and the aperture directivity term.
+    /// This is the expensive part of a gain query; sweeps compute it once
+    /// per beam and reuse it per observation.
     pub fn steering_vector(&self, steer_deg: f64) -> SteeringVector {
         let kd = 2.0 * PI * self.spacing_wavelengths;
         let sin_s = steer_deg.to_radians().sin();
         let mut slope = [0.0; MAX_ELEMENTS];
         let mut applied_rad = [0.0; MAX_ELEMENTS];
-        let mut weight = [0.0; MAX_ELEMENTS];
-        let mut weight_sum = 0.0;
-        let per_element = slope.iter_mut().zip(applied_rad.iter_mut()).zip(weight.iter_mut());
-        for (i, ((sl, ar), wt)) in per_element.enumerate().take(self.n) {
+        let per_element = slope.iter_mut().zip(applied_rad.iter_mut());
+        for (i, (sl, ar)) in per_element.enumerate().take(self.n) {
             let fi = convert::usize_to_f64(i);
             // Commanded per-element phase, quantised by the control DAC.
             let ideal_deg = (-fi * kd * sin_s).to_degrees();
             let applied_deg = self.shifter.apply(ideal_deg);
             *sl = fi * kd;
             *ar = applied_deg.to_radians();
-            let w = self.taper.weight(i, self.n);
-            *wt = w;
-            weight_sum += w;
         }
         SteeringVector {
             n: self.n,
-            steer_deg,
             slope,
             applied_rad,
-            weight,
-            weight_sum,
-            // Directivity of a tapered aperture: n × taper efficiency.
-            directivity_db: linear_to_db(
-                convert::usize_to_f64(self.n) * self.taper.efficiency(self.n),
-            ),
+            directivity_db: linear_to_db(convert::usize_to_f64(self.n)),
             element: self.element,
         }
     }
@@ -427,11 +376,6 @@ impl SteeredArray {
         self.steer_local_deg
     }
 
-    /// The precomputed steering vector for the current command.
-    pub fn steering_vector(&self) -> &SteeringVector {
-        &self.vector
-    }
-
     /// Steers the beam toward an absolute room bearing. The command is
     /// clamped to the scan range; returns the bearing actually applied.
     pub fn steer_to(&mut self, absolute_deg: f64) -> f64 {
@@ -480,23 +424,20 @@ impl SteeredArray {
 mod tests {
     use super::*;
 
-    /// The pre-cache implementations, kept verbatim as the reference the
+    /// The pre-cache implementations, kept as the reference the
     /// steering-vector fast path must reproduce bit-for-bit.
     fn reference_array_factor(arr: &UniformLinearArray, steer_deg: f64, theta_deg: f64) -> C64 {
         let kd = 2.0 * PI * arr.spacing_wavelengths;
         let sin_t = theta_deg.to_radians().sin();
         let sin_s = steer_deg.to_radians().sin();
         let mut sum = C64::ZERO;
-        let mut weight_sum = 0.0;
         for i in 0..arr.n {
             let ideal_deg = (-convert::usize_to_f64(i) * kd * sin_s).to_degrees();
             let applied_deg = arr.shifter.apply(ideal_deg);
             let phase = convert::usize_to_f64(i) * kd * sin_t + applied_deg.to_radians();
-            let w = arr.taper.weight(i, arr.n);
-            sum += C64::exp_j(phase) * w;
-            weight_sum += w;
+            sum += C64::exp_j(phase);
         }
-        sum / weight_sum
+        sum / convert::usize_to_f64(arr.n)
     }
 
     fn reference_gain_dbi(arr: &UniformLinearArray, steer_deg: f64, theta_deg: f64) -> f64 {
@@ -505,7 +446,7 @@ mod tests {
             return arr.element.gain_dbi(theta);
         }
         let af = reference_array_factor(arr, steer_deg, theta).abs();
-        linear_to_db(convert::usize_to_f64(arr.n) * arr.taper.efficiency(arr.n))
+        linear_to_db(convert::usize_to_f64(arr.n))
             + arr.element.gain_dbi(theta)
             + amplitude_to_db(af)
     }
@@ -531,7 +472,7 @@ mod tests {
     fn steering_vector_is_bit_identical_to_reference() {
         let arrays = [
             UniformLinearArray::paper_array(),
-            UniformLinearArray::paper_array().with_taper(Taper::RaisedCosine { pedestal: 0.3 }),
+            UniformLinearArray::new(3, 0.5, PatchElement::default(), PhaseShifter::with_bits(2)),
             UniformLinearArray::new(32, 0.5, PatchElement::default(), PhaseShifter::with_bits(4)),
         ];
         for arr in &arrays {
@@ -574,7 +515,7 @@ mod tests {
     fn bisected_beamwidth_matches_linear_scan_within_one_step() {
         let arrays = [
             UniformLinearArray::paper_array(),
-            UniformLinearArray::paper_array().with_taper(Taper::RaisedCosine { pedestal: 0.3 }),
+            UniformLinearArray::new(3, 0.5, PatchElement::default(), PhaseShifter::with_bits(2)),
             UniformLinearArray::new(6, 0.5, PatchElement::default(), PhaseShifter::default()),
             UniformLinearArray::new(20, 0.5, PatchElement::default(), PhaseShifter::default()),
         ];
@@ -587,7 +528,7 @@ mod tests {
                 assert!(
                     (new - old).abs() <= 0.1 + 1e-9,
                     "n={} steer={steer}: bisected {new} vs scanned {old}",
-                    arr.elements()
+                    arr.n
                 );
             }
         }
@@ -607,7 +548,7 @@ mod tests {
                 }
                 let (acc_re, acc_im) = sv.accumulate_lanes(&sin_t);
                 for (re, im) in acc_re.into_iter().zip(acc_im) {
-                    out.push(C64::new(re, im) / sv.weight_sum);
+                    out.push(C64::new(re, im) / convert::usize_to_f64(sv.n));
                 }
             } else {
                 out.extend(chunk.iter().map(|&th| sv.array_factor(th)));
@@ -617,14 +558,14 @@ mod tests {
     }
 
     /// The batch SoA kernels must reproduce the scalar reference
-    /// bit-for-bit across tapers, quantisation settings, full/remainder
+    /// bit-for-bit across array sizes, quantisation settings, full/remainder
     /// lane groups, and both hemispheres (including far wraps beyond
     /// ±180°).
     #[test]
     fn batch_kernels_bit_identical_to_scalar() {
         let arrays = [
             UniformLinearArray::paper_array(),
-            UniformLinearArray::paper_array().with_taper(Taper::RaisedCosine { pedestal: 0.3 }),
+            UniformLinearArray::new(3, 0.5, PatchElement::default(), PhaseShifter::with_bits(2)),
             UniformLinearArray::new(32, 0.5, PatchElement::default(), PhaseShifter::with_bits(4)),
             UniformLinearArray::new(1, 0.5, PatchElement::default(), PhaseShifter::default()),
         ];
@@ -638,7 +579,8 @@ mod tests {
                 for steer in [-61.3, 0.0, 45.0] {
                     let sv = arr.steering_vector(steer);
                     let af_batch = lane_array_factors(&sv, &thetas);
-                    let g_batch = sv.gain_dbi_batch(&thetas);
+                    let mut g_batch = vec![0.0; len];
+                    sv.gain_dbi_batch_into(&thetas, &mut g_batch);
                     assert_eq!(af_batch.len(), len);
                     for ((&th, af), g) in thetas.iter().zip(&af_batch).zip(&g_batch) {
                         let af_ref = reference_array_factor(arr, steer, th);
@@ -821,42 +763,5 @@ mod tests {
     #[test]
     fn steering_latency_is_sub_microsecond() {
         const { assert!(STEERING_LATENCY_S < 1e-6) };
-    }
-
-    #[test]
-    fn taper_lowers_sidelobes_at_a_gain_cost() {
-        let uniform = UniformLinearArray::paper_array();
-        let tapered = UniformLinearArray::paper_array()
-            .with_taper(Taper::RaisedCosine { pedestal: 0.3 });
-
-        // Peak gain: tapering costs some (taper efficiency < 1)...
-        let loss = uniform.peak_gain_dbi(0.0) - tapered.peak_gain_dbi(0.0);
-        assert!((0.3..3.0).contains(&loss), "taper loss {loss} dB");
-
-        // ...and buys sidelobe suppression. Find each pattern's worst
-        // sidelobe outside the main beam.
-        let worst_sidelobe = |arr: &UniformLinearArray, null_beyond: f64| {
-            let peak = arr.gain_dbi(0.0, 0.0);
-            let mut worst = f64::NEG_INFINITY;
-            let mut t = null_beyond;
-            while t <= 89.0 {
-                worst = worst.max(arr.gain_dbi(0.0, t) - peak);
-                t += 0.2;
-            }
-            worst
-        };
-        let u = worst_sidelobe(&uniform, 12.0);
-        let t = worst_sidelobe(&tapered, 18.0);
-        assert!(t < u - 5.0, "uniform {u} dB vs tapered {t} dB");
-    }
-
-    #[test]
-    fn tapered_beam_is_wider() {
-        let uniform = UniformLinearArray::paper_array();
-        let tapered = UniformLinearArray::paper_array()
-            .with_taper(Taper::RaisedCosine { pedestal: 0.3 });
-        assert!(
-            tapered.half_power_beamwidth_deg(0.0) > uniform.half_power_beamwidth_deg(0.0)
-        );
     }
 }

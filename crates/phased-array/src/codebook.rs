@@ -2,11 +2,7 @@
 //!
 //! The paper's alignment procedure "tries every possible combination of θ₁
 //! and θ₂ ... with 1 degree increments" (§3, §4.1). A [`Codebook`] is that
-//! finite set of steerable beams; protocols iterate it, and the tracking
-//! optimisation (§6) restricts iteration to a window around a predicted
-//! angle.
-
-use movr_math::wrap_deg_180;
+//! finite set of steerable beams; protocols iterate it.
 
 /// A finite, ordered set of beam directions (absolute bearings, degrees).
 #[derive(Debug, Clone)]
@@ -52,38 +48,6 @@ impl Codebook {
     pub fn beams(&self) -> &[f64] {
         &self.beams
     }
-
-    /// The beam nearest (shortest arc) to `target_deg`, as
-    /// `(index, beam_deg)`.
-    pub fn nearest(&self, target_deg: f64) -> (usize, f64) {
-        let mut best = (0usize, f64::INFINITY);
-        for (i, &b) in self.beams.iter().enumerate() {
-            let d = wrap_deg_180(b - target_deg).abs();
-            if d < best.1 {
-                best = (i, d);
-            }
-        }
-        (best.0, self.beams[best.0])
-    }
-
-    /// A sub-codebook of beams within ±`window_deg` of `center_deg` —
-    /// the tracking-assisted narrow sweep of §6.
-    pub fn window(&self, center_deg: f64, window_deg: f64) -> Codebook {
-        let beams: Vec<f64> = self
-            .beams
-            .iter()
-            .copied()
-            .filter(|&b| wrap_deg_180(b - center_deg).abs() <= window_deg)
-            .collect();
-        if beams.is_empty() {
-            // Degenerate window: fall back to the single nearest beam so a
-            // sweep over the result is never a no-op.
-            let (_, b) = self.nearest(center_deg);
-            Codebook { beams: vec![b] }
-        } else {
-            Codebook { beams }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -96,32 +60,6 @@ mod tests {
         assert_eq!(cb.len(), 101);
         assert_eq!(cb.beams()[0], 40.0);
         assert_eq!(*cb.beams().last().unwrap(), 140.0);
-    }
-
-    #[test]
-    fn nearest_beam() {
-        let cb = Codebook::paper_sweep();
-        assert_eq!(cb.nearest(72.3), (32, 72.0));
-        assert_eq!(cb.nearest(72.6), (33, 73.0));
-        // Clamps at the edges.
-        assert_eq!(cb.nearest(0.0).1, 40.0);
-        assert_eq!(cb.nearest(179.0).1, 140.0);
-    }
-
-    #[test]
-    fn window_restricts_sweep() {
-        let cb = Codebook::paper_sweep();
-        let w = cb.window(90.0, 5.0);
-        assert_eq!(w.len(), 11);
-        assert!(w.beams().iter().all(|&b| (b - 90.0).abs() <= 5.0));
-    }
-
-    #[test]
-    fn empty_window_falls_back_to_nearest() {
-        let cb = Codebook::sweep(40.0, 140.0, 10.0);
-        let w = cb.window(44.9, 0.5);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.beams()[0], 40.0);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl PatchElement {
         let g = self.peak_gain_dbi + linear_to_db(c.powf(self.exponent));
         g.max(self.back_lobe_dbi)
     }
-
-    /// Element *amplitude* gain (linear field ratio) at `theta_deg`.
-    pub fn amplitude(&self, theta_deg: f64) -> f64 {
-        movr_math::db::db_to_amplitude(self.gain_dbi(theta_deg))
-    }
 }
 
 #[cfg(test)]
@@ -97,13 +92,6 @@ mod tests {
         let e = PatchElement::default();
         let g = e.gain_dbi(45.0);
         assert!((g - (5.0 - 3.01)).abs() < 0.05, "g={g}");
-    }
-
-    #[test]
-    fn amplitude_matches_gain() {
-        let e = PatchElement::default();
-        let a = e.amplitude(0.0);
-        assert!((20.0 * a.log10() - 5.0).abs() < 1e-9);
     }
 
     #[test]

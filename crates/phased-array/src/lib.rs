@@ -7,7 +7,8 @@
 //!
 //! * [`element`] — the single patch element's broad cosine pattern.
 //! * [`shifter`] — phase shifters, including control-DAC quantisation.
-//! * [`array`](mod@array) — the uniform linear array: array factor, steering, gain.
+//! * [`array`](mod@array) — the uniformly fed linear array: array factor,
+//!   steering, gain.
 //! * [`codebook`] — finite beam books for sweep protocols.
 //! * [`table`] — pre-steered pattern tables at codebook resolution.
 //!
@@ -21,14 +22,12 @@ pub mod codebook;
 pub mod element;
 pub mod shifter;
 pub mod table;
-pub mod taper;
 
 pub use array::{SteeredArray, SteeringVector, UniformLinearArray, BATCH_LANES, MAX_ELEMENTS};
 pub use codebook::Codebook;
 pub use table::{GainPage, PatternTable};
 pub use element::PatchElement;
 pub use shifter::PhaseShifter;
-pub use taper::Taper;
 
 /// Number of elements that yields the paper's ~10° beamwidth at λ/2
 /// spacing (half-power beamwidth ≈ 101.5°/N for a broadside ULA).

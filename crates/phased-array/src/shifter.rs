@@ -55,11 +55,6 @@ impl PhaseShifter {
         let idx = (wrapped / step).round();
         wrap_deg_360(idx * step)
     }
-
-    /// Worst-case quantisation error, degrees.
-    pub fn max_error_deg(&self) -> f64 {
-        self.step_deg() / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +65,6 @@ mod tests {
     fn eight_bit_step() {
         let s = PhaseShifter::default();
         assert!((s.step_deg() - 1.40625).abs() < 1e-9);
-        assert!((s.max_error_deg() - 0.703125).abs() < 1e-9);
     }
 
     #[test]
@@ -98,13 +92,13 @@ mod tests {
             let req = i as f64 * 0.361;
             let got = s.apply(req);
             let err = (movr_math::wrap_deg_180(got - req)).abs();
-            assert!(err <= s.max_error_deg() + 1e-9, "req={req} got={got}");
+            assert!(err <= s.step_deg() / 2.0 + 1e-9, "req={req} got={got}");
         }
     }
 
     #[test]
     fn more_bits_less_error() {
-        assert!(PhaseShifter::with_bits(8).max_error_deg() < PhaseShifter::with_bits(4).max_error_deg());
+        assert!(PhaseShifter::with_bits(8).step_deg() < PhaseShifter::with_bits(4).step_deg());
     }
 
     #[test]

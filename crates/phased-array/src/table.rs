@@ -58,14 +58,6 @@ impl PatternTable {
         self.beams[i]
     }
 
-    /// The pre-steered array of entry `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn array(&self, i: usize) -> &SteeredArray {
-        &self.arrays[i]
-    }
-
     /// Evaluates every entry's gain toward every bearing in one pass:
     /// row `i` of the returned page is entry `i`'s
     /// [`SteeredArray::gain_dbi_batch`] over `bearings_deg`. A sweep
@@ -143,7 +135,8 @@ mod tests {
         let table = PatternTable::new(&base, &codebook);
         assert_eq!(base.steering_deg(), 90.0);
         assert_eq!(table.beam_deg(0), 200.0);
-        assert!((table.array(0).steering_deg() - 160.0).abs() < 1e-9);
+        let (_, applied) = table.entries().next().expect("one entry");
+        assert!((applied.steering_deg() - 160.0).abs() < 1e-9);
     }
 
     #[test]

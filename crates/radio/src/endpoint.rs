@@ -50,12 +50,6 @@ impl RadioEndpoint {
         self.position
     }
 
-    /// Moves the endpoint (headsets move; APs and reflectors usually
-    /// don't).
-    pub fn set_position(&mut self, position: Vec2) {
-        self.position = position;
-    }
-
     /// Transmit power, dBm.
     pub fn tx_power_dbm(&self) -> f64 {
         self.tx_power_dbm
@@ -75,11 +69,6 @@ impl RadioEndpoint {
     /// Steers the beam toward a point in the room.
     pub fn steer_toward(&mut self, target: Vec2) -> f64 {
         self.steer_to(self.position.bearing_deg_to(target))
-    }
-
-    /// The bearing from this endpoint to a point.
-    pub fn bearing_to(&self, target: Vec2) -> f64 {
-        self.position.bearing_deg_to(target)
     }
 }
 
@@ -137,19 +126,6 @@ mod tests {
         let applied = ap.steer_toward(Vec2::new(2.0, 2.0));
         assert!((applied - 45.0).abs() < 1e-9);
         assert!((ap.array().steering_deg() - 45.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bearing_to() {
-        let ap = RadioEndpoint::paper_radio(Vec2::new(0.0, 0.0), 0.0);
-        assert!((ap.bearing_to(Vec2::new(0.0, 3.0)) - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn endpoint_moves() {
-        let mut hs = RadioEndpoint::paper_radio(Vec2::new(1.0, 1.0), 0.0);
-        hs.set_position(Vec2::new(2.0, 3.0));
-        assert_eq!(hs.position(), Vec2::new(2.0, 3.0));
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl FrameConfig {
         total += self.sifs_ns * (n - 1);
         SimTime::from_nanos(total)
     }
-
-    /// Effective throughput (Mb/s) for large bursts at `mcs`: payload
-    /// bits over total airtime. Always below the PHY rate.
-    pub fn effective_rate_mbps(&self, mcs: &McsEntry) -> f64 {
-        let bits = self.max_psdu_bits;
-        let t = self.ppdu_airtime(mcs, bits) + SimTime::from_nanos(self.sifs_ns);
-        bits as f64 / t.as_secs_f64() / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -126,25 +118,5 @@ mod tests {
     fn zero_bits_zero_airtime() {
         let cfg = FrameConfig::default();
         assert_eq!(cfg.burst_airtime(top_mcs(), 0), SimTime::ZERO);
-    }
-
-    #[test]
-    fn effective_rate_below_phy_rate() {
-        let cfg = FrameConfig::default();
-        for m in RateTable.entries() {
-            let eff = cfg.effective_rate_mbps(m);
-            assert!(eff < m.rate_mbps, "{}", m.label);
-            assert!(eff > 0.80 * m.rate_mbps, "overhead too big for {}", m.label);
-        }
-    }
-
-    #[test]
-    fn overhead_hurts_fast_mcs_more() {
-        // Fixed-time overhead is relatively larger at higher rates.
-        let cfg = FrameConfig::default();
-        let e = RateTable.entries();
-        let slow_frac = cfg.effective_rate_mbps(&e[1]) / e[1].rate_mbps;
-        let fast_frac = cfg.effective_rate_mbps(e.last().unwrap()) / e.last().unwrap().rate_mbps;
-        assert!(slow_frac > fast_frac);
     }
 }

@@ -10,6 +10,10 @@
 //!   ~20 dB of SNR.
 //! * [`per`] — a packet-error-rate model around each MCS threshold, used
 //!   by the end-to-end VR session simulation for glitch accounting.
+//! * [`frame`] — PPDU framing: the airtime a video frame's bits take at
+//!   an MCS once preamble and header overheads are paid.
+//! * [`adaptation`] — MCS selection from noisy SNR reports (threshold,
+//!   hysteresis, oracle).
 //! * [`endpoint`] — a radio bolted to a steerable phased array at a
 //!   position in the room, and link-budget evaluation between two of them
 //!   through an `movr-rfsim` scene.
@@ -22,13 +26,11 @@ pub mod endpoint;
 pub mod frame;
 pub mod mcs;
 pub mod per;
-pub mod sls;
 pub mod tone;
 
 pub use adaptation::{BadMcsIndex, Hysteresis, Oracle, RateAdapter, SnrThreshold};
 pub use endpoint::{evaluate_link, ArrayPattern, RadioEndpoint};
 pub use frame::FrameConfig;
-pub use sls::{sector_level_sweep, SlsConfig, SlsResult};
 pub use mcs::{McsEntry, RateTable, VR_REQUIRED_RATE_MBPS, VR_REQUIRED_SNR_DB};
 pub use per::PerModel;
 pub use tone::{ToneMeasurement, ToneMeter, ToneProbe};

@@ -38,16 +38,6 @@ impl PerModel {
         let per = 1.0 / (1.0 + log_odds.exp());
         per.max(self.floor).min(1.0)
     }
-
-    /// Probability that a packet is delivered at `snr_db` on `mcs`.
-    pub fn delivery_probability(&self, mcs: &McsEntry, snr_db: f64) -> f64 {
-        1.0 - self.per(mcs, snr_db)
-    }
-
-    /// Effective goodput (Mb/s) at `snr_db` on `mcs`: rate × (1 − PER).
-    pub fn goodput_mbps(&self, mcs: &McsEntry, snr_db: f64) -> f64 {
-        mcs.rate_mbps * self.delivery_probability(mcs, snr_db)
-    }
 }
 
 #[cfg(test)]
@@ -97,15 +87,5 @@ mod tests {
     fn far_below_threshold_loses_everything() {
         let m = PerModel::default();
         assert!(m.per(mcs10(), mcs10().min_snr_db - 10.0) > 0.9999);
-    }
-
-    #[test]
-    fn goodput_peaks_at_rate() {
-        let m = PerModel::default();
-        let g = m.goodput_mbps(mcs10(), mcs10().min_snr_db + 6.0);
-        assert!((g - mcs10().rate_mbps).abs() / mcs10().rate_mbps < 1e-3);
-        // At threshold, goodput is half the rate.
-        let g_half = m.goodput_mbps(mcs10(), mcs10().min_snr_db);
-        assert!((g_half - mcs10().rate_mbps / 2.0).abs() < 1.0);
     }
 }

@@ -53,16 +53,6 @@ impl LinkBatch {
         }
     }
 
-    /// Number of taps (== traced paths).
-    pub fn len(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// True if tracing pruned every path.
-    pub fn is_empty(&self) -> bool {
-        self.taps.is_empty()
-    }
-
     /// Departure bearing of each path (absolute degrees, path order).
     /// Feed these to the TX side's gain kernel.
     pub fn departure_deg(&self) -> &[f64] {
@@ -91,7 +81,8 @@ impl LinkBatch {
     /// order, so the result is bit-identical to the scalar pipeline.
     ///
     /// # Panics
-    /// Panics if either gain slice's length differs from [`LinkBatch::len`].
+    /// Panics if either gain slice's length differs from the path count
+    /// (the length of [`LinkBatch::departure_deg`]).
     pub fn received_dbm(
         &self,
         tx_power_dbm: f64,
@@ -124,7 +115,8 @@ impl LinkBatch {
     /// [`TracedLink::evaluate`](crate::TracedLink::evaluate).
     ///
     /// # Panics
-    /// Panics if either gain slice's length differs from [`LinkBatch::len`].
+    /// Panics if either gain slice's length differs from the path count
+    /// (the length of [`LinkBatch::departure_deg`]).
     pub fn eval(
         &self,
         tx_power_dbm: f64,
@@ -164,7 +156,7 @@ mod tests {
         for (tx, rx) in endpoints {
             let link = scene.trace_link(tx, rx);
             let batch = link.batch();
-            assert_eq!(batch.len(), link.paths().len());
+            assert_eq!(batch.departure_deg().len(), link.paths().len());
             for power in [-10.0, 0.0, 23.0] {
                 let scalar = link.evaluate(&txp, power, &rxp);
                 let rowed = batch.eval(
@@ -188,7 +180,7 @@ mod tests {
         scene.set_obstacles(vec![Obstacle::new(BodyPart::MetalFurniture, tx); 2]);
         let link = scene.trace_link(tx, Vec2::new(4.0, 2.5));
         let batch = link.batch();
-        assert!(batch.is_empty());
+        assert!(batch.departure_deg().is_empty());
         let scalar = link.evaluate(&IsotropicPattern, 10.0, &IsotropicPattern);
         let rowed = batch.eval(10.0, &[], &[]);
         assert_eq!(scalar.received_dbm, f64::NEG_INFINITY);

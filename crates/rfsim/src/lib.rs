@@ -15,8 +15,12 @@
 //!   into an undecodable one when the player raises a hand (paper §3).
 //! * **Channel** — each surviving path contributes a complex gain
 //!   (amplitude from the loss budget, phase from the electrical length);
-//!   paths combine coherently at the receiver ([`channel`]).
+//!   paths combine coherently at the receiver, evaluated at the carrier
+//!   ([`channel`]).
 //! * **Noise** — thermal floor plus receiver noise figure ([`noise`]).
+//! * **Reuse** — a traced link keeps its paths and taps so beam sweeps
+//!   and unchanged frames reweight instead of re-tracing ([`cache`]), and
+//!   whole gain rows fold in one pass ([`batch`]).
 //!
 //! The crate is purely geometric/electromagnetic: it knows nothing about
 //! phased arrays, modulation or protocols. Antenna directivity enters
@@ -33,7 +37,6 @@ pub mod obstacle;
 pub mod pattern;
 pub mod raytrace;
 pub mod scene;
-pub mod wideband;
 
 pub use batch::LinkBatch;
 pub use cache::{LinkMemo, TracedLink};
@@ -45,7 +48,6 @@ pub use obstacle::{BodyPart, Obstacle};
 pub use pattern::{IsotropicPattern, Pattern, SectorPattern};
 pub use raytrace::{trace_paths, Path, PathKind, TraceConfig, Vertices, MAX_PATH_VERTICES};
 pub use scene::{LinkBudget, LinkEval, Scene};
-pub use wideband::{wideband_snr_db, WidebandBudget};
 
 /// Speed of light in vacuum (m/s).
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;

@@ -44,11 +44,6 @@ impl NoiseModel {
     pub fn snr_db(&self, received_dbm: f64) -> f64 {
         received_dbm - self.noise_floor_dbm() - self.implementation_loss_db
     }
-
-    /// The received power (dBm) needed to achieve a target SNR.
-    pub fn required_power_dbm(&self, target_snr_db: f64) -> f64 {
-        target_snr_db + self.noise_floor_dbm() + self.implementation_loss_db
-    }
 }
 
 #[cfg(test)]
@@ -69,15 +64,6 @@ mod tests {
         let snr = n.snr_db(-50.0);
         let expect = -50.0 - n.noise_floor_dbm() - n.implementation_loss_db;
         assert!((snr - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn required_power_roundtrip() {
-        let n = NoiseModel::ieee_802_11ad();
-        for target in [0.0, 10.0, 25.0] {
-            let p = n.required_power_dbm(target);
-            assert!((n.snr_db(p) - target).abs() < 1e-12);
-        }
     }
 
     #[test]

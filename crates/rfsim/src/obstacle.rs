@@ -51,15 +51,6 @@ impl BodyPart {
             BodyPart::MetalFurniture => Material::Metal.penetration_loss_db(),
         }
     }
-
-    /// The material the blocker is made of.
-    pub fn material(self) -> Material {
-        match self {
-            BodyPart::Hand | BodyPart::Head | BodyPart::Torso => Material::HumanTissue,
-            BodyPart::Furniture => Material::Wood,
-            BodyPart::MetalFurniture => Material::Metal,
-        }
-    }
 }
 
 /// A circular obstacle at a position in the room.
@@ -106,11 +97,6 @@ impl Obstacle {
         }
     }
 
-    /// True if the segment takes *any* loss from this obstacle.
-    pub fn blocks(&self, seg: &Segment) -> bool {
-        self.shadow_loss_on(seg) > 0.0
-    }
-
     /// Moves the obstacle to a new position (used by motion traces).
     pub fn moved_to(&self, center: Vec2) -> Obstacle {
         Obstacle {
@@ -139,7 +125,6 @@ mod tests {
         let hand = Obstacle::new(BodyPart::Hand, Vec2::new(1.0, 0.0));
         let s = seg(0.0, 0.0, 2.0, 0.0);
         assert_eq!(hand.shadow_loss_on(&s), BodyPart::Hand.shadow_loss_db());
-        assert!(hand.blocks(&s));
     }
 
     #[test]
@@ -147,7 +132,6 @@ mod tests {
         let hand = Obstacle::new(BodyPart::Hand, Vec2::new(1.0, 1.0));
         let s = seg(0.0, 0.0, 2.0, 0.0);
         assert_eq!(hand.shadow_loss_on(&s), 0.0);
-        assert!(!hand.blocks(&s));
     }
 
     #[test]

@@ -67,14 +67,6 @@ impl SectorPattern {
             floor_dbi: gain_dbi - 25.0,
         }
     }
-
-    /// Re-steers the sector to a new boresight.
-    pub fn steered_to(&self, boresight_deg: f64) -> Self {
-        SectorPattern {
-            boresight_deg,
-            ..*self
-        }
-    }
 }
 
 impl Pattern for SectorPattern {
@@ -119,13 +111,6 @@ mod tests {
         let p = SectorPattern::new(179.0, 10.0, 12.0);
         // -178° is only 3° away from 179° going through ±180.
         assert_eq!(p.gain_dbi(-178.0), 12.0);
-    }
-
-    #[test]
-    fn steering_moves_the_beam() {
-        let p = SectorPattern::new(0.0, 10.0, 15.0).steered_to(45.0);
-        assert_eq!(p.gain_dbi(45.0), 15.0);
-        assert_eq!(p.gain_dbi(0.0), p.floor_dbi);
     }
 
     #[test]

@@ -124,16 +124,6 @@ impl Path {
     pub fn excess_loss_db(&self) -> f64 {
         self.reflection_loss_db + self.shadow_loss_db
     }
-
-    /// True if this path is currently blocked at all (any shadow loss).
-    pub fn is_shadowed(&self) -> bool {
-        self.shadow_loss_db > 0.0
-    }
-
-    /// The path's segments in order.
-    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        self.vertices.windows(2).map(|w| Segment::new(w[0], w[1]))
-    }
 }
 
 /// Tracer configuration.
@@ -504,14 +494,14 @@ mod tests {
             .iter()
             .find(|p| p.kind == PathKind::LineOfSight)
             .unwrap();
-        assert!(los.is_shadowed());
+        assert!(los.shadow_loss_db > 0.0);
         assert!((los.shadow_loss_db - BodyPart::Hand.shadow_loss_db()).abs() < 1e-9);
         // Wall-bounce paths swing wide of a centred hand: at least one
         // reflected path must be clear.
         assert!(paths
             .iter()
             .filter(|p| p.kind != PathKind::LineOfSight)
-            .any(|p| !p.is_shadowed()));
+            .any(|p| p.shadow_loss_db <= 0.0));
     }
 
     #[test]
@@ -764,7 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn segments_iterator_matches_vertices() {
+    fn path_length_is_the_sum_of_its_segments() {
         let room = office();
         let paths = trace_paths(
             &room,
@@ -774,9 +764,11 @@ mod tests {
             &TraceConfig::default(),
         );
         for p in paths {
-            let segs: Vec<_> = p.segments().collect();
-            assert_eq!(segs.len(), p.vertices.len() - 1);
-            let sum: f64 = segs.iter().map(Segment::length).sum();
+            let sum: f64 = p
+                .vertices
+                .windows(2)
+                .map(|w| Segment::new(w[0], w[1]).length())
+                .sum();
             assert!((sum - p.length_m).abs() < 1e-9);
         }
     }

@@ -19,4 +19,4 @@ pub mod time;
 
 pub use pool::{available_threads, global_pool, pool_map, WorkerPool};
 pub use queue::{EventQueue, PastEventError};
-pub use time::{Periodic, SimTime};
+pub use time::SimTime;

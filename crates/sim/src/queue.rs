@@ -83,16 +83,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `event` at the absolute instant `at`.
     ///
     /// # Panics
@@ -136,11 +126,6 @@ impl<E> EventQueue<E> {
             Some(t) if t <= deadline => self.next(),
             _ => None,
         }
-    }
-
-    /// Drops all pending events (the clock keeps its value).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 
     /// Pending events in the exact order [`EventQueue::next`] would pop
@@ -273,7 +258,7 @@ mod tests {
             "early"
         );
         assert!(q.next_until(SimTime::from_millis(20)).is_none());
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pending_in_pop_order().len(), 1);
         // Clock has not run past the deadline.
         assert_eq!(q.now(), SimTime::from_millis(10));
     }
@@ -284,18 +269,7 @@ mod tests {
         q.schedule_at(SimTime::from_millis(3), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_keeps_clock() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(5), ());
-        q.next();
-        q.schedule_in(SimTime::from_millis(5), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_millis(5));
+        assert_eq!(q.pending_in_pop_order().len(), 1);
     }
 
     #[test]
@@ -329,7 +303,7 @@ mod tests {
             .collect();
         let mut restored = EventQueue::restore(q.now(), dumped).unwrap();
         assert_eq!(restored.now(), q.now());
-        assert_eq!(restored.len(), q.len());
+        assert_eq!(restored.pending_in_pop_order(), q.pending_in_pop_order());
         let mut orig_pops = Vec::new();
         let mut rest_pops = Vec::new();
         while let Some(p) = q.next() {

@@ -73,11 +73,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition.
-    pub fn checked_add(self, delta: SimTime) -> Option<SimTime> {
-        self.0.checked_add(delta.0).map(SimTime)
-    }
 }
 
 impl Add for SimTime {
@@ -119,46 +114,6 @@ impl fmt::Display for SimTime {
         } else {
             write!(f, "{ns}ns")
         }
-    }
-}
-
-/// A fixed-interval schedule: yields `start`, `start+period`, … — the
-/// 90 Hz VR frame clock, control-poll timers, and motion-trace sampling
-/// all use one of these.
-#[derive(Debug, Clone, Copy)]
-pub struct Periodic {
-    next: SimTime,
-    period: SimTime,
-}
-
-impl Periodic {
-    /// Creates a schedule beginning at `start` with the given period.
-    ///
-    /// # Panics
-    /// Panics on a zero period (the event loop would never advance).
-    pub fn new(start: SimTime, period: SimTime) -> Self {
-        assert!(period > SimTime::ZERO, "period must be positive"); // lint: constructor contract on a caller constant, not runtime input
-        Periodic {
-            next: start,
-            period,
-        }
-    }
-
-    /// The next instant the schedule will fire (without consuming it).
-    pub fn peek(&self) -> SimTime {
-        self.next
-    }
-
-    /// The period.
-    pub fn period(&self) -> SimTime {
-        self.period
-    }
-
-    /// Consumes and returns the next instant, advancing the schedule.
-    pub fn tick(&mut self) -> SimTime {
-        let t = self.next;
-        self.next += self.period;
-        t
     }
 }
 
@@ -229,32 +184,5 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_micros(2)), "2.000µs");
         assert_eq!(format!("{}", SimTime::from_millis(11)), "11.000ms");
         assert_eq!(format!("{}", SimTime::from_secs_f64(2.5)), "2.500s");
-    }
-
-    #[test]
-    fn periodic_ticks() {
-        let mut p = Periodic::new(SimTime::ZERO, SimTime::from_millis(11));
-        assert_eq!(p.peek(), SimTime::ZERO);
-        assert_eq!(p.tick(), SimTime::ZERO);
-        assert_eq!(p.tick(), SimTime::from_millis(11));
-        assert_eq!(p.tick(), SimTime::from_millis(22));
-        assert_eq!(p.peek(), SimTime::from_millis(33));
-    }
-
-    #[test]
-    #[should_panic(expected = "period")]
-    fn zero_period_rejected() {
-        Periodic::new(SimTime::ZERO, SimTime::ZERO);
-    }
-
-    #[test]
-    fn checked_add_at_boundary() {
-        assert!(SimTime::from_nanos(u64::MAX)
-            .checked_add(SimTime::from_nanos(1))
-            .is_none());
-        assert_eq!(
-            SimTime::from_nanos(1).checked_add(SimTime::from_nanos(2)),
-            Some(SimTime::from_nanos(3))
-        );
     }
 }

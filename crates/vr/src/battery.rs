@@ -55,12 +55,6 @@ impl Battery {
         assert!(draw_a > 0.0, "draw must be positive");
         self.usable_mah() / (draw_a * 1000.0)
     }
-
-    /// Remaining charge (mAh) after running `hours` at `draw_a`, floored
-    /// at zero.
-    pub fn remaining_mah(&self, draw_a: f64, hours: f64) -> f64 {
-        (self.usable_mah() - draw_a * 1000.0 * hours).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -89,16 +83,6 @@ mod tests {
         let b = Battery::anker_5200();
         let h = b.runtime_hours(VIVE_TYPICAL_DRAW_A + 0.3);
         assert!(h > 3.0, "h={h}");
-    }
-
-    #[test]
-    fn discharge_bookkeeping() {
-        let b = Battery::anker_5200();
-        let full = b.usable_mah();
-        let after_1h = b.remaining_mah(1.0, 1.0);
-        assert!((full - after_1h - 1000.0).abs() < 1e-9);
-        // Cannot go negative.
-        assert_eq!(b.remaining_mah(2.0, 100.0), 0.0);
     }
 
     #[test]

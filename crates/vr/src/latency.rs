@@ -39,13 +39,6 @@ impl LatencyBudget {
     pub fn meets_deadline(&self, airtime: SimTime, stall: SimTime) -> bool {
         self.total(airtime, stall) <= self.budget
     }
-
-    /// The stall the budget can still absorb for a given airtime
-    /// (zero if the airtime alone already busts the budget).
-    pub fn stall_headroom(&self, airtime: SimTime) -> SimTime {
-        self.budget
-            .saturating_since(self.processing + airtime)
-    }
 }
 
 #[cfg(test)]
@@ -79,19 +72,6 @@ mod tests {
         let airtime = SimTime::from_millis(7);
         let sweep = SimTime::from_millis(100);
         assert!(!b.meets_deadline(airtime, sweep));
-    }
-
-    #[test]
-    fn headroom_arithmetic() {
-        let b = LatencyBudget::default();
-        let airtime = SimTime::from_millis(7);
-        let head = b.stall_headroom(airtime);
-        assert_eq!(head, SimTime::from_micros(2500));
-        // Airtime over budget → zero headroom, not underflow.
-        assert_eq!(
-            b.stall_headroom(SimTime::from_millis(20)),
-            SimTime::ZERO
-        );
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl VrTrafficModel {
         SimTime::from_secs_f64(1.0 / self.refresh_hz)
     }
 
-    /// Average stream rate, Mb/s.
-    pub fn rate_mbps(&self) -> f64 {
-        self.frame_bits * self.refresh_hz / 1e6
-    }
-
     /// Time to push one frame through a link of `link_rate_mbps`, or
     /// `None` when the link is in outage (rate 0).
     pub fn frame_airtime(&self, link_rate_mbps: f64) -> Option<SimTime> {
@@ -54,15 +49,6 @@ impl VrTrafficModel {
             self.frame_bits / (link_rate_mbps * 1e6),
         ))
     }
-
-    /// True if a link of `link_rate_mbps` can sustain the stream (airtime
-    /// per frame fits within the frame interval).
-    pub fn sustainable_on(&self, link_rate_mbps: f64) -> bool {
-        match self.frame_airtime(link_rate_mbps) {
-            Some(t) => t <= self.frame_interval(),
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +58,8 @@ mod tests {
     #[test]
     fn vive_rate_matches_requirement() {
         let m = VrTrafficModel::vive();
-        assert!((m.rate_mbps() - VR_REQUIRED_RATE_MBPS).abs() < 1.0);
+        let rate_mbps = m.frame_bits * m.refresh_hz / 1e6;
+        assert!((rate_mbps - VR_REQUIRED_RATE_MBPS).abs() < 1.0);
     }
 
     #[test]
@@ -96,17 +83,5 @@ mod tests {
         let m = VrTrafficModel::vive();
         assert!(m.frame_airtime(0.0).is_none());
         assert!(m.frame_airtime(-5.0).is_none());
-        assert!(!m.sustainable_on(0.0));
-    }
-
-    #[test]
-    fn sustainability_threshold() {
-        let m = VrTrafficModel::vive();
-        // Exactly the stream rate: airtime == interval → sustainable.
-        assert!(m.sustainable_on(m.rate_mbps()));
-        assert!(!m.sustainable_on(m.rate_mbps() * 0.99));
-        assert!(m.sustainable_on(6756.75));
-        // The paper's blocked-link rates (≈1–2 Gb/s) cannot carry VR.
-        assert!(!m.sustainable_on(1925.0));
     }
 }

@@ -122,6 +122,9 @@ echo "100k-event rollup is byte-identical across thread counts"
 echo "==> workspace is warning-clean under -Dwarnings"
 RUSTFLAGS="-Dwarnings" cargo check --workspace --all-targets --offline
 
+echo "==> rustdoc is warning-clean (an intra-doc link to a deleted item fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> bench smoke (--quick profile, JSON lines)"
 cargo bench -p movr-bench --bench microbench --offline -- --quick 2>/dev/null \
     | grep '"median_ns"' > out/BENCH_micro.json

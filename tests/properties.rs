@@ -181,28 +181,6 @@ property! {
     }
 }
 
-// ---------------- tapers ----------------
-
-property! {
-    fn taper_weights_positive_efficiency_bounded(
-        n in usize_range(1, 31),
-        pedestal in f64_range(0.0, 1.0),
-        kind in usize_range(0, 2),
-    ) {
-        use movr_phased_array::Taper;
-        let taper = [
-            Taper::Uniform,
-            Taper::RaisedCosine { pedestal },
-            Taper::Binomial,
-        ][kind];
-        for i in 0..n {
-            prop_assert!(taper.weight(i, n) > 0.0);
-        }
-        let eff = taper.efficiency(n);
-        prop_assert!(eff > 0.0 && eff <= 1.0 + 1e-12, "eff={eff}");
-    }
-}
-
 // ---------------- framing ----------------
 
 property! {
@@ -344,7 +322,7 @@ property! {
         let mut b = Histogram::linear(lo, lo + width, n_buckets);
         first.iter().for_each(|&v| a.observe(v));
         second.iter().for_each(|&v| b.observe(v));
-        a.merge(&b);
+        a.try_merge(&b).expect("same layout");
         prop_assert_eq!(a.count(), h.count());
         prop_assert_eq!(a.bucket_counts(), h.bucket_counts());
         prop_assert_eq!(a.underflow(), h.underflow());
