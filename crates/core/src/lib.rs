@@ -68,8 +68,8 @@ pub use gain_control::{GainControlConfig, GainControlResult};
 pub use reflector::MovrReflector;
 pub use relay::{relay_link_on, RelayBudget};
 pub use session::{
-    run_session, run_session_on, run_session_on_recorded, run_session_recorded, RatePolicy,
-    Session, SessionConfig, SessionOutcome, Strategy,
+    run_session, run_session_on, run_session_recorded, RatePolicy, Session, SessionConfig,
+    SessionOutcome, Strategy,
 };
 pub use snapshot::{config_fingerprint, Snapshot, SnapshotError, FORMAT_VERSION};
 pub use system::{LinkDecision, LinkMode, MovrSystem, SystemConfig};

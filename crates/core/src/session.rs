@@ -18,12 +18,11 @@ use movr_math::convert::{u64_to_f64, usize_to_f64, usize_to_u64};
 use movr_math::{SimRng, Summary};
 use movr_motion::MotionTrace;
 use movr_obs::{Event, Histogram, MetricsSnapshot, NullRecorder, Recorder};
-use movr_radio::{
-    BadMcsIndex, FrameConfig, Hysteresis, McsEntry, Oracle, PerModel, RateAdapter,
-    SnrThreshold,
-};
-use movr_sim::{EventQueue, SimTime};
+use movr_radio::{FrameConfig, McsEntry, PerModel, RateAdapter};
+use movr_sim::SimTime;
 use movr_vr::{GlitchReport, GlitchTracker, LatencyBudget, VrTrafficModel};
+
+pub use movr_radio::RatePolicy;
 
 /// How the session is linked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,27 +36,6 @@ pub enum Strategy {
     Movr {
         /// Enable §6 fast realignment from headset pose tracking.
         tracking: bool,
-    },
-}
-
-/// How the transmitter picks its MCS from SNR reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RatePolicy {
-    /// Exact lookup on the true SNR (idealised upper bound).
-    Oracle,
-    /// Highest decodable MCS from a noisy report, minus a backoff.
-    Threshold {
-        /// Backoff subtracted from the reported SNR, dB.
-        backoff_db: f64,
-    },
-    /// Threshold with upgrade hysteresis (downgrades immediate).
-    HysteresisPolicy {
-        /// Extra SNR margin required before upgrading, dB.
-        up_margin_db: f64,
-        /// Consecutive qualifying reports required before upgrading.
-        up_count: usize,
-        /// Backoff subtracted from the reported SNR, dB.
-        backoff_db: f64,
     },
 }
 
@@ -100,74 +78,6 @@ impl SessionConfig {
     }
 }
 
-/// Runtime instantiation of a [`RatePolicy`].
-pub(crate) enum AdapterImpl {
-    Oracle(Oracle),
-    Threshold(SnrThreshold),
-    Hysteresis(Hysteresis),
-}
-
-impl AdapterImpl {
-    pub(crate) fn new(policy: RatePolicy) -> Self {
-        match policy {
-            RatePolicy::Oracle => AdapterImpl::Oracle(Oracle::default()),
-            RatePolicy::Threshold { backoff_db } => {
-                AdapterImpl::Threshold(SnrThreshold::new(backoff_db))
-            }
-            RatePolicy::HysteresisPolicy {
-                up_margin_db,
-                up_count,
-                backoff_db,
-            } => AdapterImpl::Hysteresis(Hysteresis::new(up_margin_db, up_count, backoff_db)),
-        }
-    }
-
-    fn select(
-        &mut self,
-        now: SimTime,
-        report_db: f64,
-        rec: &mut dyn Recorder,
-    ) -> Option<&'static McsEntry> {
-        match self {
-            AdapterImpl::Oracle(a) => a.on_snr_report_recorded(now, report_db, rec),
-            AdapterImpl::Threshold(a) => a.on_snr_report_recorded(now, report_db, rec),
-            AdapterImpl::Hysteresis(a) => a.on_snr_report_recorded(now, report_db, rec),
-        }
-    }
-
-    fn current_index(&self) -> Option<usize> {
-        match self {
-            AdapterImpl::Oracle(a) => a.current().map(|m| m.index),
-            AdapterImpl::Threshold(a) => a.current().map(|m| m.index),
-            AdapterImpl::Hysteresis(a) => a.current().map(|m| m.index),
-        }
-    }
-
-    /// The adapter's whole mutable state: `(current MCS index, hysteresis
-    /// up-streak)`. The streak is zero for streak-free policies.
-    pub(crate) fn state(&self) -> (Option<usize>, usize) {
-        match self {
-            AdapterImpl::Oracle(a) => (a.current_index(), 0),
-            AdapterImpl::Threshold(a) => (a.current_index(), 0),
-            AdapterImpl::Hysteresis(a) => (a.current_index(), a.up_streak()),
-        }
-    }
-
-    /// Restores an [`AdapterImpl::state`] capture. Errors on an MCS index
-    /// outside the rate table (snapshot bytes are external input).
-    pub(crate) fn restore_state(
-        &mut self,
-        current: Option<usize>,
-        up_streak: usize,
-    ) -> Result<(), BadMcsIndex> {
-        match self {
-            AdapterImpl::Oracle(a) => a.restore_current(current),
-            AdapterImpl::Threshold(a) => a.restore_current(current),
-            AdapterImpl::Hysteresis(a) => a.restore_state(current, up_streak),
-        }
-    }
-}
-
 /// What a session produced.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
@@ -201,12 +111,6 @@ impl SessionOutcome {
     }
 }
 
-/// The per-frame event driving the session loop.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SessionEvent {
-    Frame,
-}
-
 /// Every piece of mid-session mutable state, in one struct. This is the
 /// exact unit the checkpoint codec serialises: anything the frame loop
 /// reads *and* writes lives here, while [`SessionConfig`] (and the
@@ -219,7 +123,7 @@ pub(crate) enum SessionEvent {
 /// minimum, and [`Session::outcome`] derives the metrics snapshot.
 pub struct SessionState {
     pub(crate) system: MovrSystem,
-    pub(crate) adapter: AdapterImpl,
+    pub(crate) adapter: RateAdapter,
     pub(crate) report_rng: SimRng,
     pub(crate) glitches: GlitchTracker,
     /// Sum of the finite frame SNRs: the reported mean is this over the
@@ -239,7 +143,12 @@ pub struct SessionState {
     pub(crate) snr_hist: Option<Histogram>,
     pub(crate) airtime_hist: Option<Histogram>,
     pub(crate) stall_hist: Option<Histogram>,
-    pub(crate) queue: EventQueue<SessionEvent>,
+    /// The session clock: the instant of the last processed frame (zero
+    /// before the first).
+    pub(crate) now: SimTime,
+    /// The instant of the next frame: zero at the start, then one frame
+    /// interval after `now`.
+    pub(crate) next_frame: SimTime,
 }
 
 // Bucket layouts of the session histograms. A snapshot stores only their
@@ -256,10 +165,11 @@ pub(crate) fn stall_layout() -> Histogram {
 
 /// A stepwise VR session: the frame loop of [`run_session`] opened up at
 /// the frame boundary. Each [`Session::step_frame`] call processes
-/// exactly one frame event; between calls the session is a plain value
-/// that can be checkpointed with [`Session::snapshot`] and later resumed
-/// with [`Session::restore`], continuing bit-identically — same RNG
-/// draws, same metrics, same recorded timeline.
+/// exactly one frame and advances the frame clock one frame interval;
+/// between calls the session is a plain value that can be checkpointed
+/// with [`Session::snapshot`] and later resumed with
+/// [`Session::restore`], continuing bit-identically — same RNG draws,
+/// same metrics, same recorded timeline.
 pub struct Session {
     config: SessionConfig,
     state: SessionState,
@@ -273,13 +183,11 @@ impl Session {
 
     /// A session over a caller-built deployment (see [`run_session_on`]).
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
-        let mut queue: EventQueue<SessionEvent> = EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, SessionEvent::Frame);
         Session {
             config: *config,
             state: SessionState {
                 system,
-                adapter: AdapterImpl::new(config.rate_policy),
+                adapter: RateAdapter::new(config.rate_policy),
                 report_rng: SimRng::seed_from_u64(config.system.seed ^ 0x5E55_1055),
                 glitches: GlitchTracker::new(),
                 snr_sum: 0.0,
@@ -294,7 +202,8 @@ impl Session {
                 snr_hist: None,
                 airtime_hist: None,
                 stall_hist: None,
-                queue,
+                now: SimTime::ZERO,
+                next_frame: SimTime::ZERO,
             },
         }
     }
@@ -319,9 +228,10 @@ impl Session {
         self.state.glitches.frames_total()
     }
 
-    /// The session clock: the timestamp of the last processed event.
+    /// The session clock: the instant of the last processed frame (zero
+    /// before the first).
     pub fn now(&self) -> SimTime {
-        self.state.queue.now()
+        self.state.now
     }
 
     /// Serialises the session's entire mutable state to the versioned
@@ -339,14 +249,14 @@ impl Session {
         crate::snapshot::Snapshot::restore(bytes, config)
     }
 
-    /// Processes the next frame event, if one is due within the trace's
+    /// Processes the next frame, if it is due within the trace's
     /// duration. Returns `false` when the session is over.
     pub fn step_frame(&mut self, trace: &dyn MotionTrace) -> bool {
         self.step_frame_recorded(trace, &mut NullRecorder)
     }
 
     /// [`Session::step_frame`] with observability (the event vocabulary
-    /// is documented on [`run_session_on_recorded`]).
+    /// is documented on [`run_session_recorded`]).
     pub fn step_frame_recorded(
         &mut self,
         trace: &dyn MotionTrace,
@@ -354,10 +264,11 @@ impl Session {
     ) -> bool {
         let config = self.config;
         let st = &mut self.state;
-        let end = SimTime::from_secs_f64(trace.duration_s());
-        let Some((now, SessionEvent::Frame)) = st.queue.next_until(end) else {
+        let now = st.next_frame;
+        if now > SimTime::from_secs_f64(trace.duration_s()) {
             return false;
-        };
+        }
+        st.now = now;
         let per_model = PerModel::default();
         let t_s = now.as_secs_f64();
         let world = trace.world_at(t_s);
@@ -419,7 +330,6 @@ impl Session {
         }
         st.snr_hist.get_or_insert_with(snr_layout).observe(snr_db);
 
-        let rate_before = st.adapter.current_index();
         let mut frame_mcs: Option<&'static McsEntry> = None;
         let mut frame_airtime: Option<SimTime> = None;
         let delivered = if config.strategy == Strategy::Tethered {
@@ -433,7 +343,38 @@ impl Session {
                 RatePolicy::Oracle => snr_db,
                 _ => snr_db + st.report_rng.normal(0.0, config.snr_report_sigma_db),
             };
-            match st.adapter.select(now, report, rec) {
+            let before = st.adapter.current();
+            let chosen = st.adapter.on_snr_report(report);
+            // Each MCS change is classified once: its counter, and its
+            // event when a recorder listens. Steady-state reports stay
+            // silent so a 90 Hz report stream doesn't flood the timeline.
+            let change = match (before.map(|m| m.index), chosen.map(|m| m.index)) {
+                (Some(b), Some(a)) if a > b => {
+                    st.rate_up += 1;
+                    Some("rate_up")
+                }
+                (Some(b), Some(a)) if a < b => {
+                    st.rate_down += 1;
+                    Some("rate_down")
+                }
+                (Some(_), None) => {
+                    st.rate_outage += 1;
+                    Some("rate_outage")
+                }
+                (None, Some(_)) => Some("rate_restore"),
+                _ => None,
+            };
+            if let Some(kind) = change.filter(|_| rec.enabled()) {
+                let mut e = Event::new(now, kind).with("snr_report_db", report);
+                if let Some(m) = before {
+                    e = e.with("from_mcs", usize_to_u64(m.index));
+                }
+                if let Some(m) = chosen {
+                    e = e.with("to_mcs", usize_to_u64(m.index));
+                }
+                rec.record(e);
+            }
+            match chosen {
                 None => false,
                 Some(mcs) => {
                     frame_mcs = Some(mcs);
@@ -452,12 +393,6 @@ impl Session {
                 }
             }
         };
-        match (rate_before, st.adapter.current_index()) {
-            (Some(b), Some(a)) if a > b => st.rate_up += 1,
-            (Some(b), Some(a)) if a < b => st.rate_down += 1,
-            (Some(_), None) => st.rate_outage += 1,
-            _ => {}
-        }
         let stall_before = st.glitches.current_stall_frames();
         st.glitches.record(delivered);
         if rec.enabled() {
@@ -485,8 +420,7 @@ impl Session {
             rec.record(e);
         }
 
-        st.queue
-            .schedule_in(config.traffic.frame_interval(), SessionEvent::Frame);
+        st.next_frame = now + config.traffic.frame_interval();
         true
     }
 
@@ -563,14 +497,26 @@ pub fn run_session(trace: &dyn MotionTrace, config: &SessionConfig) -> SessionOu
     run_session_on(MovrSystem::paper_setup(config.system), trace, config)
 }
 
-/// [`run_session`] with a recorder attached (see
-/// [`run_session_on_recorded`] for the event vocabulary).
+/// [`run_session`] with observability. Per frame it emits one `frame`
+/// event (`delivered`, `snr_db`, `mcs` when transmitting, `stall_ns`,
+/// `mode`/`reflector` for MoVR strategies); transitions add
+/// `mode_switch`, `realign` (with a `realign_stall` span covering the
+/// blocked interval), `stall_recovered` (with the run length the player
+/// just sat through), one `rate_up`/`rate_down`/`rate_outage`/
+/// `rate_restore` per MCS change (`snr_report_db`, plus `from_mcs` and
+/// `to_mcs` where the link had or has an MCS), and the gain-control
+/// events of the layers underneath. The outcome — including the
+/// `metrics` snapshot, which is collected whether or not events are
+/// recorded — is bit-identical under any recorder: observation never
+/// draws RNG.
 pub fn run_session_recorded(
     trace: &dyn MotionTrace,
     config: &SessionConfig,
     rec: &mut dyn Recorder,
 ) -> SessionOutcome {
-    run_session_on_recorded(MovrSystem::paper_setup(config.system), trace, config, rec)
+    let mut session = Session::new(config);
+    while session.step_frame_recorded(trace, rec) {}
+    session.outcome(trace.duration_s())
 }
 
 /// Runs a session on a caller-built deployment — multi-reflector
@@ -582,7 +528,9 @@ pub fn run_session_on(
     trace: &dyn MotionTrace,
     config: &SessionConfig,
 ) -> SessionOutcome {
-    run_session_on_recorded(system, trace, config, &mut NullRecorder)
+    let mut session = Session::on_system(system, config);
+    while session.step_frame(trace) {}
+    session.outcome(trace.duration_s())
 }
 
 /// Stable short name for a link mode, for event fields.
@@ -591,26 +539,6 @@ fn mode_name(mode: LinkMode) -> &'static str {
         LinkMode::Direct => "direct",
         LinkMode::Reflector(_) => "reflector",
     }
-}
-
-/// [`run_session_on`] with observability. Per frame it emits one `frame`
-/// event (`delivered`, `snr_db`, `mcs` when transmitting, `stall_ns`,
-/// `mode`/`reflector` for MoVR strategies); transitions add
-/// `mode_switch`, `realign` (with a `realign_stall` span covering the
-/// blocked interval), `stall_recovered` (with the run length the player
-/// just sat through), and the rate-adaptation / gain-control events of
-/// the layers underneath. The outcome — including the `metrics`
-/// snapshot, which is collected whether or not events are recorded — is
-/// bit-identical under any recorder: observation never draws RNG.
-pub fn run_session_on_recorded(
-    system: MovrSystem,
-    trace: &dyn MotionTrace,
-    config: &SessionConfig,
-    rec: &mut dyn Recorder,
-) -> SessionOutcome {
-    let mut session = Session::on_system(system, config);
-    while session.step_frame_recorded(trace, rec) {}
-    session.outcome(trace.duration_s())
 }
 
 #[cfg(test)]

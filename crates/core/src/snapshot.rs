@@ -17,26 +17,30 @@
 //! | 0 | magic `"MOVRSNAP"` (8 bytes, as a little-endian u64) |
 //! | 8 | format version (u32) |
 //! | 12 | [`config_fingerprint`] of the capturing [`SessionConfig`] (u64) |
-//! | 20 | body: clock and event queue, accounting, link state, system checkpoint, histograms |
+//! | 20 | body: clock and pending frame, accounting, link state, system checkpoint, histograms |
 //! | len−8 | FNV-1a 64 checksum of everything before it |
 //!
 //! The body stores typed state only: no metric names, no histogram bucket
 //! edges (the layouts are constants of the session), and no counter that
-//! duplicates another. Each histogram is a presence byte followed, when
-//! present, by its bucket counts and exact Welford state. The frame count
-//! is the glitch tracker's, so it cannot disagree with a second copy.
+//! duplicates another. The clock is followed by the one pending frame in
+//! the shape of a one-entry event list (count 1, frame instant, tag 0),
+//! the layout version 2 has always had. Each histogram is a presence
+//! byte followed, when present, by its bucket counts and exact Welford
+//! state. The frame count is the glitch tracker's, so it cannot disagree
+//! with a second copy.
 //!
 //! Restore checks, in order: buffer length → magic → version → checksum
 //! → config fingerprint → body decode — so *any* single-byte corruption
 //! yields a structured [`SnapshotError`], never a panic. A checksum-valid
-//! body whose parts contradict each other (more delivered frames than
-//! frames, a histogram summary larger than its buckets, bucket counts
-//! that overflow) is [`SnapshotError::Malformed`].
+//! body whose parts contradict each other (a pending-frame count other
+//! than one, a frame before the clock, more delivered frames than frames,
+//! a histogram summary larger than its buckets, bucket counts that
+//! overflow) is [`SnapshotError::Malformed`].
 //!
 //! ## What is (and isn't) in a snapshot
 //!
-//! **In:** every value the frame loop mutates — sim clock and pending
-//! events, RNG streams (SNR reports, tracker noise, fault injection,
+//! **In:** every value the frame loop mutates — sim clock and next frame
+//! instant, RNG streams (SNR reports, tracker noise, fault injection,
 //! sensor noise), rate-adapter state, glitch tracker, session counters and
 //! histogram counts (exact Welford state), beam steering, amplifier gain,
 //! in-flight beam commands, tracker/predictor history, scene obstacles.
@@ -57,15 +61,16 @@
 //! an archival format.
 
 use crate::session::{
-    airtime_layout, snr_layout, stall_layout, AdapterImpl, RatePolicy, Session, SessionConfig,
-    SessionEvent, SessionState, Strategy,
+    airtime_layout, snr_layout, stall_layout, RatePolicy, Session, SessionConfig, SessionState,
+    Strategy,
 };
 use crate::system::{LinkMode, MovrSystem, ReflectorCheckpoint, SystemCheckpoint};
 use movr_math::{fnv1a64, SimRng, Summary, WireError, WireReader, WireWriter};
 use movr_motion::TrackedPose;
 use movr_obs::Histogram;
+use movr_radio::RateAdapter;
 use movr_rfsim::{BodyPart, Obstacle};
-use movr_sim::{EventQueue, SimTime};
+use movr_sim::SimTime;
 use movr_vr::GlitchTracker;
 use std::fmt;
 
@@ -359,20 +364,15 @@ fn encode_state(w: &mut WireWriter, st: &SessionState) {
         snr_hist,
         airtime_hist,
         stall_hist,
-        queue,
+        now,
+        next_frame,
     } = st;
 
-    // Clock and pending events (pop order is the canonical order; the
-    // (timestamp, insertion) tie-break is re-minted on restore).
-    w.u64(queue.now().as_nanos());
-    let pending = queue.pending_in_pop_order();
-    w.usize(pending.len());
-    for (at, event) in pending {
-        w.u64(at.as_nanos());
-        match event {
-            SessionEvent::Frame => w.u8(0),
-        }
-    }
+    // Clock and the pending frame: count 1, its instant, frame tag 0.
+    w.u64(now.as_nanos());
+    w.usize(1);
+    w.u64(next_frame.as_nanos());
+    w.u8(0);
 
     // Accounting: the glitch tracker (which owns the frame count), the
     // SNR sum, and the session counters.
@@ -529,18 +529,24 @@ fn decode_state(
     mut system: MovrSystem,
     config: &SessionConfig,
 ) -> Result<SessionState, SnapshotError> {
-    // Clock and pending events.
+    // Clock and the pending frame.
     let now = SimTime::from_nanos(r.u64()?);
     let n_pending = r.usize()?;
-    let mut pending = Vec::new();
-    for _ in 0..n_pending {
-        let at = SimTime::from_nanos(r.u64()?);
-        match r.u8()? {
-            0 => pending.push((at, SessionEvent::Frame)),
-            tag => return Err(malformed(format!("unknown session-event tag {tag}"))),
-        }
+    if n_pending != 1 {
+        return Err(malformed(format!(
+            "{n_pending} pending frames; a session has exactly one"
+        )));
     }
-    let queue = EventQueue::restore(now, pending).map_err(|e| malformed(e.to_string()))?;
+    let next_frame = SimTime::from_nanos(r.u64()?);
+    match r.u8()? {
+        0 => {}
+        tag => return Err(malformed(format!("unknown session-event tag {tag}"))),
+    }
+    if next_frame < now {
+        return Err(malformed(format!(
+            "pending frame at {next_frame} predates restored clock {now}"
+        )));
+    }
 
     // Accounting.
     let (frames, delivered) = (r.usize()?, r.usize()?);
@@ -570,7 +576,7 @@ fn decode_state(
     let report_rng = SimRng::from_state(decode_rng(r)?);
     let current_mcs = if r.bool()? { Some(r.usize()?) } else { None };
     let up_streak = r.usize()?;
-    let mut adapter = AdapterImpl::new(config.rate_policy);
+    let mut adapter = RateAdapter::new(config.rate_policy);
     adapter
         .restore_state(current_mcs, up_streak)
         .map_err(|e| malformed(e.to_string()))?;
@@ -647,7 +653,8 @@ fn decode_state(
         snr_hist,
         airtime_hist,
         stall_hist,
-        queue,
+        now,
+        next_frame,
     })
 }
 

@@ -339,10 +339,10 @@ fn float_exact_eq(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// must be paired with a plain `fn foo(...)` in the same file (the PR 2
 /// contract: observability is always optional). Two sound shapes:
 /// either the recorded variant's own body delegates to the plain
-/// primitive (a default trait method watching `current()`), or the file
-/// wires a `NullRecorder` through outside tests — delegation may be
-/// transitive (`run_session` → `run_session_on` →
-/// `run_session_on_recorded`), so that check is file-scoped.
+/// primitive (say, a default trait method watching `current()`), or the
+/// file wires a `NullRecorder` through outside tests — delegation may be
+/// transitive (`run_session` → `run_session_on` → `Session::step_frame`
+/// → `step_frame_recorded`), so that check is file-scoped.
 fn recorded_pairing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     if f.kind != FileKind::Lib {
         return;

@@ -3,65 +3,38 @@
 //! The paper converts SNR to rate through the standard tables; a real
 //! link must *choose* an MCS from noisy SNR estimates, and the choice
 //! policy affects how gracefully the link rides through partial blockage
-//! (the taper region of a hand entering the beam). Three policies:
+//! (the taper region of a hand entering the beam). One [`RateAdapter`]
+//! runs whichever [`RatePolicy`] it was built from:
 //!
-//! * [`SnrThreshold`] — pick the highest MCS whose threshold the current
-//!   SNR estimate clears, minus a safety backoff. Memoryless.
-//! * [`Hysteresis`] — the same, but an MCS change requires the SNR to
-//!   cross the boundary by a margin and stay there for several reports,
-//!   suppressing flapping at scenario edges.
-//! * [`Oracle`] — picks from the true SNR (upper bound for comparisons).
+//! * [`RatePolicy::Oracle`] — picks from the true SNR (upper bound for
+//!   comparisons).
+//! * [`RatePolicy::Threshold`] — pick the highest MCS whose threshold the
+//!   current SNR estimate clears, minus a safety backoff. Memoryless.
+//! * [`RatePolicy::HysteresisPolicy`] — the same, but an upgrade requires
+//!   the SNR to cross the next boundary by a margin and stay there for
+//!   several reports, suppressing flapping at scenario edges.
 
 use crate::mcs::{McsEntry, RateTable};
-use movr_math::convert::usize_to_u64;
-use movr_obs::{Event, Recorder};
-use movr_sim::SimTime;
 
-/// A rate-adaptation policy consuming periodic SNR reports.
-pub trait RateAdapter {
-    /// Feeds one SNR report and returns the MCS to use next
-    /// (`None` = link outage, don't transmit).
-    fn on_snr_report(&mut self, snr_db: f64) -> Option<&'static McsEntry>;
-
-    /// The currently selected MCS.
-    fn current(&self) -> Option<&'static McsEntry>;
-
-    /// [`RateAdapter::on_snr_report`] with observability: emits one event
-    /// per *decision change* — `rate_up`, `rate_down`, `rate_outage`,
-    /// `rate_restore` — carrying the report SNR and the MCS transition.
-    /// Steady-state reports (no MCS change) stay silent so a 90 Hz report
-    /// stream doesn't flood the timeline. The policy's behaviour is
-    /// unchanged: this default method only watches `current()`.
-    fn on_snr_report_recorded(
-        &mut self,
-        now: SimTime,
-        snr_db: f64,
-        rec: &mut dyn Recorder,
-    ) -> Option<&'static McsEntry> {
-        let before = self.current().map(|m| m.index);
-        let chosen = self.on_snr_report(snr_db);
-        if rec.enabled() {
-            let after = chosen.map(|m| m.index);
-            let event = |kind: &'static str| {
-                let mut e = Event::new(now, kind).with("snr_report_db", snr_db);
-                if let Some(i) = before {
-                    e = e.with("from_mcs", usize_to_u64(i));
-                }
-                if let Some(i) = after {
-                    e = e.with("to_mcs", usize_to_u64(i));
-                }
-                e
-            };
-            match (before, after) {
-                (Some(b), Some(a)) if a > b => rec.record(event("rate_up")),
-                (Some(b), Some(a)) if a < b => rec.record(event("rate_down")),
-                (Some(_), None) => rec.record(event("rate_outage")),
-                (None, Some(_)) => rec.record(event("rate_restore")),
-                _ => {}
-            }
-        }
-        chosen
-    }
+/// How the transmitter picks its MCS from SNR reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RatePolicy {
+    /// Exact lookup on the true SNR (idealised upper bound).
+    Oracle,
+    /// Highest decodable MCS from a noisy report, minus a backoff.
+    Threshold {
+        /// Backoff subtracted from the reported SNR, dB.
+        backoff_db: f64,
+    },
+    /// Threshold with upgrade hysteresis (downgrades immediate).
+    HysteresisPolicy {
+        /// Extra SNR margin required before upgrading, dB.
+        up_margin_db: f64,
+        /// Consecutive qualifying reports required before upgrading.
+        up_count: usize,
+        /// Backoff subtracted from the reported SNR, dB.
+        backoff_db: f64,
+    },
 }
 
 /// Error restoring a rate-adapter checkpoint: the stored MCS index does
@@ -86,190 +59,109 @@ impl std::fmt::Display for BadMcsIndex {
 
 impl std::error::Error for BadMcsIndex {}
 
-/// Maps a checkpointed MCS index back to the table entry.
-fn entry_for(index: Option<usize>) -> Result<Option<&'static McsEntry>, BadMcsIndex> {
-    match index {
-        None => Ok(None),
-        Some(i) => {
-            let entries = RateTable.entries();
-            entries.get(i).map(Some).ok_or(BadMcsIndex {
-                index: i,
-                table_len: entries.len(),
-            })
-        }
-    }
-}
-
-/// Threshold selection with a fixed safety backoff.
+/// MCS selection from periodic SNR reports under one [`RatePolicy`].
+///
+/// Its whole mutable state is the selected MCS and, under the hysteresis
+/// policy, the run of consecutive reports that qualified for an upgrade
+/// ([`RateAdapter::state`]).
 #[derive(Debug, Clone)]
-pub struct SnrThreshold {
-    table: RateTable,
-    /// Safety margin subtracted from reports before lookup, dB.
-    pub backoff_db: f64,
-    current: Option<&'static McsEntry>,
-}
-
-impl SnrThreshold {
-    /// Creates the policy with the given backoff.
-    pub fn new(backoff_db: f64) -> Self {
-        SnrThreshold {
-            table: RateTable,
-            backoff_db,
-            current: None,
-        }
-    }
-
-    /// Index of the currently selected MCS, for checkpointing.
-    pub fn current_index(&self) -> Option<usize> {
-        self.current.map(|m| m.index)
-    }
-
-    /// Restores the selection from a checkpointed index.
-    pub fn restore_current(&mut self, index: Option<usize>) -> Result<(), BadMcsIndex> {
-        self.current = entry_for(index)?;
-        Ok(())
-    }
-}
-
-impl RateAdapter for SnrThreshold {
-    fn on_snr_report(&mut self, snr_db: f64) -> Option<&'static McsEntry> {
-        self.current = self.table.best_mcs(snr_db - self.backoff_db);
-        self.current
-    }
-    fn current(&self) -> Option<&'static McsEntry> {
-        self.current
-    }
-}
-
-/// Threshold selection with hysteresis: upgrades need `up_margin_db`
-/// above the next rung's threshold sustained for `up_count` consecutive
-/// reports; downgrades are immediate (losing frames is worse than losing
-/// rate).
-#[derive(Debug, Clone)]
-pub struct Hysteresis {
-    table: RateTable,
-    /// Extra SNR margin required before upgrading, dB.
-    pub up_margin_db: f64,
-    /// Consecutive qualifying reports required before upgrading.
-    pub up_count: usize,
-    /// Backoff subtracted from the reported SNR, dB.
-    pub backoff_db: f64,
+pub struct RateAdapter {
+    policy: RatePolicy,
     current: Option<&'static McsEntry>,
     up_streak: usize,
 }
 
-impl Hysteresis {
-    /// Creates the policy. Typical: 1 dB margin, 3 reports, 1 dB backoff.
-    pub fn new(up_margin_db: f64, up_count: usize, backoff_db: f64) -> Self {
-        assert!(up_count >= 1, "up_count must be at least 1"); // lint: constructor contract — a zero threshold is a caller bug, not runtime input
-        Hysteresis {
-            table: RateTable,
-            up_margin_db,
-            up_count,
-            backoff_db,
+impl RateAdapter {
+    /// An adapter running `policy`, starting in outage (no MCS chosen).
+    pub fn new(policy: RatePolicy) -> Self {
+        if let RatePolicy::HysteresisPolicy { up_count, .. } = policy {
+            assert!(up_count >= 1, "up_count must be at least 1"); // lint: constructor contract — a zero threshold is a caller bug, not runtime input
+        }
+        RateAdapter {
+            policy,
             current: None,
             up_streak: 0,
         }
     }
 
-    fn index_of(mcs: Option<&'static McsEntry>) -> Option<usize> {
-        mcs.map(|m| m.index)
-    }
-
-    /// Index of the currently selected MCS, for checkpointing.
-    pub fn current_index(&self) -> Option<usize> {
-        Self::index_of(self.current)
-    }
-
-    /// Consecutive qualifying up-reports accumulated so far — part of the
-    /// checkpointed state, since an in-flight streak changes when the next
-    /// upgrade happens.
-    pub fn up_streak(&self) -> usize {
-        self.up_streak
-    }
-
-    /// Restores the selection and upgrade streak from a checkpoint.
-    pub fn restore_state(
-        &mut self,
-        index: Option<usize>,
-        up_streak: usize,
-    ) -> Result<(), BadMcsIndex> {
-        self.current = entry_for(index)?;
-        self.up_streak = up_streak;
-        Ok(())
-    }
-}
-
-impl RateAdapter for Hysteresis {
-    fn on_snr_report(&mut self, snr_db: f64) -> Option<&'static McsEntry> {
-        let snr = snr_db - self.backoff_db;
-        let ideal = self.table.best_mcs(snr);
-
-        match (Self::index_of(self.current), Self::index_of(ideal)) {
-            // Outage or downgrade: take it immediately.
-            (_, None) => {
-                self.current = None;
-                self.up_streak = 0;
+    /// Feeds one SNR report and returns the MCS to use next
+    /// (`None` = link outage, don't transmit).
+    pub fn on_snr_report(&mut self, snr_db: f64) -> Option<&'static McsEntry> {
+        match self.policy {
+            RatePolicy::Oracle => self.current = RateTable.best_mcs(snr_db),
+            RatePolicy::Threshold { backoff_db } => {
+                self.current = RateTable.best_mcs(snr_db - backoff_db);
             }
-            (None, Some(_)) => {
-                // Coming out of outage: join at the ideal rung directly.
-                self.current = ideal;
-                self.up_streak = 0;
-            }
-            (Some(cur), Some(want)) if want < cur => {
-                self.current = ideal;
-                self.up_streak = 0;
-            }
-            (Some(cur), Some(want)) if want > cur => {
-                // Upgrade only with sustained margin above the next rung.
-                let next = &self.table.entries()[cur + 1];
-                if snr >= next.min_snr_db + self.up_margin_db {
-                    self.up_streak += 1;
-                    if self.up_streak >= self.up_count {
-                        self.current = Some(next);
+            RatePolicy::HysteresisPolicy {
+                up_margin_db,
+                up_count,
+                backoff_db,
+            } => {
+                let snr = snr_db - backoff_db;
+                let ideal = RateTable.best_mcs(snr);
+                match (self.current, ideal) {
+                    (Some(cur), Some(want)) if want.index > cur.index => {
+                        // Upgrade only with sustained margin above the
+                        // next rung.
+                        let next = &RateTable.entries()[cur.index + 1];
+                        if snr >= next.min_snr_db + up_margin_db {
+                            self.up_streak += 1;
+                            if self.up_streak >= up_count {
+                                self.current = Some(next);
+                                self.up_streak = 0;
+                            }
+                        } else {
+                            self.up_streak = 0;
+                        }
+                    }
+                    // Everything else takes the ideal rung at once: an
+                    // outage, a downgrade, holding the rung, or joining
+                    // from outage (no rung-by-rung climb).
+                    _ => {
+                        self.current = ideal;
                         self.up_streak = 0;
                     }
-                } else {
-                    self.up_streak = 0;
                 }
-            }
-            _ => {
-                self.up_streak = 0;
             }
         }
         self.current
     }
-    fn current(&self) -> Option<&'static McsEntry> {
+
+    /// The currently selected MCS.
+    pub fn current(&self) -> Option<&'static McsEntry> {
         self.current
     }
-}
 
-/// Oracle policy: exact lookup on the true SNR, no backoff.
-#[derive(Debug, Clone, Default)]
-pub struct Oracle {
-    current: Option<&'static McsEntry>,
-}
-
-impl Oracle {
-    /// Index of the currently selected MCS, for checkpointing.
-    pub fn current_index(&self) -> Option<usize> {
-        self.current.map(|m| m.index)
+    /// The adapter's whole mutable state, for checkpointing: the selected
+    /// MCS index and the hysteresis up-streak (always zero under the
+    /// other policies).
+    pub fn state(&self) -> (Option<usize>, usize) {
+        (self.current.map(|m| m.index), self.up_streak)
     }
 
-    /// Restores the selection from a checkpointed index.
-    pub fn restore_current(&mut self, index: Option<usize>) -> Result<(), BadMcsIndex> {
-        self.current = entry_for(index)?;
+    /// Restores a [`RateAdapter::state`] capture. The up-streak is
+    /// restored only under the hysteresis policy; the others keep none.
+    /// Errors on an MCS index outside the rate table (snapshot bytes are
+    /// external input).
+    pub fn restore_state(
+        &mut self,
+        current: Option<usize>,
+        up_streak: usize,
+    ) -> Result<(), BadMcsIndex> {
+        self.current = match current {
+            None => None,
+            Some(i) => {
+                let entries = RateTable.entries();
+                Some(entries.get(i).ok_or(BadMcsIndex {
+                    index: i,
+                    table_len: entries.len(),
+                })?)
+            }
+        };
+        if let RatePolicy::HysteresisPolicy { .. } = self.policy {
+            self.up_streak = up_streak;
+        }
         Ok(())
-    }
-}
-
-impl RateAdapter for Oracle {
-    fn on_snr_report(&mut self, snr_db: f64) -> Option<&'static McsEntry> {
-        self.current = RateTable.best_mcs(snr_db);
-        self.current
-    }
-    fn current(&self) -> Option<&'static McsEntry> {
-        self.current
     }
 }
 
@@ -277,9 +169,21 @@ impl RateAdapter for Oracle {
 mod tests {
     use super::*;
 
+    fn threshold(backoff_db: f64) -> RateAdapter {
+        RateAdapter::new(RatePolicy::Threshold { backoff_db })
+    }
+
+    fn hysteresis() -> RateAdapter {
+        RateAdapter::new(RatePolicy::HysteresisPolicy {
+            up_margin_db: 1.0,
+            up_count: 3,
+            backoff_db: 0.0,
+        })
+    }
+
     #[test]
     fn threshold_tracks_snr() {
-        let mut a = SnrThreshold::new(0.0);
+        let mut a = threshold(0.0);
         assert_eq!(a.on_snr_report(25.0).unwrap().rate_mbps, 6756.75);
         assert_eq!(a.on_snr_report(12.5).unwrap().index, 10);
         assert!(a.on_snr_report(-5.0).is_none());
@@ -287,16 +191,14 @@ mod tests {
 
     #[test]
     fn backoff_is_conservative() {
-        let mut plain = SnrThreshold::new(0.0);
-        let mut safe = SnrThreshold::new(2.0);
-        let p = plain.on_snr_report(20.5).unwrap();
-        let s = safe.on_snr_report(20.5).unwrap();
+        let p = threshold(0.0).on_snr_report(20.5).unwrap();
+        let s = threshold(2.0).on_snr_report(20.5).unwrap();
         assert!(s.rate_mbps < p.rate_mbps);
     }
 
     #[test]
     fn hysteresis_downgrades_immediately() {
-        let mut h = Hysteresis::new(1.0, 3, 0.0);
+        let mut h = hysteresis();
         h.on_snr_report(25.0);
         assert_eq!(h.current().unwrap().index, 15);
         // One bad report drops the rate at once (10.0 dB decodes MCS 8,
@@ -307,8 +209,8 @@ mod tests {
 
     #[test]
     fn hysteresis_upgrades_slowly() {
-        let mut h = Hysteresis::new(1.0, 3, 0.0);
-        h.on_snr_report(10.0); // index 9 (10.5 needs more) -> actually 8
+        let mut h = hysteresis();
+        h.on_snr_report(10.0);
         let start = h.current().unwrap().index;
         // SNR recovers to 25: the ideal is the top, but we climb one rung
         // per 3 sustained reports.
@@ -324,7 +226,7 @@ mod tests {
 
     #[test]
     fn hysteresis_streak_resets_on_dip() {
-        let mut h = Hysteresis::new(1.0, 3, 0.0);
+        let mut h = hysteresis();
         h.on_snr_report(12.0);
         let start = h.current().unwrap().index;
         h.on_snr_report(25.0);
@@ -339,7 +241,7 @@ mod tests {
 
     #[test]
     fn hysteresis_joins_from_outage_directly() {
-        let mut h = Hysteresis::new(1.0, 3, 0.0);
+        let mut h = hysteresis();
         assert!(h.on_snr_report(-5.0).is_none());
         let m = h.on_snr_report(18.5).unwrap();
         assert_eq!(m.index, 14, "no rung-by-rung climb out of outage");
@@ -347,62 +249,35 @@ mod tests {
 
     #[test]
     fn oracle_is_exact() {
-        let mut o = Oracle::default();
+        let mut o = RateAdapter::new(RatePolicy::Oracle);
         assert_eq!(o.on_snr_report(20.0).unwrap().rate_mbps, 6756.75);
         assert_eq!(o.on_snr_report(19.99).unwrap().index, 14);
     }
 
     #[test]
-    fn recorded_reports_emit_only_decision_changes() {
-        use movr_obs::{MemoryRecorder, Value};
-        use movr_sim::SimTime;
-        let mut a = SnrThreshold::new(0.0);
-        let mut rec = MemoryRecorder::new();
-        let t = |ms| SimTime::from_millis(ms);
-        // First report: None -> Some is a restore (link comes up).
-        a.on_snr_report_recorded(t(0), 25.0, &mut rec);
-        // Steady state: same MCS, no event.
-        a.on_snr_report_recorded(t(11), 25.0, &mut rec);
-        // Degrade, recover, lose the link, restore.
-        a.on_snr_report_recorded(t(22), 12.5, &mut rec);
-        a.on_snr_report_recorded(t(33), 25.0, &mut rec);
-        a.on_snr_report_recorded(t(44), -5.0, &mut rec);
-        a.on_snr_report_recorded(t(55), 18.0, &mut rec);
-        let kinds: Vec<&str> = rec.events().iter().map(|e| e.kind).collect();
+    fn restore_keeps_a_streak_only_under_hysteresis() {
+        let mut h = hysteresis();
+        h.restore_state(Some(9), 2).unwrap();
+        assert_eq!(h.state(), (Some(9), 2));
+        let mut t = threshold(1.0);
+        t.restore_state(Some(9), 2).unwrap();
+        assert_eq!(t.state(), (Some(9), 0));
+        let len = RateTable.entries().len();
         assert_eq!(
-            kinds,
-            ["rate_restore", "rate_down", "rate_up", "rate_outage", "rate_restore"]
+            t.restore_state(Some(len), 0),
+            Err(BadMcsIndex {
+                index: len,
+                table_len: len
+            })
         );
-        let down = rec.of_kind("rate_down").next().unwrap();
-        assert_eq!(down.field("from_mcs"), Some(&Value::U64(15)));
-        assert_eq!(down.field("to_mcs"), Some(&Value::U64(10)));
-        assert_eq!(down.field("snr_report_db"), Some(&Value::F64(12.5)));
-        let outage = rec.of_kind("rate_outage").next().unwrap();
-        assert!(outage.field("to_mcs").is_none(), "outage has no target MCS");
-    }
-
-    #[test]
-    fn recorded_variant_is_behaviour_identical() {
-        use movr_obs::NullRecorder;
-        use movr_sim::SimTime;
-        let reports = [10.0, 25.0, 25.0, 25.0, -3.0, 14.8, 15.2, 19.0];
-        let mut plain = Hysteresis::new(1.0, 3, 1.0);
-        let mut recorded = Hysteresis::new(1.0, 3, 1.0);
-        for (i, &s) in reports.iter().enumerate() {
-            let a = plain.on_snr_report(s).map(|m| m.index);
-            let b = recorded
-                .on_snr_report_recorded(SimTime::from_millis(i as u64 * 11), s, &mut NullRecorder)
-                .map(|m| m.index);
-            assert_eq!(a, b, "report {i}");
-        }
     }
 
     #[test]
     fn flapping_snr_flaps_threshold_but_not_hysteresis() {
         // SNR oscillating across an MCS boundary.
         let reports = [15.2, 14.8, 15.2, 14.8, 15.2, 14.8];
-        let mut t = SnrThreshold::new(0.0);
-        let mut h = Hysteresis::new(1.0, 3, 0.0);
+        let mut t = threshold(0.0);
+        let mut h = hysteresis();
         let mut t_changes = 0;
         let mut h_changes = 0;
         let mut t_prev = None;

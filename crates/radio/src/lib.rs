@@ -12,8 +12,9 @@
 //!   by the end-to-end VR session simulation for glitch accounting.
 //! * [`frame`] — PPDU framing: the airtime a video frame's bits take at
 //!   an MCS once preamble and header overheads are paid.
-//! * [`adaptation`] — MCS selection from noisy SNR reports (threshold,
-//!   hysteresis, oracle).
+//! * [`adaptation`] — MCS selection from noisy SNR reports: one
+//!   [`RateAdapter`] running an oracle, threshold or hysteresis
+//!   [`RatePolicy`].
 //! * [`endpoint`] — a radio bolted to a steerable phased array at a
 //!   position in the room, and link-budget evaluation between two of them
 //!   through an `movr-rfsim` scene.
@@ -28,7 +29,7 @@ pub mod mcs;
 pub mod per;
 pub mod tone;
 
-pub use adaptation::{BadMcsIndex, Hysteresis, Oracle, RateAdapter, SnrThreshold};
+pub use adaptation::{BadMcsIndex, RateAdapter, RatePolicy};
 pub use endpoint::{evaluate_link, ArrayPattern, RadioEndpoint};
 pub use frame::FrameConfig;
 pub use mcs::{McsEntry, RateTable, VR_REQUIRED_RATE_MBPS, VR_REQUIRED_SNR_DB};

@@ -76,9 +76,9 @@ impl LinkBatch {
     /// Received power (dBm) under per-path TX/RX gains in dBi.
     ///
     /// `tx_gains_dbi[i]`/`rx_gains_dbi[i]` weight path `i`. The taps go
-    /// through the same coherent fold as
-    /// [`Channel::combined_gain`](crate::Channel::combined_gain), in path
-    /// order, so the result is bit-identical to the scalar pipeline.
+    /// through the same coherent fold as the scalar path,
+    /// [`TracedLink::evaluate`](crate::TracedLink::evaluate), in path
+    /// order, so the result is bit-identical to it.
     ///
     /// # Panics
     /// Panics if either gain slice's length differs from the path count

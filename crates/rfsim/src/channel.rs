@@ -80,9 +80,13 @@ impl Channel {
 /// path order: each tap is weighted by the square root of its power
 /// gain and the weighted taps fold from zero.
 ///
-/// Every link evaluation ends here — [`Channel::combined_gain`] for the
-/// scalar path and [`LinkBatch`](crate::LinkBatch) for precomputed gain
-/// rows — so the two agree bit for bit by construction.
+/// Every link evaluation ends here —
+/// [`TracedLink::evaluate`](crate::TracedLink::evaluate) for the scalar
+/// (per-frame) path and [`LinkBatch`](crate::LinkBatch) for precomputed
+/// gain rows — so the two agree bit for bit by construction.
+/// [`Channel::combined_gain`] folds the same way; its only callers are
+/// this module's tests and the sweep bench's frozen replica of an older
+/// generation.
 #[inline]
 pub(crate) fn coherent_sum(terms: impl Iterator<Item = (C64, f64)>) -> C64 {
     let mut sum = C64::ZERO;

@@ -151,6 +151,14 @@ grep -q '"name":"obs_reduce_fleet_8x1s"' out/BENCH_micro.json || {
     echo "movr-obs reduce bench missing from microbench output" >&2
     exit 1
 }
+grep -q '"name":"session_one_second_90fps"' out/BENCH_micro.json || {
+    echo "session frame-loop bench missing from microbench output" >&2
+    exit 1
+}
+grep -q '"name":"obs_session_60s_null"' out/BENCH_micro.json || {
+    echo "null-recorder session bench missing from microbench output" >&2
+    exit 1
+}
 
 echo "==> bench: sweep-rate gate (batched bit-identical and >= 2.5x over memoized,"
 echo "    memoized >= 5x over uncached; fleet byte-identical, thread ladder)"

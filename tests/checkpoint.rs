@@ -20,7 +20,6 @@ use movr_math::fnv1a64;
 use movr_motion::{HandRaise, MotionTrace, PlayerState};
 use movr_obs::MemoryRecorder;
 use movr_math::Vec2;
-use movr_sim::{EventQueue, SimTime};
 use movr_testkit::{
     choice, prop_assert, prop_assert_eq, property, u64_range, usize_range,
 };
@@ -434,39 +433,56 @@ fn restore_under_a_different_config_is_a_config_mismatch() {
     ));
 }
 
-// ---------------- event-queue serialization order ----------------
+// ---------------- the pending frame ----------------
 
 #[test]
 fn equal_timestamp_events_round_trip_in_pop_order() {
-    // The snapshot stores pending events in pop order; ties on the
-    // timestamp must come back in insertion order, not heap order.
-    let t = SimTime::from_millis(5);
-    let mut q: EventQueue<u32> = EventQueue::new();
-    q.schedule_at(SimTime::from_millis(1), 99);
-    q.next(); // advance the clock so `now` is non-zero
-    for v in [10u32, 20, 30, 40] {
-        q.schedule_at(t, v);
-    }
-    q.schedule_at(SimTime::from_millis(9), 50);
+    // A session has exactly one pending frame. The body stores it where
+    // format version 2 has always kept a one-entry event list, right after
+    // the clock (offset 20): count (28), frame instant (36), tag 0 (44).
+    // A second frame at the same instant, no frame, an unknown tag and a
+    // frame before the clock are all malformed.
+    let (_, cfg) = scenario(Strategy::DirectOnly, RatePolicy::Oracle, 3);
+    let bytes = snapshot_under(&cfg, 7);
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let (clock, count, instant, tag) = (20, 28, 36, 44);
+    assert_eq!(u64_at(&bytes, count), 1, "one frame pending");
+    assert_eq!(bytes[tag], 0, "a frame");
+    let now = u64_at(&bytes, clock);
+    assert!(
+        now > 0 && u64_at(&bytes, instant) > now,
+        "the next frame follows the clock"
+    );
 
-    let now = q.now();
-    let pending: Vec<(SimTime, u32)> =
-        q.pending_in_pop_order().into_iter().map(|(at, e)| (at, *e)).collect();
-    let restored =
-        EventQueue::restore(now, pending.clone()).expect("pop-order capture restores");
+    let set_count = |b: &mut Vec<u8>, n: u64| b[count..count + 8].copy_from_slice(&n.to_le_bytes());
+    let mut two = bytes.clone();
+    two.splice(tag + 1..tag + 1, bytes[instant..=tag].to_vec());
+    set_count(&mut two, 2);
+    let mut none = bytes.clone();
+    none.drain(instant..=tag);
+    set_count(&mut none, 0);
+    let mut tag_1 = bytes.clone();
+    tag_1[tag] = 1;
+    let mut early = bytes.clone();
+    early[instant..instant + 8].copy_from_slice(&(now - 1).to_le_bytes());
 
-    // The restored queue pops the identical sequence — equal-timestamp
-    // entries included — and agrees with a second capture of itself.
-    let replay: Vec<(SimTime, u32)> =
-        restored.pending_in_pop_order().into_iter().map(|(at, e)| (at, *e)).collect();
-    assert_eq!(replay, pending);
-    let mut q2 = EventQueue::restore(now, replay).expect("round-trip restores");
-    while let (Some(a), Some(b)) = (q.peek_time(), q2.peek_time()) {
-        assert_eq!(a, b);
-        assert_eq!(q.next(), q2.next());
+    for (what, mut body) in [
+        ("a second frame at the same instant", two),
+        ("no pending frame", none),
+        ("an unknown event tag", tag_1),
+        ("a frame before the clock", early),
+    ] {
+        reseal(&mut body);
+        match Session::restore(&body, &cfg) {
+            Err(SnapshotError::Malformed { .. }) => {}
+            Err(other) => panic!("{what}: expected Malformed, got {other:?}"),
+            Ok(_) => panic!("{what}: restored"),
+        }
     }
-    assert!(q.next().is_none());
-    assert!(q2.next().is_none());
+    assert!(
+        Session::restore(&bytes, &cfg).is_ok(),
+        "the untouched bytes restore"
+    );
 }
 
 // ---------------- golden fixture ----------------

@@ -5,7 +5,7 @@
 use movr::reflector::MovrReflector;
 use movr_control::{ControlChannel, ControlMessage};
 use movr_math::Vec2;
-use movr_sim::{EventQueue, SimTime};
+use movr_sim::SimTime;
 
 /// Apply a delivered message to the device, as the Arduino firmware would.
 fn apply(reflector: &mut MovrReflector, msg: ControlMessage) {
@@ -27,15 +27,14 @@ fn apply(reflector: &mut MovrReflector, msg: ControlMessage) {
 fn commands_arrive_in_order_and_take_effect() {
     let mut reflector = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, 1);
     let mut channel = ControlChannel::ideal();
-    let mut clock: EventQueue<()> = EventQueue::new();
-    clock.schedule_at(SimTime::from_millis(100), ());
 
     let t0 = SimTime::ZERO;
     channel.send(t0, ControlMessage::SetReflectorBeams { rx_deg: -102.0, tx_deg: -45.0 });
     channel.send(t0, ControlMessage::SetAmplifierGain { gain_db: 25.0 });
     channel.send(t0, ControlMessage::StartModulation { freq_hz: 100e3 });
 
-    let (now, ()) = clock.next().unwrap();
+    // The controller drains the channel 100 ms later.
+    let now = SimTime::from_millis(100);
     for (_, msg) in channel.deliveries(now) {
         apply(&mut reflector, msg);
     }

@@ -204,3 +204,123 @@ fn resume_from_snapshot_is_equivalent_to_the_uninterrupted_run() {
         "stitched timeline must be byte-identical to the one-process run"
     );
 }
+
+/// The rate-event scenario: the player stands at (4.0, 2.5) facing the
+/// AP while a torso walks across the direct path, from (2.2, 0.6) to
+/// (2.2, 4.4) at 1.2 m/s from 0.5 s, over a 4 s trace. Under `DirectOnly`
+/// it drives the link through every kind of MCS change: up, down, outage
+/// and restore.
+fn rate_event_trace() -> movr_motion::WalkerCrossing {
+    let player = Vec2::new(4.0, 2.5);
+    movr_motion::WalkerCrossing {
+        player: PlayerState::standing(player, player.bearing_deg_to(Vec2::new(0.5, 2.5))),
+        from: Vec2::new(2.2, 0.6),
+        to: Vec2::new(2.2, 4.4),
+        start_s: 0.5,
+        speed_mps: 1.2,
+        duration_s: 4.0,
+    }
+}
+
+const RATE_EVENT_POLICIES: [RatePolicy; 3] = [
+    RatePolicy::Oracle,
+    RatePolicy::Threshold { backoff_db: 1.0 },
+    RatePolicy::HysteresisPolicy {
+        up_margin_db: 1.0,
+        up_count: 3,
+        backoff_db: 0.5,
+    },
+];
+
+const RATE_EVENT_STRATEGIES: [Strategy; 2] =
+    [Strategy::DirectOnly, Strategy::Movr { tracking: true }];
+
+/// Runs one rate-event session recorded in memory.
+fn rate_event_session(
+    strategy: Strategy,
+    policy: RatePolicy,
+) -> (movr::session::SessionOutcome, MemoryRecorder) {
+    let mut cfg = SessionConfig::with_strategy(strategy);
+    cfg.rate_policy = policy;
+    let mut rec = MemoryRecorder::new();
+    let out = run_session_recorded(&rate_event_trace(), &cfg, &mut rec);
+    (out, rec)
+}
+
+#[test]
+fn rate_event_sessions_match_their_pinned_digests() {
+    // FNV-1a 64 of each session's JSONL timeline and of its metrics JSON,
+    // for (DirectOnly, MoVR) x (Oracle, Threshold, Hysteresis). These pin
+    // the content and the stream position of every `rate_*` event, which
+    // neither the fleet rollup nor the reducer looks at.
+    const PINNED: [(u64, u64); 6] = [
+        (0x1f97_70df_c709_93bc, 0xff4d_ba04_06dc_579f),
+        (0x65e7_647d_8b13_5c27, 0x6a64_5332_b626_b15a),
+        (0xef86_20a2_ad64_6169, 0xfa69_4c99_5639_1618),
+        (0x1d1c_632e_5f1e_9e68, 0x4547_a2ac_2ad7_f100),
+        (0x0f82_83a3_33a0_2414, 0x71ee_819b_d4ed_4404),
+        (0x0537_29ef_cf21_2bdd, 0x7a2d_ca88_ff0a_d976),
+    ];
+    let mut got = Vec::new();
+    for strategy in RATE_EVENT_STRATEGIES {
+        for policy in RATE_EVENT_POLICIES {
+            let (out, rec) = rate_event_session(strategy, policy);
+            if strategy == Strategy::DirectOnly {
+                for kind in ["rate_up", "rate_down", "rate_outage", "rate_restore"] {
+                    assert!(
+                        rec.of_kind(kind).count() > 0,
+                        "{policy:?}: the DirectOnly stream holds no {kind}"
+                    );
+                }
+            }
+            got.push((
+                movr_math::fnv1a64(rec.to_jsonl().as_bytes()),
+                movr_math::fnv1a64(out.metrics.to_json().as_bytes()),
+            ));
+        }
+    }
+    assert_eq!(got, PINNED);
+}
+
+#[test]
+fn rate_events_match_their_counters() {
+    // Each MCS change is classified once per frame: the `rate_up`,
+    // `rate_down` and `rate_outage` events agree with their counters, and
+    // each event's MCS fields say which way the rate moved.
+    use movr_obs::Value;
+    for policy in RATE_EVENT_POLICIES {
+        let (out, rec) = rate_event_session(Strategy::DirectOnly, policy);
+        for kind in ["rate_up", "rate_down", "rate_outage"] {
+            assert_eq!(
+                rec.of_kind(kind).count() as u64,
+                out.metrics.counter(kind).unwrap_or(0),
+                "{policy:?}: {kind} events vs counter"
+            );
+        }
+        let mcs = |e: &movr_obs::Event, name: &str| match e.field(name) {
+            Some(&Value::U64(i)) => Some(i),
+            None => None,
+            Some(other) => panic!("{name} is not an index: {other:?}"),
+        };
+        for e in rec.events().iter().filter(|e| e.kind.starts_with("rate_")) {
+            let (from, to) = (mcs(e, "from_mcs"), mcs(e, "to_mcs"));
+            assert!(
+                e.field("snr_report_db").is_some(),
+                "{policy:?}: {} has no report",
+                e.kind
+            );
+            match e.kind {
+                "rate_up" => assert!(
+                    to > from && from.is_some(),
+                    "{policy:?}: {from:?} -> {to:?}"
+                ),
+                "rate_down" => {
+                    assert!(to < from && to.is_some(), "{policy:?}: {from:?} -> {to:?}");
+                }
+                "rate_outage" => assert!(from.is_some() && to.is_none()),
+                "rate_restore" => assert!(from.is_none() && to.is_some()),
+                other => panic!("unknown rate event {other}"),
+            }
+        }
+    }
+}

@@ -20,7 +20,7 @@ use movr_rfsim::{
     trace_paths, BodyPart, IsotropicPattern, LinkMemo, Obstacle, Room, Scene, SectorPattern,
     TraceConfig,
 };
-use movr_sim::{EventQueue, SimTime};
+use movr_sim::SimTime;
 use movr_testkit::{
     angle_deg, choice, f64_range, prop_assert, prop_assert_eq, prop_assume, property, u64_range,
     usize_range, vec2_in, vec_of,
@@ -248,19 +248,32 @@ property! {
 // ---------------- rate adaptation ----------------
 
 property! {
-    fn hysteresis_never_selects_undecodable(reports in vec_of(f64_range(-10.0, 35.0), 1, 63)) {
-        use movr_radio::{Hysteresis, RateAdapter};
-        let mut h = Hysteresis::new(1.0, 3, 0.0);
+    fn hysteresis_never_selects_undecodable(
+        reports in vec_of(f64_range(-10.0, 35.0), 1, 63),
+        policy in usize_range(0, 2),
+        backoff_db in f64_range(0.0, 3.0),
+        up_margin_db in f64_range(0.0, 3.0),
+        up_count in usize_range(1, 4),
+    ) {
+        use movr_radio::{RateAdapter, RatePolicy};
+        let (policy, backoff_db) = match policy {
+            0 => (RatePolicy::Oracle, 0.0),
+            1 => (RatePolicy::Threshold { backoff_db }, backoff_db),
+            _ => (
+                RatePolicy::HysteresisPolicy { up_margin_db, up_count, backoff_db },
+                backoff_db,
+            ),
+        };
+        let mut adapter = RateAdapter::new(policy);
         for &snr in &reports {
-            if let Some(mcs) = h.on_snr_report(snr) {
-                // Whatever it picked, the *report* that drove the last
-                // transition decoded it; the invariant that matters is
-                // the rung is never above the instantaneous ideal one.
-                let ideal = RateTable.best_mcs(snr).map(|m| m.index);
-                if let Some(ideal_idx) = ideal {
-                    prop_assert!(mcs.index <= ideal_idx.max(mcs.index));
-                }
-            }
+            // After every report, a rung is chosen only when the backed-off
+            // report decodes one, and it is never above that ideal rung:
+            // upgrades may lag, downgrades and outages may not.
+            let Some(mcs) = adapter.on_snr_report(snr) else { continue };
+            let ideal = RateTable.best_mcs(snr - backoff_db);
+            prop_assert!(ideal.is_some(), "rung {} chosen where none decodes at {snr} dB", mcs.index);
+            let ideal = ideal.map_or(0, |m| m.index);
+            prop_assert!(mcs.index <= ideal, "rung {} above ideal {ideal} at {snr} dB", mcs.index);
         }
     }
 }
@@ -546,21 +559,32 @@ fn link_memo_misses_on_any_bit_of_geometry() {
     }
 }
 
-// ---------------- event queue ----------------
+// ---------------- frame clock ----------------
 
 property! {
-    fn event_queue_pops_sorted(times in vec_of(u64_range(0, 999_999), 1, 63)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(SimTime::from_nanos(t), i);
+    /// A session's frames fall exactly at 0, Δ, 2Δ, … up to the trace
+    /// end, where Δ is the traffic model's frame interval.
+    fn event_queue_pops_sorted(
+        refresh_hz in f64_range(30.0, 240.0),
+        duration_s in f64_range(0.0, 0.5),
+    ) {
+        use movr::session::{Session, SessionConfig, Strategy};
+        let mut cfg = SessionConfig::with_strategy(Strategy::Tethered);
+        cfg.traffic.refresh_hz = refresh_hz;
+        let delta = cfg.traffic.frame_interval();
+        let end = SimTime::from_secs_f64(duration_s);
+        let player = movr_motion::PlayerState::standing(Vec2::new(4.0, 2.5), 180.0);
+        let trace = movr_motion::StaticScene::new(player, duration_s);
+        let mut session = Session::new(&cfg);
+        let mut instants = Vec::new();
+        while session.step_frame(&trace) {
+            instants.push(session.now());
         }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.next() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
+        let expected: Vec<SimTime> = (0..)
+            .map(|k| SimTime::from_nanos(k * delta.as_nanos()))
+            .take_while(|&t| t <= end)
+            .collect();
+        prop_assert_eq!(instants, expected);
+        prop_assert!(!session.step_frame(&trace), "a finished session stays over");
     }
 }
