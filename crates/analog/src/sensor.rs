@@ -57,6 +57,21 @@ impl CurrentSensor {
         let lsb = self.lsb_a();
         (clamped / lsb).round() * lsb
     }
+
+    /// The farthest a read of a true current in `[0, full_scale_a]` can
+    /// land from it, amperes: the largest noise draw plus half an LSB,
+    /// up to rounding of order `f64::EPSILON × full_scale_a`. Clamping
+    /// to the ADC range only moves such a read toward the true current.
+    pub fn max_read_error_a(&self) -> f64 {
+        self.noise_rms_a.abs() * SimRng::STD_NORMAL_MAX + 0.5 * self.lsb_a()
+    }
+
+    /// Advances the noise stream past one read without taking it, so the
+    /// next [`CurrentSensor::measure_a`] draws what it would have drawn
+    /// after a read.
+    pub fn skip_read(&mut self) {
+        self.rng.skip_std_normal();
+    }
 }
 
 #[cfg(test)]
@@ -107,6 +122,31 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(a.measure_a(0.3), b.measure_a(0.3));
         }
+    }
+
+    #[test]
+    fn reads_stay_within_the_error_bound() {
+        let mut s = CurrentSensor {
+            noise_rms_a: 0.05,
+            ..CurrentSensor::new(3)
+        };
+        let bound = s.max_read_error_a();
+        for k in 0..=100 {
+            let t = f64::from(k) / 100.0;
+            for _ in 0..100 {
+                assert!((s.measure_a(t) - t).abs() <= bound, "t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_skipped_read_draws_what_a_read_draws() {
+        let mut read = CurrentSensor::new(9);
+        let mut skipped = read.clone();
+        read.measure_a(0.3);
+        skipped.skip_read();
+        assert_eq!(read.rng_state(), skipped.rng_state());
+        assert_eq!(read.measure_a(0.3), skipped.measure_a(0.3));
     }
 
     #[test]

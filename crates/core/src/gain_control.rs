@@ -14,6 +14,7 @@
 //! can actually observe (the quantised, noisy current sensor).
 
 use crate::reflector::MovrReflector;
+use movr_analog::CurrentSensor;
 use movr_obs::{Event, NullRecorder, Recorder};
 use movr_sim::SimTime;
 
@@ -50,8 +51,9 @@ pub struct GainControlResult {
     /// True if the loop stopped because it detected the saturation knee
     /// (false = it ran into the amplifier's own gain ceiling first).
     pub knee_detected: bool,
-    /// The (gain, measured current) trajectory, for inspection/benches.
-    pub trace: Vec<(f64, f64)>,
+    /// The probed gains in ramp order, dB: one per step. Each step's mean
+    /// current read is in its `gain_step` event.
+    pub trace: Vec<f64>,
 }
 
 /// Runs the §4.2 loop on the reflector *in place*: on return, the
@@ -78,32 +80,86 @@ pub fn run_gain_control(
     run_gain_control_recorded(reflector, config, SimTime::ZERO, &mut NullRecorder)
 }
 
+/// What a ramp keeps of the step before the one it is on.
+#[derive(Clone, Copy)]
+enum Prev {
+    /// The step's mean read.
+    Read(f64),
+    /// The step's reads were skipped; the sensor state they started from.
+    Skipped([u64; 4]),
+}
+
 /// [`run_gain_control`] with observability: wraps the ramp in a
 /// `gain_ramp` span at `now`, emits one `gain_step` event per probed
 /// gain setting (`gain_db`, `current_a`), and closes with either
 /// `gain_backoff` (knee found; `chosen_gain_db`, `knee_gain_db`) or
 /// `gain_ceiling` (`chosen_gain_db`). The loop itself is modelled as
 /// instantaneous, so every event carries the same timestamp — the span
-/// conveys structure, not duration. Identical control behaviour: the
-/// recorder never reads the sensor or the RNG.
+/// conveys structure, not duration.
+///
+/// The loop attenuation is computed once per ramp (no step moves a beam)
+/// and the amplifier's true current once per step. Every `gain_step`
+/// event carries its step's mean read, so a recorded ramp takes every
+/// read. An unrecorded ramp skips the reads of a *quiet* step, one whose
+/// true current rises so little over the step before that no reads of
+/// the two can fire the knee test; it still advances the sensor's noise
+/// stream by the draws those reads make. When a step that could fire
+/// follows a quiet one, the sensor is rewound to take the quiet step's
+/// reads first. Either way the chosen gain, the knee flag, the trace and
+/// the sensor's noise stream come out bit-identical.
 pub fn run_gain_control_recorded(
     reflector: &mut MovrReflector,
     config: &GainControlConfig,
     now: SimTime,
     rec: &mut dyn Recorder,
 ) -> GainControlResult {
-    assert!(config.step_db > 0.0, "gain step must be positive");
+    assert!(
+        config.step_db.is_finite() && config.step_db > 0.0,
+        "gain step must be positive and finite"
+    );
     assert!(config.reads_per_step >= 1, "need at least one read per step");
+    assert!(
+        config.jump_threshold_a.is_finite() && config.jump_threshold_a >= 0.0,
+        "jump threshold must be finite and non-negative"
+    );
+    assert!(
+        config.backoff_db.is_finite() && config.backoff_db >= 0.0,
+        "backoff must be finite and non-negative"
+    );
 
     let min_gain = reflector.amplifier().min_gain_db;
     let max_gain = reflector.amplifier().max_gain_db;
-
-    let read_avg = |r: &mut MovrReflector| -> f64 {
+    let loop_db = reflector.loop_attenuation_db();
+    let reads = config.reads_per_step;
+    let mean_read = |sensor: &mut CurrentSensor, true_a: f64| -> f64 {
         let mut acc = 0.0;
-        for _ in 0..config.reads_per_step {
-            acc += r.measure_supply_current_a();
+        for _ in 0..reads {
+            acc += sensor.measure_a(true_a);
         }
-        acc / movr_math::convert::usize_to_f64(config.reads_per_step)
+        acc / movr_math::convert::usize_to_f64(reads)
+    };
+    let skip = |sensor: &mut CurrentSensor| -> Prev {
+        let start = sensor.rng_state();
+        for _ in 0..reads {
+            sensor.skip_read();
+        }
+        Prev::Skipped(start)
+    };
+
+    // A read of a true current in the ADC range lands within
+    // `max_read_error_a` of it, and so does a step's mean. `slack` covers
+    // the rounding in the reads (a few ulps of full scale each), in their
+    // sum (one per addition) and in the knee test's difference.
+    let sensor = reflector.current_sensor_mut();
+    let full_scale = sensor.full_scale_a;
+    let slack = (movr_math::convert::usize_to_f64(reads) + 8.0) * f64::EPSILON * full_scale;
+    let quiet_rise_a = config.jump_threshold_a - 2.0 * sensor.max_read_error_a() - slack;
+    let skipping = !rec.enabled();
+    let quiet = |prev_a: f64, true_a: f64| {
+        skipping
+            && true_a - prev_a <= quiet_rise_a
+            && (0.0..=full_scale).contains(&prev_a)
+            && (0.0..=full_scale).contains(&true_a)
     };
 
     let span = if rec.enabled() {
@@ -122,9 +178,17 @@ pub fn run_gain_control_recorded(
     };
 
     let mut gain = reflector.set_gain_db(min_gain);
-    let mut prev_current = read_avg(reflector);
-    let mut trace = vec![(gain, prev_current)];
-    step(rec, gain, prev_current);
+    let mut prev_a = reflector.amplifier().supply_current_a(loop_db);
+    let sensor = reflector.current_sensor_mut();
+    // The first step has no knee test of its own.
+    let mut prev = if skipping {
+        skip(sensor)
+    } else {
+        let current = mean_read(sensor, prev_a);
+        step(rec, gain, current);
+        Prev::Read(current)
+    };
+    let mut trace = vec![gain];
 
     loop {
         if gain >= max_gain {
@@ -143,11 +207,32 @@ pub fn run_gain_control_recorded(
             };
         }
         gain = reflector.set_gain_db(gain + config.step_db);
-        let current = read_avg(reflector);
-        trace.push((gain, current));
+        let true_a = reflector.amplifier().supply_current_a(loop_db);
+        trace.push(gain);
+        let sensor = reflector.current_sensor_mut();
+        if quiet(prev_a, true_a) {
+            prev = skip(sensor);
+            prev_a = true_a;
+            continue;
+        }
+        let prev_mean = match prev {
+            Prev::Read(mean) => mean,
+            Prev::Skipped(start) => {
+                let end = sensor.rng_state();
+                sensor.restore_rng_state(start);
+                let mean = mean_read(sensor, prev_a);
+                debug_assert_eq!(
+                    sensor.rng_state(),
+                    end,
+                    "a rewound step redraws only its own reads"
+                );
+                mean
+            }
+        };
+        let current = mean_read(sensor, true_a);
         step(rec, gain, current);
 
-        if current - prev_current > config.jump_threshold_a {
+        if current - prev_mean > config.jump_threshold_a {
             // Knee: step back below the last safe gain with margin.
             let safe = (gain - config.step_db - config.backoff_db).max(min_gain);
             let chosen = reflector.set_gain_db(safe);
@@ -165,7 +250,8 @@ pub fn run_gain_control_recorded(
                 trace,
             };
         }
-        prev_current = current;
+        prev = Prev::Read(current);
+        prev_a = true_a;
     }
 }
 
@@ -232,7 +318,7 @@ mod tests {
         let mut r = device(7);
         let res = run_gain_control(&mut r, &GainControlConfig::default());
         for w in res.trace.windows(2) {
-            assert!(w[1].0 > w[0].0);
+            assert!(w[1] > w[0]);
         }
         assert!(res.trace.len() >= 2);
     }
@@ -279,7 +365,12 @@ mod tests {
         assert_eq!(plain.chosen_gain_db, recorded.chosen_gain_db);
         assert_eq!(plain.knee_detected, recorded.knee_detected);
         assert_eq!(plain.trace, recorded.trace);
-        assert_eq!(rec.of_kind("gain_step").count(), recorded.trace.len());
+        let stepped: Vec<_> = rec
+            .of_kind("gain_step")
+            .map(|e| e.field("gain_db").copied())
+            .collect();
+        let traced: Vec<_> = recorded.trace.iter().map(|&g| Some(g.into())).collect();
+        assert_eq!(stepped, traced);
         let spans = rec.spans();
         assert_eq!(spans, [("gain_ramp", SimTime::from_millis(20), SimTime::from_millis(20))]);
         let terminal = if recorded.knee_detected {
@@ -298,6 +389,60 @@ mod tests {
             &mut r,
             &GainControlConfig {
                 step_db: 0.0,
+                ..Default::default()
+            },
+        );
+    }
+
+    // What each config below would do at device 3's 225° beams, whose loop
+    // attenuation is 44.3 dB: an infinite step jumps straight to the 53 dB
+    // ceiling, saturating the amplifier, and then backs off to 0 dB; a NaN
+    // or infinite threshold never fires, so the ramp ends saturated at the
+    // ceiling; a −3 dB backoff "backs off" to 45 dB, above the loop.
+
+    #[test]
+    #[should_panic(expected = "gain step must be positive and finite")]
+    fn infinite_step_rejected() {
+        run_gain_control(
+            &mut device(3),
+            &GainControlConfig {
+                step_db: f64::INFINITY,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "jump threshold must be finite")]
+    fn nan_threshold_rejected() {
+        run_gain_control(
+            &mut device(3),
+            &GainControlConfig {
+                jump_threshold_a: f64::NAN,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "jump threshold must be finite")]
+    fn infinite_threshold_rejected() {
+        run_gain_control(
+            &mut device(3),
+            &GainControlConfig {
+                jump_threshold_a: f64::INFINITY,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff must be finite and non-negative")]
+    fn negative_backoff_rejected() {
+        run_gain_control(
+            &mut device(3),
+            &GainControlConfig {
+                backoff_db: -3.0,
                 ..Default::default()
             },
         );

@@ -153,12 +153,10 @@ impl MovrReflector {
         self.current_sensor.restore_rng_state(state);
     }
 
-    /// What the firmware reads off the current sensor right now, amperes.
-    pub fn measure_supply_current_a(&mut self) -> f64 {
-        let true_current = self
-            .amplifier
-            .supply_current_a(self.loop_attenuation_db());
-        self.current_sensor.measure_a(true_current)
+    /// The current sensor watching the amplifier's supply, through which
+    /// the firmware reads [`VariableGainAmplifier::supply_current_a`].
+    pub fn current_sensor_mut(&mut self) -> &mut CurrentSensor {
+        &mut self.current_sensor
     }
 }
 
@@ -267,10 +265,13 @@ mod tests {
         r.steer_rx(225.0);
         r.steer_tx(best.1);
         let leak = r.loop_attenuation_db();
-        r.set_gain_db(leak - 20.0);
-        let far = r.measure_supply_current_a();
-        r.set_gain_db(leak - 0.5);
-        let near = r.measure_supply_current_a();
+        let mut read_at = |gain_db: f64| {
+            r.set_gain_db(gain_db);
+            let true_current = r.amplifier().supply_current_a(leak);
+            r.current_sensor_mut().measure_a(true_current)
+        };
+        let far = read_at(leak - 20.0);
+        let near = read_at(leak - 0.5);
         assert!(near > far + 0.05, "near={near} far={far}");
     }
 

@@ -158,12 +158,28 @@ impl SimRng {
         }
     }
 
-    /// Standard normal sample via Box–Muller.
+    /// No [`SimRng::std_normal`] draw exceeds this in magnitude. Its u1 is
+    /// at least 2⁻⁵³, so √(−2 ln u1) ≤ √(106 ln 2) ≈ 8.571674, and
+    /// |cos| ≤ 1; rounding up to 8.5717 also covers the rounding in `ln`,
+    /// `sqrt`, `cos` and any later multiplication by a standard deviation.
+    pub const STD_NORMAL_MAX: f64 = 8.5717;
+
+    /// Standard normal sample via Box–Muller. Two `next_u64` draws; the
+    /// result never exceeds [`SimRng::STD_NORMAL_MAX`] in magnitude.
     pub fn std_normal(&mut self) -> f64 {
         // Draw u1 in (0,1] to avoid ln(0).
         let u1: f64 = 1.0 - self.unit_f64();
         let u2: f64 = self.unit_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    /// Advances the stream past one [`SimRng::std_normal`] draw without
+    /// computing it: the same two `next_u64` draws, no `ln`, `sqrt` or
+    /// `cos`.
+    #[inline]
+    pub fn skip_std_normal(&mut self) {
+        self.next_u64();
+        self.next_u64();
     }
 
     /// Normal sample with the given mean and standard deviation.
@@ -379,6 +395,27 @@ mod tests {
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.05, "var={var}");
         assert!(skew.abs() < 0.05, "skew={skew}");
+    }
+
+    #[test]
+    fn std_normal_max_bounds_the_largest_box_muller_radius() {
+        // The smallest u1 `std_normal` can draw is 1 − (1 − 2⁻⁵³) = 2⁻⁵³.
+        let u1_min = 1.0 - (u64::MAX >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        assert_eq!(u1_min, 2f64.powi(-53));
+        assert!(SimRng::STD_NORMAL_MAX >= (-2.0 * 2f64.powi(-53).ln()).sqrt());
+        let mut r = SimRng::seed_from_u64(5);
+        assert!((0..10_000).all(|_| r.std_normal().abs() <= SimRng::STD_NORMAL_MAX));
+    }
+
+    #[test]
+    fn skip_std_normal_leaves_the_state_std_normal_leaves() {
+        let mut drawn = SimRng::seed_from_u64(31);
+        let mut skipped = drawn.clone();
+        for _ in 0..100 {
+            drawn.std_normal();
+            skipped.skip_std_normal();
+            assert_eq!(drawn.state(), skipped.state());
+        }
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! ```
 
 use movr::alignment::{estimate_incidence, AlignmentConfig};
-use movr::gain_control::{run_gain_control, GainControlConfig};
+use movr::gain_control::{run_gain_control_recorded, GainControlConfig};
 use movr::reflector::MovrReflector;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
+use movr_obs::{MemoryRecorder, Value};
 use movr_phased_array::Codebook;
 use movr_radio::RadioEndpoint;
 use movr_rfsim::Scene;
+use movr_sim::SimTime;
 
 fn main() {
     let scene = Scene::paper_office();
@@ -65,7 +67,13 @@ fn main() {
     let mut dev = reflector;
     dev.steer_rx(truth_refl);
     dev.steer_tx(truth_refl + 40.0);
-    let g = run_gain_control(&mut dev, &GainControlConfig::default());
+    let mut rec = MemoryRecorder::new();
+    let g = run_gain_control_recorded(
+        &mut dev,
+        &GainControlConfig::default(),
+        SimTime::ZERO,
+        &mut rec,
+    );
     println!(
         "gain control at serving beams: chose {:.1} dB ({}), loop leakage is {:.1} dB",
         g.chosen_gain_db,
@@ -77,7 +85,12 @@ fn main() {
         dev.loop_attenuation_db()
     );
     println!("  last gain steps (gain dB -> supply current A):");
-    for (gain, current) in g.trace.iter().rev().take(6).rev() {
-        println!("    {gain:>5.1} -> {current:.3}");
+    let steps: Vec<_> = rec.of_kind("gain_step").collect();
+    for e in &steps[steps.len().saturating_sub(6)..] {
+        if let (Some(Value::F64(gain)), Some(Value::F64(current))) =
+            (e.field("gain_db"), e.field("current_a"))
+        {
+            println!("    {gain:>5.1} -> {current:.3}");
+        }
     }
 }

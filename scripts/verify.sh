@@ -159,6 +159,10 @@ grep -q '"name":"obs_session_60s_null"' out/BENCH_micro.json || {
     echo "null-recorder session bench missing from microbench output" >&2
     exit 1
 }
+grep -q '"name":"gain_control_loop"' out/BENCH_micro.json || {
+    echo "gain-control ramp bench missing from microbench output" >&2
+    exit 1
+}
 
 echo "==> bench: sweep-rate gate (batched bit-identical and >= 2.5x over memoized,"
 echo "    memoized >= 5x over uncached; fleet byte-identical, thread ladder)"

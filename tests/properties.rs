@@ -10,10 +10,11 @@
 //! greedy shrinking); every property runs at least the default 96 cases,
 //! overridable with `MOVR_TESTKIT_CASES` / `MOVR_TESTKIT_SEED`.
 
-use movr::gain_control::{run_gain_control, GainControlConfig};
+use movr::gain_control::{run_gain_control, run_gain_control_recorded, GainControlConfig};
 use movr::reflector::MovrReflector;
 use movr::relay::{relay_end_snr_batched, relay_input_noise, relay_link_on};
 use movr_math::{db_to_linear, linear_to_db, wrap_deg_180, Cdf, Vec2};
+use movr_obs::{MemoryRecorder, Value};
 use movr_phased_array::UniformLinearArray;
 use movr_radio::{ArrayPattern, RadioEndpoint, RateTable};
 use movr_rfsim::{
@@ -178,6 +179,98 @@ property! {
         prop_assert!(!r.is_saturated(),
             "seed={seed} chose {} vs loop {}", res.chosen_gain_db, r.loop_attenuation_db());
         prop_assert!(res.chosen_gain_db < r.loop_attenuation_db());
+    }
+}
+
+/// The §4.2 ramp written the plain way, as the reference: every step
+/// takes all its reads, and every read recomputes the loop attenuation
+/// and the amplifier's true current. Returns the chosen gain, the knee
+/// flag and each step's (gain, mean read).
+fn per_read_ramp(r: &mut MovrReflector, cfg: &GainControlConfig) -> (f64, bool, Vec<(f64, f64)>) {
+    let read_avg = |r: &mut MovrReflector| {
+        let mut acc = 0.0;
+        for _ in 0..cfg.reads_per_step {
+            let true_current = r.amplifier().supply_current_a(r.loop_attenuation_db());
+            acc += r.current_sensor_mut().measure_a(true_current);
+        }
+        acc / cfg.reads_per_step as f64
+    };
+    let min_gain = r.amplifier().min_gain_db;
+    let max_gain = r.amplifier().max_gain_db;
+    let mut gain = r.set_gain_db(min_gain);
+    let mut prev = read_avg(r);
+    let mut steps = vec![(gain, prev)];
+    loop {
+        if gain >= max_gain {
+            return (gain, false, steps);
+        }
+        gain = r.set_gain_db(gain + cfg.step_db);
+        let current = read_avg(r);
+        steps.push((gain, current));
+        if current - prev > cfg.jump_threshold_a {
+            let safe = (gain - cfg.step_db - cfg.backoff_db).max(min_gain);
+            return (r.set_gain_db(safe), true, steps);
+        }
+        prev = current;
+    }
+}
+
+property! {
+    cases = 3000,
+    fn gain_control_matches_the_per_read_ramp(
+        // Device seed, RX and TX beams off boresight, gain before the ramp.
+        unit in (u64_range(0, 499), f64_range(-45.0, 45.0), f64_range(-45.0, 45.0), f64_range(0.0, 53.0)),
+        // Sensor noise; a threshold drawn up to just past twice the largest
+        // read error, where quiet steps start, or across 0–80 mA.
+        noise in (f64_range(0.0, 0.003), choice(vec![true, false]), f64_range(0.0, 1.0)),
+        // Step, backoff, reads per step.
+        ramp in (f64_range(0.1, 3.0), f64_range(0.0, 3.0), usize_range(1, 5)),
+    ) {
+        let (seed, rx_local, tx_local, start_gain_db) = unit;
+        let (noise_rms_a, near_bound, threshold_unit) = noise;
+        let (step_db, backoff_db, reads_per_step) = ramp;
+        let mut device = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, seed);
+        device.steer_rx(-70.0 + rx_local);
+        device.steer_tx(-70.0 + tx_local);
+        device.set_gain_db(start_gain_db);
+        let sensor = device.current_sensor_mut();
+        sensor.noise_rms_a = noise_rms_a;
+        let two_e = 2.0 * sensor.max_read_error_a();
+        let cfg = GainControlConfig {
+            step_db,
+            jump_threshold_a: threshold_unit * if near_bound { 1.2 * two_e } else { 0.08 },
+            backoff_db,
+            reads_per_step,
+        };
+
+        let mut reference = device.clone();
+        let (chosen, knee, steps) = per_read_ramp(&mut reference, &cfg);
+        let gains: Vec<u64> = steps.iter().map(|s| s.0.to_bits()).collect();
+
+        let mut plain = device.clone();
+        let res = run_gain_control(&mut plain, &cfg);
+        prop_assert_eq!(res.chosen_gain_db.to_bits(), chosen.to_bits());
+        prop_assert_eq!(res.knee_detected, knee);
+        prop_assert_eq!(res.trace.iter().map(|g| g.to_bits()).collect::<Vec<_>>(), gains.clone());
+        prop_assert_eq!(plain.sensor_rng_state(), reference.sensor_rng_state());
+        prop_assert_eq!(plain.amplifier().gain_db().to_bits(), chosen.to_bits());
+
+        let mut recorded = device.clone();
+        let mut rec = MemoryRecorder::new();
+        let res = run_gain_control_recorded(&mut recorded, &cfg, SimTime::ZERO, &mut rec);
+        prop_assert_eq!(res.chosen_gain_db.to_bits(), chosen.to_bits());
+        prop_assert_eq!(res.knee_detected, knee);
+        prop_assert_eq!(res.trace.iter().map(|g| g.to_bits()).collect::<Vec<_>>(), gains);
+        prop_assert_eq!(recorded.sensor_rng_state(), reference.sensor_rng_state());
+        let stepped: Vec<Option<u64>> = rec
+            .of_kind("gain_step")
+            .map(|e| match e.field("current_a") {
+                Some(Value::F64(a)) => Some(a.to_bits()),
+                _ => None,
+            })
+            .collect();
+        let currents: Vec<Option<u64>> = steps.iter().map(|s| Some(s.1.to_bits())).collect();
+        prop_assert_eq!(stepped, currents);
     }
 }
 
