@@ -41,7 +41,7 @@ use movr_phased_array::{PatternTable, SteeredArray};
 use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
 use movr_rfsim::{Pattern, Room, Scene, TracedLink};
 use movr_sim::{available_threads, pool_map};
-use movr_testkit::{bench_with_setup, BenchOptions, BenchReport};
+use movr_testkit::{bench_with_setup, BenchOptions, BenchReport, Timer};
 use std::cell::RefCell;
 
 /// Seed-era pattern adapter: every gain query rebuilds the full
@@ -315,7 +315,7 @@ fn bench_alignment_sweep(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64) {
     let mut ratios: Vec<f64> = (0..7)
         .map(|_| {
             let mut rng = SimRng::seed_from_u64(7);
-            let t = std::time::Instant::now();
+            let t = Timer::start();
             std::hint::black_box(estimate_incidence(
                 &scene,
                 ap,
@@ -323,11 +323,11 @@ fn bench_alignment_sweep(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64) {
                 &cfg,
                 &mut rng,
             ));
-            let batched_s = t.elapsed().as_secs_f64();
+            let batched_s = t.elapsed_secs_f64();
             let mut rng = SimRng::seed_from_u64(7);
-            let t = std::time::Instant::now();
+            let t = Timer::start();
             std::hint::black_box(memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng));
-            t.elapsed().as_secs_f64() / batched_s
+            t.elapsed_secs_f64() / batched_s
         })
         .collect();
     ratios.sort_by(f64::total_cmp);

@@ -187,7 +187,7 @@ impl CommandSession {
                             rec.record(
                                 Event::new(now, "cmd_fail")
                                     .with("msg", out.msg.kind())
-                                    .with("retries", self.max_retries as u64),
+                                    .with("retries", u64::from(self.max_retries)),
                             );
                         }
                     } else {
@@ -200,7 +200,7 @@ impl CommandSession {
                             rec.record(
                                 Event::new(now, "cmd_retry")
                                     .with("msg", msg.kind())
-                                    .with("retries_left", out.retries_left as u64),
+                                    .with("retries_left", u64::from(out.retries_left)),
                             );
                         }
                         self.forward.send_recorded(now, msg, rec);

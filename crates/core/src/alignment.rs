@@ -272,7 +272,10 @@ pub fn estimate_reflection(
 /// runs the recorded §4.2 gain loop (so its `gain_ramp` span nests
 /// inside), then each headset probe emits `reflect_probe` (`tx_deg`,
 /// `rx_deg`, `snr_db`); the winner is announced as `reflection_chosen`.
-#[allow(clippy::too_many_arguments)] // lint: the sweep inputs plus the (start, recorder) pair every `_recorded` fn takes
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sweep inputs plus the (start, recorder) pair every `_recorded` fn takes"
+)]
 pub fn estimate_reflection_recorded(
     scene: &Scene,
     ap: &RadioEndpoint,

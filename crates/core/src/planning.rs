@@ -10,6 +10,7 @@
 
 use crate::reflector::MovrReflector;
 use crate::system::{MovrSystem, SystemConfig};
+use movr_math::convert::{usize_to_f64, usize_to_u64};
 use movr_math::{SimRng, Vec2};
 use movr_motion::{PlayerState, WorldState};
 use movr_radio::{RadioEndpoint, RateTable};
@@ -65,7 +66,8 @@ pub fn sample_poses(room: &Room, grid_step_m: f64, headings: usize, rng: &mut Si
         let mut y = margin;
         while y <= room.depth() - margin {
             for h in 0..headings {
-                let yaw = -180.0 + 360.0 * h as f64 / headings as f64 + rng.uniform(-5.0, 5.0);
+                let yaw = -180.0 + 360.0 * usize_to_f64(h) / usize_to_f64(headings)
+                    + rng.uniform(-5.0, 5.0);
                 poses.push(PlayerState::standing(Vec2::new(x, y), yaw));
             }
             y += grid_step_m;
@@ -82,7 +84,7 @@ fn build_system(ap: &RadioEndpoint, mounts: &[Mount], config: SystemConfig) -> M
         sys.add_reflector(MovrReflector::wall_mounted(
             m.position,
             m.boresight_deg,
-            k as u64 + 1,
+            usize_to_u64(k) + 1,
         ));
     }
     sys
@@ -103,11 +105,11 @@ pub fn coverage(ap: &RadioEndpoint, mounts: &[Mount], poses: &[PlayerState]) -> 
             // holds its estimate between its update ticks, so evaluating
             // every pose at t = 0 would serve them all the *first*
             // pose's tracked position.
-            let d = sys.evaluate_at(*i as f64, &WorldState::player_only(**p));
+            let d = sys.evaluate_at(usize_to_f64(*i), &WorldState::player_only(**p));
             rate.supports_vr(d.snr_db)
         })
         .count();
-    ok as f64 / poses.len() as f64
+    usize_to_f64(ok) / usize_to_f64(poses.len())
 }
 
 /// A greedy deployment plan.

@@ -151,7 +151,7 @@ fn cascade(
 /// # Panics
 /// Panics if a gain row's length differs from its leg's tap count. With
 /// no relay gain the rows are not read, so they are not checked either.
-#[allow(clippy::too_many_arguments)] // lint: the four gain rows are the point of this entry
+#[expect(clippy::too_many_arguments, reason = "the four gain rows are the point of this entry")]
 pub fn round_trip_reflection_batched(
     forward: &LinkBatch,
     back: &LinkBatch,

@@ -14,7 +14,7 @@
 //! bit-identically.
 
 use crate::system::{LinkMode, MovrSystem, SystemConfig};
-use movr_math::convert::{u64_to_f64, usize_to_f64, usize_to_u64};
+use movr_math::convert::{f64_to_u64, u64_to_f64, usize_to_f64, usize_to_u64};
 use movr_math::{SimRng, Summary};
 use movr_motion::MotionTrace;
 use movr_obs::{Event, Histogram, MetricsSnapshot, NullRecorder, Recorder};
@@ -311,7 +311,7 @@ impl Session {
                             e = e.with("from", mode_name(prev));
                         }
                         if let LinkMode::Reflector(i) = d.mode {
-                            e = e.with("reflector", i as u64);
+                            e = e.with("reflector", usize_to_u64(i));
                         }
                         rec.record(e);
                     }
@@ -381,7 +381,7 @@ impl Session {
                     let per = per_model.per(mcs, snr_db).min(0.99);
                     let base = config
                         .framing
-                        .burst_airtime(mcs, config.traffic.frame_bits as u64);
+                        .burst_airtime(mcs, f64_to_u64(config.traffic.frame_bits));
                     let airtime =
                         SimTime::from_secs_f64(base.as_secs_f64() / (1.0 - per));
                     frame_airtime = Some(airtime);
@@ -406,7 +406,7 @@ impl Session {
                 .with("snr_db", snr_db)
                 .with("stall_ns", st.blocked_until.saturating_since(now));
             if let Some(mcs) = frame_mcs {
-                e = e.with("mcs", mcs.index as u64);
+                e = e.with("mcs", usize_to_u64(mcs.index));
             }
             if let Some(airtime) = frame_airtime {
                 e = e.with("airtime_ns", airtime);
@@ -414,7 +414,7 @@ impl Session {
             if let Some(mode) = frame_mode {
                 e = e.with("mode", mode_name(mode));
                 if let LinkMode::Reflector(i) = mode {
-                    e = e.with("reflector", i as u64);
+                    e = e.with("reflector", usize_to_u64(i));
                 }
             }
             rec.record(e);

@@ -741,9 +741,8 @@ mod tests {
         let s = Session::new(&cfg);
         let mut bytes = Snapshot::capture(&s);
         bytes[8] = 99; // version u32 LE low byte
-        let err = match Snapshot::restore(&bytes, &cfg) {
-            Ok(_) => panic!("a foreign format version must be rejected"),
-            Err(e) => e,
+        let Err(err) = Snapshot::restore(&bytes, &cfg) else {
+            panic!("a foreign format version must be rejected");
         };
         assert_eq!(err, SnapshotError::UnsupportedVersion { found: 99 });
         let msg = err.to_string();
@@ -762,7 +761,7 @@ mod tests {
         let mut c3 = base;
         c3.rate_policy = RatePolicy::Oracle;
         let mut c4 = base;
-        c4.latency.budget = c4.latency.budget + SimTime::from_nanos(1);
+        c4.latency.budget += SimTime::from_nanos(1);
         for (i, c) in [c1, c2, c3, c4].iter().enumerate() {
             assert_ne!(fp, config_fingerprint(c), "knob {i} must change the fingerprint");
         }

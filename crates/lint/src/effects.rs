@@ -14,21 +14,21 @@
 //! * `rng-draw` — a draw or fork on some `SimRng` stream (`.next_u64(`,
 //!   `.uniform(`, `.fork(`, …). Seeding a fresh local stream is *not* a
 //!   draw: it consumes no shared state.
-//! * `wall-clock` — `Instant` / `SystemTime` (the transitive companion
-//!   of the site-local `no-wall-clock` rule).
+//! * `wall-clock` — `Instant` / `SystemTime` (clippy's
+//!   `disallowed_types` bans them site by site; this effect carries
+//!   them up the call graph).
 //! * `blocking-io` — file/stdio/net types, `sleep`, and the print
 //!   macro family.
 //! * `panic` — `.unwrap(` / `.expect(`, the panic macro family
 //!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`
 //!   and friends; `debug_assert*` compiles out of release builds and is
 //!   exempt), and indexing (`x[i]` can panic; `.get` cannot). A panic
-//!   site whose line carries a `// lint:` justification is exempt —
-//!   the same escape hatch `unjustified-allow` standardises.
+//!   site whose line carries a `// lint: <why>` justification is
+//!   exempt.
 //! * `sink-write` — a Recorder-vocabulary method call (`.record(`,
 //!   `.start_span(`, `.end_span(`). Modeled as an effect instead of
 //!   resolved dispatch so `recorded-effect-divergence` can ignore it.
-//! * `interior-mut` — the `RefCell`/`Cell`/`Rc` vocabulary shared with
-//!   the v3 capture pass.
+//! * `interior-mut` — the `RefCell`/`Cell`/`Rc` vocabulary.
 //!
 //! Witnesses: for every (node, effect) with a direct site, the first
 //! site is remembered; diagnostics walk the graph from the root to a
@@ -38,7 +38,6 @@
 
 use crate::callgraph::{CallGraph, SINK_METHODS};
 use crate::lexer::TokenKind;
-use crate::par_capture::INTERIOR_MUT;
 use crate::rules::Diagnostic;
 use crate::source::{FileKind, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
@@ -104,6 +103,9 @@ const RNG_METHODS: &[&str] = &[
     "next_u64", "next_u32", "fill_bytes", "unit_f64", "uniform", "uniform_usize",
     "std_normal", "normal", "chance", "phase", "fork",
 ];
+
+/// Interior-mutability types.
+const INTERIOR_MUT: &[&str] = &["RefCell", "Cell", "Rc"];
 
 /// Types whose mention means blocking I/O.
 const IO_TYPES: &[&str] = &["File", "OpenOptions", "TcpStream", "TcpListener", "UdpSocket"];
@@ -199,12 +201,11 @@ pub fn direct_effects(files: &[SourceFile], graph: &CallGraph) -> DirectEffects 
                     // slice types (`&[u8]`), attributes, or array
                     // literals in expression position.
                     let indexes = j >= 1
-                        && matches!(
-                            &f.tokens[j - 1].kind,
-                            TokenKind::Ident(w) if !KEYWORD_BEFORE_BRACKET.contains(&w.as_str())
-                        )
-                        || j >= 1
-                            && matches!(f.tokens[j - 1].kind, TokenKind::Punct(')') | TokenKind::Punct(']'));
+                        && match &f.tokens[j - 1].kind {
+                            TokenKind::Ident(w) => !KEYWORD_BEFORE_BRACKET.contains(&w.as_str()),
+                            TokenKind::Punct(c) => matches!(c, ')' | ']'),
+                            _ => false,
+                        };
                     if indexes && !line_justified(f, line) {
                         add(node, PANIC, line, "indexing `[`");
                     }
@@ -398,8 +399,8 @@ fn recorded_effect_divergence(
     out: &mut Vec<Diagnostic>,
 ) {
     // (file, base name) -> (plain union, recorded union, recorded line).
-    let mut pairs: BTreeMap<(usize, String), (Option<EffectSet>, Option<(EffectSet, usize)>)> =
-        BTreeMap::new();
+    type Pair = (Option<EffectSet>, Option<(EffectSet, usize)>);
+    let mut pairs: BTreeMap<(usize, String), Pair> = BTreeMap::new();
     for (id, node) in graph.nodes.iter().enumerate() {
         if let Some(base) = node.name.strip_suffix("_recorded") {
             let entry = pairs.entry((node.file, base.to_string())).or_default();
@@ -465,8 +466,7 @@ mod tests {
     fn hot_root_reaching_io_and_wall_clock_flags_each() {
         let src = "pub fn step_frame(t: u64) -> u64 { log_tick(t); warm() }\nfn log_tick(t: u64) { println!(\"t={t}\"); }\nfn warm() -> u64 { let _x = Instant::now(); 0 }";
         let hits = run(&[("crates/hot/src/lib.rs", src)]);
-        // no-wall-clock is a v1 rule; here only the v4 pass runs, so the
-        // two hot-loop findings (io + wall) are the full list.
+        // The two hot-loop findings (io + wall) are the full list.
         assert_eq!(
             hits,
             [

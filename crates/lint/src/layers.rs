@@ -6,8 +6,8 @@
 //! any reference not on the declared edge list, so back-edges need an
 //! explicit spec change to land.
 //!
-//! The spec is the same TOML subset the baseline uses, read by the
-//! workspace's one TOML reader, [`movr_math::toml`]:
+//! The spec is a TOML subset read by the workspace's one TOML reader,
+//! [`movr_math::toml`], so a key set twice is an error naming its line:
 //!
 //! ```toml
 //! [[crate]]
@@ -20,12 +20,12 @@
 //! must be declared, and must sit on a *strictly lower* layer — which
 //! makes the declared graph a DAG by construction.
 
-use crate::baseline::{array_tables, string, uint};
 use crate::lexer::TokenKind;
 use crate::rng_flow::crate_of_extern_root;
 use crate::rules::Diagnostic;
 use crate::source::{FileKind, SourceFile};
 use movr_math::json::Json;
+use movr_math::toml::{self, Table};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Name of the committed layer spec at the workspace root.
@@ -68,7 +68,7 @@ impl LayerSpec {
     /// syntax problems and name/layer detail for graph problems.
     pub fn parse(text: &str) -> Result<LayerSpec, String> {
         let mut crates: BTreeMap<String, CrateSpec> = BTreeMap::new();
-        for table in array_tables(text, "crate", &["name", "layer", "allowed"])? {
+        for table in crate_tables(text)? {
             let (name, layer) = (string(&table, "name")?, uint(&table, "layer")?);
             let mut allowed = BTreeSet::new();
             if let Some((list, line)) = table.get("allowed") {
@@ -103,6 +103,51 @@ impl LayerSpec {
         }
         Ok(LayerSpec { crates })
     }
+}
+
+/// The `[[crate]]` tables of the spec: another table, a key outside
+/// one, or a key other than `name`, `layer` and `allowed` is an error.
+fn crate_tables(text: &str) -> Result<Vec<Table<'_>>, String> {
+    let mut out = Vec::new();
+    for table in toml::parse(text).map_err(|e| e.to_string())? {
+        let (at, header) = (table.line, table.name);
+        if at > 0 && !(table.array && header == "crate") {
+            return Err(format!("line {at}: unknown table `{header}`"));
+        }
+        for (key, _, line) in &table.keys {
+            if at == 0 {
+                return Err(format!("line {line}: `{key}` outside a [[crate]] table"));
+            } else if !["name", "layer", "allowed"].contains(key) {
+                return Err(format!("line {line}: unknown key `{key}`"));
+            }
+        }
+        if at > 0 {
+            out.push(table);
+        }
+    }
+    Ok(out)
+}
+
+/// The value of `key` in `table` and its line, or an error if unset.
+fn need<'t, 'a>(table: &'t Table<'a>, key: &str) -> Result<(&'t Json<'a>, usize), String> {
+    let at = table.line;
+    let missing = || format!("line {at}: [[crate]] is missing `{key}`");
+    table.get(key).ok_or_else(missing)
+}
+
+/// The string under `key` in `table`.
+fn string(table: &Table<'_>, key: &str) -> Result<String, String> {
+    match need(table, key)? {
+        (Json::Str(s), _) => Ok(s.to_string()),
+        (_, line) => Err(format!("line {line}: {key} must be a quoted string")),
+    }
+}
+
+/// The non-negative integer under `key` in `table`, as a `T`.
+fn uint<T: TryFrom<u64>>(table: &Table<'_>, key: &str) -> Result<T, String> {
+    let (value, line) = need(table, key)?;
+    let n = value.as_u64().and_then(|n| T::try_from(n).ok());
+    n.ok_or_else(|| format!("line {line}: {key} must be a non-negative integer"))
 }
 
 /// Enforces the declared DAG over every library file: each `movr_*`
@@ -246,6 +291,20 @@ allowed = []
         assert!(LayerSpec::parse(upward).unwrap_err().contains("DAG"));
         let dup = "[[crate]]\nname = \"a\"\nlayer = 0\n\n[[crate]]\nname = \"a\"\nlayer = 1\n";
         assert!(LayerSpec::parse(dup).unwrap_err().contains("twice"));
+    }
+
+    #[test]
+    fn parse_errors_name_the_line() {
+        assert!(LayerSpec::parse("name = \"a\"").unwrap_err().contains("line 1"));
+        let missing = LayerSpec::parse("[[crate]]\nname = \"a\"\n").unwrap_err();
+        assert!(missing.contains("missing `layer`"), "{missing}");
+        let negative = LayerSpec::parse("[[crate]]\nname = \"a\"\nlayer = -1\n").unwrap_err();
+        assert!(negative.contains("line 3") && negative.contains("integer"), "{negative}");
+        let unknown = LayerSpec::parse("[[crate]]\nname = \"a\"\nlayer = 0\nrank = 1\n");
+        assert!(unknown.unwrap_err().contains("line 4"));
+        // A key set twice in one table is an error naming the second line.
+        let twice = LayerSpec::parse("[[crate]]\nname = \"a\"\nlayer = 0\nlayer = 1\n");
+        assert!(twice.unwrap_err().contains("line 4"));
     }
 
     #[test]

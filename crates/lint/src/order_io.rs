@@ -2,7 +2,7 @@
 //! output paths.
 //!
 //! Every artifact the repo pins — JSONL timelines, rollup JSON,
-//! fingerprints, golden fixtures, SARIF — is compared byte-for-byte.
+//! fingerprints, golden fixtures — is compared byte-for-byte.
 //! `HashMap`/`HashSet` iteration order varies per process (SipHash keys
 //! are randomized), so one unordered loop in a rendering path turns a
 //! stable gate into a coin flip. The obs reducer avoided this purely by
@@ -34,8 +34,8 @@ use std::collections::BTreeSet;
 
 /// Enclosing-fn name fragments that mark a rendering/output path.
 const OUTPUT_FN_MARKERS: &[&str] = &[
-    "json", "render", "write", "emit", "encode", "serialize", "fingerprint", "rollup",
-    "sarif", "dump", "print",
+    "json", "render", "write", "emit", "encode", "serialize", "fingerprint", "rollup", "dump",
+    "print",
 ];
 
 /// Macro/method idents inside an iteration that mark it as producing

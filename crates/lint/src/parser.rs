@@ -2,8 +2,8 @@
 //! for the semantic analyses. It recognises `fn` signatures (names,
 //! params with their flattened types, return type, body token range),
 //! `use` declarations (crate root + imported leaf names), `struct`
-//! definitions (field names and types), closures and `let` statements
-//! (bound names, type span, initializer). There is deliberately **no**
+//! definitions (field names and types) and `let` statements (bound
+//! names, type span, initializer). There is deliberately **no**
 //! expression grammar — the unit-flow and RNG-dataflow analyses walk
 //! raw tokens inside the body ranges this parser hands them.
 //!
@@ -31,10 +31,9 @@ impl Param {
     /// Last path segment of the type (`movr_sim::SimTime` → `SimTime`),
     /// the ident unit/type classification keys on.
     pub fn ty_last_ident(&self) -> Option<&str> {
-        self.ty.split(|c: char| !c.is_alphanumeric() && c != '_')
-            .filter(|s| !s.is_empty())
-            .filter(|s| !matches!(*s, "mut" | "dyn" | "impl" | "const"))
-            .next_back()
+        self.ty
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .rfind(|s| !s.is_empty() && !matches!(*s, "mut" | "dyn" | "impl" | "const"))
     }
 }
 
@@ -87,25 +86,6 @@ pub struct StructDef {
     pub fields: Vec<Param>,
 }
 
-/// A closure expression: `|i, &x| body`, `move || { … }`. The parser
-/// records parameter binding names and the body token range; the
-/// parallel-capture analysis walks the body the same way the other
-/// semantic passes walk `fn` bodies.
-#[derive(Debug, Clone)]
-pub struct ClosureExpr {
-    /// 1-based line of the opening `|`.
-    pub line: usize,
-    /// Token index of the opening `|`.
-    pub start: usize,
-    /// Binding idents across all parameter patterns (`|_, &seed|` →
-    /// `["_", "seed"]`; `mut`/`ref` and type annotations excluded).
-    pub params: Vec<String>,
-    /// Inclusive token range of the body: the `{ … }` block when the
-    /// body is braced, otherwise the trailing expression up to the
-    /// enclosing `,`, `;`, or closing delimiter.
-    pub body: (usize, usize),
-}
-
 /// A `let` statement (or `if let`/`while let` condition).
 #[derive(Debug, Clone)]
 pub struct LetStmt {
@@ -141,10 +121,6 @@ pub struct ParsedFile {
     pub uses: Vec<UseLeaf>,
     /// Every `struct` definition.
     pub structs: Vec<StructDef>,
-    /// Every closure expression, in source order (nested closures
-    /// included — a `.map(|x| …)` inside a spawned closure gets its own
-    /// entry).
-    pub closures: Vec<ClosureExpr>,
     /// Every `let`, in source order (nested ones included), so sorted
     /// by `start`.
     pub lets: Vec<LetStmt>,
@@ -185,19 +161,9 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
             }
             TokenKind::Ident(w) if w == "let" => {
                 // Resume inside the statement: its initializer may hold
-                // closures and nested `let`s.
+                // nested `let`s.
                 out.lets.push(parse_let(tokens, i));
                 i += 1;
-            }
-            TokenKind::Punct('|') => {
-                // Resume just past the parameter list so closures nested
-                // inside the body are still visited by this loop.
-                if let Some((closure, resume)) = parse_closure(tokens, i) {
-                    out.closures.push(closure);
-                    i = resume;
-                } else {
-                    i += 1;
-                }
             }
             _ => i += 1,
         }
@@ -449,8 +415,7 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
     let name = name.clone();
     let i = skip_generics(tokens, kw_idx + 2);
     let mut fields = Vec::new();
-    let resume;
-    match tokens.get(i).map(|t| &t.kind) {
+    let resume = match tokens.get(i).map(|t| &t.kind) {
         Some(TokenKind::Punct('{')) => {
             let (body, close) = interior(tokens, i);
             for part in split_top_level(body, ',') {
@@ -463,7 +428,7 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
                     fields.push(parse_param(part));
                 }
             }
-            resume = close + 1;
+            close + 1
         }
         Some(TokenKind::Punct('(')) => {
             // Tuple struct: record types without names.
@@ -478,10 +443,10 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
                     });
                 }
             }
-            resume = close + 1;
+            close + 1
         }
-        _ => resume = i, // unit struct `struct X;` or something exotic
-    }
+        _ => i, // unit struct `struct X;` or something exotic
+    };
     out.push(StructDef { name, line, fields });
     resume
 }
@@ -567,109 +532,6 @@ fn skip_generics(tokens: &[Token], mut i: usize) -> usize {
         i += 1;
     }
     i
-}
-
-/// Parses a closure expression whose opening `|` is at `open`; returns
-/// the closure and the index to resume scanning from (just past the
-/// parameter list, so nested closures in the body are still seen).
-///
-/// Disambiguation from binary `|`/`||` is positional: a closure can only
-/// start where an *expression* starts, i.e. after an opening delimiter,
-/// a separator (`,` `;` `=` `>` from `=>`), `&`, or one of the keywords
-/// `move`/`return`/`else`/`in`. A `|` preceded by an ident, number, or
-/// closing paren is an operator and is skipped. Anything that still
-/// fails to close (e.g. a leading-pipe match arm with no second `|`)
-/// degrades to `None`, never a bogus closure.
-fn parse_closure(tokens: &[Token], open: usize) -> Option<(ClosureExpr, usize)> {
-    if !closure_position(tokens, open) {
-        return None;
-    }
-    // Closing `|` of the parameter list: adjacent for `||`, otherwise
-    // the first `|` at zero delimiter depth.
-    let close = if tokens.get(open + 1).is_some_and(|t| t.is_punct('|')) {
-        open + 1
-    } else {
-        let mut depth = 0i32;
-        let mut j = open + 1;
-        loop {
-            let t = tokens.get(j)?;
-            match t.kind {
-                TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('{') => depth += 1,
-                TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => {
-                    if depth == 0 {
-                        return None; // operator `|` after all
-                    }
-                    depth -= 1;
-                }
-                TokenKind::Punct('|') if depth == 0 => break j,
-                TokenKind::Punct(';') if depth == 0 => return None,
-                _ => {}
-            }
-            j += 1;
-        }
-    };
-    let mut params = Vec::new();
-    for part in split_top_level(&tokens[open + 1..close], ',') {
-        // Idents of the pattern only — everything past a `:` is a type.
-        let pat = match split_point(part, ':') {
-            Some(c) => &part[..c],
-            None => part,
-        };
-        for t in pat {
-            if let TokenKind::Ident(w) = &t.kind {
-                if w != "mut" && w != "ref" {
-                    params.push(w.clone());
-                }
-            }
-        }
-    }
-    // Body: a brace block, or the expression up to the enclosing
-    // `,`/`;`/closing delimiter at zero depth.
-    let body = match tokens.get(close + 1).map(|t| &t.kind) {
-        Some(TokenKind::Punct('{')) => (close + 1, match_delim(tokens, close + 1)),
-        Some(_) => {
-            let mut depth = 0i32;
-            let mut k = close + 1;
-            let end = loop {
-                let Some(t) = tokens.get(k) else {
-                    break tokens.len() - 1;
-                };
-                match t.kind {
-                    TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('{') => {
-                        depth += 1
-                    }
-                    TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => {
-                        if depth == 0 {
-                            break k - 1;
-                        }
-                        depth -= 1;
-                    }
-                    TokenKind::Punct(',') | TokenKind::Punct(';') if depth == 0 => break k - 1,
-                    _ => {}
-                }
-                k += 1;
-            };
-            if end <= close {
-                return None; // empty body (`|x|)` — not a closure)
-            }
-            (close + 1, end)
-        }
-        None => return None,
-    };
-    let closure = ClosureExpr { line: tokens[open].line, start: open, params, body };
-    Some((closure, close + 1))
-}
-
-/// True when a `|` at `open` sits in expression-start position.
-fn closure_position(tokens: &[Token], open: usize) -> bool {
-    let Some(prev) = open.checked_sub(1).map(|i| &tokens[i]) else {
-        return true;
-    };
-    match &prev.kind {
-        TokenKind::Punct(c) => matches!(c, '(' | ',' | '=' | '{' | ';' | '[' | '>' | '&' | ':'),
-        TokenKind::Ident(w) => matches!(w.as_str(), "move" | "return" | "else" | "in"),
-        _ => false,
-    }
 }
 
 /// Strips leading `pub`/`pub(...)` and `#[...]` attributes from a field.
@@ -913,43 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_params_and_expression_body() {
-        let p = parse_src("fn f() { pool_map(&v, 4, |i, &x| x + i) }");
-        assert_eq!(p.closures.len(), 1);
-        let c = &p.closures[0];
-        assert_eq!(c.params, ["i", "x"]);
-        // Body covers `x + i` and stops at the call's closing paren.
-        assert_eq!(c.body.1 - c.body.0, 2);
-    }
-
-    #[test]
-    fn closure_block_body_and_move() {
-        let p = parse_src("fn f() { scope.spawn(move || { work(); more() }); }");
-        assert_eq!(p.closures.len(), 1);
-        let c = &p.closures[0];
-        assert!(c.params.is_empty());
-        let toks = lex("fn f() { scope.spawn(move || { work(); more() }); }");
-        assert!(toks[c.body.0].is_punct('{'));
-        assert!(toks[c.body.1].is_punct('}'));
-    }
-
-    #[test]
-    fn nested_closures_are_both_found() {
-        let p = parse_src("fn f() { outer(|a| inner(|b: &str| b.len() + a)) }");
-        let params: Vec<_> = p.closures.iter().map(|c| c.params.clone()).collect();
-        assert_eq!(params, [vec!["a".to_string()], vec!["b".to_string()]]);
-    }
-
-    #[test]
-    fn operator_pipes_are_not_closures() {
-        assert!(parse_src("fn f(a: u32, b: u32) -> u32 { a | b }").closures.is_empty());
-        assert!(parse_src("fn f(a: bool, b: bool) -> bool { a || b }").closures.is_empty());
-        assert!(parse_src("fn f(m: M) -> u32 { match m { M::A | M::B => 1, _ => 0 } }")
-            .closures
-            .is_empty());
-    }
-
-    #[test]
     fn impl_owner_is_attached_to_methods() {
         let p = parse_src(
             "impl Session { pub fn step(&mut self) -> u64 { 0 } }\nfn free() {}\nimpl Display for Frame { fn fmt(&self) -> u8 { 1 } }",
@@ -987,11 +812,5 @@ mod tests {
         let (lo, hi) = p.lets[3].ty.expect("annotated");
         assert_eq!(flatten(&toks[lo..hi]), "Box < dyn Iterator < Item = u8 > >");
         assert!(toks[p.lets[3].eq.expect("initialised") + 1].is_ident("make"));
-    }
-
-    #[test]
-    fn typed_closure_params_exclude_the_type() {
-        let p = parse_src("fn f() { let rel = |path: &Path| path.display(); }");
-        assert_eq!(p.closures[0].params, ["path"]);
     }
 }

@@ -246,7 +246,7 @@ fn cross_crate_target(f: &SourceFile, k: usize) -> Option<String> {
         }
         if let TokenKind::Ident(_) = toks[j - 3].kind {
             first = j - 3;
-            j = j - 3;
+            j -= 3;
         } else {
             break;
         }

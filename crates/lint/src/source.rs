@@ -3,12 +3,12 @@
 //! items). Rules consult this to scope themselves correctly.
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::parser::{self, FnSig, ParsedFile};
+use crate::parser::{self, ParsedFile};
 
 /// Where a `.rs` file sits in the workspace layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// `crates/<name>/src/**` or the root `src/**` — ratchet territory.
+    /// `crates/<name>/src/**` or the root `src/**` — library code.
     Lib,
     /// `tests/**` or `crates/<name>/tests/**` — integration tests.
     Test,
@@ -78,17 +78,6 @@ impl SourceFile {
             .get(line.wrapping_sub(1))
             .map(|l| l.trim().to_string())
             .unwrap_or_default()
-    }
-
-    /// The innermost `fn` whose body contains the token at `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnSig> {
-        let body = |s: &FnSig| s.body.filter(|&(open, close)| open <= idx && idx <= close);
-        self.parsed
-            .fns
-            .iter()
-            .filter_map(|s| body(s).map(|(open, close)| (close - open, s)))
-            .min_by_key(|&(span, _)| span)
-            .map(|(_, s)| s)
     }
 }
 

@@ -5,6 +5,8 @@
 //! must be computed modulo 360° with the shortest-arc rule — a naive
 //! subtraction would report a 358° error between 359° and 1°.
 
+use crate::convert::{f64_to_usize, usize_to_f64};
+
 /// Wraps an angle into `(-180, 180]` degrees.
 pub fn wrap_deg_180(deg: f64) -> f64 {
     let mut a = deg % 360.0;
@@ -34,8 +36,8 @@ pub fn wrap_deg_360(deg: f64) -> f64 {
 pub fn sweep_deg(start: f64, end: f64, step: f64) -> Vec<f64> {
     assert!(step > 0.0, "sweep step must be positive"); // lint: sweep bounds are experiment constants, not decoded input
     assert!(end >= start, "sweep end must not precede start"); // lint: sweep bounds are experiment constants, not decoded input
-    let n = ((end - start) / step + 1e-9).floor() as usize;
-    (0..=n).map(|i| start + i as f64 * step).collect()
+    let n = f64_to_usize(((end - start) / step + 1e-9).floor());
+    (0..=n).map(|i| start + usize_to_f64(i) * step).collect()
 }
 
 #[cfg(test)]

@@ -128,8 +128,10 @@ impl Mul<C64> for f64 {
 
 impl Div for C64 {
     type Output = C64;
-    // Division via the reciprocal: multiply is the correct operator here.
-    #[allow(clippy::suspicious_arithmetic_impl)] // lint: division via reciprocal — `*` is the right operator in Div
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "division via the reciprocal: `*` is the right operator in Div"
+    )]
     fn div(self, rhs: C64) -> C64 {
         self * rhs.recip()
     }

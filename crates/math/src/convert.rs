@@ -1,24 +1,30 @@
 //! Audited numeric conversions.
 //!
-//! `as` casts silently truncate, wrap, and lose precision, so movr-lint
-//! ratchets them (`raw-numeric-cast`). Some conversions are still
-//! necessary — counter means, quantizer step sizes, truncating a
-//! computed count — and this module is their one audited home, exempt
-//! from the rule the same way `db.rs` is exempt from
-//! `raw-db-arithmetic`. Each helper documents exactly what is lost.
+//! `as` casts silently truncate, wrap, and lose precision, so library
+//! and binary code may not write one: `scripts/verify.sh` runs clippy's
+//! `as_conversions` over every library and binary target. Some
+//! conversions are still necessary — counter means, quantizer step
+//! sizes, truncating a computed count — and this module is their one
+//! audited home. Each helper documents exactly what is lost and carries
+//! the `#[expect(clippy::as_conversions, …)]` that admits its cast; a
+//! crate that cannot depend on `movr-math` puts the same attribute on
+//! the function holding the cast.
 
 /// `usize → f64` for counts (sums over `n` samples, vertex counts).
 ///
 /// Exact for every count below 2^53 (~9·10^15); simulation loop and
 /// collection sizes are far below that, so in practice lossless.
+#[expect(clippy::as_conversions, reason = "counts stay below 2^53, where usize → f64 is exact")]
 pub fn usize_to_f64(n: usize) -> f64 {
     n as f64
 }
 
-/// `u64 → f64` for small bit-width derived values (`1 << adc_bits`).
+/// `u64 → f64` for counters and derived values (`1 << adc_bits`,
+/// payload bits, elapsed nanoseconds).
 ///
 /// Exact below 2^53, same argument as [`usize_to_f64`]; quantizer
-/// level counts come from bit widths ≤ 32, so always exact here.
+/// level counts come from bit widths ≤ 32, and 2^53 ns is 104 days.
+#[expect(clippy::as_conversions, reason = "values stay below 2^53, where u64 → f64 is exact")]
 pub fn u64_to_f64(x: u64) -> f64 {
     x as f64
 }
@@ -27,6 +33,7 @@ pub fn u64_to_f64(x: u64) -> f64 {
 /// (`SimTime::from_nanos` arithmetic, fork labels).
 ///
 /// Lossless on every supported target (usize is at most 64 bits).
+#[expect(clippy::as_conversions, reason = "usize is at most 64 bits, so usize → u64 is lossless")]
 pub fn usize_to_u64(n: usize) -> u64 {
     n as u64
 }
@@ -36,6 +43,7 @@ pub fn usize_to_u64(n: usize) -> u64 {
 ///
 /// Fractional parts are dropped; negative and non-finite inputs
 /// saturate to 0 / `u64::MAX` per Rust's defined `as` semantics.
+#[expect(clippy::as_conversions, reason = "truncation toward zero and saturation are the documented contract")]
 pub fn f64_to_u64(x: f64) -> u64 {
     x as u64
 }
@@ -45,6 +53,7 @@ pub fn f64_to_u64(x: f64) -> u64 {
 ///
 /// Fractional parts are dropped; negative and non-finite inputs
 /// saturate to 0 / `usize::MAX` per Rust's defined `as` semantics.
+#[expect(clippy::as_conversions, reason = "truncation toward zero and saturation are the documented contract")]
 pub fn f64_to_usize(x: f64) -> usize {
     x as usize
 }

@@ -1,11 +1,11 @@
 //! The workspace's one JSON reader and its one JSON string writer.
 //!
-//! Writers across the workspace (events, metrics, rollups, bench lines,
-//! lint reports, SARIF) hand-roll their serialisation and spell every
-//! string through [`write_str`]; this module is the matching *reading*
-//! half, used by movr-obs's fleet reducer (JSONL event lines), rollup
-//! differ and perf ratchet (bench JSON lines), by movr-lint's SARIF
-//! checker, and by the [`crate::toml`] reader for its values. It is a
+//! Writers across the workspace (events, metrics, rollups, bench lines)
+//! hand-roll their serialisation and spell every string through
+//! [`write_str`]; this module is the matching *reading* half, used by
+//! movr-obs's fleet reducer (JSONL event lines), rollup differ and perf
+//! ratchet (bench JSON lines), and by the [`crate::toml`] reader for its
+//! values (the perf ratchet's and movr-lint's configs). It is a
 //! strict recursive-descent parser over RFC 8259 JSON — objects,
 //! arrays, strings with escapes, numbers, `true` / `false` / `null` —
 //! kept in-tree so the workspace has no external dependencies.

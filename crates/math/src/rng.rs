@@ -103,6 +103,10 @@ impl SimRng {
 
     /// Next raw 32-bit draw (upper half of a 64-bit draw).
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "after the 32-bit shift the value fits in u32, so the cast drops nothing"
+    )]
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
@@ -119,11 +123,19 @@ impl SimRng {
 
     /// Uniform sample in `[0, 1)` with 53 bits of precision.
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "a 53-bit draw and 2^53 both convert to f64 exactly"
+    )]
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform sample in `[lo, hi)`.
+    #[expect(
+        clippy::float_cmp,
+        reason = "an empty span returns `lo` exactly and draws nothing; the pinned streams depend on the skipped draw"
+    )]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         debug_assert!(hi >= lo);
         if hi == lo {
@@ -140,6 +152,10 @@ impl SimRng {
     }
 
     /// Uniform integer in `[lo, hi]` inclusive, bias-free via rejection.
+    #[expect(
+        clippy::as_conversions,
+        reason = "every cast value fits its target: hi − lo is a usize, r % span < span, and a full-width draw is returned only when usize is 64 bits"
+    )]
     pub fn uniform_usize(&mut self, lo: usize, hi: usize) -> usize {
         debug_assert!(hi >= lo);
         let span = (hi - lo) as u64;

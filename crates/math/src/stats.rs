@@ -4,6 +4,8 @@
 //! ("as much as 27 dB") and CDFs (Fig. 9). [`Summary`] and [`Cdf`] produce
 //! exactly those views from raw per-run samples.
 
+use crate::convert::{f64_to_usize, usize_to_f64};
+
 /// One-pass summary of a sample set: count, mean, variance, extremes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Summary {
@@ -39,7 +41,7 @@ impl Summary {
     pub fn push(&mut self, v: f64) {
         self.count += 1;
         let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
+        self.mean += delta / usize_to_f64(self.count);
         self.m2 += delta * (v - self.mean);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
@@ -56,8 +58,8 @@ impl Summary {
             *self = *other;
             return;
         }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
+        let n1 = usize_to_f64(self.count);
+        let n2 = usize_to_f64(other.count);
         let n = n1 + n2;
         let delta = other.mean - self.mean;
         self.mean += delta * n2 / n;
@@ -110,7 +112,7 @@ impl Summary {
         if self.count < 2 {
             0.0
         } else {
-            self.m2 / self.count as f64
+            self.m2 / usize_to_f64(self.count)
         }
     }
 
@@ -174,7 +176,7 @@ impl Cdf {
             return 0.0;
         }
         let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
+        usize_to_f64(idx) / usize_to_f64(self.sorted.len())
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`) using nearest-rank interpolation.
@@ -188,10 +190,10 @@ impl Cdf {
         if n == 1 {
             return self.sorted[0];
         }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
+        let pos = q * usize_to_f64(n - 1);
+        let lo = f64_to_usize(pos.floor());
+        let hi = f64_to_usize(pos.ceil());
+        let frac = pos - usize_to_f64(lo);
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
 
@@ -213,11 +215,11 @@ impl Cdf {
     /// Iterates the CDF as `(value, cumulative_fraction)` points — one per
     /// sample, suitable for printing a figure series.
     pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let n = self.sorted.len() as f64;
+        let n = usize_to_f64(self.sorted.len());
         self.sorted
             .iter()
             .enumerate()
-            .map(move |(i, &v)| (v, (i + 1) as f64 / n))
+            .map(move |(i, &v)| (v, usize_to_f64(i + 1) / n))
     }
 }
 

@@ -201,7 +201,7 @@ pub fn check(
     };
     let identity_ok = |row: &Json| -> bool {
         ["bit_identical", "byte_identical"].iter().all(|k| {
-            row.get(k).map_or(true, |v| v.as_bool() == Some(true))
+            row.get(k).is_none_or(|v| v.as_bool() == Some(true))
         })
     };
 

@@ -442,9 +442,8 @@ mod tests {
         assert_eq!(w.lines(), 2);
         let err = w.sink_error().expect("failure must be latched");
         assert_eq!(err.line, 3);
-        let err = match w.finish() {
-            Ok(_) => panic!("finish must report the latched failure"),
-            Err(e) => e,
+        let Err(err) = w.finish() else {
+            panic!("finish must report the latched failure");
         };
         assert_eq!(err.line, 3);
         assert_eq!(err.error.kind(), io::ErrorKind::StorageFull);

@@ -12,6 +12,7 @@
 //! between PPDUs.
 
 use crate::mcs::McsEntry;
+use movr_math::convert::{f64_to_u64, u64_to_f64};
 use movr_sim::SimTime;
 
 /// Fixed per-PPDU overhead and limits.
@@ -43,7 +44,7 @@ impl FrameConfig {
     /// Airtime of a single PPDU carrying `payload_bits` at `mcs`.
     pub fn ppdu_airtime(&self, mcs: &McsEntry, payload_bits: u64) -> SimTime {
         debug_assert!(payload_bits <= self.max_psdu_bits);
-        let payload_ns = (payload_bits as f64 / mcs.rate_mbps * 1_000.0).ceil() as u64;
+        let payload_ns = f64_to_u64((u64_to_f64(payload_bits) / mcs.rate_mbps * 1_000.0).ceil());
         SimTime::from_nanos(self.preamble_ns + self.header_ns + payload_ns)
     }
 

@@ -155,7 +155,7 @@ mod tests {
         let lambda = ch.wavelength_m();
         let p1 = los_path(2.0);
         let p2 = los_path(2.0 + lambda / 2.0);
-        let combined = ch.combined_gain(&[p1.clone(), p2], |_| 0.0, |_| 0.0);
+        let combined = ch.combined_gain(&[p1, p2], |_| 0.0, |_| 0.0);
         // Near-perfect destructive combining (amplitudes differ slightly
         // because of the tiny distance difference).
         let single = ch.path_gain(&p1).coefficient.abs();

@@ -114,6 +114,10 @@ impl WorkerPool {
     }
 
     /// Grows the worker set to at least `n` threads (never shrinks).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool is the workspace's one thread spawner; its `map` bounds keep workers from sharing state"
+    )]
     fn ensure_workers(&self, n: usize) {
         let mut senders = self.senders.lock().expect("pool lock clean"); // lint: poisoned-lock invariant, not decoded input
         while senders.len() < n {
@@ -247,6 +251,85 @@ pub fn global_pool() -> &'static WorkerPool {
 ///
 /// # Panics
 /// Propagates job panics with item attribution, like [`WorkerPool::map`].
+///
+/// # Workers share nothing mutable
+///
+/// The output is the same at any thread count only if no item's closure
+/// sees another item's effects. The `Fn + Send + Sync + 'static` bound on
+/// `f` makes rustc enforce that: each block marked `compile_fail` below
+/// is rejected, and the block after it, which differs only in the
+/// hazard, compiles. (rustdoc checks only that a `compile_fail` block
+/// fails, not its error code; the compiling twin is what shows it fails
+/// for the hazard.)
+///
+/// A closure cannot write to what it captures (E0594):
+///
+/// ```compile_fail,E0594
+/// let mut total = 0u64;
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |_, &x| {
+///     total += x;
+///     total
+/// });
+/// ```
+///
+/// ```
+/// let total = 0u64;
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |_, &x| {
+///     let total = total + x;
+///     total
+/// });
+/// ```
+///
+/// Nor capture shared interior mutability: `RefCell` and `Cell` are not
+/// `Sync`, and `Rc` is neither `Send` nor `Sync` (E0277):
+///
+/// ```compile_fail,E0277
+/// let memo = std::cell::RefCell::new(1u64);
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |_, &x| *memo.borrow() ^ x);
+/// ```
+///
+/// ```compile_fail,E0277
+/// let memo = std::cell::Cell::new(1u64);
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |_, &x| memo.get() ^ x);
+/// ```
+///
+/// ```compile_fail,E0277
+/// let memo = std::rc::Rc::new(1u64);
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |_, &x| *memo ^ x);
+/// ```
+///
+/// ```
+/// let memo = std::sync::Arc::new(1u64);
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |_, &x| *memo ^ x);
+/// ```
+///
+/// Nor draw from a captured random stream: a draw takes `&mut self`, as
+/// `SimRng::next_u64` and `SimRng::fork` do (E0596). Each item builds
+/// its own stream from its index instead. (A `rng.clone()` inside the
+/// closure would compile; movr-lint's `rng-fork-aliased` rejects it.)
+///
+/// ```compile_fail,E0596
+/// # struct Stream(u64);
+/// # impl Stream {
+/// #     fn draw(&mut self) -> u64 {
+/// #         self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
+/// #         self.0
+/// #     }
+/// # }
+/// let mut rng = Stream(7);
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |_, &x| x ^ rng.draw());
+/// ```
+///
+/// ```
+/// # struct Stream(u64);
+/// # impl Stream {
+/// #     fn draw(&mut self) -> u64 {
+/// #         self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
+/// #         self.0
+/// #     }
+/// # }
+/// movr_sim::pool_map(vec![1u64, 2, 3], 2, move |i, &x| x ^ Stream(7 + i as u64).draw());
+/// ```
 pub fn pool_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send + 'static,

@@ -44,6 +44,10 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics on negative, NaN, or infinite input.
+    #[expect(
+        clippy::as_conversions,
+        reason = "the rounded ns lie below the ceiling checked first, so the cast is exact"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs >= 0.0 && secs.is_finite(), "time must be non-negative");
         let ns = (secs * 1e9).round();
@@ -60,11 +64,19 @@ impl SimTime {
     }
 
     /// Seconds since the epoch.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u64 ns → f64 is exact below 2^53 ns (104 days of simulated time)"
+    )]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Milliseconds since the epoch.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u64 ns → f64 is exact below 2^53 ns (104 days of simulated time)"
+    )]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -103,6 +115,10 @@ impl Sub for SimTime {
 }
 
 impl fmt::Display for SimTime {
+    #[expect(
+        clippy::as_conversions,
+        reason = "display only: ns below one second convert to f64 exactly"
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ns = self.0;
         if ns >= 1_000_000_000 {

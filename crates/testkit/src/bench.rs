@@ -8,33 +8,43 @@
 //! per-iteration nanoseconds. One JSON object per line keeps the output
 //! trivially machine-parsable (`cargo bench … | grep '^{'`).
 
+use movr_math::convert::{f64_to_usize, u64_to_f64, usize_to_f64};
 use movr_math::json::write_str;
 use std::hint::black_box;
-use std::time::Instant;
 
-/// A monotonic stopwatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Timer {
-    start: Instant,
-}
+pub use timer::Timer;
 
-impl Timer {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        Timer {
-            start: Instant::now(),
+mod timer {
+    #![expect(
+        clippy::disallowed_types,
+        reason = "the bench timer measures host time by design; simulation code runs on SimTime"
+    )]
+    use std::time::Instant;
+
+    /// A monotonic stopwatch: the workspace's one wall-clock reader.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Timer {
+        start: Instant,
+    }
+
+    impl Timer {
+        /// Starts timing now.
+        pub fn start() -> Self {
+            Timer {
+                start: Instant::now(),
+            }
         }
-    }
 
-    /// Nanoseconds elapsed since [`Timer::start`] (saturating at `u64::MAX`).
-    pub fn elapsed_ns(&self) -> u64 {
-        let nanos = self.start.elapsed().as_nanos();
-        u64::try_from(nanos).unwrap_or(u64::MAX)
-    }
+        /// Nanoseconds elapsed since [`Timer::start`] (saturating at `u64::MAX`).
+        pub fn elapsed_ns(&self) -> u64 {
+            let nanos = self.start.elapsed().as_nanos();
+            u64::try_from(nanos).unwrap_or(u64::MAX)
+        }
 
-    /// Seconds elapsed since [`Timer::start`].
-    pub fn elapsed_secs_f64(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
+        /// Seconds elapsed since [`Timer::start`].
+        pub fn elapsed_secs_f64(&self) -> f64 {
+            self.start.elapsed().as_secs_f64()
+        }
     }
 }
 
@@ -111,7 +121,7 @@ impl BenchReport {
     fn from_samples(name: &str, mut per_iter_ns: Vec<f64>, iters_per_sample: u64) -> Self {
         per_iter_ns.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
         let n = per_iter_ns.len();
-        let mean = per_iter_ns.iter().sum::<f64>() / n as f64;
+        let mean = per_iter_ns.iter().sum::<f64>() / usize_to_f64(n);
         BenchReport {
             name: name.to_string(),
             median_ns: quantile_sorted(&per_iter_ns, 0.5),
@@ -147,10 +157,10 @@ fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
+    let pos = q.clamp(0.0, 1.0) * usize_to_f64(sorted.len() - 1);
+    let lo = f64_to_usize(pos.floor());
+    let hi = f64_to_usize(pos.ceil());
+    let frac = pos - usize_to_f64(lo);
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
@@ -172,7 +182,7 @@ pub fn bench_fn<R>(name: &str, opts: &BenchOptions, mut f: impl FnMut() -> R) ->
         for _ in 0..iters {
             black_box(f());
         }
-        per_iter_ns.push(t.elapsed_ns() as f64 / iters as f64);
+        per_iter_ns.push(u64_to_f64(t.elapsed_ns()) / u64_to_f64(iters));
     }
     BenchReport::from_samples(name, per_iter_ns, iters)
 }
@@ -204,7 +214,7 @@ pub fn bench_with_setup<T, R>(
             black_box(routine(input));
             timed_ns += t.elapsed_ns();
         }
-        per_iter_ns.push(timed_ns as f64 / iters as f64);
+        per_iter_ns.push(u64_to_f64(timed_ns) / u64_to_f64(iters));
     }
     BenchReport::from_samples(name, per_iter_ns, iters)
 }

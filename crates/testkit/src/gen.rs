@@ -72,7 +72,8 @@ impl Gen for F64Range {
         let origin = self.origin();
         let mut out = Vec::new();
         let mut push = |c: f64| {
-            if self.contains(c) && c != v && (c - origin).abs() < (v - origin).abs() {
+            // Strictly closer to the origin, so never `v` itself.
+            if self.contains(c) && (c - origin).abs() < (v - origin).abs() {
                 out.push(c);
             }
         };

@@ -306,7 +306,7 @@ macro_rules! property {
             };
             let gen = ($($gen,)+);
             $crate::for_all_with(stringify!($name), &cfg, &gen, |__case| {
-                #[allow(unused_mut)] // lint: macro binds every case arg mut; some bodies never mutate
+                #[allow(unused_mut, reason = "every case arg is bound mut; only some bodies mutate")]
                 let ($(mut $arg,)+) = ::core::clone::Clone::clone(__case);
                 $body
                 ::core::result::Result::Ok(())

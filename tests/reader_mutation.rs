@@ -1,7 +1,6 @@
 //! Mutation harness for the workspace's readers: seeded bit flips,
 //! truncations, splices and duplicated lines applied to a recorded
-//! fleet session's timeline, to the three checked-in TOML configs and
-//! to a rendered SARIF log.
+//! fleet session's timeline and to the two checked-in TOML configs.
 //!
 //! Over every JSONL mutant, [`Json::parse`] (line by line),
 //! [`reduce_lines`] and [`reduce_one_stream`] must return `Ok` or a
@@ -16,18 +15,16 @@
 //! realignments, stall recoveries and `realign_stall` spans.
 //!
 //! Each config mutant goes through its own typed parser
-//! ([`Baseline::parse`], [`LayerSpec::parse`], [`parse_baseline`]) and
-//! each SARIF mutant through [`sarif::validate`]; none may panic, and a
+//! ([`LayerSpec::parse`], [`parse_baseline`]); none may panic, and a
 //! TOML syntax error names a line at or after the first mutated one.
 
-use movr_lint::{sarif, Baseline, Diagnostic, LayerSpec, Report, StaleEntry};
+use movr_lint::LayerSpec;
 use movr_math::toml;
 use movr_obs::{parse_baseline, reduce_lines, reduce_one_stream, Json, ReduceError, Rollup};
 use movr_system::fleet::session_jsonl;
 use movr_testkit::{
-    choice, prop_assert, prop_assert_eq, property, u64_range, usize_range, vec_of, PropError,
+    choice, prop_assert, prop_assert_eq, property, u64_range, usize_range, PropError,
 };
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
@@ -130,10 +127,7 @@ property! {
 /// The checked-in configs, each with its typed parser's verdict.
 type ConfigReader = fn(&str) -> Result<(), String>;
 
-const CONFIGS: [(&str, &str, ConfigReader); 3] = [
-    ("lint-baseline.toml", include_str!("../lint-baseline.toml"), |t| {
-        Baseline::parse(t).map(drop)
-    }),
+const CONFIGS: [(&str, &str, ConfigReader); 2] = [
     ("lint-layers.toml", include_str!("../lint-layers.toml"), |t| {
         LayerSpec::parse(t).map(drop)
     }),
@@ -142,43 +136,17 @@ const CONFIGS: [(&str, &str, ConfigReader); 3] = [
     }),
 ];
 
-/// A SARIF log with one new diagnostic and one stale baseline entry,
-/// both carrying text the writer must escape.
-fn sarif_log() -> String {
-    let new = vec![Diagnostic {
-        rule: "unwrap-in-lib",
-        file: "crates/demo/src/lib.rs".to_string(),
-        line: 7,
-        snippet: "let v = x.unwrap(); // \"why\"\t\\".to_string(),
-        hint: "return a structured error".to_string(),
-    }];
-    let report = Report {
-        diagnostics: new.clone(),
-        new,
-        stale: vec![StaleEntry {
-            file: "crates/demo/src/déjà vu.rs".to_string(),
-            rule: "float-exact-eq".to_string(),
-            pinned: 2,
-            actual: 1,
-        }],
-        baselined: 0,
-        files_scanned: 1,
-    };
-    sarif::render(&report)
-}
-
 #[test]
 fn checked_in_configs_and_rendered_sarif_read_cleanly() {
     for (name, text, read) in CONFIGS {
         assert_eq!(read(text), Ok(()), "{name}");
     }
-    assert_eq!(sarif::validate(&sarif_log()), Ok(()));
 }
 
 property! {
     cases = 384,
     fn mutated_configs_and_sarif_fail_structurally(
-        input in usize_range(0, 3),
+        input in usize_range(0, 1),
         m in choice(vec![
             Mutation::BitFlip,
             Mutation::Truncate,
@@ -188,23 +156,15 @@ property! {
         a in u64_range(0, u64::MAX),
         b in u64_range(0, u64::MAX),
     ) {
-        let sarif = sarif_log();
-        let (name, text, read): (&str, &str, Option<ConfigReader>) = match CONFIGS.get(input) {
-            Some(&(name, text, read)) => (name, text, Some(read)),
-            None => ("SARIF log", &sarif, None),
-        };
+        let (name, text, read) = CONFIGS[input];
         let mutant = mutate(text.as_bytes(), m, a, b);
         let first = first_mutated_line(text.as_bytes(), &mutant);
         let mutant = String::from_utf8_lossy(&mutant);
-        let outcome = catch_unwind(AssertUnwindSafe(|| match read {
-            Some(read) => {
-                let syntax = toml::parse(&mutant).err();
-                (syntax, read(&mutant).err())
-            }
-            None => (None, sarif::validate(&mutant).err().map(|errs| errs.join("; "))),
-        }))
-        .map_err(|_| PropError::failed(format!("{name}: a reader panicked on {m:?} ({a}, {b})")))?;
-        let (syntax, typed) = outcome;
+        let (syntax, typed) =
+            catch_unwind(AssertUnwindSafe(|| (toml::parse(&mutant).err(), read(&mutant).err())))
+                .map_err(|_| {
+                    PropError::failed(format!("{name}: a reader panicked on {m:?} ({a}, {b})"))
+                })?;
         if let Some(e) = &syntax {
             let at = movr_math::convert::usize_to_u64(e.line);
             prop_assert!(at >= first, "{}: {} is before the first mutated line {}", name, e, first);
@@ -212,44 +172,6 @@ property! {
         }
         if let Some(e) = typed {
             prop_assert!(!e.is_empty(), "{}: empty error", name);
-        }
-    }
-}
-
-property! {
-    cases = 256,
-    fn rendered_baselines_parse_back_entry_for_entry(
-        entries in vec_of(
-            (
-                choice(vec![
-                    "crates/a/src/lib.rs",
-                    "dir/\"quoted\".rs",
-                    "back\\slash.rs",
-                    "hash#tag.rs",
-                    "key = value.rs",
-                    "[[entry]].rs",
-                    "déjà/vu.rs",
-                    "tab\tand\nnewline.rs",
-                ]),
-                choice(vec!["unwrap-in-lib", "float-exact-eq", "rule \"#=\\"]),
-                usize_range(0, 40),
-            ),
-            0,
-            12,
-        ),
-    ) {
-        let counts: BTreeMap<(String, String), usize> = entries
-            .iter()
-            .map(|&(file, rule, count)| ((file.to_string(), rule.to_string()), count))
-            .collect();
-        let text = Baseline::render(&counts);
-        let parsed = Baseline::parse(&text)
-            .map_err(|e| PropError::failed(format!("{e}\n{text}")))?;
-        let pinned: BTreeMap<(String, String), usize> =
-            counts.into_iter().filter(|&(_, n)| n > 0).collect();
-        prop_assert_eq!(parsed.len(), pinned.len());
-        for ((file, rule), n) in &pinned {
-            prop_assert_eq!(parsed.allowed(file, rule), *n);
         }
     }
 }
