@@ -84,13 +84,26 @@ fn bench_gain_control(opts: &BenchOptions) -> Vec<BenchReport> {
 fn bench_system_step(opts: &BenchOptions) -> Vec<BenchReport> {
     let center = Vec2::new(4.0, 2.5);
     let yaw = center.bearing_deg_to(Vec2::new(0.5, 2.5));
-    let world = WorldState::player_only(PlayerState::standing(center, yaw));
-    vec![bench_with_setup(
-        "system_evaluate_frame",
-        opts,
-        || MovrSystem::paper_setup(SystemConfig::default()),
-        |mut sys| sys.evaluate(&world),
-    )]
+    let player = PlayerState::standing(center, yaw);
+    let world = WorldState::player_only(player);
+    // A raised hand blocks the direct path, so every frame also weighs
+    // the reflector's two hops.
+    let held = WorldState::player_only(player.with_hand(true));
+    let mut warmed = MovrSystem::paper_setup(SystemConfig::default());
+    warmed.evaluate(&held);
+    vec![
+        // A cold frame: a fresh deployment traces and weighs its link.
+        bench_with_setup(
+            "system_evaluate_frame",
+            opts,
+            || MovrSystem::paper_setup(SystemConfig::default()),
+            |mut sys| sys.evaluate(&world),
+        ),
+        // A held frame: the same world again on a warmed deployment, so
+        // every trace and the headset and hop-1 gain rows are reused; the
+        // AP's direct row follows the noisy tracked pose.
+        bench_fn("system_evaluate_held_frame", opts, || warmed.evaluate(&held)),
+    ]
 }
 
 fn bench_trace_paths(opts: &BenchOptions) -> Vec<BenchReport> {

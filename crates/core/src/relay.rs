@@ -13,14 +13,16 @@
 //!   `SNR_end = min(SNR_hop1, SNR_hop2)` — the standard cascade bound for
 //!   an amplify-and-forward relay.
 //!
-//! The relayed-link budget has one scalar form, which queries the
-//! antenna patterns per traced path and serves the per-frame decision
-//! ([`relay_link_on`]), and one batched form over precomputed gain rows,
-//! which serves the reflection sweep ([`relay_end_snr_batched`]). Both
-//! apply the same cascade and end in the same coherent fold in
-//! `movr-rfsim`, so they agree bit for bit. The backscatter round trip
-//! is only ever taken inside a sweep, so it has the batched form alone
-//! ([`round_trip_reflection_batched`]).
+//! The relayed-link budget has one scalar form over traced hops, which
+//! queries the antenna patterns per path ([`relay_link_on`]), and one
+//! batched form over precomputed gain rows, which serves the reflection
+//! sweep ([`relay_end_snr_batched`]). The per-frame decision in
+//! `MovrSystem` weighs each hop through the gain rows it keeps per link
+//! end and hands them to the scalar form's cascade (`relay_budget`).
+//! All of them apply the same cascade and end in the same coherent fold
+//! in `movr-rfsim`, so they agree bit for bit. The backscatter round
+//! trip is only ever taken inside a sweep, so it has the batched form
+//! alone ([`round_trip_reflection_batched`]).
 
 use crate::reflector::MovrReflector;
 use movr_phased_array::SteeredArray;
@@ -67,8 +69,8 @@ pub struct RelayBudget {
 /// three nodes over traced hops: `hop1` must be AP → reflector and
 /// `hop2` reflector → headset in the same scene. The caller owns the
 /// tracing, so a caller that evaluates several beam candidates, or keeps
-/// each hop in a [`movr_rfsim::LinkMemo`] across frames as `MovrSystem`
-/// does, pays only the O(paths) reweighting per call.
+/// each hop in a [`movr_rfsim::LinkMemo`] across frames, pays only the
+/// O(paths) reweighting per call.
 pub fn relay_link_on(
     hop1: &TracedLink<'_>,
     hop2: &TracedLink<'_>,
@@ -81,15 +83,30 @@ pub fn relay_link_on(
         ap.tx_power_dbm(),
         &ArrayPattern(reflector.rx_array()),
     );
-    let hop1_snr_db = relay_input_noise(hop1.scene()).snr_db(hop1_eval.received_dbm);
     let relay_tx = ArrayPattern(reflector.tx_array());
     let headset = ArrayPattern(headset_array);
+    relay_budget(hop1_eval.received_dbm, hop1.scene(), reflector, |out_dbm| {
+        hop2.evaluate(&relay_tx, out_dbm, &headset)
+    })
+}
+
+/// The relayed budget from hop 1's received power in `scene`, the
+/// reflector's amplifier state and `hop2`, which evaluates hop 2 at a
+/// given transmit power: [`relay_link_on`] with the hop evaluations left
+/// to the caller. `MovrSystem` passes hops weighted by remembered gain
+/// rows.
+pub(crate) fn relay_budget(
+    hop1_received_dbm: f64,
+    scene: &Scene,
+    reflector: &MovrReflector,
+    hop2: impl FnOnce(f64) -> LinkEval,
+) -> RelayBudget {
     cascade(
-        hop1_eval.received_dbm,
-        hop1_snr_db,
+        hop1_received_dbm,
+        relay_input_noise(scene).snr_db(hop1_received_dbm),
         reflector.effective_gain_db(),
         reflector.is_saturated(),
-        |out_dbm| hop2.evaluate(&relay_tx, out_dbm, &headset),
+        hop2,
     )
 }
 

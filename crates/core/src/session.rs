@@ -182,7 +182,19 @@ impl Session {
     }
 
     /// A session over a caller-built deployment (see [`run_session_on`]).
+    ///
+    /// # Panics
+    /// Panics if `config.traffic.refresh_hz` does not give a frame
+    /// interval of at least 1 ns: a rate that is zero, negative or NaN,
+    /// or one above 2 GHz, whose interval rounds to 0 ns and would stop
+    /// the frame clock.
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
+        let hz = config.traffic.refresh_hz;
+        assert!(
+            hz > 0.0 && (1.0 / hz).is_finite() && config.traffic.frame_interval() > SimTime::ZERO,
+            "refresh_hz = {hz} Hz gives no frame interval of at least 1 ns; \
+             it must be positive and at most 2 GHz"
+        );
         Session {
             config: *config,
             state: SessionState {
@@ -562,6 +574,33 @@ mod tests {
         // A cable has no link SNR: no finite frame, so the mean is +∞.
         assert_eq!(out.mean_snr_db, f64::INFINITY);
         assert!(out.min_snr_db <= out.mean_snr_db);
+    }
+
+    /// A session at `refresh_hz` over a short static trace, run to its end.
+    fn run_at_refresh(refresh_hz: f64) {
+        let mut cfg = SessionConfig::with_strategy(Strategy::Tethered);
+        cfg.traffic.refresh_hz = refresh_hz;
+        run_session(&StaticScene::new(facing_ap(), 0.01), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh_hz = 0 Hz")]
+    fn zero_refresh_rate_is_rejected() {
+        run_at_refresh(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh_hz = NaN Hz")]
+    fn nan_refresh_rate_is_rejected() {
+        run_at_refresh(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh_hz = 3000000000 Hz")]
+    fn refresh_rate_with_a_zero_ns_frame_interval_is_rejected() {
+        // 1 / 3 GHz is a third of a nanosecond, which rounds to 0 ns: the
+        // frame clock would never advance.
+        run_at_refresh(3e9);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! 2. evaluates the direct AP→headset link and each reflector path
 //!    (receive beam on the calibrated AP bearing, transmit beam at the
 //!    headset, gain set by the §4.2 loop), re-tracing a link only when
-//!    its obstacles or endpoints changed since the last evaluation,
+//!    its obstacles or endpoints changed since the last evaluation and
+//!    recomputing a link end's gain row only when the link was re-traced
+//!    or that end's beam pattern changed,
 //! 3. serves the direct path while it is VR-grade, otherwise fails over
 //!    to the best reflector (§4: "in the case of a blockage ... the AP
 //!    steers its beam towards the MoVR reflector"),
@@ -20,12 +22,13 @@
 
 use crate::gain_control::{run_gain_control, run_gain_control_recorded, GainControlConfig};
 use crate::reflector::MovrReflector;
-use crate::relay::{relay_link_on, RelayBudget};
+use crate::relay::{relay_budget, RelayBudget};
 use movr_math::{wrap_deg_180, Vec2};
 use movr_motion::{LighthouseTracker, WorldState};
 use movr_obs::{NullRecorder, Recorder};
-use movr_radio::{ArrayPattern, RadioEndpoint, RateTable};
-use movr_rfsim::{LinkMemo, Scene, TracedLink};
+use movr_phased_array::SteeredArray;
+use movr_radio::{RadioEndpoint, RateTable};
+use movr_rfsim::{LinkEval, LinkMemo, Scene};
 use movr_sim::SimTime;
 
 /// Device seed of the canonical `paper_setup` reflector unit.
@@ -132,22 +135,83 @@ pub struct MovrSystem {
     rate_table: RateTable,
     mode: LinkMode,
     config: SystemConfig,
-    /// Last trace of the AP → headset link.
-    direct_trace: LinkMemo,
-    /// Last traces of each reflector's AP → reflector and reflector →
-    /// headset hops, in installation order. Like `direct_trace`, derived
-    /// from the scene and the endpoints, so not checkpointed.
-    hop_traces: Vec<[LinkMemo; 2]>,
+    /// The AP → headset link.
+    direct: MemoisedLink,
+    /// Each reflector's AP → reflector and reflector → headset hops, in
+    /// installation order. Like `direct`, derived from the scene and the
+    /// beams, so not checkpointed.
+    hops: Vec<[MemoisedLink; 2]>,
 }
 
-/// SNR of `tx → rx` over a traced link, as `evaluate_link` computes it.
-fn link_snr_db(link: &TracedLink<'_>, tx: &RadioEndpoint, rx: &RadioEndpoint) -> f64 {
-    link.evaluate(
-        &ArrayPattern(tx.array()),
-        tx.tx_power_dbm(),
-        &ArrayPattern(rx.array()),
-    )
-    .snr_db
+/// One link a deployment evaluates frame after frame: its last trace and,
+/// per end, the gain row last computed over that trace.
+///
+/// A row is one end's gain toward every traced path (the transmit end
+/// toward each departure, the receive end toward each arrival), kept with
+/// the [`SteeredArray`] it was computed for. [`MemoisedLink::evaluate`]
+/// re-traces only when the [`LinkMemo`] key changed, and a re-trace
+/// forgets both rows, so new paths are never weighted by old rows. A row
+/// is recomputed when the link was re-traced or when
+/// [`SteeredArray::same_pattern`] says its end's pattern changed. Rows
+/// fold through the same coherent sum as
+/// [`TracedLink::evaluate`](movr_rfsim::TracedLink::evaluate), so a
+/// reused row gives the bits a fresh weighting would.
+#[derive(Debug, Clone, Default)]
+struct MemoisedLink {
+    memo: LinkMemo,
+    /// The transmit end's row, then the receive end's; boxed at the first
+    /// trace, so an unused link stays small and cheap to build.
+    rows: Option<Box<[GainRow; 2]>>,
+}
+
+/// One end's gains toward a traced link's paths, in path order, and the
+/// array they were computed for (`None` while there is no row).
+#[derive(Debug, Clone, Default)]
+struct GainRow {
+    array: Option<SteeredArray>,
+    gains_dbi: Vec<f64>,
+}
+
+impl GainRow {
+    /// `array`'s gains toward `bearings_deg`: the remembered row when it
+    /// was computed for the same pattern, otherwise a fresh one, which is
+    /// remembered.
+    fn gains(&mut self, array: &SteeredArray, bearings_deg: impl Iterator<Item = f64>) -> &[f64] {
+        if !self.array.as_ref().is_some_and(|a| a.same_pattern(array)) {
+            self.gains_dbi.clear();
+            self.gains_dbi
+                .extend(bearings_deg.map(|b| array.gain_dbi(b)));
+            self.array = Some(*array);
+        }
+        &self.gains_dbi
+    }
+}
+
+impl MemoisedLink {
+    /// The budget of the array at `tx` transmitting at `tx_power_dbm` to
+    /// the array at `rx` in `scene`:
+    /// [`TracedLink::evaluate`](movr_rfsim::TracedLink::evaluate) under
+    /// their patterns, traced afresh only when the link's obstacles or
+    /// endpoints changed since the last call and weighted through the
+    /// remembered rows wherever a pattern repeats.
+    fn evaluate(
+        &mut self,
+        scene: &Scene,
+        tx: (Vec2, &SteeredArray),
+        tx_power_dbm: f64,
+        rx: (Vec2, &SteeredArray),
+    ) -> LinkEval {
+        let (link, fresh) = self.memo.trace(scene, tx.0, rx.0);
+        let [tx_row, rx_row] = &mut **self.rows.get_or_insert_with(Box::default);
+        if fresh {
+            tx_row.array = None;
+            rx_row.array = None;
+        }
+        let paths = link.paths();
+        let tx_gains = tx_row.gains(tx.1, paths.iter().map(|p| p.departure_deg));
+        let rx_gains = rx_row.gains(rx.1, paths.iter().map(|p| p.arrival_deg));
+        link.evaluate_rows(tx_power_dbm, tx_gains, rx_gains)
+    }
 }
 
 impl MovrSystem {
@@ -167,8 +231,8 @@ impl MovrSystem {
             rate_table: RateTable,
             mode: LinkMode::Direct,
             config,
-            direct_trace: LinkMemo::new(),
-            hop_traces: Vec::new(),
+            direct: MemoisedLink::default(),
+            hops: Vec::new(),
         }
     }
 
@@ -206,7 +270,7 @@ impl MovrSystem {
         self.ap_to_reflector_deg.push(ap_bearing);
         self.last_tx_deg.push(f64::NAN);
         self.commanded_tx.push(f64::NAN);
-        self.hop_traces.push(Default::default());
+        self.hops.push(Default::default());
         let i = self.reflectors.len() - 1;
         self.reflectors[i].steer_rx(incidence); // lint: i = len - 1 of the vec pushed two lines up
         i
@@ -245,18 +309,49 @@ impl MovrSystem {
         self.scene.set_obstacles(world.all_obstacles());
     }
 
+    /// SNR of `ap → hs` over the direct link, as `evaluate_link` computes
+    /// it.
+    fn direct_snr_db(&mut self, ap: &RadioEndpoint, hs: &RadioEndpoint) -> f64 {
+        let (tx, rx) = ((ap.position(), ap.array()), (hs.position(), hs.array()));
+        self.direct
+            .evaluate(&self.scene, tx, ap.tx_power_dbm(), rx)
+            .snr_db
+    }
+
+    /// The budget relayed by reflector `i` from `ap` to `hs` at the
+    /// reflector's current beams and gain, as `relay_link_on` computes
+    /// it.
+    fn relay_via(&mut self, i: usize, ap: &RadioEndpoint, hs: &RadioEndpoint) -> RelayBudget {
+        let reflector = &self.reflectors[i];
+        let mount = reflector.position();
+        let [to_reflector, to_headset] = &mut self.hops[i];
+        let hop1_dbm = to_reflector
+            .evaluate(
+                &self.scene,
+                (ap.position(), ap.array()),
+                ap.tx_power_dbm(),
+                (mount, reflector.rx_array()),
+            )
+            .received_dbm;
+        // Hop 2 is traced and weighted only when the amplifier re-radiates.
+        relay_budget(hop1_dbm, &self.scene, reflector, |out_dbm| {
+            let hs_end = (hs.position(), hs.array());
+            to_headset.evaluate(&self.scene, (mount, reflector.tx_array()), out_dbm, hs_end)
+        })
+    }
+
     /// SNR of the direct path with both ends aimed at each other, under
-    /// the world's obstacles. Does not change persistent state.
+    /// the world's obstacles. The AP's beam and the serving mode are left
+    /// as they were, but the scene's obstacles become the world's (a
+    /// checkpoint captures them) and the direct link's memo takes this
+    /// geometry.
     pub fn evaluate_direct(&mut self, world: &WorldState) -> f64 {
         self.sync_scene(world);
         let mut ap = self.ap;
         let mut hs = self.headset_for(world);
         ap.steer_toward(hs.position());
         hs.steer_toward(ap.position());
-        let link = self
-            .direct_trace
-            .trace(&self.scene, ap.position(), hs.position());
-        link_snr_db(&link, &ap, &hs)
+        self.direct_snr_db(&ap, &hs)
     }
 
     /// The relayed budget via reflector `i` with ideal (oracle) transmit
@@ -275,11 +370,7 @@ impl MovrSystem {
         self.reflectors[i].steer_rx(self.incidence_deg[i]);
         self.reflectors[i].steer_tx(tx_deg);
         run_gain_control(&mut self.reflectors[i], &self.config.gain_control);
-        let mount = self.reflectors[i].position();
-        let [to_reflector, to_headset] = &mut self.hop_traces[i];
-        let hop1 = to_reflector.trace(&self.scene, ap.position(), mount);
-        let hop2 = to_headset.trace(&self.scene, mount, hs.position());
-        relay_link_on(&hop1, &hop2, &ap, &self.reflectors[i], hs.array())
+        self.relay_via(i, &ap, &hs)
     }
 
     /// The cost of a no-tracking windowed re-sweep of one reflector's
@@ -326,10 +417,7 @@ impl MovrSystem {
         ap_direct.steer_toward(tracked.receiver_position());
         let mut hs_direct = hs;
         hs_direct.steer_toward(ap_direct.position());
-        let direct =
-            self.direct_trace
-                .trace(&self.scene, ap_direct.position(), hs_direct.position());
-        let direct_snr = link_snr_db(&direct, &ap_direct, &hs_direct);
+        let direct_snr = self.direct_snr_db(&ap_direct, &hs_direct);
 
         if direct_snr >= self.config.snr_switch_threshold_db {
             let realigned = self.mode != LinkMode::Direct;
@@ -346,16 +434,6 @@ impl MovrSystem {
             ap_r.steer_to(self.ap_to_reflector_deg[i]);
             hs.steer_toward(self.reflectors[i].position());
             self.reflectors[i].steer_rx(self.incidence_deg[i]);
-
-            // Geometry is frozen for this evaluation (the scene was
-            // synced above), so each relay hop is traced at most once —
-            // not at all when it repeats the last evaluation's — and the
-            // initial budget and any degraded-beam re-run below only
-            // reweight.
-            let mount = self.reflectors[i].position();
-            let [to_reflector, to_headset] = &mut self.hop_traces[i];
-            let hop1 = to_reflector.trace(&self.scene, ap_r.position(), mount);
-            let hop2 = to_headset.trace(&self.scene, mount, hs.position());
 
             let ideal_tx = self.reflectors[i]
                 .position()
@@ -412,7 +490,12 @@ impl MovrSystem {
                 now,
                 rec,
             );
-            let mut budget = relay_link_on(&hop1, &hop2, &ap_r, &self.reflectors[i], hs.array());
+            // Geometry is frozen for this evaluation (the scene was
+            // synced above), so each relay hop is traced at most once —
+            // not at all when it repeats the last evaluation's — and a
+            // degraded-beam re-run below recomputes only the reflector's
+            // transmit row.
+            let mut budget = self.relay_via(i, &ap_r, &hs);
 
             if !self.config.use_tracking
                 && budget.end_snr_db < self.config.snr_switch_threshold_db
@@ -426,7 +509,7 @@ impl MovrSystem {
                     now,
                     rec,
                 );
-                budget = relay_link_on(&hop1, &hop2, &ap_r, &self.reflectors[i], hs.array());
+                budget = self.relay_via(i, &ap_r, &hs);
                 realigned = true;
                 cost = sweep_cost;
             }
@@ -554,6 +637,33 @@ impl MovrSystem {
     /// Convenience wrapper: evaluate at t = 0.
     pub fn evaluate(&mut self, world: &WorldState) -> LinkDecision {
         self.evaluate_at(0.0, world)
+    }
+
+    /// Forgets every memo: all state derived from the scene and the beams
+    /// (traces and gain rows), so the next evaluation computes each link
+    /// afresh. The destructuring names every field, so a field added later
+    /// does not compile until it is sorted here as state or as a memo.
+    #[cfg(test)]
+    fn forget_memos(&mut self) {
+        let MovrSystem {
+            scene: _,
+            ap: _,
+            reflectors: _,
+            incidence_deg: _,
+            ap_to_reflector_deg: _,
+            last_tx_deg: _,
+            commanded_tx: _,
+            tracker: _,
+            predictor: _,
+            fault_rng: _,
+            rate_table: _,
+            mode: _,
+            config: _,
+            direct,
+            hops,
+        } = self;
+        *direct = MemoisedLink::default();
+        hops.fill(Default::default());
     }
 }
 
@@ -781,6 +891,59 @@ mod tests {
         )
     }
 
+    /// The motion of seeded case `case` over `duration_s`: {held pose,
+    /// hand raise, walker, gaze walk} by `case % 4`, drawn from `r`.
+    fn case_trace(
+        case: u64,
+        r: &mut movr_math::SimRng,
+        duration_s: f64,
+    ) -> Box<dyn movr_motion::MotionTrace> {
+        use movr_motion::{HandRaise, RandomWalk, StaticScene, WalkerCrossing};
+        let ap = Vec2::new(0.5, 2.5);
+        let d = duration_s;
+        let facing_ap = |r: &mut movr_math::SimRng| {
+            let pos = Vec2::new(r.uniform(2.5, 4.5), r.uniform(1.0, 4.0));
+            PlayerState::standing(pos, pos.bearing_deg_to(ap) + r.uniform(-20.0, 20.0))
+        };
+        match case % 4 {
+            0 => Box::new(StaticScene::new(facing_ap(r), d)),
+            1 => Box::new(HandRaise {
+                base: facing_ap(r),
+                raise_at_s: r.uniform(0.0, d / 2.0),
+                lower_at_s: r.uniform(d / 2.0, d),
+                duration_s: d,
+            }),
+            2 => {
+                let x = r.uniform(1.2, 2.4);
+                Box::new(WalkerCrossing {
+                    player: facing_ap(r),
+                    from: Vec2::new(x, 1.5),
+                    to: Vec2::new(x, 3.5),
+                    start_s: r.uniform(0.0, d / 2.0),
+                    speed_mps: 1.2,
+                    duration_s: d,
+                })
+            }
+            _ => Box::new(RandomWalk::with_gaze(
+                &movr_rfsim::Room::paper_office(),
+                r.next_u64(),
+                d,
+                ap,
+            )),
+        }
+    }
+
+    /// The configuration of seeded case `case`: tracking on for
+    /// `case % 8 < 4`, lossy commands, a seed drawn from `r`.
+    fn case_config(case: u64, r: &mut movr_math::SimRng) -> SystemConfig {
+        SystemConfig {
+            use_tracking: case % 8 < 4,
+            command_loss_probability: 0.1,
+            seed: r.next_u64(),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn remembered_traces_decide_bit_identically_to_fresh_ones() {
         // 64 seeded cases: {static, hand raise, walker, gaze walk} ×
@@ -790,48 +953,11 @@ mod tests {
         // the stepped system is checkpointed and restored into a unit
         // whose memos hold another frame's geometry.
         use movr_math::SimRng;
-        use movr_motion::{HandRaise, MotionTrace, RandomWalk, StaticScene, WalkerCrossing};
         const FRAMES: usize = 72;
-        let ap = Vec2::new(0.5, 2.5);
-        let d = FRAMES as f64 / 90.0;
         for case in 0..64u64 {
             let mut r = SimRng::seed_from_u64(case);
-            let facing_ap = |r: &mut SimRng| {
-                let pos = Vec2::new(r.uniform(2.5, 4.5), r.uniform(1.0, 4.0));
-                PlayerState::standing(pos, pos.bearing_deg_to(ap) + r.uniform(-20.0, 20.0))
-            };
-            let trace: Box<dyn MotionTrace> = match case % 4 {
-                0 => Box::new(StaticScene::new(facing_ap(&mut r), d)),
-                1 => Box::new(HandRaise {
-                    base: facing_ap(&mut r),
-                    raise_at_s: r.uniform(0.0, d / 2.0),
-                    lower_at_s: r.uniform(d / 2.0, d),
-                    duration_s: d,
-                }),
-                2 => {
-                    let x = r.uniform(1.2, 2.4);
-                    Box::new(WalkerCrossing {
-                        player: facing_ap(&mut r),
-                        from: Vec2::new(x, 1.5),
-                        to: Vec2::new(x, 3.5),
-                        start_s: r.uniform(0.0, d / 2.0),
-                        speed_mps: 1.2,
-                        duration_s: d,
-                    })
-                }
-                _ => Box::new(RandomWalk::with_gaze(
-                    &movr_rfsim::Room::paper_office(),
-                    r.next_u64(),
-                    d,
-                    ap,
-                )),
-            };
-            let config = SystemConfig {
-                use_tracking: case % 8 < 4,
-                command_loss_probability: 0.1,
-                seed: r.next_u64(),
-                ..Default::default()
-            };
+            let trace = case_trace(case, &mut r, FRAMES as f64 / 90.0);
+            let config = case_config(case, &mut r);
             let cut = r.uniform_usize(1, FRAMES);
             let mut live = MovrSystem::paper_setup(config);
             let mut twin = MovrSystem::paper_setup(config);
@@ -844,8 +970,7 @@ mod tests {
                     resumed.restore_checkpoint(live.checkpoint()).unwrap();
                     live = resumed;
                 }
-                twin.direct_trace = LinkMemo::new();
-                twin.hop_traces.fill(Default::default());
+                twin.forget_memos();
                 let a = live.evaluate_at(t, &world);
                 let b = twin.evaluate_at(t, &world);
                 assert_eq!(
@@ -853,6 +978,84 @@ mod tests {
                     decision_bits(&b),
                     "case {case} frame {k}"
                 );
+            }
+        }
+    }
+
+    /// A relay budget as comparable data, every f64 by its bits.
+    type BudgetBits = (u64, u64, Option<u64>, u64, u64, u64, bool);
+
+    fn budget_bits(b: &RelayBudget) -> BudgetBits {
+        (
+            b.hop1_received_dbm.to_bits(),
+            b.hop1_snr_db.to_bits(),
+            b.relay_output_dbm.map(f64::to_bits),
+            b.hop2_received_dbm.to_bits(),
+            b.hop2_snr_db.to_bits(),
+            b.end_snr_db.to_bits(),
+            b.saturated,
+        )
+    }
+
+    #[test]
+    fn remembered_rows_match_fresh_ones_under_any_interleaving() {
+        // 48 seeded cases: {held pose, hand raise, walker, gaze walk} ×
+        // tracking on/off, half of them with a second reflector. Each step
+        // makes one seeded call on the memoised system, mostly
+        // `evaluate_at`, otherwise `evaluate_direct`,
+        // `evaluate_via_reflector` or a checkpoint restore into a unit
+        // whose memos hold another instant's geometry. A twin makes the
+        // same calls after forgetting every memo, and every decision, SNR
+        // and budget must match it bit for bit — whatever call re-traced a
+        // link or re-steered a beam last.
+        use movr_math::SimRng;
+        const STEPS: usize = 96;
+        let duration_s = STEPS as f64 / 90.0;
+        for case in 0..48u64 {
+            let mut r = SimRng::seed_from_u64(0x5EED_0000 + case);
+            let trace = case_trace(case, &mut r, duration_s);
+            let config = case_config(case, &mut r);
+            let deployment = |config: SystemConfig| {
+                let mut sys = MovrSystem::paper_setup(config);
+                if case % 2 == 1 {
+                    sys.add_reflector(MovrReflector::wall_mounted(Vec2::new(4.0, 4.75), -110.0, 3));
+                }
+                sys
+            };
+            let mut live = deployment(config);
+            let mut twin = deployment(config);
+            for k in 0..STEPS {
+                let t = k as f64 / 90.0;
+                let world = trace.world_at(t);
+                let at = format!("case {case} step {k}");
+                twin.forget_memos();
+                match r.uniform_usize(0, 7) {
+                    0..=3 => assert_eq!(
+                        decision_bits(&live.evaluate_at(t, &world)),
+                        decision_bits(&twin.evaluate_at(t, &world)),
+                        "{at}: evaluate_at"
+                    ),
+                    4 => assert_eq!(
+                        live.evaluate_direct(&world).to_bits(),
+                        twin.evaluate_direct(&world).to_bits(),
+                        "{at}: evaluate_direct"
+                    ),
+                    5 => {
+                        let i = r.uniform_usize(0, live.reflectors().len() - 1);
+                        assert_eq!(
+                            budget_bits(&live.evaluate_via_reflector(i, &world)),
+                            budget_bits(&twin.evaluate_via_reflector(i, &world)),
+                            "{at}: evaluate_via_reflector({i})"
+                        );
+                    }
+                    _ => {
+                        let mut resumed = deployment(config);
+                        let elsewhere = trace.world_at(r.uniform(0.0, duration_s));
+                        resumed.evaluate_at(0.0, &elsewhere);
+                        resumed.restore_checkpoint(live.checkpoint()).unwrap();
+                        live = resumed;
+                    }
+                }
             }
         }
     }

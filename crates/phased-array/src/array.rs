@@ -68,6 +68,18 @@ impl SteeringVector {
         sum / convert::usize_to_f64(self.n)
     }
 
+    /// True when every field [`SteeringVector::gain_dbi`] reads is equal
+    /// bit for bit: the element count, each live element's slope and
+    /// applied phase, the directivity and the element parameters.
+    fn same_bits(&self, other: &SteeringVector) -> bool {
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        self.n == other.n
+            && same(&self.slope[..self.n], &other.slope[..self.n])
+            && same(&self.applied_rad[..self.n], &other.applied_rad[..self.n])
+            && self.directivity_db.to_bits() == other.directivity_db.to_bits()
+            && self.element.same_bits(&other.element)
+    }
+
     /// Total array gain (dBi) toward `theta_deg` off broadside.
     /// Bit-identical to [`UniformLinearArray::gain_dbi`] at the cached
     /// steer command.
@@ -390,6 +402,18 @@ impl SteeredArray {
         wrap_deg_180(absolute_deg - self.boresight_deg).abs() <= self.max_steer_deg
     }
 
+    /// True when `self` and `other` give the same [`SteeredArray::gain_dbi`]
+    /// toward every bearing, because everything it reads is equal bit for
+    /// bit (`f64::to_bits`, so −0.0 and +0.0 differ): the boresight, the
+    /// element count, each element's phase slope and DAC-quantised
+    /// applied phase, the directivity and the element parameters. Two
+    /// steer commands that quantise to the same phases compare equal;
+    /// the commanded angle itself is not read.
+    pub fn same_pattern(&self, other: &SteeredArray) -> bool {
+        self.boresight_deg.to_bits() == other.boresight_deg.to_bits()
+            && self.vector.same_bits(&other.vector)
+    }
+
     /// Gain (dBi) toward an absolute room bearing under the current
     /// steering. A single pass over the cached steering vector —
     /// bit-identical to `array().gain_dbi(steer_local_deg(), local)`.
@@ -606,6 +630,59 @@ mod tests {
         for (&b, g) in bearings.iter().zip(&batch) {
             assert_eq!(g.to_bits(), sa.gain_dbi(b).to_bits(), "bearing={b}");
         }
+    }
+
+    /// Gains toward 361 whole-degree bearings, by their bits.
+    fn gain_bits(sa: &SteeredArray) -> Vec<u64> {
+        (-180..=180)
+            .map(|b| sa.gain_dbi(f64::from(b)).to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn same_pattern_holds_for_the_same_applied_phases() {
+        let mut a = SteeredArray::paper_array(90.0);
+        a.steer_to(117.0);
+        let mut b = SteeredArray::paper_array(90.0);
+        b.steer_to(117.0);
+        assert!(a.same_pattern(&b), "the same steer");
+        // 1.5 mm of tracker noise seen from 3.5 m is about 0.025°. This
+        // re-steer, a fifth of that, moves the command but quantises to
+        // the same phases (at 117° every phase holds from −0.005° to
+        // +0.007°).
+        b.steer_to(117.005);
+        assert_ne!(a.steer_local_deg().to_bits(), b.steer_local_deg().to_bits());
+        assert!(a.same_pattern(&b), "a re-steer onto the same phases");
+        assert_eq!(gain_bits(&a), gain_bits(&b));
+    }
+
+    #[test]
+    fn same_pattern_fails_on_one_ulp_of_boresight_or_one_moved_phase() {
+        let mut a = SteeredArray::paper_array(90.0);
+        a.steer_to(117.0);
+        let mut tilted = SteeredArray::paper_array(f64::from_bits(90.0f64.to_bits() + 1));
+        tilted.steer_to(117.0);
+        assert!(!a.same_pattern(&tilted), "boresight one ulp off");
+
+        // The smallest re-steer on a 0.001° grid that moves exactly one
+        // element's applied phase.
+        let moved_one = |b: &SteeredArray| {
+            let n = a.vector.n;
+            let pairs = a.vector.applied_rad[..n]
+                .iter()
+                .zip(&b.vector.applied_rad[..n]);
+            pairs.filter(|(x, y)| x.to_bits() != y.to_bits()).count() == 1
+        };
+        let b = (1..1000)
+            .map(|k| {
+                let mut b = a;
+                b.steer_to(117.0 + 0.001 * f64::from(k));
+                b
+            })
+            .find(|b| moved_one(b))
+            .expect("some re-steer within 1° moves exactly one phase");
+        assert!(!a.same_pattern(&b), "one applied phase moved");
+        assert_ne!(gain_bits(&a), gain_bits(&b));
     }
 
     #[test]

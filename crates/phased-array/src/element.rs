@@ -31,6 +31,13 @@ impl Default for PatchElement {
 }
 
 impl PatchElement {
+    /// True when every parameter equals `other`'s bit for bit.
+    pub(crate) fn same_bits(&self, other: &PatchElement) -> bool {
+        self.peak_gain_dbi.to_bits() == other.peak_gain_dbi.to_bits()
+            && self.exponent.to_bits() == other.exponent.to_bits()
+            && self.back_lobe_dbi.to_bits() == other.back_lobe_dbi.to_bits()
+    }
+
     /// Element gain (dBi) at angle `theta_deg` off boresight
     /// (−180…180; |θ| > 90° is behind the ground plane).
     pub fn gain_dbi(&self, theta_deg: f64) -> f64 {

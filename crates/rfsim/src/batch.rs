@@ -89,19 +89,7 @@ impl LinkBatch {
         tx_gains_dbi: &[f64],
         rx_gains_dbi: &[f64],
     ) -> f64 {
-        assert_eq!(
-            tx_gains_dbi.len(),
-            self.taps.len(),
-            "tx gain row length must match the tap count"
-        );
-        assert_eq!(
-            rx_gains_dbi.len(),
-            self.taps.len(),
-            "rx gain row length must match the tap count"
-        );
-        let terms = self.taps.iter().zip(tx_gains_dbi).zip(rx_gains_dbi);
-        let sum = coherent_sum(terms.map(|((tap, gt), gr)| (*tap, gt + gr)));
-        tx_power_dbm + linear_to_db(sum.norm_sq())
+        received_dbm(&self.taps, tx_power_dbm, tx_gains_dbi, rx_gains_dbi)
     }
 
     /// SNR (dB) for a received power under this batch's noise budget.
@@ -129,6 +117,33 @@ impl LinkBatch {
             snr_db: self.snr_db(received_dbm),
         }
     }
+}
+
+/// Received power (dBm) of `taps` under per-path gain rows: the fold
+/// behind [`LinkBatch::received_dbm`] and
+/// [`TracedLink::evaluate_rows`](crate::TracedLink::evaluate_rows).
+///
+/// # Panics
+/// Panics if either gain slice's length differs from the tap count.
+pub(crate) fn received_dbm(
+    taps: &[C64],
+    tx_power_dbm: f64,
+    tx_gains_dbi: &[f64],
+    rx_gains_dbi: &[f64],
+) -> f64 {
+    assert_eq!(
+        tx_gains_dbi.len(),
+        taps.len(),
+        "tx gain row length must match the tap count"
+    );
+    assert_eq!(
+        rx_gains_dbi.len(),
+        taps.len(),
+        "rx gain row length must match the tap count"
+    );
+    let terms = taps.iter().zip(tx_gains_dbi).zip(rx_gains_dbi);
+    let sum = coherent_sum(terms.map(|((tap, gt), gr)| (*tap, gt + gr)));
+    tx_power_dbm + linear_to_db(sum.norm_sq())
 }
 
 #[cfg(test)]

@@ -4,17 +4,20 @@
 //! A 101×101 alignment sweep evaluates the same TX/RX positions 10,201
 //! times with different beam weights; the image-method trace is identical
 //! for every probe. [`TracedLink`] traces once, computes each path's
-//! complex tap once, and reweights per query, either one pattern query
-//! per path ([`TracedLink::evaluate`], the per-frame path) or frozen into
-//! a [`LinkBatch`] that takes precomputed gain rows
-//! ([`TracedLink::batch`], the sweeps). Both fold the stored taps through
-//! the same coherent sum, so every form is bit-identical to re-tracing by
-//! construction.
+//! complex tap once, and reweights per query in one of three forms: one
+//! pattern query per path ([`TracedLink::evaluate`], behind
+//! `evaluate_link` and `relay_link_on`), gain rows over its own paths
+//! ([`TracedLink::evaluate_rows`], the per-frame decision, which keeps
+//! each end's row while that end's pattern repeats), or frozen into a
+//! [`LinkBatch`] that takes gain rows ([`TracedLink::batch`], the
+//! sweeps). All three fold the stored taps through the same coherent
+//! sum, so every form is bit-identical to re-tracing by construction.
 //!
 //! Across frames the geometry often holds still: a held pose or a static
 //! scene repeats the previous frame's obstacles and endpoints bit for
 //! bit. A [`LinkMemo`] remembers one link's last trace and hands it back
-//! while that geometry repeats.
+//! while that geometry repeats, saying when it traced afresh, so a
+//! caller that keeps gain rows over the paths knows to drop them.
 
 use crate::batch::LinkBatch;
 use crate::channel::coherent_sum;
@@ -120,6 +123,29 @@ impl<'s> TracedLink<'s> {
             snr_db: self.scene.noise().snr_db(received_dbm),
         }
     }
+
+    /// Reweights the traced paths under precomputed gain rows:
+    /// `tx_gains_dbi[i]` is the transmit end's gain toward path `i`'s
+    /// departure and `rx_gains_dbi[i]` the receive end's toward its
+    /// arrival. The stored taps go through [`LinkBatch::received_dbm`]'s
+    /// fold, so rows filled from a pattern's `gain_dbi` give
+    /// [`TracedLink::evaluate`]'s result under that pattern, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if either row's length differs from the path count.
+    pub fn evaluate_rows(
+        &self,
+        tx_power_dbm: f64,
+        tx_gains_dbi: &[f64],
+        rx_gains_dbi: &[f64],
+    ) -> LinkEval {
+        let received_dbm =
+            crate::batch::received_dbm(&self.taps, tx_power_dbm, tx_gains_dbi, rx_gains_dbi);
+        LinkEval {
+            received_dbm,
+            snr_db: self.scene.noise().snr_db(received_dbm),
+        }
+    }
 }
 
 /// One link's last trace, reused while its geometry repeats.
@@ -166,11 +192,14 @@ impl LinkMemo {
 
     /// The `tx → rx` link in `scene`: the remembered paths and taps when
     /// [`LinkMemo::hits`], otherwise a fresh trace, which is remembered.
-    /// Either way the result is bit-identical to
+    /// Either way the link is bit-identical to
     /// [`Scene::trace_link`]`(tx, rx)`, because the trace is a pure
-    /// function of the key and the scene's fixed parts.
-    pub fn trace<'a>(&'a mut self, scene: &'a Scene, tx: Vec2, rx: Vec2) -> TracedLink<'a> {
-        if !self.hits(scene, tx, rx) {
+    /// function of the key and the scene's fixed parts. The flag is
+    /// `true` when it traced afresh, so a caller that keeps state derived
+    /// from the paths knows when to drop it.
+    pub fn trace<'a>(&'a mut self, scene: &'a Scene, tx: Vec2, rx: Vec2) -> (TracedLink<'a>, bool) {
+        let fresh = !self.hits(scene, tx, rx);
+        if fresh {
             let (paths, taps) = trace(scene, tx, rx);
             self.ends = Some((tx, rx));
             self.obstacles.clear();
@@ -178,13 +207,14 @@ impl LinkMemo {
             self.paths = paths;
             self.taps = taps;
         }
-        TracedLink {
+        let link = TracedLink {
             scene,
             tx,
             rx,
             paths: Cow::Borrowed(&self.paths),
             taps: Cow::Borrowed(&self.taps),
-        }
+        };
+        (link, fresh)
     }
 }
 
@@ -192,7 +222,7 @@ impl LinkMemo {
 mod tests {
     use super::*;
     use crate::obstacle::BodyPart;
-    use crate::pattern::SectorPattern;
+    use crate::pattern::{Pattern, SectorPattern};
 
     #[test]
     fn traced_link_matches_link_budget_bitwise() {
@@ -208,5 +238,18 @@ mod tests {
         assert_eq!(cached.received_dbm, plain.received_dbm);
         assert_eq!(cached.snr_db, plain.snr_db);
         assert_eq!(link.paths().len(), plain.paths.len());
+        let tx_row: Vec<f64> = link
+            .paths()
+            .iter()
+            .map(|p| txp.gain_dbi(p.departure_deg))
+            .collect();
+        let rx_row: Vec<f64> = link
+            .paths()
+            .iter()
+            .map(|p| rxp.gain_dbi(p.arrival_deg))
+            .collect();
+        let rowed = link.evaluate_rows(10.0, &tx_row, &rx_row);
+        assert_eq!(rowed.received_dbm.to_bits(), plain.received_dbm.to_bits());
+        assert_eq!(rowed.snr_db.to_bits(), plain.snr_db.to_bits());
     }
 }

@@ -18,7 +18,6 @@
 //! and honest about what they are — a reproducibility harness, not a
 //! statistics research project.
 
-#![deny(warnings)]
 #![deny(missing_docs)]
 
 pub mod bench;

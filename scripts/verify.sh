@@ -151,6 +151,10 @@ grep -q '"name":"gain_control_loop"' out/BENCH_micro.json || {
     echo "gain-control ramp bench missing from microbench output" >&2
     exit 1
 }
+grep -q '"name":"system_evaluate_held_frame"' out/BENCH_micro.json || {
+    echo "held-frame (gain-row reuse) bench missing from microbench output" >&2
+    exit 1
+}
 
 echo "==> bench: sweep-rate gate (batched bit-identical and >= 2.5x over memoized,"
 echo "    memoized >= 5x over uncached; fleet byte-identical, thread ladder)"

@@ -146,8 +146,8 @@ fn relay_link_on_is_bit_identical_to_relay_link() {
         let mut remembered = Vec::new();
         for _ in 0..2 {
             let [m1, m2] = &mut memos;
-            let hop1 = m1.trace(&scene, ap.position(), reflector.position());
-            let hop2 = m2.trace(&scene, reflector.position(), headset.position());
+            let (hop1, _) = m1.trace(&scene, ap.position(), reflector.position());
+            let (hop2, _) = m2.trace(&scene, reflector.position(), headset.position());
             remembered.push(relay_link_on(
                 &hop1,
                 &hop2,

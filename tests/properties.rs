@@ -577,15 +577,16 @@ property! {
         scene.set_obstacles(vec![Obstacle::new(kind, Vec2::new(ox, oy))]);
         let mut memo = LinkMemo::new();
         // Remember the link at the original obstacle position…
-        let _ = memo.trace(&scene, tx, rx);
+        prop_assert!(memo.trace(&scene, tx, rx).1, "the first read traces");
         prop_assert!(memo.hits(&scene, tx, rx));
         // …then move the obstacle and read the link again through the
         // memo: the move must miss, and the fresh trace is remembered.
         scene.set_obstacles(vec![Obstacle::new(kind, Vec2::new(ox + dx, oy + dy))]);
         prop_assert!(!memo.hits(&scene, tx, rx));
-        let _ = memo.trace(&scene, tx, rx);
+        prop_assert!(memo.trace(&scene, tx, rx).1, "the move re-traces");
         prop_assert!(memo.hits(&scene, tx, rx));
-        let remembered = memo.trace(&scene, tx, rx);
+        let (remembered, fresh) = memo.trace(&scene, tx, rx);
+        prop_assert!(!fresh, "a repeat hands back the remembered trace");
 
         // Reference: a scene built directly with the final obstacle
         // position, traced fresh. Must match the memo *exactly* — same
@@ -639,7 +640,9 @@ fn link_memo_misses_on_any_bit_of_geometry() {
         assert!(memo.hits(&scene, tx, rx), "{what}: the trace is remembered");
         scene.set_obstacles(obstacles);
         assert!(!memo.hits(&scene, t, r), "{what}: must miss");
-        let traced = memo.trace(&scene, t, r).paths().to_vec();
+        let (link, fresh) = memo.trace(&scene, t, r);
+        assert!(fresh, "{what}: the miss re-traces");
+        let traced = link.paths().to_vec();
         assert_eq!(
             traced,
             scene.trace_link(t, r).paths(),
