@@ -20,15 +20,33 @@
 //! reflector sweeps only its transmit beam, and the headset — which *does*
 //! have a receive chain — reports SNR per candidate over the control
 //! channel.
+//!
+//! Both searches keep only the argmax of their noisy readings, so an
+//! unrecorded sweep skips every probe that provably reads below the best
+//! one: the triangle inequality bounds each probe's coherent folds from
+//! gain rows the sweep already holds, and a probe whose reading bound
+//! falls below a lower bound on the best reading runs neither its folds
+//! nor its jitter, only advancing the RNG past its draw. Results, probe
+//! counts, elapsed time and the RNG state are bit-identical to reading
+//! every probe (DESIGN.md, "Performance: the sweep-rate link engine").
+//! A recorded sweep reads every probe, since each probe event carries its
+//! reading.
 
 use crate::reflector::MovrReflector;
 use crate::relay::{relay_end_snr_batched, relay_input_noise, round_trip_reflection_batched};
-use movr_math::{convert, SimRng};
+use movr_math::{amplitude_to_db, convert, db_to_amplitude, SimRng};
 use movr_obs::{Event, NullRecorder, Recorder};
-use movr_phased_array::{Codebook, PatternTable};
+use movr_phased_array::{Codebook, GainPage, PatternTable};
 use movr_radio::{RadioEndpoint, ToneProbe};
 use movr_rfsim::Scene;
 use movr_sim::SimTime;
+
+/// The skip test's rounding slack, dB: a probe is skipped only when its
+/// reading bound plus this slack stays below the lower bound on the best
+/// reading. The rounding between gain rows and a reading is about 1e-13
+/// relative, under 1e-12 dB, so the slack dominates it by six orders of
+/// magnitude (DESIGN.md, "Performance: the sweep-rate link engine").
+const SKIP_SLACK_DB: f64 = 1e-6;
 
 /// Alignment-protocol parameters.
 #[derive(Debug, Clone)]
@@ -111,7 +129,8 @@ pub fn estimate_incidence(
 /// (`theta1_deg`, `theta2_deg`, `power_dbm`) is stamped with the instant
 /// its measurement completes. The winning pair is announced as
 /// `alignment_chosen`. The estimate itself is bit-identical to the plain
-/// function: the recorder draws nothing from `rng`.
+/// function: the recorder draws nothing from `rng`, and the plain
+/// function's skipped probes read below its peak.
 pub fn estimate_incidence_recorded(
     scene: &Scene,
     ap: RadioEndpoint,
@@ -151,28 +170,84 @@ pub fn estimate_incidence_recorded(
     } else {
         config.probe.unmodulated_meter(ap.tx_power_dbm())
     };
+    // A posture draws nothing from `rng`, so every θ₁'s relay gain and
+    // gain rows are taken before the first probe.
+    let postures: Vec<Posture> = config
+        .reflector_codebook
+        .beams()
+        .iter()
+        .map(|&theta1| {
+            reflector.steer_both(theta1);
+            Posture {
+                relay_gain_db: reflector.effective_gain_db(),
+                rx_gains: reflector.rx_array().gain_dbi_batch(fwd.arrival_deg()),
+                tx_gains: reflector.tx_array().gain_dbi_batch(bck.departure_deg()),
+            }
+        })
+        .collect();
+    let round_trip_dbm = |i: usize, j: usize| {
+        let posture = &postures[i];
+        round_trip_reflection_batched(
+            &fwd,
+            &bck,
+            ap_fwd_page.row(j),
+            ap_bck_page.row(j),
+            ap.tx_power_dbm(),
+            posture.relay_gain_db,
+            &posture.rx_gains,
+            &posture.tx_gains,
+        )
+        .unwrap_or(f64::NEG_INFINITY)
+    };
 
-    for &theta1 in config.reflector_codebook.beams() {
-        reflector.steer_both(theta1);
+    // The skip test. `lower` never exceeds the sweep's best reading: it
+    // is a reading taken, or the pre-jitter reading of the probe with the
+    // largest bound less the jitter. A probe at posture i is skipped when
+    // its round-trip bound is below the amplitude whose carrier would
+    // read `lower` less the jitter and the slack.
+    let mut bounds = (!rec.enabled()).then(|| RoundTripBounds {
+        fwd: BoundPage::new(&ap_fwd_page, fwd.tap_magnitudes()),
+        bck: BoundPage::new(&ap_bck_page, bck.tap_magnitudes()),
+        rx: postures.iter().map(|p| amplitudes(&p.rx_gains)).collect(),
+        tx: postures.iter().map(|p| amplitudes(&p.tx_gains)).collect(),
+        back: vec![0.0; ap_table.len()],
+    });
+    let mut row_bounds = vec![0.0; ap_table.len()];
+    let jitter_db = meter.jitter_bound_db();
+    let mut lower = f64::NEG_INFINITY;
+    if let Some(bounds) = &mut bounds {
+        let best_bounded = first_max(postures.iter().enumerate().filter_map(|(i, posture)| {
+            let gain_db = posture.relay_gain_db?;
+            bounds.row(i, &mut row_bounds);
+            let (j, b) = first_max(row_bounds.iter().copied().enumerate())?;
+            Some(((i, j), gain_db + amplitude_to_db(b)))
+        }));
+        if let Some(((i, j), _)) = best_bounded {
+            lower = lower.max(meter.pre_jitter_dbm(round_trip_dbm(i, j)) - jitter_db);
+        }
+    }
+    let skip_below = |lower: f64, posture: &Posture| {
+        posture.relay_gain_db.map_or(0.0, |gain_db| {
+            let carrier_dbm = meter.carrier_at_dbm(lower - jitter_db - SKIP_SLACK_DB);
+            db_to_amplitude(carrier_dbm - ap.tx_power_dbm() - gain_db)
+        })
+    };
+
+    let beams = config.reflector_codebook.beams().iter();
+    for (i, (&theta1, posture)) in beams.zip(&postures).enumerate() {
         cursor += config.beam_command_latency;
-        let relay_gain_db = reflector.effective_gain_db();
-        let rx_gains = reflector.rx_array().gain_dbi_batch(fwd.arrival_deg());
-        let tx_gains = reflector.tx_array().gain_dbi_batch(bck.departure_deg());
+        if let Some(bounds) = &mut bounds {
+            bounds.row(i, &mut row_bounds);
+        }
+        let mut threshold = skip_below(lower, posture);
         for (j, (theta2, _)) in ap_table.entries().enumerate() {
-            let reflected = round_trip_reflection_batched(
-                &fwd,
-                &bck,
-                ap_fwd_page.row(j),
-                ap_bck_page.row(j),
-                ap.tx_power_dbm(),
-                relay_gain_db,
-                &rx_gains,
-                &tx_gains,
-            )
-            .unwrap_or(f64::NEG_INFINITY);
-            let reading = meter.measure(reflected, rng);
             measurements += 1;
             cursor += config.dwell;
+            if bounds.is_some() && row_bounds[j] < threshold {
+                rng.skip_std_normal();
+                continue;
+            }
+            let reading = meter.measure(round_trip_dbm(i, j), rng);
             if rec.enabled() {
                 rec.record(
                     Event::new(cursor, "beam_probe")
@@ -183,6 +258,10 @@ pub fn estimate_incidence_recorded(
             }
             if reading.power_dbm > best.0 {
                 best = (reading.power_dbm, theta1, theta2);
+                if best.0 > lower {
+                    lower = best.0;
+                    threshold = skip_below(lower, posture);
+                }
             }
         }
     }
@@ -272,6 +351,8 @@ pub fn estimate_reflection(
 /// runs the recorded §4.2 gain loop (so its `gain_ramp` span nests
 /// inside), then each headset probe emits `reflect_probe` (`tx_deg`,
 /// `rx_deg`, `snr_db`); the winner is announced as `reflection_chosen`.
+/// The estimate is bit-identical to the plain function, which skips
+/// only probes that report below its peak.
 #[expect(
     clippy::too_many_arguments,
     reason = "the sweep inputs plus the (start, recorder) pair every `_recorded` fn takes"
@@ -321,6 +402,25 @@ pub fn estimate_reflection_recorded(
     let hop1_received_dbm = hop1.received_dbm(ap.tx_power_dbm(), &ap_gains, &rx_gains);
     let hop1_snr_db = hop1.snr_db(hop1_received_dbm);
 
+    // The skip test, as in the incidence sweep, on the end SNR: every
+    // report lies within `jitter_db` of its end SNR, which is at most
+    // hop 1's SNR and at most hop 2's. `lower` is raised per TX beam by
+    // the end SNR of its best-bounded headset beam less the jitter.
+    let hs_bounds = (!rec.enabled()).then(|| BoundPage::new(&hs_page, hop2.tap_magnitudes()));
+    let mut hop2_bounds = vec![0.0; hs_table.len()];
+    let jitter_db = snr_sigma_db * SimRng::STD_NORMAL_MAX;
+    let mut lower = f64::NEG_INFINITY;
+    let skip_below = |lower: f64, relay_gain_db: Option<f64>| {
+        let level = lower - jitter_db - SKIP_SLACK_DB;
+        relay_gain_db.map_or(0.0, |gain_db| {
+            if hop1_snr_db < level {
+                f64::INFINITY
+            } else {
+                db_to_amplitude(level - hop2.snr_db(hop1_received_dbm + gain_db))
+            }
+        })
+    };
+
     for &tx_deg in tx_codebook.beams() {
         reflector.steer_tx(tx_deg);
         cursor += config.beam_command_latency;
@@ -335,18 +435,31 @@ pub fn estimate_reflection_recorded(
         );
         let relay_gain_db = reflector.effective_gain_db();
         let tx_gains = reflector.tx_array().gain_dbi_batch(hop2.departure_deg());
-        for (j, (rx_deg, _)) in hs_table.entries().enumerate() {
-            let end_snr_db = relay_end_snr_batched(
+        let end_snr_db = |j: usize| {
+            relay_end_snr_batched(
                 hop1_received_dbm,
                 hop1_snr_db,
                 relay_gain_db,
                 &hop2,
                 &tx_gains,
                 hs_page.row(j),
-            );
-            let reported = end_snr_db + rng.normal(0.0, snr_sigma_db);
+            )
+        };
+        if let Some(hs_bounds) = &hs_bounds {
+            hs_bounds.fold_bounds(&amplitudes(&tx_gains), &mut hop2_bounds);
+            if let Some((j, _)) = first_max(hop2_bounds.iter().copied().enumerate()) {
+                lower = lower.max(end_snr_db(j) - jitter_db);
+            }
+        }
+        let mut threshold = skip_below(lower, relay_gain_db);
+        for (j, (rx_deg, _)) in hs_table.entries().enumerate() {
             measurements += 1;
             cursor += config.dwell;
+            if hs_bounds.is_some() && hop2_bounds[j] < threshold {
+                rng.skip_std_normal();
+                continue;
+            }
+            let reported = end_snr_db(j) + rng.normal(0.0, snr_sigma_db);
             if rec.enabled() {
                 rec.record(
                     Event::new(cursor, "reflect_probe")
@@ -357,6 +470,10 @@ pub fn estimate_reflection_recorded(
             }
             if reported > best.0 {
                 best = (reported, tx_deg, rx_deg);
+                if best.0 > lower {
+                    lower = best.0;
+                    threshold = skip_below(lower, relay_gain_db);
+                }
             }
         }
     }
@@ -386,6 +503,97 @@ pub fn estimate_reflection_recorded(
         measurements,
         elapsed,
     }
+}
+
+/// One reflector posture of the incidence sweep: both beams on one θ₁,
+/// the relay gain there, and the gains toward the forward leg's arrivals
+/// and the back leg's departures.
+struct Posture {
+    relay_gain_db: Option<f64>,
+    rx_gains: Vec<f64>,
+    tx_gains: Vec<f64>,
+}
+
+/// An incidence sweep's fold bounds: the AP's two pages as
+/// [`BoundPage`]s and every posture's gain rows as field amplitudes.
+struct RoundTripBounds {
+    /// The AP toward the forward departures and from the back arrivals.
+    fwd: BoundPage,
+    bck: BoundPage,
+    /// Per θ₁: the reflector's receive and transmit gains.
+    rx: Vec<Vec<f64>>,
+    tx: Vec<Vec<f64>>,
+    /// The back leg's bounds of the row being computed.
+    back: Vec<f64>,
+}
+
+impl RoundTripBounds {
+    /// Sets `out[j]` to the bound on probe (θ₁ index `i`, θ₂ index `j`)'s
+    /// round trip as an amplitude: the product of both legs' fold bounds,
+    /// so the probe's carrier is at most `P + G + 20·log10(out[j])` for
+    /// transmit power P and relay gain G.
+    fn row(&mut self, i: usize, out: &mut [f64]) {
+        self.fwd.fold_bounds(&self.rx[i], out);
+        self.bck.fold_bounds(&self.tx[i], &mut self.back);
+        for (o, b) in out.iter_mut().zip(&self.back) {
+            *o *= b;
+        }
+    }
+}
+
+/// Field amplitudes `10^(g/20)` of a row of gains in dB.
+fn amplitudes(gains_db: &[f64]) -> Vec<f64> {
+    gains_db.iter().map(|&g| db_to_amplitude(g)).collect()
+}
+
+/// A codebook page's gains as field amplitudes, each weighted by its
+/// path's tap magnitude and laid out path-major, so that one posture's
+/// fold bounds against every codebook entry are a pass of multiply-adds
+/// down one contiguous column per path.
+struct BoundPage {
+    entries: usize,
+    /// `weights[k·entries + j] = |tapₖ|·10^(g_jk/20)` for entry j, path k.
+    weights: Vec<f64>,
+}
+
+impl BoundPage {
+    fn new(page: &GainPage, tap_magnitudes: &[f64]) -> Self {
+        let entries = page.rows();
+        let weights = tap_magnitudes
+            .iter()
+            .enumerate()
+            .flat_map(|(k, tap)| (0..entries).map(move |j| tap * db_to_amplitude(page.row(j)[k])))
+            .collect();
+        BoundPage { entries, weights }
+    }
+
+    /// `out[j] = Σₖ |tapₖ|·a_jk·bₖ` for every entry j, where the other end
+    /// weights path k by the field amplitude `bₖ = other_end[k]`: by the
+    /// triangle inequality, a bound on the magnitude of the coherent fold
+    /// between entry j and that end (see
+    /// [`movr_rfsim::LinkBatch::tap_magnitudes`]).
+    fn fold_bounds(&self, other_end: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        if self.entries == 0 {
+            return;
+        }
+        for (column, b) in self.weights.chunks_exact(self.entries).zip(other_end) {
+            for (o, w) in out.iter_mut().zip(column) {
+                *o += w * b;
+            }
+        }
+    }
+}
+
+/// The first item with the largest value; a NaN value never wins.
+fn first_max<T>(items: impl Iterator<Item = (T, f64)>) -> Option<(T, f64)> {
+    let mut best: Option<(T, f64)> = None;
+    for (item, value) in items {
+        if best.as_ref().map_or(!value.is_nan(), |&(_, b)| value > b) {
+            best = Some((item, value));
+        }
+    }
+    best
 }
 
 #[cfg(test)]

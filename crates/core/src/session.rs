@@ -175,6 +175,24 @@ pub struct Session {
     state: SessionState,
 }
 
+/// Why `config.traffic.refresh_hz` gives no frame interval of at least
+/// 1 ns, if it does not: a rate that is zero, negative or NaN, or one
+/// above 2 GHz, whose interval rounds to 0 ns and would stop the frame
+/// clock.
+pub(crate) fn frame_interval_error(config: &SessionConfig) -> Option<String> {
+    let hz = config.traffic.refresh_hz;
+    // `VrTrafficModel::frame_interval` without its panic on a negative,
+    // NaN or infinite interval.
+    let interval = SimTime::try_from_secs_f64(1.0 / hz);
+    let ticks = interval.is_some_and(|t| t > SimTime::ZERO);
+    (!ticks).then(|| {
+        format!(
+            "refresh_hz = {hz} Hz gives no frame interval of at least 1 ns; \
+             it must be positive and at most 2 GHz"
+        )
+    })
+}
+
 impl Session {
     /// A session over the canonical single-reflector deployment.
     pub fn new(config: &SessionConfig) -> Self {
@@ -189,12 +207,9 @@ impl Session {
     /// or one above 2 GHz, whose interval rounds to 0 ns and would stop
     /// the frame clock.
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
-        let hz = config.traffic.refresh_hz;
-        assert!(
-            hz > 0.0 && (1.0 / hz).is_finite() && config.traffic.frame_interval() > SimTime::ZERO,
-            "refresh_hz = {hz} Hz gives no frame interval of at least 1 ns; \
-             it must be positive and at most 2 GHz"
-        );
+        if let Some(why) = frame_interval_error(config) {
+            panic!("{why}");
+        }
         Session {
             config: *config,
             state: SessionState {
@@ -220,7 +235,8 @@ impl Session {
         }
     }
 
-    /// Reassembles a session from decoded parts (checkpoint restore).
+    /// Reassembles a session from decoded parts (checkpoint restore),
+    /// whose caller has checked `config` with [`frame_interval_error`].
     pub(crate) fn from_parts(config: SessionConfig, state: SessionState) -> Self {
         Session { config, state }
     }

@@ -119,6 +119,13 @@ pub enum SnapshotError {
         /// What did not fit.
         what: &'static str,
     },
+    /// The config offered at restore matches the snapshot's fingerprint
+    /// but cannot run a session: its `refresh_hz` gives no frame interval
+    /// of at least 1 ns, so the restored frame clock would never advance.
+    InvalidConfig {
+        /// What is wrong with the config.
+        what: String,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -145,6 +152,9 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Malformed { what } => write!(f, "malformed snapshot body: {what}"),
             SnapshotError::SystemMismatch { what } => {
                 write!(f, "snapshot does not fit the deployment: {what}")
+            }
+            SnapshotError::InvalidConfig { what } => {
+                write!(f, "session config cannot run: {what}")
             }
         }
     }
@@ -223,6 +233,10 @@ impl Snapshot {
         let expected = config_fingerprint(config);
         if found != expected {
             return Err(SnapshotError::ConfigMismatch { expected, found });
+        }
+        // `Session::on_system`'s check, which `Session::from_parts` skips.
+        if let Some(what) = crate::session::frame_interval_error(config) {
+            return Err(SnapshotError::InvalidConfig { what });
         }
         let state = decode_state(&mut r, system, config)?;
         if r.remaining() != 0 {

@@ -126,6 +126,15 @@ impl SteeringVector {
     /// # Panics
     /// Panics if `out.len() != thetas_deg.len()`.
     pub fn gain_dbi_batch_into(&self, thetas_deg: &[f64], out: &mut [f64]) {
+        self.offset_gain_dbi_batch_into(thetas_deg, 0.0, out);
+    }
+
+    /// [`SteeringVector::gain_dbi_batch_into`] toward `θ − offset_deg` for
+    /// each `θ` of `thetas_deg`, wrapped one lane group at a time: the
+    /// gains `SteeredArray` reads off its boresight, with no slice of
+    /// local bearings. `θ − 0.0` is `θ` bit for bit, and `wrap_deg_180`
+    /// is idempotent, so both entry points keep the scalar path's bits.
+    fn offset_gain_dbi_batch_into(&self, thetas_deg: &[f64], offset_deg: f64, out: &mut [f64]) {
         assert_eq!(
             thetas_deg.len(),
             out.len(),
@@ -141,7 +150,7 @@ impl SteeringVector {
                 let mut sin_t = [0.0; BATCH_LANES];
                 let lanes = wrapped.iter_mut().zip(sin_t.iter_mut()).zip(t_chunk);
                 for ((w, st), th) in lanes {
-                    *w = wrap_deg_180(*th);
+                    *w = wrap_deg_180(th - offset_deg);
                     *st = w.to_radians().sin();
                 }
                 let (acc_re, acc_im) = self.accumulate_lanes(&sin_t);
@@ -163,7 +172,7 @@ impl SteeringVector {
                 }
             } else {
                 for (o, &th) in o_chunk.iter_mut().zip(t_chunk) {
-                    *o = self.gain_dbi(th);
+                    *o = self.gain_dbi(th - offset_deg);
                 }
             }
         }
@@ -429,11 +438,8 @@ impl SteeredArray {
     /// # Panics
     /// Panics if `out.len() != absolute_deg.len()`.
     pub fn gain_dbi_batch_into(&self, absolute_deg: &[f64], out: &mut [f64]) {
-        let local: Vec<f64> = absolute_deg
-            .iter()
-            .map(|&a| wrap_deg_180(a - self.boresight_deg))
-            .collect();
-        self.vector.gain_dbi_batch_into(&local, out);
+        self.vector
+            .offset_gain_dbi_batch_into(absolute_deg, self.boresight_deg, out);
     }
 
     /// Batch form of [`SteeredArray::gain_dbi`], allocating the output.
@@ -623,12 +629,19 @@ mod tests {
 
     #[test]
     fn steered_array_batch_matches_scalar_queries() {
-        let mut sa = SteeredArray::paper_array(90.0);
-        sa.steer_to(117.0);
-        let bearings: Vec<f64> = (0..97).map(|k| -190.0 + convert::usize_to_f64(k) * 4.1).collect();
-        let batch = sa.gain_dbi_batch(&bearings);
-        for (&b, g) in bearings.iter().zip(&batch) {
-            assert_eq!(g.to_bits(), sa.gain_dbi(b).to_bits(), "bearing={b}");
+        // Boresights whose offsets push bearings past ±180°, and every
+        // remainder lane group.
+        for boresight in [90.0, -70.0, 179.5, -0.0] {
+            let mut sa = SteeredArray::paper_array(boresight);
+            sa.steer_to(boresight + 27.0);
+            for len in [0usize, 1, 2, 3, 4, 97] {
+                let bearings: Vec<f64> =
+                    (0..len).map(|k| -190.0 + convert::usize_to_f64(k) * 4.1).collect();
+                let batch = sa.gain_dbi_batch(&bearings);
+                for (&b, g) in bearings.iter().zip(&batch) {
+                    assert_eq!(g.to_bits(), sa.gain_dbi(b).to_bits(), "{boresight}: bearing={b}");
+                }
+            }
         }
     }
 

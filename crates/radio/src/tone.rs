@@ -110,17 +110,37 @@ pub struct ToneMeter {
 
 impl ToneMeter {
     /// One sideband (or in-band, for the unmodulated meter) reading of
-    /// a round-trip reflection arriving at `reflected_carrier_dbm`.
+    /// a round-trip reflection arriving at `reflected_carrier_dbm`: its
+    /// [`ToneMeter::pre_jitter_dbm`] plus one jitter draw.
     pub fn measure(&self, reflected_carrier_dbm: f64, rng: &mut SimRng) -> ToneMeasurement {
+        ToneMeasurement {
+            power_dbm: self.pre_jitter_dbm(reflected_carrier_dbm) + rng.normal(0.0, self.sigma_db),
+        }
+    }
+
+    /// The reading of `reflected_carrier_dbm` before its jitter draw,
+    /// dBm. It is non-decreasing in the carrier.
+    #[inline]
+    pub fn pre_jitter_dbm(&self, reflected_carrier_dbm: f64) -> f64 {
         // Exactly `sum_dbm(&[sideband, leak, floor])`: the std `sum()`
         // folds left-to-right from 0.0, and `0.0 + x == x` bitwise for
         // every power in watts, so adding the precomputed terms in the
         // same order reproduces the bits.
         let sideband_w = dbm_to_watts(reflected_carrier_dbm - self.loss_db);
-        let total = watts_to_dbm(sideband_w + self.leak_w + self.floor_w);
-        ToneMeasurement {
-            power_dbm: total + rng.normal(0.0, self.sigma_db),
-        }
+        watts_to_dbm(sideband_w + self.leak_w + self.floor_w)
+    }
+
+    /// The inverse of [`ToneMeter::pre_jitter_dbm`]: the carrier, dBm,
+    /// whose reading before jitter is `level_dbm`, up to rounding. −∞
+    /// when the leakage and the floor alone read `level_dbm` or more.
+    pub fn carrier_at_dbm(&self, level_dbm: f64) -> f64 {
+        watts_to_dbm(dbm_to_watts(level_dbm) - self.leak_w - self.floor_w) + self.loss_db
+    }
+
+    /// No reading lies further than this from its pre-jitter value, dB:
+    /// `|σ|·`[`SimRng::STD_NORMAL_MAX`].
+    pub fn jitter_bound_db(&self) -> f64 {
+        self.sigma_db.abs() * SimRng::STD_NORMAL_MAX
     }
 }
 
@@ -196,6 +216,33 @@ mod tests {
     fn ap_leakage_level() {
         let p = ToneProbe::default();
         assert_eq!(p.ap_leakage_dbm(10.0), -35.0);
+    }
+
+    #[test]
+    fn carrier_at_inverts_the_pre_jitter_reading() {
+        let p = ToneProbe::default();
+        for meter in [p.modulated_meter(20.0), p.unmodulated_meter(20.0)] {
+            for carrier in [-130.0, -80.0, -57.3, -30.0] {
+                let level = meter.pre_jitter_dbm(carrier);
+                let back = meter.pre_jitter_dbm(meter.carrier_at_dbm(level));
+                assert!((back - level).abs() < 1e-9, "{carrier}: {level} vs {back}");
+            }
+            // The leakage and the floor alone read more than this level.
+            let quiet = meter.pre_jitter_dbm(f64::NEG_INFINITY);
+            assert_eq!(meter.carrier_at_dbm(quiet - 0.1), f64::NEG_INFINITY);
+        }
+    }
+
+    #[test]
+    fn jitter_stays_within_its_bound() {
+        let meter = ToneProbe::default().modulated_meter(20.0);
+        let bound = meter.jitter_bound_db();
+        assert_eq!(bound, 0.5 * SimRng::STD_NORMAL_MAX);
+        let mut r = rng();
+        let pre = meter.pre_jitter_dbm(-60.0);
+        for _ in 0..1000 {
+            assert!((meter.measure(-60.0, &mut r).power_dbm - pre).abs() <= bound);
+        }
     }
 
     /// Reference for the meters: the whole reading recomputed per call,

@@ -19,8 +19,9 @@ use crate::scene::LinkEval;
 use movr_math::{linear_to_db, C64};
 
 /// A traced link frozen into structure-of-arrays form for row
-/// evaluation: one complex tap plus departure/arrival bearings per path,
-/// and the receiver noise budget folded to two constants.
+/// evaluation: one complex tap, its magnitude and the departure/arrival
+/// bearings per path, and the receiver noise budget folded to two
+/// constants.
 ///
 /// Built by [`TracedLink::batch`](crate::TracedLink::batch). Callers
 /// evaluate by handing in per-path gain slices (typically rows of a
@@ -28,6 +29,7 @@ use movr_math::{linear_to_db, C64};
 #[derive(Debug, Clone)]
 pub struct LinkBatch {
     taps: Vec<C64>,
+    tap_magnitudes: Vec<f64>,
     departure_deg: Vec<f64>,
     arrival_deg: Vec<f64>,
     noise_floor_dbm: f64,
@@ -42,6 +44,7 @@ impl LinkBatch {
         noise: &NoiseModel,
     ) -> Self {
         LinkBatch {
+            tap_magnitudes: taps.iter().map(|tap| tap.abs()).collect(),
             taps,
             departure_deg,
             arrival_deg,
@@ -51,6 +54,13 @@ impl LinkBatch {
             noise_floor_dbm: noise.noise_floor_dbm(),
             implementation_loss_db: noise.implementation_loss_db,
         }
+    }
+
+    /// `|tap|` of each path (path order). With each end's gains as field
+    /// amplitudes `aₖ = 10^(gₖ/20)`, the triangle inequality bounds the
+    /// coherent fold: `|Σₖ tapₖ·10^((g_txₖ + g_rxₖ)/20)| ≤ Σₖ |tapₖ|·a_txₖ·a_rxₖ`.
+    pub fn tap_magnitudes(&self) -> &[f64] {
+        &self.tap_magnitudes
     }
 
     /// Departure bearing of each path (absolute degrees, path order).

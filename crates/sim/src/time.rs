@@ -44,18 +44,26 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics on negative, NaN, or infinite input.
+    pub fn from_secs_f64(secs: f64) -> Self {
+        SimTime::try_from_secs_f64(secs).expect("time must be non-negative")
+    }
+
+    /// [`SimTime::from_secs_f64`], or `None` on negative, NaN, or
+    /// infinite input.
     #[expect(
         clippy::as_conversions,
         reason = "the rounded ns lie below the ceiling checked first, so the cast is exact"
     )]
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs >= 0.0 && secs.is_finite(), "time must be non-negative");
+    pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
+        if !(secs >= 0.0 && secs.is_finite()) {
+            return None;
+        }
         let ns = (secs * 1e9).round();
-        if ns >= u64::MAX as f64 {
+        Some(if ns >= u64::MAX as f64 {
             SimTime::MAX
         } else {
             SimTime(ns as u64)
-        }
+        })
     }
 
     /// Nanoseconds since the epoch.
@@ -142,6 +150,10 @@ mod tests {
         assert_eq!(SimTime::from_millis(1), SimTime::from_nanos(1_000_000));
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
         assert_eq!(SimTime::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
+        assert_eq!(SimTime::try_from_secs_f64(1.5), Some(SimTime::from_secs_f64(1.5)));
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            assert_eq!(SimTime::try_from_secs_f64(bad), None, "{bad}");
+        }
         assert!((SimTime::from_millis(11).as_secs_f64() - 0.011).abs() < 1e-12);
         assert!((SimTime::from_millis(11).as_millis_f64() - 11.0).abs() < 1e-12);
     }

@@ -4,25 +4,83 @@
 //! pages, `LinkBatch` tap rows, the hoisted `ToneMeter`) is a pure
 //! restructuring of the scalar sweep it replaced, which queried each
 //! antenna pattern once per traced path per probe. These tests pin that
-//! promise on the paper setup for the three load-bearing sweeps —
-//! `estimate_incidence`, `estimate_reflection`, and the `opt_nlos`
-//! baseline — by re-running each against a scalar reference built on
-//! `TracedLink::evaluate`, with its own copy of the tone-probe formula
-//! and of the relay cascade. (The scalar generation also memoized its
-//! gain queries; a memo replays the exact `f64` it stored, so the
-//! references query the patterns directly.)
+//! promise for the three load-bearing sweeps — `estimate_incidence`,
+//! `estimate_reflection`, and the `opt_nlos` baseline — by re-running
+//! each against a scalar reference built on `TracedLink::evaluate`, with
+//! its own copy of the tone-probe formula and of the relay cascade. (The
+//! scalar generation also memoized its gain queries; a memo replays the
+//! exact `f64` it stored, so the references query the patterns
+//! directly.)
+//!
+//! An unrecorded alignment sweep skips every probe whose reading bound
+//! falls below a lower bound on its best reading, and a recorded sweep
+//! reads every probe. So the two alignment tests run each case three
+//! ways — unrecorded, recorded and the scalar reference, which reads
+//! every probe — over seeded mounts and headset poses, codebook windows
+//! that are centred on the truth, fixed off the truth's grid, or miss
+//! the reflector, jitter on and off, both tone meters, the amplifier
+//! off, and a probe gain that saturates some postures. All three must
+//! agree on the result's bits, the measurement count, the elapsed time
+//! and the next RNG draw.
 
 use movr::alignment::{
-    estimate_incidence, estimate_reflection, AlignmentConfig, SweepParams,
+    estimate_incidence, estimate_incidence_recorded, estimate_reflection,
+    estimate_reflection_recorded, AlignmentConfig, SweepParams,
 };
 use movr::baselines::opt_nlos;
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
 use movr_math::db::sum_dbm;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
+use movr_obs::MemoryRecorder;
 use movr_phased_array::{Codebook, PatternTable};
 use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
 use movr_rfsim::{NoiseModel, Scene};
+use movr_sim::SimTime;
+
+/// What a sweep reports, compared bit for bit: the peak and both angles,
+/// the measurement count, the elapsed nanoseconds, and the caller's next
+/// RNG draw.
+type Outcome = ([u64; 3], usize, u64, u64);
+
+fn outcome(best: (f64, f64, f64), measurements: usize, elapsed: SimTime, rng: &mut SimRng) -> Outcome {
+    (
+        [best.0.to_bits(), best.1.to_bits(), best.2.to_bits()],
+        measurements,
+        elapsed.as_nanos(),
+        rng.next_u64(),
+    )
+}
+
+/// The AP of the paper's deployment.
+fn paper_ap() -> RadioEndpoint {
+    RadioEndpoint::paper_radio(Vec2::new(0.5, 2.5), 20.0)
+}
+
+/// The paper's mount, then seeded mounts on the north wall facing the
+/// play area, as perfbench's `align` workload draws them.
+fn mounts() -> Vec<MovrReflector> {
+    let mut mounts = vec![MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, 5)];
+    for seed in 1..3 {
+        let mut r = SimRng::seed_from_u64(seed);
+        let pos = Vec2::new(r.uniform(0.8, 3.5), 4.75);
+        let bore = pos.bearing_deg_to(Vec2::new(1.8, 2.2)) + r.uniform(-10.0, 10.0);
+        mounts.push(MovrReflector::wall_mounted(pos, bore, r.next_u64()));
+    }
+    mounts
+}
+
+/// Three 21-beam windows: centred on `truth_deg` at 1°, 2° steps from
+/// `fixed_start_deg` (which callers set off the truth's grid), and 5°
+/// steps around `away_deg` (behind the reflector's ground plane, or away
+/// from the reflector).
+fn windows(truth_deg: f64, fixed_start_deg: f64, away_deg: f64) -> [(&'static str, Codebook); 3] {
+    [
+        ("centred", Codebook::sweep(truth_deg - 10.0, truth_deg + 10.0, 1.0)),
+        ("fixed", Codebook::sweep(fixed_start_deg, fixed_start_deg + 40.0, 2.0)),
+        ("missing", Codebook::sweep(away_deg - 50.0, away_deg + 50.0, 5.0)),
+    ]
+}
 
 /// One sideband reading computed whole per call: the reflection (after
 /// conversion loss when modulated), the AP leakage (filtered when
@@ -47,15 +105,15 @@ fn tone_reading(
 }
 
 /// Scalar reference for the `estimate_incidence` core: traced links and
-/// a pre-steered AP table, evaluating both legs of each (θ₁, θ₂) round
-/// trip one pattern query per path.
+/// a pre-steered AP table, evaluating both legs of every (θ₁, θ₂) round
+/// trip one pattern query per path, and taking every reading.
 fn memoized_incidence(
     scene: &Scene,
     ap: &RadioEndpoint,
     mut reflector: MovrReflector,
     config: &AlignmentConfig,
     rng: &mut SimRng,
-) -> (f64, f64, f64) {
+) -> Outcome {
     reflector.set_gain_db(config.probe_gain_db);
     reflector.set_modulating(config.modulated);
     let forward = scene.trace_link(ap.position(), reflector.position());
@@ -63,8 +121,10 @@ fn memoized_incidence(
     let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);
 
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
+    let (mut measurements, mut elapsed) = (0, SimTime::ZERO);
     for &theta1 in config.reflector_codebook.beams() {
         reflector.steer_both(theta1);
+        elapsed += config.beam_command_latency;
         let relay_gain_db = reflector.effective_gain_db();
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
@@ -77,41 +137,133 @@ fn memoized_incidence(
             });
             let reading =
                 tone_reading(&config.probe, config.modulated, reflected, ap.tx_power_dbm(), rng);
+            measurements += 1;
+            elapsed += config.dwell;
             if reading > best.0 {
                 best = (reading, theta1, theta2);
             }
         }
     }
-    best
+    outcome(best, measurements, elapsed, rng)
+}
+
+/// One incidence case run three ways: unrecorded, recorded and the
+/// scalar reference, each from RNG seed `seed`.
+fn incidence_three_ways(
+    scene: &Scene,
+    reflector: &MovrReflector,
+    cfg: &AlignmentConfig,
+    seed: u64,
+) -> [Outcome; 3] {
+    let ap = paper_ap();
+    let mut rng = SimRng::seed_from_u64(seed);
+    let r = estimate_incidence(scene, ap, reflector.clone(), cfg, &mut rng);
+    let unrecorded = outcome(
+        (r.peak_power_dbm, r.reflector_angle_deg, r.ap_angle_deg),
+        r.measurements,
+        r.elapsed,
+        &mut rng,
+    );
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut rec = MemoryRecorder::new();
+    let r = estimate_incidence_recorded(
+        scene,
+        ap,
+        reflector.clone(),
+        cfg,
+        &mut rng,
+        SimTime::ZERO,
+        &mut rec,
+    );
+    assert_eq!(rec.of_kind("beam_probe").count(), r.measurements);
+    let recorded = outcome(
+        (r.peak_power_dbm, r.reflector_angle_deg, r.ap_angle_deg),
+        r.measurements,
+        r.elapsed,
+        &mut rng,
+    );
+    let mut rng = SimRng::seed_from_u64(seed);
+    let scalar = memoized_incidence(scene, &ap, reflector.clone(), cfg, &mut rng);
+    [unrecorded, recorded, scalar]
 }
 
 #[test]
 fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
     let scene = Scene::paper_office();
-    let ap = RadioEndpoint::paper_radio(Vec2::new(0.5, 2.5), 20.0);
-    let reflector = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, 5);
+    let ap = paper_ap();
+    let mut seed = 42;
+    for (m, reflector) in mounts().iter().enumerate() {
+        let truth_refl = reflector.position().bearing_deg_to(ap.position());
+        let truth_ap = ap.position().bearing_deg_to(reflector.position());
+        // 21×21 windows keep the triple sweep fast; the bench runs the
+        // paper's 101×101. The fixed windows hold the paper mount's
+        // truth off their 2° grid; the missing reflector window points
+        // behind its ground plane.
+        let refl_windows = windows(truth_refl, -125.3, reflector.rx_array().boresight_deg() + 180.0);
+        let ap_windows = windows(truth_ap, 57.7, truth_ap);
+        for ((name, refl_cb), (_, ap_cb)) in refl_windows.into_iter().zip(ap_windows) {
+            for (sigma_db, modulated) in [(0.5, true), (0.0, true), (0.5, false), (0.0, false)] {
+                let cfg = AlignmentConfig {
+                    ap_codebook: ap_cb.clone(),
+                    reflector_codebook: refl_cb.clone(),
+                    probe: ToneProbe {
+                        sigma_db,
+                        ..ToneProbe::default()
+                    },
+                    modulated,
+                    ..AlignmentConfig::default()
+                };
+                let [unrecorded, recorded, scalar] =
+                    incidence_three_ways(&scene, reflector, &cfg, seed);
+                let case = format!("mount {m}, {name} window, σ {sigma_db}, modulated {modulated}");
+                assert_eq!(unrecorded, scalar, "unrecorded, {case}");
+                assert_eq!(recorded, scalar, "recorded, {case}");
+                seed += 1;
+            }
+        }
+    }
+
+    // The amplifier off (every posture's relay gain is `None`), and a
+    // probe gain at the amplifier's maximum, which saturates some of the
+    // centred window's postures but not all.
+    let reflector = &mounts()[0];
     let truth_refl = reflector.position().bearing_deg_to(ap.position());
     let truth_ap = ap.position().bearing_deg_to(reflector.position());
-    // 21×21 keeps the double sweep fast; the bench runs the 101×101
-    // version of this same comparison.
-    let cfg = AlignmentConfig {
-        ap_codebook: Codebook::sweep(truth_ap - 10.0, truth_ap + 10.0, 1.0),
-        reflector_codebook: Codebook::sweep(truth_refl - 10.0, truth_refl + 10.0, 1.0),
-        ..Default::default()
+    let centred = AlignmentConfig {
+        ap_codebook: windows(truth_ap, 0.0, 0.0)[0].1.clone(),
+        reflector_codebook: windows(truth_refl, 0.0, 0.0)[0].1.clone(),
+        ..AlignmentConfig::default()
     };
+    let mut off = reflector.clone();
+    off.set_amplifier_enabled(false);
+    let [unrecorded, recorded, scalar] = incidence_three_ways(&scene, &off, &centred, 7);
+    assert_eq!(unrecorded, scalar, "amplifier off, unrecorded");
+    assert_eq!(recorded, scalar, "amplifier off, recorded");
 
-    for modulated in [true, false] {
-        let cfg = AlignmentConfig { modulated, ..cfg.clone() };
-        let mut rng_b = SimRng::seed_from_u64(42);
-        let batched = estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng_b);
-        let mut rng_s = SimRng::seed_from_u64(42);
-        let (peak, t1, t2) = memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng_s);
-
-        assert_eq!(batched.peak_power_dbm.to_bits(), peak.to_bits());
-        assert_eq!(batched.reflector_angle_deg.to_bits(), t1.to_bits());
-        assert_eq!(batched.ap_angle_deg.to_bits(), t2.to_bits());
-        // Same number of RNG draws: the next sample from each matches.
-        assert_eq!(rng_b.uniform(0.0, 1.0).to_bits(), rng_s.uniform(0.0, 1.0).to_bits());
+    let saturating = AlignmentConfig {
+        probe_gain_db: reflector.amplifier().max_gain_db,
+        ..centred
+    };
+    let mut probe = reflector.clone();
+    probe.set_gain_db(saturating.probe_gain_db);
+    let saturated = saturating
+        .reflector_codebook
+        .beams()
+        .iter()
+        .filter(|&&theta1| {
+            probe.steer_both(theta1);
+            probe.is_saturated()
+        })
+        .count();
+    assert!(
+        saturated > 0 && saturated < saturating.reflector_codebook.len(),
+        "{saturated} saturated postures"
+    );
+    for seed in 8..11 {
+        let [unrecorded, recorded, scalar] =
+            incidence_three_ways(&scene, reflector, &saturating, seed);
+        assert_eq!(unrecorded, scalar, "saturating probe gain, unrecorded, seed {seed}");
+        assert_eq!(recorded, scalar, "saturating probe gain, recorded, seed {seed}");
     }
 }
 
@@ -121,7 +273,8 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
 /// per receive beam. Each probe evaluates both hops one pattern query
 /// per path and applies the amplify-and-forward cascade itself: hop-1
 /// SNR against the reflector's low-noise front end, end SNR the minimum
-/// of the two hops, −∞ when the amplifier is off or saturated.
+/// of the two hops, −∞ when the amplifier is off or saturated. Every
+/// report is taken.
 fn memoized_reflection(
     scene: &Scene,
     ap: &RadioEndpoint,
@@ -129,7 +282,7 @@ fn memoized_reflection(
     headset: &RadioEndpoint,
     sweep: &SweepParams<'_>,
     rng: &mut SimRng,
-) -> (f64, f64, f64) {
+) -> Outcome {
     reflector.set_modulating(false);
     let snr_sigma_db = 0.5;
     let front_end = NoiseModel {
@@ -144,8 +297,10 @@ fn memoized_reflection(
     let ap_pattern = ArrayPattern(ap.array());
 
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
+    let (mut measurements, mut elapsed) = (0, SimTime::ZERO);
     for &tx_deg in sweep.tx_codebook.beams() {
         reflector.steer_tx(tx_deg);
+        elapsed += sweep.config.beam_command_latency;
         run_gain_control(&mut reflector, &GainControlConfig::default());
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
@@ -158,46 +313,120 @@ fn memoized_reflection(
                 hop1_snr_db.min(hop2_eval.snr_db)
             });
             let reported = end_snr_db + rng.normal(0.0, snr_sigma_db);
+            measurements += 1;
+            elapsed += sweep.config.dwell;
             if reported > best.0 {
                 best = (reported, tx_deg, rx_deg);
             }
         }
     }
-    best
+    outcome(best, measurements, elapsed, rng)
 }
 
 #[test]
 fn batched_reflection_sweep_is_bit_identical_to_memoized_scalar() {
     let scene = Scene::paper_office();
-    let mut ap = RadioEndpoint::paper_radio(Vec2::new(0.5, 2.5), 20.0);
-    let mut reflector = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, 7);
-    let hs_pos = Vec2::new(3.5, 1.5);
-    let headset = RadioEndpoint::paper_radio(hs_pos, hs_pos.bearing_deg_to(reflector.position()));
+    let mut ap = paper_ap();
+    let config = AlignmentConfig::default();
+    let mut seed = 7;
+    for (m, mount) in mounts().iter().enumerate() {
+        // Incidence already known: AP and reflector RX aimed at each other.
+        let mut reflector = mount.clone();
+        ap.steer_toward(reflector.position());
+        reflector.steer_rx(reflector.position().bearing_deg_to(ap.position()));
+        let mut poses = SimRng::seed_from_u64(100 + seed);
+        for _ in 0..2 {
+            let hs_pos = Vec2::new(poses.uniform(2.0, 4.5), poses.uniform(0.5, 3.5));
+            let headset = RadioEndpoint::paper_radio(
+                hs_pos,
+                hs_pos.bearing_deg_to(reflector.position()) + poses.uniform(-20.0, 20.0),
+            );
+            let to_hs = reflector.position().bearing_deg_to(hs_pos);
+            let to_reflector = hs_pos.bearing_deg_to(reflector.position());
+            // 11×11 windows: the TX window misses the headset behind the
+            // reflector's ground plane, the headset's points away from
+            // the reflector.
+            let tx_windows = windows(to_hs, -135.3, reflector.tx_array().boresight_deg() + 180.0);
+            let hs_windows = windows(to_reflector, to_reflector - 27.7, to_reflector + 180.0);
+            let thin = |cb: &Codebook| Codebook::from_beams(cb.beams().iter().step_by(2).copied().collect());
+            for ((name, tx_cb), (_, hs_cb)) in tx_windows.into_iter().zip(hs_windows) {
+                let (tx_codebook, headset_codebook) = (thin(&tx_cb), thin(&hs_cb));
+                let sweep = SweepParams {
+                    tx_codebook: &tx_codebook,
+                    headset_codebook: &headset_codebook,
+                    config: &config,
+                };
+                let case = format!("mount {m}, headset at {hs_pos:?}, {name} windows");
+                let [unrecorded, recorded, scalar] =
+                    reflection_three_ways(&scene, &ap, &reflector, &headset, &sweep, seed);
+                assert_eq!(unrecorded, scalar, "unrecorded, {case}");
+                assert_eq!(recorded, scalar, "recorded, {case}");
+                seed += 1;
+            }
+        }
+    }
+
+    // The amplifier off: every end SNR is −∞.
+    let mut reflector = mounts()[0].clone();
     ap.steer_toward(reflector.position());
     reflector.steer_rx(reflector.position().bearing_deg_to(ap.position()));
-
+    reflector.set_amplifier_enabled(false);
+    let hs_pos = Vec2::new(3.5, 1.5);
+    let headset = RadioEndpoint::paper_radio(hs_pos, hs_pos.bearing_deg_to(reflector.position()));
     let to_hs = reflector.position().bearing_deg_to(hs_pos);
-    let hs_bore = headset.array().boresight_deg();
     let tx_codebook = Codebook::sweep(to_hs - 10.0, to_hs + 10.0, 2.0);
-    let headset_codebook = Codebook::sweep(hs_bore - 10.0, hs_bore + 10.0, 2.0);
-    let config = AlignmentConfig::default();
+    let headset_codebook = Codebook::sweep(-10.0, 10.0, 2.0);
     let sweep = SweepParams {
         tx_codebook: &tx_codebook,
         headset_codebook: &headset_codebook,
         config: &config,
     };
+    let [unrecorded, recorded, scalar] =
+        reflection_three_ways(&scene, &ap, &reflector, &headset, &sweep, 3);
+    assert_eq!(unrecorded, scalar, "amplifier off, unrecorded");
+    assert_eq!(recorded, scalar, "amplifier off, recorded");
+}
 
-    let mut rng_b = SimRng::seed_from_u64(7);
-    let batched =
-        estimate_reflection(&scene, &ap, reflector.clone(), headset, &sweep, &mut rng_b);
-    let mut rng_s = SimRng::seed_from_u64(7);
-    let (peak, tx, rx) =
-        memoized_reflection(&scene, &ap, reflector, &headset, &sweep, &mut rng_s);
-
-    assert_eq!(batched.peak_snr_db.to_bits(), peak.to_bits());
-    assert_eq!(batched.tx_angle_deg.to_bits(), tx.to_bits());
-    assert_eq!(batched.headset_angle_deg.to_bits(), rx.to_bits());
-    assert_eq!(rng_b.uniform(0.0, 1.0).to_bits(), rng_s.uniform(0.0, 1.0).to_bits());
+/// One reflection case run three ways: unrecorded, recorded and the
+/// scalar reference, each from RNG seed `seed`.
+fn reflection_three_ways(
+    scene: &Scene,
+    ap: &RadioEndpoint,
+    reflector: &MovrReflector,
+    headset: &RadioEndpoint,
+    sweep: &SweepParams<'_>,
+    seed: u64,
+) -> [Outcome; 3] {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let r = estimate_reflection(scene, ap, reflector.clone(), *headset, sweep, &mut rng);
+    let unrecorded = outcome(
+        (r.peak_snr_db, r.tx_angle_deg, r.headset_angle_deg),
+        r.measurements,
+        r.elapsed,
+        &mut rng,
+    );
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut rec = MemoryRecorder::new();
+    let r = estimate_reflection_recorded(
+        scene,
+        ap,
+        reflector.clone(),
+        *headset,
+        sweep,
+        &mut rng,
+        SimTime::ZERO,
+        &mut rec,
+    );
+    assert_eq!(rec.of_kind("reflect_probe").count(), r.measurements);
+    let recorded = outcome(
+        (r.peak_snr_db, r.tx_angle_deg, r.headset_angle_deg),
+        r.measurements,
+        r.elapsed,
+        &mut rng,
+    );
+    let mut rng = SimRng::seed_from_u64(seed);
+    let scalar = memoized_reflection(scene, ap, reflector.clone(), headset, sweep, &mut rng);
+    [unrecorded, recorded, scalar]
 }
 
 #[test]

@@ -315,6 +315,27 @@ fn reseal(bytes: &mut [u8]) {
 }
 
 #[test]
+fn restore_under_a_zero_refresh_rate_is_an_invalid_config() {
+    // A resealed snapshot whose header fingerprints a config with
+    // `refresh_hz = 0`: restored under that config, its frame clock would
+    // never advance. No session can capture such a snapshot, since
+    // `Session::on_system` rejects the rate.
+    let (_, cfg) = scenario(Strategy::Movr { tracking: true }, POLICIES[1], 4);
+    let mut bytes = snapshot_under(&cfg, 5);
+    let mut zero = cfg;
+    zero.traffic.refresh_hz = 0.0;
+    bytes[12..20].copy_from_slice(&config_fingerprint(&zero).to_le_bytes());
+    reseal(&mut bytes);
+    match Session::restore(&bytes, &zero) {
+        Err(SnapshotError::InvalidConfig { what }) => {
+            assert!(what.contains("refresh_hz = 0 Hz"), "{what}");
+        }
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Ok(_) => panic!("a snapshot restored under refresh_hz = 0"),
+    }
+}
+
+#[test]
 fn version_1_snapshot_is_rejected_as_unsupported() {
     // Version 1 stored metric names, bucket edges and duplicated counters;
     // this build has no reader for it.
