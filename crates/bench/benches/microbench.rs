@@ -166,10 +166,12 @@ fn bench_obs_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
     // recorder is the always-on configuration: its cost over the plain
     // session (`session_one_second_90fps` × 60) must stay within noise —
     // one virtual `enabled()` call per would-be event. The memory
-    // recorder bounds the fully-instrumented cost.
+    // recorder builds every event and writes none; the JSONL row also
+    // writes every line, session-tagged, which is what a recorded fleet
+    // session pays.
     use movr::session::{run_session_recorded, SessionConfig, Strategy};
     use movr_motion::StaticScene;
-    use movr_obs::{MemoryRecorder, NullRecorder};
+    use movr_obs::{JsonlWriter, MemoryRecorder, NullRecorder, SessionTagged};
     let center = Vec2::new(4.0, 2.5);
     let yaw = center.bearing_deg_to(Vec2::new(0.5, 2.5));
     let trace = StaticScene::new(PlayerState::standing(center, yaw), 60.0);
@@ -182,6 +184,14 @@ fn bench_obs_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
             let mut rec = MemoryRecorder::new();
             let out = run_session_recorded(&trace, &cfg, &mut rec);
             (out, rec.len())
+        }),
+        bench_fn("obs_session_60s_jsonl", opts, || {
+            let mut writer = JsonlWriter::new(Vec::new());
+            let out = run_session_recorded(&trace, &cfg, &mut SessionTagged::new(&mut writer, 0));
+            (
+                out,
+                writer.finish().expect("in-memory sink never fails").len(),
+            )
         }),
     ]
 }

@@ -352,33 +352,14 @@ fn bench_alignment_sweep(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64, f6
         |mut rng| uncached_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng),
     );
     let sweep_speedup = r_uncached.median_ns / r_cached.median_ns;
-    // Paired ratios, not a ratio of the rows above: machine load
-    // drifts on second scales, so dividing two independently-taken
-    // aggregates mixes different load regimes and swings wildly for a
-    // gap this size (the ≥ 5× uncached/cached gap shrugs it off).
-    // Timing the two generations back-to-back inside each rep shows
-    // both the same machine state; the median of per-rep ratios is
-    // what the gate can rely on.
-    let mut ratios: Vec<f64> = (0..7)
-        .map(|_| {
-            let mut rng = SimRng::seed_from_u64(7);
-            let t = Timer::start();
-            std::hint::black_box(estimate_incidence(
-                &scene,
-                ap,
-                reflector.clone(),
-                &cfg,
-                &mut rng,
-            ));
-            let batched_s = t.elapsed_secs_f64();
-            let mut rng = SimRng::seed_from_u64(7);
-            let t = Timer::start();
-            std::hint::black_box(memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng));
-            t.elapsed_secs_f64() / batched_s
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let batch_speedup = ratios[ratios.len() / 2];
+    // Paired, not a ratio of the rows above: the ≥ 5× uncached/cached
+    // gap shrugs load drift off, a gap this size does not.
+    let seeded = || SimRng::seed_from_u64(7);
+    let batch_speedup = paired_speedup(
+        7,
+        || estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut seeded()),
+        || memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut seeded()),
+    );
     let skip_speedup = r_batched.median_ns / r_visible.median_ns;
     (
         vec![r_batched, r_visible, r_cached, r_uncached],
@@ -386,6 +367,29 @@ fn bench_alignment_sweep(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64, f6
         batch_speedup,
         skip_speedup,
     )
+}
+
+/// The median, over `reps` pairs timed back to back, of `slow`'s time
+/// over `fast`'s. Machine load drifts on second scales, so dividing two
+/// rows taken apart mixes different load regimes; the two halves of a
+/// pair see the same machine state.
+fn paired_speedup<A, B>(
+    reps: usize,
+    mut fast: impl FnMut() -> A,
+    mut slow: impl FnMut() -> B,
+) -> f64 {
+    let mut ratios: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Timer::start();
+            std::hint::black_box(fast());
+            let fast_s = t.elapsed_secs_f64();
+            let t = Timer::start();
+            std::hint::black_box(slow());
+            t.elapsed_secs_f64() / fast_s
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// Runs one seeded VR session and returns a byte-exact fingerprint of
@@ -417,8 +421,9 @@ fn run_fleet(seeds: &[u64], threads: usize) -> Vec<String> {
 /// ladder so the recorded numbers say what parallelism actually bought
 /// rather than implying a speedup a small box cannot show. Returns the
 /// reports plus `(all-cores speedup, 4-thread speedup, cores)`; the
-/// 4-thread figure is 1.0 (vacuous) below 4 cores, and the summary line
-/// carries the real thread count so the ratchet can skip honestly.
+/// all-cores figure is a median of paired 1-thread / all-cores ratios,
+/// the 4-thread figure is 1.0 (vacuous) below 4 cores, and the summary
+/// line carries the real thread count so the ratchet can skip honestly.
 fn bench_session_fleet(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64, usize) {
     let seeds: Vec<u64> = (0..8).collect();
     let cores = available_threads();
@@ -462,7 +467,7 @@ fn bench_session_fleet(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64, usiz
         || (),
         |()| run_fleet(&seeds, cores),
     );
-    let speedup = reports[0].median_ns / r_par.median_ns;
+    let speedup = paired_speedup(15, || run_fleet(&seeds, cores), || run_fleet(&seeds, 1));
     let speedup_4t = median_4t.map_or(1.0, |m| reports[0].median_ns / m);
     if cores >= 4 {
         assert!(

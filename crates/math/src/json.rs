@@ -1,8 +1,16 @@
-//! The workspace's one JSON reader and its one JSON string writer.
+//! The workspace's one JSON reader and its JSON value writers.
 //!
 //! Writers across the workspace (events, metrics, rollups, bench lines)
 //! hand-roll their serialisation and spell every string through
-//! [`write_str`]; this module is the matching *reading* half, used by
+//! [`write_str`]. Event lines, the hot writer, also spell integers
+//! through [`write_u64`] and floats through [`write_f64`], so a line is
+//! appended in one pass with no `fmt` machinery. `write_f64` is an
+//! in-tree Ryū (Adams, PLDI 2018) that prints exactly the text Rust's
+//! `Display` gives: shortest round-trip digits, fixed notation, exact
+//! ties rounded up. `tests/float_writer.rs` holds it to `format!` over
+//! a million random bit patterns and every exponent's edge mantissas.
+//!
+//! The rest of this module is the matching *reading* half, used by
 //! movr-obs's fleet reducer (JSONL event lines), rollup differ and perf
 //! ratchet (bench JSON lines), and by the [`crate::toml`] reader for its
 //! values (the perf ratchet's and movr-lint's configs). It is a
@@ -20,30 +28,389 @@
 //! an error, never `±∞`. Every integer the simulator serialises
 //! (counts, nanosecond timestamps) is far below 2^53, so round-tripping
 //! through `f64` is exact; [`Json::as_u64`] re-checks exactness instead
-//! of trusting that argument.
+//! of trusting that argument, and reads nothing past
+//! [`MAX_EXACT_INTEGER`].
 
-use crate::convert::f64_to_u64;
+use crate::convert::{f64_to_u64, u64_to_f64};
 use std::borrow::Cow;
 use std::fmt;
-use std::fmt::Write as _;
+use std::iter;
 use std::ops::Deref;
+
+/// The largest integer [`Json::as_u64`] reads, 2^53 − 1: past it, two
+/// integer literals can parse to the same `f64`.
+pub const MAX_EXACT_INTEGER: u64 = (1 << 53) - 1;
 
 /// Appends `s` to `out` as a JSON string literal: quotes, `"` and `\`
 /// backslash-escaped, control characters as `\u00XX`, everything else
-/// verbatim. [`Json::parse`] reads the result back to `s`.
+/// verbatim. [`Json::parse`] reads the result back to `s`. Text before
+/// the first byte that needs escaping goes in as one slice.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
+    // The byte found is ASCII, so the split falls on a character boundary.
+    let plain = s
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(s.len());
+    out.push_str(&s[..plain]);
+    for c in s[plain..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
+                let n = u32::from(c);
+                out.push_str("\\u00");
+                out.extend(char::from_digit(n >> 4, 16));
+                out.extend(char::from_digit(n & 0xf, 16));
             }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Appends the decimal digits of `n`, as `format!("{n}")` would.
+pub fn write_u64(out: &mut String, n: u64) {
+    let (buf, start) = decimal_digits(n);
+    push_ascii(out, &buf[start..]);
+}
+
+/// Appends `x` exactly as `format!("{x}")` writes it, without the
+/// formatting machinery: `NaN`, `inf`, `-inf`, `0`, `-0`, and otherwise
+/// the shortest digits that read back as `x`, in fixed notation (never
+/// an exponent: `5e-324` prints all 324 decimals and `f64::MAX` its 309
+/// integer digits). Among equally short candidates the one nearest `x`
+/// wins, and an exact tie rounds up, as Display does: `2^50 + 0.25`
+/// prints `1125899906842624.3`.
+///
+/// The digits come from Ryū (Adams, PLDI 2018) over tables of 5^i and
+/// 5^−i computed at compile time.
+#[expect(
+    clippy::as_conversions,
+    reason = "digit counts and the decimal point's position stay within ±330"
+)]
+pub fn write_f64(out: &mut String, x: f64) {
+    if x.is_nan() {
+        out.push_str("NaN");
+        return;
+    }
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    if x.is_infinite() {
+        out.push_str("inf");
+        return;
+    }
+    let bits = x.to_bits();
+    let (mantissa, exponent) = (bits & ((1 << 52) - 1), (bits >> 52) & 0x7ff);
+    if mantissa == 0 && exponent == 0 {
+        out.push('0');
+        return;
+    }
+    let (digits, exp10) = shortest_digits(mantissa, exponent);
+    let (buf, start) = decimal_digits(digits);
+    let digits = &buf[start..];
+    // `x = 0.d₁d₂…dₙ · 10^point`.
+    let point = exp10 + digits.len() as i32;
+    if point <= 0 {
+        out.push_str("0.");
+        out.extend(iter::repeat_n('0', -point as usize));
+        push_ascii(out, digits);
+    } else if (point as usize) < digits.len() {
+        let (int, frac) = digits.split_at(point as usize);
+        push_ascii(out, int);
+        out.push('.');
+        push_ascii(out, frac);
+    } else {
+        push_ascii(out, digits);
+        out.extend(iter::repeat_n('0', point as usize - digits.len()));
+    }
+}
+
+/// Appends digits from [`decimal_digits`].
+fn push_ascii(out: &mut String, digits: &[u8]) {
+    out.push_str(std::str::from_utf8(digits).expect("decimal digits are ASCII"));
+}
+
+/// The decimal digits of `n` in `buf[start..]`, two at a time.
+#[expect(
+    clippy::as_conversions,
+    reason = "remainders below 100 index the pair table"
+)]
+fn decimal_digits(mut n: u64) -> ([u8; 20], usize) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut buf = [b'0'; 20];
+    let mut start = buf.len();
+    while n >= 10 {
+        let r = (n % 100) as usize * 2;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&PAIRS[r..r + 2]);
+        n /= 100;
+    }
+    if n > 0 || start == buf.len() {
+        start -= 1;
+        buf[start] = b'0' + n as u8;
+    }
+    (buf, start)
+}
+
+/// Significant bits of each [`POW5`] entry.
+const POW5_BITS: u32 = 125;
+/// Significant bits of each [`POW5_INV`] entry, before its `+ 1`.
+const POW5_INV_BITS: u32 = 125;
+
+/// Bit length of 5^e, ⌈log₂ 5^e⌉ (1 at e = 0), for e ≤ 3528.
+const fn pow5_bits(e: u32) -> u32 {
+    ((e * 1_217_359) >> 19) + 1
+}
+
+/// ⌊log₁₀ 2^e⌋ for e ≤ 1650.
+const fn log10_pow2(e: u32) -> u32 {
+    (e * 78_913) >> 18
+}
+
+/// ⌊log₁₀ 5^e⌋ for e ≤ 2620.
+const fn log10_pow5(e: u32) -> u32 {
+    (e * 732_923) >> 20
+}
+
+/// A little-endian bignum wide enough for 2^1023, the seed of
+/// [`POW5_INV`]; 5^325, the top of [`POW5`], needs 755 bits.
+type Big = [u64; 16];
+
+#[expect(
+    clippy::as_conversions,
+    reason = "widening a limb, then keeping the low 64 bits by design"
+)]
+const fn big_mul5(mut a: Big) -> Big {
+    let mut carry = 0u128;
+    let mut k = 0;
+    while k < a.len() {
+        let v = a[k] as u128 * 5 + carry;
+        a[k] = v as u64;
+        carry = v >> 64;
+        k += 1;
+    }
+    a
+}
+
+#[expect(
+    clippy::as_conversions,
+    reason = "widening a limb; (rem · 2^64 + limb) / 5 < 2^64 as rem < 5"
+)]
+const fn big_div5(mut a: Big) -> Big {
+    let mut rem = 0u128;
+    let mut k = a.len();
+    while k > 0 {
+        k -= 1;
+        let v = (rem << 64) | a[k] as u128;
+        a[k] = (v / 5) as u64;
+        rem = v % 5;
+    }
+    a
+}
+
+/// ⌊a / 2^shift⌋ mod 2^128.
+#[expect(
+    clippy::as_conversions,
+    reason = "widening limbs; shift / 64 is a limb index"
+)]
+const fn big_bits(a: &Big, shift: u32) -> u128 {
+    let (limb, off) = ((shift / 64) as usize, shift % 64);
+    let mut out = 0u128;
+    let mut k = 0;
+    while k < 3 && limb + k < a.len() {
+        let v = a[limb + k] as u128;
+        out |= match k {
+            0 => v >> off,
+            1 => v << (64 - off),
+            _ if off == 0 => 0,
+            _ => v << (128 - off),
+        };
+        k += 1;
+    }
+    out
+}
+
+/// `POW5[i]` is 5^i scaled to exactly [`POW5_BITS`] bits: shifted up
+/// while it is shorter, truncated while it is longer. Built at compile
+/// time by multiplying by 5.
+#[expect(clippy::as_conversions, reason = "table indices below 326 fit u32")]
+const POW5: [u128; 326] = {
+    let mut table = [0; 326];
+    let mut p: Big = [0; 16];
+    p[0] = 1;
+    let mut i = 0;
+    while i < table.len() {
+        let len = pow5_bits(i as u32);
+        table[i] = if len <= POW5_BITS {
+            big_bits(&p, 0) << (POW5_BITS - len)
+        } else {
+            big_bits(&p, len - POW5_BITS)
+        };
+        p = big_mul5(p);
+        i += 1;
+    }
+    table
+};
+
+/// `POW5_INV[i]` is ⌊2^j / 5^i⌋ + 1 with j = bitlen(5^i) − 1 +
+/// [`POW5_INV_BITS`], a [`POW5_INV_BITS`]-bit approximation of 5^−i
+/// from above. Built at compile time from ⌊2^1023 / 5^i⌋, which
+/// repeated division of 2^1023 by 5 yields exactly.
+#[expect(clippy::as_conversions, reason = "table indices below 342 fit u32")]
+const POW5_INV: [u128; 342] = {
+    let mut table = [0; 342];
+    let mut q: Big = [0; 16];
+    q[15] = 1 << 63;
+    let mut i = 0;
+    while i < table.len() {
+        let j = pow5_bits(i as u32) - 1 + POW5_INV_BITS;
+        table[i] = big_bits(&q, 1023 - j) + 1;
+        q = big_div5(q);
+        i += 1;
+    }
+    table
+};
+
+/// ⌊m · mul / 2^j⌋ for m < 2^55 and 64 ≤ j.
+#[expect(
+    clippy::as_conversions,
+    reason = "Ryū's shifts keep the quotient below 2^64"
+)]
+fn mul_shift(m: u64, mul: u128, j: u32) -> u64 {
+    let m = u128::from(m);
+    let lo = m * (mul & u128::from(u64::MAX));
+    let hi = m * (mul >> 64);
+    (((lo >> 64) + hi) >> (j - 64)) as u64
+}
+
+fn pow5_factor(mut n: u64) -> u32 {
+    let mut count = 0;
+    while n.is_multiple_of(5) {
+        n /= 5;
+        count += 1;
+    }
+    count
+}
+
+/// Ryū's shortest decimal `(digits, exponent)` for the finite, non-zero
+/// `f64` with these mantissa and biased exponent bits: `digits ·
+/// 10^exponent` is the shortest decimal that reads back as the value,
+/// the nearest such one when several are equally short, and the larger
+/// one on an exact tie.
+///
+/// Reference Ryū rounds such ties to even, which needs to know whether
+/// the digits it drops are exactly `50…0`. Rounding up needs only the
+/// first dropped digit: `vr` is the exact floor of the scaled value, so
+/// a first dropped digit of 5 or more means the dropped part is at
+/// least half.
+#[expect(
+    clippy::as_conversions,
+    reason = "the exponent field has 11 bits and q ≤ 325, so both casts are exact"
+)]
+fn shortest_digits(mantissa: u64, exponent: u64) -> (u64, i32) {
+    // Two extra bits below the mantissa hold the interval's half-ulp ends.
+    let (e2, m2) = if exponent == 0 {
+        (1 - 1023 - 52 - 2, mantissa)
+    } else {
+        (exponent as i32 - 1023 - 52 - 2, mantissa | 1 << 52)
+    };
+    // Round-to-even parsing reads both interval ends back as this value
+    // exactly when its mantissa is even.
+    let accept_bounds = m2 % 2 == 0;
+    let mv = 4 * m2;
+    // The gap below is half as wide at the bottom of a binade.
+    let mm_shift = u64::from(mantissa != 0 || exponent <= 1);
+    let mm = mv - 1 - mm_shift;
+    let mut vm_is_trailing_zeros = false;
+    let (mut vr, mut vp, mut vm, e10);
+    if e2 >= 0 {
+        let e2 = e2.unsigned_abs();
+        let q = log10_pow2(e2) - u32::from(e2 > 3);
+        e10 = q as i32;
+        let j = q + POW5_INV_BITS + pow5_bits(q) - 1 - e2;
+        let mul = POW5_INV[q as usize];
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mm, mul, j);
+        // At most one of mm, mv and mv + 2 is a multiple of 5; the scaled
+        // ends are exact only when that end divides by 5^q.
+        if q <= 21 && mv % 5 != 0 {
+            if accept_bounds {
+                vm_is_trailing_zeros = pow5_factor(mm) >= q;
+            } else {
+                vp -= u64::from(pow5_factor(mv + 2) >= q);
+            }
+        }
+    } else {
+        let ne2 = e2.unsigned_abs();
+        let q = log10_pow5(ne2) - u32::from(ne2 > 1);
+        e10 = q as i32 + e2;
+        let i = ne2 - q;
+        let j = q + POW5_BITS - pow5_bits(i);
+        let mul = POW5[i as usize];
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mm, mul, j);
+        // With q ≤ 1 the scaled ends are exact: mm ends in a 0 bit
+        // exactly when mm_shift is 1, and mv + 2 always does.
+        if q <= 1 {
+            if accept_bounds {
+                vm_is_trailing_zeros = mm_shift == 1;
+            } else {
+                vp -= 1;
+            }
+        }
+    }
+
+    let mut removed = 0;
+    let round_up;
+    if vm_is_trailing_zeros {
+        // The lower end is an exact, acceptable decimal: track whether it
+        // stays one as digits drop, and drop its trailing zeros too.
+        let mut last = 0;
+        while vp / 10 > vm / 10 {
+            vm_is_trailing_zeros &= vm % 10 == 0;
+            last = vr % 10;
+            (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+            removed += 1;
+        }
+        if vm_is_trailing_zeros {
+            while vm % 10 == 0 {
+                last = vr % 10;
+                (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+                removed += 1;
+            }
+        }
+        round_up = (vr == vm && !vm_is_trailing_zeros) || last >= 5;
+    } else {
+        // Drop the most digits that keep the ends apart, in chunks of
+        // 16, 8, 4, 2 and 1; the first digit of the last chunk decides
+        // the rounding.
+        let mut up = false;
+        for (k, pow) in [
+            (16, 10_000_000_000_000_000),
+            (8, 100_000_000),
+            (4, 10_000),
+            (2, 100),
+            (1, 10),
+        ] {
+            if vp / pow > vm / pow {
+                up = vr % pow >= pow / 2;
+                (vr, vp, vm) = (vr / pow, vp / pow, vm / pow);
+                removed += k;
+            }
+        }
+        // Here vm is the floor of an inexact lower end, so `vr == vm`
+        // lies below the interval.
+        round_up = vr == vm || up;
+    }
+    (vr + u64::from(round_up), e10 + removed)
 }
 
 /// A string value or object key of a parsed document, unescaped: a
@@ -141,11 +508,14 @@ impl<'a> Json<'a> {
     }
 
     /// The number as an exact unsigned integer: `Some` only when the
-    /// value is a non-negative number with no fractional part that fits
-    /// `f64` exactly (≤ 2^53).
+    /// value is a non-negative integer no larger than
+    /// [`MAX_EXACT_INTEGER`], 2^53 − 1. Every integer up to there is an
+    /// `f64` exactly and no integer literal beyond it parses to one, so a
+    /// `Some` is the integer the text spelled. 2^53 itself is refused:
+    /// `9007199254740993` parses to it too.
     pub fn as_u64(&self) -> Option<u64> {
         let x = self.as_f64()?;
-        if !(x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0) {
+        if !(x >= 0.0 && x.fract() == 0.0 && x <= u64_to_f64(MAX_EXACT_INTEGER)) {
             return None;
         }
         Some(f64_to_u64(x))
@@ -598,6 +968,16 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(1e16).as_u64(), None);
+        // 2^53 is where two integer literals first share an `f64`.
+        let last = Json::parse("9007199254740991").expect("an integer literal");
+        assert_eq!(last.as_u64(), Some(MAX_EXACT_INTEGER));
+        for past in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+        ] {
+            assert_eq!(Json::parse(past).expect(past).as_u64(), None, "{past}");
+        }
         assert_eq!(Json::Str(JsonStr(Cow::Borrowed("7"))).as_u64(), None);
     }
 

@@ -6,16 +6,18 @@
 //! is a pure function of the seed — the determinism tests compare JSONL
 //! output byte-for-byte across runs.
 //!
-//! The JSON encoding is hand-rolled (strings through the workspace's one
-//! writer, [`movr_math::json::write_str`]) and deterministic: fields
-//! serialise in insertion order, floats use Rust's shortest-roundtrip
-//! `Display`, and non-finite floats become `null` (JSON has no `inf`/`NaN`).
+//! The JSON encoding is hand-rolled and deterministic: fields serialise
+//! in insertion order, and [`Event::write_json`] appends a whole line in
+//! one pass through the workspace's writers in [`movr_math::json`], with
+//! no `fmt` machinery. Strings go through `write_str`, integers through
+//! a digit loop, and floats through `write_f64`, which prints exactly
+//! Rust's shortest-round-trip `Display` text; non-finite floats become
+//! `null` (JSON has no `inf`/`NaN`).
 
 use crate::metrics::write_json_f64;
 use movr_math::convert::usize_to_u64;
-use movr_math::json::write_str;
+use movr_math::json::{write_str, write_u64};
 use movr_sim::SimTime;
-use std::fmt::Write as _;
 
 /// A typed field value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,36 +102,39 @@ impl Event {
         self.fields.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
-    /// Serialises the event as one JSON object, no trailing newline:
-    /// `{"t_ns":<nanos>,"kind":"<kind>",<fields...>}`.
-    pub fn json_line(&self) -> String {
-        let mut out = String::with_capacity(48 + 24 * self.fields.len());
-        let _ = write!(out, "{{\"t_ns\":{},\"kind\":", self.t.as_nanos());
-        write_str(&mut out, self.kind);
+    /// Appends the event to `out` as one JSON object, no trailing
+    /// newline: `{"t_ns":<nanos>,"kind":"<kind>",<fields...>}`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"t_ns\":");
+        write_u64(out, self.t.as_nanos());
+        out.push_str(",\"kind\":");
+        write_str(out, self.kind);
         for (name, value) in &self.fields {
             out.push(',');
-            write_str(&mut out, name);
+            write_str(out, name);
             out.push(':');
-            write_json_value(&mut out, value);
+            match *value {
+                Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                Value::U64(n) => write_u64(out, n),
+                Value::I64(n) => {
+                    if n < 0 {
+                        out.push('-');
+                    }
+                    write_u64(out, n.unsigned_abs());
+                }
+                Value::F64(x) => write_json_f64(out, x),
+                Value::Str(s) => write_str(out, s),
+            }
         }
         out.push('}');
-        out
     }
-}
 
-fn write_json_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(x) => write_json_f64(out, *x),
-        Value::Str(s) => write_str(out, s),
+    /// The event as one JSON object in a fresh `String`; see
+    /// [`Event::write_json`].
+    pub fn json_line(&self) -> String {
+        let mut out = String::with_capacity(48 + 24 * self.fields.len());
+        self.write_json(&mut out);
+        out
     }
 }
 

@@ -13,6 +13,7 @@
 //! [`movr_math::Summary`] rides along for exact mean/min/max.
 
 use movr_math::convert::{usize_to_f64, usize_to_i32, usize_to_u64};
+use movr_math::json::write_f64;
 use movr_math::Summary;
 use std::fmt::Write as _;
 
@@ -263,9 +264,10 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// Appends `x` as Display prints it, or `null` when it is not finite.
 pub(crate) fn write_json_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        let _ = write!(out, "{x}");
+        write_f64(out, x);
     } else {
         out.push_str("null");
     }

@@ -144,7 +144,7 @@ impl MemoryRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.json_line());
+            e.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -204,6 +204,9 @@ impl std::error::Error for JsonlSinkError {
 #[derive(Debug)]
 pub struct JsonlWriter<W: io::Write> {
     sink: W,
+    /// The line being written, cleared and refilled per event so its
+    /// capacity carries over.
+    line: String,
     next_span: u64,
     lines: u64,
     error: Option<JsonlSinkError>,
@@ -212,12 +215,7 @@ pub struct JsonlWriter<W: io::Write> {
 impl<W: io::Write> JsonlWriter<W> {
     /// Wraps a writer.
     pub fn new(sink: W) -> Self {
-        JsonlWriter {
-            sink,
-            next_span: 0,
-            lines: 0,
-            error: None,
-        }
+        Self::with_next_span_id(sink, 0)
     }
 
     /// Wraps a writer with the span-id counter starting at `next`, so a
@@ -226,6 +224,7 @@ impl<W: io::Write> JsonlWriter<W> {
     pub fn with_next_span_id(sink: W, next: u64) -> Self {
         JsonlWriter {
             sink,
+            line: String::new(),
             next_span: next,
             lines: 0,
             error: None,
@@ -269,9 +268,10 @@ impl<W: io::Write> JsonlWriter<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = event.json_line();
-        line.push('\n');
-        match self.sink.write_all(line.as_bytes()) {
+        self.line.clear();
+        event.write_json(&mut self.line);
+        self.line.push('\n');
+        match self.sink.write_all(self.line.as_bytes()) {
             Ok(()) => self.lines += 1,
             Err(error) => {
                 self.error = Some(JsonlSinkError {
@@ -324,7 +324,11 @@ impl std::fmt::Debug for SessionTagged<'_> {
 }
 
 impl<'a> SessionTagged<'a> {
-    /// Tags everything recorded through `inner` with `session`.
+    /// Tags everything recorded through `inner` with `session`. The
+    /// fleet reducer reads ids only up to 2^53 − 1
+    /// ([`movr_math::json::MAX_EXACT_INTEGER`]): a larger id is written
+    /// as given but fails the reduce, since past it two ids can parse to
+    /// the same number.
     pub fn new(inner: &'a mut dyn Recorder, session: u64) -> Self {
         SessionTagged {
             inner,

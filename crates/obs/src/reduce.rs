@@ -63,13 +63,12 @@ fn fold_line(
         .get("kind")
         .and_then(Json::as_str)
         .ok_or("event line has no string `kind` field")?;
-    let t_ns = doc
-        .get("t_ns")
-        .and_then(Json::as_u64)
-        .ok_or("event line has no integer `t_ns` field")?;
+    let t_ns = int_field(&doc, "event line", "t_ns")?;
     let session = match doc.get("session") {
         None => 0,
-        Some(v) => v.as_u64().ok_or("`session` field is not an integer")?,
+        Some(v) => v
+            .as_u64()
+            .ok_or("`session` field is not an integer in 0..=2^53 - 1")?,
     };
 
     rollup.session_mut(session).events += 1;
@@ -111,20 +110,14 @@ fn fold_line(
                 .or_insert(0) += 1;
         }
         "realign" => {
-            let cost = doc
-                .get("cost_ns")
-                .and_then(Json::as_u64)
-                .ok_or("realign event has no integer `cost_ns` field")?;
+            let cost = int_field(&doc, "realign event", "cost_ns")?;
             let s = rollup.session_mut(session);
             s.realigns += 1;
             s.realign_time_ns += cost;
             rollup.observe(SK_REALIGN, movr_math::convert::u64_to_f64(cost));
         }
         "stall_recovered" => {
-            let frames = doc
-                .get("stall_frames")
-                .and_then(Json::as_u64)
-                .ok_or("stall_recovered event has no integer `stall_frames` field")?;
+            let frames = int_field(&doc, "stall_recovered event", "stall_frames")?;
             let s = rollup.session_mut(session);
             s.glitches += 1;
             s.glitch_frames += frames;
@@ -164,11 +157,16 @@ fn span_fields<'d>(doc: &'d Json<'_>) -> Result<(&'d str, u64), String> {
         .get("span")
         .and_then(Json::as_str)
         .ok_or("span event has no string `span` field")?;
-    let id = doc
-        .get("span_id")
-        .and_then(Json::as_u64)
-        .ok_or("span event has no integer `span_id` field")?;
+    let id = int_field(doc, "span event", "span_id")?;
     Ok((name, id))
+}
+
+/// Field `name` as an integer. The reader holds integers exactly only up
+/// to 2^53 − 1 (see [`Json::as_u64`]), so the error names that range.
+fn int_field(doc: &Json<'_>, what: &str, name: &str) -> Result<u64, String> {
+    doc.get(name)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{what} has no `{name}` field holding an integer in 0..=2^53 - 1"))
 }
 
 /// Folds borrowed JSONL lines (blank lines skipped) into `rollup`.
@@ -379,6 +377,26 @@ mod tests {
         )
         .expect_err("missing `to`");
         assert!(err.what.contains("`to`"), "{err}");
+    }
+
+    #[test]
+    fn session_ids_past_2_pow_53_minus_1_are_errors_not_merged() {
+        use crate::{Event, JsonlWriter, Recorder, SessionTagged};
+        use movr_math::json::MAX_EXACT_INTEGER;
+        let stream = |session: u64| {
+            let mut w = JsonlWriter::new(Vec::new());
+            SessionTagged::new(&mut w, session).record(Event::new(movr_sim::SimTime::ZERO, "x"));
+            w.finish().expect("in-memory sink cannot fail")
+        };
+        let (r, _) = reduce_one_stream("<last>", &stream(MAX_EXACT_INTEGER)[..]).expect("in range");
+        assert_eq!(r.sessions()[&MAX_EXACT_INTEGER].events, 1);
+        // 2^53 + 1 parses to 2^53, so 2^53 must be refused for the two
+        // streams to stay apart.
+        for session in [MAX_EXACT_INTEGER + 1, MAX_EXACT_INTEGER + 2, u64::MAX] {
+            let err = reduce_one_stream("<past>", &stream(session)[..]).expect_err("out of range");
+            assert_eq!(err.line, 1, "{session}: {err}");
+            assert!(err.what.contains("0..=2^53 - 1"), "{session}: {err}");
+        }
     }
 
     #[test]

@@ -48,9 +48,9 @@ const SPECIAL_F64: [f64; 10] = [
     f64::NEG_INFINITY,
 ];
 
-/// Largest integer `f64` holds exactly; the reader's integers are
-/// exact up to here.
-const EXACT: u64 = 1 << 53;
+/// Largest integer the reader returns: past 2^53 − 1 two integer
+/// literals can parse to the same `f64`.
+const EXACT: u64 = movr_math::json::MAX_EXACT_INTEGER;
 
 /// One field from `(name, variant, integer, float bits, text)` draws.
 fn field(

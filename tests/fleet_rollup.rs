@@ -53,6 +53,30 @@ fn fleet_rollup_matches_the_golden_fixture() {
     }
 }
 
+/// The recorded bytes themselves, not only what the reducer pulls out
+/// of them: FNV-1a of each of the eight streams, so a writer change that
+/// moves one byte of one float fails here even where the rollup would
+/// not notice.
+#[test]
+fn fleet_streams_match_their_pinned_hashes() {
+    const PINS: [u64; 8] = [
+        0x4482_3ef0_2970_a652,
+        0x94df_4b90_cdba_b519,
+        0x9fee_8d92_dc62_6ddf,
+        0x2cfe_5dc5_1a8a_3a3d,
+        0x89b9_9814_135e_a336,
+        0x6f61_c6b2_c929_b7ee,
+        0xa0b6_92fa_af4f_efff,
+        0xab3a_2360_76a3_b8bc,
+    ];
+    let streams = fleet_jsonl(8, 1.0, 1);
+    let got: Vec<u64> = streams
+        .iter()
+        .map(|t| movr_math::fnv1a64(t.as_bytes()))
+        .collect();
+    assert_eq!(got, PINS, "a fleet stream's bytes moved");
+}
+
 #[test]
 fn rollup_is_invariant_to_thread_count_and_stream_grouping() {
     let sequential = reduce_fleet(&fleet_jsonl(8, 1.0, 1)).to_json();
