@@ -226,26 +226,18 @@ fn bench_obs_reduce(opts: &BenchOptions) -> Vec<BenchReport> {
     })]
 }
 
-fn bench_batch_kernels(opts: &BenchOptions) -> Vec<BenchReport> {
-    // The SoA batch entry point against the scalar loop it replaces:
-    // one steered array, one full 101-bearing probe row (what a single
-    // θ₁ of the alignment sweep asks for). The batch kernel runs the
-    // same float ops in the same order — bit-identity is proven in
-    // `tests/batch_equivalence.rs` — so the entire gap is amortized
-    // per-call setup: the wrap/steering state stays in registers
-    // instead of being re-fetched 101 times.
+fn bench_array_gain(opts: &BenchOptions) -> Vec<BenchReport> {
+    // One steered array, one full 101-bearing probe row (what a single
+    // θ₁ of the alignment sweep asks for), queried bearing by bearing:
+    // the loop `SteeredArray::gain_dbi_batch` and every `PatternTable`
+    // page run.
     use movr_phased_array::SteeredArray;
     let mut array = SteeredArray::paper_array(-70.0);
     array.steer_to(-102.0);
     let bearings: Vec<f64> = (0..101).map(|i| -152.0 + f64::from(i)).collect();
-    vec![
-        bench_fn("array_gain_scalar_101", opts, || {
-            bearings.iter().map(|&b| array.gain_dbi(b)).sum::<f64>()
-        }),
-        bench_fn("array_gain_batch_101", opts, || {
-            array.gain_dbi_batch(&bearings).iter().sum::<f64>()
-        }),
-    ]
+    vec![bench_fn("array_gain_scalar_101", opts, || {
+        bearings.iter().map(|&b| array.gain_dbi(b)).sum::<f64>()
+    })]
 }
 
 fn bench_pool_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
@@ -269,12 +261,11 @@ fn bench_pool_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
 fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
     // Cost of the static-analysis gate itself over the real workspace:
     // lexing alone vs the full semantic pipeline (parse + unit-flow +
-    // RNG dataflow + layering + the v3/v4 passes). The gap between the
-    // first two is the price of the semantic analyses; the later data
-    // isolate the v3 order-sensitivity pass and the v4
-    // interprocedural-effect passes (call-graph build + effect fixpoint
-    // + three rules) over pre-loaded files so their cost rides the perf
-    // ratchet independently of file I/O.
+    // RNG dataflow + the v4 passes). The gap between the first two is
+    // the price of the semantic analyses; the last datum isolates the
+    // v4 interprocedural-effect passes (call-graph build + effect
+    // fixpoint + three rules) over pre-loaded files so their cost rides
+    // the perf ratchet independently of file I/O.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let files = movr_lint::load_workspace(&root).expect("workspace readable");
     vec![
@@ -286,9 +277,6 @@ fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
                 .expect("workspace readable")
                 .diagnostics
                 .len()
-        }),
-        bench_fn("lint_workspace_v3_passes", opts, || {
-            movr_lint::run_v3_passes(&files).len()
         }),
         bench_fn("lint_workspace_v4_callgraph", opts, || {
             movr_lint::run_v4_passes(&files).len()
@@ -308,7 +296,7 @@ fn main() {
         bench_session_second,
         bench_obs_overhead,
         bench_obs_reduce,
-        bench_batch_kernels,
+        bench_array_gain,
         bench_pool_overhead,
         bench_lint_workspace,
     ];

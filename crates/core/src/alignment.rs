@@ -154,11 +154,11 @@ pub fn estimate_incidence_recorded(
 
     // Path geometry is frozen for the whole sweep: trace both legs of
     // the round trip once, freeze them into tap batches, and evaluate
-    // the AP's whole codebook page against the fixed path bearings with
-    // the SoA batch kernels up front. Per θ₁ the reflector's own gain
-    // rows are batched once; each probe below is then two
-    // multiply-accumulate passes over the taps — bit-identical to
-    // steering and re-tracing per probe, at a fraction of the cost.
+    // the AP's whole codebook page against the fixed path bearings up
+    // front. Per θ₁ the reflector's own gain rows are computed once;
+    // each probe below is then two multiply-accumulate passes over the
+    // taps — bit-identical to steering and re-tracing per probe, at a
+    // fraction of the cost.
     let fwd = scene.trace_link(ap.position(), reflector.position()).batch();
     let bck = scene.trace_link(reflector.position(), ap.position()).batch();
     let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);

@@ -60,10 +60,10 @@ pub fn opt_nlos(
 
     // One trace and two codebook-page gain tables cover the whole
     // search: the link is frozen into a tap batch and both sides' pages
-    // are evaluated against the fixed path bearings with the SoA batch
-    // kernels up front. Each combination below is two slice lookups and
-    // one multiply-accumulate pass — bit-identical to steering live
-    // endpoints through `evaluate_link`.
+    // are evaluated against the fixed path bearings up front. Each
+    // combination below is two slice lookups and one multiply-accumulate
+    // pass — bit-identical to steering live endpoints through
+    // `evaluate_link`.
     let link = scene.trace_link(ap.position(), headset.position()).batch();
     let ap_table = PatternTable::new(ap.array(), ap_codebook);
     let hs_table = PatternTable::new(headset.array(), headset_codebook);

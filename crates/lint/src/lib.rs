@@ -6,15 +6,17 @@
 //! arithmetic goes through the audited `movr_math::db` helpers (a
 //! 10-vs-20-log10 slip silently skews every figure). The compiler and
 //! clippy enforce what a type or a token can show — the `Send + Sync`
-//! bounds on parallel closures, wall clocks (`disallowed_types`), `as`
-//! casts, exact float comparisons, bare unwraps, allows without a
-//! reason. This crate checks what only the workspace's naming and
-//! call-graph conventions reveal: unit flow across `_db`/`_dbm`/
-//! `_linear` bindings, RNG stream identity, hand-written dB conversions,
-//! crate layering, panics reachable from decoders, blocking in per-frame
-//! code, hash-ordered output, and the `_recorded` twins. It runs over a
-//! hand-rolled Rust lexer and item parser, with no exemption file: the
-//! workspace is either clean or it is not.
+//! bounds on parallel closures, wall clocks and hash-ordered containers
+//! (`disallowed_types`), `as` casts, exact float comparisons, bare
+//! unwraps, allows without a reason — and the root `tests/layering.rs`
+//! keeps every crate's dependencies pointing down its layer table. This
+//! crate checks what only the workspace's naming and call-graph
+//! conventions reveal: unit flow across `_db`/`_dbm`/`_linear`
+//! bindings, RNG stream identity, hand-written dB conversions, panics
+//! reachable from decoders, blocking in per-frame code, and the
+//! `_recorded` twins. It runs over a hand-rolled Rust lexer and item
+//! parser, with no exemption file: the workspace is either clean or it
+//! is not.
 //!
 //! Two front doors:
 //! * the `movr-lint` binary (`verify.sh` runs it),
@@ -23,16 +25,13 @@
 
 mod callgraph;
 mod effects;
-mod layers;
 mod lexer;
-mod order_io;
 mod parser;
 mod rng_flow;
 mod rules;
 mod source;
 mod units;
 
-pub use layers::{LayerSpec, LAYERS_FILE};
 pub use rules::{rule_doc, Diagnostic, RULES};
 pub use source::SourceFile;
 pub use units::UnitClass;
@@ -114,43 +113,16 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
-/// Loads and validates `lint-layers.toml` from `root`. A missing file
-/// is `Ok(None)` — the layering analysis is simply skipped, so
-/// `analyze` keeps working on roots without a spec (e.g. ad-hoc runs on
-/// a subdirectory). A present-but-invalid file is an error naming it: a
-/// typo in the spec must not silently disable the analysis.
-pub fn load_layer_spec(root: &Path) -> io::Result<Option<LayerSpec>> {
-    let path = root.join(LAYERS_FILE);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text = fs::read_to_string(&path)?;
-    LayerSpec::parse(&text).map(Some).map_err(|e| {
-        let what = format!("{}: {e}", path.display());
-        io::Error::new(io::ErrorKind::InvalidData, what)
-    })
-}
-
 /// Runs every rule over the workspace at `root`. This is the gate: the
 /// `movr-lint` binary and the root package's `tests/lint_gate.rs` both
 /// fail on any diagnostic it returns.
 pub fn analyze(root: &Path) -> io::Result<Report> {
     let files = load_workspace(root)?;
-    let layers = load_layer_spec(root)?;
-    let diagnostics = rules::run_all(&files, layers.as_ref());
+    let diagnostics = rules::run_all(&files);
     Ok(Report {
         diagnostics,
         files_scanned: files.len(),
     })
-}
-
-/// Runs only the v3 order-sensitivity pass over already-loaded files,
-/// sorted by (file, line, rule). This is the bench harness's isolated
-/// datum for it; `analyze` runs it as part of the full rule catalogue.
-pub fn run_v3_passes(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    order_io::check(files, &mut out);
-    rules::sorted(out)
 }
 
 /// Runs only the v4 interprocedural passes (call-graph construction,

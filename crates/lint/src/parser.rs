@@ -1,11 +1,11 @@
 //! Item-level parser: just enough structure on top of the token stream
 //! for the semantic analyses. It recognises `fn` signatures (names,
 //! params with their flattened types, return type, body token range),
-//! `use` declarations (crate root + imported leaf names), `struct`
-//! definitions (field names and types) and `let` statements (bound
-//! names, type span, initializer). There is deliberately **no**
-//! expression grammar — the unit-flow and RNG-dataflow analyses walk
-//! raw tokens inside the body ranges this parser hands them.
+//! `use` declarations (crate root + imported leaf names) and `let`
+//! statements (bound names, type span, initializer). There is
+//! deliberately **no** expression grammar — the unit-flow and
+//! RNG-dataflow analyses walk raw tokens inside the body ranges this
+//! parser hands them.
 //!
 //! Robustness contract mirrors the lexer's: anything the parser cannot
 //! make sense of degrades to a skipped item, never a panic and never a
@@ -14,17 +14,15 @@
 use crate::lexer::{Token, TokenKind};
 use crate::source::{interior, match_delim};
 
-/// A parameter (or struct field): pattern name and flattened type text.
+/// A parameter: pattern name and flattened type text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Binding name (`rng`, `gain_db`); empty for destructuring
-    /// patterns and tuple-struct fields.
+    /// patterns.
     pub name: String,
     /// Flattened type: idents space-separated, punctuation verbatim
     /// (`& mut SimRng`, `Vec < f64 >`). Empty when elided.
     pub ty: String,
-    /// 1-based line the parameter/field starts on (0 when synthetic).
-    pub line: usize,
 }
 
 impl Param {
@@ -75,17 +73,6 @@ pub struct UseLeaf {
     pub line: usize,
 }
 
-/// A parsed `struct` definition.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Type name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
-    /// Named fields (empty for tuple/unit structs).
-    pub fields: Vec<Param>,
-}
-
 /// A `let` statement (or `if let`/`while let` condition).
 #[derive(Debug, Clone)]
 pub struct LetStmt {
@@ -119,8 +106,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnSig>,
     /// Every leaf bound by a `use` declaration.
     pub uses: Vec<UseLeaf>,
-    /// Every `struct` definition.
-    pub structs: Vec<StructDef>,
     /// Every `let`, in source order (nested ones included), so sorted
     /// by `start`.
     pub lets: Vec<LetStmt>,
@@ -155,9 +140,6 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
             }
             TokenKind::Ident(w) if w == "fn" => {
                 i = parse_fn(tokens, i, &mut out.fns);
-            }
-            TokenKind::Ident(w) if w == "struct" => {
-                i = parse_struct(tokens, i, &mut out.structs);
             }
             TokenKind::Ident(w) if w == "let" => {
                 // Resume inside the statement: its initializer may hold
@@ -401,54 +383,7 @@ fn parse_param(part: &[Token]) -> Param {
     } else {
         String::new()
     };
-    let line = part.first().map_or(0, |t| t.line);
-    Param { name, ty: flatten(ty), line }
-}
-
-/// Parses a `struct` item starting at the keyword; returns the resume
-/// index (past the item for braced/unit structs).
-fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> usize {
-    let line = tokens[kw_idx].line;
-    let Some(TokenKind::Ident(name)) = tokens.get(kw_idx + 1).map(|t| &t.kind) else {
-        return kw_idx + 1;
-    };
-    let name = name.clone();
-    let i = skip_generics(tokens, kw_idx + 2);
-    let mut fields = Vec::new();
-    let resume = match tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Punct('{')) => {
-            let (body, close) = interior(tokens, i);
-            for part in split_top_level(body, ',') {
-                if part.is_empty() {
-                    continue;
-                }
-                // Drop visibility and attributes on the field.
-                let part = strip_field_prefix(part);
-                if part.iter().any(|t| t.is_punct(':')) {
-                    fields.push(parse_param(part));
-                }
-            }
-            close + 1
-        }
-        Some(TokenKind::Punct('(')) => {
-            // Tuple struct: record types without names.
-            let (body, close) = interior(tokens, i);
-            for part in split_top_level(body, ',') {
-                let part = strip_field_prefix(part);
-                if !part.is_empty() {
-                    fields.push(Param {
-                        name: String::new(),
-                        ty: flatten(part),
-                        line: part[0].line,
-                    });
-                }
-            }
-            close + 1
-        }
-        _ => i, // unit struct `struct X;` or something exotic
-    };
-    out.push(StructDef { name, line, fields });
-    resume
+    Param { name, ty: flatten(ty) }
 }
 
 /// Parses a `let` whose keyword is at `let_idx`: the names its pattern
@@ -532,30 +467,6 @@ fn skip_generics(tokens: &[Token], mut i: usize) -> usize {
         i += 1;
     }
     i
-}
-
-/// Strips leading `pub`/`pub(...)` and `#[...]` attributes from a field.
-fn strip_field_prefix(mut part: &[Token]) -> &[Token] {
-    loop {
-        match part.first().map(|t| &t.kind) {
-            Some(TokenKind::Punct('#')) => {
-                // Attribute: skip to past the matching `]`.
-                if part.get(1).is_some_and(|t| t.is_punct('[')) {
-                    part = &part[match_delim(part, 1) + 1..];
-                } else {
-                    part = &part[1..];
-                }
-            }
-            Some(TokenKind::Ident(w)) if w == "pub" => {
-                if part.get(1).is_some_and(|t| t.is_punct('(')) {
-                    part = &part[match_delim(part, 1) + 1..];
-                } else {
-                    part = &part[1..];
-                }
-            }
-            _ => return part,
-        }
-    }
 }
 
 /// True when the tokens just before `fn` make it an unrestricted `pub`
@@ -738,21 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_with_attrs_and_vis() {
-        let p = parse_src(
-            "pub struct Link { pub snr_db: f64, #[doc(hidden)] raw: Vec<u8>, }\nstruct P(f64, u32);\nstruct U;",
-        );
-        assert_eq!(p.structs.len(), 3);
-        let link = &p.structs[0];
-        assert_eq!(link.name, "Link");
-        assert_eq!(link.fields.len(), 2);
-        assert_eq!(link.fields[0].name, "snr_db");
-        assert_eq!(link.fields[1].name, "raw");
-        assert_eq!(p.structs[1].fields.len(), 2);
-        assert!(p.structs[2].fields.is_empty());
-    }
-
-    #[test]
     fn nested_fns_are_found_and_destructured_params_skipped() {
         let p = parse_src("fn outer((a, b): (f64, f64)) { fn inner(x_db: f64) {} }");
         let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
@@ -765,13 +661,6 @@ mod tests {
         let p = parse_src("fn f<T>(x: T) -> u32 where T: Copy { 1 }");
         assert_eq!(p.fns[0].ret.as_deref(), Some("u32"));
         assert!(p.fns[0].body.is_some());
-    }
-
-    #[test]
-    fn struct_fields_carry_their_lines() {
-        let p = parse_src("struct S {\n  a: u32,\n  b: f64,\n}");
-        assert_eq!(p.structs[0].fields[0].line, 2);
-        assert_eq!(p.structs[0].fields[1].line, 3);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::lexer::TokenKind;
 use crate::parser::FnSig;
 use crate::rules::Diagnostic;
 use crate::source::{interior, match_delim, FileKind, SourceFile};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How a `SimRng` binding came to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
 fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Vec<Diagnostic>) {
     let toks = &f.tokens;
     // --- Collect SimRng bindings: parameters first, then `let`s.
-    let mut bindings: HashMap<&str, Origin> = HashMap::new();
+    let mut bindings: BTreeMap<&str, Origin> = BTreeMap::new();
     for p in &sig.params {
         if !p.name.is_empty() && p.ty.contains("SimRng") {
             bindings.insert(p.name.as_str(), Origin::Raw);

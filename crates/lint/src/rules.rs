@@ -3,15 +3,14 @@
 //! structured [`Diagnostic`]s. See `DESIGN.md` § "Static analysis" for
 //! the rationale behind each rule and how to add one.
 
-use crate::layers::LayerSpec;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{interior, FileKind, SourceFile};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One finding: a rule, a location, the offending line, and a fix hint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule id (`raw-db-arithmetic`, `layer-violation`, …).
+    /// Stable rule id (`raw-db-arithmetic`, `unit-mix-call`, …).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -64,10 +63,6 @@ pub const RULES: &[(&str, &str)] = &[
      "A .fork(…) whose label is made only of number literals, inside a for/while/loop body. Every iteration re-creates the same child stream, told apart only by the parent's call order; derive the label from the loop variable."),
     ("rng-cross-crate-untagged",
      "A SimRng crosses a crate boundary as a bare &mut without a fork at the call site. Callees drawing from a caller's stream entangle stream state across module seams; fork a labelled child at the boundary."),
-    ("layer-violation",
-     "A crate references a movr_* crate that lint-layers.toml does not allow (or the crate is undeclared). The dependency DAG is part of the architecture; violations rot it silently."),
-    ("unordered-iter-in-output",
-     "Iteration over a HashMap/HashSet feeds an output channel (writer, sink, fingerprint) without an intervening sort. Hash iteration order is randomized per process; outputs must be canonically ordered."),
     ("panic-reachable-from-decode",
      "A decode*/restore* fn's transitive call tree contains a panic site (unwrap/expect, panic! family, indexing). The checkpoint contract is that corrupt input yields SnapshotError, never a panic; the call graph finds the expect five helpers down. Justify unavoidable sites with // lint: <why>."),
     ("blocking-in-hot-loop",
@@ -85,10 +80,8 @@ pub fn rule_doc(rule: &str) -> Option<&'static str> {
 }
 
 /// Runs every rule over `files` and returns the combined findings,
-/// sorted by (file, line, rule). `layers` is the parsed
-/// `lint-layers.toml` when the analyzed root has one; without it the
-/// layering analysis is skipped (the other analyses still run).
-pub fn run_all(files: &[SourceFile], layers: Option<&LayerSpec>) -> Vec<Diagnostic> {
+/// sorted by (file, line, rule).
+pub fn run_all(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for f in files {
         raw_db_arithmetic(f, &mut out);
@@ -97,11 +90,7 @@ pub fn run_all(files: &[SourceFile], layers: Option<&LayerSpec>) -> Vec<Diagnost
     rng_fork_label_unique(files, &mut out);
     crate::units::check(files, &mut out);
     crate::rng_flow::check(files, &mut out);
-    crate::order_io::check(files, &mut out);
     crate::effects::check(files, &mut out);
-    if let Some(spec) = layers {
-        crate::layers::check(files, spec, &mut out);
-    }
     sorted(out)
 }
 
@@ -119,7 +108,7 @@ pub(crate) fn sorted(mut diagnostics: Vec<Diagnostic>) -> Vec<Diagnostic> {
 /// Labels must be unique per crate.
 fn rng_fork_label_unique(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     // crate name -> label text -> first-seen location.
-    let mut seen: HashMap<(String, String), (String, usize)> = HashMap::new();
+    let mut seen: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
     let mut hits: Vec<(usize, usize)> = Vec::new(); // (file idx, token idx)
     for (fi, f) in files.iter().enumerate() {
         if f.kind != FileKind::Lib {
@@ -289,7 +278,7 @@ mod tests {
     }
 
     fn rules_hit(src: &str) -> Vec<(&'static str, usize)> {
-        run_all(&[lib(src)], None)
+        run_all(&[lib(src)])
             .into_iter()
             .map(|d| (d.rule, d.line))
             .collect()
@@ -339,7 +328,7 @@ mod tests {
             "crates/other/src/lib.rs",
             "fn h(r: &mut SimRng) { let w = r.fork(1); }",
         );
-        let hits: Vec<_> = run_all(&[a, b, other], None)
+        let hits: Vec<_> = run_all(&[a, b, other])
             .into_iter()
             .map(|d| (d.file, d.line))
             .collect();
@@ -367,6 +356,6 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests { fn t(x: f64) -> f64 { 10f64.powf(x / 10.0) } }";
         assert!(rules_hit(src).is_empty());
         let test_file = SourceFile::parse("tests/it.rs", "fn t(x: f64) -> f64 { 20.0 * x.log10() }");
-        assert!(run_all(&[test_file], None).is_empty());
+        assert!(run_all(&[test_file]).is_empty());
     }
 }

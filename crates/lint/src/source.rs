@@ -32,7 +32,7 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// Raw source lines, for snippets and line-anchored rules.
     pub lines: Vec<String>,
-    /// Item-level parse (fn signatures, use leaves, struct fields) for
+    /// Item-level parse (fn signatures, use leaves, lets) for
     /// the semantic analyses.
     pub parsed: ParsedFile,
     /// Token-index ranges `[start, end)` covering `#[cfg(test)]` items.

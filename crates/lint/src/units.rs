@@ -27,7 +27,7 @@
 use crate::lexer::TokenKind;
 use crate::rules::Diagnostic;
 use crate::source::{interior, match_delim, FileKind, SourceFile};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The audited conversion site where classes may mix freely.
 const EXEMPT_FILE: &str = "crates/math/src/db.rs";
@@ -118,8 +118,8 @@ struct SigEntry {
 
 /// Builds the global `fn name → parameter classes` table from every
 /// library file. Names whose definitions disagree are marked ambiguous.
-fn build_sig_table(files: &[SourceFile]) -> HashMap<String, SigEntry> {
-    let mut table: HashMap<String, SigEntry> = HashMap::new();
+fn build_sig_table(files: &[SourceFile]) -> BTreeMap<String, SigEntry> {
+    let mut table: BTreeMap<String, SigEntry> = BTreeMap::new();
     for f in files {
         if f.kind != FileKind::Lib {
             continue;
@@ -441,7 +441,7 @@ fn check_arithmetic(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// Call-argument bindings checked against the workspace signature table.
-fn check_calls(f: &SourceFile, sigs: &HashMap<String, SigEntry>, out: &mut Vec<Diagnostic>) {
+fn check_calls(f: &SourceFile, sigs: &BTreeMap<String, SigEntry>, out: &mut Vec<Diagnostic>) {
     let toks = &f.tokens;
     for i in 0..toks.len() {
         let TokenKind::Ident(name) = &toks[i].kind else { continue };

@@ -27,11 +27,6 @@ pub const STEERING_LATENCY_S: f64 = 0.5e-6;
 /// leaves ample room for ablations.
 pub const MAX_ELEMENTS: usize = 32;
 
-/// Observation angles evaluated together by the batch kernels: one
-/// four-wide lane group, sized to an `f64x4` vector register so the
-/// autovectorizer can keep the whole accumulator set in registers.
-pub const BATCH_LANES: usize = 4;
-
 /// The per-element state of one steering command, precomputed:
 /// DAC-quantised applied phases and the aperture directivity term. These
 /// depend only on the steer command, not the observation angle, so a
@@ -91,91 +86,6 @@ impl SteeringVector {
         }
         let af = self.array_factor(theta).abs();
         self.directivity_db + self.element.gain_dbi(theta) + amplitude_to_db(af)
-    }
-
-    /// Accumulates the (un-normalised) array-factor sum for one lane
-    /// group of observation sines. Structure-of-arrays inner loop: the
-    /// element loop is outermost and each element's contribution lands
-    /// in [`BATCH_LANES`] independent re/im accumulators, so the
-    /// per-lane accumulation order is exactly the scalar
-    /// [`SteeringVector::array_factor`] order (bit-identical results)
-    /// while the lane dimension stays open for vectorisation.
-    fn accumulate_lanes(
-        &self,
-        sin_t: &[f64; BATCH_LANES],
-    ) -> ([f64; BATCH_LANES], [f64; BATCH_LANES]) {
-        let mut acc_re = [0.0; BATCH_LANES];
-        let mut acc_im = [0.0; BATCH_LANES];
-        let per_element = self.slope.iter().zip(self.applied_rad.iter());
-        for (sl, ar) in per_element.take(self.n) {
-            let lanes = acc_re.iter_mut().zip(acc_im.iter_mut()).zip(sin_t.iter());
-            for ((re, im), st) in lanes {
-                let phase = sl * st + ar;
-                // exp_j(phase), unrolled into the SoA accumulators.
-                *re += phase.cos();
-                *im += phase.sin();
-            }
-        }
-        (acc_re, acc_im)
-    }
-
-    /// Batch form of [`SteeringVector::gain_dbi`]: evaluates every
-    /// angle of `thetas_deg` into `out`. Bit-identical per angle to the
-    /// scalar path.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != thetas_deg.len()`.
-    pub fn gain_dbi_batch_into(&self, thetas_deg: &[f64], out: &mut [f64]) {
-        self.offset_gain_dbi_batch_into(thetas_deg, 0.0, out);
-    }
-
-    /// [`SteeringVector::gain_dbi_batch_into`] toward `θ − offset_deg` for
-    /// each `θ` of `thetas_deg`, wrapped one lane group at a time: the
-    /// gains `SteeredArray` reads off its boresight, with no slice of
-    /// local bearings. `θ − 0.0` is `θ` bit for bit, and `wrap_deg_180`
-    /// is idempotent, so both entry points keep the scalar path's bits.
-    fn offset_gain_dbi_batch_into(&self, thetas_deg: &[f64], offset_deg: f64, out: &mut [f64]) {
-        assert_eq!(
-            thetas_deg.len(),
-            out.len(),
-            "batch output length must match the input"
-        );
-        let n = convert::usize_to_f64(self.n);
-        let chunks = thetas_deg
-            .chunks(BATCH_LANES)
-            .zip(out.chunks_mut(BATCH_LANES));
-        for (t_chunk, o_chunk) in chunks {
-            if t_chunk.len() == BATCH_LANES {
-                let mut wrapped = [0.0; BATCH_LANES];
-                let mut sin_t = [0.0; BATCH_LANES];
-                let lanes = wrapped.iter_mut().zip(sin_t.iter_mut()).zip(t_chunk);
-                for ((w, st), th) in lanes {
-                    *w = wrap_deg_180(th - offset_deg);
-                    *st = w.to_radians().sin();
-                }
-                let (acc_re, acc_im) = self.accumulate_lanes(&sin_t);
-                let results = o_chunk
-                    .iter_mut()
-                    .zip(wrapped.iter())
-                    .zip(acc_re)
-                    .zip(acc_im);
-                for (((o, &w), re), im) in results {
-                    *o = if w.abs() >= 90.0 {
-                        // Behind the ground plane: the lane's AF
-                        // accumulator is simply discarded, matching the
-                        // scalar early return.
-                        self.element.gain_dbi(w)
-                    } else {
-                        let af = (C64::new(re, im) / n).abs();
-                        self.directivity_db + self.element.gain_dbi(w) + amplitude_to_db(af)
-                    };
-                }
-            } else {
-                for (o, &th) in o_chunk.iter_mut().zip(t_chunk) {
-                    *o = self.gain_dbi(th - offset_deg);
-                }
-            }
-        }
     }
 }
 
@@ -432,14 +342,20 @@ impl SteeredArray {
     }
 
     /// Batch form of [`SteeredArray::gain_dbi`]: gains toward a whole
-    /// slice of absolute room bearings under the current steering,
-    /// bit-identical per bearing to the scalar query.
+    /// slice of absolute room bearings under the current steering, one
+    /// scalar query per bearing.
     ///
     /// # Panics
     /// Panics if `out.len() != absolute_deg.len()`.
     pub fn gain_dbi_batch_into(&self, absolute_deg: &[f64], out: &mut [f64]) {
-        self.vector
-            .offset_gain_dbi_batch_into(absolute_deg, self.boresight_deg, out);
+        assert_eq!(
+            absolute_deg.len(),
+            out.len(),
+            "batch output length must match the input"
+        );
+        for (o, &b) in out.iter_mut().zip(absolute_deg) {
+            *o = self.gain_dbi(b);
+        }
     }
 
     /// Batch form of [`SteeredArray::gain_dbi`], allocating the output.
@@ -504,12 +420,14 @@ mod tests {
             UniformLinearArray::paper_array(),
             UniformLinearArray::new(3, 0.5, PatchElement::default(), PhaseShifter::with_bits(2)),
             UniformLinearArray::new(32, 0.5, PatchElement::default(), PhaseShifter::with_bits(4)),
+            UniformLinearArray::new(1, 0.5, PatchElement::default(), PhaseShifter::default()),
         ];
         for arr in &arrays {
             for steer in [-61.3, -30.0, 0.0, 17.7, 45.0, 70.0] {
                 let sv = arr.steering_vector(steer);
-                let mut theta = -180.0;
-                while theta <= 180.0 {
+                // Past ±180° too: both sides wrap the bearing themselves.
+                let mut theta = -250.0;
+                while theta <= 250.0 {
                     let a = sv.array_factor(theta);
                     let b = reference_array_factor(arr, steer, theta);
                     assert_eq!(a.re, b.re, "steer={steer} theta={theta}");
@@ -564,73 +482,10 @@ mod tests {
         }
     }
 
-    /// Normalised array factors from the lane kernel: full lane groups
-    /// through [`SteeringVector::accumulate_lanes`], the remainder
-    /// through the scalar path — the layout `gain_dbi_batch_into` uses,
-    /// with the raw array factor exposed so it can be compared.
-    fn lane_array_factors(sv: &SteeringVector, thetas_deg: &[f64]) -> Vec<C64> {
-        let mut out = Vec::with_capacity(thetas_deg.len());
-        for chunk in thetas_deg.chunks(BATCH_LANES) {
-            if chunk.len() == BATCH_LANES {
-                let mut sin_t = [0.0; BATCH_LANES];
-                for (st, th) in sin_t.iter_mut().zip(chunk) {
-                    *st = th.to_radians().sin();
-                }
-                let (acc_re, acc_im) = sv.accumulate_lanes(&sin_t);
-                for (re, im) in acc_re.into_iter().zip(acc_im) {
-                    out.push(C64::new(re, im) / convert::usize_to_f64(sv.n));
-                }
-            } else {
-                out.extend(chunk.iter().map(|&th| sv.array_factor(th)));
-            }
-        }
-        out
-    }
-
-    /// The batch SoA kernels must reproduce the scalar reference
-    /// bit-for-bit across array sizes, quantisation settings, full/remainder
-    /// lane groups, and both hemispheres (including far wraps beyond
-    /// ±180°).
-    #[test]
-    fn batch_kernels_bit_identical_to_scalar() {
-        let arrays = [
-            UniformLinearArray::paper_array(),
-            UniformLinearArray::new(3, 0.5, PatchElement::default(), PhaseShifter::with_bits(2)),
-            UniformLinearArray::new(32, 0.5, PatchElement::default(), PhaseShifter::with_bits(4)),
-            UniformLinearArray::new(1, 0.5, PatchElement::default(), PhaseShifter::default()),
-        ];
-        // Lengths exercising every remainder (0..LANES-1) plus a full
-        // sweep-sized batch.
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 101] {
-            let thetas: Vec<f64> = (0..len)
-                .map(|k| -250.0 + convert::usize_to_f64(k) * 5.3)
-                .collect();
-            for arr in &arrays {
-                for steer in [-61.3, 0.0, 45.0] {
-                    let sv = arr.steering_vector(steer);
-                    let af_batch = lane_array_factors(&sv, &thetas);
-                    let mut g_batch = vec![0.0; len];
-                    sv.gain_dbi_batch_into(&thetas, &mut g_batch);
-                    assert_eq!(af_batch.len(), len);
-                    for ((&th, af), g) in thetas.iter().zip(&af_batch).zip(&g_batch) {
-                        let af_ref = reference_array_factor(arr, steer, th);
-                        assert_eq!(af.re.to_bits(), af_ref.re.to_bits(), "steer={steer} th={th}");
-                        assert_eq!(af.im.to_bits(), af_ref.im.to_bits(), "steer={steer} th={th}");
-                        assert_eq!(
-                            g.to_bits(),
-                            reference_gain_dbi(arr, steer, th).to_bits(),
-                            "steer={steer} th={th}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn steered_array_batch_matches_scalar_queries() {
-        // Boresights whose offsets push bearings past ±180°, and every
-        // remainder lane group.
+        // Boresights whose offsets push bearings past ±180°, and empty,
+        // short and sweep-sized rows.
         for boresight in [90.0, -70.0, 179.5, -0.0] {
             let mut sa = SteeredArray::paper_array(boresight);
             sa.steer_to(boresight + 27.0);
@@ -701,9 +556,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "length must match")]
     fn batch_length_mismatch_rejected() {
-        let sv = UniformLinearArray::paper_array().steering_vector(0.0);
         let mut out = [0.0; 3];
-        sv.gain_dbi_batch_into(&[1.0, 2.0], &mut out);
+        SteeredArray::paper_array(0.0).gain_dbi_batch_into(&[1.0, 2.0], &mut out);
     }
 
     #[test]
@@ -737,6 +591,40 @@ mod tests {
         for steer in [-40.0, 0.0, 25.0] {
             let af = arr.array_factor(steer, steer).abs();
             assert!((af - 1.0).abs() < 1e-3, "steer={steer} af={af}");
+        }
+    }
+
+    /// Physics oracle: with ideal phases an N-element ULA's normalised
+    /// array factor has the closed form |sin(Nψ/2) / (N·sin(ψ/2))|, with
+    /// ψ = 2π·d·(sin θ − sin θ₀). Each DAC-quantised phase is off by at
+    /// most half a control step, so |AF| may differ from the closed form
+    /// by at most that many radians: π/2¹⁶ ≈ 4.8e-5 at 16 bits.
+    #[test]
+    fn array_factor_matches_the_closed_form_ula_pattern() {
+        let shifter = PhaseShifter::with_bits(16);
+        let half_step_rad = 0.5 * shifter.step_deg().to_radians();
+        for n in 1..=MAX_ELEMENTS {
+            let big_n = convert::usize_to_f64(n);
+            for spacing in [0.25, 0.5, 0.7, 1.0] {
+                let arr = UniformLinearArray::new(n, spacing, PatchElement::default(), shifter);
+                for steer in (-4..=4).map(|k| 17.5 * f64::from(k)) {
+                    for theta in (-89..=89).map(f64::from) {
+                        let psi = 2.0 * PI * spacing
+                            * (theta.to_radians().sin() - steer.to_radians().sin());
+                        let den = big_n * (psi / 2.0).sin();
+                        let closed = if den.abs() < 1e-12 {
+                            1.0
+                        } else {
+                            ((big_n * psi / 2.0).sin() / den).abs()
+                        };
+                        let af = arr.array_factor(steer, theta).abs();
+                        assert!(
+                            (af - closed).abs() <= half_step_rad,
+                            "n={n} d={spacing} steer={steer} theta={theta}: |AF| {af} vs closed form {closed}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -23,7 +23,7 @@ pub mod element;
 pub mod shifter;
 pub mod table;
 
-pub use array::{SteeredArray, SteeringVector, UniformLinearArray, BATCH_LANES, MAX_ELEMENTS};
+pub use array::{SteeredArray, SteeringVector, UniformLinearArray, MAX_ELEMENTS};
 pub use codebook::Codebook;
 pub use table::{GainPage, PatternTable};
 pub use element::PatchElement;

@@ -152,8 +152,7 @@ mod tests {
         let base = SteeredArray::paper_array(90.0);
         let codebook = Codebook::sweep(40.0, 140.0, 7.0);
         let table = PatternTable::new(&base, &codebook);
-        // 13 bearings: exercises a remainder lane group inside the
-        // batch kernel as well as back-hemisphere wraps.
+        // 13 bearings, front and back hemisphere, with wraps past 180°.
         let bearings: Vec<f64> = (0..13).map(|k| -40.0 + f64::from(k) * 23.5).collect();
         let page = table.fill_page(&bearings);
         assert_eq!(page.rows(), table.len());

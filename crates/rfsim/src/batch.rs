@@ -25,7 +25,7 @@ use movr_math::{linear_to_db, C64};
 ///
 /// Built by [`TracedLink::batch`](crate::TracedLink::batch). Callers
 /// evaluate by handing in per-path gain slices (typically rows of a
-/// `GainPage` computed with the phased-array batch kernels).
+/// phased-array `GainPage`).
 #[derive(Debug, Clone)]
 pub struct LinkBatch {
     taps: Vec<C64>,

@@ -507,15 +507,16 @@ mod tests {
     fn threads_near_item_count_leave_no_worker_idle() {
         // Behavioural form of the same regression: with 5 items on 4
         // threads the observed worker set must span 4 distinct threads.
-        use std::collections::HashSet;
+        // `ThreadId` has no order, so the set is a deduplicated `Vec`.
         let pool = WorkerPool::new();
-        let seen: Arc<Mutex<HashSet<thread::ThreadId>>> = Arc::default();
+        let seen: Arc<Mutex<Vec<thread::ThreadId>>> = Arc::default();
         let record = Arc::clone(&seen);
         let out = pool.map((0..5u32).collect(), 4, move |_, &x| {
-            record
-                .lock()
-                .expect("clean lock")
-                .insert(thread::current().id());
+            let mut ids = record.lock().expect("clean lock");
+            let id = thread::current().id();
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
             x * 10
         });
         assert_eq!(out, [0, 10, 20, 30, 40]);

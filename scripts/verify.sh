@@ -126,11 +126,6 @@ grep -q '"name":"lint_workspace_v4_callgraph"' out/BENCH_micro.json || {
     echo "v4 callgraph bench missing from microbench output" >&2
     exit 1
 }
-grep -q '"name":"lint_workspace_v3_passes"' out/BENCH_micro.json
-grep -q '"name":"array_gain_batch_101"' out/BENCH_micro.json || {
-    echo "batch-kernel bench missing from microbench output" >&2
-    exit 1
-}
 grep -q '"name":"par_tiny_worker_pool"' out/BENCH_micro.json || {
     echo "pool-overhead bench missing from microbench output" >&2
     exit 1

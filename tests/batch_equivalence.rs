@@ -1,9 +1,9 @@
 //! Batched vs scalar evaluation must be **bit-identical**.
 //!
-//! The batched sweep engine (SoA gain kernels, `GainPage` codebook
-//! pages, `LinkBatch` tap rows, the hoisted `ToneMeter`) is a pure
-//! restructuring of the scalar sweep it replaced, which queried each
-//! antenna pattern once per traced path per probe. These tests pin that
+//! The batched sweep engine (`GainPage` codebook pages, `LinkBatch` tap
+//! rows, the hoisted `ToneMeter`) is a pure restructuring of the scalar
+//! sweep it replaced, which queried each antenna pattern once per traced
+//! path per probe. These tests pin that
 //! promise for the three load-bearing sweeps — `estimate_incidence`,
 //! `estimate_reflection`, and the `opt_nlos` baseline — by re-running
 //! each against a scalar reference built on `TracedLink::evaluate`, with

@@ -1,17 +1,18 @@
 //! The movr-lint gate as a tier-1 test: `cargo test` fails the moment
 //! the workspace picks up any diagnostic from the analyzer's rules —
-//! unit flow, RNG streams, dB discipline, layering, decode-panic
-//! reachability, blocking in hot loops, ordered output and the
-//! `_recorded` twins. There is no exemption file: the workspace is held
-//! at zero findings. The checks rustc and clippy own (parallel-closure
-//! bounds, wall clocks, `as` casts, exact float comparisons, unwraps,
-//! allows without a reason) run in `scripts/verify.sh`'s clippy stages.
-//! See DESIGN.md § "Static analysis" for the rule catalogue.
+//! unit flow, RNG streams, dB discipline, decode-panic reachability,
+//! blocking in hot loops and the `_recorded` twins. There is no
+//! exemption file: the workspace is held at zero findings. The checks
+//! rustc and clippy own (parallel-closure bounds, wall clocks,
+//! hash-ordered containers, `as` casts, exact float comparisons,
+//! unwraps, allows without a reason) run in `scripts/verify.sh`'s clippy
+//! stages, and crate layering is `tests/layering.rs`. See DESIGN.md
+//! § "Static analysis" for the rule catalogue.
 
 use std::path::Path;
 
 #[test]
-fn workspace_is_lint_clean_against_baseline() {
+fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = movr_lint::analyze(root).expect("workspace scan succeeds");
     assert!(

@@ -514,7 +514,7 @@ property! {
         let hop2 = scene.trace_link(reflector.position(), headset.position());
 
         // One hop, both ways: patterns queried per traced path against
-        // gain rows from the batch kernels.
+        // gain rows from `gain_dbi_batch`.
         let legs = [
             (&hop1, ap.array(), ap.tx_power_dbm(), reflector.rx_array()),
             (&hop2, reflector.tx_array(), 10.0, headset.array()),

@@ -1,6 +1,7 @@
 //! Mutation harness for the workspace's readers: seeded bit flips,
 //! truncations, splices and duplicated lines applied to a recorded
-//! fleet session's timeline and to the two checked-in TOML configs.
+//! fleet session's timeline and to the checked-in perf-ratchet baseline,
+//! `bench-baseline.toml`.
 //!
 //! Over every JSONL mutant, [`Json::parse`] (line by line),
 //! [`reduce_lines`] and [`reduce_one_stream`] must return `Ok` or a
@@ -14,17 +15,14 @@
 //! has every event kind the reducer folds: frames, mode switches,
 //! realignments, stall recoveries and `realign_stall` spans.
 //!
-//! Each config mutant goes through its own typed parser
-//! ([`LayerSpec::parse`], [`parse_baseline`]); none may panic, and a
-//! TOML syntax error names a line at or after the first mutated one.
+//! Each baseline mutant goes through the TOML reader and the typed
+//! [`parse_baseline`]; neither may panic, and a TOML syntax error names a
+//! line at or after the first mutated one.
 
-use movr_lint::LayerSpec;
 use movr_math::toml;
 use movr_obs::{parse_baseline, reduce_lines, reduce_one_stream, Json, ReduceError, Rollup};
 use movr_system::fleet::session_jsonl;
-use movr_testkit::{
-    choice, prop_assert, prop_assert_eq, property, u64_range, usize_range, PropError,
-};
+use movr_testkit::{choice, prop_assert, prop_assert_eq, property, u64_range, PropError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
@@ -124,29 +122,16 @@ property! {
     }
 }
 
-/// The checked-in configs, each with its typed parser's verdict.
-type ConfigReader = fn(&str) -> Result<(), String>;
-
-const CONFIGS: [(&str, &str, ConfigReader); 2] = [
-    ("lint-layers.toml", include_str!("../lint-layers.toml"), |t| {
-        LayerSpec::parse(t).map(drop)
-    }),
-    ("bench-baseline.toml", include_str!("../bench-baseline.toml"), |t| {
-        parse_baseline(t).map(drop).map_err(|e| e.to_string())
-    }),
-];
+const BASELINE: &str = include_str!("../bench-baseline.toml");
 
 #[test]
-fn checked_in_configs_and_rendered_sarif_read_cleanly() {
-    for (name, text, read) in CONFIGS {
-        assert_eq!(read(text), Ok(()), "{name}");
-    }
+fn checked_in_bench_baseline_reads_cleanly() {
+    parse_baseline(BASELINE).expect("bench-baseline.toml parses");
 }
 
 property! {
     cases = 384,
-    fn mutated_configs_and_sarif_fail_structurally(
-        input in usize_range(0, 1),
+    fn mutated_bench_baselines_fail_structurally(
         m in choice(vec![
             Mutation::BitFlip,
             Mutation::Truncate,
@@ -156,22 +141,20 @@ property! {
         a in u64_range(0, u64::MAX),
         b in u64_range(0, u64::MAX),
     ) {
-        let (name, text, read) = CONFIGS[input];
-        let mutant = mutate(text.as_bytes(), m, a, b);
-        let first = first_mutated_line(text.as_bytes(), &mutant);
+        let mutant = mutate(BASELINE.as_bytes(), m, a, b);
+        let first = first_mutated_line(BASELINE.as_bytes(), &mutant);
         let mutant = String::from_utf8_lossy(&mutant);
-        let (syntax, typed) =
-            catch_unwind(AssertUnwindSafe(|| (toml::parse(&mutant).err(), read(&mutant).err())))
-                .map_err(|_| {
-                    PropError::failed(format!("{name}: a reader panicked on {m:?} ({a}, {b})"))
-                })?;
+        let (syntax, typed) = catch_unwind(AssertUnwindSafe(|| {
+            (toml::parse(&mutant).err(), parse_baseline(&mutant).err())
+        }))
+        .map_err(|_| PropError::failed(format!("a reader panicked on {m:?} ({a}, {b})")))?;
         if let Some(e) = &syntax {
             let at = movr_math::convert::usize_to_u64(e.line);
-            prop_assert!(at >= first, "{}: {} is before the first mutated line {}", name, e, first);
-            prop_assert!(typed.is_some(), "{}: {} passed the typed parser", name, e);
+            prop_assert!(at >= first, "{} is before the first mutated line {}", e, first);
+            prop_assert!(typed.is_some(), "{} passed the typed parser", e);
         }
         if let Some(e) = typed {
-            prop_assert!(!e.is_empty(), "{}: empty error", name);
+            prop_assert!(!e.what.is_empty());
         }
     }
 }
