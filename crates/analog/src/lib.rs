@@ -16,6 +16,8 @@
 //! * [`feedback`] — closed-loop analysis of the amplify-leak-feedback
 //!   loop: stable iff `G_dB − L_dB < 0`.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod amplifier;
 pub mod feedback;
 pub mod leakage;

@@ -261,13 +261,8 @@ fn bench_pool_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
 fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
     // Cost of the static-analysis gate itself over the real workspace:
     // lexing alone vs the full semantic pipeline (parse + unit-flow +
-    // RNG dataflow + the v4 passes). The gap between the first two is
-    // the price of the semantic analyses; the last datum isolates the
-    // v4 interprocedural-effect passes (call-graph build + effect
-    // fixpoint + three rules) over pre-loaded files so their cost rides
-    // the perf ratchet independently of file I/O.
+    // RNG dataflow). The gap is the price of the semantic analyses.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let files = movr_lint::load_workspace(&root).expect("workspace readable");
     vec![
         bench_fn("lint_workspace_lex_only", opts, || {
             movr_lint::lex_workspace(&root).expect("workspace readable")
@@ -277,9 +272,6 @@ fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
                 .expect("workspace readable")
                 .diagnostics
                 .len()
-        }),
-        bench_fn("lint_workspace_v4_callgraph", opts, || {
-            movr_lint::run_v4_passes(&files).len()
         }),
     ]
 }

@@ -10,6 +10,8 @@
 //! * [`channel`] — a Bluetooth-LE-class delivery model: per-message
 //!   latency with jitter and occasional loss, deterministic per seed.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod channel;
 pub mod message;
 pub mod protocol;

@@ -51,6 +51,8 @@
 //! assert!(decision.snr_db > 15.0, "clear LOS should be VR-grade");
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod alignment;
 pub mod baselines;
 pub mod gain_control;

@@ -175,22 +175,30 @@ pub struct Session {
     state: SessionState,
 }
 
-/// Why `config.traffic.refresh_hz` gives no frame interval of at least
-/// 1 ns, if it does not: a rate that is zero, negative or NaN, or one
-/// above 2 GHz, whose interval rounds to 0 ns and would stop the frame
-/// clock.
-pub(crate) fn frame_interval_error(config: &SessionConfig) -> Option<String> {
+/// Why `config` cannot run a session, if it cannot: a
+/// `traffic.refresh_hz` that gives no frame interval of at least 1 ns (a
+/// rate that is zero, negative or NaN, or one above 2 GHz, whose interval
+/// rounds to 0 ns and would stop the frame clock), or a hysteresis rate
+/// policy with `up_count = 0`, which [`RateAdapter::new`] rejects.
+pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
     let hz = config.traffic.refresh_hz;
     // `VrTrafficModel::frame_interval` without its panic on a negative,
     // NaN or infinite interval.
     let interval = SimTime::try_from_secs_f64(1.0 / hz);
-    let ticks = interval.is_some_and(|t| t > SimTime::ZERO);
-    (!ticks).then(|| {
-        format!(
+    if interval.is_none_or(|t| t <= SimTime::ZERO) {
+        return Some(format!(
             "refresh_hz = {hz} Hz gives no frame interval of at least 1 ns; \
              it must be positive and at most 2 GHz"
-        )
-    })
+        ));
+    }
+    if let RatePolicy::HysteresisPolicy { up_count: 0, .. } = config.rate_policy {
+        return Some(
+            "up_count = 0 under the hysteresis rate policy; \
+             an upgrade needs at least 1 qualifying report"
+                .to_string(),
+        );
+    }
+    None
 }
 
 impl Session {
@@ -203,11 +211,12 @@ impl Session {
     ///
     /// # Panics
     /// Panics if `config.traffic.refresh_hz` does not give a frame
-    /// interval of at least 1 ns: a rate that is zero, negative or NaN,
+    /// interval of at least 1 ns (a rate that is zero, negative or NaN,
     /// or one above 2 GHz, whose interval rounds to 0 ns and would stop
-    /// the frame clock.
+    /// the frame clock), or if the rate policy is hysteresis with
+    /// `up_count = 0`.
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
-        if let Some(why) = frame_interval_error(config) {
+        if let Some(why) = config_error(config) {
             panic!("{why}");
         }
         Session {
@@ -236,7 +245,7 @@ impl Session {
     }
 
     /// Reassembles a session from decoded parts (checkpoint restore),
-    /// whose caller has checked `config` with [`frame_interval_error`].
+    /// whose caller has checked `config` with [`config_error`].
     pub(crate) fn from_parts(config: SessionConfig, state: SessionState) -> Self {
         Session { config, state }
     }

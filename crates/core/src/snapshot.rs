@@ -30,12 +30,14 @@
 //! with a second copy.
 //!
 //! Restore checks, in order: buffer length → magic → version → checksum
-//! → config fingerprint → body decode — so *any* single-byte corruption
-//! yields a structured [`SnapshotError`], never a panic. A checksum-valid
-//! body whose parts contradict each other (a pending-frame count other
-//! than one, a frame before the clock, more delivered frames than frames,
-//! a histogram summary larger than its buckets, bucket counts that
-//! overflow) is [`SnapshotError::Malformed`].
+//! → config fingerprint → config validity → body decode — so *any*
+//! single-byte corruption yields a structured [`SnapshotError`], never a
+//! panic. A checksum-valid body whose parts contradict each other or the
+//! frame clock is [`SnapshotError::Malformed`]: a pending-frame count
+//! other than one, a clock or pending frame other than the frame count
+//! puts them at, a counter or histogram total above the frame count, a
+//! histogram summary larger than its buckets, bucket counts that
+//! overflow.
 //!
 //! ## What is (and isn't) in a snapshot
 //!
@@ -65,6 +67,7 @@ use crate::session::{
     Strategy,
 };
 use crate::system::{LinkMode, MovrSystem, ReflectorCheckpoint, SystemCheckpoint};
+use movr_math::convert::usize_to_u64;
 use movr_math::{fnv1a64, SimRng, Summary, WireError, WireReader, WireWriter};
 use movr_motion::TrackedPose;
 use movr_obs::Histogram;
@@ -120,8 +123,10 @@ pub enum SnapshotError {
         what: &'static str,
     },
     /// The config offered at restore matches the snapshot's fingerprint
-    /// but cannot run a session: its `refresh_hz` gives no frame interval
-    /// of at least 1 ns, so the restored frame clock would never advance.
+    /// but cannot run a session, for a reason [`Session::on_system`]
+    /// panics on: its `refresh_hz` gives no frame interval of at least
+    /// 1 ns, so the restored frame clock would never advance, or its
+    /// hysteresis rate policy has `up_count = 0`.
     InvalidConfig {
         /// What is wrong with the config.
         what: String,
@@ -235,7 +240,7 @@ impl Snapshot {
             return Err(SnapshotError::ConfigMismatch { expected, found });
         }
         // `Session::on_system`'s check, which `Session::from_parts` skips.
-        if let Some(what) = crate::session::frame_interval_error(config) {
+        if let Some(what) = crate::session::config_error(config) {
             return Err(SnapshotError::InvalidConfig { what });
         }
         let state = decode_state(&mut r, system, config)?;
@@ -556,21 +561,10 @@ fn decode_state(
         0 => {}
         tag => return Err(malformed(format!("unknown session-event tag {tag}"))),
     }
-    if next_frame < now {
-        return Err(malformed(format!(
-            "pending frame at {next_frame} predates restored clock {now}"
-        )));
-    }
 
     // Accounting.
-    let (frames, delivered) = (r.usize()?, r.usize()?);
-    if delivered > frames {
-        return Err(malformed(
-            "glitch tracker delivered more frames than it saw",
-        ));
-    }
-    let glitches =
-        GlitchTracker::from_state((frames, delivered, r.usize()?, r.usize()?, r.usize()?));
+    let frames = r.usize()?;
+    let glitch_state = (frames, r.usize()?, r.usize()?, r.usize()?, r.usize()?);
     let snr_sum = r.f64()?;
     let mode_switches = r.usize()?;
     let realignments = r.usize()?;
@@ -578,6 +572,43 @@ fn decode_state(
     let rate_up = r.usize()?;
     let rate_down = r.usize()?;
     let rate_outage = r.usize()?;
+
+    // `step_frame` moves the clock to the pending frame and the pending
+    // frame one interval on, so after `frames` frames the pending frame
+    // sits at `frames` intervals and the clock one interval before it
+    // (zero before the first frame). Each counter grows by at most one a
+    // frame. A body that breaks either was not captured from a session,
+    // and a counter near `usize::MAX` would overflow within a few frames.
+    // `Snapshot::restore_on` has checked that the interval is at least
+    // 1 ns.
+    let interval = config.traffic.frame_interval().as_nanos();
+    let pending = usize_to_u64(frames).checked_mul(interval);
+    if pending != Some(next_frame.as_nanos())
+        || now.as_nanos() != next_frame.as_nanos().saturating_sub(interval)
+    {
+        return Err(malformed(format!(
+            "clock {now} and pending frame {next_frame} do not follow {frames} frames \
+             of {interval} ns"
+        )));
+    }
+    let (_, delivered, events, current_stall, longest_stall) = glitch_state;
+    for (what, n) in [
+        ("delivered frames", delivered),
+        ("glitch events", events),
+        ("frames in the current stall", current_stall),
+        ("frames in the longest stall", longest_stall),
+        ("mode switches", mode_switches),
+        ("realignments", realignments),
+        ("reflector frames", reflector_frames),
+        ("rate upgrades", rate_up),
+        ("rate downgrades", rate_down),
+        ("rate outages", rate_outage),
+    ] {
+        if n > frames {
+            return Err(malformed(format!("{n} {what} in {frames} frames")));
+        }
+    }
+    let glitches = GlitchTracker::from_state(glitch_state);
 
     // Link state.
     let last_mode = match r.u8()? {
@@ -645,10 +676,16 @@ fn decode_state(
         })
         .map_err(|what| SnapshotError::SystemMismatch { what })?;
 
-    // Histograms.
+    // Histograms, each observed at most once a frame.
     let snr_hist = decode_histogram(r, snr_layout)?;
     let airtime_hist = decode_histogram(r, airtime_layout)?;
     let stall_hist = decode_histogram(r, stall_layout)?;
+    for (what, h) in [("SNR", &snr_hist), ("airtime", &airtime_hist), ("stall", &stall_hist)] {
+        let n = h.as_ref().map_or(0, Histogram::count);
+        if n > usize_to_u64(frames) {
+            return Err(malformed(format!("{n} {what} observations in {frames} frames")));
+        }
+    }
 
     Ok(SessionState {
         system,

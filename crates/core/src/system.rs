@@ -272,7 +272,7 @@ impl MovrSystem {
         self.commanded_tx.push(f64::NAN);
         self.hops.push(Default::default());
         let i = self.reflectors.len() - 1;
-        self.reflectors[i].steer_rx(incidence); // lint: i = len - 1 of the vec pushed two lines up
+        self.reflectors[i].steer_rx(incidence); // i = len - 1 of the vec pushed two lines up
         i
     }
 

@@ -5,26 +5,25 @@
 //! bit-deterministic under `SimRng` + `SimTime`, and all link-budget
 //! arithmetic goes through the audited `movr_math::db` helpers (a
 //! 10-vs-20-log10 slip silently skews every figure). The compiler and
-//! clippy enforce what a type or a token can show — the `Send + Sync`
-//! bounds on parallel closures, wall clocks and hash-ordered containers
-//! (`disallowed_types`), `as` casts, exact float comparisons, bare
-//! unwraps, allows without a reason — and the root `tests/layering.rs`
-//! keeps every crate's dependencies pointing down its layer table. This
-//! crate checks what only the workspace's naming and call-graph
-//! conventions reveal: unit flow across `_db`/`_dbm`/`_linear`
-//! bindings, RNG stream identity, hand-written dB conversions, panics
-//! reachable from decoders, blocking in per-frame code, and the
-//! `_recorded` twins. It runs over a hand-rolled Rust lexer and item
-//! parser, with no exemption file: the workspace is either clean or it
-//! is not.
+//! clippy enforce what a type or a token can show: the `Send + Sync`
+//! bounds on parallel closures, `clippy.toml`'s bans (wall clocks,
+//! hash-ordered containers, blocking I/O), console prints in library
+//! crates, `as` casts, exact float comparisons, bare unwraps and allows
+//! without a reason. The root `tests/layering.rs` keeps every crate's
+//! dependencies pointing down its layer table, and `tests/checkpoint.rs`
+//! feeds the snapshot decoder edited snapshots, which must fail with an
+//! error or restore a session that steps, never panic. This crate checks
+//! what only the workspace's naming conventions reveal: unit flow across
+//! `_db`/`_dbm`/`_linear` bindings, RNG stream identity, hand-written dB
+//! conversions, and the `_recorded` twins. It runs over a hand-rolled
+//! Rust lexer and item parser, with no exemption file: the workspace is
+//! either clean or it is not.
 //!
 //! Two front doors:
 //! * the `movr-lint` binary (`verify.sh` runs it),
 //! * [`analyze`], called from the root package's `tests/lint_gate.rs`
 //!   so tier-1 `cargo test` runs the gate.
 
-mod callgraph;
-mod effects;
 mod lexer;
 mod parser;
 mod rng_flow;
@@ -33,9 +32,8 @@ mod source;
 mod units;
 
 pub use rules::{rule_doc, Diagnostic, RULES};
-pub use source::SourceFile;
-pub use units::UnitClass;
 
+use source::SourceFile;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -101,39 +99,22 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lexes and classifies every workspace source file under `root`, in
-/// sorted path order.
-pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
+/// Runs every rule over the workspace at `root`, whose files load in
+/// sorted path order. This is the gate: the `movr-lint` binary and the
+/// root package's `tests/lint_gate.rs` both fail on any diagnostic it
+/// returns.
+pub fn analyze(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     for path in collect_files(root)? {
         let rel = path.strip_prefix(root).unwrap_or(&path).components();
         let rel: Vec<_> = rel.map(|c| c.as_os_str().to_string_lossy()).collect();
         files.push(SourceFile::parse(&rel.join("/"), &fs::read_to_string(&path)?));
     }
-    Ok(files)
-}
-
-/// Runs every rule over the workspace at `root`. This is the gate: the
-/// `movr-lint` binary and the root package's `tests/lint_gate.rs` both
-/// fail on any diagnostic it returns.
-pub fn analyze(root: &Path) -> io::Result<Report> {
-    let files = load_workspace(root)?;
     let diagnostics = rules::run_all(&files);
     Ok(Report {
         diagnostics,
         files_scanned: files.len(),
     })
-}
-
-/// Runs only the v4 interprocedural passes (call-graph construction,
-/// effect fixpoint, and the three transitive contract rules) over
-/// already-loaded files, sorted by (file, line, rule). This is the
-/// bench harness's isolated datum for the whole-program analysis;
-/// `analyze` runs it as part of the full rule catalogue.
-pub fn run_v4_passes(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    effects::check(files, &mut out);
-    rules::sorted(out)
 }
 
 /// Lexes every workspace file under `root` without parsing or running

@@ -267,7 +267,7 @@ fn cross_crate_target(f: &SourceFile, k: usize) -> Option<String> {
 
 /// Maps an extern-path root (`movr_math`, `movr`) to the workspace
 /// crate directory name (`math`, `core`). Non-`movr` roots return None.
-pub fn crate_of_extern_root(root: &str) -> Option<String> {
+fn crate_of_extern_root(root: &str) -> Option<String> {
     if root == "movr" {
         return Some("core".to_string());
     }

@@ -63,12 +63,6 @@ pub const RULES: &[(&str, &str)] = &[
      "A .fork(…) whose label is made only of number literals, inside a for/while/loop body. Every iteration re-creates the same child stream, told apart only by the parent's call order; derive the label from the loop variable."),
     ("rng-cross-crate-untagged",
      "A SimRng crosses a crate boundary as a bare &mut without a fork at the call site. Callees drawing from a caller's stream entangle stream state across module seams; fork a labelled child at the boundary."),
-    ("panic-reachable-from-decode",
-     "A decode*/restore* fn's transitive call tree contains a panic site (unwrap/expect, panic! family, indexing). The checkpoint contract is that corrupt input yields SnapshotError, never a panic; the call graph finds the expect five helpers down. Justify unavoidable sites with // lint: <why>."),
-    ("blocking-in-hot-loop",
-     "A hot-loop root (step_frame, Session::step, the estimate_* sweep kernels) transitively reaches blocking-io or wall-clock effects. The motion-to-photon budget is milliseconds; one buried println! or Instant::now() in the per-frame path blows it, and the wall clock also breaks determinism."),
-    ("recorded-effect-divergence",
-     "A foo/foo_recorded pair whose transitive effect sets differ beyond sink-write. The recorded twin must be the plain computation plus events only; extra I/O, panics, or randomness mean the instrumented run no longer measures the plain run."),
 ];
 
 /// The doc string for `rule`, if it is a known rule id.
@@ -90,16 +84,9 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Diagnostic> {
     rng_fork_label_unique(files, &mut out);
     crate::units::check(files, &mut out);
     crate::rng_flow::check(files, &mut out);
-    crate::effects::check(files, &mut out);
-    sorted(out)
-}
-
-/// `diagnostics` in reporting order: by file, then line, then rule
-/// (stable, so one site's findings keep the order they were found in).
-pub(crate) fn sorted(mut diagnostics: Vec<Diagnostic>) -> Vec<Diagnostic> {
-    diagnostics
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    diagnostics
+    // Stable, so one site's findings keep the order they were found in.
+    out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    out
 }
 
 /// **rng-fork-label-unique** — two `fork(<literal>)` calls with the same

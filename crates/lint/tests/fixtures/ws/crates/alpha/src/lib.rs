@@ -43,5 +43,5 @@ pub fn lossy(x: f64) -> u32 {
 #[allow(dead_code)]
 fn suppressed() {}
 
-#[allow(dead_code)] // lint: fixture demonstrating a justified allow
+#[allow(dead_code)] // fixture demonstrating a justified allow
 fn justified() {}

@@ -22,12 +22,6 @@ const EXPECTED: &[(&str, &str, usize)] = &[
     ("raw-db-arithmetic", "crates/alpha/src/lib.rs", 22),
     ("raw-db-arithmetic", "crates/alpha/src/lib.rs", 26),
     ("recorded-pairing", "crates/alpha/src/lib.rs", 33),
-    ("panic-reachable-from-decode", "crates/codec/src/lib.rs", 12),
-    ("panic-reachable-from-decode", "crates/codec/src/lib.rs", 21),
-    ("recorded-effect-divergence", "crates/codec/src/lib.rs", 57),
-    ("blocking-in-hot-loop", "crates/hot/src/lib.rs", 13),
-    ("blocking-in-hot-loop", "crates/hot/src/lib.rs", 21),
-    ("blocking-in-hot-loop", "crates/hot/src/lib.rs", 21),
     ("rng-fork-aliased", "crates/rng/src/lib.rs", 4),
     ("rng-fork-in-loop", "crates/rng/src/lib.rs", 9),
     ("rng-cross-crate-untagged", "crates/rng/src/lib.rs", 15),

@@ -34,8 +34,8 @@ pub fn wrap_deg_360(deg: f64) -> f64 {
 /// Always yields `start`; yields `end` when the span is an exact multiple
 /// of `step` (within floating-point slack).
 pub fn sweep_deg(start: f64, end: f64, step: f64) -> Vec<f64> {
-    assert!(step > 0.0, "sweep step must be positive"); // lint: sweep bounds are experiment constants, not decoded input
-    assert!(end >= start, "sweep end must not precede start"); // lint: sweep bounds are experiment constants, not decoded input
+    assert!(step > 0.0, "sweep step must be positive"); // sweep bounds are experiment constants, not decoded input
+    assert!(end >= start, "sweep end must not precede start"); // sweep bounds are experiment constants, not decoded input
     let n = f64_to_usize(((end - start) / step + 1e-9).floor());
     (0..=n).map(|i| start + usize_to_f64(i) * step).collect()
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 //! Math substrate for the MoVR simulator.
 //!

@@ -57,7 +57,7 @@ impl SimRng {
         // The all-zero state is the one fixed point of xoshiro; SplitMix64
         // expansion cannot realistically produce it, but guard anyway.
         if s == [0, 0, 0, 0] {
-            s[0] = 0x9E37_79B9_7F4A_7C15; // lint: index 0 of a [u64; 4] literal — cannot be out of bounds
+            s[0] = 0x9E37_79B9_7F4A_7C15; // index 0 of a [u64; 4] literal — cannot be out of bounds
         }
         SimRng { s }
     }

@@ -204,12 +204,12 @@ impl Cdf {
 
     /// Minimum sample.
     pub fn min(&self) -> f64 {
-        *self.sorted.first().expect("min of empty CDF") // lint: precondition — callers build the CDF from at least one sample
+        *self.sorted.first().expect("min of empty CDF") // precondition — callers build the CDF from at least one sample
     }
 
     /// Maximum sample.
     pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("max of empty CDF") // lint: precondition — callers build the CDF from at least one sample
+        *self.sorted.last().expect("max of empty CDF") // precondition — callers build the CDF from at least one sample
     }
 
     /// Iterates the CDF as `(value, cumulative_fraction)` points — one per

@@ -14,6 +14,8 @@
 //!   the headset pose to millimetres at high rate, which is exactly the
 //!   side information §6 proposes for fast beam re-alignment.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod pose;
 pub mod trace;
 pub mod tracking;

@@ -57,6 +57,8 @@
 //! assert_eq!(metrics.histogram("frame_snr_db").map(Histogram::count), Some(1));
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 mod event;
 mod metrics;
 mod ratchet;

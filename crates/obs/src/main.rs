@@ -21,7 +21,6 @@
 //! `stream:line: reason` message on stderr.
 
 use movr_obs::{check, diff_json, parse_baseline, reduce_one_stream, Json, Rollup};
-use std::fs::File;
 use std::io::{BufReader, Write as _};
 
 const USAGE: &str = "usage:
@@ -73,6 +72,12 @@ fn take_flag(args: &[String], flag: &str) -> Result<(Vec<String>, Option<String>
     Ok((rest, value))
 }
 
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a command-line front end: it opens the timelines it is given \
+              and writes the rollup to stdout"
+)]
 fn cmd_reduce(args: &[String]) -> Result<i32, String> {
     let (args, threads) = take_flag(args, "--threads")?;
     let (files, out_path) = take_flag(&args, "--out")?;
@@ -93,7 +98,7 @@ fn cmd_reduce(args: &[String]) -> Result<i32, String> {
     // Per-stream fold, merge in argument order: the same shape at every
     // thread count, so the output bytes never depend on `--threads`.
     let parts = movr_sim::pool_map(files.clone(), threads, |_, path: &String| {
-        let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+        let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
         reduce_one_stream(path, BufReader::new(file)).map_err(|e| e.to_string())
     });
     let mut rollup = Rollup::new();

@@ -35,9 +35,9 @@ pub struct Histogram {
 
 impl Histogram {
     fn from_edges(edges: Vec<f64>) -> Self {
-        assert!(edges.len() >= 2, "need at least one interior bucket"); // lint: private constructor; both callers pass compile-time bucket layouts
-        assert!( // lint: private constructor; both callers pass compile-time bucket layouts
-            edges.windows(2).all(|w| w[0] < w[1]), // lint: windows(2) slices always hold two elements
+        assert!(edges.len() >= 2, "need at least one interior bucket"); // private constructor; both callers pass compile-time bucket layouts
+        assert!( // private constructor; both callers pass compile-time bucket layouts
+            edges.windows(2).all(|w| w[0] < w[1]), // windows(2) slices always hold two elements
             "bucket edges must be strictly increasing"
         );
         let counts = vec![0; edges.len() + 1];
@@ -52,8 +52,8 @@ impl Histogram {
     /// `n_buckets` equal-width buckets spanning `[lo, hi)` — the right
     /// spacing for values already in a log domain (dB).
     pub fn linear(lo: f64, hi: f64, n_buckets: usize) -> Self {
-        assert!(n_buckets >= 1, "need at least one bucket"); // lint: constructor contract on a caller constant, not runtime input
-        assert!(lo < hi, "lo must be below hi"); // lint: constructor contract on a caller constant, not runtime input
+        assert!(n_buckets >= 1, "need at least one bucket"); // constructor contract on a caller constant, not runtime input
+        assert!(lo < hi, "lo must be below hi"); // constructor contract on a caller constant, not runtime input
         let w = (hi - lo) / usize_to_f64(n_buckets);
         Histogram::from_edges((0..=n_buckets).map(|i| lo + w * usize_to_f64(i)).collect())
     }
@@ -62,8 +62,8 @@ impl Histogram {
     /// `lo > 0` — the right spacing for raw magnitudes covering decades
     /// (durations in nanoseconds).
     pub fn log_spaced(lo: f64, hi: f64, n_buckets: usize) -> Self {
-        assert!(n_buckets >= 1, "need at least one bucket"); // lint: constructor contract on a caller constant, not runtime input
-        assert!(lo > 0.0 && lo < hi, "log spacing needs 0 < lo < hi"); // lint: constructor contract on a caller constant, not runtime input
+        assert!(n_buckets >= 1, "need at least one bucket"); // constructor contract on a caller constant, not runtime input
+        assert!(lo > 0.0 && lo < hi, "log spacing needs 0 < lo < hi"); // constructor contract on a caller constant, not runtime input
         let ratio = (hi / lo).powf(1.0 / usize_to_f64(n_buckets));
         Histogram::from_edges(
             (0..=n_buckets).map(|i| lo * ratio.powi(usize_to_i32(i))).collect(),
@@ -84,7 +84,7 @@ impl Histogram {
                 what: "fewer than two bucket edges",
             });
         }
-        if !edges.windows(2).all(|w| w[0] < w[1]) { // lint: windows(2) slices always hold two elements
+        if !edges.windows(2).all(|w| w[0] < w[1]) { // windows(2) slices always hold two elements
             return Err(InvalidHistogram {
                 what: "bucket edges not strictly increasing",
             });

@@ -180,7 +180,7 @@ impl Default for Rollup {
 impl Rollup {
     /// An empty rollup with the standard [`FLEET_SKETCHES`] layouts.
     pub fn new() -> Self {
-        let mk = |i: usize| Sketch::new(FLEET_SKETCHES[i].1); // lint: called with i in 0..4 below; FLEET_SKETCHES has four entries
+        let mk = |i: usize| Sketch::new(FLEET_SKETCHES[i].1); // called with i in 0..4 below; FLEET_SKETCHES has four entries
         Rollup {
             sessions: BTreeMap::new(),
             sketches: [mk(0), mk(1), mk(2), mk(3)],

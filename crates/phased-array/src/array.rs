@@ -109,12 +109,12 @@ impl UniformLinearArray {
         element: PatchElement,
         shifter: PhaseShifter,
     ) -> Self {
-        assert!(n >= 1, "array needs at least one element"); // lint: documented constructor contract on deployment constants
-        assert!( // lint: documented constructor contract on deployment constants
+        assert!(n >= 1, "array needs at least one element"); // documented constructor contract on deployment constants
+        assert!( // documented constructor contract on deployment constants
             n <= MAX_ELEMENTS,
             "array capped at {MAX_ELEMENTS} elements"
         );
-        assert!(spacing_wavelengths > 0.0, "element spacing must be positive"); // lint: documented constructor contract on deployment constants
+        assert!(spacing_wavelengths > 0.0, "element spacing must be positive"); // documented constructor contract on deployment constants
         UniformLinearArray {
             n,
             spacing_wavelengths,

@@ -17,6 +17,8 @@
 //! geometry, and returns gains in dBi toward absolute room bearings so the
 //! propagation layer can weight multipath components.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod array;
 pub mod codebook;
 pub mod element;

@@ -75,7 +75,7 @@ impl RateAdapter {
     /// An adapter running `policy`, starting in outage (no MCS chosen).
     pub fn new(policy: RatePolicy) -> Self {
         if let RatePolicy::HysteresisPolicy { up_count, .. } = policy {
-            assert!(up_count >= 1, "up_count must be at least 1"); // lint: constructor contract — a zero threshold is a caller bug, not runtime input
+            assert!(up_count >= 1, "up_count must be at least 1"); // constructor contract — a zero threshold is a caller bug, not runtime input
         }
         RateAdapter {
             policy,

@@ -22,6 +22,7 @@
 //!   reflector's on/off modulation at f₂, and the AP-side filter that
 //!   separates the f₁+f₂ sideband from the AP's own TX→RX leakage (§4.1).
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![expect(
     unused_crate_dependencies,
     reason = "radio keeps movr-obs as a Cargo dependency, which perfbench's lockfile records, \

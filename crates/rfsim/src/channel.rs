@@ -30,7 +30,7 @@ impl Channel {
     /// Creates a channel at `freq_hz` (e.g. `24.0e9` for the paper's
     /// prototype, `60.48e9` for 802.11ad channel 2).
     pub fn new(freq_hz: f64) -> Self {
-        assert!(freq_hz > 0.0, "carrier frequency must be positive"); // lint: constructor contract on a deployment constant
+        assert!(freq_hz > 0.0, "carrier frequency must be positive"); // constructor contract on a deployment constant
         Channel { freq_hz }
     }
 

@@ -169,7 +169,7 @@ impl Room {
     /// Creates a room with per-wall materials, ordered
     /// `[south (y=0), east (x=width), north (y=depth), west (x=0)]`.
     pub fn with_wall_materials(width: f64, depth: f64, materials: [Material; 4]) -> Self {
-        assert!( // lint: constructor contract on scene-geometry constants
+        assert!( // constructor contract on scene-geometry constants
             width > 0.0 && depth > 0.0,
             "room dimensions must be positive"
         );
@@ -195,8 +195,8 @@ impl Room {
     /// Polygon room with one material per wall (wall `i` runs from
     /// vertex `i` to vertex `i+1`).
     pub fn polygon_with_materials(vertices: Vec<Vec2>, materials: &[Material]) -> Self {
-        assert!(vertices.len() >= 3, "a room needs at least 3 vertices"); // lint: documented constructor contract on scene geometry
-        assert_eq!( // lint: documented constructor contract on scene geometry
+        assert!(vertices.len() >= 3, "a room needs at least 3 vertices"); // documented constructor contract on scene geometry
+        assert_eq!( // documented constructor contract on scene geometry
             materials.len(),
             vertices.len(),
             "one material per wall required"
@@ -204,11 +204,11 @@ impl Room {
         // Signed area (shoelace): positive = counter-clockwise.
         let mut area2 = 0.0;
         for i in 0..vertices.len() {
-            let a = vertices[i]; // lint: i ranges over 0..vertices.len()
-            let b = vertices[(i + 1) % vertices.len()]; // lint: index reduced mod vertices.len()
+            let a = vertices[i]; // i ranges over 0..vertices.len()
+            let b = vertices[(i + 1) % vertices.len()]; // index reduced mod vertices.len()
             area2 += a.cross(b);
         }
-        assert!( // lint: documented constructor contract — winding is fixed at scene-definition time
+        assert!( // documented constructor contract — winding is fixed at scene-definition time
             area2 > GEOM_EPS,
             "vertices must wind counter-clockwise around a positive area"
         );
@@ -216,13 +216,13 @@ impl Room {
         let mut walls = Vec::with_capacity(vertices.len());
         let mut convex = true;
         for i in 0..vertices.len() {
-            let a = vertices[i]; // lint: i ranges over 0..vertices.len()
-            let b = vertices[(i + 1) % vertices.len()]; // lint: index reduced mod vertices.len()
-            let c = vertices[(i + 2) % vertices.len()]; // lint: index reduced mod vertices.len()
+            let a = vertices[i]; // i ranges over 0..vertices.len()
+            let b = vertices[(i + 1) % vertices.len()]; // index reduced mod vertices.len()
+            let c = vertices[(i + 2) % vertices.len()]; // index reduced mod vertices.len()
             let seg = Segment::new(a, b);
             // CCW winding puts the interior on the left of each edge.
             let normal = seg.direction().perp();
-            walls.push(Wall::new(seg, materials[i], normal)); // lint: materials.len() == vertices.len() is asserted above
+            walls.push(Wall::new(seg, materials[i], normal)); // materials.len() == vertices.len() is asserted above
             if (b - a).cross(c - b) < -GEOM_EPS {
                 convex = false;
             }
@@ -333,8 +333,8 @@ impl Room {
         let mut inside = false;
         let n = self.vertices.len();
         for i in 0..n {
-            let a = self.vertices[i]; // lint: i ranges over 0..vertices.len()
-            let b = self.vertices[(i + 1) % n]; // lint: index reduced mod vertices.len()
+            let a = self.vertices[i]; // i ranges over 0..vertices.len()
+            let b = self.vertices[(i + 1) % n]; // index reduced mod vertices.len()
             let crosses = (a.y > p.y) != (b.y > p.y);
             if crosses {
                 let x_at = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);

@@ -27,6 +27,8 @@
 //! through the [`Pattern`] trait so higher layers can plug in anything from
 //! an isotropic probe to a steered array.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod batch;
 pub mod cache;
 pub mod channel;

@@ -48,7 +48,7 @@ pub struct Vertices {
 impl Vertices {
     /// The vertices as a slice, `[tx, bounce…, rx]`.
     pub fn as_slice(&self) -> &[Vec2] {
-        &self.buf[..usize::from(self.len)] // lint: len <= MAX_PATH_VERTICES by construction of every Vertices value
+        &self.buf[..usize::from(self.len)] // len <= MAX_PATH_VERTICES by construction of every Vertices value
     }
 }
 
@@ -63,7 +63,7 @@ impl std::ops::Deref for Vertices {
 impl From<[Vec2; 2]> for Vertices {
     fn from(v: [Vec2; 2]) -> Self {
         Vertices {
-            buf: [v[0], v[1], Vec2::ZERO, Vec2::ZERO], // lint: literal indices into a [Vec2; 2] parameter
+            buf: [v[0], v[1], Vec2::ZERO, Vec2::ZERO], // literal indices into a [Vec2; 2] parameter
             len: 2,
         }
     }
@@ -72,7 +72,7 @@ impl From<[Vec2; 2]> for Vertices {
 impl From<[Vec2; 3]> for Vertices {
     fn from(v: [Vec2; 3]) -> Self {
         Vertices {
-            buf: [v[0], v[1], v[2], Vec2::ZERO], // lint: literal indices into a [Vec2; 3] parameter
+            buf: [v[0], v[1], v[2], Vec2::ZERO], // literal indices into a [Vec2; 3] parameter
             len: 3,
         }
     }

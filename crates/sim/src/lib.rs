@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 //! Simulation foundations: the simulated clock and the worker pool.
 //!

@@ -119,7 +119,7 @@ impl WorkerPool {
         reason = "the pool is the workspace's one thread spawner; its `map` bounds keep workers from sharing state"
     )]
     fn ensure_workers(&self, n: usize) {
-        let mut senders = self.senders.lock().expect("pool lock clean"); // lint: poisoned-lock invariant, not decoded input
+        let mut senders = self.senders.lock().expect("pool lock clean"); // poisoned-lock invariant, not decoded input
         while senders.len() < n {
             let (tx, rx) = channel::<Job>();
             thread::Builder::new()
@@ -131,7 +131,7 @@ impl WorkerPool {
                         job();
                     }
                 })
-                .expect("spawn pool worker"); // lint: thread spawn failure is unrecoverable resource exhaustion, not input
+                .expect("spawn pool worker"); // thread spawn failure is unrecoverable resource exhaustion, not input
             self.spawned.fetch_add(1, Ordering::Relaxed);
             senders.push(tx);
         }
@@ -182,7 +182,7 @@ impl WorkerPool {
         chunks.reverse();
 
         {
-            let senders = self.senders.lock().expect("pool lock clean"); // lint: poisoned-lock invariant, not decoded input
+            let senders = self.senders.lock().expect("pool lock clean"); // poisoned-lock invariant, not decoded input
             let assigned = chunks.into_iter().enumerate().zip(senders.iter());
             for ((ci, (start, chunk)), sender) in assigned {
                 let f = Arc::clone(&f);
@@ -207,7 +207,7 @@ impl WorkerPool {
                     // chunk's failure; a closed result channel is fine.
                     let _ = tx.send((ci, outcome));
                 });
-                sender.send(job).expect("pool worker alive"); // lint: workers outlive the pool that feeds them, by construction
+                sender.send(job).expect("pool worker alive"); // workers outlive the pool that feeds them, by construction
             }
         }
         drop(result_tx);
@@ -219,9 +219,9 @@ impl WorkerPool {
         let mut slots: Vec<Option<Vec<R>>> = (0..threads).map(|_| None).collect();
         let mut failure: Option<(usize, usize, String)> = None;
         for _ in 0..threads {
-            let (ci, outcome) = result_rx.recv().expect("pool worker delivers its chunk"); // lint: every dispatched chunk sends exactly one result
+            let (ci, outcome) = result_rx.recv().expect("pool worker delivers its chunk"); // every dispatched chunk sends exactly one result
             match outcome {
-                Ok(results) => slots[ci] = Some(results), // lint: ci enumerates 0..threads, the length of `slots`
+                Ok(results) => slots[ci] = Some(results), // ci enumerates 0..threads, the length of `slots`
                 Err((item, detail)) => {
                     if failure.as_ref().is_none_or(|f| ci < f.0) {
                         failure = Some((ci, item, detail));
@@ -230,11 +230,11 @@ impl WorkerPool {
             }
         }
         if let Some((_, item, detail)) = failure {
-            panic!("pool_map worker panicked while processing item {item}: {detail}"); // lint: deliberate propagation of a job panic, with attribution
+            panic!("pool_map worker panicked while processing item {item}: {detail}"); // deliberate propagation of a job panic, with attribution
         }
         let mut out = Vec::with_capacity(slots.iter().map(|s| s.as_ref().map_or(0, Vec::len)).sum());
         for slot in slots {
-            out.extend(slot.expect("every chunk either failed or delivered")); // lint: failure case returned above; remaining slots are filled
+            out.extend(slot.expect("every chunk either failed or delivered")); // failure case returned above; remaining slots are filled
         }
         out
     }

@@ -14,6 +14,8 @@
 //! * [`battery`] — §6's battery-life arithmetic for cutting the USB
 //!   power cable too.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod battery;
 pub mod glitch;
 pub mod latency;

@@ -42,10 +42,15 @@ fn scenario() -> (HandRaise, SessionConfig) {
     (trace, cfg)
 }
 
-fn jsonl_writer(path: &str) -> JsonlWriter<std::io::BufWriter<std::fs::File>> {
+/// A timeline file at `path` whose span ids start at `next_span_id`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "an example front end: it writes the timeline to the file it is given"
+)]
+fn jsonl_writer(path: &str, next_span_id: u64) -> JsonlWriter<std::io::BufWriter<std::fs::File>> {
     let file = std::fs::File::create(path)
         .unwrap_or_else(|e| die(&format!("create {path}: {e}")));
-    JsonlWriter::new(std::io::BufWriter::new(file))
+    JsonlWriter::with_next_span_id(std::io::BufWriter::new(file), next_span_id)
 }
 
 fn die(msg: &str) -> ! {
@@ -70,14 +75,14 @@ fn main() {
     let (trace, cfg) = scenario();
     match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
         ["full", jsonl_path] => {
-            let mut rec = jsonl_writer(jsonl_path);
+            let mut rec = jsonl_writer(jsonl_path, 0);
             let mut session = Session::new(&cfg);
             while session.step_frame_recorded(&trace, &mut rec) {}
             rec.finish().unwrap_or_else(|e| die(&format!("timeline sink: {e}")));
             report("full run", &session.outcome(trace.duration_s()));
         }
         ["part1", snap_path, jsonl_path] => {
-            let mut rec = jsonl_writer(jsonl_path);
+            let mut rec = jsonl_writer(jsonl_path, 0);
             let mut session = Session::new(&cfg);
             for _ in 0..CUT_FRAMES {
                 if !session.step_frame_recorded(&trace, &mut rec) {
@@ -110,10 +115,7 @@ fn main() {
                 session.now().as_secs_f64(),
                 bytes.len(),
             );
-            let file = std::fs::File::create(jsonl_path)
-                .unwrap_or_else(|e| die(&format!("create {jsonl_path}: {e}")));
-            let mut rec =
-                JsonlWriter::with_next_span_id(std::io::BufWriter::new(file), next_span_id);
+            let mut rec = jsonl_writer(jsonl_path, next_span_id);
             while session.step_frame_recorded(&trace, &mut rec) {}
             rec.finish().unwrap_or_else(|e| die(&format!("timeline sink: {e}")));
             report("resumed run", &session.outcome(trace.duration_s()));

@@ -22,6 +22,10 @@ fn die(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "an example front end: it writes one timeline file per session"
+)]
 fn main() {
     let mut args = std::env::args().skip(1);
     let out_dir = args

@@ -15,6 +15,10 @@ use movr_math::Vec2;
 use movr_motion::{HandRaise, PlayerState};
 use movr_obs::JsonlWriter;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "an example front end: it writes the timeline to the file it is given"
+)]
 fn main() {
     let path = std::env::args()
         .nth(1)

@@ -122,10 +122,6 @@ if [ "$lines" -lt 10 ]; then
     echo "expected >= 10 bench JSON lines, got $lines" >&2
     exit 1
 fi
-grep -q '"name":"lint_workspace_v4_callgraph"' out/BENCH_micro.json || {
-    echo "v4 callgraph bench missing from microbench output" >&2
-    exit 1
-}
 grep -q '"name":"par_tiny_worker_pool"' out/BENCH_micro.json || {
     echo "pool-overhead bench missing from microbench output" >&2
     exit 1

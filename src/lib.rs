@@ -5,6 +5,8 @@
 //! stack through a single dependency. Library users should depend on the
 //! individual crates (`movr`, `movr-rfsim`, …) instead.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub use movr;
 pub use movr_analog as analog;
 pub use movr_control as control;

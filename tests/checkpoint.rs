@@ -10,19 +10,30 @@
 //! version skew, config mismatch — ever panics or slips through as a
 //! successful restore.
 //!
+//! Two sweeps hold the decoder to "an error, never a panic" on bytes that
+//! pass the checksum: every edge value at every body offset of real
+//! snapshots, resealed, must be rejected or restore a session that steps;
+//! and every fingerprinted config field at its edge values, written into
+//! the header and resealed, must restore or be rejected without a panic.
+//!
 //! A golden fixture (`tests/fixtures/snapshot_seed42_v2.bin`) pins the
 //! on-disk format: if the encoder's byte layout drifts without a
 //! [`FORMAT_VERSION`] bump, the fixture tests fail.
 
 use movr::session::{RatePolicy, Session, SessionConfig, SessionOutcome, Strategy};
 use movr::snapshot::{config_fingerprint, SnapshotError, FORMAT_VERSION};
+use movr::{GainControlConfig, SystemConfig};
 use movr_math::fnv1a64;
 use movr_motion::{HandRaise, MotionTrace, PlayerState};
 use movr_obs::MemoryRecorder;
 use movr_math::Vec2;
+use movr_radio::FrameConfig;
+use movr_sim::SimTime;
 use movr_testkit::{
     choice, prop_assert, prop_assert_eq, property, u64_range, usize_range,
 };
+use movr_vr::{LatencyBudget, VrTrafficModel};
+use std::panic;
 
 /// The scenario every test here runs: a hand-raise blockage mid-session,
 /// short enough for debug-mode property runs (~108 frames at Vive rate).
@@ -336,6 +347,30 @@ fn restore_under_a_zero_refresh_rate_is_an_invalid_config() {
 }
 
 #[test]
+fn restore_under_a_zero_up_count_is_an_invalid_config() {
+    // The rate adapter cannot run a hysteresis policy that upgrades after
+    // zero qualifying reports; `Session::on_system` panics on it, and a
+    // restore under a resealed fingerprint of such a config is an error.
+    let (_, cfg) = scenario(Strategy::Movr { tracking: true }, POLICIES[2], 4);
+    let mut bytes = snapshot_under(&cfg, 5);
+    let mut zero = cfg;
+    zero.rate_policy = RatePolicy::HysteresisPolicy {
+        up_margin_db: 2.0,
+        up_count: 0,
+        backoff_db: 1.0,
+    };
+    bytes[12..20].copy_from_slice(&config_fingerprint(&zero).to_le_bytes());
+    reseal(&mut bytes);
+    match Session::restore(&bytes, &zero) {
+        Err(SnapshotError::InvalidConfig { what }) => {
+            assert!(what.contains("up_count = 0"), "{what}");
+        }
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Ok(_) => panic!("a snapshot restored under up_count = 0"),
+    }
+}
+
+#[test]
 fn version_1_snapshot_is_rejected_as_unsupported() {
     // Version 1 stored metric names, bucket edges and duplicated counters;
     // this build has no reader for it.
@@ -427,6 +462,74 @@ fn more_delivered_than_total_frames_is_malformed_not_a_panic() {
     }
 }
 
+/// Writes `value` over the eight bytes at `at`, reseals, and requires
+/// `Malformed` from the restore; the untouched `bytes` must restore.
+fn assert_malformed_at(bytes: &[u8], cfg: &SessionConfig, at: usize, value: u64, what: &str) {
+    assert!(Session::restore(bytes, cfg).is_ok(), "{what}: the untouched bytes restore");
+    let mut corrupt = bytes.to_vec();
+    corrupt[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    reseal(&mut corrupt);
+    match Session::restore(&corrupt, cfg) {
+        Err(SnapshotError::Malformed { .. }) => {}
+        Err(other) => panic!("{what} = {value}: expected Malformed, got {other:?}"),
+        Ok(_) => panic!("{what} = {value}: restored"),
+    }
+}
+
+/// Offsets of the accounting block, which follows the clock (20), the
+/// pending-frame count (28), its instant (36) and tag (44): the glitch
+/// tracker's total, delivered, events, current and longest stall, the
+/// SNR sum, then the session counters.
+const FRAMES_TOTAL: usize = 45;
+const GLITCH_EVENTS: usize = 61;
+const LONGEST_STALL: usize = 77;
+const REFLECTOR_FRAMES: usize = 109;
+
+#[test]
+fn a_glitch_count_above_the_frame_count_is_malformed_not_a_panic() {
+    // A tracker opens at most one glitch event and extends a stall by at
+    // most one frame per frame; near `usize::MAX` the next missed frame
+    // would overflow `GlitchTracker::record`.
+    let (_, cfg) = scenario(Strategy::DirectOnly, RatePolicy::Oracle, 2);
+    let bytes = snapshot_under(&cfg, 7);
+    let frames = u64::from_le_bytes(bytes[FRAMES_TOTAL..FRAMES_TOTAL + 8].try_into().unwrap());
+    assert_eq!(frames, 7);
+    for value in [frames + 1, u64::MAX] {
+        assert_malformed_at(&bytes, &cfg, GLITCH_EVENTS, value, "glitch events");
+        assert_malformed_at(&bytes, &cfg, LONGEST_STALL, value, "longest stall");
+    }
+    // So is a frame count the frame clock cannot have reached.
+    assert_malformed_at(&bytes, &cfg, FRAMES_TOTAL, u64::MAX, "frames");
+}
+
+#[test]
+fn a_session_counter_above_the_frame_count_is_malformed_not_a_panic() {
+    // MoVR serves each frame through at most one reflector; a count near
+    // `usize::MAX` would overflow on the next reflector frame.
+    let (_, cfg) = scenario(Strategy::Movr { tracking: true }, RatePolicy::Oracle, 2);
+    let bytes = snapshot_under(&cfg, 7);
+    for value in [8, u64::MAX] {
+        assert_malformed_at(&bytes, &cfg, REFLECTOR_FRAMES, value, "reflector frames");
+    }
+}
+
+#[test]
+fn a_histogram_total_above_the_frame_count_is_malformed_not_a_panic() {
+    // A tethered session's SNR histogram ends the body (see
+    // `inconsistent_histogram_section_is_malformed_not_a_panic`), and its
+    // overflow bucket holds every frame. Each frame observes it once, so
+    // a total above the frame count cannot come from a session, and a
+    // bucket near `u64::MAX` would overflow `Histogram::observe`.
+    let (_, cfg) = scenario(Strategy::Tethered, RatePolicy::Oracle, 8);
+    let bytes = snapshot_under(&cfg, 6);
+    let overflow_bucket = bytes.len() - 8 - 2 - 5 * 8 - 8;
+    let count = u64::from_le_bytes(bytes[overflow_bucket..overflow_bucket + 8].try_into().unwrap());
+    assert_eq!(count, 6, "every frame overflows");
+    for value in [7, u64::MAX] {
+        assert_malformed_at(&bytes, &cfg, overflow_bucket, value, "SNR overflow bucket");
+    }
+}
+
 #[test]
 fn restore_under_a_different_config_is_a_config_mismatch() {
     let (_, cfg) = scenario(Strategy::Movr { tracking: true }, POLICIES[1], 21);
@@ -451,6 +554,260 @@ fn restore_under_a_different_config_is_a_config_mismatch() {
         Session::restore(&bytes, &other),
         Err(SnapshotError::ConfigMismatch { .. })
     ));
+}
+
+// ---------------- decoder panics: resealed edge values ----------------
+
+/// Runs `f`, returning its panic message if it panics.
+fn panic_message(f: impl FnOnce()) -> Option<String> {
+    let payload = panic::catch_unwind(panic::AssertUnwindSafe(f)).err()?;
+    Some(match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().map_or("?", |m| m).to_string(),
+    })
+}
+
+/// The sweeps' base snapshots, one per strategy under the hysteresis
+/// policy, which between them hold each optional body section both
+/// present and absent: a cable session before its first frame (no
+/// histogram, serving mode, tracked pose or MCS), a direct session on a
+/// clear link (SNR and airtime histograms and an MCS, but no stall
+/// histogram, serving mode or pose) and a MoVR session past its
+/// realignment under the raised hand (all three histograms, a serving
+/// mode, a tracked pose and an MCS).
+fn sweep_bases() -> Vec<(HandRaise, SessionConfig, Vec<u8>)> {
+    let cuts = [
+        (Strategy::Tethered, 0, [false, false, false, false, false]),
+        (Strategy::DirectOnly, 20, [true, true, false, false, true]),
+        (Strategy::Movr { tracking: true }, 60, [true, true, true, true, true]),
+    ];
+    let mut bases = Vec::new();
+    for (strategy, frames, sections) in cuts {
+        let (trace, cfg) = scenario(strategy, POLICIES[2], 13);
+        let mut rec = MemoryRecorder::new();
+        let mut session = Session::new(&cfg);
+        for _ in 0..frames {
+            assert!(session.step_frame_recorded(&trace, &mut rec));
+        }
+        let metrics = session.outcome(trace.duration_s()).metrics;
+        let held = ["frame_snr_db", "frame_airtime_ns", "realign_stall_ns"]
+            .map(|h| metrics.histogram(h).is_some());
+        // Only MoVR frames set the serving mode (announced by the first
+        // `mode_switch`) and the tracked pose.
+        let mode = rec.of_kind("mode_switch").next().is_some();
+        let mcs = rec.of_kind("frame").last().is_some_and(|e| e.field("mcs").is_some());
+        assert_eq!(
+            [held[0], held[1], held[2], mode, mcs],
+            sections,
+            "{strategy:?} at frame {frames}: [SNR, airtime, stall, mode and pose, MCS]"
+        );
+        bases.push((trace, cfg, session.snapshot()));
+    }
+    bases
+}
+
+#[test]
+fn every_edge_value_at_every_body_offset_is_rejected_or_steps() {
+    // Each pattern overwrites the body at each offset where it fits, and
+    // the checksum is resealed so the decoder, not the footer, meets it.
+    let patterns: [&[u8]; 6] = [
+        &u64::MAX.to_le_bytes(),
+        &0u64.to_le_bytes(),
+        &f64::NAN.to_le_bytes(),
+        &f64::INFINITY.to_le_bytes(),
+        &(-1.0f64).to_le_bytes(),
+        &[0xFF],
+    ];
+    let mut cases = 0;
+    let mut panics = Vec::new();
+    for (trace, cfg, base) in sweep_bases() {
+        let body_end = base.len() - 8;
+        for at in 20..body_end {
+            for pattern in patterns.iter().filter(|p| at + p.len() <= body_end) {
+                let mut bytes = base.clone();
+                bytes[at..at + pattern.len()].copy_from_slice(pattern);
+                reseal(&mut bytes);
+                cases += 1;
+                let panicked = panic_message(|| {
+                    if let Ok(mut session) = Session::restore(&bytes, &cfg) {
+                        for _ in 0..3 {
+                            session.step_frame(&trace);
+                        }
+                    }
+                });
+                if let Some(msg) = panicked {
+                    panics.push(format!("{:?}, {pattern:02x?} at byte {at}: {msg}", cfg.strategy));
+                }
+            }
+        }
+    }
+    assert!(cases > 15_000, "only {cases} mutants; did the bases shrink?");
+    assert!(
+        panics.is_empty(),
+        "{} of {cases} resealed mutants panicked:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
+}
+
+/// Edge values of a float config field.
+const F64_EDGES: [f64; 8] = [
+    0.0,
+    -0.0,
+    -1.0,
+    5e-324,
+    f64::MAX,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
+/// Edge values of an integer config field.
+const U64_EDGES: [u64; 3] = [0, 1, u64::MAX];
+const USIZE_EDGES: [usize; 3] = [0, 1, usize::MAX];
+
+/// A config field: its name and where it lives in a `SessionConfig`.
+type Field<T> = (&'static str, fn(&mut SessionConfig) -> &mut T);
+
+/// `base` with one fingerprinted field at one edge value, for every field
+/// [`config_fingerprint`] covers and every edge value of its type.
+fn edge_configs(base: SessionConfig) -> Vec<(String, SessionConfig)> {
+    // The field table below. Naming every field of every config struct
+    // here, without `..`, stops this file compiling when a field is
+    // added, until the field joins the table.
+    let SessionConfig {
+        strategy: _,
+        traffic: VrTrafficModel { refresh_hz: _, frame_bits: _ },
+        latency: LatencyBudget { budget: _, processing: _ },
+        system:
+            SystemConfig {
+                snr_switch_threshold_db: _,
+                use_tracking: _,
+                use_prediction: _,
+                gain_control:
+                    GainControlConfig {
+                        step_db: _,
+                        jump_threshold_a: _,
+                        backoff_db: _,
+                        reads_per_step: _,
+                    },
+                realign_window_deg: _,
+                beam_command_latency: _,
+                sweep_dwell: _,
+                command_loss_probability: _,
+                seed: _,
+            },
+        rate_policy: _,
+        framing: FrameConfig { preamble_ns: _, header_ns: _, sifs_ns: _, max_psdu_bits: _ },
+        snr_report_sigma_db: _,
+    } = base;
+    let floats: [Field<f64>; 9] = [
+        ("refresh_hz", |c| &mut c.traffic.refresh_hz),
+        ("frame_bits", |c| &mut c.traffic.frame_bits),
+        ("snr_switch_threshold_db", |c| &mut c.system.snr_switch_threshold_db),
+        ("gain step_db", |c| &mut c.system.gain_control.step_db),
+        ("jump_threshold_a", |c| &mut c.system.gain_control.jump_threshold_a),
+        ("gain backoff_db", |c| &mut c.system.gain_control.backoff_db),
+        ("realign_window_deg", |c| &mut c.system.realign_window_deg),
+        ("command_loss_probability", |c| &mut c.system.command_loss_probability),
+        ("snr_report_sigma_db", |c| &mut c.snr_report_sigma_db),
+    ];
+    let times: [Field<SimTime>; 4] = [
+        ("latency budget", |c| &mut c.latency.budget),
+        ("latency processing", |c| &mut c.latency.processing),
+        ("beam_command_latency", |c| &mut c.system.beam_command_latency),
+        ("sweep_dwell", |c| &mut c.system.sweep_dwell),
+    ];
+    let ints: [Field<u64>; 5] = [
+        ("seed", |c| &mut c.system.seed),
+        ("preamble_ns", |c| &mut c.framing.preamble_ns),
+        ("header_ns", |c| &mut c.framing.header_ns),
+        ("sifs_ns", |c| &mut c.framing.sifs_ns),
+        ("max_psdu_bits", |c| &mut c.framing.max_psdu_bits),
+    ];
+    let flags: [Field<bool>; 2] = [
+        ("use_tracking", |c| &mut c.system.use_tracking),
+        ("use_prediction", |c| &mut c.system.use_prediction),
+    ];
+    let mut out = Vec::new();
+    let mut edit = |what: String, set: &dyn Fn(&mut SessionConfig)| {
+        let mut c = base;
+        set(&mut c);
+        out.push((what, c));
+    };
+    for (name, field) in floats {
+        for x in F64_EDGES {
+            edit(format!("{name} = {x:?}"), &|c| *field(c) = x);
+        }
+    }
+    for (name, field) in times {
+        for n in U64_EDGES {
+            edit(format!("{name} = {n} ns"), &|c| *field(c) = SimTime::from_nanos(n));
+        }
+    }
+    for (name, field) in ints {
+        for n in U64_EDGES {
+            edit(format!("{name} = {n}"), &|c| *field(c) = n);
+        }
+    }
+    for n in USIZE_EDGES {
+        edit(format!("reads_per_step = {n}"), &|c| c.system.gain_control.reads_per_step = n);
+    }
+    for (name, field) in flags {
+        edit(format!("{name} flipped"), &|c| *field(c) = !*field(c));
+    }
+    for strategy in [
+        Strategy::Tethered,
+        Strategy::DirectOnly,
+        Strategy::Movr { tracking: false },
+        Strategy::Movr { tracking: true },
+    ] {
+        edit(format!("{strategy:?}"), &|c| c.strategy = strategy);
+    }
+    let hysteresis = |up_margin_db, up_count, backoff_db| RatePolicy::HysteresisPolicy {
+        up_margin_db,
+        up_count,
+        backoff_db,
+    };
+    let mut policies = vec![RatePolicy::Oracle];
+    for x in F64_EDGES {
+        policies.push(RatePolicy::Threshold { backoff_db: x });
+        policies.push(hysteresis(x, 3, 1.0));
+        policies.push(hysteresis(2.0, 3, x));
+    }
+    for n in USIZE_EDGES {
+        policies.push(hysteresis(2.0, n, 1.0));
+    }
+    for policy in policies {
+        edit(format!("{policy:?}"), &|c| c.rate_policy = policy);
+    }
+    out
+}
+
+#[test]
+fn every_config_field_at_its_edge_values_restores_without_a_panic() {
+    // The header fingerprint is rewritten to the edited config's and the
+    // checksum resealed, so restore gets past the fingerprint check and
+    // must judge the config itself.
+    let mut cases = 0;
+    let mut panics = Vec::new();
+    for (_, cfg, base) in sweep_bases() {
+        for (what, edited) in edge_configs(cfg) {
+            let mut bytes = base.clone();
+            bytes[12..20].copy_from_slice(&config_fingerprint(&edited).to_le_bytes());
+            reseal(&mut bytes);
+            cases += 1;
+            if let Some(msg) = panic_message(|| drop(Session::restore(&bytes, &edited))) {
+                panics.push(format!("{:?}, {what}: {msg}", cfg.strategy));
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {cases} edge configs panicked in restore:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
 }
 
 // ---------------- the pending frame ----------------
@@ -485,12 +842,20 @@ fn equal_timestamp_events_round_trip_in_pop_order() {
     tag_1[tag] = 1;
     let mut early = bytes.clone();
     early[instant..instant + 8].copy_from_slice(&(now - 1).to_le_bytes());
+    // Seven frames put the clock at the seventh and the next frame one
+    // interval on; one nanosecond off either is a clock no session keeps.
+    let mut late = bytes.clone();
+    late[instant..instant + 8].copy_from_slice(&(u64_at(&bytes, instant) + 1).to_le_bytes());
+    let mut skewed = bytes.clone();
+    skewed[clock..clock + 8].copy_from_slice(&(now + 1).to_le_bytes());
 
     for (what, mut body) in [
         ("a second frame at the same instant", two),
         ("no pending frame", none),
         ("an unknown event tag", tag_1),
         ("a frame before the clock", early),
+        ("a frame off the frame interval", late),
+        ("a clock off the frame interval", skewed),
     ] {
         reseal(&mut body);
         match Session::restore(&body, &cfg) {

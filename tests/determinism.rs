@@ -8,7 +8,7 @@
 //! subsystem started drawing from ambient, unseeded state.
 
 use movr::session::{
-    run_session, run_session_recorded, RatePolicy, SessionConfig, Strategy,
+    run_session, run_session_recorded, RatePolicy, Session, SessionConfig, Strategy,
 };
 use movr::system::{MovrSystem, SystemConfig};
 use movr_math::Vec2;
@@ -141,25 +141,58 @@ fn same_seed_produces_byte_identical_jsonl_stream() {
 
 #[test]
 fn recording_does_not_perturb_the_session() {
-    // A NullRecorder session must be bit-identical to the uninstrumented
-    // run, and attaching a real recorder must not change the outcome
-    // either: observation never draws from the simulation's RNG streams.
-    let (trace, cfg) = recorded_scenario();
-    let plain = run_session(&trace, &cfg);
-    let nulled = run_session_recorded(&trace, &cfg, &mut NullRecorder);
-    let mut mem = MemoryRecorder::new();
-    let memed = run_session_recorded(&trace, &cfg, &mut mem);
+    // Every plain entry point is its `_recorded` twin observed by a
+    // `NullRecorder`, so observation must not change the run: not the
+    // outcome of the plain `run_session`, a `NullRecorder` run or a
+    // `MemoryRecorder` run, and not the state the two recorded runs leave
+    // behind. The snapshot holds every RNG stream and counter, so a draw
+    // or a state change made only while a recorder listens shows up in
+    // its digest even when the outcome hides it.
+    let (trace, _) = recorded_scenario();
+    let strategies = [
+        Strategy::Tethered,
+        Strategy::DirectOnly,
+        Strategy::Movr { tracking: false },
+        Strategy::Movr { tracking: true },
+    ];
+    for strategy in strategies {
+        for policy in RATE_EVENT_POLICIES {
+            for (seed, loss) in [(7, 0.0), (11, 0.2)] {
+                let mut cfg = SessionConfig::with_strategy(strategy);
+                cfg.rate_policy = policy;
+                cfg.system.seed = seed;
+                cfg.system.command_loss_probability = loss;
+                let case = format!("{strategy:?}, {policy:?}, seed {seed}, loss {loss}");
 
-    for other in [&nulled, &memed] {
-        assert_eq!(plain.glitches, other.glitches);
-        assert_eq!(plain.mean_snr_db, other.mean_snr_db);
-        assert_eq!(plain.min_snr_db, other.min_snr_db);
-        assert_eq!(plain.mode_switches, other.mode_switches);
-        assert_eq!(plain.realignments, other.realignments);
-        assert_eq!(plain.reflector_fraction, other.reflector_fraction);
-        assert_eq!(plain.metrics.to_json(), other.metrics.to_json());
+                let plain = run_session(&trace, &cfg);
+                let mut nulled = Session::new(&cfg);
+                while nulled.step_frame_recorded(&trace, &mut NullRecorder) {}
+                let mut mem = MemoryRecorder::new();
+                let mut memed = Session::new(&cfg);
+                while memed.step_frame_recorded(&trace, &mut mem) {}
+
+                for other in [&nulled, &memed].map(|s| s.outcome(trace.duration_s)) {
+                    assert_eq!(plain.glitches, other.glitches, "{case}");
+                    assert_eq!(plain.mean_snr_db.to_bits(), other.mean_snr_db.to_bits(), "{case}");
+                    assert_eq!(plain.min_snr_db.to_bits(), other.min_snr_db.to_bits(), "{case}");
+                    assert_eq!(plain.mode_switches, other.mode_switches, "{case}");
+                    assert_eq!(plain.realignments, other.realignments, "{case}");
+                    assert_eq!(
+                        plain.reflector_fraction.to_bits(),
+                        other.reflector_fraction.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(plain.metrics.to_json(), other.metrics.to_json(), "{case}");
+                }
+                assert_eq!(
+                    movr_math::fnv1a64(&nulled.snapshot()),
+                    movr_math::fnv1a64(&memed.snapshot()),
+                    "{case}: the recorded run left different state"
+                );
+                assert!(!mem.is_empty(), "{case}: the memory recorder observed the run");
+            }
+        }
     }
-    assert!(!mem.is_empty(), "the memory recorder did observe the run");
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! The movr-lint gate as a tier-1 test: `cargo test` fails the moment
 //! the workspace picks up any diagnostic from the analyzer's rules —
-//! unit flow, RNG streams, dB discipline, decode-panic reachability,
-//! blocking in hot loops and the `_recorded` twins. There is no
-//! exemption file: the workspace is held at zero findings. The checks
-//! rustc and clippy own (parallel-closure bounds, wall clocks,
-//! hash-ordered containers, `as` casts, exact float comparisons,
-//! unwraps, allows without a reason) run in `scripts/verify.sh`'s clippy
-//! stages, and crate layering is `tests/layering.rs`. See DESIGN.md
+//! unit flow, RNG streams, dB discipline and the `_recorded` twins.
+//! There is no exemption file: the workspace is held at zero findings.
+//! The checks rustc and clippy own (parallel-closure bounds, wall
+//! clocks, hash-ordered containers, blocking I/O, console prints in
+//! library crates, `as` casts, exact float comparisons, unwraps, allows
+//! without a reason) run in `scripts/verify.sh`'s clippy stages. Crate
+//! layering is `tests/layering.rs`, and decoder panics are
+//! `tests/checkpoint.rs`'s resealed-snapshot sweeps. See DESIGN.md
 //! § "Static analysis" for the rule catalogue.
 
 use std::path::Path;
