@@ -175,11 +175,16 @@ pub struct Session {
     state: SessionState,
 }
 
+/// The largest `traffic.frame_bits` a session runs: 2^53, the largest
+/// bit count an `f64` holds exactly.
+const MAX_FRAME_BITS: f64 = 9_007_199_254_740_992.0;
+
 /// Why `config` cannot run a session, if it cannot: a
 /// `traffic.refresh_hz` that gives no frame interval of at least 1 ns (a
 /// rate that is zero, negative or NaN, or one above 2 GHz, whose interval
-/// rounds to 0 ns and would stop the frame clock), or a hysteresis rate
-/// policy with `up_count = 0`, which [`RateAdapter::new`] rejects.
+/// rounds to 0 ns and would stop the frame clock), a `traffic.frame_bits`
+/// that is NaN, negative or above [`MAX_FRAME_BITS`], or a hysteresis
+/// rate policy with `up_count = 0`, which [`RateAdapter::new`] rejects.
 pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
     let hz = config.traffic.refresh_hz;
     // `VrTrafficModel::frame_interval` without its panic on a negative,
@@ -189,6 +194,13 @@ pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
         return Some(format!(
             "refresh_hz = {hz} Hz gives no frame interval of at least 1 ns; \
              it must be positive and at most 2 GHz"
+        ));
+    }
+    let bits = config.traffic.frame_bits;
+    if !(0.0..=MAX_FRAME_BITS).contains(&bits) {
+        return Some(format!(
+            "frame_bits = {bits:?} is not a frame size; \
+             it must be a bit count from 0 to 2^53"
         ));
     }
     if let RatePolicy::HysteresisPolicy { up_count: 0, .. } = config.rate_policy {
@@ -213,7 +225,8 @@ impl Session {
     /// Panics if `config.traffic.refresh_hz` does not give a frame
     /// interval of at least 1 ns (a rate that is zero, negative or NaN,
     /// or one above 2 GHz, whose interval rounds to 0 ns and would stop
-    /// the frame clock), or if the rate policy is hysteresis with
+    /// the frame clock), if `config.traffic.frame_bits` is NaN, negative
+    /// or above 2^53, or if the rate policy is hysteresis with
     /// `up_count = 0`.
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
         if let Some(why) = config_error(config) {
@@ -626,6 +639,29 @@ mod tests {
         // 1 / 3 GHz is a third of a nanosecond, which rounds to 0 ns: the
         // frame clock would never advance.
         run_at_refresh(3e9);
+    }
+
+    #[test]
+    #[should_panic(expected = "frame_bits = 1.7976931348623157e308")]
+    fn unbounded_frame_size_is_rejected() {
+        let mut cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
+        cfg.traffic.frame_bits = f64::MAX;
+        Session::new(&cfg);
+    }
+
+    #[test]
+    fn the_largest_frame_size_steps() {
+        // 2^53 bits is about 4.3e9 full PPDUs per frame; each frame's
+        // airtime is one product over them, not a loop.
+        for strategy in [Strategy::DirectOnly, Strategy::Movr { tracking: true }] {
+            let mut cfg = SessionConfig::with_strategy(strategy);
+            cfg.traffic.frame_bits = MAX_FRAME_BITS;
+            let trace = StaticScene::new(facing_ap(), 1.0);
+            let mut session = Session::new(&cfg);
+            for frame in 0..3 {
+                assert!(session.step_frame(&trace), "{strategy:?} frame {frame}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,20 @@
 //!
 //! A parsed [`Json`] borrows from its input: string values and object
 //! keys are [`JsonStr`]s that slice the document, and only text spelled
-//! with escapes is copied out and owned. Reading an event line therefore
-//! allocates one `Vec` per object and nothing per field.
+//! with escapes is copied out and owned. A parsed object still allocates
+//! one `Vec`, and every number is converted to `f64` as it is read.
+//!
+//! [`FlatObject`] is the reader for the lines the fleet reducer folds: a
+//! one-line object of at most [`FLAT_FIELDS`] scalar fields, read into a
+//! stack array of borrowed `(key, value)` slices with no allocation. A
+//! number stays as its text until [`Scalar::as_f64`] or
+//! [`Scalar::as_u64`] asks for it. It runs the same string and number
+//! routines as [`Json::parse`], and it declines (`None`, never an error)
+//! any text it cannot prove `Json::parse` accepts and reads field for
+//! field the same way: an escape, whitespace between tokens, a nested
+//! value, too many fields, an exponent, a number with more than 308
+//! integer digits, and every grammar error. A caller falls back to
+//! `Json::parse` on `None`.
 //!
 //! Numbers follow RFC 8259's grammar exactly (no leading zeros, no bare
 //! `.` or exponent) and parse to `f64`; a number too large for `f64` is
@@ -477,11 +489,7 @@ impl<'a> Json<'a> {
     /// past it and any whitespace after it, leaving the rest to the
     /// caller: the TOML reader stops a value at a trailing `# comment`.
     pub(crate) fn parse_prefix(text: &'a str) -> Result<(Json<'a>, usize), JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -514,11 +522,7 @@ impl<'a> Json<'a> {
     /// `Some` is the integer the text spelled. 2^53 itself is refused:
     /// `9007199254740993` parses to it too.
     pub fn as_u64(&self) -> Option<u64> {
-        let x = self.as_f64()?;
-        if !(x >= 0.0 && x.fract() == 0.0 && x <= u64_to_f64(MAX_EXACT_INTEGER)) {
-            return None;
-        }
-        Some(f64_to_u64(x))
+        exact_u64(self.as_f64()?)
     }
 
     /// The string, if this is a string.
@@ -546,6 +550,144 @@ impl<'a> Json<'a> {
     }
 }
 
+/// `x` as an exact unsigned integer, under [`Json::as_u64`]'s rule.
+fn exact_u64(x: f64) -> Option<u64> {
+    if !(x >= 0.0 && x.fract() == 0.0 && x <= u64_to_f64(MAX_EXACT_INTEGER)) {
+        return None;
+    }
+    Some(f64_to_u64(x))
+}
+
+/// Fields a [`FlatObject`] holds; a line with more falls back to
+/// [`Json::parse`]. An event line carries at most ten today. Each slot is
+/// filled in before a line is read, so a larger array costs every line.
+pub const FLAT_FIELDS: usize = 12;
+
+/// Integer digits a [`FlatObject`] number may have. Without an exponent
+/// that keeps it below 10^308 < `f64::MAX`, so it is finite and
+/// [`Json::parse`] accepts it without the conversion being run first.
+const FLAT_INT_DIGITS: usize = 308;
+
+/// A field value of a [`FlatObject`], borrowed from the line. Each
+/// accessor returns exactly what the same accessor of the [`Json`] value
+/// [`Json::parse`] reads from the same text returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's text, known to parse to a finite `f64`.
+    Num(&'a str),
+    /// A string's text between its quotes, which holds no escape.
+    Str(&'a str),
+}
+
+impl<'a> Scalar<'a> {
+    /// The number, converted by the same `str::parse::<f64>` call that
+    /// [`Json::parse`] makes.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Scalar::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The number as an exact unsigned integer, under [`Json::as_u64`]'s
+    /// rule: `Some` only for a non-negative integer no larger than
+    /// [`MAX_EXACT_INTEGER`].
+    pub fn as_u64(&self) -> Option<u64> {
+        // Fifteen digits or fewer with no sign, point or exponent spell an
+        // integer below 10^15 < 2^53, which the `f64` holds exactly: sum
+        // the digits instead of converting.
+        if let Scalar::Num(text) = self {
+            if text.len() <= 15 && text.bytes().all(|b| b.is_ascii_digit()) {
+                return Some(text.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0')));
+            }
+        }
+        exact_u64(self.as_f64()?)
+    }
+
+    /// The string, if this is a string.
+    pub fn as_str(&self) -> Option<&'a str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The bool, if this is a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// A one-line JSON object of scalar fields, read into a stack array of
+/// borrowed `(key, value)` slices. See the module docs for what it
+/// declines.
+#[derive(Clone)]
+pub struct FlatObject<'a> {
+    fields: [(&'a str, Scalar<'a>); FLAT_FIELDS],
+    len: usize,
+}
+
+impl<'a> FlatObject<'a> {
+    /// Reads `line` as `{"key":value,…}` with no whitespace, or `None`
+    /// where [`Json::parse`] might reject it or read any field
+    /// differently.
+    pub fn parse(line: &'a str) -> Option<FlatObject<'a>> {
+        let mut p = Parser::new(line);
+        let mut obj = FlatObject {
+            fields: [("", Scalar::Null); FLAT_FIELDS],
+            len: 0,
+        };
+        if !p.take(b'{') {
+            return None;
+        }
+        if !p.take(b'}') {
+            loop {
+                let key = p.plain_string()?;
+                if !p.take(b':') {
+                    return None;
+                }
+                *obj.fields.get_mut(obj.len)? = (key, p.flat_scalar()?);
+                obj.len += 1;
+                if p.take(b'}') {
+                    break;
+                }
+                if !p.take(b',') {
+                    return None;
+                }
+            }
+        }
+        (p.pos == line.len()).then_some(obj)
+    }
+
+    /// Field by name (first match), as [`Json::get`] finds it.
+    pub fn get(&self, name: &str) -> Option<&Scalar<'a>> {
+        self.fields()
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v)
+    }
+
+    /// The fields in line order.
+    pub fn fields(&self) -> &[(&'a str, Scalar<'a>)] {
+        &self.fields[..self.len]
+    }
+}
+
+impl fmt::Debug for FlatObject<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.fields().iter().map(|(k, v)| (k, v)))
+            .finish()
+    }
+}
+
 /// Parse failure: byte offset plus what went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -563,6 +705,79 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// What the grammar saw of a number that bounds its magnitude.
+#[derive(Clone, Copy)]
+struct NumberShape {
+    /// Digits before any `.` or exponent.
+    int_digits: usize,
+    /// Whether an exponent part follows.
+    exponent: bool,
+}
+
+// The grammar's scanners. Each takes the document's bytes and an offset
+// and returns the offset past what it matched, so `Parser` and
+// `FlatObject::parse` share one definition, and the offset stays in a
+// register for the length of a scan.
+
+/// The offset of the first `"`, `\`, control byte or the end at or
+/// after `i`: the end of a run of plain string text.
+fn plain_end(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && bytes[i] != b'"' && bytes[i] != b'\\' && bytes[i] >= 0x20 {
+        i += 1;
+    }
+    i
+}
+
+/// The offset past the run of ASCII digits at `i`.
+fn digits_end(bytes: &[u8], mut i: usize) -> usize {
+    while matches!(bytes.get(i), Some(b'0'..=b'9')) {
+        i += 1;
+    }
+    i
+}
+
+/// Matches `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` at
+/// `i`: the offset past it and its shape, or `None` where the text
+/// breaks that grammar.
+fn number_end(bytes: &[u8], mut i: usize) -> Option<(usize, NumberShape)> {
+    if bytes.get(i) == Some(&b'-') {
+        i += 1;
+    }
+    let int_start = i;
+    match bytes.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => i = digits_end(bytes, i + 1),
+        _ => return None,
+    }
+    let int_digits = i - int_start;
+    if bytes.get(i) == Some(&b'.') {
+        let frac_end = digits_end(bytes, i + 1);
+        if frac_end == i + 1 {
+            return None;
+        }
+        i = frac_end;
+    }
+    let exponent = matches!(bytes.get(i), Some(b'e' | b'E'));
+    if exponent {
+        i += 1;
+        if matches!(bytes.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let exp_end = digits_end(bytes, i);
+        if exp_end == i {
+            return None;
+        }
+        i = exp_end;
+    }
+    Some((
+        i,
+        NumberShape {
+            int_digits,
+            exponent,
+        },
+    ))
+}
+
 /// Documents nest at most a handful of levels (rollups: 3); a hard cap
 /// keeps a malicious or corrupt input from overflowing the stack.
 const MAX_DEPTH: usize = 64;
@@ -579,6 +794,14 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, what: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -596,18 +819,32 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances past `b` if it comes next.
+    fn take(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+        if self.take(b) {
             Ok(())
         } else {
             Err(self.err(format!("expected `{}`", char::from(b))))
         }
     }
 
-    fn eat_lit(&mut self, lit: &str, v: Json<'a>) -> Result<Json<'a>, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    /// Advances past `lit` if it comes next.
+    fn take_lit(&mut self, lit: &str) -> bool {
+        let hit = self.bytes[self.pos..].starts_with(lit.as_bytes());
+        if hit {
             self.pos += lit.len();
+        }
+        hit
+    }
+
+    fn eat_lit(&mut self, lit: &str, v: Json<'a>) -> Result<Json<'a>, JsonError> {
+        if self.take_lit(lit) {
             Ok(v)
         } else {
             Err(self.err(format!("expected `{lit}`")))
@@ -691,11 +928,7 @@ impl<'a> Parser<'a> {
         let mut owned: Option<String> = None;
         let mut run = self.pos;
         loop {
-            let rest = &self.bytes[self.pos..];
-            self.pos += rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
+            self.pos = plain_end(self.bytes, self.pos);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -719,6 +952,43 @@ impl<'a> Parser<'a> {
                 // The scan stops only at `"`, `\`, a control byte or the end.
                 Some(_) => return Err(self.err("raw control character in string")),
             }
+        }
+    }
+
+    /// A string literal with no escape, as the slice between its quotes:
+    /// what [`Parser::string`] borrows. `None` where `string` would copy
+    /// the text out (an escape) or fail (a control byte, no closing
+    /// quote).
+    fn plain_string(&mut self) -> Option<&'a str> {
+        if self.peek() != Some(b'"') {
+            return None;
+        }
+        let start = self.pos + 1;
+        let end = plain_end(self.bytes, start);
+        if self.bytes.get(end) != Some(&b'"') {
+            return None;
+        }
+        self.pos = end + 1;
+        Some(&self.text[start..end])
+    }
+
+    /// A scalar that [`Parser::value`] reads as the same value without
+    /// any conversion being needed to know it succeeds: a plain string,
+    /// a literal, or a number with no exponent and at most
+    /// [`FLAT_INT_DIGITS`] integer digits. `None` on anything else.
+    fn flat_scalar(&mut self) -> Option<Scalar<'a>> {
+        match self.peek()? {
+            b'"' => self.plain_string().map(Scalar::Str),
+            b't' => self.take_lit("true").then_some(Scalar::Bool(true)),
+            b'f' => self.take_lit("false").then_some(Scalar::Bool(false)),
+            b'n' => self.take_lit("null").then_some(Scalar::Null),
+            b'-' | b'0'..=b'9' => {
+                let (text, shape) = self.number_run();
+                shape
+                    .filter(|s| !s.exponent && s.int_digits <= FLAT_INT_DIGITS)
+                    .map(|_| Scalar::Num(text))
+            }
+            _ => None,
         }
     }
 
@@ -769,18 +1039,8 @@ impl<'a> Parser<'a> {
     /// 8259's grammar as a whole and parse to a finite `f64`; otherwise
     /// the error sits at the end of the run.
     fn number(&mut self) -> Result<Json<'a>, JsonError> {
-        let start = self.pos;
-        let grammatical = self.number_grammar();
-        let end = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        // The run is ASCII, so the slice falls on character boundaries.
-        let text = &self.text[start..self.pos];
-        if !grammatical || self.pos != end {
+        let (text, shape) = self.number_run();
+        if shape.is_none() {
             return Err(self.err(format!("invalid number `{text}`")));
         }
         match text.parse::<f64>() {
@@ -790,44 +1050,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Advances over `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`;
-    /// `false` where the text breaks that grammar.
-    fn number_grammar(&mut self) -> bool {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                self.digits();
-            }
-            _ => return false,
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if self.digits() == 0 {
-                return false;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if self.digits() == 0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Advances over a run of ASCII digits, returning its length.
-    fn digits(&mut self) -> usize {
+    /// Advances over the maximal run of number characters and returns
+    /// it, with its shape when the whole run matches RFC 8259's grammar.
+    fn number_run(&mut self) -> (&'a str, Option<NumberShape>) {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let number = number_end(self.bytes, start);
+        let mut end = number.map_or(start, |(end, _)| end);
+        while matches!(
+            self.bytes.get(end),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            end += 1;
         }
-        self.pos - start
+        self.pos = end;
+        let shape = number.and_then(|(number_end, shape)| (number_end == end).then_some(shape));
+        // The run is ASCII, so the slice falls on character boundaries.
+        (&self.text[start..end], shape)
     }
 }
 
@@ -998,6 +1236,176 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, "a\"\\\n");
         assert_eq!(out, "\"a\\\"\\\\\\u000a\"");
+    }
+
+    /// Asserts that the flat reader accepts `line` and reads every field
+    /// as [`Json::parse`] does: the same keys in the same order, and the
+    /// same value from each accessor of the first match of each key.
+    fn assert_flat_reads_as_json(line: &str) {
+        let flat = FlatObject::parse(line).unwrap_or_else(|| panic!("declined {line}"));
+        let doc = Json::parse(line).expect(line);
+        let keys: Vec<&str> = flat.fields().iter().map(|(k, _)| *k).collect();
+        let doc_keys: Vec<&str> = doc
+            .fields()
+            .expect(line)
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, doc_keys, "{line}");
+        for key in keys {
+            let (a, b) = (flat.get(key).expect(key), doc.get(key).expect(key));
+            assert_eq!(
+                a.as_f64().map(f64::to_bits),
+                b.as_f64().map(f64::to_bits),
+                "{line}: {key}"
+            );
+            assert_eq!(a.as_u64(), b.as_u64(), "{line}: {key}");
+            assert_eq!(a.as_str(), b.as_str(), "{line}: {key}");
+            assert_eq!(a.as_bool(), b.as_bool(), "{line}: {key}");
+            assert_eq!(*a == Scalar::Null, *b == Json::Null, "{line}: {key}");
+        }
+    }
+
+    /// Asserts that the flat reader declines `line`, and whether
+    /// [`Json::parse`], which the caller then falls back to, accepts it.
+    fn assert_declined(line: &str, json_accepts: bool) {
+        assert!(FlatObject::parse(line).is_none(), "accepted {line}");
+        assert_eq!(Json::parse(line).is_ok(), json_accepts, "{line}");
+    }
+
+    #[test]
+    fn flat_reader_reads_event_lines_as_json_does() {
+        for line in [
+            "{}",
+            "{\"t_ns\":0,\"kind\":\"gain_step\",\"gain_db\":0.5,\"current_a\":0.2498982498982499,\"session\":1}",
+            "{\"t_ns\":11000000,\"kind\":\"frame\",\"delivered\":true,\"snr_db\":21.5,\"mcs\":14,\"mode\":\"direct\"}",
+            "{\"a\":null,\"b\":false,\"c\":\"\",\"m\u{e9}\":\"d\u{e9}j\u{e0}\",\"n\":-12.25}",
+            // The first of two equal keys is the one read.
+            "{\"k\":1,\"k\":\"two\",\"k\":true}",
+            // Integers past 2^53 - 1 read as no `u64`, by either reader.
+            "{\"a\":9007199254740991,\"b\":9007199254740992,\"c\":18446744073709551615}",
+            "{\"a\":1.5,\"b\":-1,\"c\":5.0000000000000001,\"d\":0.000001}",
+        ] {
+            assert_flat_reads_as_json(line);
+        }
+    }
+
+    #[test]
+    fn flat_reader_reads_minus_zero_and_one_point_zero_as_json_does() {
+        assert_flat_reads_as_json("{\"a\":-0,\"b\":1.0,\"c\":-0.0,\"d\":0}");
+        let flat = FlatObject::parse("{\"a\":-0,\"b\":1.0}").expect("flat");
+        assert_eq!(
+            flat.get("a").and_then(Scalar::as_f64).map(f64::to_bits),
+            Some((-0.0_f64).to_bits())
+        );
+        assert_eq!(flat.get("a").and_then(Scalar::as_u64), Some(0));
+        assert_eq!(flat.get("b").and_then(Scalar::as_u64), Some(1));
+    }
+
+    #[test]
+    fn flat_reader_declines_an_escape_in_a_key() {
+        assert_declined(r#"{"k\"ey":1}"#, true);
+        assert_declined(r#"{"k\u0041":1}"#, true);
+    }
+
+    #[test]
+    fn flat_reader_declines_an_escape_in_a_value() {
+        assert_declined(r#"{"k":"a\nb"}"#, true);
+        assert_declined(r#"{"k":"\/"}"#, true);
+    }
+
+    #[test]
+    fn flat_reader_declines_a_nested_value() {
+        assert_declined(r#"{"a":[1]}"#, true);
+        assert_declined(r#"{"a":{"b":1}}"#, true);
+        assert_declined("[1]", true);
+    }
+
+    #[test]
+    fn flat_reader_declines_too_many_fields() {
+        let line = |n: usize| {
+            let fields: Vec<String> = (0..n).map(|i| format!("\"f{i}\":{i}")).collect();
+            format!("{{{}}}", fields.join(","))
+        };
+        assert_flat_reads_as_json(&line(FLAT_FIELDS));
+        assert_declined(&line(FLAT_FIELDS + 1), true);
+    }
+
+    #[test]
+    fn flat_reader_declines_an_exponent() {
+        assert_declined(r#"{"a":1e2}"#, true);
+        assert_declined(r#"{"a":-1.5E-3}"#, true);
+        assert_declined(r#"{"a":1e999}"#, false);
+    }
+
+    #[test]
+    fn flat_reader_declines_a_309_digit_integer() {
+        // 308 digits are below 10^308 and read; a 309th may or may not
+        // overflow, which only the conversion can tell.
+        let nines = "9".repeat(308);
+        assert_flat_reads_as_json(&format!("{{\"a\":{nines},\"b\":-{nines}.5}}"));
+        assert_declined(&format!("{{\"a\":1{}}}", "0".repeat(308)), true);
+        assert_declined(&format!("{{\"a\":2{}}}", "0".repeat(308)), false);
+    }
+
+    #[test]
+    fn flat_reader_declines_a_raw_control_byte() {
+        assert_declined("{\"a\":\"x\u{1}y\"}", false);
+        assert_declined("{\"a\u{1f}\":1}", false);
+    }
+
+    #[test]
+    fn flat_reader_declines_a_leading_zero() {
+        assert_declined(r#"{"a":01}"#, false);
+        assert_declined(r#"{"a":-00.5}"#, false);
+    }
+
+    #[test]
+    fn flat_reader_declines_a_bare_minus() {
+        assert_declined(r#"{"a":-}"#, false);
+        assert_declined(r#"{"a":-,"b":1}"#, false);
+    }
+
+    #[test]
+    fn flat_reader_declines_a_bare_point() {
+        assert_declined(r#"{"a":1.}"#, false);
+        assert_declined(r#"{"a":1.,"b":1}"#, false);
+    }
+
+    #[test]
+    fn flat_reader_declines_whitespace_between_tokens() {
+        for line in [
+            r#" {"a":1}"#,
+            r#"{"a":1} "#,
+            r#"{ "a":1}"#,
+            r#"{"a" :1}"#,
+            r#"{"a": 1}"#,
+            r#"{"a":1 ,"b":2}"#,
+            "{\"a\":1,\n\"b\":2}",
+        ] {
+            assert_declined(line, true);
+        }
+    }
+
+    #[test]
+    fn flat_reader_declines_other_grammar_errors() {
+        for line in [
+            "",
+            "{",
+            r#"{"a"}"#,
+            r#"{"a":}"#,
+            r#"{"a":1,}"#,
+            r#"{"a":1"#,
+            r#"{"a":tru}"#,
+            r#"{"a":truex}"#,
+            r#"{"a":1}x"#,
+            r#"{"a":1.2.3}"#,
+            r#"{"a":+1}"#,
+            r#"{"a:1}"#,
+            r#"{a:1}"#,
+        ] {
+            assert_declined(line, false);
+        }
     }
 
     #[test]

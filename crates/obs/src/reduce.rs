@@ -1,11 +1,20 @@
 //! The streaming fleet reducer: JSONL event streams in, [`Rollup`] out.
 //!
-//! One pass, bounded memory. Each line is parsed, dispatched on its
+//! One pass, bounded memory. Each line is read, dispatched on its
 //! `kind`, folded into the rollup, and dropped — the reducer never
 //! holds more than the current line plus the open-span table (spans
 //! that have started but not yet ended, keyed by `(session, span_id)`).
 //! Event streams from [`crate::SessionTagged`] recorders carry a
 //! `session` field; untagged streams fold into session 0.
+//!
+//! A line is read by [`FlatObject::parse`] where it can be: a flat
+//! object of scalars, sliced without allocating, whose numbers are
+//! converted only when the fold asks for them. Every line the recorders
+//! write takes that path; any other line goes to [`Json::parse`]. The
+//! flat reader accepts only lines that `Json::parse` reads the same way,
+//! and the fold reads both through one private accessor trait, so a
+//! line is accepted, rejected and reported the same way whichever
+//! reader took it.
 //!
 //! Determinism: the rollup is pure addition over per-event
 //! contributions, so any partition of the input into whole streams —
@@ -17,7 +26,7 @@
 //! [`crate::MemoryRecorder::spans`].)
 
 use crate::rollup::Rollup;
-use movr_math::json::Json;
+use movr_math::json::{FlatObject, Json, Scalar};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
@@ -53,18 +62,68 @@ impl std::error::Error for ReduceError {}
 /// The open-span table: `(session, span_id)` → `(span name, start ns)`.
 type OpenSpans = BTreeMap<(u64, u64), (String, u64)>;
 
+/// A field value as the fold reads it, from either reader.
+trait Field {
+    fn as_u64(&self) -> Option<u64>;
+    fn as_f64(&self) -> Option<f64>;
+    fn as_str(&self) -> Option<&str>;
+    fn as_bool(&self) -> Option<bool>;
+}
+
+impl Field for Json<'_> {
+    fn as_u64(&self) -> Option<u64> {
+        Json::as_u64(self)
+    }
+    fn as_f64(&self) -> Option<f64> {
+        Json::as_f64(self)
+    }
+    fn as_str(&self) -> Option<&str> {
+        Json::as_str(self)
+    }
+    fn as_bool(&self) -> Option<bool> {
+        Json::as_bool(self)
+    }
+}
+
+impl Field for Scalar<'_> {
+    fn as_u64(&self) -> Option<u64> {
+        Scalar::as_u64(self)
+    }
+    fn as_f64(&self) -> Option<f64> {
+        Scalar::as_f64(self)
+    }
+    fn as_str(&self) -> Option<&str> {
+        Scalar::as_str(self)
+    }
+    fn as_bool(&self) -> Option<bool> {
+        Scalar::as_bool(self)
+    }
+}
+
 fn fold_line(
     rollup: &mut Rollup,
     open: &mut OpenSpans,
     line: &str,
 ) -> Result<(), String> {
+    if let Some(flat) = FlatObject::parse(line) {
+        return fold_fields(rollup, open, |name| flat.get(name));
+    }
     let doc = Json::parse(line).map_err(|e| e.to_string())?;
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
+    fold_fields(rollup, open, |name| doc.get(name))
+}
+
+/// Folds one event line, read through `get`: its fields by name, first
+/// match.
+fn fold_fields<'d, F: Field + 'd>(
+    rollup: &mut Rollup,
+    open: &mut OpenSpans,
+    get: impl Fn(&str) -> Option<&'d F>,
+) -> Result<(), String> {
+    let kind = get("kind")
+        .and_then(F::as_str)
         .ok_or("event line has no string `kind` field")?;
-    let t_ns = int_field(&doc, "event line", "t_ns")?;
-    let session = match doc.get("session") {
+    let t_ns = int_field(&get, "event line", "t_ns")?;
+    let session = match get("session") {
         None => 0,
         Some(v) => v
             .as_u64()
@@ -74,28 +133,26 @@ fn fold_line(
     rollup.session_mut(session).events += 1;
     match kind {
         "frame" => {
-            let delivered = doc
-                .get("delivered")
-                .and_then(Json::as_bool)
+            let delivered = get("delivered")
+                .and_then(F::as_bool)
                 .ok_or("frame event has no bool `delivered` field")?;
             let s = rollup.session_mut(session);
             s.frames_total += 1;
             if delivered {
                 s.frames_delivered += 1;
             }
-            if let Some(snr) = doc.get("snr_db").and_then(Json::as_f64) {
+            if let Some(snr) = get("snr_db").and_then(F::as_f64) {
                 rollup.observe(SK_SNR, snr);
             }
-            if let Some(air) = doc.get("airtime_ns").and_then(Json::as_f64) {
+            if let Some(air) = get("airtime_ns").and_then(F::as_f64) {
                 rollup.observe(SK_AIRTIME, air);
             }
         }
         "mode_switch" => {
-            let to = doc
-                .get("to")
-                .and_then(Json::as_str)
+            let to = get("to")
+                .and_then(F::as_str)
                 .ok_or("mode_switch event has no string `to` field")?;
-            let from = match doc.get("from") {
+            let from = match get("from") {
                 None => "start",
                 Some(v) => v
                     .as_str()
@@ -110,24 +167,24 @@ fn fold_line(
                 .or_insert(0) += 1;
         }
         "realign" => {
-            let cost = int_field(&doc, "realign event", "cost_ns")?;
+            let cost = int_field(&get, "realign event", "cost_ns")?;
             let s = rollup.session_mut(session);
             s.realigns += 1;
             s.realign_time_ns += cost;
             rollup.observe(SK_REALIGN, movr_math::convert::u64_to_f64(cost));
         }
         "stall_recovered" => {
-            let frames = int_field(&doc, "stall_recovered event", "stall_frames")?;
+            let frames = int_field(&get, "stall_recovered event", "stall_frames")?;
             let s = rollup.session_mut(session);
             s.glitches += 1;
             s.glitch_frames += frames;
         }
         "span_start" => {
-            let (name, id) = span_fields(&doc)?;
+            let (name, id) = span_fields(&get)?;
             open.insert((session, id), (name.to_string(), t_ns));
         }
         "span_end" => {
-            let (name, id) = span_fields(&doc)?;
+            let (name, id) = span_fields(&get)?;
             // An end without a matching start (stream cut mid-span) is
             // dropped, like an unclosed start.
             if let Some((start_name, start_ns)) = open.remove(&(session, id)) {
@@ -152,20 +209,25 @@ fn fold_line(
     Ok(())
 }
 
-fn span_fields<'d>(doc: &'d Json<'_>) -> Result<(&'d str, u64), String> {
-    let name = doc
-        .get("span")
-        .and_then(Json::as_str)
+fn span_fields<'d, F: Field + 'd>(
+    get: &impl Fn(&str) -> Option<&'d F>,
+) -> Result<(&'d str, u64), String> {
+    let name = get("span")
+        .and_then(F::as_str)
         .ok_or("span event has no string `span` field")?;
-    let id = int_field(doc, "span event", "span_id")?;
+    let id = int_field(get, "span event", "span_id")?;
     Ok((name, id))
 }
 
-/// Field `name` as an integer. The reader holds integers exactly only up
+/// Field `name` as an integer. The readers hold integers exactly only up
 /// to 2^53 − 1 (see [`Json::as_u64`]), so the error names that range.
-fn int_field(doc: &Json<'_>, what: &str, name: &str) -> Result<u64, String> {
-    doc.get(name)
-        .and_then(Json::as_u64)
+fn int_field<'d, F: Field + 'd>(
+    get: &impl Fn(&str) -> Option<&'d F>,
+    what: &str,
+    name: &str,
+) -> Result<u64, String> {
+    get(name)
+        .and_then(F::as_u64)
         .ok_or_else(|| format!("{what} has no `{name}` field holding an integer in 0..=2^53 - 1"))
 }
 

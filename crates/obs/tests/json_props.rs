@@ -1,5 +1,8 @@
 //! Writer → reader round trip: any [`Event`] the recorders can write,
-//! [`Json::parse`] reads back field for field.
+//! [`Json::parse`] reads back field for field, and the reducer's flat
+//! reader, [`FlatObject::parse`], reads the same wherever it accepts the
+//! line. It must accept every line whose texts need no escaping and
+//! whose floats are below 1e308 in magnitude.
 //!
 //! Kinds, field names and string values come from a fixed set that
 //! mixes plain text (read back as slices of the line) with quotes,
@@ -11,6 +14,7 @@
 //! Runs on the in-tree `movr-testkit` harness; overridable with
 //! `MOVR_TESTKIT_CASES` / `MOVR_TESTKIT_SEED`.
 
+use movr_math::json::{FlatObject, Scalar};
 use movr_obs::{Event, Json, Value};
 use movr_sim::SimTime;
 use movr_testkit::{
@@ -68,6 +72,49 @@ fn field(
     (TEXTS[name], value)
 }
 
+/// Whether the writer spells `s` with an escape.
+fn needs_escaping(s: &str) -> bool {
+    s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20)
+}
+
+/// Whether the flat reader must accept `event`'s line: no text needs an
+/// escape, every float is written in fewer than 309 integer digits (or
+/// as `null`), and the fields fit its array.
+fn flat_must_accept(event: &Event) -> bool {
+    !needs_escaping(event.kind)
+        && event.fields.len() + 2 <= movr_math::json::FLAT_FIELDS
+        && event.fields.iter().all(|&(name, value)| {
+            !needs_escaping(name)
+                && match value {
+                    Value::Str(s) => !needs_escaping(s),
+                    Value::F64(x) => !x.is_finite() || x.abs() < 1e308,
+                    _ => true,
+                }
+        })
+}
+
+/// What each accessor reads from a field: `as_f64`'s bits, `as_u64`,
+/// `as_str` and `as_bool`.
+type Reading<'a> = (Option<u64>, Option<u64>, Option<&'a str>, Option<bool>);
+
+fn flat_reading<'a>(v: &'a Scalar<'_>) -> Reading<'a> {
+    (
+        v.as_f64().map(f64::to_bits),
+        v.as_u64(),
+        v.as_str(),
+        v.as_bool(),
+    )
+}
+
+fn json_reading<'a>(v: &'a Json<'_>) -> Reading<'a> {
+    (
+        v.as_f64().map(f64::to_bits),
+        v.as_u64(),
+        v.as_str(),
+        v.as_bool(),
+    )
+}
+
 property! {
     cases = 512,
     fn every_written_event_reads_back_field_for_field(
@@ -113,6 +160,15 @@ property! {
                 Value::Str(s) => got.and_then(Json::as_str) == Some(s),
             };
             prop_assert!(same, "{:?} = {:?} read back as {:?} from {:?}", name, value, got, line);
+        }
+        let Some(flat) = FlatObject::parse(&line) else {
+            prop_assert!(!flat_must_accept(&event), "the flat reader declined {:?}", line);
+            return Ok(());
+        };
+        prop_assert_eq!(flat.fields().len(), event.fields.len() + 2);
+        for name in ["t_ns", "kind"].into_iter().chain(event.fields.iter().map(|&(n, _)| n)) {
+            let (a, b) = (flat.get(name).map(flat_reading), doc.get(name).map(json_reading));
+            prop_assert!(a == b, "{:?} reads {:?} against {:?} in {:?}", name, a, b, line);
         }
     }
 }

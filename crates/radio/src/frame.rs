@@ -54,21 +54,16 @@ impl FrameConfig {
     }
 
     /// Total airtime to move `total_bits` at `mcs`, including per-PPDU
-    /// overhead and inter-frame spacing.
+    /// overhead and inter-frame spacing: every PPDU but the last is full,
+    /// and each of those is followed by a SIFS.
     pub fn burst_airtime(&self, mcs: &McsEntry, total_bits: u64) -> SimTime {
         if total_bits == 0 {
             return SimTime::ZERO;
         }
-        let n = self.ppdu_count(total_bits);
-        let full = n - 1;
+        let full = self.ppdu_count(total_bits) - 1;
         let rem = total_bits - full * self.max_psdu_bits;
-        let mut total = 0u64;
-        for _ in 0..full {
-            total += self.ppdu_airtime(mcs, self.max_psdu_bits).as_nanos();
-        }
-        total += self.ppdu_airtime(mcs, rem).as_nanos();
-        total += self.sifs_ns * (n - 1);
-        SimTime::from_nanos(total)
+        let full_ns = self.ppdu_airtime(mcs, self.max_psdu_bits).as_nanos() + self.sifs_ns;
+        SimTime::from_nanos(full * full_ns + self.ppdu_airtime(mcs, rem).as_nanos())
     }
 }
 
@@ -113,6 +108,51 @@ mod tests {
         assert!(t.as_secs_f64() > ideal);
         // ...but the overhead stays modest (< 10 %).
         assert!(t.as_secs_f64() < ideal * 1.10, "t={t} ideal={ideal}");
+    }
+
+    /// The per-PPDU loop `burst_airtime` ran before it became one
+    /// product, kept as the reference the product must match.
+    fn looped_burst_airtime(cfg: &FrameConfig, mcs: &McsEntry, total_bits: u64) -> SimTime {
+        if total_bits == 0 {
+            return SimTime::ZERO;
+        }
+        let n = cfg.ppdu_count(total_bits);
+        let full = n - 1;
+        let rem = total_bits - full * cfg.max_psdu_bits;
+        let mut total = 0u64;
+        for _ in 0..full {
+            total += cfg.ppdu_airtime(mcs, cfg.max_psdu_bits).as_nanos();
+        }
+        total += cfg.ppdu_airtime(mcs, rem).as_nanos();
+        total += cfg.sifs_ns * (n - 1);
+        SimTime::from_nanos(total)
+    }
+
+    #[test]
+    fn burst_airtime_matches_the_per_ppdu_loop() {
+        // Sizes on, just off and at a seeded offset from every multiple of
+        // the PSDU cap up to 64 PPDUs, at every MCS.
+        let cfg = FrameConfig::default();
+        let psdu = cfg.max_psdu_bits;
+        let mut rng = movr_math::SimRng::seed_from_u64(0xF4A3E);
+        for mcs in RateTable.entries() {
+            for k in 0..64 {
+                let offset = rng.next_u64() % psdu;
+                for bits in [
+                    k * psdu,
+                    k * psdu + 1,
+                    (k * psdu).saturating_sub(1),
+                    k * psdu + offset,
+                ] {
+                    assert_eq!(
+                        cfg.burst_airtime(mcs, bits),
+                        looped_burst_airtime(&cfg, mcs, bits),
+                        "MCS {} at {bits} bits",
+                        mcs.index
+                    );
+                }
+            }
+        }
     }
 
     #[test]

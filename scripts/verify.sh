@@ -100,6 +100,24 @@ cargo run -q --release -p movr-obs --offline -- reduce --threads 4 \
 cmp out/fleet-big/rollup-t1.json out/fleet-big/rollup-t4.json
 echo "100k-event rollup is byte-identical across thread counts"
 
+echo "==> fleet analytics: the JSON parser alone gives the same 100k-event rollup"
+# Every event line starts with its "t_ns" key. Spelled "t\u005fns", it
+# reads back as t_ns, but the reducer's flat reader declines the escape,
+# so every line goes through the fallback parser.
+rm -rf out/fleet-big-fallback
+mkdir -p out/fleet-big-fallback
+for f in out/fleet-big/session-*.jsonl; do
+    sed 's/^{"t_ns":/{"t\\u005fns":/' "$f" > "out/fleet-big-fallback/$(basename "$f")"
+done
+if grep -q '"t_ns"' out/fleet-big-fallback/session-*.jsonl; then
+    echo "a line of the fallback fleet still spells \"t_ns\" plainly" >&2
+    exit 1
+fi
+cargo run -q --release -p movr-obs --offline -- reduce --threads 1 \
+    --out out/fleet-big-fallback/rollup.json out/fleet-big-fallback/session-*.jsonl
+cmp out/fleet-big-fallback/rollup.json out/fleet-big/rollup-t1.json
+echo "the fallback parser's 100k-event rollup is byte-identical"
+
 echo "==> clippy: every target warning-clean (rustc lints, clippy defaults, clippy.toml bans)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

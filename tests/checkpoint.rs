@@ -371,6 +371,37 @@ fn restore_under_a_zero_up_count_is_an_invalid_config() {
 }
 
 #[test]
+fn restore_under_an_unbounded_frame_size_is_an_invalid_config() {
+    // `f64::MAX` bits is about 8.8e12 full PPDUs a frame; a restore under
+    // a resealed fingerprint of such a config is an error, as
+    // `Session::on_system` panics on it.
+    let (_, cfg) = scenario(Strategy::Movr { tracking: true }, POLICIES[1], 4);
+    let mut bytes = snapshot_under(&cfg, 5);
+    for frame_bits in [
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        -1.0,
+        9_007_199_254_740_994.0,
+    ] {
+        let mut unbounded = cfg;
+        unbounded.traffic.frame_bits = frame_bits;
+        bytes[12..20].copy_from_slice(&config_fingerprint(&unbounded).to_le_bytes());
+        reseal(&mut bytes);
+        match Session::restore(&bytes, &unbounded) {
+            Err(SnapshotError::InvalidConfig { what }) => {
+                assert!(
+                    what.contains(&format!("frame_bits = {frame_bits:?}")),
+                    "{what}"
+                );
+            }
+            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("a snapshot restored under frame_bits = {frame_bits:?}"),
+        }
+    }
+}
+
+#[test]
 fn version_1_snapshot_is_rejected_as_unsupported() {
     // Version 1 stored metric names, bucket edges and duplicated counters;
     // this build has no reader for it.

@@ -13,6 +13,7 @@
 //! ```
 
 use movr::session::{RatePolicy, Session, SessionConfig, SessionOutcome, Strategy};
+use movr_math::json::FlatObject;
 use movr_math::{Summary, Vec2};
 use movr_motion::{HandRaise, MotionTrace, PlayerState};
 use movr_obs::{diff_json, reduce_one_stream, reduce_streams, Json, MemoryRecorder, Rollup};
@@ -51,6 +52,24 @@ fn fleet_rollup_matches_the_golden_fixture() {
             diff.join("\n"),
         );
     }
+}
+
+#[test]
+fn the_fallback_reader_alone_reproduces_the_golden_fixture() {
+    // `"t\u005fns"` is `"t_ns"` spelled with an escape: `Json::parse`
+    // reads it back as `t_ns`, and the reducer's flat reader declines it,
+    // so every line of this fleet is folded through the fallback.
+    let timelines: Vec<String> = fleet_jsonl(8, 1.0, 1)
+        .iter()
+        .map(|t| t.replace("\"t_ns\":", "\"t\\u005fns\":"))
+        .collect();
+    for line in timelines.iter().flat_map(|t| t.lines()) {
+        assert!(
+            FlatObject::parse(line).is_none(),
+            "the flat reader took {line:?}"
+        );
+    }
+    assert_eq!(reduce_fleet(&timelines).to_json(), GOLDEN.trim_end());
 }
 
 /// The recorded bytes themselves, not only what the reducer pulls out

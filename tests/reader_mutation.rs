@@ -3,13 +3,17 @@
 //! fleet session's timeline and to the checked-in perf-ratchet baseline,
 //! `bench-baseline.toml`.
 //!
-//! Over every JSONL mutant, [`Json::parse`] (line by line),
-//! [`reduce_lines`] and [`reduce_one_stream`] must return `Ok` or a
-//! structured error and never panic. A [`ReduceError`] must name a line
-//! at or after the first line the mutation touched: the untouched
-//! prefix reduces cleanly, so an earlier line would be a misattributed
-//! error. Where the mutant is still UTF-8, the streaming and the
-//! borrowed-line reducer must agree.
+//! Over every JSONL mutant, [`FlatObject::parse`] and [`Json::parse`]
+//! (line by line), [`reduce_lines`] and [`reduce_one_stream`] must
+//! return `Ok` or a structured error and never panic. A [`ReduceError`]
+//! must name a line at or after the first line the mutation touched:
+//! the untouched prefix reduces cleanly, so an earlier line would be a
+//! misattributed error. Where the mutant is still UTF-8, the streaming
+//! and the borrowed-line reducer must agree. Where the flat reader
+//! accepts a mutant line, `Json::parse` must accept it too and read
+//! every field the same: the reducer folds a line through whichever of
+//! the two took it, so that is what keeps its errors and rollups
+//! independent of the reader.
 //!
 //! Session 6 of the canonical fleet is small (677 lines in 1 s) yet
 //! has every event kind the reducer folds: frames, mode switches,
@@ -19,6 +23,7 @@
 //! [`parse_baseline`]; neither may panic, and a TOML syntax error names a
 //! line at or after the first mutated one.
 
+use movr_math::json::{FlatObject, Scalar};
 use movr_math::toml;
 use movr_obs::{parse_baseline, reduce_lines, reduce_one_stream, Json, ReduceError, Rollup};
 use movr_system::fleet::session_jsonl;
@@ -72,26 +77,100 @@ fn first_mutated_line(text: &[u8], mutant: &[u8]) -> u64 {
     1 + mutant[..same].iter().filter(|&&c| c == b'\n').count() as u64
 }
 
-/// Runs every reader over `mutant`: the parser on each (lossily
-/// decoded) line, the streaming reducer on the raw bytes, and the
-/// borrowed-line reducer where the bytes are UTF-8.
-fn read_all(mutant: &[u8]) -> (Option<ReduceError>, Option<Option<ReduceError>>) {
-    for line in String::from_utf8_lossy(mutant).lines() {
-        let _ = Json::parse(line);
+/// What each accessor reads from a field: `as_f64`'s bits, `as_u64`,
+/// `as_str` and `as_bool`.
+type Reading<'a> = (Option<u64>, Option<u64>, Option<&'a str>, Option<bool>);
+
+fn flat_reading<'a>(v: &'a Scalar<'_>) -> Reading<'a> {
+    (
+        v.as_f64().map(f64::to_bits),
+        v.as_u64(),
+        v.as_str(),
+        v.as_bool(),
+    )
+}
+
+fn json_reading<'a>(v: &'a Json<'_>) -> Reading<'a> {
+    (
+        v.as_f64().map(f64::to_bits),
+        v.as_u64(),
+        v.as_str(),
+        v.as_bool(),
+    )
+}
+
+/// Runs both readers on `line` and says how the flat reader's reading
+/// differs from [`Json::parse`]'s, if it accepts the line: `Json::parse`
+/// rejecting it, a key out of order, or any accessor reading the first
+/// field of some key differently.
+fn flat_disagreement(line: &str) -> Option<String> {
+    let doc = Json::parse(line);
+    let flat = FlatObject::parse(line)?;
+    let doc = match doc {
+        Ok(doc) => doc,
+        Err(e) => {
+            return Some(format!(
+                "{line:?}: the flat reader accepts it, Json::parse says {e}"
+            ))
+        }
+    };
+    let keys: Vec<&str> = flat.fields().iter().map(|(k, _)| *k).collect();
+    let json_keys: Vec<&str> = doc
+        .fields()
+        .map_or(Vec::new(), |f| f.iter().map(|(k, _)| k.as_str()).collect());
+    if keys != json_keys {
+        return Some(format!("{line:?}: keys {keys:?} against {json_keys:?}"));
     }
+    keys.into_iter().find_map(|key| {
+        let a = flat.get(key).map(flat_reading);
+        let b = doc.get(key).map(json_reading);
+        (a != b).then(|| format!("{line:?}: `{key}` reads {a:?} against {b:?}"))
+    })
+}
+
+/// Runs every reader over `mutant`: the flat reader and the parser on
+/// each (lossily decoded) line, the streaming reducer on the raw bytes,
+/// and the borrowed-line reducer where the bytes are UTF-8. Returns the
+/// first line the two readers read differently, then the reducers'
+/// errors.
+fn read_all(
+    mutant: &[u8],
+) -> (
+    Option<String>,
+    Option<ReduceError>,
+    Option<Option<ReduceError>>,
+) {
+    let disagreement = String::from_utf8_lossy(mutant)
+        .lines()
+        .find_map(flat_disagreement);
     let streamed = reduce_one_stream(LABEL, mutant).err();
     let borrowed = std::str::from_utf8(mutant).ok().map(|text| {
         let mut rollup = Rollup::new();
         reduce_lines(LABEL, text.lines(), &mut rollup).err()
     });
-    (streamed, borrowed)
+    (disagreement, streamed, borrowed)
 }
 
 #[test]
 fn unmutated_timeline_reduces_cleanly() {
-    let (streamed, borrowed) = read_all(timeline());
+    let (disagreement, streamed, borrowed) = read_all(timeline());
+    assert!(disagreement.is_none(), "{disagreement:?}");
     assert!(streamed.is_none(), "{streamed:?}");
     assert!(matches!(borrowed, Some(None)), "{borrowed:?}");
+    // Every recorded line takes the reducer's flat path: a writer change
+    // that sends lines to the fallback fails here, not only in a bench.
+    let text = std::str::from_utf8(timeline()).expect("the timeline is UTF-8");
+    let declined: Vec<&str> = text
+        .lines()
+        .filter(|l| FlatObject::parse(l).is_none())
+        .collect();
+    assert!(
+        declined.is_empty(),
+        "{} of {} lines declined, first {:?}",
+        declined.len(),
+        text.lines().count(),
+        declined.first()
+    );
 }
 
 property! {
@@ -109,8 +188,11 @@ property! {
         let text = timeline();
         let mutant = mutate(text, m, a, b);
         let first = first_mutated_line(text, &mutant);
-        let (streamed, borrowed) = catch_unwind(AssertUnwindSafe(|| read_all(&mutant)))
+        let (disagreement, streamed, borrowed) = catch_unwind(AssertUnwindSafe(|| read_all(&mutant)))
             .map_err(|_| PropError::failed(format!("a reader panicked on {m:?} ({a}, {b})")))?;
+        if let Some(d) = disagreement {
+            return Err(PropError::failed(format!("{m:?} ({a}, {b}): {d}")));
+        }
         for e in streamed.iter().chain(borrowed.iter().flatten()) {
             prop_assert!(e.stream == LABEL, "{}", e);
             prop_assert!(e.line >= first, "{} is before the first mutated line {}", e, first);
