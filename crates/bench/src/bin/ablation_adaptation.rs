@@ -17,10 +17,10 @@ use movr_motion::{HandRaise, MotionTrace, PlayerState, RandomWalk};
 use movr_rfsim::Room;
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Ablation: rate adaptation",
         "frame loss by MCS-selection policy under blockage transients",
-    );
+    ));
 
     let base = {
         let center = Vec2::new(4.0, 2.5);

@@ -15,10 +15,10 @@ use movr_bench::figure_header;
 use movr_phased_array::{PatchElement, PhaseShifter, UniformLinearArray};
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Ablation: array design",
         "beamwidth / gain / quantisation loss vs element count and DAC bits",
-    );
+    ));
 
     println!("\n--- element count (8-bit phase control) ---");
     println!(

@@ -24,10 +24,10 @@ use movr_radio::{RadioEndpoint, RateTable};
 use movr_motion::{PlayerState, WorldState};
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Ablation: gain policy",
         "delivered SNR and saturation: adaptive vs fixed vs oracle",
-    );
+    ));
     let mut rng = SimRng::seed_from_u64(42);
     let rate = RateTable;
     let runs = 30;

@@ -18,10 +18,10 @@ use movr_radio::RadioEndpoint;
 use movr_rfsim::Scene;
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Ablation: modulation",
         "alignment error with vs without the f2 on/off modulation",
-    );
+    ));
     let scene = Scene::paper_office();
     let ap = RadioEndpoint::paper_radio(ap_position(), 20.0);
     let mut rng = SimRng::seed_from_u64(41);

@@ -28,10 +28,10 @@ fn truth_at(t_s: f64, speed_mps: f64) -> PlayerState {
 }
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Ablation: prediction",
         "beam-pointing error and gain loss vs player speed, with/without §6 prediction",
-    );
+    ));
 
     let latency_s = 0.0075;
     let frame_s = 1.0 / 90.0;

@@ -16,10 +16,10 @@ use movr_motion::{HandRaise, MotionTrace, PlayerState, RandomWalk, WalkerCrossin
 use movr_rfsim::Room;
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Ablation: realignment",
         "frame quality with tracking-assisted vs sweep realignment",
-    );
+    ));
 
     let base = {
         let center = Vec2::new(4.0, 2.5);

@@ -1,50 +1,10 @@
-//! §6 (battery) — *cutting the power cord too.*
-//!
-//! "The maximum current drawn by the HTC Vive headset is 1500mA. Hence, a
-//! small battery (3.8x1.7x0.9in) with 5200mA capacity can run the headset
-//! for 4-5 hours."
+//! §6 battery — headset runtime on the paper's pack. Prints the report of
+//! [`movr_bench::paper::battery`].
 //!
 //! ```sh
 //! cargo run -p movr-bench --release --bin battery
 //! ```
 
-use movr_bench::figure_header;
-use movr_vr::battery::{Battery, VIVE_MAX_DRAW_A, VIVE_TYPICAL_DRAW_A};
-
 fn main() {
-    figure_header("§6 battery", "headset runtime on the paper's 5200 mAh pack");
-
-    let pack = Battery::anker_5200();
-    println!(
-        "\npack: {} mAh rated, {:.0} mAh usable",
-        pack.capacity_mah,
-        pack.usable_mah()
-    );
-
-    println!("\n{:<34} {:>10} {:>10}", "draw scenario", "current", "runtime");
-    let rows = [
-        ("Vive, typical in-game", VIVE_TYPICAL_DRAW_A),
-        ("Vive, maximum (paper's figure)", VIVE_MAX_DRAW_A),
-        ("Vive + mmWave receiver (+300 mA)", VIVE_TYPICAL_DRAW_A + 0.3),
-        ("Vive + mmWave, worst case", VIVE_MAX_DRAW_A + 0.3),
-    ];
-    for (label, draw) in rows {
-        println!(
-            "{:<34} {:>8.2} A {:>8.1} h",
-            label,
-            draw,
-            pack.runtime_hours(draw)
-        );
-    }
-
-    println!("\n--- paper-shape checks ---");
-    let typical = pack.runtime_hours(VIVE_TYPICAL_DRAW_A);
-    println!(
-        "typical-draw runtime {typical:.1} h — inside the paper's '4-5 hours' claim: {}",
-        if (4.0..=5.0).contains(&typical) { "yes" } else { "NO" }
-    );
-    println!(
-        "even with the mmWave receiver's draw the pack sustains multi-hour sessions: {}",
-        if pack.runtime_hours(VIVE_TYPICAL_DRAW_A + 0.3) > 3.0 { "yes" } else { "NO" }
-    );
+    print!("{}", movr_bench::paper::battery().report);
 }

@@ -17,10 +17,10 @@ use movr_radio::RadioEndpoint;
 use movr_rfsim::Room;
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Deployment planning",
         "greedy wall-mount selection, coverage of random player poses",
-    );
+    ));
     let room = Room::paper_office();
     let ap = RadioEndpoint::paper_radio(ap_position(), 20.0);
     let mut rng = SimRng::seed_from_u64(77);

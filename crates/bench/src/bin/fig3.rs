@@ -1,145 +1,10 @@
-//! Figure 3 — *Blockage impact on data rate.*
-//!
-//! Top panel: SNR for {LOS, LOS blocked by hand, LOS blocked by head,
-//! LOS blocked by body, best NLOS}. Bottom panel: the same scenarios
-//! through the 802.11ad rate table. Paper anchors: LOS mean ≈ 25 dB and
-//! ≈ 7 Gb/s; hand blockage degrades SNR by > 14 dB; the best NLOS beam
-//! pair averages ~16 dB below LOS; every blocked/NLOS scenario falls
-//! below the VR requirement.
+//! Figure 3 — blockage impact on SNR and data rate. Prints the report of
+//! [`movr_bench::paper::fig3`].
 //!
 //! ```sh
 //! cargo run -p movr-bench --release --bin fig3
 //! ```
 
-use movr::baselines::{aligned_direct_snr, opt_nlos};
-use movr_bench::{ap_position, figure_header, random_headset_pose};
-use movr_math::{SimRng, Summary, Vec2};
-use movr_phased_array::Codebook;
-use movr_radio::{RadioEndpoint, RateTable, VR_REQUIRED_RATE_MBPS, VR_REQUIRED_SNR_DB};
-use movr_rfsim::{BodyPart, Obstacle, Scene};
-
 fn main() {
-    figure_header(
-        "Figure 3",
-        "SNR and data rate: LOS, three blockages, and best NLOS",
-    );
-    let mut rng = SimRng::seed_from_u64(3);
-    let rate = RateTable;
-    let runs = 20;
-
-    let labels = [
-        "LOS",
-        "LOS blocked by hand",
-        "LOS blocked by head",
-        "LOS blocked by body",
-        "NLOS (bare walls)",
-        "NLOS (furnished, §5)",
-    ];
-    let mut snr_stats = vec![Summary::new(); labels.len()];
-    let mut rate_stats = vec![Summary::new(); labels.len()];
-
-    for _ in 0..runs {
-        let mut scene = Scene::paper_office();
-        let mut ap = RadioEndpoint::paper_radio(ap_position(), 20.0);
-        let (hs_pos, _) = random_headset_pose(&mut rng);
-        let mut hs = RadioEndpoint::paper_radio(hs_pos, hs_pos.bearing_deg_to(ap_position()));
-
-        // The blocker sits on the LOS, slightly toward the headset — the
-        // player's own hand/head, or a bystander mid-way.
-        let mid = ap_position().lerp(hs_pos, rng.uniform(0.4, 0.7));
-        let blockers = [
-            None,
-            Some(Obstacle::new(BodyPart::Hand, mid)),
-            Some(Obstacle::new(BodyPart::Head, mid)),
-            Some(Obstacle::new(BodyPart::Torso, mid)),
-        ];
-        for (i, blocker) in blockers.iter().enumerate() {
-            scene.clear_obstacles();
-            if let Some(o) = blocker {
-                scene.add_obstacle(*o);
-            }
-            let snr = aligned_direct_snr(&scene, &mut ap, &mut hs);
-            snr_stats[i].push(snr);
-            rate_stats[i].push(rate.rate_mbps(snr));
-        }
-
-        // Best NLOS: "we repeat the measurements for all blocking
-        // scenarios" (§3) — exhaustive beam sweep at both ends under each
-        // blocker (paper: 1° steps; 2° here keeps the bin fast and is
-        // well inside one beamwidth).
-        let ap_cb = Codebook::sweep(-50.0, 90.0, 2.0);
-        let bore = hs.array().boresight_deg();
-        let hs_cb = Codebook::sweep(bore - 50.0, bore + 50.0, 2.0);
-        let mut furnished = Scene::furnished_office();
-        for kind in [BodyPart::Hand, BodyPart::Head, BodyPart::Torso] {
-            scene.clear_obstacles();
-            scene.add_obstacle(Obstacle::new(kind, mid));
-            let nl = opt_nlos(&scene, &ap, &hs, &ap_cb, &hs_cb, 7.0);
-            snr_stats[4].push(nl.snr_db);
-            rate_stats[4].push(rate.rate_mbps(nl.snr_db));
-            // The paper's actual room had furniture: metal whiteboard and
-            // cabinet faces reflect far better than drywall.
-            furnished.clear_obstacles();
-            furnished.add_obstacle(Obstacle::new(kind, mid));
-            let nf = opt_nlos(&furnished, &ap, &hs, &ap_cb, &hs_cb, 7.0);
-            snr_stats[5].push(nf.snr_db);
-            rate_stats[5].push(rate.rate_mbps(nf.snr_db));
-        }
-    }
-
-    println!("\n--- top panel: SNR (dB), {runs} placements ---");
-    println!(
-        "{:<24} {:>8} {:>8} {:>8}   required SNR: {:.0} dB",
-        "scenario", "mean", "min", "max", VR_REQUIRED_SNR_DB
-    );
-    for (label, s) in labels.iter().zip(&snr_stats) {
-        println!(
-            "{:<24} {:>8.1} {:>8.1} {:>8.1}",
-            label,
-            s.mean(),
-            s.min(),
-            s.max()
-        );
-    }
-
-    println!("\n--- bottom panel: data rate (Gb/s) ---");
-    println!(
-        "{:<24} {:>8} {:>8} {:>8}   required rate: {:.1} Gb/s",
-        "scenario",
-        "mean",
-        "min",
-        "max",
-        VR_REQUIRED_RATE_MBPS / 1000.0
-    );
-    for (label, s) in labels.iter().zip(&rate_stats) {
-        println!(
-            "{:<24} {:>8.2} {:>8.2} {:>8.2}",
-            label,
-            s.mean() / 1000.0,
-            s.min() / 1000.0,
-            s.max() / 1000.0
-        );
-    }
-
-    let los = snr_stats[0].mean();
-    println!("\n--- paper-shape checks ---");
-    println!(
-        "LOS mean SNR {los:.1} dB (paper ~25); LOS mean rate {:.2} Gb/s (paper ~7)",
-        rate_stats[0].mean() / 1000.0
-    );
-    println!(
-        "hand-blockage drop {:.1} dB (paper >14)",
-        los - snr_stats[1].mean()
-    );
-    println!(
-        "best-NLOS drop: bare walls {:.1} dB, furnished {:.1} dB (paper ~16 mean)",
-        los - snr_stats[4].mean(),
-        los - snr_stats[5].mean()
-    );
-    let all_blocked_fail = (1..6).all(|i| rate_stats[i].mean() < VR_REQUIRED_RATE_MBPS);
-    println!(
-        "every blocked/NLOS scenario below the VR rate: {}",
-        if all_blocked_fail { "yes" } else { "NO" }
-    );
-    let _ = Vec2::ZERO; // keep Vec2 import obviously used across edits
+    print!("{}", movr_bench::paper::fig3().report);
 }

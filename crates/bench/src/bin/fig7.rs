@@ -1,54 +1,10 @@
-//! Figure 7 — *Leakage between TX and RX antennas.*
-//!
-//! The reflector's terminal-to-terminal TX→RX leakage across transmit
-//! beam angles 40°–140°, for two receive beam angles (50° and 65°).
-//! Paper shape: leakage gain between roughly −50 and −80 dB, varying by
-//! up to ~20 dB across the sweep, with a curve that reshapes (not just
-//! shifts) when the receive beam moves.
+//! Figure 7 — TX→RX leakage across beam angles. Prints the report of
+//! [`movr_bench::paper::fig7`].
 //!
 //! ```sh
 //! cargo run -p movr-bench --release --bin fig7
 //! ```
 
-use movr::reflector::MovrReflector;
-use movr_bench::{figure_header, print_series};
-use movr_math::angle::sweep_deg;
-use movr_math::Vec2;
-
 fn main() {
-    figure_header(
-        "Figure 7",
-        "TX->RX leakage vs TX beam angle, for RX beam at 50 and 65 deg",
-    );
-
-    // A reflector whose boresight is 90° so the paper's 40°–140° sweep
-    // maps exactly onto the array's ±50° scan range.
-    let mut device = MovrReflector::wall_mounted(Vec2::new(2.5, 0.25), 90.0, 7);
-
-    for rx_angle in [50.0, 65.0] {
-        let mut series = Vec::new();
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for tx_angle in sweep_deg(40.0, 140.0, 1.0) {
-            device.steer_rx(rx_angle);
-            device.steer_tx(tx_angle);
-            // What a VNA on the amplifier terminals reads: the (negative)
-            // gain of the leakage loop.
-            let gain_db = -device.loop_attenuation_db();
-            min = min.min(gain_db);
-            max = max.max(gain_db);
-            series.push((tx_angle, gain_db));
-        }
-        print_series(&format!("Rx angle {rx_angle}"), &series);
-        println!(
-            "  range: {min:.1} .. {max:.1} dB  (swing {:.1} dB; paper: -50..-80, up to ~20 dB)",
-            max - min
-        );
-    }
-
-    println!(
-        "\nThe swing across beam angles is why the amplifier gain must adapt\n\
-         per beam pair (§4.2) — a fixed gain is either unstable at the\n\
-         leakiest posture or wastes SNR everywhere else."
-    );
+    print!("{}", movr_bench::paper::fig7().report);
 }

@@ -1,83 +1,10 @@
-//! Figure 8 — *Beam Alignment Accuracy.*
-//!
-//! 100 runs: the reflector is placed at a random location and orientation,
-//! the §4.1 backscatter protocol estimates the incidence angle, and the
-//! estimate is compared to the ground truth computed from the (laser-
-//! measured, here exact) positions. Paper result: error within 2°, a
-//! negligible SNR cost against the ~10° beamwidth.
+//! Figure 8 — beam alignment accuracy over 100 runs. Prints the report of
+//! [`movr_bench::paper::fig8`].
 //!
 //! ```sh
 //! cargo run -p movr-bench --release --bin fig8
 //! ```
 
-use movr::alignment::{estimate_incidence, AlignmentConfig};
-use movr::reflector::MovrReflector;
-use movr_bench::{ap_position, figure_header};
-use movr_math::{wrap_deg_180, SimRng, Summary, Vec2};
-use movr_phased_array::Codebook;
-use movr_radio::RadioEndpoint;
-use movr_rfsim::Scene;
-
 fn main() {
-    figure_header(
-        "Figure 8",
-        "estimated vs ground-truth incidence angle, 100 runs",
-    );
-    let scene = Scene::paper_office();
-    let ap = RadioEndpoint::paper_radio(ap_position(), 20.0);
-    let mut rng = SimRng::seed_from_u64(8);
-
-    let runs = 100u64;
-    let mut errors = Summary::new();
-    let mut within_2 = 0;
-    println!("\nseries: estimated vs actual (deg)");
-    println!("{:>12} {:>12} {:>8}", "actual", "estimated", "error");
-
-    for run in 0..runs {
-        // Random wall mount: along the north or east wall segments that
-        // keep both the AP and the play area inside the scan range.
-        let pos = if rng.chance(0.6) {
-            Vec2::new(rng.uniform(0.8, 3.5), 4.75)
-        } else {
-            Vec2::new(rng.uniform(0.6, 2.2), rng.uniform(3.8, 4.75))
-        };
-        let bore = pos.bearing_deg_to(Vec2::new(1.8, 2.2)) + rng.uniform(-10.0, 10.0);
-        let reflector = MovrReflector::wall_mounted(pos, bore, 1000 + run);
-
-        let truth = pos.bearing_deg_to(ap.position());
-        let truth_ap = ap.position().bearing_deg_to(pos);
-        // The paper's 1°-increment sweep, windowed to each node's field
-        // of view around the mount's coverage.
-        let config = AlignmentConfig {
-            ap_codebook: Codebook::sweep(truth_ap - 20.0, truth_ap + 20.0, 1.0),
-            reflector_codebook: Codebook::sweep(truth - 20.0, truth + 20.0, 1.0),
-            ..Default::default()
-        };
-        let r = estimate_incidence(&scene, ap, reflector, &config, &mut rng);
-        let err = wrap_deg_180(r.reflector_angle_deg - truth).abs();
-        errors.push(err);
-        if err <= 2.0 {
-            within_2 += 1;
-        }
-        if run % 10 == 0 {
-            println!(
-                "{:>12.1} {:>12.1} {:>8.2}",
-                truth, r.reflector_angle_deg, err
-            );
-        }
-    }
-
-    println!("\n--- paper-shape checks ---");
-    println!(
-        "alignment error: mean {:.2}°, max {:.2}° over {runs} runs",
-        errors.mean(),
-        errors.max()
-    );
-    println!(
-        "runs within 2°: {within_2}/{runs} (paper: estimates within 2° of truth)"
-    );
-    println!(
-        "with a ~10° half-power beamwidth, a ≤2° error costs a negligible\n\
-         fraction of a dB of SNR (§5.1)."
-    );
+    print!("{}", movr_bench::paper::fig8().report);
 }

@@ -1,117 +1,10 @@
-//! Figure 9 — *SNR Performance.*
-//!
-//! 20 runs with random headset placement and orientation. For each run:
-//! 1) LOS SNR with no blockage; 2) a bystander blocks the LOS and the
-//!    best non-line-of-sight beam pair is found by exhaustive sweep
-//!    (Opt. NLOS); 3) MoVR serves the same blocked scenario through the
-//!    reflector. The figure is the CDF of SNR improvement relative to LOS.
-//!
-//! Paper shape: Opt. NLOS loses 17 dB on average (up to 27 dB); MoVR is
-//! mostly *above* LOS (the AP→reflector hop is short and amplified) with
-//! a worst case around −3 dB, occurring only where the headset is so
-//! close to the AP that SNR headroom is large.
+//! Figure 9 — SNR with MoVR vs LOS vs Opt. NLOS. Prints the report of
+//! [`movr_bench::paper::fig9`].
 //!
 //! ```sh
 //! cargo run -p movr-bench --release --bin fig9
 //! ```
 
-use movr::baselines::opt_nlos;
-use movr::system::{MovrSystem, SystemConfig};
-use movr_bench::{ap_position, figure_header, print_cdf};
-use movr_math::{Cdf, SimRng, Summary, Vec2};
-use movr_motion::{PlayerState, WorldState};
-use movr_phased_array::Codebook;
-use movr_radio::RadioEndpoint;
-use movr_rfsim::{BodyPart, Obstacle};
-
 fn main() {
-    figure_header(
-        "Figure 9",
-        "CDF of SNR improvement vs LOS: {LOS, Opt. NLOS, MoVR}",
-    );
-    let mut rng = SimRng::seed_from_u64(9);
-    let runs = 20;
-
-    let mut nlos_improvement = Vec::new();
-    let mut movr_improvement = Vec::new();
-    let mut nlos_stats = Summary::new();
-    let mut movr_stats = Summary::new();
-
-    println!("\n{:>4} {:>18} {:>8} {:>10} {:>8}", "run", "headset", "LOS", "OptNLOS", "MoVR");
-    for run in 0..runs {
-        let mut sys = MovrSystem::paper_setup(SystemConfig::default());
-
-        // Random placement within the reflector's installed coverage:
-        // gaze within ±20° of the scene (AP) direction, resampled until
-        // both the AP and the reflector fall inside the receiver's
-        // electronic scan. Poses outside a reflector's coverage are the
-        // multi-reflector deployment of §4 (see examples/multi_reflector).
-        let player = loop {
-            let pos = Vec2::new(rng.uniform(2.0, 4.5), rng.uniform(0.8, 4.2));
-            let yaw = pos.bearing_deg_to(ap_position()) + rng.uniform(-20.0, 20.0);
-            let candidate = PlayerState::standing(pos, yaw);
-            let hs = RadioEndpoint::paper_radio(candidate.receiver_position(), yaw);
-            let sees_ap = hs.array().can_steer_to(pos.bearing_deg_to(ap_position()));
-            let sees_refl = hs
-                .array()
-                .can_steer_to(pos.bearing_deg_to(movr_bench::reflector_position()));
-            if sees_ap && sees_refl {
-                break candidate;
-            }
-        };
-        let pos = player.center;
-        let yaw = player.yaw_deg;
-
-        // 1) Unblocked LOS.
-        let clear = WorldState::player_only(player);
-        let los = sys.evaluate_direct(&clear);
-
-        // 2) + 3) A bystander torso on the AP↔headset line.
-        let mid = ap_position().lerp(player.receiver_position(), rng.uniform(0.35, 0.65));
-        let mut blocked = WorldState::player_only(player);
-        blocked
-            .others
-            .push(Obstacle::new(BodyPart::Torso, mid));
-
-        // Opt. NLOS: exhaustive sweep of both ends, LOS cone excluded.
-        let _ = sys.evaluate_direct(&blocked); // sync obstacles into the scene
-        let hs = RadioEndpoint::paper_radio(player.receiver_position(), player.yaw_deg);
-        let ap_cb = Codebook::sweep(-50.0, 90.0, 2.0);
-        let hs_cb = Codebook::sweep(player.yaw_deg - 50.0, player.yaw_deg + 50.0, 2.0);
-        let nlos = opt_nlos(sys.scene(), sys.ap(), &hs, &ap_cb, &hs_cb, 7.0);
-
-        // MoVR in the same blockage.
-        let movr = sys.evaluate_via_reflector(0, &blocked).end_snr_db;
-
-        nlos_improvement.push(nlos.snr_db - los);
-        movr_improvement.push(movr - los);
-        nlos_stats.push(nlos.snr_db - los);
-        movr_stats.push(movr - los);
-        println!(
-            "{run:>4} ({:>4.1},{:>4.1}) yaw {:>4.0} {los:>8.1} {:>10.1} {movr:>8.1}",
-            pos.x, pos.y, yaw, nlos.snr_db
-        );
-    }
-
-    // The LOS scenario's improvement over itself is identically zero — a
-    // step CDF at 0, as the paper plots it.
-    print_cdf("LOS", &Cdf::new(vec![0.0; runs]), 5);
-    print_cdf("Opt. NLOS", &Cdf::new(nlos_improvement), 20);
-    print_cdf("MoVR", &Cdf::new(movr_improvement.clone()), 20);
-
-    println!("\n--- paper-shape checks ---");
-    println!(
-        "Opt. NLOS improvement: mean {:.1} dB (paper ≈ -17), worst {:.1} dB (paper ≈ -27)",
-        nlos_stats.mean(),
-        nlos_stats.min()
-    );
-    println!(
-        "MoVR improvement: mean {:+.1} dB (paper: a few dB above LOS), worst {:+.1} dB (paper ≈ -3)",
-        movr_stats.mean(),
-        movr_stats.min()
-    );
-    let above = movr_improvement.iter().filter(|&&v| v >= 0.0).count();
-    println!(
-        "MoVR at or above LOS in {above}/{runs} runs (paper: 'for most cases')"
-    );
+    print!("{}", movr_bench::paper::fig9().report);
 }

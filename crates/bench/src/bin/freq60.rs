@@ -62,10 +62,10 @@ fn scenario(freq_hz: f64, elements: usize) -> (f64, f64) {
 }
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Extension: carrier frequency",
         "the 24 GHz prototype vs a 60 GHz 802.11ad deployment",
-    );
+    ));
     let rate = RateTable;
 
     println!(

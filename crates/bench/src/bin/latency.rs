@@ -1,92 +1,10 @@
-//! §6 (latency) — *does everything fit in the 10 ms display budget?*
-//!
-//! "The headset updates the display every 10ms. In principle, all
-//! components of our design work much faster than this time scale ...
-//! Finding the best beam alignment is the most time consuming process."
-//!
-//! This bin itemises every latency in the design — electronic steering,
-//! control-channel commands, the gain-control loop, windowed and full
-//! alignment sweeps, and the tracking-assisted §6 realignment — and
-//! checks each against the frame budget.
+//! §6 latency — component latencies vs the 10 ms frame budget. Prints the report of
+//! [`movr_bench::paper::latency`].
 //!
 //! ```sh
 //! cargo run -p movr-bench --release --bin latency
 //! ```
 
-use movr::gain_control::GainControlConfig;
-use movr::system::{MovrSystem, SystemConfig};
-use movr_bench::figure_header;
-use movr_phased_array::array::STEERING_LATENCY_S;
-use movr_sim::SimTime;
-use movr_vr::{LatencyBudget, VrTrafficModel};
-
 fn main() {
-    figure_header("§6 latency", "component latencies vs the 10 ms frame budget");
-
-    let budget = LatencyBudget::default();
-    let traffic = VrTrafficModel::vive();
-    let sys = MovrSystem::paper_setup(SystemConfig::default());
-    let cfg = SystemConfig::default();
-
-    // Gain control: ~ (max_gain / step) sensor reads at the Arduino's ADC
-    // rate (~10 µs per read, 3 reads per step).
-    let gc = GainControlConfig::default();
-    let steps = movr_math::convert::f64_to_u64((53.0 / gc.step_db).ceil());
-    let gain_control =
-        SimTime::from_nanos(steps * movr_math::convert::usize_to_u64(gc.reads_per_step) * 10_000);
-
-    // Full install-time sweep: 101 × 101 beams.
-    let n = 101u64;
-    let full_sweep = SimTime::from_nanos(
-        n * cfg.beam_command_latency.as_nanos() + n * n * cfg.sweep_dwell.as_nanos(),
-    );
-
-    let airtime = traffic.frame_airtime(6756.75).expect("max rate");
-
-    let rows: Vec<(&str, SimTime, bool)> = vec![
-        (
-            "electronic beam steering",
-            SimTime::from_secs_f64(STEERING_LATENCY_S),
-            true,
-        ),
-        ("one control command (BLE)", cfg.beam_command_latency, true),
-        ("gain-control loop", gain_control, true),
-        (
-            "tracking-assisted realignment (§6)",
-            sys.tracking_realignment_cost(),
-            true,
-        ),
-        (
-            "windowed re-sweep (no tracking)",
-            sys.sweep_realignment_cost(),
-            false,
-        ),
-        ("full install-time sweep (101x101)", full_sweep, false),
-        ("frame airtime at max MCS", airtime, true),
-    ];
-
-    println!(
-        "\n{:<36} {:>14} {:>14}",
-        "component", "latency", "fits 10 ms?"
-    );
-    println!("{}", "-".repeat(66));
-    let mut all_consistent = true;
-    for (label, t, expect_fits) in &rows {
-        let fits = *t + budget.processing <= budget.budget;
-        all_consistent &= fits == *expect_fits;
-        println!("{label:<36} {:>14} {:>14}", format!("{t}"), if fits { "yes" } else { "NO" });
-    }
-
-    println!("\n--- paper-shape checks ---");
-    println!(
-        "steering + control + gain control all fit the frame budget: {}",
-        if all_consistent { "as expected" } else { "UNEXPECTED" }
-    );
-    println!(
-        "the only over-budget items are beam *sweeps* — exactly the paper's\n\
-         'finding the best beam alignment is the most time consuming process',\n\
-         and why §6 proposes leveraging the VR tracking data ({} vs {}).",
-        sys.sweep_realignment_cost(),
-        sys.tracking_realignment_cost()
-    );
+    print!("{}", movr_bench::paper::latency().report);
 }

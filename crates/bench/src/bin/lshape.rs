@@ -19,10 +19,10 @@ use movr_radio::{RadioEndpoint, RateTable};
 use movr_rfsim::{Channel, NoiseModel, Room, Scene};
 
 fn main() {
-    figure_header(
+    print!("{}", figure_header(
         "Extension: L-shaped studio",
         "around-the-corner service via a corner-mounted reflector",
-    );
+    ));
 
     // AP in the north leg; the east leg is behind the notch corner.
     let scene = Scene::new(

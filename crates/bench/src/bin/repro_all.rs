@@ -1,213 +1,45 @@
-//! One-command reproduction gate: runs a compact version of every
-//! paper-shape check and prints a PASS/FAIL table. `fig3`/`fig7`/`fig8`/
-//! `fig9` print the full series; this bin answers "does the repository
-//! still reproduce the paper?" in one run.
+//! One-command reproduction gate: runs every experiment of
+//! [`movr_bench::paper`] and prints each claim, evaluated on the figures'
+//! own data, as one PASS/FAIL table. A claim is *reproduced* when its
+//! statistic is an output of the simulated system and *calibrated* when a
+//! constant the simulator was tuned to or given sets it; only the first
+//! kind counts as a reproduction. Exits 1 if any claim fails.
 //!
 //! ```sh
 //! cargo run -p movr-bench --release --bin repro_all
 //! ```
 
-use movr::alignment::{estimate_incidence, AlignmentConfig};
-use movr::baselines::{aligned_direct_snr, opt_nlos};
-use movr::reflector::MovrReflector;
-use movr::system::{MovrSystem, SystemConfig};
-use movr_bench::{ap_position, figure_header, reflector_position};
-use movr_math::{wrap_deg_180, SimRng, Summary, Vec2};
-use movr_motion::{PlayerState, WorldState};
-use movr_phased_array::Codebook;
-use movr_radio::{RadioEndpoint, RateTable};
-use movr_rfsim::{BodyPart, Obstacle, Scene};
-use movr_vr::battery::{Battery, VIVE_TYPICAL_DRAW_A};
-
-struct Check {
-    name: &'static str,
-    paper: &'static str,
-    measured: String,
-    pass: bool,
-}
-
-fn fig3_checks(rng: &mut SimRng) -> Vec<Check> {
-    let rate = RateTable;
-    let runs = 8;
-    let mut los = Summary::new();
-    let mut hand = Summary::new();
-    let mut nlos = Summary::new();
-    for _ in 0..runs {
-        let mut scene = Scene::paper_office();
-        let mut ap = RadioEndpoint::paper_radio(ap_position(), 20.0);
-        let hs_pos = Vec2::new(rng.uniform(2.0, 4.5), rng.uniform(0.8, 4.2));
-        let mut hs = RadioEndpoint::paper_radio(hs_pos, hs_pos.bearing_deg_to(ap_position()));
-        let mid = ap_position().lerp(hs_pos, 0.55);
-        los.push(aligned_direct_snr(&scene, &mut ap, &mut hs));
-        scene.add_obstacle(Obstacle::new(BodyPart::Hand, mid));
-        hand.push(aligned_direct_snr(&scene, &mut ap, &mut hs));
-        scene.clear_obstacles();
-        scene.add_obstacle(Obstacle::new(BodyPart::Torso, mid));
-        let cb_a = Codebook::sweep(-50.0, 90.0, 4.0);
-        let b = hs.array().boresight_deg();
-        let cb_h = Codebook::sweep(b - 48.0, b + 48.0, 4.0);
-        nlos.push(opt_nlos(&scene, &ap, &hs, &cb_a, &cb_h, 7.0).snr_db);
-    }
-    vec![
-        Check {
-            name: "Fig3: LOS SNR & rate",
-            paper: "~25 dB, ~7 Gb/s",
-            measured: format!("{:.1} dB, {:.2} Gb/s", los.mean(), rate.rate_mbps(los.mean()) / 1000.0),
-            pass: (22.0..28.0).contains(&los.mean()) && rate.supports_vr(los.mean()),
-        },
-        Check {
-            name: "Fig3: hand blockage",
-            paper: "drop > 14 dB, below VR",
-            measured: format!("drop {:.1} dB", los.mean() - hand.mean()),
-            pass: los.mean() - hand.mean() > 14.0 && !rate.supports_vr(hand.mean()),
-        },
-        Check {
-            name: "Fig3: best NLOS",
-            paper: "well below VR req.",
-            measured: format!("drop {:.1} dB", los.mean() - nlos.mean()),
-            pass: los.mean() - nlos.mean() > 12.0 && !rate.supports_vr(nlos.mean()),
-        },
-    ]
-}
-
-fn fig7_check() -> Check {
-    let mut dev = MovrReflector::wall_mounted(Vec2::new(2.5, 0.25), 90.0, 7);
-    let mut swing = f64::INFINITY;
-    for rx in [50.0, 65.0] {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for tx in 40i32..=140 {
-            dev.steer_rx(rx);
-            dev.steer_tx(f64::from(tx));
-            let g = -dev.loop_attenuation_db();
-            lo = lo.min(g);
-            hi = hi.max(g);
-        }
-        swing = swing.min(hi - lo);
-    }
-    Check {
-        name: "Fig7: leakage swing",
-        paper: "up to ~20-30 dB",
-        measured: format!("≥{swing:.1} dB per RX angle"),
-        pass: swing >= 12.0,
-    }
-}
-
-fn fig8_check(rng: &mut SimRng) -> Check {
-    let scene = Scene::paper_office();
-    let ap = RadioEndpoint::paper_radio(ap_position(), 20.0);
-    let mut worst = 0.0f64;
-    let runs = 6;
-    for run in 0..runs {
-        let pos = Vec2::new(rng.uniform(1.0, 3.2), 4.75);
-        let bore = pos.bearing_deg_to(Vec2::new(1.8, 2.2)) + rng.uniform(-8.0, 8.0);
-        let reflector = MovrReflector::wall_mounted(pos, bore, 3000 + run);
-        let truth = pos.bearing_deg_to(ap.position());
-        let truth_ap = ap.position().bearing_deg_to(pos);
-        let cfg = AlignmentConfig {
-            ap_codebook: Codebook::sweep(truth_ap - 10.0, truth_ap + 10.0, 1.0),
-            reflector_codebook: Codebook::sweep(truth - 10.0, truth + 10.0, 1.0),
-            ..Default::default()
-        };
-        let r = estimate_incidence(&scene, ap, reflector, &cfg, rng);
-        worst = worst.max(wrap_deg_180(r.reflector_angle_deg - truth).abs());
-    }
-    Check {
-        name: "Fig8: alignment error",
-        paper: "within 2°",
-        measured: format!("worst {worst:.2}° over {runs} runs"),
-        pass: worst <= 2.0,
-    }
-}
-
-fn fig9_check(rng: &mut SimRng) -> Check {
-    let mut impr = Summary::new();
-    let mut done = 0;
-    while done < 8 {
-        let mut sys = MovrSystem::paper_setup(SystemConfig::default());
-        let pos = Vec2::new(rng.uniform(2.0, 4.5), rng.uniform(0.8, 4.2));
-        let yaw = pos.bearing_deg_to(ap_position()) + rng.uniform(-20.0, 20.0);
-        let player = PlayerState::standing(pos, yaw);
-        let probe = RadioEndpoint::paper_radio(player.receiver_position(), yaw);
-        if !probe.array().can_steer_to(pos.bearing_deg_to(ap_position()))
-            || !probe.array().can_steer_to(pos.bearing_deg_to(reflector_position()))
-        {
-            continue;
-        }
-        done += 1;
-        let los = sys.evaluate_direct(&WorldState::player_only(player));
-        let mut blocked = WorldState::player_only(player);
-        blocked.others.push(Obstacle::new(
-            BodyPart::Torso,
-            ap_position().lerp(player.receiver_position(), 0.5),
-        ));
-        let via = sys.evaluate_via_reflector(0, &blocked).end_snr_db;
-        impr.push(via - los);
-    }
-    Check {
-        name: "Fig9: MoVR vs LOS",
-        paper: "≈ a few dB above, worst ≈ -3",
-        measured: format!("mean {:+.1} dB, worst {:+.1} dB", impr.mean(), impr.min()),
-        pass: impr.mean() > -3.0 && impr.min() > -10.0,
-    }
-}
-
-fn battery_check() -> Check {
-    let h = Battery::anker_5200().runtime_hours(VIVE_TYPICAL_DRAW_A);
-    Check {
-        name: "§6: battery life",
-        paper: "4-5 hours",
-        measured: format!("{h:.1} h"),
-        pass: (4.0..=5.0).contains(&h),
-    }
-}
-
-fn latency_check() -> Check {
-    let sys = MovrSystem::paper_setup(SystemConfig::default());
-    let track = sys.tracking_realignment_cost();
-    let sweep = sys.sweep_realignment_cost();
-    Check {
-        name: "§6: latency budget",
-        paper: "sweeps over, rest under 10 ms",
-        measured: format!("track {track}, sweep {sweep}"),
-        pass: track.as_millis_f64() < 10.0 && sweep.as_millis_f64() > 10.0,
-    }
-}
+use movr_bench::figure_header;
+use movr_bench::paper::{self, Kind};
 
 fn main() {
-    figure_header("repro_all", "compact paper-shape gate across every figure");
-    let mut rng = SimRng::seed_from_u64(2016);
-
-    let mut checks = fig3_checks(&mut rng);
-    checks.push(fig7_check());
-    checks.push(fig8_check(&mut rng));
-    checks.push(fig9_check(&mut rng));
-    checks.push(battery_check());
-    checks.push(latency_check());
+    print!("{}", figure_header("repro_all", "every claim of the paper's evaluation, on the figures' data"));
+    let claims: Vec<_> = paper::all().into_iter().flat_map(|e| e.claims).collect();
 
     println!(
-        "\n{:<26} {:<28} {:<34} {:>6}",
-        "check", "paper", "measured", "status"
+        "\n{:<22} {:<10} {:<40} {:<26} {:>6}",
+        "claim", "kind", "paper", "measured", "status"
     );
-    println!("{}", "-".repeat(98));
-    let mut all = true;
-    for c in &checks {
-        all &= c.pass;
-        println!(
-            "{:<26} {:<28} {:<34} {:>6}",
-            c.name,
-            c.paper,
-            c.measured,
-            if c.pass { "PASS" } else { "FAIL" }
-        );
+    println!("{}", "-".repeat(108));
+    for c in &claims {
+        let status = if c.pass { "PASS" } else { "FAIL" };
+        let kind = format!("{:?}", c.kind);
+        println!("{:<22} {kind:<10} {:<40} {:<26} {status:>6}", c.id, c.paper, c.measured);
     }
+
+    let tally = |kind: Kind| {
+        let of_kind = claims.iter().filter(|c| c.kind == kind);
+        let pass = of_kind.clone().filter(|c| c.pass).count();
+        format!("{pass}/{} {kind:?}", of_kind.count())
+    };
     println!(
-        "\n{}",
-        if all {
-            "ALL CHECKS PASS — the repository reproduces the paper's shapes."
-        } else {
-            "SOME CHECKS FAILED — calibration has drifted; see EXPERIMENTS.md."
-        }
+        "\nclaims holding: {}; {} (inputs the simulator was tuned to, not reproductions).",
+        tally(Kind::Reproduced),
+        tally(Kind::Calibrated)
     );
+    let all = claims.iter().all(|c| c.pass);
+    if !all {
+        println!("SOME CLAIMS FAIL — see EXPERIMENTS.md.");
+    }
     std::process::exit(if all { 0 } else { 1 });
 }

@@ -1,14 +1,22 @@
-//! Shared scaffolding for the figure regenerators.
+//! The paper's evaluation as library functions, plus shared scaffolding
+//! for the figure and ablation regenerators.
 //!
-//! Every binary in this crate reproduces one table/figure of the paper's
-//! evaluation (see `DESIGN.md` for the index). They share the canonical
-//! deployment geometry and a few output helpers so the printed series are
-//! uniform and diff-able across runs (everything is seeded).
+//! [`paper`] holds one function per experiment of the paper's evaluation
+//! (Figures 3, 7, 8 and 9, §6 battery and latency). Each returns the report
+//! its bin prints and the claims evaluated on that report's data; `repro_all`
+//! tabulates the claims and `tests/figure_shapes.rs` asserts them. The
+//! experiments and the ablation and extension bins share the canonical
+//! deployment geometry and the output helpers below, so every printed
+//! series is uniform and diff-able across runs (everything is seeded).
+
+use std::fmt::Write as _;
 
 use movr::reflector::MovrReflector;
 use movr_math::{Cdf, SimRng, Vec2};
 use movr_radio::RadioEndpoint;
 use movr_rfsim::Scene;
+
+pub mod paper;
 
 /// The canonical deployment used by the figure regenerators: the paper's
 /// 5 m × 5 m office with the AP mid-west wall and the reflector on the
@@ -53,32 +61,33 @@ pub fn random_headset_pose(rng: &mut SimRng) -> (Vec2, f64) {
     (pos, yaw)
 }
 
-/// Prints a figure header in a stable format.
-pub fn figure_header(id: &str, caption: &str) {
-    println!("==========================================================");
-    println!("{id}: {caption}");
-    println!("==========================================================");
+/// A figure header in a stable format.
+pub fn figure_header(id: &str, caption: &str) -> String {
+    let rule = "=".repeat(58);
+    format!("{rule}\n{id}: {caption}\n{rule}\n")
 }
 
-/// Prints one named series of (x, y) points.
-pub fn print_series(name: &str, points: &[(f64, f64)]) {
-    println!("\nseries: {name}");
+/// One named series of (x, y) points.
+pub(crate) fn series(name: &str, points: &[(f64, f64)]) -> String {
+    let mut out = format!("\nseries: {name}\n");
     for (x, y) in points {
-        println!("  {x:10.3} {y:10.3}");
+        let _ = writeln!(out, "  {x:10.3} {y:10.3}");
     }
+    out
 }
 
-/// Prints a CDF as the paper plots it (value on x, cumulative fraction on
-/// y), downsampled to at most `max_points` rows.
-pub fn print_cdf(name: &str, cdf: &Cdf, max_points: usize) {
-    println!("\nseries: {name} (CDF)");
+/// A CDF as the paper plots it (value on x, cumulative fraction on y),
+/// downsampled to at most `max_points` rows.
+pub(crate) fn cdf_series(name: &str, cdf: &Cdf, max_points: usize) -> String {
+    let mut out = format!("\nseries: {name} (CDF)\n");
     let pts: Vec<(f64, f64)> = cdf.points().collect();
     let step = (pts.len() / max_points.max(1)).max(1);
     for (i, (v, f)) in pts.iter().enumerate() {
         if i % step == 0 || i == pts.len() - 1 {
-            println!("  {v:10.3} {f:8.3}");
+            let _ = writeln!(out, "  {v:10.3} {f:8.3}");
         }
     }
+    out
 }
 
 #[cfg(test)]

@@ -20,9 +20,11 @@
 //!   child) passed to a function resolved to another `movr_*` crate.
 //!   The convention: a crate forks its own labelled child before
 //!   handing randomness across a boundary, so each crate's consumption
-//!   is independent of its callees'. Binary entry points (`src/bin/**`,
-//!   `src/main.rs`) are exempt — a driver's `main` owns the root
-//!   stream, and handing it to the system under test is its job.
+//!   is independent of its callees'. Drivers are exempt: binary entry
+//!   points (`src/bin/**`, `src/main.rs`) and the movr-bench library
+//!   (`crates/bench/src/**`), whose experiment functions exist only to
+//!   drive its bins. A driver owns the root stream, and handing it to
+//!   the system under test is its job.
 
 use crate::lexer::TokenKind;
 use crate::parser::FnSig;
@@ -141,11 +143,11 @@ fn check_fn(f: &SourceFile, sig: &FnSig, open: usize, close: usize, out: &mut Ve
         }
     }
     // --- Finding 3: raw handles passed to another crate's function.
-    // Binary entry points (`src/bin/**`, `src/main.rs`) are exempt: a
-    // driver's `main` *owns* the root stream, and handing it to the
-    // system under test is the whole program — the re-fork convention
-    // binds library crates, not top-level drivers.
-    if f.rel.contains("/bin/") || f.rel.ends_with("/main.rs") {
+    // Drivers are exempt: a binary's `main` (`src/bin/**`, `src/main.rs`)
+    // and movr-bench's experiment functions *own* the root stream, and
+    // handing it to the system under test is the whole program — the
+    // re-fork convention binds library crates, not top-level drivers.
+    if f.rel.contains("/bin/") || f.rel.ends_with("/main.rs") || f.crate_name == "bench" {
         return;
     }
     for k in open..=close.min(toks.len().saturating_sub(1)) {
@@ -338,6 +340,22 @@ mod tests {
         let mut out = Vec::new();
         check(std::slice::from_ref(&f), &mut out);
         assert!(out.is_empty(), "{out:?}");
+        // movr-bench's library drives its bins, so it is a driver too…
+        let lib = "fn fig8() { let mut rng = SimRng::seed_from_u64(8); movr::alignment::estimate_incidence(&mut rng); }";
+        for rel in ["crates/bench/src/paper.rs", "crates/bench/src/lib.rs"] {
+            let f = SourceFile::parse(rel, lib);
+            let mut out = Vec::new();
+            check(std::slice::from_ref(&f), &mut out);
+            assert!(out.is_empty(), "{rel}: {out:?}");
+        }
+        // …and the same source in any other crate's library still hits.
+        for rel in ["crates/vr/src/paper.rs", "crates/benchmark/src/paper.rs", "src/paper.rs"] {
+            let f = SourceFile::parse(rel, lib);
+            let mut out = Vec::new();
+            check(std::slice::from_ref(&f), &mut out);
+            let rules: Vec<_> = out.iter().map(|d| d.rule).collect();
+            assert_eq!(rules, ["rng-cross-crate-untagged"], "{rel}");
+        }
         // …but aliasing is still wrong even in a driver.
         let f = SourceFile::parse(
             "crates/bench/src/bin/fig8.rs",

@@ -62,7 +62,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("rng-fork-in-loop",
      "A .fork(…) whose label is made only of number literals, inside a for/while/loop body. Every iteration re-creates the same child stream, told apart only by the parent's call order; derive the label from the loop variable."),
     ("rng-cross-crate-untagged",
-     "A SimRng crosses a crate boundary as a bare &mut without a fork at the call site. Callees drawing from a caller's stream entangle stream state across module seams; fork a labelled child at the boundary."),
+     "A SimRng crosses a crate boundary as a bare &mut without a fork at the call site. Callees drawing from a caller's stream entangle stream state across module seams; fork a labelled child at the boundary. Drivers are exempt: binary entry points (src/bin/**, src/main.rs) and the movr-bench library (crates/bench/src/**), which own the root stream they hand to the system under test."),
 ];
 
 /// The doc string for `rule`, if it is a known rule id.
