@@ -11,43 +11,19 @@
 
 use std::fmt::Write as _;
 
-use movr::reflector::MovrReflector;
 use movr_math::{Cdf, SimRng, Vec2};
-use movr_radio::RadioEndpoint;
-use movr_rfsim::Scene;
 
 pub mod paper;
 
-/// The canonical deployment used by the figure regenerators: the paper's
-/// 5 m × 5 m office with the AP mid-west wall and the reflector on the
-/// north wall — a geometry where AP, reflector and play area are mutually
-/// within the arrays' electronic scan ranges (see `MovrSystem::paper_setup`).
-pub struct Deployment {
-    /// Room geometry plus obstacles.
-    pub scene: Scene,
-    /// The access point endpoint on the west wall.
-    pub ap: RadioEndpoint,
-    /// The wall-mounted MoVR reflector on the north wall.
-    pub reflector: MovrReflector,
-}
-
-impl Deployment {
-    /// Builds the canonical deployment.
-    pub fn canonical() -> Self {
-        Deployment {
-            scene: Scene::paper_office(),
-            ap: RadioEndpoint::paper_radio(ap_position(), 20.0),
-            reflector: MovrReflector::wall_mounted(reflector_position(), -70.0, movr::system::PAPER_DEVICE_SEED),
-        }
-    }
-}
-
-/// Where the AP sits (beside the PC).
+/// Where the AP sits (beside the PC), on the west wall of the paper's
+/// 5 m × 5 m office, facing 20°.
 pub fn ap_position() -> Vec2 {
     Vec2::new(0.5, 2.5)
 }
 
-/// Where the canonical reflector is mounted.
+/// Where the canonical reflector is mounted, on the north wall facing
+/// −70°: AP, reflector and play area are mutually within the arrays'
+/// electronic scan ranges (see `MovrSystem::paper_setup`).
 pub fn reflector_position() -> Vec2 {
     Vec2::new(1.0, 4.75)
 }
@@ -93,15 +69,18 @@ pub(crate) fn cdf_series(name: &str, cdf: &Cdf, max_points: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use movr::reflector::MovrReflector;
+    use movr_radio::RadioEndpoint;
 
     #[test]
-    fn canonical_deployment_geometry_is_mutually_visible() {
-        let d = Deployment::canonical();
+    fn canonical_mounts_are_mutually_visible() {
+        let ap = RadioEndpoint::paper_radio(ap_position(), 20.0);
+        let reflector = MovrReflector::wall_mounted(reflector_position(), -70.0, movr::system::PAPER_DEVICE_SEED);
         // AP can steer at the reflector and vice versa.
-        let ap_to_r = d.ap.position().bearing_deg_to(d.reflector.position());
-        assert!(d.ap.array().can_steer_to(ap_to_r));
-        let r_to_ap = d.reflector.position().bearing_deg_to(d.ap.position());
-        assert!(d.reflector.rx_array().can_steer_to(r_to_ap));
+        let ap_to_r = ap_position().bearing_deg_to(reflector_position());
+        assert!(ap.array().can_steer_to(ap_to_r));
+        let r_to_ap = reflector_position().bearing_deg_to(ap_position());
+        assert!(reflector.rx_array().can_steer_to(r_to_ap));
     }
 
     #[test]

@@ -1,50 +1,54 @@
-//! The perf ratchet: pins bench medians in a checked-in baseline and
-//! fails when a run regresses past its tolerance.
+//! The perf ratchet: pins each bench's ratio to the testkit's frozen
+//! calibration kernel in a checked-in baseline and fails when a run
+//! regresses past its tolerance.
 //!
 //! The baseline is a small TOML subset (`bench-baseline.toml`) read by
 //! [`movr_math::toml`], so a key set twice or a repeated `[bench.*]`
 //! header is an error naming its line, never a silently loosened pin:
 //!
 //! ```toml
-//! schema = 1
+//! schema = 2
 //!
-//! [bench.alignment_sweep_101x101_cached]
-//! median_ns = 23191563.0   # pinned median on the reference machine
-//! max_ratio = 4.0          # fail when measured > pinned * max_ratio
+//! [bench.alignment_sweep_101x101_batched]
+//! kernel_ratio = 5.494     # pinned median of sample time ÷ kernel time
+//! max_ratio = 1.3          # fail when measured > pinned * max_ratio
 //!
-//! [speedup.sweep_speedup]
-//! min = 5.0                # fail when reported speedup < min
+//! [speedup.sweep_skip_speedup]
+//! min = 2.0                # fail when reported speedup < min
 //!
 //! [speedup.fleet_speedup]
-//! min = 1.5
+//! min = 1.2
 //! skip_below_threads = 2   # skipped when the run had fewer threads
 //! ```
 //!
 //! Bench results arrive as the JSON lines `cargo bench` writes (see
 //! `out/BENCH_sweep.json`), read by [`movr_math::json`]: measurement
-//! lines carry `median_ns`, summary lines carry `speedup` (and
-//! optionally `threads`). Two rules are built in on top of the baseline
-//! entries: a named line missing from the run fails, and any
-//! `bit_identical` / `byte_identical` field present in a checked line
-//! must be `true`.
+//! lines carry `kernel_ratio` (and raw `median_ns` for humans), summary
+//! lines carry `speedup` (and optionally `threads`). Two rules are built
+//! in on top of the baseline entries: a named line missing from the run
+//! fails, and any `bit_identical` / `byte_identical` field present in a
+//! checked line must be `true`.
 //!
-//! Tolerances are deliberately wide ratios, not absolute bounds — the
-//! ratchet must pass on any machine while still catching a lost
-//! order-of-magnitude (a cache that stopped caching, a fan-out that
-//! went serial).
+//! A row's `kernel_ratio` is the median, over its samples, of the
+//! sample's time divided by the calibration kernel's, run for as long as
+//! a sample just before it, so a slower or busier host moves it far less
+//! than it moves raw nanoseconds. Each `max_ratio` is set from the row's
+//! spread over repeated runs on one machine (the baseline's comments
+//! give it). A pin carries over between machines only as far as the
+//! kernel and the row slow down alike, so a new machine re-pins.
 
 use movr_math::json::Json;
 use movr_math::toml;
 use std::fmt::Write as _;
 
-/// One pinned measurement bench: fail when the measured `median_ns`
-/// exceeds `median_ns * max_ratio`.
+/// One pinned measurement bench: fail when the measured `kernel_ratio`
+/// exceeds `kernel_ratio * max_ratio`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchPin {
     /// Bench name (the JSON line's `name` field).
     pub name: String,
-    /// Pinned median, ns, from the reference run.
-    pub median_ns: f64,
+    /// Pinned ratio of the row's time to the calibration kernel's.
+    pub kernel_ratio: f64,
     /// Allowed slowdown factor relative to the pin.
     pub max_ratio: f64,
 }
@@ -95,8 +99,8 @@ fn bad(line: usize, what: impl Into<String>) -> RatchetError {
     }
 }
 
-/// Parses the baseline: an optional root `schema = 1`, `[bench.NAME]`
-/// tables with `median_ns` and `max_ratio`, and `[speedup.NAME]` tables
+/// Parses the baseline: an optional root `schema = 2`, `[bench.NAME]`
+/// tables with `kernel_ratio` and `max_ratio`, and `[speedup.NAME]` tables
 /// with `min` and an optional integer `skip_below_threads`. Anything
 /// else is an error — the file is checked in, so strictness costs
 /// nothing and catches typos.
@@ -109,15 +113,20 @@ pub fn parse_baseline(text: &str) -> Result<BenchBaseline, RatchetError> {
             Some((s @ ("bench" | "speedup"), name)) if !table.array => (s, name),
             _ => return Err(bad(at, format!("unknown section `[{header}]`"))),
         };
-        let (mut median_ns, mut max_ratio, mut min, mut skip) = (None, None, None, None);
+        let (mut kernel_ratio, mut max_ratio, mut min, mut skip) = (None, None, None, None);
         for (key, value, line) in &table.keys {
             let num = value
                 .as_f64()
                 .ok_or_else(|| bad(*line, format!("`{key}` is not a number")));
             match (section, *key) {
-                ("", "schema") if value.as_u64() == Some(1) => {}
-                ("", "schema") => return Err(bad(*line, format!("unsupported schema `{}`", num?))),
-                ("bench", "median_ns") => median_ns = Some(num?),
+                ("", "schema") if value.as_u64() == Some(2) => {}
+                ("", "schema") => {
+                    return Err(bad(
+                        *line,
+                        format!("unsupported schema `{}`; pins are schema 2 (`kernel_ratio`)", num?),
+                    ))
+                }
+                ("bench", "kernel_ratio") => kernel_ratio = Some(num?),
                 ("bench", "max_ratio") => max_ratio = Some(num?),
                 ("speedup", "min") => min = Some(num?),
                 ("speedup", "skip_below_threads") => {
@@ -129,10 +138,10 @@ pub fn parse_baseline(text: &str) -> Result<BenchBaseline, RatchetError> {
             }
         }
         let name = name.to_string();
-        match (section, median_ns, max_ratio, min) {
-            ("bench", Some(median_ns), Some(max_ratio), _) => out.benches.push(BenchPin {
+        match (section, kernel_ratio, max_ratio, min) {
+            ("bench", Some(kernel_ratio), Some(max_ratio), _) => out.benches.push(BenchPin {
                 name,
-                median_ns,
+                kernel_ratio,
                 max_ratio,
             }),
             ("speedup", _, _, Some(min)) => out.speedups.push(SpeedupPin {
@@ -143,7 +152,7 @@ pub fn parse_baseline(text: &str) -> Result<BenchBaseline, RatchetError> {
             ("bench", ..) => {
                 return Err(bad(
                     at,
-                    format!("[{header}] needs `median_ns` and `max_ratio`"),
+                    format!("[{header}] needs `kernel_ratio` and `max_ratio`"),
                 ))
             }
             ("speedup", ..) => return Err(bad(at, format!("[{header}] needs `min`"))),
@@ -213,24 +222,23 @@ pub fn check(
                 status: "FAIL",
                 detail: "bench line missing from the run".to_string(),
             },
-            Some(row) => match row.get("median_ns").and_then(Json::as_f64) {
+            Some(row) => match row.get("kernel_ratio").and_then(Json::as_f64) {
                 None => CheckOutcome {
                     name: pin.name.clone(),
                     status: "FAIL",
-                    detail: "bench line has no `median_ns`".to_string(),
+                    detail: "bench line has no `kernel_ratio`".to_string(),
                 },
                 Some(measured) => {
-                    let bound = pin.median_ns * pin.max_ratio;
+                    let ratio = measured / pin.kernel_ratio;
                     let mut detail = String::new();
                     let _ = write!(
                         detail,
-                        "median {} ns vs bound {} ns (pin {} × {})",
+                        "kernel ratio {} is {ratio:.2}× the pin {} (max {})",
                         fmt_num(measured),
-                        fmt_num(bound),
-                        fmt_num(pin.median_ns),
+                        fmt_num(pin.kernel_ratio),
                         fmt_num(pin.max_ratio),
                     );
-                    let ok = measured <= bound && identity_ok(row);
+                    let ok = measured <= pin.kernel_ratio * pin.max_ratio && identity_ok(row);
                     if !identity_ok(row) {
                         detail.push_str("; identity flag is false");
                     }
@@ -262,9 +270,10 @@ pub fn check(
                         name: pin.name.clone(),
                         status: "skip",
                         detail: format!(
-                            "run had {} thread(s), pin needs {}",
+                            "run had {} thread(s), pin needs {}; speedup {}",
                             threads.unwrap_or(0),
                             pin.skip_below_threads.unwrap_or(0),
+                            row.get("speedup").and_then(Json::as_f64).map_or("absent".to_string(), fmt_num),
                         ),
                     }
                 } else {
@@ -302,24 +311,24 @@ mod tests {
 
     const BASELINE: &str = "\
 # reference machine pins\n\
-schema = 1\n\
+schema = 2\n\
 \n\
-[bench.sweep_cached]\n\
-median_ns = 1000000.0  # 1 ms\n\
-max_ratio = 4.0\n\
+[bench.sweep_batched]\n\
+kernel_ratio = 5.0  # five kernel runs\n\
+max_ratio = 1.5\n\
 \n\
-[speedup.sweep_speedup]\n\
-min = 5.0\n\
+[speedup.sweep_skip_speedup]\n\
+min = 2.0\n\
 \n\
 [speedup.fleet_speedup]\n\
 min = 1.5\n\
 skip_below_threads = 2\n";
 
-    fn bench_lines(cached_median: f64, sweep: f64, fleet: f64, threads: u64) -> String {
+    fn bench_lines(ratio: f64, skip: f64, fleet: f64, threads: u64) -> String {
         format!(
             "warmup noise\n\
-             {{\"name\":\"sweep_cached\",\"median_ns\":{cached_median},\"samples\":8}}\n\
-             {{\"name\":\"sweep_speedup\",\"speedup\":{sweep},\"bit_identical\":true}}\n\
+             {{\"name\":\"sweep_batched\",\"kernel_ratio\":{ratio},\"median_ns\":9e6,\"samples\":8}}\n\
+             {{\"name\":\"sweep_skip_speedup\",\"speedup\":{skip},\"bit_identical\":true}}\n\
              {{\"name\":\"fleet_speedup\",\"speedup\":{fleet},\"threads\":{threads},\"byte_identical\":true}}\n"
         )
     }
@@ -328,8 +337,9 @@ skip_below_threads = 2\n";
     fn parses_the_baseline_shape() {
         let b = parse_baseline(BASELINE).expect("valid baseline");
         assert_eq!(b.benches.len(), 1);
-        assert_eq!(b.benches[0].name, "sweep_cached");
-        assert_eq!(b.benches[0].max_ratio, 4.0);
+        assert_eq!(b.benches[0].name, "sweep_batched");
+        assert_eq!(b.benches[0].kernel_ratio, 5.0);
+        assert_eq!(b.benches[0].max_ratio, 1.5);
         assert_eq!(b.speedups.len(), 2);
         assert_eq!(b.speedups[1].skip_below_threads, Some(2));
     }
@@ -337,41 +347,66 @@ skip_below_threads = 2\n";
     #[test]
     fn baseline_typos_are_rejected_with_line_numbers() {
         assert!(parse_baseline("[wat.x]\n").is_err());
-        assert!(parse_baseline("[bench.x]\nmedian_ns = fast\n").is_err());
-        let e = parse_baseline("schema = 1\nnot a pair\n").expect_err("bad line");
+        assert!(parse_baseline("[bench.x]\nkernel_ratio = fast\n").is_err());
+        let e = parse_baseline("schema = 2\nnot a pair\n").expect_err("bad line");
         assert_eq!(e.line, 2);
         // Incomplete sections fail even with no bad line.
-        assert!(parse_baseline("[bench.x]\nmedian_ns = 1.0\n").is_err());
+        assert!(parse_baseline("[bench.x]\nkernel_ratio = 1.0\n").is_err());
         assert!(parse_baseline("[speedup.x]\n").is_err());
-        assert!(parse_baseline("schema = 2\n").is_err());
+        assert!(parse_baseline("schema = 3\n").is_err());
+        // A raw-nanosecond pin is not a kernel-ratio pin.
+        assert!(parse_baseline("[bench.x]\nmedian_ns = 1.0\nmax_ratio = 1.0\n").is_err());
         // A repeated key or `[bench.*]` header is an error, not an override.
-        let e = parse_baseline("[bench.x]\nmedian_ns = 1.0\nmax_ratio = 1.0\nmedian_ns = 1e12\n")
+        let e = parse_baseline("[bench.x]\nkernel_ratio = 1.0\nmax_ratio = 1.0\nkernel_ratio = 1e12\n")
             .expect_err("repeated key");
         assert_eq!(e.line, 4);
-        let pin = "[bench.x]\nmedian_ns = 1.0\nmax_ratio = 1.0\n";
+        let pin = "[bench.x]\nkernel_ratio = 1.0\nmax_ratio = 1.0\n";
         let e = parse_baseline(&format!("{pin}{pin}")).expect_err("repeated header");
         assert_eq!(e.line, 4);
     }
 
     #[test]
+    fn schema_1_is_rejected_by_naming_schema_2() {
+        let e = parse_baseline("schema = 1\n").expect_err("old schema");
+        assert_eq!(e.line, 1);
+        assert!(e.what.contains("schema 2"), "{e}");
+    }
+
+    #[test]
     fn within_tolerance_passes_and_regression_fails() {
         let b = parse_baseline(BASELINE).expect("valid");
-        let ok = check(&b, &bench_lines(3_900_000.0, 13.0, 2.0, 4)).expect("readable");
+        let ok = check(&b, &bench_lines(7.4, 3.8, 2.0, 4)).expect("readable");
         assert!(ok.iter().all(CheckOutcome::passed), "{ok:?}");
 
-        let slow = check(&b, &bench_lines(4_100_000.0, 13.0, 2.0, 4)).expect("readable");
-        assert_eq!(slow[0].status, "FAIL", "{slow:?}");
-
-        let lost = check(&b, &bench_lines(3_900_000.0, 4.9, 2.0, 4)).expect("readable");
+        let lost = check(&b, &bench_lines(7.4, 1.9, 2.0, 4)).expect("readable");
         assert_eq!(lost[1].status, "FAIL", "{lost:?}");
+    }
+
+    #[test]
+    fn a_row_at_1_6_times_its_pin_fails_a_1_5_bound() {
+        let b = parse_baseline(BASELINE).expect("valid");
+        let slow = check(&b, &bench_lines(8.0, 3.8, 2.0, 4)).expect("readable");
+        assert_eq!(slow[0].status, "FAIL", "{slow:?}");
+        assert!(slow[0].detail.contains("1.60× the pin 5 (max 1.5)"), "{}", slow[0].detail);
+    }
+
+    #[test]
+    fn a_bench_line_without_a_kernel_ratio_fails() {
+        let b = parse_baseline(BASELINE).expect("valid");
+        let raw = bench_lines(5.0, 3.8, 2.0, 4).replace("\"kernel_ratio\":5,", "");
+        assert!(!raw.contains("kernel_ratio"));
+        let out = check(&b, &raw).expect("readable");
+        assert_eq!(out[0].status, "FAIL", "{out:?}");
+        assert!(out[0].detail.contains("no `kernel_ratio`"), "{}", out[0].detail);
     }
 
     #[test]
     fn single_threaded_runs_skip_the_fleet_speedup_pin() {
         let b = parse_baseline(BASELINE).expect("valid");
-        let out = check(&b, &bench_lines(3_900_000.0, 13.0, 0.98, 1)).expect("readable");
+        let out = check(&b, &bench_lines(5.0, 3.8, 0.98, 1)).expect("readable");
         let fleet = out.iter().find(|o| o.name == "fleet_speedup").expect("entry");
         assert_eq!(fleet.status, "skip");
+        assert!(fleet.detail.contains("speedup 0.98"), "{}", fleet.detail);
         assert!(out.iter().all(CheckOutcome::passed));
     }
 
@@ -381,12 +416,12 @@ skip_below_threads = 2\n";
         let out = check(&b, "no json here\n").expect("readable");
         assert!(out.iter().all(|o| o.status == "FAIL"), "{out:?}");
 
-        let flipped = bench_lines(3_900_000.0, 13.0, 2.0, 4)
+        let flipped = bench_lines(5.0, 3.8, 2.0, 4)
             .replace("\"bit_identical\":true", "\"bit_identical\":false");
         let out = check(&b, &flipped).expect("readable");
-        let sweep = out.iter().find(|o| o.name == "sweep_speedup").expect("entry");
-        assert_eq!(sweep.status, "FAIL");
-        assert!(sweep.detail.contains("identity"), "{}", sweep.detail);
+        let skip = out.iter().find(|o| o.name == "sweep_skip_speedup").expect("entry");
+        assert_eq!(skip.status, "FAIL");
+        assert!(skip.detail.contains("identity"), "{}", skip.detail);
     }
 
     #[test]

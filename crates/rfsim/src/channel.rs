@@ -55,38 +55,17 @@ impl Channel {
             power_gain_db: -loss_db,
         }
     }
-
-    /// Coherent channel gain over a set of paths, weighting each path by
-    /// the TX/RX antenna gains toward its departure/arrival bearings.
-    ///
-    /// `tx_gain_dbi` and `rx_gain_dbi` map an absolute bearing (degrees) to
-    /// an antenna gain in dBi; amplitude weighting uses the 20·log10
-    /// convention (antenna gain is a power gain applied to the field as
-    /// its square root).
-    pub fn combined_gain(
-        &self,
-        paths: &[Path],
-        tx_gain_dbi: impl Fn(f64) -> f64,
-        rx_gain_dbi: impl Fn(f64) -> f64,
-    ) -> C64 {
-        coherent_sum(paths.iter().map(|p| {
-            let gain_db = tx_gain_dbi(p.departure_deg) + rx_gain_dbi(p.arrival_deg);
-            (self.path_gain(p).coefficient, gain_db)
-        }))
-    }
 }
 
 /// The coherent sum over `(tap, antenna gain in dB)` terms, taken in
 /// path order: each tap is weighted by the square root of its power
-/// gain and the weighted taps fold from zero.
+/// gain (antenna gain is a power gain applied to the field) and the
+/// weighted taps fold from zero.
 ///
 /// Every link evaluation ends here —
 /// [`TracedLink::evaluate`](crate::TracedLink::evaluate) for the scalar
 /// (per-frame) path and [`LinkBatch`](crate::LinkBatch) for precomputed
 /// gain rows — so the two agree bit for bit by construction.
-/// [`Channel::combined_gain`] folds the same way; its only callers are
-/// this module's tests and the sweep bench's frozen replica of an older
-/// generation.
 #[inline]
 pub(crate) fn coherent_sum(terms: impl Iterator<Item = (C64, f64)>) -> C64 {
     let mut sum = C64::ZERO;
@@ -155,7 +134,7 @@ mod tests {
         let lambda = ch.wavelength_m();
         let p1 = los_path(2.0);
         let p2 = los_path(2.0 + lambda / 2.0);
-        let combined = ch.combined_gain(&[p1, p2], |_| 0.0, |_| 0.0);
+        let combined = coherent_sum([p1, p2].iter().map(|p| (ch.path_gain(p).coefficient, 0.0)));
         // Near-perfect destructive combining (amplitudes differ slightly
         // because of the tiny distance difference).
         let single = ch.path_gain(&p1).coefficient.abs();
@@ -166,8 +145,10 @@ mod tests {
     fn antenna_gain_weighting() {
         let ch = Channel::new(24.0e9);
         let p = los_path(3.0);
-        let iso = ch.combined_gain(std::slice::from_ref(&p), |_| 0.0, |_| 0.0);
-        let directional = ch.combined_gain(std::slice::from_ref(&p), |_| 10.0, |_| 10.0);
+        let tap = ch.path_gain(&p).coefficient;
+        let iso = coherent_sum(std::iter::once((tap, 0.0)));
+        // 10 dBi at each end.
+        let directional = coherent_sum(std::iter::once((tap, 10.0 + 10.0)));
         // +20 dB total power = 10× amplitude.
         assert!((directional.abs() / iso.abs() - 10.0).abs() < 1e-9);
     }
@@ -177,11 +158,8 @@ mod tests {
         let ch = Channel::new(24.0e9);
         let p = los_path(3.0);
         // RX pattern with a null toward the arrival bearing.
-        let combined = ch.combined_gain(
-            std::slice::from_ref(&p),
-            |_| 0.0,
-            |deg| if (deg - 180.0).abs() < 1.0 { -200.0 } else { 0.0 },
-        );
+        let rx_dbi = if (p.arrival_deg - 180.0).abs() < 1.0 { -200.0 } else { 0.0 };
+        let combined = coherent_sum(std::iter::once((ch.path_gain(&p).coefficient, rx_dbi)));
         assert!(combined.abs() < 1e-8);
     }
 

@@ -10,8 +10,9 @@
 //!   [`movr_math::SimRng`], a configurable case count, and greedy input
 //!   shrinking on failure, replacing `proptest`;
 //! * a **micro-benchmark runner** ([`bench::bench_fn`], [`bench::Timer`]):
-//!   warmup + N timed samples, median/p95 statistics, JSON-line output,
-//!   replacing `criterion`.
+//!   warmup + N timed samples, median/p95 statistics and each row's
+//!   ratio to a frozen calibration kernel ([`bench::calibration_ns`]),
+//!   JSON-line output, replacing `criterion`.
 //!
 //! Both are deliberately small: deterministic by construction (every run
 //! derives from an explicit seed, overridable via `MOVR_TESTKIT_SEED`),
@@ -24,7 +25,7 @@ pub mod bench;
 pub mod gen;
 pub mod runner;
 
-pub use bench::{bench_fn, bench_with_setup, BenchOptions, BenchReport, Timer};
+pub use bench::{bench_fn, bench_with_setup, calibration_ns, BenchOptions, BenchReport, Timer};
 pub use gen::{
     angle_deg, choice, f64_range, just, u64_range, usize_range, vec2_in, vec_of, Gen,
 };

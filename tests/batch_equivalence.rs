@@ -19,9 +19,10 @@
 //! every probe — over seeded mounts and headset poses, codebook windows
 //! that are centred on the truth, fixed off the truth's grid, or miss
 //! the reflector, jitter on and off, both tone meters, the amplifier
-//! off, and a probe gain that saturates some postures. All three must
-//! agree on the result's bits, the measurement count, the elapsed time
-//! and the next RNG draw.
+//! off, and a probe gain that saturates some postures, plus the paper's
+//! full 101×101 windows on the paper's mount. All three must agree on
+//! the result's bits, the measurement count, the elapsed time and the
+//! next RNG draw.
 
 use movr::alignment::{
     estimate_incidence, estimate_incidence_recorded, estimate_reflection,
@@ -30,6 +31,7 @@ use movr::alignment::{
 use movr::baselines::opt_nlos;
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
+use movr::system::PAPER_DEVICE_SEED;
 use movr_math::db::sum_dbm;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
 use movr_obs::MemoryRecorder;
@@ -195,10 +197,10 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
     for (m, reflector) in mounts().iter().enumerate() {
         let truth_refl = reflector.position().bearing_deg_to(ap.position());
         let truth_ap = ap.position().bearing_deg_to(reflector.position());
-        // 21×21 windows keep the triple sweep fast; the bench runs the
-        // paper's 101×101. The fixed windows hold the paper mount's
-        // truth off their 2° grid; the missing reflector window points
-        // behind its ground plane.
+        // 21×21 windows keep the triple sweep fast; the paper's 101×101
+        // windows run once each below. The fixed windows hold the paper
+        // mount's truth off their 2° grid; the missing reflector window
+        // points behind its ground plane.
         let refl_windows = windows(truth_refl, -125.3, reflector.rx_array().boresight_deg() + 180.0);
         let ap_windows = windows(truth_ap, 57.7, truth_ap);
         for ((name, refl_cb), (_, ap_cb)) in refl_windows.into_iter().zip(ap_windows) {
@@ -264,6 +266,25 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
             incidence_three_ways(&scene, reflector, &saturating, seed);
         assert_eq!(unrecorded, scalar, "saturating probe gain, unrecorded, seed {seed}");
         assert_eq!(recorded, scalar, "saturating probe gain, recorded, seed {seed}");
+    }
+
+    // The paper's full 101×101 sweep at 1° on the paper's mount and
+    // device (`mounts()[0]` uses device seed 5, so it is not this one).
+    // The default 40°–140° windows point the reflector behind its ground
+    // plane, so no probe can be skipped; fixed windows that hold both
+    // true bearings off centre let the unrecorded sweep skip nearly
+    // every probe.
+    let paper = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, PAPER_DEVICE_SEED);
+    let visible = AlignmentConfig {
+        reflector_codebook: Codebook::sweep(-150.0, -50.0, 1.0),
+        ap_codebook: Codebook::sweep(30.0, 130.0, 1.0),
+        ..AlignmentConfig::default()
+    };
+    for (name, cfg) in [("default", AlignmentConfig::default()), ("visible", visible)] {
+        let [unrecorded, recorded, scalar] = incidence_three_ways(&scene, &paper, &cfg, 7);
+        assert_eq!(scalar.1, 101 * 101, "{name} window");
+        assert_eq!(unrecorded, scalar, "paper mount, {name} 101×101 window, unrecorded");
+        assert_eq!(recorded, scalar, "paper mount, {name} 101×101 window, recorded");
     }
 }
 

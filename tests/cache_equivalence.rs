@@ -251,8 +251,9 @@ fn estimate_incidence_is_bit_identical_to_uncached_sweep() {
     let reflector = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, 5);
     let truth_refl = reflector.position().bearing_deg_to(ap.position());
     let truth_ap = ap.position().bearing_deg_to(reflector.position());
-    // A 21×21 window keeps the double sweep fast; the bench runs the
-    // full 101×101 version of this same check.
+    // A 21×21 window keeps the double sweep fast; the paper's 101×101
+    // windows are checked against the scalar reference in
+    // `tests/batch_equivalence.rs`.
     let cfg = AlignmentConfig {
         ap_codebook: Codebook::sweep(truth_ap - 10.0, truth_ap + 10.0, 1.0),
         reflector_codebook: Codebook::sweep(truth_refl - 10.0, truth_refl + 10.0, 1.0),
