@@ -235,9 +235,22 @@ fn bench_array_gain(opts: &BenchOptions) -> Vec<BenchReport> {
     let mut array = SteeredArray::paper_array(-70.0);
     array.steer_to(-102.0);
     let bearings: Vec<f64> = (0..101).map(|i| -152.0 + f64::from(i)).collect();
-    vec![bench_fn("array_gain_scalar_101", opts, || {
-        bearings.iter().map(|&b| array.gain_dbi(b)).sum::<f64>()
-    })]
+    // Mounting arrays, as every deployment, reflector and radio does at
+    // set-up: 300 `SteeredArray::paper_array` calls at distinct
+    // boresights. Each array starts at broadside, whose steering vector
+    // the optimiser folds to a constant when it sees `steering_vector`
+    // called with 0.0; computed at run time, the row reads about 15x.
+    let boresights: Vec<f64> = (0..300).map(|k| -180.0 + 1.2 * f64::from(k)).collect();
+    vec![
+        bench_fn("array_gain_scalar_101", opts, || {
+            bearings.iter().map(|&b| array.gain_dbi(b)).sum::<f64>()
+        }),
+        bench_fn("array_mount_300", opts, || {
+            for &b in &boresights {
+                std::hint::black_box(SteeredArray::paper_array(b));
+            }
+        }),
+    ]
 }
 
 fn bench_pool_overhead(opts: &BenchOptions) -> Vec<BenchReport> {

@@ -154,16 +154,16 @@ pub fn estimate_incidence_recorded(
 
     // Path geometry is frozen for the whole sweep: trace both legs of
     // the round trip once, freeze them into tap batches, and evaluate
-    // the AP's whole codebook page against the fixed path bearings up
-    // front. Per θ₁ the reflector's own gain rows are computed once;
-    // each probe below is then two multiply-accumulate passes over the
-    // taps — bit-identical to steering and re-tracing per probe, at a
-    // fraction of the cost.
+    // the AP's whole codebook against the fixed path bearings of both
+    // legs in one page up front; the back leg's arrivals mostly repeat
+    // the forward leg's departures bit for bit, and the page computes
+    // each distinct cell once. Each probe below is then two
+    // multiply-accumulate passes over the taps — bit-identical to
+    // steering and re-tracing per probe, at a fraction of the cost.
     let fwd = scene.trace_link(ap.position(), reflector.position()).batch();
     let bck = scene.trace_link(reflector.position(), ap.position()).batch();
     let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);
-    let ap_fwd_page = ap_table.fill_page(fwd.departure_deg());
-    let ap_bck_page = ap_table.fill_page(bck.arrival_deg());
+    let ap_rows = LegRows::shared(&ap_table, fwd.departure_deg(), bck.arrival_deg());
     // The probe's leakage and floor terms are fixed for the sweep too.
     let meter = if config.modulated {
         config.probe.modulated_meter(ap.tx_power_dbm())
@@ -171,31 +171,31 @@ pub fn estimate_incidence_recorded(
         config.probe.unmodulated_meter(ap.tx_power_dbm())
     };
     // A posture draws nothing from `rng`, so every θ₁'s relay gain and
-    // gain rows are taken before the first probe.
-    let postures: Vec<Posture> = config
-        .reflector_codebook
-        .beams()
-        .iter()
-        .map(|&theta1| {
-            reflector.steer_both(theta1);
-            Posture {
-                relay_gain_db: reflector.effective_gain_db(),
-                rx_gains: reflector.rx_array().gain_dbi_batch(fwd.arrival_deg()),
-                tx_gains: reflector.tx_array().gain_dbi_batch(bck.departure_deg()),
-            }
+    // gain rows are taken before the first probe. Both of the
+    // reflector's beams take θ₁, so where its arrays hold the same
+    // pattern at every θ₁, one page over both legs' bearings serves
+    // both; the check falls back to a page per array.
+    let rx_table = PatternTable::new(reflector.rx_array(), &config.reflector_codebook);
+    let tx_table = PatternTable::new(reflector.tx_array(), &config.reflector_codebook);
+    let posture_rows = LegRows::fill(&rx_table, fwd.arrival_deg(), &tx_table, bck.departure_deg());
+    let relay_gains: Vec<Option<f64>> = rx_table
+        .entries()
+        .zip(tx_table.entries())
+        .map(|((_, rx), (_, tx))| {
+            reflector.adopt_steering(rx, tx);
+            reflector.effective_gain_db()
         })
         .collect();
     let round_trip_dbm = |i: usize, j: usize| {
-        let posture = &postures[i];
         round_trip_reflection_batched(
             &fwd,
             &bck,
-            ap_fwd_page.row(j),
-            ap_bck_page.row(j),
+            ap_rows.first(j),
+            ap_rows.second(j),
             ap.tx_power_dbm(),
-            posture.relay_gain_db,
-            &posture.rx_gains,
-            &posture.tx_gains,
+            relay_gains[i],
+            posture_rows.first(i),
+            posture_rows.second(i),
         )
         .unwrap_or(f64::NEG_INFINITY)
     };
@@ -205,19 +205,24 @@ pub fn estimate_incidence_recorded(
     // largest bound less the jitter. A probe at posture i is skipped when
     // its round-trip bound is below the amplitude whose carrier would
     // read `lower` less the jitter and the slack.
+    let postures = relay_gains.len();
     let mut bounds = (!rec.enabled()).then(|| RoundTripBounds {
-        fwd: BoundPage::new(&ap_fwd_page, fwd.tap_magnitudes()),
-        bck: BoundPage::new(&ap_bck_page, bck.tap_magnitudes()),
-        rx: postures.iter().map(|p| amplitudes(&p.rx_gains)).collect(),
-        tx: postures.iter().map(|p| amplitudes(&p.tx_gains)).collect(),
+        fwd: BoundPage::new(ap_table.len(), |j| ap_rows.first(j), fwd.tap_magnitudes()),
+        bck: BoundPage::new(ap_table.len(), |j| ap_rows.second(j), bck.tap_magnitudes()),
+        rx: (0..postures)
+            .map(|i| amplitudes(posture_rows.first(i)))
+            .collect(),
+        tx: (0..postures)
+            .map(|i| amplitudes(posture_rows.second(i)))
+            .collect(),
         back: vec![0.0; ap_table.len()],
     });
     let mut row_bounds = vec![0.0; ap_table.len()];
     let jitter_db = meter.jitter_bound_db();
     let mut lower = f64::NEG_INFINITY;
     if let Some(bounds) = &mut bounds {
-        let best_bounded = first_max(postures.iter().enumerate().filter_map(|(i, posture)| {
-            let gain_db = posture.relay_gain_db?;
+        let best_bounded = first_max(relay_gains.iter().enumerate().filter_map(|(i, gain_db)| {
+            let gain_db = (*gain_db)?;
             bounds.row(i, &mut row_bounds);
             let (j, b) = first_max(row_bounds.iter().copied().enumerate())?;
             Some(((i, j), gain_db + amplitude_to_db(b)))
@@ -226,20 +231,20 @@ pub fn estimate_incidence_recorded(
             lower = lower.max(meter.pre_jitter_dbm(round_trip_dbm(i, j)) - jitter_db);
         }
     }
-    let skip_below = |lower: f64, posture: &Posture| {
-        posture.relay_gain_db.map_or(0.0, |gain_db| {
+    let skip_below = |lower: f64, relay_gain_db: Option<f64>| {
+        relay_gain_db.map_or(0.0, |gain_db| {
             let carrier_dbm = meter.carrier_at_dbm(lower - jitter_db - SKIP_SLACK_DB);
             db_to_amplitude(carrier_dbm - ap.tx_power_dbm() - gain_db)
         })
     };
 
     let beams = config.reflector_codebook.beams().iter();
-    for (i, (&theta1, posture)) in beams.zip(&postures).enumerate() {
+    for (i, (&theta1, &relay_gain_db)) in beams.zip(&relay_gains).enumerate() {
         cursor += config.beam_command_latency;
         if let Some(bounds) = &mut bounds {
             bounds.row(i, &mut row_bounds);
         }
-        let mut threshold = skip_below(lower, posture);
+        let mut threshold = skip_below(lower, relay_gain_db);
         for (j, (theta2, _)) in ap_table.entries().enumerate() {
             measurements += 1;
             cursor += config.dwell;
@@ -260,7 +265,7 @@ pub fn estimate_incidence_recorded(
                 best = (reading.power_dbm, theta1, theta2);
                 if best.0 > lower {
                     lower = best.0;
-                    threshold = skip_below(lower, posture);
+                    threshold = skip_below(lower, relay_gain_db);
                 }
             }
         }
@@ -387,9 +392,9 @@ pub fn estimate_reflection_recorded(
     // freeze them into tap batches. The AP's and the reflector's RX
     // steering never change, so hop 1 — received power and front-end
     // SNR — is one loop invariant computed up front; the headset's whole
-    // candidate page is batched against hop 2's arrival bearings once.
-    // Per TX candidate only the reflector's TX gain row and the (gain-
-    // controlled) amplifier setting vary.
+    // candidate page is batched against hop 2's arrival bearings once,
+    // and the reflector's TX candidates against its departures. Per TX
+    // candidate only the (gain-controlled) amplifier setting varies.
     let hop1 = scene
         .trace_link(ap.position(), reflector.position())
         .batch()
@@ -397,6 +402,8 @@ pub fn estimate_reflection_recorded(
     let hop2 = scene.trace_link(reflector.position(), headset.position()).batch();
     let hs_table = PatternTable::new(headset.array(), headset_codebook);
     let hs_page = hs_table.fill_page(hop2.arrival_deg());
+    let tx_table = PatternTable::new(reflector.tx_array(), tx_codebook);
+    let tx_page = tx_table.fill_page(hop2.departure_deg());
     let ap_gains = ap.array().gain_dbi_batch(hop1.departure_deg());
     let rx_gains = reflector.rx_array().gain_dbi_batch(hop1.arrival_deg());
     let hop1_received_dbm = hop1.received_dbm(ap.tx_power_dbm(), &ap_gains, &rx_gains);
@@ -406,7 +413,8 @@ pub fn estimate_reflection_recorded(
     // report lies within `jitter_db` of its end SNR, which is at most
     // hop 1's SNR and at most hop 2's. `lower` is raised per TX beam by
     // the end SNR of its best-bounded headset beam less the jitter.
-    let hs_bounds = (!rec.enabled()).then(|| BoundPage::new(&hs_page, hop2.tap_magnitudes()));
+    let hs_bounds = (!rec.enabled())
+        .then(|| BoundPage::new(hs_table.len(), |j| hs_page.row(j), hop2.tap_magnitudes()));
     let mut hop2_bounds = vec![0.0; hs_table.len()];
     let jitter_db = snr_sigma_db * SimRng::STD_NORMAL_MAX;
     let mut lower = f64::NEG_INFINITY;
@@ -421,8 +429,9 @@ pub fn estimate_reflection_recorded(
         })
     };
 
-    for &tx_deg in tx_codebook.beams() {
-        reflector.steer_tx(tx_deg);
+    let rx = *reflector.rx_array();
+    for (i, (tx_deg, tx)) in tx_table.entries().enumerate() {
+        reflector.adopt_steering(&rx, tx);
         cursor += config.beam_command_latency;
         // Each beam pair has its own leakage; re-run the §4.2 loop so the
         // candidate is evaluated at the gain it would actually be served
@@ -434,19 +443,19 @@ pub fn estimate_reflection_recorded(
             rec,
         );
         let relay_gain_db = reflector.effective_gain_db();
-        let tx_gains = reflector.tx_array().gain_dbi_batch(hop2.departure_deg());
+        let tx_gains = tx_page.row(i);
         let end_snr_db = |j: usize| {
             relay_end_snr_batched(
                 hop1_received_dbm,
                 hop1_snr_db,
                 relay_gain_db,
                 &hop2,
-                &tx_gains,
+                tx_gains,
                 hs_page.row(j),
             )
         };
         if let Some(hs_bounds) = &hs_bounds {
-            hs_bounds.fold_bounds(&amplitudes(&tx_gains), &mut hop2_bounds);
+            hs_bounds.fold_bounds(&amplitudes(tx_gains), &mut hop2_bounds);
             if let Some((j, _)) = first_max(hop2_bounds.iter().copied().enumerate()) {
                 lower = lower.max(end_snr_db(j) - jitter_db);
             }
@@ -505,16 +514,62 @@ pub fn estimate_reflection_recorded(
     }
 }
 
-/// One reflector posture of the incidence sweep: both beams on one θ₁,
-/// the relay gain there, and the gains toward the forward leg's arrivals
-/// and the back leg's departures.
-struct Posture {
-    relay_gain_db: Option<f64>,
-    rx_gains: Vec<f64>,
-    tx_gains: Vec<f64>,
+/// Per-entry gain rows toward the bearings of a round trip's two legs.
+/// One page over both legs' bearings, read as column ranges, when the
+/// two legs' tables hold the same pattern entry by entry; a page per leg
+/// otherwise. No row is copied per leg.
+enum LegRows {
+    Shared { page: GainPage, split: usize },
+    Separate { first: GainPage, second: GainPage },
 }
 
-/// An incidence sweep's fold bounds: the AP's two pages as
+impl LegRows {
+    /// One table's rows toward both legs, from one page.
+    fn shared(table: &PatternTable, first_deg: &[f64], second_deg: &[f64]) -> Self {
+        let both: Vec<f64> = first_deg.iter().chain(second_deg).copied().collect();
+        LegRows::Shared {
+            page: table.fill_page(&both),
+            split: first_deg.len(),
+        }
+    }
+
+    /// `first`'s rows toward `first_deg` and `second`'s toward
+    /// `second_deg`: from one page when the tables hold the same pattern
+    /// entry by entry ([`PatternTable::same_patterns`]), else two.
+    fn fill(
+        first: &PatternTable,
+        first_deg: &[f64],
+        second: &PatternTable,
+        second_deg: &[f64],
+    ) -> Self {
+        if first.same_patterns(second) {
+            LegRows::shared(first, first_deg, second_deg)
+        } else {
+            LegRows::Separate {
+                first: first.fill_page(first_deg),
+                second: second.fill_page(second_deg),
+            }
+        }
+    }
+
+    /// Entry `i`'s gains toward the first leg's bearings.
+    fn first(&self, i: usize) -> &[f64] {
+        match self {
+            LegRows::Shared { page, split } => &page.row(i)[..*split],
+            LegRows::Separate { first, .. } => first.row(i),
+        }
+    }
+
+    /// Entry `i`'s gains toward the second leg's bearings.
+    fn second(&self, i: usize) -> &[f64] {
+        match self {
+            LegRows::Shared { page, split } => &page.row(i)[*split..],
+            LegRows::Separate { second, .. } => second.row(i),
+        }
+    }
+}
+
+/// An incidence sweep's fold bounds: the AP's rows toward each leg as
 /// [`BoundPage`]s and every posture's gain rows as field amplitudes.
 struct RoundTripBounds {
     /// The AP toward the forward departures and from the back arrivals.
@@ -546,7 +601,7 @@ fn amplitudes(gains_db: &[f64]) -> Vec<f64> {
     gains_db.iter().map(|&g| db_to_amplitude(g)).collect()
 }
 
-/// A codebook page's gains as field amplitudes, each weighted by its
+/// A codebook's gain rows as field amplitudes, each weighted by its
 /// path's tap magnitude and laid out path-major, so that one posture's
 /// fold bounds against every codebook entry are a pass of multiply-adds
 /// down one contiguous column per path.
@@ -557,13 +612,12 @@ struct BoundPage {
 }
 
 impl BoundPage {
-    fn new(page: &GainPage, tap_magnitudes: &[f64]) -> Self {
-        let entries = page.rows();
-        let weights = tap_magnitudes
-            .iter()
-            .enumerate()
-            .flat_map(|(k, tap)| (0..entries).map(move |j| tap * db_to_amplitude(page.row(j)[k])))
-            .collect();
+    /// `row(j)` is entry j's gains toward the paths of `tap_magnitudes`.
+    fn new<'a>(entries: usize, row: impl Fn(usize) -> &'a [f64], tap_magnitudes: &[f64]) -> Self {
+        let mut weights = Vec::with_capacity(entries * tap_magnitudes.len());
+        for (k, tap) in tap_magnitudes.iter().enumerate() {
+            weights.extend((0..entries).map(|j| tap * db_to_amplitude(row(j)[k])));
+        }
         BoundPage { entries, weights }
     }
 

@@ -28,10 +28,23 @@ impl MovrReflector {
     /// `boresight_deg` (into the room). `device_seed` individualises the
     /// leakage surface and sensor noise, as two physical units differ.
     pub fn wall_mounted(position: Vec2, boresight_deg: f64, device_seed: u64) -> Self {
+        MovrReflector::with_boresights(position, boresight_deg, boresight_deg, device_seed)
+    }
+
+    /// Mounts a reflector whose receive array faces `rx_boresight_deg`
+    /// and whose transmit array faces `tx_boresight_deg`, as a unit
+    /// built across a corner would be; otherwise as
+    /// [`MovrReflector::wall_mounted`].
+    pub fn with_boresights(
+        position: Vec2,
+        rx_boresight_deg: f64,
+        tx_boresight_deg: f64,
+        device_seed: u64,
+    ) -> Self {
         MovrReflector {
             position,
-            rx_array: SteeredArray::paper_array(boresight_deg),
-            tx_array: SteeredArray::paper_array(boresight_deg),
+            rx_array: SteeredArray::paper_array(rx_boresight_deg),
+            tx_array: SteeredArray::paper_array(tx_boresight_deg),
             amplifier: VariableGainAmplifier::default(),
             leakage: LeakageSurface::new(device_seed),
             current_sensor: CurrentSensor::new(device_seed.wrapping_add(1)),
@@ -72,6 +85,21 @@ impl MovrReflector {
     pub fn steer_both(&mut self, absolute_deg: f64) -> f64 {
         self.steer_rx(absolute_deg);
         self.steer_tx(absolute_deg)
+    }
+
+    /// Puts both arrays in the state of `rx` and `tx`, copies of this
+    /// reflector's own arrays already steered (entries of `PatternTable`s
+    /// built on [`MovrReflector::rx_array`] and
+    /// [`MovrReflector::tx_array`]): the state that steering each array
+    /// to its copy's beam gives, without recomputing the steering.
+    pub(crate) fn adopt_steering(&mut self, rx: &SteeredArray, tx: &SteeredArray) {
+        let mount = |a: &SteeredArray| a.boresight_deg().to_bits();
+        debug_assert!(
+            mount(rx) == mount(&self.rx_array) && mount(tx) == mount(&self.tx_array),
+            "steered copies of another mount"
+        );
+        self.rx_array = *rx;
+        self.tx_array = *tx;
     }
 
     /// The amplifier (read access).

@@ -41,7 +41,12 @@ impl PatchElement {
     /// Element gain (dBi) at angle `theta_deg` off boresight
     /// (−180…180; |θ| > 90° is behind the ground plane).
     pub fn gain_dbi(&self, theta_deg: f64) -> f64 {
-        let theta = wrap_deg_180(theta_deg);
+        self.gain_at(wrap_deg_180(theta_deg))
+    }
+
+    /// [`PatchElement::gain_dbi`] at `theta` already wrapped into
+    /// (−180°, 180°], where wrapping again returns `theta` unchanged.
+    pub(crate) fn gain_at(&self, theta: f64) -> f64 {
         if theta.abs() >= 90.0 {
             return self.back_lobe_dbi;
         }

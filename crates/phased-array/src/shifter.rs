@@ -43,12 +43,14 @@ impl PhaseShifter {
     }
 
     /// The smallest phase step the control DAC can command, degrees.
+    #[inline]
     pub fn step_deg(&self) -> f64 {
         360.0 / movr_math::convert::u64_to_f64(1u64 << self.control_bits)
     }
 
     /// Quantises a requested phase (degrees) to the nearest control step,
     /// returned in `[0, 360)`.
+    #[inline]
     pub fn apply(&self, requested_deg: f64) -> f64 {
         let wrapped = wrap_deg_360(requested_deg);
         let step = self.step_deg();

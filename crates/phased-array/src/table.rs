@@ -58,20 +58,66 @@ impl PatternTable {
         self.beams[i]
     }
 
+    /// True when both tables hold the same pattern entry by entry
+    /// ([`SteeredArray::same_pattern`]), so that one page serves both.
+    pub fn same_patterns(&self, other: &PatternTable) -> bool {
+        self.len() == other.len()
+            && self
+                .arrays
+                .iter()
+                .zip(&other.arrays)
+                .all(|(a, b)| a.same_pattern(b))
+    }
+
     /// Evaluates every entry's gain toward every bearing in one pass:
     /// row `i` of the returned page is entry `i`'s
-    /// [`SteeredArray::gain_dbi_batch`] over `bearings_deg`. A sweep
-    /// computes its observation-angle page once and the inner loop
-    /// becomes a slice lookup.
+    /// [`SteeredArray::gain_dbi_batch`] over `bearings_deg`, bit for bit.
+    /// A sweep computes its observation-angle page once and the inner
+    /// loop becomes a slice lookup.
+    ///
+    /// Each distinct cell is computed once. The steering-free terms of a
+    /// query (wrapped local angle, ground-plane test, element gain,
+    /// sin θ) are taken once per distinct bearing, since every entry
+    /// shares the base's mount. Only entries whose pattern differs from
+    /// the previous entry's fold them; the rest, such as commands clamped
+    /// at the scan edge, copy the previous row. A bearing that repeats an
+    /// earlier one bit for bit copies that column.
     pub fn fill_page(&self, bearings_deg: &[f64]) -> GainPage {
-        let cols = bearings_deg.len();
-        let mut data = vec![0.0; self.arrays.len() * cols];
-        if cols > 0 {
-            for (arr, row) in self.arrays.iter().zip(data.chunks_mut(cols)) {
-                arr.gain_dbi_batch_into(bearings_deg, row);
+        let (rows, cols) = (self.arrays.len(), bearings_deg.len());
+        let mut data = vec![0.0; rows * cols];
+        let Some(first) = self.arrays.first() else {
+            return GainPage { rows, cols, data };
+        };
+        // Each column is folded, or copies the first column with its bits
+        // (a scan per column: bearing lists are one link's paths).
+        let mut folded = Vec::with_capacity(cols);
+        let mut copied = Vec::new();
+        for (c, b) in bearings_deg.iter().enumerate() {
+            match bearings_deg[..c]
+                .iter()
+                .position(|e| e.to_bits() == b.to_bits())
+            {
+                Some(source) => copied.push((c, source)),
+                None => folded.push((c, first.terms(*b))),
             }
         }
-        GainPage { rows: self.arrays.len(), cols, data }
+        let mut previous: Option<&SteeredArray> = None;
+        for (i, arr) in self.arrays.iter().enumerate() {
+            let start = i * cols;
+            if previous.is_some_and(|p| p.same_pattern(arr)) {
+                data.copy_within(start - cols..start, start);
+            } else {
+                let row = &mut data[start..start + cols];
+                for (c, terms) in &folded {
+                    row[*c] = arr.fold(terms);
+                }
+                for &(c, source) in &copied {
+                    row[c] = row[source];
+                }
+            }
+            previous = Some(arr);
+        }
+        GainPage { rows, cols, data }
     }
 }
 
@@ -110,6 +156,7 @@ impl GainPage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PatchElement, PhaseShifter, UniformLinearArray};
 
     #[test]
     fn table_matches_sequential_steering() {
@@ -163,6 +210,118 @@ mod tests {
                 assert_eq!(g.to_bits(), arr.gain_dbi(b).to_bits(), "entry={i} bearing={b}");
             }
         }
+    }
+
+    /// Every cell of `table.fill_page(bearings)` against
+    /// [`SteeredArray::gain_dbi`] on the cell's entry, by its bits.
+    fn assert_page_matches(table: &PatternTable, bearings: &[f64], case: &str) {
+        let page = table.fill_page(bearings);
+        assert_eq!(
+            (page.rows(), page.cols()),
+            (table.len(), bearings.len()),
+            "{case}"
+        );
+        for (i, (beam, arr)) in table.entries().enumerate() {
+            for (&b, g) in bearings.iter().zip(page.row(i)) {
+                assert_eq!(
+                    g.to_bits(),
+                    arr.gain_dbi(b).to_bits(),
+                    "{case}: entry {i} (beam {beam}), bearing {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn page_kernel_is_bit_identical_on_repeats_zeros_and_clamped_runs() {
+        // At boresight 90° the scan range is 20°…160°. Bearings repeat
+        // (including +0.0 and −0.0, which differ by bits), wrap past
+        // ±180°, and sit on and behind the ground plane (local |θ| ≥ 90°
+        // at 0°, 180°, −90° and 270°).
+        let bearings = [
+            0.0, -0.0, 17.3, 90.0, 0.0, 180.0, -180.0, 17.3, -0.0, 270.0, 359.9, 500.0, 123.4,
+            90.0, -90.0, 179.999, 45.0, 45.0,
+        ];
+        let codebooks = [
+            ("clamped at the start", Codebook::sweep(0.0, 40.0, 2.0)),
+            ("clamped at the end", Codebook::sweep(140.0, 200.0, 3.0)),
+            (
+                "clamped runs inside",
+                Codebook::from_beams(vec![
+                    100.0, 170.0, 175.0, 180.0, 30.0, 10.0, 5.0, 60.0, 60.0, 0.0,
+                ]),
+            ),
+            ("one beam", Codebook::from_beams(vec![-30.0])),
+        ];
+        for boresight in [90.0, -0.0, 179.5] {
+            let base = SteeredArray::paper_array(boresight);
+            for (name, codebook) in &codebooks {
+                // The codebooks are written for boresight 90°; shift them.
+                let shifted = codebook
+                    .beams()
+                    .iter()
+                    .map(|b| b + boresight - 90.0)
+                    .collect();
+                let table = PatternTable::new(&base, &Codebook::from_beams(shifted));
+                assert_page_matches(&table, &bearings, &format!("boresight {boresight}, {name}"));
+            }
+        }
+        // The clamped runs do repeat a pattern, so the copies are taken.
+        let table = PatternTable::new(&SteeredArray::paper_array(90.0), &codebooks[2].1);
+        let entries: Vec<&SteeredArray> = table.entries().map(|(_, a)| a).collect();
+        assert!(entries[1].same_pattern(entries[2]) && entries[5].same_pattern(entries[6]));
+    }
+
+    #[test]
+    fn page_kernel_is_bit_identical_over_random_arrays() {
+        let mut rng = movr_math::SimRng::seed_from_u64(0x9A6E);
+        for case in 0..200 {
+            let n = rng.uniform_usize(1, crate::MAX_ELEMENTS);
+            let spacing = rng.uniform(0.1, 1.5);
+            let bits = u32::try_from(rng.uniform_usize(1, 16)).expect("at most 16 bits");
+            let element = PatchElement {
+                peak_gain_dbi: rng.uniform(0.0, 8.0),
+                exponent: rng.uniform(0.5, 4.0),
+                back_lobe_dbi: rng.uniform(-30.0, -10.0),
+            };
+            let boresight = rng.uniform(-180.0, 180.0);
+            let array = UniformLinearArray::new(n, spacing, element, PhaseShifter::with_bits(bits));
+            let base = SteeredArray::new(array, boresight);
+            // Beams out to ±100° off broadside, so some clamp, in runs.
+            let mut beams: Vec<f64> = (0..rng.uniform_usize(1, 40))
+                .map(|_| boresight + rng.uniform(-100.0, 100.0))
+                .collect();
+            if rng.chance(0.5) {
+                beams.sort_by(f64::total_cmp);
+            }
+            // Bearings all round, with repeats of earlier ones.
+            let mut bearings: Vec<f64> = Vec::new();
+            for _ in 0..rng.uniform_usize(0, 24) {
+                let b = if !bearings.is_empty() && rng.chance(0.3) {
+                    bearings[rng.uniform_usize(0, bearings.len() - 1)]
+                } else {
+                    rng.uniform(-360.0, 360.0)
+                };
+                bearings.push(b);
+            }
+            let table = PatternTable::new(&base, &Codebook::from_beams(beams));
+            let name = format!("case {case}: n {n}, d {spacing}, {bits} bits, at {boresight}");
+            assert_page_matches(&table, &bearings, &name);
+        }
+    }
+
+    #[test]
+    fn same_patterns_compares_entry_by_entry() {
+        let codebook = Codebook::sweep(40.0, 140.0, 5.0);
+        let a = PatternTable::new(&SteeredArray::paper_array(90.0), &codebook);
+        let mut steered = SteeredArray::paper_array(90.0);
+        steered.steer_to(123.0);
+        // The base's own steering does not matter, only each entry's.
+        assert!(a.same_patterns(&PatternTable::new(&steered, &codebook)));
+        let tilted = PatternTable::new(&SteeredArray::paper_array(91.0), &codebook);
+        assert!(!a.same_patterns(&tilted));
+        let fewer = Codebook::sweep(40.0, 135.0, 5.0);
+        assert!(!a.same_patterns(&PatternTable::new(&SteeredArray::paper_array(90.0), &fewer)));
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! off, and a probe gain that saturates some postures, plus the paper's
 //! full 101×101 windows on the paper's mount. All three must agree on
 //! the result's bits, the measurement count, the elapsed time and the
-//! next RNG draw.
+//! next RNG draw. The incidence sweep shares one reflector page between
+//! its two arrays only when they hold the same pattern at every θ₁; a
+//! reflector whose arrays face different ways runs the fallback, a page
+//! per array, against the same reference.
 
 use movr::alignment::{
     estimate_incidence, estimate_incidence_recorded, estimate_reflection,
@@ -285,6 +288,81 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
         assert_eq!(scalar.1, 101 * 101, "{name} window");
         assert_eq!(unrecorded, scalar, "paper mount, {name} 101×101 window, unrecorded");
         assert_eq!(recorded, scalar, "paper mount, {name} 101×101 window, recorded");
+    }
+}
+
+/// The incidence sweep reads each posture's two gain rows as column
+/// ranges of one page over the forward arrivals and the back departures
+/// when the reflector's arrays hold the same pattern at every θ₁, and
+/// from a page per array otherwise. Both ways must give the rows that
+/// steering the reflector and querying each array gives.
+#[test]
+fn reflector_page_is_shared_only_when_both_arrays_hold_one_pattern() {
+    let scene = Scene::paper_office();
+    let ap = paper_ap();
+    let wall = mounts().swap_remove(0);
+    let truth = wall.position().bearing_deg_to(ap.position());
+    let fwd = scene.trace_link(ap.position(), wall.position()).batch();
+    let bck = scene.trace_link(wall.position(), ap.position()).batch();
+    // A window that runs past the scan edge at one end, so rows clamp.
+    let codebook = Codebook::sweep(truth - 50.0, truth + 50.0, 1.0);
+    let rx = PatternTable::new(wall.rx_array(), &codebook);
+    let tx = PatternTable::new(wall.tx_array(), &codebook);
+    assert!(
+        rx.same_patterns(&tx),
+        "a wall mount's arrays hold one pattern"
+    );
+    let both: Vec<f64> = fwd
+        .arrival_deg()
+        .iter()
+        .chain(bck.departure_deg())
+        .copied()
+        .collect();
+    let page = rx.fill_page(&both);
+    let split = fwd.arrival_deg().len();
+    let bits = |row: &[f64]| row.iter().map(|g| g.to_bits()).collect::<Vec<u64>>();
+    let mut steered = wall.clone();
+    for (i, &theta1) in codebook.beams().iter().enumerate() {
+        steered.steer_both(theta1);
+        let rx_row = steered.rx_array().gain_dbi_batch(fwd.arrival_deg());
+        let tx_row = steered.tx_array().gain_dbi_batch(bck.departure_deg());
+        assert_eq!(
+            bits(&page.row(i)[..split]),
+            bits(&rx_row),
+            "rx row at θ₁ {theta1}"
+        );
+        assert_eq!(
+            bits(&page.row(i)[split..]),
+            bits(&tx_row),
+            "tx row at θ₁ {theta1}"
+        );
+    }
+
+    // Arrays 25° apart hold different patterns, so the sweep falls back
+    // to a page per array and must still match the scalar reference.
+    let boresight = wall.rx_array().boresight_deg();
+    let corner = MovrReflector::with_boresights(wall.position(), boresight, boresight + 25.0, 5);
+    let rx = PatternTable::new(corner.rx_array(), &codebook);
+    assert!(!rx.same_patterns(&PatternTable::new(corner.tx_array(), &codebook)));
+    let truth_ap = ap.position().bearing_deg_to(corner.position());
+    let refl_windows = windows(truth, -125.3, boresight + 180.0);
+    let ap_windows = windows(truth_ap, 57.7, truth_ap);
+    let cases = refl_windows.into_iter().zip(ap_windows);
+    for (seed, ((name, refl_cb), (_, ap_cb))) in (20..).zip(cases) {
+        let cfg = AlignmentConfig {
+            ap_codebook: ap_cb,
+            reflector_codebook: refl_cb,
+            ..AlignmentConfig::default()
+        };
+        let [unrecorded, recorded, scalar] = incidence_three_ways(&scene, &corner, &cfg, seed);
+        assert_eq!(
+            unrecorded, scalar,
+            "arrays 25° apart, {name} window, unrecorded"
+        );
+        assert_eq!(
+            recorded, scalar,
+            "arrays 25° apart, {name} window, recorded"
+        );
     }
 }
 
