@@ -254,13 +254,13 @@ fn bench_array_gain(opts: &BenchOptions) -> Vec<BenchReport> {
 }
 
 fn bench_pool_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
-    // The pool's dispatch cost: 8 near-free jobs on 2 workers, so the
-    // timing is almost entirely fan-out overhead — two channel
-    // round-trips to workers that already exist. The thread count is
-    // pinned at 2 — not `available_threads()` — so the row measures the
-    // same fan-out shape on every box, including single-core CI
-    // containers (where `available_threads()` would take the serial
-    // fast path and measure nothing).
+    // `pool_map`'s fan-out cost: 8 near-free items on 2 threads, so the
+    // timing is almost entirely one scoped spawn and its join, with the
+    // caller running chunk 0. The thread count is pinned at 2 — not
+    // `available_threads()` — so the row measures the same fan-out shape
+    // on every box, including single-core CI containers (where
+    // `available_threads()` would take the serial fast path and measure
+    // nothing).
     use movr_sim::pool_map;
     fn tiny(_i: usize, x: &u64) -> u64 {
         x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(13)

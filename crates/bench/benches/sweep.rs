@@ -1,7 +1,7 @@
 //! Sweep-rate benches: the §4.1 alignment sweep on the batched engine,
 //! on the paper's default window and on a window that can see its
-//! reflector, and a multi-seed session fleet on the persistent worker
-//! pool with an explicit thread-scaling ladder.
+//! reflector, and a multi-seed session fleet fanned out with `pool_map`
+//! on an explicit thread-scaling ladder.
 //!
 //! The paper's default 40°–140° reflector window points the bench's
 //! −70° mount behind its ground plane: every probe reads the −94.6 dBm
@@ -162,8 +162,8 @@ struct FleetSummary {
     cores: usize,
 }
 
-/// Multi-seed session fleet on the persistent pool, sequential vs
-/// fanned out. Asserts the parallel fleet is byte-identical to the
+/// Multi-seed session fleet through `pool_map`, sequential vs fanned
+/// out. Asserts the parallel fleet is byte-identical to the
 /// single-threaded one at every probed thread count, and — where the
 /// machine has the cores — times an explicit 1/2/4/8-thread scaling
 /// ladder so the recorded numbers say what parallelism actually bought

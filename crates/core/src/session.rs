@@ -183,8 +183,13 @@ const MAX_FRAME_BITS: f64 = 9_007_199_254_740_992.0;
 /// `traffic.refresh_hz` that gives no frame interval of at least 1 ns (a
 /// rate that is zero, negative or NaN, or one above 2 GHz, whose interval
 /// rounds to 0 ns and would stop the frame clock), a `traffic.frame_bits`
-/// that is NaN, negative or above [`MAX_FRAME_BITS`], or a hysteresis
-/// rate policy with `up_count = 0`, which [`RateAdapter::new`] rejects.
+/// that is NaN, negative or above [`MAX_FRAME_BITS`], a
+/// `system.command_loss_probability` outside [0, 1] (which
+/// [`SimRng::chance`] clamps) or NaN (which it reads as "never lost"), a
+/// NaN `system.snr_switch_threshold_db` (no frame would ever be served
+/// direct), an `snr_report_sigma_db` that is negative, NaN or infinite
+/// (a NaN makes every noisy report NaN), or a hysteresis rate policy
+/// with `up_count = 0`, which [`RateAdapter::new`] rejects.
 pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
     let hz = config.traffic.refresh_hz;
     // `VrTrafficModel::frame_interval` without its panic on a negative,
@@ -201,6 +206,27 @@ pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
         return Some(format!(
             "frame_bits = {bits:?} is not a frame size; \
              it must be a bit count from 0 to 2^53"
+        ));
+    }
+    let loss = config.system.command_loss_probability;
+    if !(0.0..=1.0).contains(&loss) {
+        return Some(format!(
+            "command_loss_probability = {loss:?} is not a probability; \
+             it must be from 0 to 1"
+        ));
+    }
+    let threshold = config.system.snr_switch_threshold_db;
+    if threshold.is_nan() {
+        return Some(format!(
+            "snr_switch_threshold_db = {threshold:?} dB is not a threshold; \
+             no frame would be served direct"
+        ));
+    }
+    let sigma = config.snr_report_sigma_db;
+    if !(sigma.is_finite() && sigma >= 0.0) {
+        return Some(format!(
+            "snr_report_sigma_db = {sigma:?} dB is not a noise level; \
+             it must be finite and at least 0"
         ));
     }
     if let RatePolicy::HysteresisPolicy { up_count: 0, .. } = config.rate_policy {
@@ -226,8 +252,10 @@ impl Session {
     /// interval of at least 1 ns (a rate that is zero, negative or NaN,
     /// or one above 2 GHz, whose interval rounds to 0 ns and would stop
     /// the frame clock), if `config.traffic.frame_bits` is NaN, negative
-    /// or above 2^53, or if the rate policy is hysteresis with
-    /// `up_count = 0`.
+    /// or above 2^53, if `config.system.command_loss_probability` is
+    /// outside [0, 1] or NaN, if `config.system.snr_switch_threshold_db`
+    /// is NaN, if `config.snr_report_sigma_db` is negative, NaN or
+    /// infinite, or if the rate policy is hysteresis with `up_count = 0`.
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
         if let Some(why) = config_error(config) {
             panic!("{why}");
@@ -646,6 +674,30 @@ mod tests {
     fn unbounded_frame_size_is_rejected() {
         let mut cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
         cfg.traffic.frame_bits = f64::MAX;
+        Session::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "command_loss_probability = 1.5 is not a probability")]
+    fn out_of_range_command_loss_is_rejected() {
+        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: true });
+        cfg.system.command_loss_probability = 1.5;
+        Session::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "snr_switch_threshold_db = NaN dB")]
+    fn nan_switch_threshold_is_rejected() {
+        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: true });
+        cfg.system.snr_switch_threshold_db = f64::NAN;
+        Session::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "snr_report_sigma_db = -0.5 dB is not a noise level")]
+    fn negative_report_noise_is_rejected() {
+        let mut cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
+        cfg.snr_report_sigma_db = -0.5;
         Session::new(&cfg);
     }
 

@@ -97,7 +97,7 @@ fn cmd_reduce(args: &[String]) -> Result<i32, String> {
 
     // Per-stream fold, merge in argument order: the same shape at every
     // thread count, so the output bytes never depend on `--threads`.
-    let parts = movr_sim::pool_map(files.clone(), threads, |_, path: &String| {
+    let parts = movr_sim::pool_map(files.iter().collect(), threads, |_, path: &&String| {
         let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
         reduce_one_stream(path, BufReader::new(file)).map_err(|e| e.to_string())
     });

@@ -1,57 +1,51 @@
-//! A persistent worker pool for deterministic parallel maps.
+//! A scoped fan-out for deterministic parallel maps.
 //!
 //! Coverage maps, blockage surveys, Monte Carlo session fleets and the
 //! trace reducer are embarrassingly parallel: every item is independent
 //! and the output is just the per-item results in input order.
-//! [`WorkerPool`] fans such work out over threads that stay alive:
-//! workers are spawned lazily on first use, fed jobs over channels, and
-//! reused for every subsequent call, so a caller that maps once per
-//! batch pays thread creation once, not per call.
+//! [`pool_map`] splits such work into chunks; the calling thread runs
+//! chunk 0 and one scoped thread per further chunk runs the rest. Every
+//! thread it starts has ended when it returns, so closures may borrow.
 //!
 //! The output is **byte-identical for any thread count**, because
 //!
 //! * the input is split into contiguous chunks in order, balanced so
 //!   chunk sizes differ by at most one,
-//! * chunk `i` always goes to worker `i` — assignment is a function of
+//! * chunk `i` always runs on thread `i` — assignment is a function of
 //!   `(items.len(), threads)` alone, never of scheduling,
-//! * workers share no mutable state (each chunk returns its own `Vec`),
+//! * threads share no mutable state (each chunk returns its own `Vec`),
 //! * chunk results are reassembled by chunk index, not arrival order.
 //!
-//! So [`WorkerPool::map`] is byte-identical to the serial map. Each
-//! item's closure receives the item's index in the input, so callers
-//! that need randomness can fork a deterministic per-item RNG instead of
-//! sharing a sequence across threads. Panics inside a job are caught per
-//! item, reported with the item's input index, and leave the pool
-//! healthy — workers survive and the next call proceeds normally.
+//! So [`pool_map`] is byte-identical to the serial map. Each item's
+//! closure receives the item's index in the input, so callers that need
+//! randomness can fork a deterministic per-item RNG instead of sharing a
+//! sequence across threads. Panics inside a job are caught per item and
+//! reported with the item's input index once every chunk has ended.
 //!
-//! Nested calls from inside a worker run inline on the calling worker:
-//! fanning out from a worker onto the same pool could otherwise deadlock
-//! with every worker waiting on jobs queued behind its own. Inline
+//! Nested calls from inside a chunk, the caller's chunk 0 included, run
+//! inline on the thread that makes them: a fan-out per item of a
+//! fan-out would start threads by the product of the two counts. Inline
 //! execution preserves the byte-identity contract (it *is* the serial
 //! path).
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
-/// Number of worker threads worth spawning on this machine (≥ 1).
+/// Number of threads worth fanning out to on this machine (≥ 1).
 pub fn available_threads() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Balanced contiguous chunk layout: `(start, end)` bounds splitting
-/// `len` items over exactly `chunks` workers, in order. Every chunk gets
+/// `len` items over exactly `chunks` threads, in order. Every chunk gets
 /// `len / chunks` items and the first `len % chunks` chunks one extra,
 /// so chunk sizes never differ by more than one and no trailing chunk is
-/// empty. (`ceil`-sized splitting would strand trailing workers: 5 items
+/// empty. (`ceil`-sized splitting would strand trailing threads: 5 items
 /// over 4 threads in chunks of ⌈5/4⌉ = 2 make [2, 2, 1] and leave the
-/// fourth worker idle; this yields [2, 1, 1, 1].)
+/// fourth thread idle; this yields [2, 1, 1, 1].)
 ///
-/// `chunks` must be in `1..=len`; [`WorkerPool::map`] clamps before
-/// calling.
+/// `chunks` must be in `1..=len`; [`pool_map`] clamps before calling.
 fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
     debug_assert!(chunks >= 1 && chunks <= len);
     let base = len / chunks;
@@ -77,190 +71,56 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// An owned job: closures are `'static` because pool workers outlive any
-/// single call.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
 thread_local! {
-    /// True on threads owned by any [`WorkerPool`]; nested maps detect
-    /// it and run inline instead of deadlocking on their own queue.
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// True while this thread runs a [`pool_map`] chunk; nested maps
+    /// detect it and run inline.
+    static IN_POOL_MAP: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A lazily-grown set of persistent worker threads. See the module docs
-/// for the determinism and panic contracts.
+/// Runs one chunk whose first item has input index `start`, stopping at
+/// the first item whose closure panics: its results, or that item's
+/// index and panic message.
+fn run_chunk<T, R, F>(f: &F, start: usize, chunk: &[T]) -> Result<Vec<R>, (usize, String)>
+where
+    F: Fn(usize, &T) -> R,
+{
+    IN_POOL_MAP.with(|flag| flag.set(true));
+    let outcome = (start..)
+        .zip(chunk)
+        .map(|(i, t)| {
+            catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(|p| (i, panic_detail(p.as_ref())))
+        })
+        .collect();
+    IN_POOL_MAP.with(|flag| flag.set(false));
+    outcome
+}
+
+/// Maps `f` over `items` on up to `threads` threads, returning the
+/// results in input order; `f` receives `(index, &item)` where `index`
+/// is the item's position in `items`, and the output is byte-identical
+/// to the serial map for every `threads` value.
 ///
-/// Most callers want the process-wide pool via [`pool_map`]; owning an
-/// instance is for tests and for callers that need their worker count
-/// accounted separately. Dropping an owned pool closes its job channels,
-/// which shuts the workers down.
-#[derive(Debug, Default)]
-pub struct WorkerPool {
-    senders: Mutex<Vec<Sender<Job>>>,
-    spawned: AtomicUsize,
-}
-
-impl WorkerPool {
-    /// Creates an empty pool; workers are spawned on first use.
-    pub fn new() -> Self {
-        WorkerPool::default()
-    }
-
-    /// Total worker threads this pool has ever spawned. Reuse means this
-    /// stays at the high-water thread count no matter how many times
-    /// [`WorkerPool::map`] runs.
-    pub fn threads_spawned(&self) -> usize {
-        self.spawned.load(Ordering::Relaxed)
-    }
-
-    /// Grows the worker set to at least `n` threads (never shrinks).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the pool is the workspace's one thread spawner; its `map` bounds keep workers from sharing state"
-    )]
-    fn ensure_workers(&self, n: usize) {
-        let mut senders = self.senders.lock().expect("pool lock clean"); // poisoned-lock invariant, not decoded input
-        while senders.len() < n {
-            let (tx, rx) = channel::<Job>();
-            thread::Builder::new()
-                .name(format!("movr-pool-{}", senders.len()))
-                .spawn(move || {
-                    IN_POOL_WORKER.with(|flag| flag.set(true));
-                    // Runs until the pool (sender side) is dropped.
-                    while let Ok(job) = rx.recv() {
-                        job();
-                    }
-                })
-                .expect("spawn pool worker"); // thread spawn failure is unrecoverable resource exhaustion, not input
-            self.spawned.fetch_add(1, Ordering::Relaxed);
-            senders.push(tx);
-        }
-    }
-
-    /// Maps `f` over `items` on up to `threads` pool workers, returning
-    /// the results in input order; `f` receives `(index, &item)` where
-    /// `index` is the item's position in `items`, and the output is
-    /// byte-identical to the serial map for every `threads` value.
-    ///
-    /// Takes `items` by value: chunks are moved to the workers, so the
-    /// items (and `f`) must be `'static` — the price of workers that
-    /// outlive the call. A `threads` of 0 is treated as 1; more threads
-    /// than items uses one chunk per item; calls from inside a pool
-    /// worker run inline serially.
-    ///
-    /// # Panics
-    /// Panics if any invocation of `f` panics; the propagated message
-    /// names the input index of the item whose closure died. The pool
-    /// itself stays usable.
-    pub fn map<T, R, F>(&self, items: Vec<T>, threads: usize, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &T) -> R + Send + Sync + 'static,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(items.len());
-        let nested = IN_POOL_WORKER.with(Cell::get);
-        if threads == 1 || nested {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-
-        let bounds = chunk_bounds(items.len(), threads);
-        self.ensure_workers(threads);
-        let f = Arc::new(f);
-        let (result_tx, result_rx) = channel::<(usize, Result<Vec<R>, (usize, String)>)>();
-
-        // Split the input into owned chunks, back to front so each
-        // `split_off` is O(chunk), then restore chunk order.
-        let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(threads);
-        let mut rest = items;
-        for &(start, _) in bounds.iter().rev() {
-            chunks.push((start, rest.split_off(start)));
-        }
-        chunks.reverse();
-
-        {
-            let senders = self.senders.lock().expect("pool lock clean"); // poisoned-lock invariant, not decoded input
-            let assigned = chunks.into_iter().enumerate().zip(senders.iter());
-            for ((ci, (start, chunk)), sender) in assigned {
-                let f = Arc::clone(&f);
-                let tx = result_tx.clone();
-                let job: Job = Box::new(move || {
-                    let mut results = Vec::with_capacity(chunk.len());
-                    let mut failure: Option<(usize, String)> = None;
-                    for (j, t) in chunk.iter().enumerate() {
-                        match catch_unwind(AssertUnwindSafe(|| f(start + j, t))) {
-                            Ok(r) => results.push(r),
-                            Err(payload) => {
-                                failure = Some((start + j, panic_detail(payload.as_ref())));
-                                break;
-                            }
-                        }
-                    }
-                    let outcome = match failure {
-                        None => Ok(results),
-                        Some(fail) => Err(fail),
-                    };
-                    // The caller may already be unwinding from another
-                    // chunk's failure; a closed result channel is fine.
-                    let _ = tx.send((ci, outcome));
-                });
-                sender.send(job).expect("pool worker alive"); // workers outlive the pool that feeds them, by construction
-            }
-        }
-        drop(result_tx);
-
-        // Drain every chunk before reporting anything: results arrive in
-        // completion order, the output is assembled in chunk order, and
-        // a failure is reported only after all workers are quiescent (so
-        // the earliest-chunk failure wins deterministically).
-        let mut slots: Vec<Option<Vec<R>>> = (0..threads).map(|_| None).collect();
-        let mut failure: Option<(usize, usize, String)> = None;
-        for _ in 0..threads {
-            let (ci, outcome) = result_rx.recv().expect("pool worker delivers its chunk"); // every dispatched chunk sends exactly one result
-            match outcome {
-                Ok(results) => slots[ci] = Some(results), // ci enumerates 0..threads, the length of `slots`
-                Err((item, detail)) => {
-                    if failure.as_ref().is_none_or(|f| ci < f.0) {
-                        failure = Some((ci, item, detail));
-                    }
-                }
-            }
-        }
-        if let Some((_, item, detail)) = failure {
-            panic!("pool_map worker panicked while processing item {item}: {detail}"); // deliberate propagation of a job panic, with attribution
-        }
-        let mut out = Vec::with_capacity(slots.iter().map(|s| s.as_ref().map_or(0, Vec::len)).sum());
-        for slot in slots {
-            out.extend(slot.expect("every chunk either failed or delivered")); // failure case returned above; remaining slots are filled
-        }
-        out
-    }
-}
-
-/// The process-wide pool behind [`pool_map`], spawned lazily.
-pub fn global_pool() -> &'static WorkerPool {
-    static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-    GLOBAL.get_or_init(WorkerPool::new)
-}
-
-/// [`WorkerPool::map`] on the process-wide pool. First call spawns the
-/// workers; later calls reuse them.
+/// The calling thread runs the first chunk, and one scoped thread per
+/// further chunk runs the others; all of them have ended when this
+/// returns. Takes `items` by value, so each chunk moves to its thread
+/// and items need only be `Send`. A `threads` of 0 is treated as 1;
+/// more threads than items uses one chunk per item; calls from inside a
+/// chunk run inline serially.
 ///
 /// # Panics
-/// Propagates job panics with item attribution, like [`WorkerPool::map`].
+/// Panics if any invocation of `f` panics, once every chunk has ended;
+/// the propagated message names the input index of the item whose
+/// closure died, from the earliest chunk that had one.
 ///
-/// # Workers share nothing mutable
+/// # Threads share nothing mutable
 ///
 /// The output is the same at any thread count only if no item's closure
-/// sees another item's effects. The `Fn + Send + Sync + 'static` bound on
-/// `f` makes rustc enforce that: each block marked `compile_fail` below
-/// is rejected, and the block after it, which differs only in the
-/// hazard, compiles. (rustdoc checks only that a `compile_fail` block
-/// fails, not its error code; the compiling twin is what shows it fails
-/// for the hazard.)
+/// sees another item's effects. The `Fn + Send + Sync` bound on `f`
+/// makes rustc enforce that: each block marked `compile_fail` below is
+/// rejected, and the block after it, which differs only in the hazard,
+/// compiles. (rustdoc checks only that a `compile_fail` block fails,
+/// not its error code; the compiling twin is what shows it fails for
+/// the hazard.)
 ///
 /// A closure cannot write to what it captures (E0594):
 ///
@@ -332,16 +192,93 @@ pub fn global_pool() -> &'static WorkerPool {
 /// ```
 pub fn pool_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(usize, &T) -> R + Send + Sync + 'static,
+    T: Send,
+    R: Send,
+    F: Fn(usize, &T) -> R + Send + Sync,
 {
-    global_pool().map(items, threads, f)
+    let threads = threads.max(1).min(items.len());
+    if threads <= 1 || IN_POOL_MAP.with(Cell::get) {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+
+    // Split chunks 1.. off the input as owned `Vec`s, back to front so
+    // each `split_off` is O(chunk), and restore their order; what is left
+    // is chunk 0.
+    let len = items.len();
+    let mut first = items;
+    let mut chunks: Vec<(usize, Vec<T>)> = chunk_bounds(len, threads)[1..]
+        .iter()
+        .rev()
+        .map(|&(start, _)| (start, first.split_off(start)))
+        .collect();
+    chunks.reverse();
+
+    let f = &f;
+    // Every chunk has ended when the scope returns, so a failure is
+    // reported only once all are quiescent, and the earliest chunk's
+    // failure wins deterministically.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one thread spawner; its `Fn + Send + Sync` bound keeps threads from sharing state"
+    )]
+    let outcomes: Vec<_> = thread::scope(|s| {
+        let spawned: Vec<_> = chunks
+            .into_iter()
+            .map(|(start, chunk)| s.spawn(move || run_chunk(f, start, &chunk)))
+            .collect();
+        let mut outcomes = vec![run_chunk(f, 0, &first)];
+        // A chunk catches its items' panics, so its thread cannot die.
+        outcomes.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("pool chunk returned")),
+        );
+        outcomes
+    });
+    let mut out = Vec::with_capacity(len);
+    for outcome in outcomes {
+        match outcome {
+            Ok(results) => out.extend(results),
+            // Deliberate propagation of a job panic, with attribution.
+            Err((item, detail)) => {
+                panic!("pool_map worker panicked while processing item {item}: {detail}")
+            }
+        }
+    }
+    out
+}
+
+/// A fieldless handle whose [`WorkerPool::map`] is [`pool_map`]. It is
+/// kept only because the `perfbench` crate calls `WorkerPool::new()` and
+/// `map`; it goes once perfbench calls [`pool_map`] directly (ROADMAP
+/// item 4).
+#[derive(Debug, Default)]
+pub struct WorkerPool;
+
+impl WorkerPool {
+    /// A handle; it owns no threads.
+    pub fn new() -> Self {
+        WorkerPool
+    }
+
+    /// [`pool_map`].
+    ///
+    /// # Panics
+    /// As [`pool_map`].
+    pub fn map<T, R, F>(&self, items: Vec<T>, threads: usize, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &T) -> R + Send + Sync,
+    {
+        pool_map(items, threads, f)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
 
     /// movr-sim has zero dependencies by design, so the property test
     /// carries its own LCG (Knuth's MMIX constants).
@@ -366,59 +303,65 @@ mod tests {
         items.iter().enumerate().map(|(i, x)| work(i, x)).collect()
     }
 
+    fn here() -> ThreadId {
+        thread::current().id()
+    }
+
     #[test]
     fn property_pool_matches_serial_map() {
         // Random item counts and thread counts, including threads ≫ len,
         // threads == len ± 1, and single items.
-        let pool = WorkerPool::new();
         let mut rng = Lcg(0x5EED);
         for round in 0..200 {
             let len = (rng.next() % 65) as usize;
             let threads = (rng.next() % 9) as usize;
             let items: Vec<u64> = (0..len).map(|_| rng.next()).collect();
             let expect = serial(&items);
-            let got = pool.map(items, threads, work);
+            let got = pool_map(items, threads, work);
             assert_eq!(got, expect, "round={round} len={len} threads={threads}");
         }
     }
 
     #[test]
-    fn pool_reuse_spawns_no_extra_threads() {
-        let pool = WorkerPool::new();
-        let items: Vec<u64> = (0..32).collect();
-        for round in 0..1000 {
-            let out = pool.map(items.clone(), 4, work);
-            assert_eq!(out.len(), 32, "round={round}");
-        }
-        assert_eq!(
-            pool.threads_spawned(),
-            4,
-            "1000 invocations must reuse the original 4 workers"
+    fn chunk_zero_runs_on_the_caller() {
+        let ids = pool_map((0..6u64).collect(), 3, |_, _| here());
+        assert_eq!(ids[..2], [here(), here()], "chunk 0 on the calling thread");
+        assert!(
+            ids[2..].iter().all(|&id| id != here()),
+            "chunks 1.. off it: {ids:?}"
         );
     }
 
     #[test]
-    fn lazy_growth_only_to_the_high_water_mark() {
-        let pool = WorkerPool::new();
-        assert_eq!(pool.threads_spawned(), 0, "no workers before first use");
-        pool.map((0..8u64).collect(), 2, work);
-        assert_eq!(pool.threads_spawned(), 2);
-        pool.map((0..8u64).collect(), 5, work);
-        assert_eq!(pool.threads_spawned(), 5, "grows to the new demand");
-        pool.map((0..8u64).collect(), 3, work);
-        assert_eq!(pool.threads_spawned(), 5, "never shrinks, never respawns");
+    fn closures_may_borrow_locals() {
+        let salts: Vec<u64> = (0..40u64).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
+        let items: Vec<u64> = (100..140).collect();
+        let got = pool_map(items.clone(), 3, |i, x| work(i, x) ^ salts[i]);
+        let expect: Vec<u64> = serial(&items)
+            .iter()
+            .zip(&salts)
+            .map(|(w, s)| w ^ s)
+            .collect();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn worker_pool_map_is_pool_map() {
+        let items: Vec<u64> = (0..33).collect();
+        assert_eq!(
+            WorkerPool::new().map(items.clone(), 4, work),
+            pool_map(items, 4, work)
+        );
     }
 
     #[test]
     fn panic_names_the_item_and_pool_survives() {
-        let pool = Arc::new(WorkerPool::new());
-        let p = Arc::clone(&pool);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(move || {
-            p.map((0..16u64).collect(), 4, |_, &x| {
+        let err = std::panic::catch_unwind(|| {
+            pool_map((0..16u64).collect(), 4, |_, &x| {
                 assert!(x != 5, "item 5 is cursed");
                 x
             });
-        }))
+        })
         .expect_err("the job must panic");
         let msg = err
             .downcast_ref::<String>()
@@ -431,23 +374,21 @@ mod tests {
             msg.contains("item 5 is cursed"),
             "panic message should carry the job's own message, got: {msg}"
         );
-        // The workers caught the panic and are still serving jobs.
-        let after = pool.map((0..16u64).collect(), 4, work);
+        // The next call on the same thread fans out and runs normally.
+        let after = pool_map((0..16u64).collect(), 4, work);
         assert_eq!(after, serial(&(0..16u64).collect::<Vec<_>>()));
-        assert_eq!(pool.threads_spawned(), 4, "no respawn after a job panic");
     }
 
     #[test]
     fn earliest_chunk_failure_wins_when_several_panic() {
-        let pool = WorkerPool::new();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let err = std::panic::catch_unwind(|| {
             // Items 3, 7, 11 all panic — in different chunks of [0..4),
             // [4..8), [8..12); the report must pick chunk 0's item 3.
-            pool.map((0..12u64).collect(), 3, |i, _| {
+            pool_map((0..12u64).collect(), 3, |i, _| {
                 assert!(i % 4 != 3, "boom");
                 i
             });
-        }))
+        })
         .expect_err("jobs must panic");
         let msg = err.downcast_ref::<String>().expect("String message");
         assert!(
@@ -458,18 +399,30 @@ mod tests {
 
     #[test]
     fn nested_pool_map_runs_inline_without_deadlock() {
-        // Every worker fans out again through the global pool; the inner
-        // calls must run inline on the workers rather than queueing
-        // behind themselves.
+        // Every chunk fans out again; the inner calls must run inline on
+        // the thread that makes them, chunk 0's caller included.
         let outer: Vec<u64> = (0..4).collect();
         let got = pool_map(outer, 4, |i, &x| {
             let inner: Vec<u64> = (0..8).map(|k| x.wrapping_add(k)).collect();
             let inner_expect = serial(&inner);
-            let inner_got = pool_map(inner, 4, work);
-            assert_eq!(inner_got, inner_expect, "outer item {i}");
-            inner_got.iter().fold(0u64, |a, &b| a.wrapping_add(b))
+            let inner_got = pool_map(inner, 4, |j, y| (work(j, y), here()));
+            assert!(
+                inner_got.iter().all(|&(_, id)| id == here()),
+                "outer item {i}"
+            );
+            let values: Vec<u64> = inner_got.into_iter().map(|(v, _)| v).collect();
+            assert_eq!(values, inner_expect, "outer item {i}");
+            (values.iter().fold(0u64, |a, &b| a.wrapping_add(b)), here())
         });
-        assert_eq!(got.len(), 4);
+        assert_eq!(got[0].1, here(), "the outer chunk 0 ran on the caller");
+        // The caller's flag is cleared again: a later top-level call
+        // fans out.
+        let ids = pool_map((0..4u64).collect(), 4, |_, _| here());
+        assert_eq!(ids[0], here());
+        assert!(
+            ids[1..].iter().all(|&id| id != here()),
+            "fanned out again: {ids:?}"
+        );
     }
 
     #[test]
@@ -480,8 +433,8 @@ mod tests {
     #[test]
     fn chunk_sizes_differ_by_at_most_one_and_cover_everything() {
         // The regression case: 5 items over 4 threads must not split
-        // [2, 2, 1] with a fourth worker idle. Balanced sizing gives
-        // every worker something to do.
+        // [2, 2, 1] with a fourth thread idle. Balanced sizing gives
+        // every thread something to do.
         assert_eq!(chunk_bounds(5, 4), [(0, 2), (2, 3), (3, 4), (4, 5)]);
         for len in 1..=64usize {
             for chunks in 1..=len {
@@ -498,7 +451,10 @@ mod tests {
                     expect_start = end;
                 }
                 assert_eq!(expect_start, len, "chunks cover the input");
-                assert!(max_size - min_size <= 1, "balanced (len={len} chunks={chunks})");
+                assert!(
+                    max_size - min_size <= 1,
+                    "balanced (len={len} chunks={chunks})"
+                );
             }
         }
     }
@@ -506,42 +462,31 @@ mod tests {
     #[test]
     fn threads_near_item_count_leave_no_worker_idle() {
         // Behavioural form of the same regression: with 5 items on 4
-        // threads the observed worker set must span 4 distinct threads.
-        // `ThreadId` has no order, so the set is a deduplicated `Vec`.
-        let pool = WorkerPool::new();
-        let seen: Arc<Mutex<Vec<thread::ThreadId>>> = Arc::default();
-        let record = Arc::clone(&seen);
-        let out = pool.map((0..5u32).collect(), 4, move |_, &x| {
-            let mut ids = record.lock().expect("clean lock");
-            let id = thread::current().id();
-            if !ids.contains(&id) {
-                ids.push(id);
+        // threads the items must span 4 distinct threads. `ThreadId` has
+        // no order, so the set is a deduplicated `Vec`.
+        let out = pool_map((0..5u32).collect(), 4, |_, &x| (x * 10, here()));
+        let values: Vec<u32> = out.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, [0, 10, 20, 30, 40]);
+        let mut seen: Vec<ThreadId> = Vec::new();
+        for &(_, id) in &out {
+            if !seen.contains(&id) {
+                seen.push(id);
             }
-            x * 10
-        });
-        assert_eq!(out, [0, 10, 20, 30, 40]);
-        assert_eq!(
-            seen.lock().expect("clean lock").len(),
-            4,
-            "all four workers busy"
-        );
+        }
+        assert_eq!(seen.len(), 4, "all four threads busy");
     }
 
     #[test]
     fn indices_match_positions() {
-        let pool = WorkerPool::new();
         let items = vec!["a", "b", "c", "d", "e"];
-        let got = pool.map(items, 2, |i, &s| format!("{i}:{s}"));
+        let got = pool_map(items, 2, |i, &s| format!("{i}:{s}"));
         assert_eq!(got, ["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
     #[test]
     fn empty_and_zero_threads() {
-        let pool = WorkerPool::new();
         let empty: Vec<u64> = Vec::new();
-        assert!(pool.map(empty, 4, work).is_empty());
-        assert_eq!(pool.threads_spawned(), 0, "empty input spawns nothing");
-        assert_eq!(pool.map(vec![41u64], 0, |_, &x| x + 1), [42]);
-        assert_eq!(pool.threads_spawned(), 0, "serial path spawns nothing");
+        assert!(pool_map(empty, 4, work).is_empty());
+        assert_eq!(pool_map(vec![41u64], 0, |_, &x| x + 1), [42]);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! Headset positions are drawn sequentially from the seeded RNG (so the
 //! campaign is the same regardless of parallelism), then the independent
-//! runs are fanned out over the persistent pool with
-//! [`movr_sim::pool_map`] and folded back in run order: the output is
-//! byte-identical for any thread count.
+//! runs are fanned out over every core with [`movr_sim::pool_map`] and
+//! folded back in run order: the output is byte-identical for any thread
+//! count.
 //!
 //! ```sh
 //! cargo run --release --example blockage_survey

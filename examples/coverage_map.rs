@@ -2,10 +2,9 @@
 //! and without the reflector, for a player facing the AP — the spatial
 //! picture behind Figs. 3 and 9.
 //!
-//! Cells are independent, so they are fanned out over the persistent
-//! worker pool with [`movr_sim::pool_map`]; the map is byte-identical
-//! for any thread count, and the second render reuses the first
-//! render's threads.
+//! Cells are independent, so they are fanned out over every core with
+//! [`movr_sim::pool_map`]; the map is byte-identical for any thread
+//! count.
 //!
 //! ```sh
 //! cargo run --release --example coverage_map

@@ -48,9 +48,9 @@ pub fn session_jsonl(session: u64, duration_s: f64) -> String {
 }
 
 /// All `sessions` timelines of a fleet, fanned out over `threads`
-/// persistent pool workers. Output is byte-identical for every
-/// `threads` value (sessions are independent and returned in session
-/// order); repeated fleets reuse the same worker threads.
+/// threads with [`movr_sim::pool_map`] (the calling thread runs the
+/// first chunk). Output is byte-identical for every `threads` value
+/// (sessions are independent and returned in session order).
 pub fn fleet_jsonl(sessions: u64, duration_s: f64, threads: usize) -> Vec<String> {
     let ids: Vec<u64> = (0..sessions).collect();
     movr_sim::pool_map(ids, threads, move |_, &id| session_jsonl(id, duration_s))

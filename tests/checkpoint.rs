@@ -402,6 +402,41 @@ fn restore_under_an_unbounded_frame_size_is_an_invalid_config() {
 }
 
 #[test]
+fn restore_under_a_silently_wrong_fault_threshold_or_noise_is_an_invalid_config() {
+    // Each of these ran a session that was wrong without a sign: a loss
+    // probability that `SimRng::chance` clamps (or reads NaN as "never
+    // lost"), a NaN threshold no direct SNR reaches, and report noise
+    // that is negative or makes every report NaN.
+    let (_, cfg) = scenario(Strategy::Movr { tracking: true }, POLICIES[1], 4);
+    let mut bytes = snapshot_under(&cfg, 5);
+    let mut cases = Vec::new();
+    for x in [1.5, -0.1, f64::NAN] {
+        let mut bad = cfg;
+        bad.system.command_loss_probability = x;
+        cases.push((format!("command_loss_probability = {x:?}"), bad));
+    }
+    let mut bad = cfg;
+    bad.system.snr_switch_threshold_db = f64::NAN;
+    cases.push(("snr_switch_threshold_db = NaN".to_string(), bad));
+    for x in [-1.0, f64::INFINITY] {
+        let mut bad = cfg;
+        bad.snr_report_sigma_db = x;
+        cases.push((format!("snr_report_sigma_db = {x:?}"), bad));
+    }
+    for (expect, bad) in cases {
+        bytes[12..20].copy_from_slice(&config_fingerprint(&bad).to_le_bytes());
+        reseal(&mut bytes);
+        match Session::restore(&bytes, &bad) {
+            Err(SnapshotError::InvalidConfig { what }) => {
+                assert!(what.contains(&expect), "{expect}: {what}");
+            }
+            Err(other) => panic!("{expect}: expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("a snapshot restored under {expect}"),
+        }
+    }
+}
+
+#[test]
 fn version_1_snapshot_is_rejected_as_unsupported() {
     // Version 1 stored metric names, bucket edges and duplicated counters;
     // this build has no reader for it.

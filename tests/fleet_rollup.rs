@@ -75,7 +75,9 @@ fn the_fallback_reader_alone_reproduces_the_golden_fixture() {
 /// The recorded bytes themselves, not only what the reducer pulls out
 /// of them: FNV-1a of each of the eight streams, so a writer change that
 /// moves one byte of one float fails here even where the rollup would
-/// not notice.
+/// not notice. The fleet is recorded at 1, 2, 3 and 8 threads: 3 splits
+/// the sessions into uneven chunks, and 8 gives one session per chunk,
+/// more threads than most hosts have cores.
 #[test]
 fn fleet_streams_match_their_pinned_hashes() {
     const PINS: [u64; 8] = [
@@ -88,12 +90,13 @@ fn fleet_streams_match_their_pinned_hashes() {
         0xa0b6_92fa_af4f_efff,
         0xab3a_2360_76a3_b8bc,
     ];
-    let streams = fleet_jsonl(8, 1.0, 1);
-    let got: Vec<u64> = streams
-        .iter()
-        .map(|t| movr_math::fnv1a64(t.as_bytes()))
-        .collect();
-    assert_eq!(got, PINS, "a fleet stream's bytes moved");
+    for threads in [1, 2, 3, 8] {
+        let got: Vec<u64> = fleet_jsonl(8, 1.0, threads)
+            .iter()
+            .map(|t| movr_math::fnv1a64(t.as_bytes()))
+            .collect();
+        assert_eq!(got, PINS, "stream bytes moved on {threads} threads");
+    }
 }
 
 #[test]
