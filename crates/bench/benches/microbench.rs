@@ -237,9 +237,9 @@ fn bench_array_gain(opts: &BenchOptions) -> Vec<BenchReport> {
     let bearings: Vec<f64> = (0..101).map(|i| -152.0 + f64::from(i)).collect();
     // Mounting arrays, as every deployment, reflector and radio does at
     // set-up: 300 `SteeredArray::paper_array` calls at distinct
-    // boresights. Each array starts at broadside, whose steering vector
-    // the optimiser folds to a constant when it sees `steering_vector`
-    // called with 0.0; computed at run time, the row reads about 15x.
+    // boresights. Each array starts at broadside, whose phases the
+    // optimiser folds to a constant when it sees them computed for 0.0;
+    // computed at run time, the row reads about 15x.
     let boresights: Vec<f64> = (0..300).map(|k| -180.0 + 1.2 * f64::from(k)).collect();
     vec![
         bench_fn("array_gain_scalar_101", opts, || {

@@ -52,7 +52,11 @@ fn main() {
             ap.steer_toward(reflector_position());
             let mut hs = RadioEndpoint::paper_radio(player.receiver_position(), yaw);
             hs.steer_toward(reflector_position());
-            let mut reflector = sys.reflectors()[0].clone();
+            let mut reflector = sys
+                .reflectors()
+                .next()
+                .expect("paper_setup installs one reflector")
+                .clone();
             reflector.steer_rx(reflector_position().bearing_deg_to(ap_position()));
             reflector.steer_tx(reflector_position().bearing_deg_to(hs.position()));
 

@@ -187,9 +187,12 @@ const MAX_FRAME_BITS: f64 = 9_007_199_254_740_992.0;
 /// `system.command_loss_probability` outside [0, 1] (which
 /// [`SimRng::chance`] clamps) or NaN (which it reads as "never lost"), a
 /// NaN `system.snr_switch_threshold_db` (no frame would ever be served
-/// direct), an `snr_report_sigma_db` that is negative, NaN or infinite
-/// (a NaN makes every noisy report NaN), or a hysteresis rate policy
-/// with `up_count = 0`, which [`RateAdapter::new`] rejects.
+/// direct), a `system.realign_window_deg` that is NaN or negative (the
+/// re-sweep would cost nothing) or whose re-sweep cost, with
+/// `beam_command_latency` and `sweep_dwell`, does not fit in a
+/// [`SimTime`], an `snr_report_sigma_db` that is negative, NaN or
+/// infinite (a NaN makes every noisy report NaN), or a hysteresis rate
+/// policy with `up_count = 0`, which [`RateAdapter::new`] rejects.
 pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
     let hz = config.traffic.refresh_hz;
     // `VrTrafficModel::frame_interval` without its panic on a negative,
@@ -220,6 +223,16 @@ pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
         return Some(format!(
             "snr_switch_threshold_db = {threshold:?} dB is not a threshold; \
              no frame would be served direct"
+        ));
+    }
+    let s = &config.system;
+    if s.sweep_cost().is_none() {
+        return Some(format!(
+            "realign_window_deg = {:?} with beam_command_latency = {} ns and sweep_dwell = {} ns \
+             gives no re-sweep cost; the window must be at least 0 and the cost below 2^64 ns",
+            s.realign_window_deg,
+            s.beam_command_latency.as_nanos(),
+            s.sweep_dwell.as_nanos()
         ));
     }
     let sigma = config.snr_report_sigma_db;
@@ -254,8 +267,9 @@ impl Session {
     /// the frame clock), if `config.traffic.frame_bits` is NaN, negative
     /// or above 2^53, if `config.system.command_loss_probability` is
     /// outside [0, 1] or NaN, if `config.system.snr_switch_threshold_db`
-    /// is NaN, if `config.snr_report_sigma_db` is negative, NaN or
-    /// infinite, or if the rate policy is hysteresis with `up_count = 0`.
+    /// is NaN, if the no-tracking re-sweep's window or cost is out of range,
+    /// if `config.snr_report_sigma_db` is negative, NaN or infinite, or if
+    /// the rate policy is hysteresis with `up_count = 0`.
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
         if let Some(why) = config_error(config) {
             panic!("{why}");
@@ -674,6 +688,34 @@ mod tests {
     fn unbounded_frame_size_is_rejected() {
         let mut cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
         cfg.traffic.frame_bits = f64::MAX;
+        Session::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "realign_window_deg = NaN with")]
+    fn nan_realign_window_is_rejected() {
+        // At a NaN window the no-tracking re-sweep cost 0 ns.
+        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
+        cfg.system.realign_window_deg = f64::NAN;
+        Session::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "realign_window_deg = -0.4 with")]
+    fn negative_realign_window_is_rejected() {
+        // ⌊2 · (−0.4) + 1⌋ = 0 beams: the re-sweep cost 0 ns.
+        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
+        cfg.system.realign_window_deg = -0.4;
+        Session::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "realign_window_deg = 10000000.0 with")]
+    fn overflowing_re_sweep_cost_is_rejected() {
+        // 2e7 + 1 beams: n² dwells of 50 µs are about 2.0e19 ns; 2^64 ns is
+        // about 1.8e19.
+        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
+        cfg.system.realign_window_deg = 1e7;
         Session::new(&cfg);
     }
 

@@ -114,21 +114,30 @@ impl Default for SystemConfig {
     }
 }
 
+impl SystemConfig {
+    /// The cost of a windowed re-sweep: n beam commands and n² dwells,
+    /// with n = ⌊2·`realign_window_deg` + 1⌋ beams, or `None` when the
+    /// window is NaN or negative (the re-sweep would cost nothing) or the
+    /// cost does not fit in a [`SimTime`].
+    pub(crate) fn sweep_cost(&self) -> Option<SimTime> {
+        let window = self.realign_window_deg;
+        if window.is_nan() || window < 0.0 {
+            return None;
+        }
+        let n = movr_math::convert::f64_to_u64(2.0 * window + 1.0);
+        let commands = n.checked_mul(self.beam_command_latency.as_nanos())?;
+        let dwells = n.checked_mul(self.sweep_dwell.as_nanos())?.checked_mul(n)?;
+        commands.checked_add(dwells).map(SimTime::from_nanos)
+    }
+}
+
 /// The full MoVR deployment.
 #[derive(Debug, Clone)]
 pub struct MovrSystem {
     scene: Scene,
     ap: RadioEndpoint,
-    reflectors: Vec<MovrReflector>,
-    /// Calibrated incidence bearing (reflector → AP) per reflector.
-    incidence_deg: Vec<f64>,
-    /// Calibrated AP bearing (AP → reflector) per reflector.
-    ap_to_reflector_deg: Vec<f64>,
-    /// Last served reflector transmit bearing (for no-tracking staleness).
-    last_tx_deg: Vec<f64>,
-    /// Transmit-beam command issued at the previous evaluation, per
-    /// reflector: it takes effect one control latency later, i.e. "now".
-    commanded_tx: Vec<f64>,
+    /// The installed reflectors, in installation order.
+    reflectors: Vec<Installed>,
     tracker: LighthouseTracker,
     predictor: crate::tracking::BeamPredictor,
     fault_rng: movr_math::SimRng,
@@ -137,10 +146,49 @@ pub struct MovrSystem {
     config: SystemConfig,
     /// The AP → headset link.
     direct: MemoisedLink,
-    /// Each reflector's AP → reflector and reflector → headset hops, in
-    /// installation order. Like `direct`, derived from the scene and the
-    /// beams, so not checkpointed.
-    hops: Vec<[MemoisedLink; 2]>,
+}
+
+/// One installed reflector: the unit, its calibration, its beam history
+/// and its two hops.
+#[derive(Debug, Clone)]
+struct Installed {
+    unit: MovrReflector,
+    /// Calibrated incidence bearing (reflector → AP).
+    incidence_deg: f64,
+    /// Calibrated AP bearing (AP → reflector).
+    ap_to_reflector_deg: f64,
+    /// Last served transmit bearing (for no-tracking staleness).
+    last_tx_deg: f64,
+    /// Transmit-beam command issued at the previous evaluation: it takes
+    /// effect one control latency later, i.e. "now".
+    commanded_tx: f64,
+    /// The AP → reflector and reflector → headset hops. Like
+    /// `MovrSystem`'s direct link, derived from the scene and the beams,
+    /// so not checkpointed.
+    hops: [MemoisedLink; 2],
+}
+
+impl Installed {
+    /// The budget relayed by this reflector from `ap` to `hs` in `scene`
+    /// at its current beams and gain, as `relay_link_on` computes it.
+    fn relay(&mut self, scene: &Scene, ap: &RadioEndpoint, hs: &RadioEndpoint) -> RelayBudget {
+        let unit = &self.unit;
+        let [to_reflector, to_headset] = &mut self.hops;
+        let mount = unit.position();
+        let hop1_dbm = to_reflector
+            .evaluate(
+                scene,
+                (ap.position(), ap.array()),
+                ap.tx_power_dbm(),
+                (mount, unit.rx_array()),
+            )
+            .received_dbm;
+        // Hop 2 is traced and weighted only when the amplifier re-radiates.
+        relay_budget(hop1_dbm, scene, unit, |out_dbm| {
+            let hs_end = (hs.position(), hs.array());
+            to_headset.evaluate(scene, (mount, unit.tx_array()), out_dbm, hs_end)
+        })
+    }
 }
 
 /// One link a deployment evaluates frame after frame: its last trace and,
@@ -221,10 +269,6 @@ impl MovrSystem {
             scene,
             ap,
             reflectors: Vec::new(),
-            incidence_deg: Vec::new(),
-            ap_to_reflector_deg: Vec::new(),
-            last_tx_deg: Vec::new(),
-            commanded_tx: Vec::new(),
             tracker: LighthouseTracker::new(config.seed),
             predictor: crate::tracking::BeamPredictor::new(),
             fault_rng: movr_math::SimRng::seed_from_u64(config.seed ^ 0xFA_517),
@@ -232,7 +276,6 @@ impl MovrSystem {
             mode: LinkMode::Direct,
             config,
             direct: MemoisedLink::default(),
-            hops: Vec::new(),
         }
     }
 
@@ -262,18 +305,19 @@ impl MovrSystem {
     /// angle without that knowledge is implemented in
     /// [`crate::alignment::estimate_incidence`] and validated against
     /// ground truth in the Fig. 8 benchmark.
-    pub fn add_reflector(&mut self, reflector: MovrReflector) -> usize {
-        let incidence = reflector.position().bearing_deg_to(self.ap.position());
-        let ap_bearing = self.ap.position().bearing_deg_to(reflector.position());
-        self.reflectors.push(reflector);
-        self.incidence_deg.push(incidence);
-        self.ap_to_reflector_deg.push(ap_bearing);
-        self.last_tx_deg.push(f64::NAN);
-        self.commanded_tx.push(f64::NAN);
-        self.hops.push(Default::default());
-        let i = self.reflectors.len() - 1;
-        self.reflectors[i].steer_rx(incidence); // i = len - 1 of the vec pushed two lines up
-        i
+    pub fn add_reflector(&mut self, mut unit: MovrReflector) -> usize {
+        let incidence_deg = unit.position().bearing_deg_to(self.ap.position());
+        let ap_to_reflector_deg = self.ap.position().bearing_deg_to(unit.position());
+        unit.steer_rx(incidence_deg);
+        self.reflectors.push(Installed {
+            unit,
+            incidence_deg,
+            ap_to_reflector_deg,
+            last_tx_deg: f64::NAN,
+            commanded_tx: f64::NAN,
+            hops: Default::default(),
+        });
+        self.reflectors.len() - 1
     }
 
     /// The scene (read access — benches inspect obstacles).
@@ -286,9 +330,9 @@ impl MovrSystem {
         &self.ap
     }
 
-    /// Installed reflectors.
-    pub fn reflectors(&self) -> &[MovrReflector] {
-        &self.reflectors
+    /// Installed reflectors, in installation order.
+    pub fn reflectors(&self) -> impl ExactSizeIterator<Item = &MovrReflector> {
+        self.reflectors.iter().map(|r| &r.unit)
     }
 
     /// The current serving mode.
@@ -318,28 +362,6 @@ impl MovrSystem {
             .snr_db
     }
 
-    /// The budget relayed by reflector `i` from `ap` to `hs` at the
-    /// reflector's current beams and gain, as `relay_link_on` computes
-    /// it.
-    fn relay_via(&mut self, i: usize, ap: &RadioEndpoint, hs: &RadioEndpoint) -> RelayBudget {
-        let reflector = &self.reflectors[i];
-        let mount = reflector.position();
-        let [to_reflector, to_headset] = &mut self.hops[i];
-        let hop1_dbm = to_reflector
-            .evaluate(
-                &self.scene,
-                (ap.position(), ap.array()),
-                ap.tx_power_dbm(),
-                (mount, reflector.rx_array()),
-            )
-            .received_dbm;
-        // Hop 2 is traced and weighted only when the amplifier re-radiates.
-        relay_budget(hop1_dbm, &self.scene, reflector, |out_dbm| {
-            let hs_end = (hs.position(), hs.array());
-            to_headset.evaluate(&self.scene, (mount, reflector.tx_array()), out_dbm, hs_end)
-        })
-    }
-
     /// SNR of the direct path with both ends aimed at each other, under
     /// the world's obstacles. The AP's beam and the serving mode are left
     /// as they were, but the scene's obstacles become the world's (a
@@ -361,26 +383,23 @@ impl MovrSystem {
         self.sync_scene(world);
         let mut ap = self.ap;
         let mut hs = self.headset_for(world);
-        ap.steer_to(self.ap_to_reflector_deg[i]);
-        hs.steer_toward(self.reflectors[i].position());
+        let r = &mut self.reflectors[i];
+        ap.steer_to(r.ap_to_reflector_deg);
+        hs.steer_toward(r.unit.position());
 
-        let tx_deg = self.reflectors[i]
-            .position()
-            .bearing_deg_to(hs.position());
-        self.reflectors[i].steer_rx(self.incidence_deg[i]);
-        self.reflectors[i].steer_tx(tx_deg);
-        run_gain_control(&mut self.reflectors[i], &self.config.gain_control);
-        self.relay_via(i, &ap, &hs)
+        let tx_deg = r.unit.position().bearing_deg_to(hs.position());
+        r.unit.steer_rx(r.incidence_deg);
+        r.unit.steer_tx(tx_deg);
+        run_gain_control(&mut r.unit, &self.config.gain_control);
+        r.relay(&self.scene, &ap, &hs)
     }
 
     /// The cost of a no-tracking windowed re-sweep of one reflector's
-    /// transmit beam against the headset's receive beam.
+    /// transmit beam against the headset's receive beam, or
+    /// [`SimTime::MAX`] for a NaN or negative window or a cost that does
+    /// not fit (a session rejects such a configuration).
     pub fn sweep_realignment_cost(&self) -> SimTime {
-        let n = movr_math::convert::f64_to_u64(2.0 * self.config.realign_window_deg + 1.0);
-        SimTime::from_nanos(
-            n * self.config.beam_command_latency.as_nanos()
-                + n * n * self.config.sweep_dwell.as_nanos(),
-        )
+        self.config.sweep_cost().unwrap_or(SimTime::MAX)
     }
 
     /// The cost of a tracking-assisted realignment: one beam command.
@@ -429,13 +448,14 @@ impl MovrSystem {
         // --- Reflector candidates ---------------------------------------------
         let sweep_cost = self.sweep_realignment_cost();
         let mut best: Option<(usize, f64, bool, SimTime)> = None;
-        for i in 0..self.reflectors.len() {
+        for (i, r) in self.reflectors.iter_mut().enumerate() {
             let mut ap_r = self.ap;
-            ap_r.steer_to(self.ap_to_reflector_deg[i]);
-            hs.steer_toward(self.reflectors[i].position());
-            self.reflectors[i].steer_rx(self.incidence_deg[i]);
+            ap_r.steer_to(r.ap_to_reflector_deg);
+            hs.steer_toward(r.unit.position());
+            r.unit.steer_rx(r.incidence_deg);
 
-            let ideal_tx = self.reflectors[i]
+            let ideal_tx = r
+                .unit
                 .position()
                 .bearing_deg_to(tracked.receiver_position());
 
@@ -454,68 +474,57 @@ impl MovrSystem {
                     let effect_at =
                         t_s + self.config.beam_command_latency.as_secs_f64();
                     self.predictor
-                        .predict_bearing_from(self.reflectors[i].position(), effect_at)
+                        .predict_bearing_from(r.unit.position(), effect_at)
                         .unwrap_or(ideal_tx)
                 } else {
                     ideal_tx
                 };
-                let in_effect = if self.commanded_tx[i].is_nan() {
+                let in_effect = if r.commanded_tx.is_nan() {
                     command
                 } else {
-                    self.commanded_tx[i]
+                    r.commanded_tx
                 };
                 // Fault injection: a lost command leaves the previous
                 // angle in force; the beam catches up next evaluation.
-                if self.commanded_tx[i].is_nan()
+                if r.commanded_tx.is_nan()
                     || !self.fault_rng.chance(self.config.command_loss_probability)
                 {
-                    self.commanded_tx[i] = command;
+                    r.commanded_tx = command;
                 }
-                let moved = self.last_tx_deg[i].is_nan()
-                    || wrap_deg_180(in_effect - self.last_tx_deg[i]).abs() > 1.0;
+                let moved =
+                    r.last_tx_deg.is_nan() || wrap_deg_180(in_effect - r.last_tx_deg).abs() > 1.0;
                 (in_effect, moved, SimTime::ZERO)
-            } else if self.last_tx_deg[i].is_nan() {
+            } else if r.last_tx_deg.is_nan() {
                 // First use: full windowed sweep to find the headset.
                 (ideal_tx, true, sweep_cost)
             } else {
                 // Keep the stale beam; a re-sweep happens only if the
                 // served SNR degrades (checked below).
-                (self.last_tx_deg[i], false, SimTime::ZERO)
+                (r.last_tx_deg, false, SimTime::ZERO)
             };
 
-            self.reflectors[i].steer_tx(tx_deg);
-            run_gain_control_recorded(
-                &mut self.reflectors[i],
-                &self.config.gain_control,
-                now,
-                rec,
-            );
+            r.unit.steer_tx(tx_deg);
+            run_gain_control_recorded(&mut r.unit, &self.config.gain_control, now, rec);
             // Geometry is frozen for this evaluation (the scene was
             // synced above), so each relay hop is traced at most once —
             // not at all when it repeats the last evaluation's — and a
             // degraded-beam re-run below recomputes only the reflector's
             // transmit row.
-            let mut budget = self.relay_via(i, &ap_r, &hs);
+            let mut budget = r.relay(&self.scene, &ap_r, &hs);
 
             if !self.config.use_tracking
                 && budget.end_snr_db < self.config.snr_switch_threshold_db
             {
                 // Degraded on the stale beam: pay for a re-sweep, which
                 // finds the current best transmit angle.
-                self.reflectors[i].steer_tx(ideal_tx);
-                run_gain_control_recorded(
-                    &mut self.reflectors[i],
-                    &self.config.gain_control,
-                    now,
-                    rec,
-                );
-                budget = self.relay_via(i, &ap_r, &hs);
+                r.unit.steer_tx(ideal_tx);
+                run_gain_control_recorded(&mut r.unit, &self.config.gain_control, now, rec);
+                budget = r.relay(&self.scene, &ap_r, &hs);
                 realigned = true;
                 cost = sweep_cost;
             }
 
-            let applied_tx = self.reflectors[i].tx_array().steering_deg();
-            self.last_tx_deg[i] = applied_tx;
+            r.last_tx_deg = r.unit.tx_array().steering_deg();
 
             if best.is_none_or(|(_, s, _, _)| budget.end_snr_db > s) {
                 best = Some((i, budget.end_snr_db, realigned, cost));
@@ -526,9 +535,7 @@ impl MovrSystem {
             Some((i, snr, realigned, cost)) if snr > direct_snr => {
                 let switched = self.mode != LinkMode::Reflector(i);
                 self.mode = LinkMode::Reflector(i);
-                let mut ap_r = self.ap;
-                ap_r.steer_to(self.ap_to_reflector_deg[i]);
-                self.ap = ap_r;
+                self.ap.steer_to(self.reflectors[i].ap_to_reflector_deg);
                 // A path switch needs a coordinated AP + reflector
                 // command round: the stream stalls for one control
                 // latency (on top of any sweep already accounted).
@@ -560,16 +567,15 @@ impl MovrSystem {
             reflectors: self
                 .reflectors
                 .iter()
-                .enumerate()
-                .map(|(i, r)| ReflectorCheckpoint {
-                    rx_steering_deg: r.rx_array().steering_deg(),
-                    tx_steering_deg: r.tx_array().steering_deg(),
-                    gain_db: r.amplifier().gain_db(),
-                    amp_enabled: r.amplifier().is_enabled(),
-                    modulating: r.is_modulating(),
-                    sensor_rng: r.sensor_rng_state(),
-                    last_tx_deg: self.last_tx_deg[i],
-                    commanded_tx: self.commanded_tx[i],
+                .map(|r| ReflectorCheckpoint {
+                    rx_steering_deg: r.unit.rx_array().steering_deg(),
+                    tx_steering_deg: r.unit.tx_array().steering_deg(),
+                    gain_db: r.unit.amplifier().gain_db(),
+                    amp_enabled: r.unit.amplifier().is_enabled(),
+                    modulating: r.unit.is_modulating(),
+                    sensor_rng: r.unit.sensor_rng_state(),
+                    last_tx_deg: r.last_tx_deg,
+                    commanded_tx: r.commanded_tx,
                 })
                 .collect(),
             tracker: self.tracker.state(),
@@ -600,20 +606,15 @@ impl MovrSystem {
         // re-applying them is exact.
         self.ap.steer_to(cp.ap_steering_deg);
         self.mode = cp.mode;
-        let per_unit = self
-            .reflectors
-            .iter_mut()
-            .zip(self.last_tx_deg.iter_mut())
-            .zip(self.commanded_tx.iter_mut());
-        for (rcp, ((r, last_tx), commanded)) in cp.reflectors.into_iter().zip(per_unit) {
-            r.steer_rx(rcp.rx_steering_deg);
-            r.steer_tx(rcp.tx_steering_deg);
-            r.set_gain_db(rcp.gain_db);
-            r.set_amplifier_enabled(rcp.amp_enabled);
-            r.set_modulating(rcp.modulating);
-            r.restore_sensor_rng_state(rcp.sensor_rng);
-            *last_tx = rcp.last_tx_deg;
-            *commanded = rcp.commanded_tx;
+        for (rcp, r) in cp.reflectors.into_iter().zip(&mut self.reflectors) {
+            r.unit.steer_rx(rcp.rx_steering_deg);
+            r.unit.steer_tx(rcp.tx_steering_deg);
+            r.unit.set_gain_db(rcp.gain_db);
+            r.unit.set_amplifier_enabled(rcp.amp_enabled);
+            r.unit.set_modulating(rcp.modulating);
+            r.unit.restore_sensor_rng_state(rcp.sensor_rng);
+            r.last_tx_deg = rcp.last_tx_deg;
+            r.commanded_tx = rcp.commanded_tx;
         }
         self.tracker.restore_state(cp.tracker);
         self.predictor.restore_history(cp.predictor_history);
@@ -637,33 +638,6 @@ impl MovrSystem {
     /// Convenience wrapper: evaluate at t = 0.
     pub fn evaluate(&mut self, world: &WorldState) -> LinkDecision {
         self.evaluate_at(0.0, world)
-    }
-
-    /// Forgets every memo: all state derived from the scene and the beams
-    /// (traces and gain rows), so the next evaluation computes each link
-    /// afresh. The destructuring names every field, so a field added later
-    /// does not compile until it is sorted here as state or as a memo.
-    #[cfg(test)]
-    fn forget_memos(&mut self) {
-        let MovrSystem {
-            scene: _,
-            ap: _,
-            reflectors: _,
-            incidence_deg: _,
-            ap_to_reflector_deg: _,
-            last_tx_deg: _,
-            commanded_tx: _,
-            tracker: _,
-            predictor: _,
-            fault_rng: _,
-            rate_table: _,
-            mode: _,
-            config: _,
-            direct,
-            hops,
-        } = self;
-        *direct = MemoisedLink::default();
-        hops.fill(Default::default());
     }
 }
 
@@ -714,6 +688,39 @@ mod tests {
     use super::*;
     use movr_motion::PlayerState;
     use movr_rfsim::{BodyPart, Obstacle};
+
+    impl MovrSystem {
+        /// Forgets every memo: all state derived from the scene and the beams
+        /// (traces and gain rows), so the next evaluation computes each link
+        /// afresh. The destructuring names every field, so a field added later
+        /// does not compile until it is sorted here as state or as a memo.
+        fn forget_memos(&mut self) {
+            let MovrSystem {
+                scene: _,
+                ap: _,
+                reflectors,
+                tracker: _,
+                predictor: _,
+                fault_rng: _,
+                rate_table: _,
+                mode: _,
+                config: _,
+                direct,
+            } = self;
+            *direct = MemoisedLink::default();
+            for r in reflectors {
+                let Installed {
+                    unit: _,
+                    incidence_deg: _,
+                    ap_to_reflector_deg: _,
+                    last_tx_deg: _,
+                    commanded_tx: _,
+                    hops,
+                } = r;
+                *hops = Default::default();
+            }
+        }
+    }
 
     fn facing_ap_player() -> PlayerState {
         // In the play area east of the room, facing the AP on the west
@@ -1057,6 +1064,51 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn restore_puts_each_record_back_on_its_own_reflector() {
+        // Three reflectors at distinct mounts, so any two differ in every
+        // restored field, and a restore that crossed two records would
+        // show. The twin first holds another instant's state.
+        let deployment = || {
+            let mut sys = MovrSystem::paper_setup(SystemConfig {
+                command_loss_probability: 0.3,
+                ..Default::default()
+            });
+            sys.add_reflector(MovrReflector::wall_mounted(Vec2::new(4.0, 4.75), -110.0, 3));
+            sys.add_reflector(MovrReflector::wall_mounted(Vec2::new(2.5, 0.25), 90.0, 4));
+            sys
+        };
+        let blocked = WorldState::player_only(facing_ap_player().with_hand(true));
+        let mut live = deployment();
+        for k in 0..6 {
+            live.evaluate_at(k as f64 / 90.0, &blocked);
+        }
+        let mut twin = deployment();
+        let turned = WorldState::player_only(facing_ap_player().with_yaw(100.0));
+        twin.evaluate_at(0.0, &turned);
+        twin.restore_checkpoint(live.checkpoint()).unwrap();
+        let fields = |sys: &MovrSystem| -> Vec<[u64; 5]> {
+            let record = |r: &Installed| {
+                [
+                    r.last_tx_deg,
+                    r.commanded_tx,
+                    r.unit.rx_array().steering_deg(),
+                    r.unit.tx_array().steering_deg(),
+                    r.unit.amplifier().gain_db(),
+                ]
+                .map(f64::to_bits)
+            };
+            sys.reflectors.iter().map(record).collect()
+        };
+        let restored = fields(&twin);
+        assert_eq!(restored, fields(&live));
+        for field in 0..5 {
+            let values: Vec<u64> = restored.iter().map(|r| r[field]).collect();
+            let distinct: std::collections::BTreeSet<_> = values.iter().collect();
+            assert_eq!(distinct.len(), 3, "field {field}: {values:?}");
         }
     }
 

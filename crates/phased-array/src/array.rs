@@ -11,6 +11,12 @@
 //! control DAC. Total gain is `10·log10(N) + G_element(θ) + 20·log10|AF|`:
 //! a 10-element λ/2 array peaks near 15 dBi with a ~10° half-power beam,
 //! matching the paper's prototype.
+//!
+//! The array holds what its build fixes: the element count, spacing,
+//! element and shifter, the slopes `i·k·d` and `10·log10(N)`. A steer
+//! command adds only the DAC-quantised phases. Every gain query takes the
+//! bearing's steering-free terms, then folds the array factor over the
+//! slopes and one command's phases.
 
 use crate::element::PatchElement;
 use crate::shifter::PhaseShifter;
@@ -22,38 +28,25 @@ use std::f64::consts::PI;
 /// sub-microsecond time frames.
 pub const STEERING_LATENCY_S: f64 = 0.5e-6;
 
-/// Hard cap on array size so a precomputed [`SteeringVector`] fits in
-/// fixed (`Copy`) storage. The paper's prototype uses 10 elements; 32
+/// Hard cap on array size so an array's slopes and a command's phases fit
+/// in fixed (`Copy`) storage. The paper's prototype uses 10 elements; 32
 /// leaves ample room for ablations.
 pub const MAX_ELEMENTS: usize = 32;
 
-/// The per-element state of one steering command, precomputed:
-/// DAC-quantised applied phases and the aperture directivity term. These
-/// depend only on the steer command, not the observation angle, so a
-/// beam sweep computes them once and every subsequent
-/// [`SteeringVector::gain_dbi`] query is a single pass over the elements
-/// with no re-quantisation.
-///
-/// Evaluation reproduces [`UniformLinearArray::array_factor`] and
-/// [`UniformLinearArray::gain_dbi`] with the exact same floating-point
-/// operation order, so cached and uncached gains are bit-identical.
-#[derive(Debug, Clone, Copy)]
-pub struct SteeringVector {
-    n: usize,
-    /// Per-element observation phase slope `i·k·d` (radians per sin θ).
-    slope: [f64; MAX_ELEMENTS],
-    /// Per-element applied (DAC-quantised) phase, radians.
-    applied_rad: [f64; MAX_ELEMENTS],
-    /// `10·log10(n)`, the aperture directivity term.
-    directivity_db: f64,
-    element: PatchElement,
-}
+/// Maximum electronic scan off broadside, degrees. Analog phase shifters
+/// can command wide scans; the element pattern's cosine rolloff (≈ −9 dB
+/// at 70°) is the real limit, and it is modelled, so the hard clamp sits
+/// out at the edge of usefulness rather than artificially tight.
+const MAX_STEER_DEG: f64 = 70.0;
 
-/// The steering-free part of one gain query: what
-/// [`SteeringVector::gain_dbi`] computes from the bearing alone. Every
-/// steer command of one mounted array shares these terms, so a page
-/// computes them once per bearing and folds them against each entry's
-/// steering ([`SteeringVector::fold`]).
+/// One steer command's DAC-quantised per-element phases, radians.
+type Phases = [f64; MAX_ELEMENTS];
+
+/// The steering-free part of one gain query: what a query computes from
+/// the bearing alone ([`UniformLinearArray::terms`]). Every steer command
+/// of one mounted array shares these terms, so a page computes them once
+/// per bearing and folds them against each entry's phases
+/// ([`UniformLinearArray::fold`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BearingTerms {
     /// In front of the ground plane, the directivity plus the element
@@ -64,42 +57,83 @@ pub(crate) struct BearingTerms {
     sin_t: Option<f64>,
 }
 
-impl SteeringVector {
-    /// Normalised complex array factor at `theta_deg` off broadside.
-    /// Bit-identical to [`UniformLinearArray::array_factor`] at the
-    /// cached steer command.
-    pub fn array_factor(&self, theta_deg: f64) -> C64 {
-        self.array_factor_at(theta_deg.to_radians().sin())
-    }
+/// An N-element uniform linear array of patch elements.
+#[derive(Debug, Clone, Copy)]
+pub struct UniformLinearArray {
+    n: usize,
+    spacing_wavelengths: f64,
+    element: PatchElement,
+    shifter: PhaseShifter,
+    /// Per-element observation phase slope `i·k·d` (radians per sin θ).
+    slope: [f64; MAX_ELEMENTS],
+    /// `10·log10(n)`, the aperture directivity term.
+    directivity_db: f64,
+}
 
-    /// The array factor toward the bearing whose sine is `sin_t`.
-    #[inline]
-    fn array_factor_at(&self, sin_t: f64) -> C64 {
-        let mut sum = C64::ZERO;
-        for i in 0..self.n {
-            let phase = self.slope[i] * sin_t + self.applied_rad[i];
-            sum += C64::exp_j(phase);
+impl UniformLinearArray {
+    /// Creates an array.
+    ///
+    /// # Panics
+    /// Panics if `n == 0` or spacing is not positive.
+    pub fn new(
+        n: usize,
+        spacing_wavelengths: f64,
+        element: PatchElement,
+        shifter: PhaseShifter,
+    ) -> Self {
+        assert!(n >= 1, "array needs at least one element"); // documented constructor contract on deployment constants
+        assert!( // documented constructor contract on deployment constants
+            n <= MAX_ELEMENTS,
+            "array capped at {MAX_ELEMENTS} elements"
+        );
+        assert!(spacing_wavelengths > 0.0, "element spacing must be positive"); // documented constructor contract on deployment constants
+        let kd = 2.0 * PI * spacing_wavelengths;
+        let mut slope = [0.0; MAX_ELEMENTS];
+        for (i, sl) in slope.iter_mut().enumerate().take(n) {
+            *sl = convert::usize_to_f64(i) * kd;
         }
-        sum / convert::usize_to_f64(self.n)
+        UniformLinearArray {
+            n,
+            spacing_wavelengths,
+            element,
+            shifter,
+            slope,
+            directivity_db: linear_to_db(convert::usize_to_f64(n)),
+        }
     }
 
-    /// True when every field [`SteeringVector::gain_dbi`] reads is equal
-    /// bit for bit: the element count, each live element's slope and
-    /// applied phase, the directivity and the element parameters.
-    fn same_bits(&self, other: &SteeringVector) -> bool {
-        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        self.n == other.n
-            && same(&self.slope[..self.n], &other.slope[..self.n])
-            && same(&self.applied_rad[..self.n], &other.applied_rad[..self.n])
-            && self.directivity_db.to_bits() == other.directivity_db.to_bits()
-            && self.element.same_bits(&other.element)
+    /// The paper's array: 10 patch elements at λ/2 with 8-bit phase
+    /// control — ~15 dBi peak, ~10° half-power beamwidth.
+    #[inline]
+    pub fn paper_array() -> Self {
+        UniformLinearArray::new(
+            crate::PAPER_ARRAY_ELEMENTS,
+            0.5,
+            PatchElement::default(),
+            PhaseShifter::default(),
+        )
     }
 
-    /// Total array gain (dBi) toward `theta_deg` off broadside: the
-    /// bearing's terms, then the steering fold. Bit-identical to
-    /// [`UniformLinearArray::gain_dbi`] at the cached steer command.
-    pub fn gain_dbi(&self, theta_deg: f64) -> f64 {
-        self.fold(&self.terms(wrap_deg_180(theta_deg)))
+    /// The phase shifter model used for steering.
+    pub fn shifter(&self) -> &PhaseShifter {
+        &self.shifter
+    }
+
+    /// The DAC-quantised per-element phases of the command `steer_deg`
+    /// off broadside. They depend only on the command, not on the
+    /// observation angle, so a steered array computes them once per
+    /// command and every query reuses them.
+    #[inline]
+    fn phases(&self, steer_deg: f64) -> Phases {
+        let kd = 2.0 * PI * self.spacing_wavelengths;
+        let sin_s = steer_deg.to_radians().sin();
+        let mut phases = [0.0; MAX_ELEMENTS];
+        for (i, ph) in phases.iter_mut().enumerate().take(self.n) {
+            // Commanded per-element phase, quantised by the control DAC.
+            let ideal_deg = (-convert::usize_to_f64(i) * kd * sin_s).to_degrees();
+            *ph = self.shifter.apply(ideal_deg).to_radians();
+        }
+        phases
     }
 
     /// The steering-free terms toward `theta` off broadside, already
@@ -121,108 +155,44 @@ impl SteeringVector {
         }
     }
 
-    /// The gain toward a bearing from its terms under this steering: the
-    /// base alone behind the ground plane, else the base plus the array
-    /// factor in dB.
+    /// The gain toward a bearing from its terms under `phases`: the base
+    /// alone behind the ground plane, else the base plus the array factor
+    /// in dB.
     #[inline]
-    pub(crate) fn fold(&self, terms: &BearingTerms) -> f64 {
+    pub(crate) fn fold(&self, phases: &Phases, terms: &BearingTerms) -> f64 {
         match terms.sin_t {
             None => terms.base_db,
-            Some(sin_t) => terms.base_db + amplitude_to_db(self.array_factor_at(sin_t).abs()),
-        }
-    }
-}
-
-/// An N-element uniform linear array of patch elements.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformLinearArray {
-    n: usize,
-    spacing_wavelengths: f64,
-    element: PatchElement,
-    shifter: PhaseShifter,
-}
-
-impl UniformLinearArray {
-    /// Creates an array.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or spacing is not positive.
-    pub fn new(
-        n: usize,
-        spacing_wavelengths: f64,
-        element: PatchElement,
-        shifter: PhaseShifter,
-    ) -> Self {
-        assert!(n >= 1, "array needs at least one element"); // documented constructor contract on deployment constants
-        assert!( // documented constructor contract on deployment constants
-            n <= MAX_ELEMENTS,
-            "array capped at {MAX_ELEMENTS} elements"
-        );
-        assert!(spacing_wavelengths > 0.0, "element spacing must be positive"); // documented constructor contract on deployment constants
-        UniformLinearArray {
-            n,
-            spacing_wavelengths,
-            element,
-            shifter,
+            Some(sin_t) => {
+                terms.base_db + amplitude_to_db(self.array_factor_at(phases, sin_t).abs())
+            }
         }
     }
 
-    /// The paper's array: 10 patch elements at λ/2 with 8-bit phase
-    /// control — ~15 dBi peak, ~10° half-power beamwidth.
+    /// The array factor under `phases` toward the bearing whose sine is
+    /// `sin_t`.
     #[inline]
-    pub fn paper_array() -> Self {
-        UniformLinearArray::new(
-            crate::PAPER_ARRAY_ELEMENTS,
-            0.5,
-            PatchElement::default(),
-            PhaseShifter::default(),
-        )
-    }
-
-    /// The phase shifter model used for steering.
-    pub fn shifter(&self) -> &PhaseShifter {
-        &self.shifter
-    }
-
-    /// Precomputes the per-element state for one steer command: the
-    /// DAC-quantised applied phases and the aperture directivity term.
-    /// This is the expensive part of a gain query; sweeps compute it once
-    /// per beam and reuse it per observation.
-    #[inline]
-    pub fn steering_vector(&self, steer_deg: f64) -> SteeringVector {
-        let kd = 2.0 * PI * self.spacing_wavelengths;
-        let sin_s = steer_deg.to_radians().sin();
-        let mut slope = [0.0; MAX_ELEMENTS];
-        let mut applied_rad = [0.0; MAX_ELEMENTS];
-        let per_element = slope.iter_mut().zip(applied_rad.iter_mut());
-        for (i, (sl, ar)) in per_element.enumerate().take(self.n) {
-            let fi = convert::usize_to_f64(i);
-            // Commanded per-element phase, quantised by the control DAC.
-            let ideal_deg = (-fi * kd * sin_s).to_degrees();
-            let applied_deg = self.shifter.apply(ideal_deg);
-            *sl = fi * kd;
-            *ar = applied_deg.to_radians();
+    fn array_factor_at(&self, phases: &Phases, sin_t: f64) -> C64 {
+        let mut sum = C64::ZERO;
+        for (slope, applied) in self.slope[..self.n].iter().zip(&phases[..self.n]) {
+            sum += C64::exp_j(slope * sin_t + applied);
         }
-        SteeringVector {
-            n: self.n,
-            slope,
-            applied_rad,
-            directivity_db: linear_to_db(convert::usize_to_f64(self.n)),
-            element: self.element,
-        }
+        sum / convert::usize_to_f64(self.n)
     }
 
     /// Normalised complex array factor at `theta_deg` off broadside when
     /// steered to `steer_deg` off broadside. |AF| ≤ 1, = 1 at the steered
     /// angle with ideal (unquantised) phases.
     pub fn array_factor(&self, steer_deg: f64, theta_deg: f64) -> C64 {
-        self.steering_vector(steer_deg).array_factor(theta_deg)
+        self.array_factor_at(&self.phases(steer_deg), theta_deg.to_radians().sin())
     }
 
     /// Total array gain (dBi) toward `theta_deg` off broadside when
     /// steered to `steer_deg` off broadside.
     pub fn gain_dbi(&self, steer_deg: f64, theta_deg: f64) -> f64 {
-        self.steering_vector(steer_deg).gain_dbi(theta_deg)
+        self.fold(
+            &self.phases(steer_deg),
+            &self.terms(wrap_deg_180(theta_deg)),
+        )
     }
 
     /// Peak gain (dBi) when steered to `steer_deg`: the gain toward the
@@ -233,14 +203,14 @@ impl UniformLinearArray {
 
     /// Measures the half-power (−3 dB) beamwidth around a steering angle
     /// by bisecting the −3 dB crossing on each flank of the main lobe
-    /// (monotone off-peak), reusing one cached steering vector for every
-    /// probe.
+    /// (monotone off-peak), computing the command's phases once for
+    /// every probe.
     pub fn half_power_beamwidth_deg(&self, steer_deg: f64) -> f64 {
-        let sv = self.steering_vector(steer_deg);
-        let peak = sv.gain_dbi(steer_deg);
-        let target = peak - 3.0;
-        let upper = hpbw_flank_offset(&sv, steer_deg, target, 1.0);
-        let lower = hpbw_flank_offset(&sv, steer_deg, target, -1.0);
+        let phases = self.phases(steer_deg);
+        let gain = |theta: f64| self.fold(&phases, &self.terms(wrap_deg_180(theta)));
+        let target = gain(steer_deg) - 3.0;
+        let upper = hpbw_flank_offset(&gain, steer_deg, target, 1.0);
+        let lower = hpbw_flank_offset(&gain, steer_deg, target, -1.0);
         upper + lower
     }
 }
@@ -250,7 +220,7 @@ impl UniformLinearArray {
 /// crossing (the narrowest lobe of a [`MAX_ELEMENTS`]-element array is
 /// several degrees wide), then bisection refines it well below the old
 /// 0.05° scan resolution.
-fn hpbw_flank_offset(sv: &SteeringVector, steer_deg: f64, target_db: f64, dir: f64) -> f64 {
+fn hpbw_flank_offset(gain: &impl Fn(f64) -> f64, steer_deg: f64, target_db: f64, dir: f64) -> f64 {
     const COARSE_STEP: f64 = 0.5;
     let mut off = 0.0;
     loop {
@@ -261,11 +231,11 @@ fn hpbw_flank_offset(sv: &SteeringVector, steer_deg: f64, target_db: f64, dir: f
             // the linear scan did.
             return 90.0;
         }
-        if sv.gain_dbi(steer_deg + dir * next) <= target_db {
+        if gain(steer_deg + dir * next) <= target_db {
             let (mut lo, mut hi) = (off, next);
             for _ in 0..40 {
                 let mid = 0.5 * (lo + hi);
-                if sv.gain_dbi(steer_deg + dir * mid) > target_db {
+                if gain(steer_deg + dir * mid) > target_db {
                     lo = mid;
                 } else {
                     hi = mid;
@@ -292,38 +262,33 @@ fn hpbw_flank_offset(sv: &SteeringVector, steer_deg: f64, target_db: f64, dir: f
 /// ```
 ///
 /// Steering commands are expressed as absolute room bearings and clamped
-/// to the physical scan range (±`max_steer_deg` off broadside) — a patch
-/// array cannot look behind its own ground plane.
+/// to the physical scan range (±70° off broadside) — a patch array cannot
+/// look behind its own ground plane.
 #[derive(Debug, Clone, Copy)]
 pub struct SteeredArray {
     array: UniformLinearArray,
     boresight_deg: f64,
     steer_local_deg: f64,
-    max_steer_deg: f64,
-    /// Precomputed per-element state for the current steer command, so
-    /// repeated gain queries (every path of every link evaluation) skip
-    /// the DAC re-quantisation. Rebuilt on every steering change.
-    vector: SteeringVector,
+    /// The current command's phases, so repeated gain queries (every path
+    /// of every link evaluation) skip the DAC re-quantisation. Recomputed
+    /// on every steering change.
+    phases: Phases,
 }
 
 impl SteeredArray {
     /// Mounts `array` with broadside facing `boresight_deg`.
-    // `#[inline]` here and down the chain to `PhaseShifter::apply` lets
-    // the optimiser fold a mount's broadside steering vector to a
-    // constant. Computed at run time, it makes a mount about 15x as
-    // costly (microbench row `array_mount_300`).
+    // `#[inline]` here and down the chain through
+    // `UniformLinearArray::phases` to `PhaseShifter::apply` lets the
+    // optimiser fold a mount's broadside phases to a constant. Computed at
+    // run time, they make a mount about 15x as costly (microbench row
+    // `array_mount_300`).
     #[inline]
     pub fn new(array: UniformLinearArray, boresight_deg: f64) -> Self {
         SteeredArray {
             array,
             boresight_deg,
             steer_local_deg: 0.0,
-            // Analog phase shifters can command wide scans; the element
-            // pattern's cosine rolloff (≈ −9 dB at 70°) is the real
-            // limit, and it is modelled, so the hard clamp sits out at
-            // the edge of usefulness rather than artificially tight.
-            max_steer_deg: 70.0,
-            vector: array.steering_vector(0.0),
+            phases: array.phases(0.0),
         }
     }
 
@@ -343,11 +308,6 @@ impl SteeredArray {
         &self.array
     }
 
-    /// Maximum electronic scan off broadside, degrees.
-    pub fn max_steer_deg(&self) -> f64 {
-        self.max_steer_deg
-    }
-
     /// Current steering as an absolute room bearing, degrees.
     pub fn steering_deg(&self) -> f64 {
         wrap_deg_180(self.boresight_deg + self.steer_local_deg)
@@ -363,14 +323,14 @@ impl SteeredArray {
     /// clamped to the scan range; returns the bearing actually applied.
     pub fn steer_to(&mut self, absolute_deg: f64) -> f64 {
         let local = wrap_deg_180(absolute_deg - self.boresight_deg);
-        self.steer_local_deg = local.clamp(-self.max_steer_deg, self.max_steer_deg);
-        self.vector = self.array.steering_vector(self.steer_local_deg);
+        self.steer_local_deg = local.clamp(-MAX_STEER_DEG, MAX_STEER_DEG);
+        self.phases = self.array.phases(self.steer_local_deg);
         self.steering_deg()
     }
 
     /// True if `absolute_deg` lies within the electronic scan range.
     pub fn can_steer_to(&self, absolute_deg: f64) -> bool {
-        wrap_deg_180(absolute_deg - self.boresight_deg).abs() <= self.max_steer_deg
+        wrap_deg_180(absolute_deg - self.boresight_deg).abs() <= MAX_STEER_DEG
     }
 
     /// True when `self` and `other` give the same [`SteeredArray::gain_dbi`]
@@ -379,15 +339,23 @@ impl SteeredArray {
     /// element count, each element's phase slope and DAC-quantised
     /// applied phase, the directivity and the element parameters. Two
     /// steer commands that quantise to the same phases compare equal;
-    /// the commanded angle itself is not read.
+    /// the commanded angle itself is not read, nor is the spacing beyond
+    /// the slopes it gives.
     pub fn same_pattern(&self, other: &SteeredArray) -> bool {
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        let (a, b) = (&self.array, &other.array);
+        let n = a.n;
         self.boresight_deg.to_bits() == other.boresight_deg.to_bits()
-            && self.vector.same_bits(&other.vector)
+            && n == b.n
+            && same(&a.slope[..n], &b.slope[..n])
+            && same(&self.phases[..n], &other.phases[..n])
+            && a.directivity_db.to_bits() == b.directivity_db.to_bits()
+            && a.element.same_bits(&b.element)
     }
 
     /// Gain (dBi) toward an absolute room bearing under the current
-    /// steering. A single pass over the cached steering vector —
-    /// bit-identical to `array().gain_dbi(steer_local_deg(), local)`.
+    /// steering: the bearing's terms, then the fold over the held phases
+    /// — bit-identical to `array().gain_dbi(steer_local_deg(), local)`.
     pub fn gain_dbi(&self, absolute_deg: f64) -> f64 {
         self.fold(&self.terms(absolute_deg))
     }
@@ -396,7 +364,7 @@ impl SteeredArray {
     /// every steer command of this mounted array.
     #[inline]
     pub(crate) fn terms(&self, absolute_deg: f64) -> BearingTerms {
-        self.vector
+        self.array
             .terms(wrap_deg_180(absolute_deg - self.boresight_deg))
     }
 
@@ -404,7 +372,7 @@ impl SteeredArray {
     /// the current steering.
     #[inline]
     pub(crate) fn fold(&self, terms: &BearingTerms) -> f64 {
-        self.vector.fold(terms)
+        self.array.fold(&self.phases, terms)
     }
 
     /// Batch form of [`SteeredArray::gain_dbi`]: gains toward a whole
@@ -437,7 +405,7 @@ mod tests {
     use super::*;
 
     /// The pre-cache implementations, kept as the reference the
-    /// steering-vector fast path must reproduce bit-for-bit.
+    /// slope-table and cached-phase fast path must reproduce bit-for-bit.
     fn reference_array_factor(arr: &UniformLinearArray, steer_deg: f64, theta_deg: f64) -> C64 {
         let kd = 2.0 * PI * arr.spacing_wavelengths;
         let sin_t = theta_deg.to_radians().sin();
@@ -481,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn steering_vector_is_bit_identical_to_reference() {
+    fn array_queries_are_bit_identical_to_reference() {
         let arrays = [
             UniformLinearArray::paper_array(),
             UniformLinearArray::new(3, 0.5, PatchElement::default(), PhaseShifter::with_bits(2)),
@@ -490,21 +458,30 @@ mod tests {
         ];
         for arr in &arrays {
             for steer in [-61.3, -30.0, 0.0, 17.7, 45.0, 70.0] {
-                let sv = arr.steering_vector(steer);
                 // Past ±180° too: both sides wrap the bearing themselves.
                 let mut theta = -250.0;
                 while theta <= 250.0 {
-                    let a = sv.array_factor(theta);
+                    let a = arr.array_factor(steer, theta);
                     let b = reference_array_factor(arr, steer, theta);
                     assert_eq!(a.re, b.re, "steer={steer} theta={theta}");
                     assert_eq!(a.im, b.im, "steer={steer} theta={theta}");
                     assert_eq!(
-                        sv.gain_dbi(theta),
+                        arr.gain_dbi(steer, theta),
                         reference_gain_dbi(arr, steer, theta),
                         "steer={steer} theta={theta}"
                     );
                     theta += 3.7;
                 }
+                // The beamwidth bisects the same kernel's gains as a
+                // broadside mount holding the command.
+                let mut mount = SteeredArray::new(*arr, 0.0);
+                mount.steer_to(steer);
+                let gain = |theta: f64| mount.gain_dbi(theta);
+                let target = gain(steer) - 3.0;
+                let width = hpbw_flank_offset(&gain, steer, target, 1.0)
+                    + hpbw_flank_offset(&gain, steer, target, -1.0);
+                let bisected = arr.half_power_beamwidth_deg(steer);
+                assert_eq!(bisected.to_bits(), width.to_bits(), "steer={steer}");
             }
         }
     }
@@ -588,6 +565,18 @@ mod tests {
         assert_ne!(a.steer_local_deg().to_bits(), b.steer_local_deg().to_bits());
         assert!(a.same_pattern(&b), "a re-steer onto the same phases");
         assert_eq!(gain_bits(&a), gain_bits(&b));
+        // The spacing reaches the pattern only through the slopes, and a
+        // 1-element array's one slope is 0 at every spacing.
+        let single = |spacing| {
+            let element = PatchElement::default();
+            let array = UniformLinearArray::new(1, spacing, element, PhaseShifter::default());
+            let mut s = SteeredArray::new(array, 90.0);
+            s.steer_to(117.0);
+            s
+        };
+        let (narrow, wide) = (single(0.5), single(0.8));
+        assert!(narrow.same_pattern(&wide), "one element at two spacings");
+        assert_eq!(gain_bits(&narrow), gain_bits(&wide));
     }
 
     #[test]
@@ -601,10 +590,8 @@ mod tests {
         // The smallest re-steer on a 0.001° grid that moves exactly one
         // element's applied phase.
         let moved_one = |b: &SteeredArray| {
-            let n = a.vector.n;
-            let pairs = a.vector.applied_rad[..n]
-                .iter()
-                .zip(&b.vector.applied_rad[..n]);
+            let n = a.array.n;
+            let pairs = a.phases[..n].iter().zip(&b.phases[..n]);
             pairs.filter(|(x, y)| x.to_bits() != y.to_bits()).count() == 1
         };
         let b = (1..1000)

@@ -3,9 +3,9 @@
 //! A beam sweep steers the same array to every codebook entry, over and
 //! over (each alignment round, each probe). [`PatternTable`] performs
 //! the steer — and therefore the DAC quantisation — once per beam up
-//! front, storing a fully-steered [`SteeredArray`] copy per entry. Each
-//! stored copy carries its own cached steering vector, so a sweep's
-//! inner loop is pure gain lookups.
+//! front, storing one entry per beam: the commanded beam and a
+//! [`SteeredArray`] copy holding that command's phases beside the
+//! array's own slopes, so a sweep's inner loop is pure gain lookups.
 
 use crate::array::SteeredArray;
 use crate::codebook::Codebook;
@@ -13,8 +13,8 @@ use crate::codebook::Codebook;
 /// Pre-steered array states, one per codebook beam.
 #[derive(Debug, Clone)]
 pub struct PatternTable {
-    beams: Vec<f64>,
-    arrays: Vec<SteeredArray>,
+    /// `(commanded beam, pre-steered array)` in codebook order.
+    entries: Vec<(f64, SteeredArray)>,
 }
 
 impl PatternTable {
@@ -22,32 +22,30 @@ impl PatternTable {
     /// clamped exactly as [`SteeredArray::steer_to`] clamps them) and
     /// stores the results. `base` itself is not modified.
     pub fn new(base: &SteeredArray, codebook: &Codebook) -> Self {
-        let mut beams = Vec::with_capacity(codebook.len());
-        let mut arrays = Vec::with_capacity(codebook.len());
+        let mut entries = Vec::with_capacity(codebook.len());
         for &beam in codebook.beams() {
             let mut steered = *base;
             steered.steer_to(beam);
-            beams.push(beam);
-            arrays.push(steered);
+            entries.push((beam, steered));
         }
-        PatternTable { beams, arrays }
+        PatternTable { entries }
     }
 
     /// Number of entries (== codebook length).
     pub fn len(&self) -> usize {
-        self.beams.len()
+        self.entries.len()
     }
 
     /// True if the codebook was empty.
     pub fn is_empty(&self) -> bool {
-        self.beams.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterates `(commanded beam, pre-steered array)` in codebook order.
     /// The commanded beam is the codebook value, which may differ from
     /// the applied steering if the command was clamped.
     pub fn entries(&self) -> impl Iterator<Item = (f64, &SteeredArray)> {
-        self.beams.iter().copied().zip(self.arrays.iter())
+        self.entries.iter().map(|(beam, array)| (*beam, array))
     }
 
     /// The commanded beam of entry `i` (codebook value, degrees).
@@ -55,7 +53,7 @@ impl PatternTable {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn beam_deg(&self, i: usize) -> f64 {
-        self.beams[i]
+        self.entries[i].0
     }
 
     /// True when both tables hold the same pattern entry by entry
@@ -63,10 +61,10 @@ impl PatternTable {
     pub fn same_patterns(&self, other: &PatternTable) -> bool {
         self.len() == other.len()
             && self
-                .arrays
+                .entries
                 .iter()
-                .zip(&other.arrays)
-                .all(|(a, b)| a.same_pattern(b))
+                .zip(&other.entries)
+                .all(|((_, a), (_, b))| a.same_pattern(b))
     }
 
     /// Evaluates every entry's gain toward every bearing in one pass:
@@ -83,9 +81,9 @@ impl PatternTable {
     /// at the scan edge, copy the previous row. A bearing that repeats an
     /// earlier one bit for bit copies that column.
     pub fn fill_page(&self, bearings_deg: &[f64]) -> GainPage {
-        let (rows, cols) = (self.arrays.len(), bearings_deg.len());
+        let (rows, cols) = (self.entries.len(), bearings_deg.len());
         let mut data = vec![0.0; rows * cols];
-        let Some(first) = self.arrays.first() else {
+        let Some((_, first)) = self.entries.first() else {
             return GainPage { rows, cols, data };
         };
         // Each column is folded, or copies the first column with its bits
@@ -102,7 +100,7 @@ impl PatternTable {
             }
         }
         let mut previous: Option<&SteeredArray> = None;
-        for (i, arr) in self.arrays.iter().enumerate() {
+        for (i, (_, arr)) in self.entries.iter().enumerate() {
             let start = i * cols;
             if previous.is_some_and(|p| p.same_pattern(arr)) {
                 data.copy_within(start - cols..start, start);
@@ -307,6 +305,37 @@ mod tests {
             let table = PatternTable::new(&base, &Codebook::from_beams(beams));
             let name = format!("case {case}: n {n}, d {spacing}, {bits} bits, at {boresight}");
             assert_page_matches(&table, &bearings, &name);
+            // The array's one-off queries at each entry's command equal a
+            // broadside mount of the array steered to it, bit for bit. The
+            // array factor is checked through the gain it gives in front
+            // of the ground plane: (directivity + element) + |AF| in dB.
+            let directivity_db = movr_math::linear_to_db(movr_math::convert::usize_to_f64(n));
+            for (_, entry) in table.entries() {
+                let command = entry.steer_local_deg();
+                let mut mount = SteeredArray::new(array, 0.0);
+                mount.steer_to(command);
+                let at = format!("{name}: command {command}");
+                let peak = mount.gain_dbi(command);
+                assert_eq!(
+                    array.peak_gain_dbi(command).to_bits(),
+                    peak.to_bits(),
+                    "{at}"
+                );
+                for &b in &bearings {
+                    let gain = mount.gain_dbi(b);
+                    assert_eq!(
+                        array.gain_dbi(command, b).to_bits(),
+                        gain.to_bits(),
+                        "{at}, {b}"
+                    );
+                    if b.abs() < 90.0 {
+                        let af = array.array_factor(command, b).abs();
+                        let af_db = movr_math::amplitude_to_db(af);
+                        let base_db = directivity_db + element.gain_dbi(b);
+                        assert_eq!((base_db + af_db).to_bits(), gain.to_bits(), "{at}, AF {b}");
+                    }
+                }
+            }
         }
     }
 

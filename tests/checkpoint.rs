@@ -437,6 +437,39 @@ fn restore_under_a_silently_wrong_fault_threshold_or_noise_is_an_invalid_config(
 }
 
 #[test]
+fn restore_under_a_free_or_overflowing_re_sweep_is_an_invalid_config() {
+    // A NaN or negative window made the no-tracking re-sweep cost 0 ns; a
+    // window, command latency or dwell whose cost reaches 2^64 ns made it
+    // overflow (a panic in debug, a wrapped cost in release).
+    let (_, cfg) = scenario(Strategy::Movr { tracking: false }, POLICIES[1], 4);
+    let mut bytes = snapshot_under(&cfg, 5);
+    let mut cases = Vec::new();
+    for x in [f64::NAN, -0.4, 1e7] {
+        let mut bad = cfg;
+        bad.system.realign_window_deg = x;
+        cases.push(bad);
+    }
+    let mut slow = cfg;
+    slow.system.beam_command_latency = SimTime::from_nanos(u64::MAX);
+    let mut long = cfg;
+    long.system.sweep_dwell = SimTime::from_nanos(u64::MAX / 900);
+    cases.extend([slow, long]);
+    for bad in cases {
+        let expect = format!("realign_window_deg = {:?} with", bad.system.realign_window_deg);
+        bytes[12..20].copy_from_slice(&config_fingerprint(&bad).to_le_bytes());
+        reseal(&mut bytes);
+        match Session::restore(&bytes, &bad) {
+            Err(SnapshotError::InvalidConfig { what }) => {
+                assert!(what.contains(&expect), "{expect}: {what}");
+                assert!(what.contains("gives no re-sweep cost"), "{what}");
+            }
+            Err(other) => panic!("{expect}: expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("a snapshot restored under {:?}", bad.system),
+        }
+    }
+}
+
+#[test]
 fn version_1_snapshot_is_rejected_as_unsupported() {
     // Version 1 stored metric names, bucket edges and duplicated counters;
     // this build has no reader for it.
