@@ -38,7 +38,7 @@ use movr_math::{amplitude_to_db, convert, db_to_amplitude, SimRng};
 use movr_obs::{Event, NullRecorder, Recorder};
 use movr_phased_array::{Codebook, GainPage, PatternTable};
 use movr_radio::{RadioEndpoint, ToneProbe};
-use movr_rfsim::Scene;
+use movr_rfsim::{LinkBatch, Scene};
 use movr_sim::SimTime;
 
 /// The skip test's rounding slack, dB: a probe is skipped only when its
@@ -153,13 +153,14 @@ pub fn estimate_incidence_recorded(
     let mut measurements = 0usize;
 
     // Path geometry is frozen for the whole sweep: trace both legs of
-    // the round trip once, freeze them into tap batches, and evaluate
-    // the AP's whole codebook against the fixed path bearings of both
-    // legs in one page up front; the back leg's arrivals mostly repeat
-    // the forward leg's departures bit for bit, and the page computes
-    // each distinct cell once. Each probe below is then two
-    // multiply-accumulate passes over the taps — bit-identical to
-    // steering and re-tracing per probe, at a fraction of the cost.
+    // the round trip once, freeze them into tap batches, and take the
+    // AP's whole codebook against the fixed path bearings of both legs
+    // as one page, whose rows fold the first time a probe reads them;
+    // the back leg's arrivals mostly repeat the forward leg's departures
+    // bit for bit, and a row computes each distinct cell once. Each probe
+    // below is then two multiply-accumulate passes over the taps —
+    // bit-identical to steering and re-tracing per probe, at a fraction
+    // of the cost.
     let fwd = scene.trace_link(ap.position(), reflector.position()).batch();
     let bck = scene.trace_link(reflector.position(), ap.position()).batch();
     let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);
@@ -170,11 +171,12 @@ pub fn estimate_incidence_recorded(
     } else {
         config.probe.unmodulated_meter(ap.tx_power_dbm())
     };
-    // A posture draws nothing from `rng`, so every θ₁'s relay gain and
-    // gain rows are taken before the first probe. Both of the
-    // reflector's beams take θ₁, so where its arrays hold the same
-    // pattern at every θ₁, one page over both legs' bearings serves
-    // both; the check falls back to a page per array.
+    // A posture draws nothing from `rng`, so every θ₁'s relay gain is
+    // taken before the first probe, and its gain rows fold when a probe
+    // first reads them. Both of the reflector's beams take θ₁, so where
+    // its arrays hold the same pattern at every θ₁, one page over both
+    // legs' bearings serves both; the check falls back to a page per
+    // array.
     let rx_table = PatternTable::new(reflector.rx_array(), &config.reflector_codebook);
     let tx_table = PatternTable::new(reflector.tx_array(), &config.reflector_codebook);
     let posture_rows = LegRows::fill(&rx_table, fwd.arrival_deg(), &tx_table, bck.departure_deg());
@@ -205,26 +207,17 @@ pub fn estimate_incidence_recorded(
     // largest bound less the jitter. A probe at posture i is skipped when
     // its round-trip bound is below the amplitude whose carrier would
     // read `lower` less the jitter and the slack.
-    let postures = relay_gains.len();
-    let mut bounds = (!rec.enabled()).then(|| RoundTripBounds {
-        fwd: BoundPage::new(ap_table.len(), |j| ap_rows.first(j), fwd.tap_magnitudes()),
-        bck: BoundPage::new(ap_table.len(), |j| ap_rows.second(j), bck.tap_magnitudes()),
-        rx: (0..postures)
-            .map(|i| amplitudes(posture_rows.first(i)))
-            .collect(),
-        tx: (0..postures)
-            .map(|i| amplitudes(posture_rows.second(i)))
-            .collect(),
-        back: vec![0.0; ap_table.len()],
+    let bounds = (!rec.enabled()).then(|| {
+        round_trip_bounds(&ap_table, &rx_table, &tx_table, &fwd, &bck, &relay_gains)
     });
-    let mut row_bounds = vec![0.0; ap_table.len()];
+    let ap_beams = ap_table.len();
     let jitter_db = meter.jitter_bound_db();
     let mut lower = f64::NEG_INFINITY;
-    if let Some(bounds) = &mut bounds {
+    if let Some(bounds) = &bounds {
         let best_bounded = first_max(relay_gains.iter().enumerate().filter_map(|(i, gain_db)| {
             let gain_db = (*gain_db)?;
-            bounds.row(i, &mut row_bounds);
-            let (j, b) = first_max(row_bounds.iter().copied().enumerate())?;
+            let row = &bounds[i * ap_beams..(i + 1) * ap_beams];
+            let (j, b) = first_max(row.iter().copied().enumerate())?;
             Some(((i, j), gain_db + amplitude_to_db(b)))
         }));
         if let Some(((i, j), _)) = best_bounded {
@@ -241,14 +234,12 @@ pub fn estimate_incidence_recorded(
     let beams = config.reflector_codebook.beams().iter();
     for (i, (&theta1, &relay_gain_db)) in beams.zip(&relay_gains).enumerate() {
         cursor += config.beam_command_latency;
-        if let Some(bounds) = &mut bounds {
-            bounds.row(i, &mut row_bounds);
-        }
+        let row_bounds = bounds.as_ref().map(|b| &b[i * ap_beams..(i + 1) * ap_beams]);
         let mut threshold = skip_below(lower, relay_gain_db);
         for (j, (theta2, _)) in ap_table.entries().enumerate() {
             measurements += 1;
             cursor += config.dwell;
-            if bounds.is_some() && row_bounds[j] < threshold {
+            if row_bounds.is_some_and(|row| row[j] < threshold) {
                 rng.skip_std_normal();
                 continue;
             }
@@ -391,10 +382,11 @@ pub fn estimate_reflection_recorded(
     // Geometry is frozen for the sweep: trace both relay hops once and
     // freeze them into tap batches. The AP's and the reflector's RX
     // steering never change, so hop 1 — received power and front-end
-    // SNR — is one loop invariant computed up front; the headset's whole
-    // candidate page is batched against hop 2's arrival bearings once,
-    // and the reflector's TX candidates against its departures. Per TX
-    // candidate only the (gain-controlled) amplifier setting varies.
+    // SNR — is one loop invariant computed up front; the headset's
+    // candidates are paged against hop 2's arrival bearings and the
+    // reflector's TX candidates against its departures, each row folded
+    // when a probe first reads it. Per TX candidate only the
+    // (gain-controlled) amplifier setting varies.
     let hop1 = scene
         .trace_link(ap.position(), reflector.position())
         .batch()
@@ -412,9 +404,15 @@ pub fn estimate_reflection_recorded(
     // The skip test, as in the incidence sweep, on the end SNR: every
     // report lies within `jitter_db` of its end SNR, which is at most
     // hop 1's SNR and at most hop 2's. `lower` is raised per TX beam by
-    // the end SNR of its best-bounded headset beam less the jitter.
-    let hs_bounds = (!rec.enabled())
-        .then(|| BoundPage::new(hs_table.len(), |j| hs_page.row(j), hop2.tap_magnitudes()));
+    // the end SNR of its best-bounded headset beam less the jitter, where
+    // that beam's bound shows it could.
+    let hop2_paths = hop2.tap_magnitudes().len();
+    let bounds = (!rec.enabled()).then(|| {
+        let hs = hs_table.amplitude_bounds(hop2.arrival_deg());
+        let hs_rows = |j: usize| &hs[j * hop2_paths..(j + 1) * hop2_paths];
+        let hs = BoundPage::new(hs_table.len(), hs_rows, hop2.tap_magnitudes());
+        (hs, tx_table.amplitude_bounds(hop2.departure_deg()))
+    });
     let mut hop2_bounds = vec![0.0; hs_table.len()];
     let jitter_db = snr_sigma_db * SimRng::STD_NORMAL_MAX;
     let mut lower = f64::NEG_INFINITY;
@@ -443,28 +441,33 @@ pub fn estimate_reflection_recorded(
             rec,
         );
         let relay_gain_db = reflector.effective_gain_db();
-        let tx_gains = tx_page.row(i);
         let end_snr_db = |j: usize| {
             relay_end_snr_batched(
                 hop1_received_dbm,
                 hop1_snr_db,
                 relay_gain_db,
                 &hop2,
-                tx_gains,
+                tx_page.row(i),
                 hs_page.row(j),
             )
         };
-        if let Some(hs_bounds) = &hs_bounds {
-            hs_bounds.fold_bounds(&amplitudes(tx_gains), &mut hop2_bounds);
-            if let Some((j, _)) = first_max(hop2_bounds.iter().copied().enumerate()) {
-                lower = lower.max(end_snr_db(j) - jitter_db);
+        if let Some((hs_bounds, tx_bounds)) = &bounds {
+            let tx_row = &tx_bounds[i * hop2_paths..(i + 1) * hop2_paths];
+            hs_bounds.fold_bounds(tx_row, &mut hop2_bounds);
+            // Below this bound, the beam's end SNR less the jitter stays
+            // below `lower` by the slack, and the update leaves it as is.
+            let raises = skip_below(lower + 2.0 * jitter_db, relay_gain_db);
+            if let Some((j, b)) = first_max(hop2_bounds.iter().copied().enumerate()) {
+                if b >= raises {
+                    lower = lower.max(end_snr_db(j) - jitter_db);
+                }
             }
         }
         let mut threshold = skip_below(lower, relay_gain_db);
         for (j, (rx_deg, _)) in hs_table.entries().enumerate() {
             measurements += 1;
             cursor += config.dwell;
-            if hs_bounds.is_some() && hop2_bounds[j] < threshold {
+            if bounds.is_some() && hop2_bounds[j] < threshold {
                 rng.skip_std_normal();
                 continue;
             }
@@ -569,60 +572,72 @@ impl LegRows {
     }
 }
 
-/// An incidence sweep's fold bounds: the AP's rows toward each leg as
-/// [`BoundPage`]s and every posture's gain rows as field amplitudes.
-struct RoundTripBounds {
-    /// The AP toward the forward departures and from the back arrivals.
-    fwd: BoundPage,
-    bck: BoundPage,
-    /// Per θ₁: the reflector's receive and transmit gains.
-    rx: Vec<Vec<f64>>,
-    tx: Vec<Vec<f64>>,
-    /// The back leg's bounds of the row being computed.
-    back: Vec<f64>,
-}
-
-impl RoundTripBounds {
-    /// Sets `out[j]` to the bound on probe (θ₁ index `i`, θ₂ index `j`)'s
-    /// round trip as an amplitude: the product of both legs' fold bounds,
-    /// so the probe's carrier is at most `P + G + 20·log10(out[j])` for
-    /// transmit power P and relay gain G.
-    fn row(&mut self, i: usize, out: &mut [f64]) {
-        self.fwd.fold_bounds(&self.rx[i], out);
-        self.bck.fold_bounds(&self.tx[i], &mut self.back);
-        for (o, b) in out.iter_mut().zip(&self.back) {
+/// Per θ₁ index `i`, the bound on each probe's round trip as an
+/// amplitude, at `bounds[i·m + j]` for θ₂ index `j` of `m`: the product
+/// of both legs' fold bounds, so the probe's carrier is at most
+/// `P + G + 20·log10(bound)` for transmit power P and relay gain G. Each
+/// posture's row is computed once, and none for a posture whose
+/// amplifier is off or saturated, whose probes are all read; its row
+/// stays 0.
+fn round_trip_bounds(
+    ap: &PatternTable,
+    rx: &PatternTable,
+    tx: &PatternTable,
+    fwd: &LinkBatch,
+    bck: &LinkBatch,
+    relay_gains: &[Option<f64>],
+) -> Vec<f64> {
+    let m = ap.len();
+    let (fwd_paths, bck_paths) = (fwd.tap_magnitudes().len(), bck.tap_magnitudes().len());
+    // The AP toward the forward departures and from the back arrivals,
+    // bounded over both legs at once, as for its page.
+    let both: Vec<f64> = fwd.departure_deg().iter().chain(bck.arrival_deg()).copied().collect();
+    let ap_bounds = ap.amplitude_bounds(&both);
+    let ap_row = |j: usize| &ap_bounds[j * both.len()..(j + 1) * both.len()];
+    let fwd_page = BoundPage::new(m, |j| &ap_row(j)[..fwd_paths], fwd.tap_magnitudes());
+    let bck_page = BoundPage::new(m, |j| &ap_row(j)[fwd_paths..], bck.tap_magnitudes());
+    // Per θ₁: the reflector's receive and transmit amplitudes.
+    let rx_bounds = rx.amplitude_bounds(fwd.arrival_deg());
+    let tx_bounds = tx.amplitude_bounds(bck.departure_deg());
+    let mut bounds = vec![0.0; relay_gains.len() * m];
+    let mut back = vec![0.0; m];
+    for (i, gain_db) in relay_gains.iter().enumerate() {
+        if gain_db.is_none() {
+            continue;
+        }
+        let row = &mut bounds[i * m..(i + 1) * m];
+        fwd_page.fold_bounds(&rx_bounds[i * fwd_paths..(i + 1) * fwd_paths], row);
+        bck_page.fold_bounds(&tx_bounds[i * bck_paths..(i + 1) * bck_paths], &mut back);
+        for (o, b) in row.iter_mut().zip(&back) {
             *o *= b;
         }
     }
+    bounds
 }
 
-/// Field amplitudes `10^(g/20)` of a row of gains in dB.
-fn amplitudes(gains_db: &[f64]) -> Vec<f64> {
-    gains_db.iter().map(|&g| db_to_amplitude(g)).collect()
-}
-
-/// A codebook's gain rows as field amplitudes, each weighted by its
-/// path's tap magnitude and laid out path-major, so that one posture's
-/// fold bounds against every codebook entry are a pass of multiply-adds
-/// down one contiguous column per path.
+/// A codebook's amplitude bounds, each weighted by its path's tap
+/// magnitude and laid out path-major, so that one posture's fold bounds
+/// against every codebook entry are a pass of multiply-adds down one
+/// contiguous column per path.
 struct BoundPage {
     entries: usize,
-    /// `weights[k·entries + j] = |tapₖ|·10^(g_jk/20)` for entry j, path k.
+    /// `weights[k·entries + j] = |tapₖ|·a_jk` for entry j, path k.
     weights: Vec<f64>,
 }
 
 impl BoundPage {
-    /// `row(j)` is entry j's gains toward the paths of `tap_magnitudes`.
+    /// `row(j)` is entry j's amplitude bounds toward the paths of
+    /// `tap_magnitudes` ([`PatternTable::amplitude_bounds`]).
     fn new<'a>(entries: usize, row: impl Fn(usize) -> &'a [f64], tap_magnitudes: &[f64]) -> Self {
         let mut weights = Vec::with_capacity(entries * tap_magnitudes.len());
         for (k, tap) in tap_magnitudes.iter().enumerate() {
-            weights.extend((0..entries).map(|j| tap * db_to_amplitude(row(j)[k])));
+            weights.extend((0..entries).map(|j| tap * row(j)[k]));
         }
         BoundPage { entries, weights }
     }
 
     /// `out[j] = Σₖ |tapₖ|·a_jk·bₖ` for every entry j, where the other end
-    /// weights path k by the field amplitude `bₖ = other_end[k]`: by the
+    /// bounds path k's field amplitude by `bₖ = other_end[k]`: by the
     /// triangle inequality, a bound on the magnitude of the coherent fold
     /// between entry j and that end (see
     /// [`movr_rfsim::LinkBatch::tap_magnitudes`]).

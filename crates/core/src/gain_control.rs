@@ -14,7 +14,7 @@
 //! can actually observe (the quantised, noisy current sensor).
 
 use crate::reflector::MovrReflector;
-use movr_analog::CurrentSensor;
+use movr_analog::{CurrentSensor, VariableGainAmplifier};
 use movr_obs::{Event, NullRecorder, Recorder};
 use movr_sim::SimTime;
 
@@ -105,8 +105,11 @@ enum Prev {
 /// the two can fire the knee test; it still advances the sensor's noise
 /// stream by the draws those reads make. When a step that could fire
 /// follows a quiet one, the sensor is rewound to take the quiet step's
-/// reads first. Either way the chosen gain, the knee flag, the trace and
-/// the sensor's noise stream come out bit-identical.
+/// reads first. The run of quiet steps that a closed form in the gain
+/// proves (`quiet_limit_db`) is jumped: the ramp walks its gains and
+/// skips its reads without computing the current of any but the last.
+/// Either way the chosen gain, the knee flag, the trace and the sensor's
+/// noise stream come out bit-identical.
 pub fn run_gain_control_recorded(
     reflector: &mut MovrReflector,
     config: &GainControlConfig,
@@ -178,17 +181,42 @@ pub fn run_gain_control_recorded(
     };
 
     let mut gain = reflector.set_gain_db(min_gain);
-    let mut prev_a = reflector.amplifier().supply_current_a(loop_db);
+    // An unrecorded ramp jumps the steps after the first that a closed
+    // form proves quiet (`quiet_limit_db`): it walks their gains with the
+    // ramp's clamped additions and skips their reads, then takes the true
+    // current once, at the last of them.
+    let quiet_to = if skipping {
+        quiet_limit_db(reflector.amplifier(), loop_db, config.step_db, quiet_rise_a, full_scale)
+    } else {
+        None
+    };
+    let amplifier = *reflector.amplifier();
+    let quiet_run = |from: f64| {
+        let mut amplifier = amplifier;
+        std::iter::successors(Some(from), move |&g| {
+            let next = amplifier.set_gain_db(g + config.step_db);
+            (g < max_gain && quiet_to.is_some_and(|limit| next <= limit)).then_some(next)
+        })
+        .skip(1)
+    };
+    let mut trace = Vec::with_capacity(1 + quiet_run(gain).count());
+    trace.push(gain);
     let sensor = reflector.current_sensor_mut();
     // The first step has no knee test of its own.
     let mut prev = if skipping {
         skip(sensor)
     } else {
-        let current = mean_read(sensor, prev_a);
+        let current = mean_read(sensor, amplifier.supply_current_a(loop_db));
         step(rec, gain, current);
         Prev::Read(current)
     };
-    let mut trace = vec![gain];
+    for next in quiet_run(gain) {
+        gain = next;
+        trace.push(gain);
+        prev = skip(sensor);
+    }
+    reflector.set_gain_db(gain);
+    let mut prev_a = reflector.amplifier().supply_current_a(loop_db);
 
     loop {
         if gain >= max_gain {
@@ -253,6 +281,51 @@ pub fn run_gain_control_recorded(
         prev = Prev::Read(current);
         prev_a = true_a;
     }
+}
+
+/// How far below `quiet_rise_a` a jumped step's rise is held, amperes:
+/// far above the rounding of the currents (a few ulps of full scale).
+const QUIET_MARGIN_A: f64 = 1e-9;
+
+/// The highest gain up to which every step of an unrecorded ramp is
+/// quiet, or `None` where the closed form does not apply: the amplifier
+/// is off, no rise is quiet, the currents could leave the ADC range, or
+/// the bound is not finite.
+///
+/// With `x = (knee_margin − (L − g)) / knee_width` and `Δ = step /
+/// knee_width`, the supply current rises over a step that ends at gain g
+/// by `(I_sat − I_q)·(σ(x) − σ(x − Δ)) ≤ (I_sat − I_q)·Δ·σ(x) ≤
+/// (I_sat − I_q)·Δ·eˣ`, since `σ' = σ·(1 − σ) ≤ σ` and `σ(x) ≤ eˣ`. That
+/// is at most `q = quiet_rise_a − QUIET_MARGIN_A` for every gain up to
+/// `L − knee_margin + knee_width·ln(q / ((I_sat − I_q)·Δ))`. `Δ` and the
+/// limit are widened by a few ulps of the largest gain-domain term, which
+/// cover the rounding of the gains, the loop margin and the limit itself.
+fn quiet_limit_db(
+    amplifier: &VariableGainAmplifier,
+    loop_db: f64,
+    step_db: f64,
+    quiet_rise_a: f64,
+    full_scale_a: f64,
+) -> Option<f64> {
+    let (i_q, i_sat) = (amplifier.quiescent_current_a, amplifier.saturated_current_a);
+    let quiet = quiet_rise_a - QUIET_MARGIN_A;
+    // Every true current then lies in [I_q, I_sat] up to rounding.
+    let in_range =
+        0.0 <= i_q && i_q <= i_sat && i_sat * (1.0 + 4.0 * f64::EPSILON) <= full_scale_a;
+    if !amplifier.is_enabled() || quiet <= 0.0 || !in_range {
+        return None;
+    }
+    let top = amplifier.min_gain_db.abs().max(amplifier.max_gain_db.abs());
+    let scale = loop_db.abs() + amplifier.knee_margin_db.abs() + top;
+    let delta = (step_db + 8.0 * f64::EPSILON * scale) / amplifier.knee_width_db;
+    let ratio = quiet / ((i_sat - i_q) * delta);
+    let ln = ratio.ln();
+    if !ratio.is_finite() || !ln.is_finite() {
+        return None;
+    }
+    let rise_db = amplifier.knee_width_db * ln;
+    let guard = 8.0 * f64::EPSILON * (scale + rise_db.abs());
+    Some(loop_db - amplifier.knee_margin_db + rise_db - guard)
 }
 
 #[cfg(test)]

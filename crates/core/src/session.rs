@@ -373,7 +373,7 @@ impl Session {
                 let d = st.system.evaluate_at_recorded(t_s, &world, rec);
                 if d.realigned {
                     st.realignments += 1;
-                    let done = now + d.realignment_cost;
+                    let done = now.saturating_add(d.realignment_cost);
                     st.blocked_until = st.blocked_until.max(done);
                     if d.realignment_cost > SimTime::ZERO {
                         st.stall_hist
@@ -741,6 +741,28 @@ mod tests {
         let mut cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
         cfg.snr_report_sigma_db = -0.5;
         Session::new(&cfg);
+    }
+
+    #[test]
+    fn a_realignment_past_the_clock_limit_saturates_it() {
+        // One command of 2^64 − 11 ns is a re-sweep cost that fits, so the
+        // config is accepted, but the frame time plus it does not: the
+        // first reflector frame of the hand raise overflowed the clock.
+        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
+        cfg.system.realign_window_deg = 0.0;
+        cfg.system.sweep_dwell = SimTime::ZERO;
+        cfg.system.beam_command_latency = SimTime::from_nanos(u64::MAX - 10);
+        let trace = HandRaise {
+            base: facing_ap(),
+            raise_at_s: 0.2,
+            lower_at_s: 0.6,
+            duration_s: 0.8,
+        };
+        let mut session = Session::new(&cfg);
+        while session.step_frame(&trace) {}
+        let state = session.state();
+        assert!(state.realignments > 0, "the hand raise realigns");
+        assert_eq!(state.blocked_until, SimTime::MAX);
     }
 
     #[test]

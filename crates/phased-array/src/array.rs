@@ -17,10 +17,19 @@
 //! command adds only the DAC-quantised phases. Every gain query takes the
 //! bearing's steering-free terms, then folds the array factor over the
 //! slopes and one command's phases.
+//!
+//! A sweep that only needs to know which cells cannot win reads a closed
+//! form instead of the fold ([`crate::PatternTable::amplitude_bounds`]).
+//! Each quantised phase is the ideal one plus an error of at most half a
+//! DAC step Δ, so by the triangle inequality
+//!
+//! ```text
+//! |AF(θ)| ≤ min(1, |sin(Nψ/2)| / (N·|sin(ψ/2)|) + Δ/2),   ψ = k·d·(sin θ − sin θ₀)
+//! ```
 
 use crate::element::PatchElement;
 use crate::shifter::PhaseShifter;
-use movr_math::{amplitude_to_db, convert, linear_to_db, wrap_deg_180, C64};
+use movr_math::{amplitude_to_db, convert, db_to_amplitude, linear_to_db, wrap_deg_180, C64};
 use std::f64::consts::PI;
 
 /// Electronic beam-steering settle time, seconds. The paper (§6) notes the
@@ -56,6 +65,40 @@ pub(crate) struct BearingTerms {
     /// plane, where the array factor is not summed.
     sin_t: Option<f64>,
 }
+
+/// One side of the half phase ψ/2 = k·d·(sin θ − sin θ₀)/2 of an
+/// amplitude bound: the side's term `k·d·sin x / 2` with the sine and
+/// cosine of it and of N times it, so that a cell's sines of ψ/2 and
+/// Nψ/2 are angle differences of two sides' values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HalfPhase {
+    half: f64,
+    one: (f64, f64),
+    n: (f64, f64),
+}
+
+/// What an amplitude bound reads of one bearing
+/// ([`UniformLinearArray::bearing_bound`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BearingBound {
+    /// `10^(base/20)`: the whole amplitude behind the ground plane, and in
+    /// front of it the amplitude the array factor scales.
+    amplitude: f64,
+    /// The bearing's side of ψ/2, or `None` behind the ground plane.
+    half: Option<HalfPhase>,
+}
+
+/// Where `|sin(ψ/2)|` is at most this share of `1 + |k·d·sin θ/2| +
+/// |k·d·sin θ₀/2|`, the array-factor bound is taken as 1. That covers
+/// `sin(ψ/2) = 0`, and it keeps the ratio's rounding under about
+/// `9·1024·ε` elsewhere (DESIGN.md, "§4.1 sweeps skip the probes that
+/// cannot win"). Near a main or grating lobe, where it applies, the
+/// ratio is close to 1 anyway.
+const NEAR_LOBE: f64 = 1.0 / 1024.0;
+
+/// Added to the array-factor bound for rounding: the ratio's (about
+/// 2e-12), the phases' and slopes' (about 1e-13) and the fold's own.
+const BOUND_ROUNDING: f64 = 1e-9;
 
 /// An N-element uniform linear array of patch elements.
 #[derive(Debug, Clone, Copy)]
@@ -177,6 +220,56 @@ impl UniformLinearArray {
             sum += C64::exp_j(slope * sin_t + applied);
         }
         sum / convert::usize_to_f64(self.n)
+    }
+
+    /// The side of ψ/2 toward the sine `sin_x`.
+    #[inline]
+    fn half_phase(&self, sin_x: f64) -> HalfPhase {
+        let half = PI * self.spacing_wavelengths * sin_x;
+        HalfPhase {
+            half,
+            one: half.sin_cos(),
+            n: (convert::usize_to_f64(self.n) * half).sin_cos(),
+        }
+    }
+
+    /// The side of ψ/2 of the (clamped) command `steer_deg` off
+    /// broadside.
+    pub(crate) fn steer_half_phase(&self, steer_deg: f64) -> HalfPhase {
+        self.half_phase(steer_deg.to_radians().sin())
+    }
+
+    /// What [`UniformLinearArray::amplitude_bound`] reads of a bearing,
+    /// from its terms: one `powf` per bearing.
+    pub(crate) fn bearing_bound(&self, terms: &BearingTerms) -> BearingBound {
+        BearingBound {
+            amplitude: db_to_amplitude(terms.base_db),
+            half: terms.sin_t.map(|sin_t| self.half_phase(sin_t)),
+        }
+    }
+
+    /// An upper bound on the field amplitude `10^(g/20)` of the gain
+    /// [`UniformLinearArray::fold`] gives toward `bearing` under the
+    /// command whose side of ψ/2 is `steer`. Behind the ground plane it is
+    /// the exact amplitude. In front of it, it is `10^(base/20)` times
+    /// `min(1, |sin(Nψ/2)| / (N·|sin(ψ/2)|) + Δ/2)` plus
+    /// [`BOUND_ROUNDING`], for the DAC step Δ in radians (module docs).
+    /// No sine is taken per cell: ψ/2's sines are angle differences.
+    #[inline]
+    pub(crate) fn amplitude_bound(&self, steer: &HalfPhase, bearing: &BearingBound) -> f64 {
+        let Some(side) = &bearing.half else {
+            return bearing.amplitude;
+        };
+        let sin_half = side.one.0 * steer.one.1 - side.one.1 * steer.one.0;
+        let sin_n_half = side.n.0 * steer.n.1 - side.n.1 * steer.n.0;
+        let af = if sin_half.abs() <= (1.0 + side.half.abs() + steer.half.abs()) * NEAR_LOBE {
+            1.0
+        } else {
+            let dirichlet = (sin_n_half / (convert::usize_to_f64(self.n) * sin_half)).abs();
+            let half_step = 0.5 * self.shifter.step_deg().to_radians();
+            (dirichlet + half_step).min(1.0)
+        };
+        bearing.amplitude * (af + BOUND_ROUNDING)
     }
 
     /// Normalised complex array factor at `theta_deg` off broadside when

@@ -93,6 +93,12 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(earlier.0))
     }
+
+    /// Saturating sum `self + span`: [`SimTime::MAX`] where it does not
+    /// fit.
+    pub fn saturating_add(self, span: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(span.0))
+    }
 }
 
 impl Add for SimTime {
@@ -173,6 +179,8 @@ mod tests {
         assert_eq!(a + b, SimTime::from_millis(8));
         assert_eq!(a - b, SimTime::from_millis(2));
         assert_eq!(b.saturating_since(a), SimTime::ZERO);
+        assert_eq!(a.saturating_add(b), SimTime::from_millis(8));
+        assert_eq!(a.saturating_add(SimTime::MAX), SimTime::MAX);
         let mut c = a;
         c += b;
         assert_eq!(c, SimTime::from_millis(8));

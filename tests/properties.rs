@@ -218,21 +218,29 @@ fn per_read_ramp(r: &mut MovrReflector, cfg: &GainControlConfig) -> (f64, bool, 
 property! {
     cases = 3000,
     fn gain_control_matches_the_per_read_ramp(
-        // Device seed, RX and TX beams off boresight, gain before the ramp.
-        unit in (u64_range(0, 499), f64_range(-45.0, 45.0), f64_range(-45.0, 45.0), f64_range(0.0, 53.0)),
+        // Device seed, RX and TX beams off boresight, gain before the ramp,
+        // and the amplifier on (three draws in four) or off.
+        unit in (
+            u64_range(0, 499),
+            f64_range(-45.0, 45.0),
+            f64_range(-45.0, 45.0),
+            f64_range(0.0, 53.0),
+            choice(vec![true, true, true, false]),
+        ),
         // Sensor noise; a threshold drawn up to just past twice the largest
         // read error, where quiet steps start, or across 0–80 mA.
         noise in (f64_range(0.0, 0.003), choice(vec![true, false]), f64_range(0.0, 1.0)),
         // Step, backoff, reads per step.
         ramp in (f64_range(0.1, 3.0), f64_range(0.0, 3.0), usize_range(1, 5)),
     ) {
-        let (seed, rx_local, tx_local, start_gain_db) = unit;
+        let (seed, rx_local, tx_local, start_gain_db, amplifier_on) = unit;
         let (noise_rms_a, near_bound, threshold_unit) = noise;
         let (step_db, backoff_db, reads_per_step) = ramp;
         let mut device = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, seed);
         device.steer_rx(-70.0 + rx_local);
         device.steer_tx(-70.0 + tx_local);
         device.set_gain_db(start_gain_db);
+        device.set_amplifier_enabled(amplifier_on);
         let sensor = device.current_sensor_mut();
         sensor.noise_rms_a = noise_rms_a;
         let two_e = 2.0 * sensor.max_read_error_a();
