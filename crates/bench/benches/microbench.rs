@@ -17,7 +17,7 @@ use movr::system::{MovrSystem, SystemConfig};
 use movr_math::Vec2;
 use movr_motion::{PlayerState, WorldState};
 use movr_radio::{evaluate_link, RadioEndpoint};
-use movr_rfsim::Scene;
+use movr_rfsim::{BodyPart, Obstacle, Scene};
 use movr_testkit::{bench_fn, bench_with_setup, BenchOptions, BenchReport};
 
 fn bench_link_budget(opts: &BenchOptions) -> Vec<BenchReport> {
@@ -91,6 +91,15 @@ fn bench_system_step(opts: &BenchOptions) -> Vec<BenchReport> {
     let held = WorldState::player_only(player.with_hand(true));
     let mut warmed = MovrSystem::paper_setup(SystemConfig::default());
     warmed.evaluate(&held);
+    let bystander = [Vec2::new(2.5, 1.0), Vec2::new(2.6, 1.3)].map(|at| {
+        let mut world = held.clone();
+        world.others.push(Obstacle::new(BodyPart::Torso, at));
+        world
+    });
+    let mut crowded = MovrSystem::paper_setup(SystemConfig::default());
+    crowded.evaluate(&bystander[0]);
+    crowded.evaluate(&bystander[1]);
+    let mut side = 1;
     vec![
         // A cold frame: a fresh deployment traces and weighs its link.
         bench_with_setup(
@@ -103,6 +112,14 @@ fn bench_system_step(opts: &BenchOptions) -> Vec<BenchReport> {
         // every trace and the headset and hop-1 gain rows are reused; the
         // AP's direct row follows the noisy tracked pose.
         bench_fn("system_evaluate_held_frame", opts, || warmed.evaluate(&held)),
+        // A bystander frame: the hand-blocked pose with a bystander who
+        // alternates between two spots, neither of which changes the
+        // paths any link admits, so each frame re-shades all three
+        // links' remembered paths and keeps their gain rows.
+        bench_fn("system_evaluate_bystander_frame", opts, || {
+            side ^= 1;
+            crowded.evaluate(&bystander[side])
+        }),
     ]
 }
 

@@ -8,10 +8,11 @@
 //!    and hand are obstacles, plus any bystanders),
 //! 2. evaluates the direct AP→headset link and each reflector path
 //!    (receive beam on the calibrated AP bearing, transmit beam at the
-//!    headset, gain set by the §4.2 loop), re-tracing a link only when
-//!    its obstacles or endpoints changed since the last evaluation and
-//!    recomputing a link end's gain row only when the link was re-traced
-//!    or that end's beam pattern changed,
+//!    headset, gain set by the §4.2 loop), re-shading a link's
+//!    remembered paths when only its obstacles changed since the last
+//!    evaluation, re-tracing it only when its endpoints moved, and
+//!    recomputing a link end's gain row only when the paths changed or
+//!    that end's beam pattern did,
 //! 3. serves the direct path while it is VR-grade, otherwise fails over
 //!    to the best reflector (§4: "in the case of a blockage ... the AP
 //!    steers its beam towards the MoVR reflector"),
@@ -28,7 +29,7 @@ use movr_motion::{LighthouseTracker, WorldState};
 use movr_obs::{NullRecorder, Recorder};
 use movr_phased_array::SteeredArray;
 use movr_radio::{RadioEndpoint, RateTable};
-use movr_rfsim::{LinkEval, LinkMemo, Scene};
+use movr_rfsim::{LinkEval, LinkMemo, Reuse, Scene};
 use movr_sim::SimTime;
 
 /// Device seed of the canonical `paper_setup` reflector unit.
@@ -197,11 +198,12 @@ impl Installed {
 /// A row is one end's gain toward every traced path (the transmit end
 /// toward each departure, the receive end toward each arrival), kept with
 /// the [`SteeredArray`] it was computed for. [`MemoisedLink::evaluate`]
-/// re-traces only when the [`LinkMemo`] key changed, and a re-trace
-/// forgets both rows, so new paths are never weighted by old rows. A row
-/// is recomputed when the link was re-traced or when
-/// [`SteeredArray::same_pattern`] says its end's pattern changed. Rows
-/// fold through the same coherent sum as
+/// traces through its [`LinkMemo`], and a [`Reuse::Retraced`] link
+/// forgets both rows, so new paths are never weighted by old rows. A
+/// re-shaded link keeps them: its paths and bearings are the ones they
+/// were computed over. A row is recomputed when the link was re-traced
+/// or when [`SteeredArray::same_pattern`] says its end's pattern
+/// changed. Rows fold through the same coherent sum as
 /// [`TracedLink::evaluate`](movr_rfsim::TracedLink::evaluate), so a
 /// reused row gives the bits a fresh weighting would.
 #[derive(Debug, Clone, Default)]
@@ -239,9 +241,10 @@ impl MemoisedLink {
     /// The budget of the array at `tx` transmitting at `tx_power_dbm` to
     /// the array at `rx` in `scene`:
     /// [`TracedLink::evaluate`](movr_rfsim::TracedLink::evaluate) under
-    /// their patterns, traced afresh only when the link's obstacles or
-    /// endpoints changed since the last call and weighted through the
-    /// remembered rows wherever a pattern repeats.
+    /// their patterns, re-shaded when only the link's obstacles changed
+    /// since the last call, traced afresh when its endpoints did, and
+    /// weighted through the remembered rows wherever the paths and a
+    /// pattern repeat.
     fn evaluate(
         &mut self,
         scene: &Scene,
@@ -249,9 +252,9 @@ impl MemoisedLink {
         tx_power_dbm: f64,
         rx: (Vec2, &SteeredArray),
     ) -> LinkEval {
-        let (link, fresh) = self.memo.trace(scene, tx.0, rx.0);
+        let (link, reuse) = self.memo.trace(scene, tx.0, rx.0);
         let [tx_row, rx_row] = &mut **self.rows.get_or_insert_with(Box::default);
-        if fresh {
+        if reuse == Reuse::Retraced {
             tx_row.array = None;
             rx_row.array = None;
         }
@@ -506,10 +509,10 @@ impl MovrSystem {
             r.unit.steer_tx(tx_deg);
             run_gain_control_recorded(&mut r.unit, &self.config.gain_control, now, rec);
             // Geometry is frozen for this evaluation (the scene was
-            // synced above), so each relay hop is traced at most once —
-            // not at all when it repeats the last evaluation's — and a
-            // degraded-beam re-run below recomputes only the reflector's
-            // transmit row.
+            // synced above), so each relay hop is traced or re-shaded at
+            // most once — not at all when it repeats the last
+            // evaluation's — and a degraded-beam re-run below recomputes
+            // only the reflector's transmit row.
             let mut budget = r.relay(&self.scene, &ap_r, &hs);
 
             if !self.config.use_tracking
@@ -898,8 +901,37 @@ mod tests {
         )
     }
 
+    /// Torsos walking from their starts onto hop 1 (AP → reflector),
+    /// each at its own pace, while the player holds a pose.
+    struct Crowd {
+        player: PlayerState,
+        walkers: Vec<movr_motion::WalkerCrossing>,
+        duration_s: f64,
+    }
+
+    impl movr_motion::MotionTrace for Crowd {
+        fn duration_s(&self) -> f64 {
+            self.duration_s
+        }
+
+        fn world_at(&self, t_s: f64) -> WorldState {
+            let t = t_s.clamp(0.0, self.duration_s);
+            let mut world = WorldState::player_only(self.player);
+            let torsos = self.walkers.iter().map(|w| w.walker_position(t));
+            world
+                .others
+                .extend(torsos.map(|at| Obstacle::new(BodyPart::Torso, at)));
+            world
+        }
+    }
+
     /// The motion of seeded case `case` over `duration_s`: {held pose,
-    /// hand raise, walker, gaze walk} by `case % 4`, drawn from `r`.
+    /// hand raise, walker, gaze walk, crowd} by `case % 5`, drawn from
+    /// `r`. In the crowd, three torsos converge on the AP → reflector
+    /// line of sight while the player's raised hand blocks the direct
+    /// path, so hop 1 is re-shaded each frame a torso moves: its paths
+    /// hold while fewer than three torsos stand on it, and the third
+    /// takes the line of sight past the tracer's 80 dB cap.
     fn case_trace(
         case: u64,
         r: &mut movr_math::SimRng,
@@ -912,7 +944,7 @@ mod tests {
             let pos = Vec2::new(r.uniform(2.5, 4.5), r.uniform(1.0, 4.0));
             PlayerState::standing(pos, pos.bearing_deg_to(ap) + r.uniform(-20.0, 20.0))
         };
-        match case % 4 {
+        match case % 5 {
             0 => Box::new(StaticScene::new(facing_ap(r), d)),
             1 => Box::new(HandRaise {
                 base: facing_ap(r),
@@ -931,12 +963,34 @@ mod tests {
                     duration_s: d,
                 })
             }
-            _ => Box::new(RandomWalk::with_gaze(
+            3 => Box::new(RandomWalk::with_gaze(
                 &movr_rfsim::Room::paper_office(),
                 r.next_u64(),
                 d,
                 ap,
             )),
+            _ => {
+                let player = facing_ap(r).with_hand(true);
+                let reflector = Vec2::new(1.0, 4.75);
+                let walkers = [0.3, 0.5, 0.7]
+                    .map(|f| {
+                        let to = ap.lerp(reflector, f);
+                        WalkerCrossing {
+                            player,
+                            from: to + Vec2::new(r.uniform(0.2, 0.6), r.uniform(-0.3, 0.3)),
+                            to,
+                            start_s: r.uniform(0.0, d / 4.0),
+                            speed_mps: r.uniform(0.8, 1.6),
+                            duration_s: d,
+                        }
+                    })
+                    .to_vec();
+                Box::new(Crowd {
+                    player,
+                    walkers,
+                    duration_s: d,
+                })
+            }
         }
     }
 
@@ -953,12 +1007,12 @@ mod tests {
 
     #[test]
     fn remembered_traces_decide_bit_identically_to_fresh_ones() {
-        // 64 seeded cases: {static, hand raise, walker, gaze walk} ×
-        // tracking on/off. A system stepped frame by frame, whose memos
-        // replay every link whose geometry repeats, must decide exactly
-        // like a twin whose memos are emptied before every frame. Mid-run
-        // the stepped system is checkpointed and restored into a unit
-        // whose memos hold another frame's geometry.
+        // 64 seeded cases: {static, hand raise, walker, gaze walk,
+        // crowd} × tracking on/off. A system stepped frame by frame,
+        // whose memos replay every link whose geometry repeats, must
+        // decide exactly like a twin whose memos are emptied before every
+        // frame. Mid-run the stepped system is checkpointed and restored
+        // into a unit whose memos hold another frame's geometry.
         use movr_math::SimRng;
         const FRAMES: usize = 72;
         for case in 0..64u64 {
@@ -1006,15 +1060,15 @@ mod tests {
 
     #[test]
     fn remembered_rows_match_fresh_ones_under_any_interleaving() {
-        // 48 seeded cases: {held pose, hand raise, walker, gaze walk} ×
-        // tracking on/off, half of them with a second reflector. Each step
-        // makes one seeded call on the memoised system, mostly
-        // `evaluate_at`, otherwise `evaluate_direct`,
+        // 48 seeded cases: {held pose, hand raise, walker, gaze walk,
+        // crowd} × tracking on/off, half of them with a second
+        // reflector. Each step makes one seeded call on the memoised
+        // system, mostly `evaluate_at`, otherwise `evaluate_direct`,
         // `evaluate_via_reflector` or a checkpoint restore into a unit
         // whose memos hold another instant's geometry. A twin makes the
         // same calls after forgetting every memo, and every decision, SNR
-        // and budget must match it bit for bit — whatever call re-traced a
-        // link or re-steered a beam last.
+        // and budget must match it bit for bit — whatever call re-traced
+        // or re-shaded a link or re-steered a beam last.
         use movr_math::SimRng;
         const STEPS: usize = 96;
         let duration_s = STEPS as f64 / 90.0;

@@ -364,7 +364,7 @@ pub struct SteeredArray {
     steer_local_deg: f64,
     /// The current command's phases, so repeated gain queries (every path
     /// of every link evaluation) skip the DAC re-quantisation. Recomputed
-    /// on every steering change.
+    /// whenever the clamped command changes.
     phases: Phases,
 }
 
@@ -414,10 +414,15 @@ impl SteeredArray {
 
     /// Steers the beam toward an absolute room bearing. The command is
     /// clamped to the scan range; returns the bearing actually applied.
+    /// A clamped command equal to the held one bit for bit keeps the held
+    /// phases, which are a function of the command alone.
     pub fn steer_to(&mut self, absolute_deg: f64) -> f64 {
-        let local = wrap_deg_180(absolute_deg - self.boresight_deg);
-        self.steer_local_deg = local.clamp(-MAX_STEER_DEG, MAX_STEER_DEG);
-        self.phases = self.array.phases(self.steer_local_deg);
+        let local =
+            wrap_deg_180(absolute_deg - self.boresight_deg).clamp(-MAX_STEER_DEG, MAX_STEER_DEG);
+        if local.to_bits() != self.steer_local_deg.to_bits() {
+            self.steer_local_deg = local;
+            self.phases = self.array.phases(local);
+        }
         self.steering_deg()
     }
 
@@ -697,6 +702,56 @@ mod tests {
             .expect("some re-steer within 1° moves exactly one phase");
         assert!(!a.same_pattern(&b), "one applied phase moved");
         assert_ne!(gain_bits(&a), gain_bits(&b));
+    }
+
+    #[test]
+    fn a_repeated_command_keeps_the_phases_a_fresh_mount_computes() {
+        // Each command in turn on one array, which keeps its phases when
+        // the clamped command repeats bit for bit, against a fresh mount
+        // steered once. The boresight is 0°, so each command is its own
+        // local command. The phases of +0.0 are all −0.0 and those of
+        // −0.0 all +0.0, so a command compared by value rather than by
+        // bits keeps the wrong ones.
+        let one_ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let commands = [
+            27.0,
+            27.0,
+            one_ulp(27.0),
+            one_ulp(27.0),
+            27.0,
+            0.0,
+            -0.0,
+            -0.0,
+            0.0,
+            0.0,
+        ];
+        let bits = |sa: &SteeredArray| {
+            let phases = sa.phases[..sa.array.n].iter().map(|p| p.to_bits());
+            (
+                sa.steer_local_deg.to_bits(),
+                phases.collect::<Vec<_>>(),
+                gain_bits(sa),
+            )
+        };
+        let mut live = SteeredArray::paper_array(0.0);
+        for (k, &command) in commands.iter().enumerate() {
+            live.steer_to(command);
+            let mut fresh = SteeredArray::paper_array(0.0);
+            fresh.steer_to(command);
+            assert_eq!(bits(&live), bits(&fresh), "command {k}: {command:?}");
+        }
+        let zero = |command: f64| {
+            let mut sa = SteeredArray::paper_array(0.0);
+            sa.steer_to(command);
+            sa.phases
+        };
+        let n = live.array.n;
+        assert!(zero(0.0)[..n]
+            .iter()
+            .all(|p| p.to_bits() == (-0.0f64).to_bits()));
+        assert!(zero(-0.0)[..n]
+            .iter()
+            .all(|p| p.to_bits() == 0.0f64.to_bits()));
     }
 
     #[test]

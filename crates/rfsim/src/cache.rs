@@ -15,15 +15,19 @@
 //!
 //! Across frames the geometry often holds still: a held pose or a static
 //! scene repeats the previous frame's obstacles and endpoints bit for
-//! bit. A [`LinkMemo`] remembers one link's last trace and hands it back
-//! while that geometry repeats, saying when it traced afresh, so a
-//! caller that keeps gain rows over the paths knows to drop them.
+//! bit, and a link whose radios hold still keeps its endpoints while
+//! bodies move through the room. A [`LinkMemo`] keeps one link's
+//! candidate paths while its endpoints repeat and its shaded paths and
+//! taps while its obstacles repeat too. When only obstacles moved it
+//! re-shades the candidates, and its [`Reuse`] says whether the same
+//! paths came out, so a caller that keeps gain rows over the paths knows
+//! when to drop them.
 
 use crate::batch::LinkBatch;
 use crate::channel::coherent_sum;
 use crate::obstacle::Obstacle;
 use crate::pattern::Pattern;
-use crate::raytrace::Path;
+use crate::raytrace::{Candidate, Path};
 use crate::scene::{LinkEval, Scene};
 use movr_math::{linear_to_db, Vec2, C64};
 use std::borrow::Cow;
@@ -148,18 +152,42 @@ impl<'s> TracedLink<'s> {
     }
 }
 
-/// One link's last trace, reused while its geometry repeats.
+/// How much of a remembered link [`LinkMemo::trace`] could keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reuse {
+    /// The endpoints and the obstacles repeat: the remembered paths and
+    /// taps, untouched.
+    Hit,
+    /// Only obstacles changed, and re-shading admitted the same paths in
+    /// the same order, so every path keeps its vertices and bearings.
+    /// Shadow losses are new, and so is the tap of each path whose loss
+    /// changed.
+    Reshaded,
+    /// The endpoints moved, or the obstacles changed which paths are
+    /// admitted.
+    Retraced,
+}
+
+/// One link's last trace, kept in two halves with a key each.
 ///
-/// The key is the scene's obstacle list and both endpoints, compared bit
-/// for bit (`f64::to_bits`, so −0.0 and +0.0 differ). Everything else the
-/// trace reads — room, carrier, trace configuration — is fixed when a
-/// [`Scene`] is built, so a memo serves the one scene its owner keeps
-/// beside it. Memory is one link's paths and taps plus a copy of the
-/// obstacle list.
+/// The candidate paths, everything the endpoints and the room fix, are
+/// keyed on both endpoints; the shaded paths and their taps on the
+/// scene's obstacle list too. Keys compare bit for bit (`f64::to_bits`,
+/// so −0.0 and +0.0 differ). Everything else the trace reads — room,
+/// carrier, trace configuration — is fixed when a [`Scene`] is built, so
+/// a memo serves the one scene its owner keeps beside it. Memory is one
+/// link's candidates, paths and taps plus a copy of the obstacle list.
 #[derive(Debug, Clone, Default)]
 pub struct LinkMemo {
-    /// Endpoints of the remembered trace; `None` before the first.
+    /// Endpoints of the remembered candidates; `None` before the first
+    /// trace.
     ends: Option<(Vec2, Vec2)>,
+    /// Every candidate between `ends`, in tracer order.
+    candidates: Vec<Candidate>,
+    /// Per candidate, the shadow loss and tap it was last admitted with,
+    /// or `None` when the last shading did not admit it.
+    admitted: Vec<Option<(f64, C64)>>,
+    /// The obstacles the paths were shaded under.
     obstacles: Vec<Obstacle>,
     paths: Vec<Path>,
     taps: Vec<C64>,
@@ -169,44 +197,61 @@ fn same_point(a: Vec2, b: Vec2) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
+fn same_obstacles(a: &[Obstacle], b: &[Obstacle]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(a, b)| a.kind == b.kind && same_point(a.center, b.center))
+}
+
 impl LinkMemo {
     /// An empty memo: the first [`LinkMemo::trace`] traces.
     pub fn new() -> Self {
         LinkMemo::default()
     }
 
-    /// True when `scene`'s obstacles and the endpoints `tx → rx` equal
-    /// the remembered trace's bit for bit, so [`LinkMemo::trace`] would
-    /// hand back the remembered paths.
-    pub fn hits(&self, scene: &Scene, tx: Vec2, rx: Vec2) -> bool {
-        let ends = self
+    /// The `tx → rx` link in `scene`, and how much of the remembered link
+    /// it kept: the remembered paths and taps when the endpoints and
+    /// obstacles repeat ([`Reuse::Hit`]); the remembered candidates,
+    /// shaded under the new obstacles, when only the obstacles changed
+    /// ([`Reuse::Reshaded`] or [`Reuse::Retraced`]); otherwise a fresh
+    /// trace ([`Reuse::Retraced`]). Whatever it computes is remembered.
+    ///
+    /// Either way the link is bit-identical to
+    /// [`Scene::trace_link`]`(tx, rx)`: the candidates are a pure
+    /// function of the endpoints and the scene's fixed parts, shading
+    /// runs the tracer's own `Candidate::shade`, and a kept tap belongs
+    /// to the same candidate with a bitwise-equal shadow loss, while
+    /// `Channel::path_gain` reads only the length, the reflection loss
+    /// and the shadow loss.
+    pub fn trace<'a>(
+        &'a mut self,
+        scene: &'a Scene,
+        tx: Vec2,
+        rx: Vec2,
+    ) -> (TracedLink<'a>, Reuse) {
+        let same_ends = self
             .ends
             .is_some_and(|(t, r)| same_point(t, tx) && same_point(r, rx));
-        ends && self.obstacles.len() == scene.obstacles().len()
-            && self
-                .obstacles
-                .iter()
-                .zip(scene.obstacles())
-                .all(|(a, b)| a.kind == b.kind && same_point(a.center, b.center))
-    }
-
-    /// The `tx → rx` link in `scene`: the remembered paths and taps when
-    /// [`LinkMemo::hits`], otherwise a fresh trace, which is remembered.
-    /// Either way the link is bit-identical to
-    /// [`Scene::trace_link`]`(tx, rx)`, because the trace is a pure
-    /// function of the key and the scene's fixed parts. The flag is
-    /// `true` when it traced afresh, so a caller that keeps state derived
-    /// from the paths knows when to drop it.
-    pub fn trace<'a>(&'a mut self, scene: &'a Scene, tx: Vec2, rx: Vec2) -> (TracedLink<'a>, bool) {
-        let fresh = !self.hits(scene, tx, rx);
-        if fresh {
-            let (paths, taps) = trace(scene, tx, rx);
+        let reuse = if !same_ends {
+            // No key survives a trace that panics (an endpoint outside
+            // the room) over a half-built candidate list.
+            self.ends = None;
+            scene.candidates_between(tx, rx, &mut self.candidates);
             self.ends = Some((tx, rx));
-            self.obstacles.clear();
-            self.obstacles.extend_from_slice(scene.obstacles());
-            self.paths = paths;
-            self.taps = taps;
-        }
+            self.admitted.clear();
+            self.admitted.resize(self.candidates.len(), None);
+            self.shade(scene);
+            Reuse::Retraced
+        } else if !same_obstacles(&self.obstacles, scene.obstacles()) {
+            if self.shade(scene) {
+                Reuse::Reshaded
+            } else {
+                Reuse::Retraced
+            }
+        } else {
+            Reuse::Hit
+        };
         let link = TracedLink {
             scene,
             tx,
@@ -214,7 +259,34 @@ impl LinkMemo {
             paths: Cow::Borrowed(&self.paths),
             taps: Cow::Borrowed(&self.taps),
         };
-        (link, fresh)
+        (link, reuse)
+    }
+
+    /// Shades every candidate under `scene`'s obstacles and rebuilds the
+    /// paths and taps, keeping the tap of each candidate admitted again
+    /// with a bitwise-equal shadow loss. True when the shading admitted
+    /// the same candidates as the last one.
+    fn shade(&mut self, scene: &Scene) -> bool {
+        self.obstacles.clear();
+        self.obstacles.extend_from_slice(scene.obstacles());
+        self.paths.clear();
+        self.taps.clear();
+        let channel = scene.channel();
+        let mut same = true;
+        for (candidate, admitted) in self.candidates.iter().zip(&mut self.admitted) {
+            let path = scene.shade(candidate);
+            same &= path.is_some() == admitted.is_some();
+            *admitted = path.map(|p| {
+                let tap = match *admitted {
+                    Some((loss, tap)) if loss.to_bits() == p.shadow_loss_db.to_bits() => tap,
+                    _ => channel.path_gain(&p).coefficient,
+                };
+                self.paths.push(p);
+                self.taps.push(tap);
+                (p.shadow_loss_db, tap)
+            });
+        }
+        same
     }
 }
 

@@ -19,8 +19,9 @@
 //!   ([`channel`]).
 //! * **Noise** — thermal floor plus receiver noise figure ([`noise`]).
 //! * **Reuse** — a traced link keeps its paths and taps so beam sweeps
-//!   and unchanged frames reweight instead of re-tracing ([`cache`]), and
-//!   whole gain rows fold in one pass ([`batch`]).
+//!   and unchanged frames reweight instead of re-tracing, and a frame in
+//!   which only bodies moved re-shades the link's remembered candidate
+//!   paths ([`cache`]); whole gain rows fold in one pass ([`batch`]).
 //!
 //! The crate is purely geometric/electromagnetic: it knows nothing about
 //! phased arrays, modulation or protocols. Antenna directivity enters
@@ -41,7 +42,7 @@ pub mod raytrace;
 pub mod scene;
 
 pub use batch::LinkBatch;
-pub use cache::{LinkMemo, TracedLink};
+pub use cache::{LinkMemo, Reuse, TracedLink};
 pub use channel::{Channel, PathGain};
 pub use geometry::{Room, Segment, Surface, Wall};
 pub use material::Material;

@@ -14,6 +14,15 @@
 //! arrival bearings) and its loss budget excluding antenna gains and FSPL:
 //! the sum of per-bounce reflection losses and per-segment obstacle
 //! shadowing. Higher layers add Friis loss and antenna gains.
+//!
+//! A trace has two halves. The *candidates* are fixed by the endpoints
+//! and the room: every chain's vertices, length, bearings, reflection
+//! loss and interior-panel penetration, less the chains that cross a wall
+//! (`candidate_paths`). *Shading* is set by the obstacles: it sums
+//! each segment's shadow loss and admits the paths under the excess-loss
+//! cap (`Candidate::shade`). [`trace_paths`] composes the two, and a
+//! [`LinkMemo`](crate::LinkMemo) keeps the candidates while only
+//! obstacles move.
 
 use crate::geometry::{Room, Segment, Surface, Wall};
 use crate::obstacle::{total_shadow_loss_db, Obstacle};
@@ -145,11 +154,13 @@ impl Default for TraceConfig {
 }
 
 /// Enumerates propagation paths between `tx` and `rx` in `room`, applying
-/// shadowing from `obstacles`.
+/// shadowing from `obstacles`: each candidate (`candidate_paths`) is
+/// shaded as it is enumerated (`Candidate::shade`).
 ///
 /// Both endpoints must be inside the room. Paths are returned in
 /// deterministic order: LOS first, then first-order bounces in wall order,
-/// then second-order in wall-pair order.
+/// then off interior panels in panel order, then second-order in
+/// wall-pair order.
 pub fn trace_paths(
     room: &Room,
     obstacles: &[Obstacle],
@@ -157,47 +168,93 @@ pub fn trace_paths(
     rx: Vec2,
     config: &TraceConfig,
 ) -> Vec<Path> {
+    let mut paths = Vec::new();
+    candidate_paths(room, tx, rx, config, |c| {
+        paths.extend(c.shade(obstacles, config));
+    });
+    paths
+}
+
+/// A path before shading: everything its endpoints and the room fix. The
+/// obstacles add only the shadow loss, and with it whether the path is
+/// admitted ([`Candidate::shade`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    kind: PathKind,
+    vertices: Vertices,
+    length_m: f64,
+    departure_deg: f64,
+    arrival_deg: f64,
+    reflection_loss_db: f64,
+    /// Penetration loss of the interior panels the chain crosses, dB.
+    panel_loss_db: f64,
+}
+
+impl Candidate {
+    /// The path under `obstacles`, or `None` when its excess loss
+    /// exceeds `config.max_excess_loss_db`. The shadow loss is each
+    /// segment's obstacle loss, summed, plus the panels' penetration loss.
+    pub(crate) fn shade(&self, obstacles: &[Obstacle], config: &TraceConfig) -> Option<Path> {
+        let shadow_loss_db: f64 = self
+            .vertices
+            .windows(2)
+            .map(|w| total_shadow_loss_db(obstacles, &Segment::new(w[0], w[1])))
+            .sum::<f64>()
+            + self.panel_loss_db;
+        let path = Path {
+            kind: self.kind,
+            vertices: self.vertices,
+            length_m: self.length_m,
+            departure_deg: self.departure_deg,
+            arrival_deg: self.arrival_deg,
+            reflection_loss_db: self.reflection_loss_db,
+            shadow_loss_db,
+        };
+        (path.excess_loss_db() <= config.max_excess_loss_db).then_some(path)
+    }
+}
+
+/// Calls `f` with every candidate path between `tx` and `rx` in `room`,
+/// in [`trace_paths`] order. In a non-convex room a
+/// geometrically-constructed path can pass through a wall; such
+/// candidates are discarded outright (walls are thick — this is not the
+/// thin-panel penetration case).
+///
+/// # Panics
+/// Panics if either endpoint is outside the room.
+pub(crate) fn candidate_paths(
+    room: &Room,
+    tx: Vec2,
+    rx: Vec2,
+    config: &TraceConfig,
+    mut f: impl FnMut(Candidate),
+) {
     assert!(room.contains(tx), "tx must be inside the room");
     assert!(room.contains(rx), "rx must be inside the room");
 
     let surfaces = room.surfaces();
-    let mut paths = Vec::new();
-
-    // In a non-convex room a geometrically-constructed path can pass
-    // through a wall; such candidates are discarded outright (walls are
-    // thick — this is not the thin-panel penetration case).
-    let admissible = |p: &Path| {
-        p.excess_loss_db() <= config.max_excess_loss_db
-            && (room.is_convex() || !crosses_any_wall(room.walls(), &p.vertices))
+    let mut push = |c: Option<Candidate>| {
+        if let Some(c) = c {
+            if room.is_convex() || !crosses_any_wall(room.walls(), &c.vertices) {
+                f(c);
+            }
+        }
     };
 
-    if let Some(p) = make_path(
+    push(make_candidate(
         PathKind::LineOfSight,
         [tx, rx].into(),
         &[],
-        obstacles,
         surfaces,
-    ) {
-        if admissible(&p) {
-            paths.push(p);
-        }
-    }
+    ));
 
     if config.max_order >= 1 {
         for wall in room.walls() {
-            if let Some(p) = first_order_path(wall, obstacles, surfaces, tx, rx) {
-                if admissible(&p) {
-                    paths.push(p);
-                }
-            }
+            push(first_order_path(wall, surfaces, tx, rx));
         }
         // First-order bounces off interior panels (furniture).
         for surface in surfaces {
-            if let Some(p) = surface_path(surface, obstacles, surfaces, tx, rx) {
-                if admissible(&p) {
-                    paths.push(p);
-                }
-            }
+            push(surface_path(surface, surfaces, tx, rx));
         }
     }
 
@@ -208,16 +265,10 @@ pub fn trace_paths(
                 if i == j {
                     continue;
                 }
-                if let Some(p) = second_order_path(wa, wb, obstacles, surfaces, tx, rx) {
-                    if admissible(&p) {
-                        paths.push(p);
-                    }
-                }
+                push(second_order_path(wa, wb, surfaces, tx, rx));
             }
         }
     }
-
-    paths
 }
 
 /// True if any leg of the vertex chain crosses a wall's interior. Legs
@@ -253,15 +304,15 @@ fn surface_occlusion_db(surfaces: &[Surface], vertices: &[Vec2]) -> f64 {
     loss
 }
 
-/// Builds a path from its vertex chain, computing geometry and shadowing.
-/// Returns `None` for degenerate (zero-length) chains.
-fn make_path(
+/// Builds a candidate from its vertex chain: geometry, reflection loss
+/// and panel penetration. Returns `None` for degenerate (zero-length)
+/// chains.
+fn make_candidate(
     kind: PathKind,
     vertices: Vertices,
     bounce_losses_db: &[f64],
-    obstacles: &[Obstacle],
     surfaces: &[Surface],
-) -> Option<Path> {
+) -> Option<Candidate> {
     debug_assert!(vertices.len() >= 2);
     let mut length = 0.0;
     for w in vertices.windows(2) {
@@ -274,51 +325,33 @@ fn make_path(
     let n = vertices.len();
     let arrival_deg = vertices[n - 1].bearing_deg_to(vertices[n - 2]);
     let reflection_loss_db: f64 = bounce_losses_db.iter().sum();
-    let shadow_loss_db: f64 = vertices
-        .windows(2)
-        .map(|w| total_shadow_loss_db(obstacles, &Segment::new(w[0], w[1])))
-        .sum::<f64>()
-        + surface_occlusion_db(surfaces, &vertices);
-    Some(Path {
+    Some(Candidate {
         kind,
         vertices,
         length_m: length,
         departure_deg,
         arrival_deg,
         reflection_loss_db,
-        shadow_loss_db,
+        panel_loss_db: surface_occlusion_db(surfaces, &vertices),
     })
 }
 
 /// TX → `wall` → RX via the image method: mirror the TX across the wall,
 /// draw image→RX, and bounce where that line crosses the wall segment.
-fn first_order_path(
-    wall: &Wall,
-    obstacles: &[Obstacle],
-    surfaces: &[Surface],
-    tx: Vec2,
-    rx: Vec2,
-) -> Option<Path> {
+fn first_order_path(wall: &Wall, surfaces: &[Surface], tx: Vec2, rx: Vec2) -> Option<Candidate> {
     let image = wall.mirror_point(tx);
     let bounce = wall_hit(&wall.segment, image, rx)?;
-    make_path(
+    make_candidate(
         PathKind::Reflected { order: 1 },
         [tx, bounce, rx].into(),
         &[wall.material.reflection_loss_db()],
-        obstacles,
         surfaces,
     )
 }
 
 /// TX → interior panel → RX: the image method off a two-sided furniture
 /// face.
-fn surface_path(
-    surface: &Surface,
-    obstacles: &[Obstacle],
-    surfaces: &[Surface],
-    tx: Vec2,
-    rx: Vec2,
-) -> Option<Path> {
+fn surface_path(surface: &Surface, surfaces: &[Surface], tx: Vec2, rx: Vec2) -> Option<Candidate> {
     let image = surface.mirror_point(tx);
     let bounce = wall_hit(&surface.segment, image, rx)?;
     // A specular bounce requires TX and RX on the same side of the panel.
@@ -328,11 +361,10 @@ fn surface_path(
     if side_tx * side_rx <= 0.0 {
         return None;
     }
-    make_path(
+    make_candidate(
         PathKind::Reflected { order: 1 },
         [tx, bounce, rx].into(),
         &[surface.material.reflection_loss_db()],
-        obstacles,
         surfaces,
     )
 }
@@ -342,11 +374,10 @@ fn surface_path(
 fn second_order_path(
     wa: &Wall,
     wb: &Wall,
-    obstacles: &[Obstacle],
     surfaces: &[Surface],
     tx: Vec2,
     rx: Vec2,
-) -> Option<Path> {
+) -> Option<Candidate> {
     let image1 = wa.mirror_point(tx);
     let image2 = wb.mirror_point(image1);
     // Last bounce: where image2 → rx crosses wall B.
@@ -359,14 +390,13 @@ fn second_order_path(
     if b1.distance(b2) < 1e-6 || tx.distance(b1) < 1e-6 || b2.distance(rx) < 1e-6 {
         return None;
     }
-    make_path(
+    make_candidate(
         PathKind::Reflected { order: 2 },
         [tx, b1, b2, rx].into(),
         &[
             wa.material.reflection_loss_db(),
             wb.material.reflection_loss_db(),
         ],
-        obstacles,
         surfaces,
     )
 }

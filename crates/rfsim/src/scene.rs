@@ -10,7 +10,7 @@ use crate::geometry::Room;
 use crate::noise::NoiseModel;
 use crate::obstacle::Obstacle;
 use crate::pattern::Pattern;
-use crate::raytrace::{trace_paths, Path, TraceConfig};
+use crate::raytrace::{candidate_paths, trace_paths, Candidate, Path, TraceConfig};
 use movr_math::Vec2;
 
 /// The cheap half of a link evaluation: received power and SNR for one
@@ -120,6 +120,19 @@ impl Scene {
     /// obstacle set.
     pub fn paths_between(&self, tx: Vec2, rx: Vec2) -> Vec<Path> {
         trace_paths(&self.room, &self.obstacles, tx, rx, &self.trace)
+    }
+
+    /// Replaces `out` with the candidate paths between two points: the
+    /// half of a trace the endpoints and the room fix.
+    pub(crate) fn candidates_between(&self, tx: Vec2, rx: Vec2, out: &mut Vec<Candidate>) {
+        out.clear();
+        candidate_paths(&self.room, tx, rx, &self.trace, |c| out.push(c));
+    }
+
+    /// `candidate` shaded under the current obstacle set, or `None` when
+    /// the tracer would not admit it.
+    pub(crate) fn shade(&self, candidate: &Candidate) -> Option<Path> {
+        candidate.shade(&self.obstacles, &self.trace)
     }
 
     /// Traces the `tx → rx` link once and returns a [`TracedLink`] whose

@@ -39,15 +39,17 @@ cargo test -q --offline
 echo "==> perfbench: build the benchmark against the public API and run its tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench: seed-1 warm-up outputs match scripts/perfbench-seed1.expected"
-# With --seconds 0 nothing is timed, so the run reports correct=false and
-# exits 1; the comparison below is the check (a crash or a failed
+# With --seconds 0 nothing is timed, so each run reports correct=false
+# and exits 1; the comparison below is the check (a crash or a failed
 # operation changes the lines).
-cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload all --seed 1 --seconds 0 > out/perfbench-seed1.log || true
-awk '/^perfbench /{w=$2} /^  (attempted |alignment\.|session\.|fleet\.)/{$1=$1; print w ": " $0}' \
-    out/perfbench-seed1.log > out/perfbench-seed1.txt
-grep -v '^#' scripts/perfbench-seed1.expected | diff -u - out/perfbench-seed1.txt
+for seed in 1 5; do
+    echo "==> perfbench: seed-$seed warm-up outputs match scripts/perfbench-seed$seed.expected"
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload all --seed "$seed" --seconds 0 > "out/perfbench-seed$seed.log" || true
+    awk '/^perfbench /{w=$2} /^  (attempted |alignment\.|session\.|fleet\.)/{$1=$1; print w ": " $0}' \
+        "out/perfbench-seed$seed.log" > "out/perfbench-seed$seed.txt"
+    grep -v '^#' "scripts/perfbench-seed$seed.expected" | diff -u - "out/perfbench-seed$seed.txt"
+done
 
 echo "==> paper shapes: every figure's PASS/FAIL checks (exit 1 on any FAIL)"
 cargo run -q --release --offline -p movr-bench --bin repro_all
@@ -157,6 +159,10 @@ grep -q '"name":"gain_control_loop"' out/BENCH_micro.json || {
 }
 grep -q '"name":"system_evaluate_held_frame"' out/BENCH_micro.json || {
     echo "held-frame (gain-row reuse) bench missing from microbench output" >&2
+    exit 1
+}
+grep -q '"name":"system_evaluate_bystander_frame"' out/BENCH_micro.json || {
+    echo "bystander-frame (re-shade) bench missing from microbench output" >&2
     exit 1
 }
 

@@ -18,8 +18,8 @@ use movr_obs::{MemoryRecorder, Value};
 use movr_phased_array::UniformLinearArray;
 use movr_radio::{ArrayPattern, RadioEndpoint, RateTable};
 use movr_rfsim::{
-    trace_paths, BodyPart, IsotropicPattern, LinkMemo, Obstacle, Room, Scene, SectorPattern,
-    TraceConfig,
+    trace_paths, BodyPart, Channel, IsotropicPattern, LinkMemo, NoiseModel, Obstacle, Path,
+    PathKind, Reuse, Room, Scene, SectorPattern, TraceConfig,
 };
 use movr_sim::SimTime;
 use movr_testkit::{
@@ -566,6 +566,17 @@ property! {
 
 // ---------------- trace memo ----------------
 
+/// True when `a` and `b` hold the same paths in the same order, whatever
+/// their shadow losses: what a re-shade that reports
+/// [`Reuse::Reshaded`] keeps.
+fn same_geometry(a: &[Path], b: &[Path]) -> bool {
+    let unshaded = |p: &Path| Path {
+        shadow_loss_db: 0.0,
+        ..*p
+    };
+    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| unshaded(p) == unshaded(q))
+}
+
 property! {
     fn link_cache_tracks_obstacle_motion_exactly(
         tx_x in f64_range(0.3, 4.7),
@@ -585,16 +596,25 @@ property! {
         scene.set_obstacles(vec![Obstacle::new(kind, Vec2::new(ox, oy))]);
         let mut memo = LinkMemo::new();
         // Remember the link at the original obstacle position…
-        prop_assert!(memo.trace(&scene, tx, rx).1, "the first read traces");
-        prop_assert!(memo.hits(&scene, tx, rx));
+        let (first, reuse) = memo.trace(&scene, tx, rx);
+        prop_assert!(reuse == Reuse::Retraced, "the first read traces");
+        let before = first.paths().to_vec();
+        prop_assert_eq!(memo.trace(&scene, tx, rx).1, Reuse::Hit);
         // …then move the obstacle and read the link again through the
-        // memo: the move must miss, and the fresh trace is remembered.
+        // memo: the move re-shades the remembered candidates, reports
+        // `Reshaded` exactly when the same paths come out, and the new
+        // shading is remembered.
         scene.set_obstacles(vec![Obstacle::new(kind, Vec2::new(ox + dx, oy + dy))]);
-        prop_assert!(!memo.hits(&scene, tx, rx));
-        prop_assert!(memo.trace(&scene, tx, rx).1, "the move re-traces");
-        prop_assert!(memo.hits(&scene, tx, rx));
-        let (remembered, fresh) = memo.trace(&scene, tx, rx);
-        prop_assert!(!fresh, "a repeat hands back the remembered trace");
+        let (moved, reuse) = memo.trace(&scene, tx, rx);
+        let expect_reuse = if same_geometry(&before, moved.paths()) {
+            Reuse::Reshaded
+        } else {
+            Reuse::Retraced
+        };
+        prop_assert!(reuse == expect_reuse, "the move re-shades: {reuse:?}");
+        prop_assert_eq!(memo.trace(&scene, tx, rx).1, Reuse::Hit);
+        let (remembered, reuse) = memo.trace(&scene, tx, rx);
+        prop_assert!(reuse == Reuse::Hit, "a repeat hands back the remembered trace");
 
         // Reference: a scene built directly with the final obstacle
         // position, traced fresh. Must match the memo *exactly* — same
@@ -628,38 +648,126 @@ fn link_memo_misses_on_any_bit_of_geometry() {
             vec![hand.moved_to(Vec2::new(one_ulp(2.2), 2.3)), bystander],
             tx,
             rx,
+            Reuse::Reshaded,
         ),
         (
             "bystander x flipped from +0.0 to -0.0",
             vec![hand, bystander.moved_to(Vec2::new(-0.0, 4.0))],
             tx,
             rx,
+            Reuse::Reshaded,
         ),
-        ("receiver moved", base.clone(), tx, Vec2::new(4.0, 2.1)),
-        ("transmitter moved", base.clone(), Vec2::new(0.5, 2.6), rx),
-        ("direction swapped", base.clone(), rx, tx),
-        ("bystander left", vec![hand], tx, rx),
+        (
+            "receiver moved",
+            base.clone(),
+            tx,
+            Vec2::new(4.0, 2.1),
+            Reuse::Retraced,
+        ),
+        (
+            "transmitter moved",
+            base.clone(),
+            Vec2::new(0.5, 2.6),
+            rx,
+            Reuse::Retraced,
+        ),
+        ("direction swapped", base.clone(), rx, tx, Reuse::Retraced),
+        ("bystander left", vec![hand], tx, rx, Reuse::Reshaded),
     ];
-    for (what, obstacles, t, r) in cases {
+    for (what, obstacles, t, r, expect) in cases {
         let mut scene = Scene::paper_office();
         scene.set_obstacles(base.clone());
         let mut memo = LinkMemo::new();
         let _ = memo.trace(&scene, tx, rx);
-        assert!(memo.hits(&scene, tx, rx), "{what}: the trace is remembered");
+        assert_eq!(
+            memo.trace(&scene, tx, rx).1,
+            Reuse::Hit,
+            "{what}: the trace is remembered"
+        );
         scene.set_obstacles(obstacles);
-        assert!(!memo.hits(&scene, t, r), "{what}: must miss");
-        let (link, fresh) = memo.trace(&scene, t, r);
-        assert!(fresh, "{what}: the miss re-traces");
+        let (link, reuse) = memo.trace(&scene, t, r);
+        assert_eq!(reuse, expect, "{what}: must miss");
         let traced = link.paths().to_vec();
         assert_eq!(
             traced,
             scene.trace_link(t, r).paths(),
             "{what}: traced afresh"
         );
-        assert!(
-            memo.hits(&scene, t, r),
+        assert_eq!(
+            memo.trace(&scene, t, r).1,
+            Reuse::Hit,
             "{what}: the new trace is remembered"
         );
+    }
+}
+
+#[test]
+fn link_memo_retraces_when_stacked_torsos_prune_a_path() {
+    // In each room, torsos step one by one onto a line of sight (30 dB
+    // each) until three of them push it past the tracer's 80 dB cap,
+    // then step off again one by one. Every read through the memo must
+    // equal a fresh trace bit for bit, re-tracing when the admitted set
+    // changes and re-shading otherwise; the third torso's arrival and
+    // departure must each re-trace.
+    let scene_in = |room| Scene::new(room, Channel::new(24.0e9), NoiseModel::ieee_802_11ad());
+    let rooms = [
+        (
+            "paper_office",
+            Scene::paper_office(),
+            Vec2::new(0.5, 2.5),
+            Vec2::new(4.0, 2.0),
+        ),
+        (
+            "furnished_office",
+            Scene::furnished_office(),
+            Vec2::new(0.5, 2.5),
+            Vec2::new(4.0, 2.0),
+        ),
+        (
+            "l_shaped_studio",
+            scene_in(Room::l_shaped_studio()),
+            Vec2::new(1.0, 1.0),
+            Vec2::new(1.0, 4.0),
+        ),
+    ];
+    for (room, mut scene, tx, rx) in rooms {
+        let torsos: Vec<Obstacle> = [0.3, 0.5, 0.7]
+            .iter()
+            .map(|&f| Obstacle::new(BodyPart::Torso, tx.lerp(rx, f)))
+            .collect();
+        let on_path = [0, 1, 2, 3, 2, 1, 0];
+        let mut memo = LinkMemo::new();
+        let mut last: Option<Vec<Path>> = None;
+        for (step, &n) in on_path.iter().enumerate() {
+            scene.set_obstacles(torsos[..n].to_vec());
+            let (link, reuse) = memo.trace(&scene, tx, rx);
+            let paths = link.paths().to_vec();
+            let fresh = scene.trace_link(tx, rx);
+            assert_eq!(paths, fresh.paths(), "{room} step {step}");
+            let los = paths.iter().any(|p| p.kind == PathKind::LineOfSight);
+            assert_eq!(
+                los,
+                n < 3,
+                "{room} step {step}: the line of sight is pruned at 90 dB"
+            );
+            let expect = match &last {
+                Some(before) if same_geometry(before, &paths) => Reuse::Reshaded,
+                _ => Reuse::Retraced,
+            };
+            assert_eq!(reuse, expect, "{room} step {step}");
+            if step == 3 || step == 4 {
+                assert_eq!(reuse, Reuse::Retraced, "{room} step {step}");
+            }
+            let beam = SectorPattern::new(tx.bearing_deg_to(rx), 10.0, 15.0);
+            let got = link.evaluate(&beam, 10.0, &IsotropicPattern);
+            let want = fresh.evaluate(&beam, 10.0, &IsotropicPattern);
+            assert_eq!(
+                got.received_dbm.to_bits(),
+                want.received_dbm.to_bits(),
+                "{room} step {step}"
+            );
+            last = Some(paths);
+        }
     }
 }
 
