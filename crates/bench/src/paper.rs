@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use crate::{ap_position, cdf_series, figure_header, random_headset_pose, reflector_position, series};
-use movr::alignment::{estimate_incidence, AlignmentConfig};
+use movr::alignment::{estimate_incidence, sweep_cost, AlignmentConfig};
 use movr::baselines::{aligned_direct_snr, opt_nlos};
 use movr::gain_control::GainControlConfig;
 use movr::reflector::MovrReflector;
@@ -526,10 +526,8 @@ pub fn latency() -> Experiment {
         SimTime::from_nanos(steps * movr_math::convert::usize_to_u64(gc.reads_per_step) * 10_000);
 
     // Full install-time sweep: 101 × 101 beams.
-    let n = 101u64;
-    let full_sweep = SimTime::from_nanos(
-        n * cfg.beam_command_latency.as_nanos() + n * n * cfg.sweep_dwell.as_nanos(),
-    );
+    let full_sweep =
+        sweep_cost(101, 101, cfg.beam_command_latency, cfg.sweep_dwell).unwrap_or(SimTime::MAX);
 
     let airtime = traffic.frame_airtime(6756.75).expect("max rate");
     let (track, sweep) = (sys.tracking_realignment_cost(), sys.sweep_realignment_cost());

@@ -12,7 +12,6 @@
 
 use crate::message::ControlMessage;
 use movr_math::SimRng;
-use movr_obs::{Event, NullRecorder, Recorder};
 use movr_sim::SimTime;
 
 /// A lossy, delayed control link.
@@ -70,28 +69,7 @@ impl ControlChannel {
     /// Sends a message at `now`. Returns the delivery time, or `None` if
     /// the message was lost.
     pub fn send(&mut self, now: SimTime, msg: ControlMessage) -> Option<SimTime> {
-        self.send_recorded(now, msg, &mut NullRecorder)
-    }
-
-    /// [`ControlChannel::send`] with observability: emits one `ctrl_send`
-    /// event per attempt (`lost` marks drops; delivered sends carry the
-    /// arrival time). Identical channel behaviour — the recorder never
-    /// touches the RNG stream.
-    pub fn send_recorded(
-        &mut self,
-        now: SimTime,
-        msg: ControlMessage,
-        rec: &mut dyn Recorder,
-    ) -> Option<SimTime> {
         if self.rng.chance(self.loss_probability) {
-            if rec.enabled() {
-                rec.record(
-                    Event::new(now, "ctrl_send")
-                        .with("msg", msg.kind())
-                        .with("bytes", msg.size_bytes())
-                        .with("lost", true),
-                );
-            }
             return None;
         }
         let jitter_ns = if self.jitter == SimTime::ZERO {
@@ -105,15 +83,6 @@ impl ControlChannel {
         let at = now + self.latency + SimTime::from_nanos(jitter_ns);
         self.in_flight.push((at, self.seq, msg));
         self.seq += 1;
-        if rec.enabled() {
-            rec.record(
-                Event::new(now, "ctrl_send")
-                    .with("msg", msg.kind())
-                    .with("bytes", msg.size_bytes())
-                    .with("lost", false)
-                    .with("deliver_at_ns", at),
-            );
-        }
         Some(at)
     }
 
@@ -229,50 +198,5 @@ mod tests {
     fn max_latency() {
         let ch = ControlChannel::bluetooth(0);
         assert_eq!(ch.max_latency(), SimTime::from_micros(10_000));
-    }
-
-    #[test]
-    fn recorded_send_emits_one_event_per_attempt() {
-        use movr_obs::{MemoryRecorder, Value};
-        let mut ch = ControlChannel::bluetooth(1);
-        ch.loss_probability = 0.5;
-        let mut rec = MemoryRecorder::new();
-        let mut losses = 0;
-        for i in 0..40u64 {
-            if ch
-                .send_recorded(SimTime::from_millis(i * 20), ControlMessage::Ack, &mut rec)
-                .is_none()
-            {
-                losses += 1;
-            }
-        }
-        assert_eq!(rec.of_kind("ctrl_send").count(), 40);
-        let recorded_losses = rec
-            .of_kind("ctrl_send")
-            .filter(|e| e.field("lost") == Some(&Value::Bool(true)))
-            .count();
-        assert_eq!(recorded_losses, losses);
-        assert!(losses > 0, "50% loss over 40 sends must drop something");
-    }
-
-    #[test]
-    fn recorder_does_not_perturb_the_channel() {
-        use movr_obs::MemoryRecorder;
-        // Same seed, with and without a recorder: identical delivery times.
-        let run = |record: bool| {
-            let mut ch = ControlChannel::bluetooth(5);
-            let mut rec = MemoryRecorder::new();
-            (0..50u64)
-                .map(|i| {
-                    let now = SimTime::from_millis(i * 30);
-                    if record {
-                        ch.send_recorded(now, ControlMessage::Ack, &mut rec)
-                    } else {
-                        ch.send(now, ControlMessage::Ack)
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false));
     }
 }

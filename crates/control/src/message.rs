@@ -51,65 +51,9 @@ pub enum ControlMessage {
     Ack,
 }
 
-impl ControlMessage {
-    /// Stable short name of the message variant, for structured event
-    /// fields and log lines.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ControlMessage::SetReflectorBeams { .. } => "set_reflector_beams",
-            ControlMessage::SetAmplifierGain { .. } => "set_amplifier_gain",
-            ControlMessage::StartModulation { .. } => "start_modulation",
-            ControlMessage::StopModulation => "stop_modulation",
-            ControlMessage::RunGainControl => "run_gain_control",
-            ControlMessage::GainControlDone { .. } => "gain_control_done",
-            ControlMessage::SnrReport { .. } => "snr_report",
-            ControlMessage::SetHeadsetBeam { .. } => "set_headset_beam",
-            ControlMessage::Ack => "ack",
-        }
-    }
-
-    /// Rough on-air size in bytes (for airtime accounting on the slow
-    /// link). All messages fit one BLE data PDU.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            ControlMessage::SetReflectorBeams { .. } => 12,
-            ControlMessage::SetAmplifierGain { .. } => 8,
-            ControlMessage::StartModulation { .. } => 8,
-            ControlMessage::StopModulation => 4,
-            ControlMessage::RunGainControl => 4,
-            ControlMessage::GainControlDone { .. } => 8,
-            ControlMessage::SnrReport { .. } => 8,
-            ControlMessage::SetHeadsetBeam { .. } => 8,
-            ControlMessage::Ack => 2,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn messages_fit_ble_pdu() {
-        let msgs = [
-            ControlMessage::SetReflectorBeams {
-                rx_deg: 90.0,
-                tx_deg: 120.0,
-            },
-            ControlMessage::SetAmplifierGain { gain_db: 22.0 },
-            ControlMessage::StartModulation { freq_hz: 100e3 },
-            ControlMessage::StopModulation,
-            ControlMessage::RunGainControl,
-            ControlMessage::GainControlDone { gain_db: 21.5 },
-            ControlMessage::SnrReport { snr_db: 17.0 },
-            ControlMessage::SetHeadsetBeam { rx_deg: 45.0 },
-            ControlMessage::Ack,
-        ];
-        for m in msgs {
-            assert!(m.size_bytes() <= 27, "{m:?} exceeds a BLE data PDU");
-            assert!(m.size_bytes() >= 2);
-        }
-    }
 
     #[test]
     fn equality_carries_payload() {

@@ -12,7 +12,6 @@
 
 use crate::channel::ControlChannel;
 use crate::message::ControlMessage;
-use movr_obs::{Event, NullRecorder, Recorder};
 use movr_sim::SimTime;
 
 /// The state of the in-flight command, as reported by `poll`.
@@ -108,17 +107,6 @@ impl CommandSession {
     /// another command is still in flight — stop-and-wait means one at a
     /// time.
     pub fn submit(&mut self, now: SimTime, msg: ControlMessage) -> bool {
-        self.submit_recorded(now, msg, &mut NullRecorder)
-    }
-
-    /// [`CommandSession::submit`] with observability: emits a
-    /// `cmd_submit` event (and the forward channel's `ctrl_send`).
-    pub fn submit_recorded(
-        &mut self,
-        now: SimTime,
-        msg: ControlMessage,
-        rec: &mut dyn Recorder,
-    ) -> bool {
         if matches!(
             self.outstanding,
             Some(Outstanding {
@@ -131,10 +119,7 @@ impl CommandSession {
         }
         self.stats.submitted += 1;
         self.stats.transmissions += 1;
-        if rec.enabled() {
-            rec.record(Event::new(now, "cmd_submit").with("msg", msg.kind()));
-        }
-        self.forward.send_recorded(now, msg, rec);
+        self.forward.send(now, msg);
         self.outstanding = Some(Outstanding {
             msg,
             sent_at: now,
@@ -149,21 +134,10 @@ impl CommandSession {
     /// firmware (which acks), delivers acks back, retransmits on
     /// timeout. Returns the current status.
     pub fn poll(&mut self, now: SimTime) -> SessionStatus {
-        self.poll_recorded(now, &mut NullRecorder)
-    }
-
-    /// [`CommandSession::poll`] with observability: emits `cmd_applied`
-    /// (firmware side), `cmd_ack` with the command's round-trip time,
-    /// `cmd_retry` on each retransmission, and `cmd_fail` when the retry
-    /// budget is exhausted.
-    pub fn poll_recorded(&mut self, now: SimTime, rec: &mut dyn Recorder) -> SessionStatus {
         // Firmware side: apply every delivered command, ack each.
         for (at, msg) in self.forward.deliveries(now) {
-            if rec.enabled() {
-                rec.record(Event::new(at, "cmd_applied").with("msg", msg.kind()));
-            }
             self.applied.push((at, msg));
-            self.reverse.send_recorded(at, ControlMessage::Ack, rec);
+            self.reverse.send(at, ControlMessage::Ack);
         }
         // AP side: consume acks.
         let acks = self.reverse.deliveries(now);
@@ -172,38 +146,16 @@ impl CommandSession {
                 if let Some(&(at, _)) = acks.first() {
                     out.acked_at = Some(at);
                     self.stats.acked += 1;
-                    if rec.enabled() {
-                        rec.record(
-                            Event::new(at, "cmd_ack")
-                                .with("msg", out.msg.kind())
-                                .with("rtt_ns", at.saturating_since(out.sent_at)),
-                        );
-                    }
                 } else if now.saturating_since(out.sent_at) >= self.timeout {
                     if out.retries_left == 0 {
                         out.failed = true;
                         self.stats.failed += 1;
-                        if rec.enabled() {
-                            rec.record(
-                                Event::new(now, "cmd_fail")
-                                    .with("msg", out.msg.kind())
-                                    .with("retries", u64::from(self.max_retries)),
-                            );
-                        }
                     } else {
                         out.retries_left -= 1;
                         out.sent_at = now;
                         self.stats.retries += 1;
                         self.stats.transmissions += 1;
-                        let msg = out.msg;
-                        if rec.enabled() {
-                            rec.record(
-                                Event::new(now, "cmd_retry")
-                                    .with("msg", msg.kind())
-                                    .with("retries_left", u64::from(out.retries_left)),
-                            );
-                        }
-                        self.forward.send_recorded(now, msg, rec);
+                        self.forward.send(now, out.msg);
                     }
                 }
             }
@@ -319,7 +271,10 @@ mod tests {
             assert!(matches!(status, SessionStatus::Acked(_)), "{status:?}");
             now = resolved_at + SimTime::from_millis(1);
         }
-        assert!(s.stats().retries > 0, "loss at 60% must force retries");
+        let stats = s.stats();
+        assert!(stats.retries > 0, "loss at 60% must force retries");
+        assert_eq!(stats.transmissions, stats.submitted + stats.retries);
+        assert_eq!(stats.acked, stats.submitted);
         assert!(s.applied().len() >= 8);
     }
 
@@ -335,8 +290,11 @@ mod tests {
             SimTime::from_secs_f64(5.0),
         );
         assert_eq!(status, SessionStatus::Failed);
-        assert_eq!(s.stats().failed, 1);
-        assert_eq!(s.stats().transmissions, 3); // 1 send + 2 retries
+        let stats = s.stats();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.transmissions, 3); // 1 send + 2 retries
+        assert_eq!(stats.transmissions, stats.submitted + stats.retries);
+        assert_eq!(stats.acked, 0);
         assert!(s.applied().is_empty());
     }
 
@@ -358,54 +316,6 @@ mod tests {
         assert!(s.applied().len() >= 2, "retransmissions re-apply");
         let first = s.applied()[0].1;
         assert!(s.applied().iter().all(|&(_, m)| m == first));
-    }
-
-    #[test]
-    fn recorded_protocol_emits_retry_and_ack_timeline() {
-        use movr_obs::MemoryRecorder;
-        // Lossy forward channel: the timeline must show the retries that
-        // the stats already count, plus exactly one ack per command.
-        let mut forward = ControlChannel::bluetooth(7);
-        forward.loss_probability = 0.6;
-        let mut s = CommandSession::new(forward, ControlChannel::ideal(), 50);
-        let mut rec = MemoryRecorder::new();
-        let mut now = SimTime::ZERO;
-        for _ in 0..4 {
-            assert!(s.submit_recorded(now, cmd(), &mut rec));
-            loop {
-                match s.poll_recorded(now, &mut rec) {
-                    SessionStatus::Acked(_) | SessionStatus::Failed => break,
-                    _ => now += SimTime::from_millis(1),
-                }
-            }
-            now += SimTime::from_millis(1);
-        }
-        assert_eq!(rec.of_kind("cmd_submit").count(), 4);
-        assert_eq!(rec.of_kind("cmd_ack").count(), s.stats().acked);
-        assert_eq!(rec.of_kind("cmd_retry").count(), s.stats().retries);
-        assert_eq!(
-            rec.of_kind("ctrl_send").count(),
-            s.stats().transmissions + s.applied().len(),
-            "one ctrl_send per forward transmission plus one per ack"
-        );
-    }
-
-    #[test]
-    fn recorded_failure_emits_cmd_fail() {
-        use movr_obs::MemoryRecorder;
-        let mut forward = ControlChannel::bluetooth(3);
-        forward.loss_probability = 1.0;
-        let mut s = CommandSession::new(forward, ControlChannel::ideal(), 2);
-        let mut rec = MemoryRecorder::new();
-        s.submit_recorded(SimTime::ZERO, cmd(), &mut rec);
-        let mut now = SimTime::ZERO;
-        while !matches!(s.poll_recorded(now, &mut rec), SessionStatus::Failed) {
-            now += SimTime::from_millis(5);
-            assert!(now < SimTime::from_secs_f64(5.0), "must fail within budget");
-        }
-        assert_eq!(rec.of_kind("cmd_fail").count(), 1);
-        assert_eq!(rec.of_kind("cmd_retry").count(), 2);
-        assert_eq!(rec.of_kind("cmd_ack").count(), 0);
     }
 
     #[test]

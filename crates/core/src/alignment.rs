@@ -21,21 +21,22 @@
 //! have a receive chain — reports SNR per candidate over the control
 //! channel.
 //!
-//! Both searches keep only the argmax of their noisy readings, so an
-//! unrecorded sweep skips every probe that provably reads below the best
-//! one: the triangle inequality bounds each probe's coherent folds from
-//! gain rows the sweep already holds, and a probe whose reading bound
-//! falls below a lower bound on the best reading runs neither its folds
-//! nor its jitter, only advancing the RNG past its draw. Results, probe
-//! counts, elapsed time and the RNG state are bit-identical to reading
-//! every probe (DESIGN.md, "Performance: the sweep-rate link engine").
-//! A recorded sweep reads every probe, since each probe event carries its
-//! reading.
+//! Both searches keep only the argmax of their noisy readings, so each
+//! sweep skips every probe that provably reads below the best one: the
+//! triangle inequality bounds each probe's coherent folds from gain rows
+//! the sweep already holds, and a probe whose reading bound falls below a
+//! lower bound on the best reading runs neither its folds nor its jitter,
+//! only advancing the RNG past its draw. Results, probe counts, elapsed
+//! time and the RNG state are bit-identical to reading every probe
+//! (DESIGN.md, "Performance: the sweep-rate link engine"). A sweep's
+//! elapsed time is its [`sweep_cost`]: one beam command per outer beam
+//! and one dwell per probe. The sweeps record no events; a caller that
+//! owns a recorder records their results.
 
+use crate::gain_control::{run_gain_control, GainControlConfig};
 use crate::reflector::MovrReflector;
 use crate::relay::{relay_end_snr_batched, relay_input_noise, round_trip_reflection_batched};
 use movr_math::{amplitude_to_db, convert, db_to_amplitude, SimRng};
-use movr_obs::{Event, NullRecorder, Recorder};
 use movr_phased_array::{Codebook, GainPage, PatternTable};
 use movr_radio::{RadioEndpoint, ToneProbe};
 use movr_rfsim::{LinkBatch, Scene};
@@ -95,7 +96,8 @@ pub struct AlignmentResult {
     pub peak_power_dbm: f64,
     /// Number of (θ₁, θ₂) measurements taken.
     pub measurements: usize,
-    /// Wall-clock cost of the sweep.
+    /// Wall-clock cost of the sweep: its [`sweep_cost`], or
+    /// [`SimTime::MAX`] when that does not fit.
     pub elapsed: SimTime,
 }
 
@@ -107,48 +109,13 @@ pub struct AlignmentResult {
 pub fn estimate_incidence(
     scene: &Scene,
     ap: RadioEndpoint,
-    reflector: MovrReflector,
-    config: &AlignmentConfig,
-    rng: &mut SimRng,
-) -> AlignmentResult {
-    estimate_incidence_recorded(
-        scene,
-        ap,
-        reflector,
-        config,
-        rng,
-        SimTime::ZERO,
-        &mut NullRecorder,
-    )
-}
-
-/// [`estimate_incidence`] with observability. The sweep is wrapped in an
-/// `alignment_sweep` span starting at `start`; a sim-time cursor
-/// advances by `beam_command_latency` per reflector beam change and by
-/// `dwell` per (θ₁, θ₂) probe, so every `beam_probe` event
-/// (`theta1_deg`, `theta2_deg`, `power_dbm`) is stamped with the instant
-/// its measurement completes. The winning pair is announced as
-/// `alignment_chosen`. The estimate itself is bit-identical to the plain
-/// function: the recorder draws nothing from `rng`, and the plain
-/// function's skipped probes read below its peak.
-pub fn estimate_incidence_recorded(
-    scene: &Scene,
-    ap: RadioEndpoint,
     mut reflector: MovrReflector,
     config: &AlignmentConfig,
     rng: &mut SimRng,
-    start: SimTime,
-    rec: &mut dyn Recorder,
 ) -> AlignmentResult {
     reflector.set_gain_db(config.probe_gain_db);
     reflector.set_modulating(config.modulated);
 
-    let span = if rec.enabled() {
-        Some(rec.start_span(start, "alignment_sweep"))
-    } else {
-        None
-    };
-    let mut cursor = start;
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
     let mut measurements = 0usize;
 
@@ -164,27 +131,24 @@ pub fn estimate_incidence_recorded(
     let fwd = scene.trace_link(ap.position(), reflector.position()).batch();
     let bck = scene.trace_link(reflector.position(), ap.position()).batch();
     let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);
-    let ap_rows = LegRows::shared(&ap_table, fwd.departure_deg(), bck.arrival_deg());
+    let ap_rows = LegRows::new(&ap_table, fwd.departure_deg(), bck.arrival_deg());
     // The probe's leakage and floor terms are fixed for the sweep too.
     let meter = if config.modulated {
         config.probe.modulated_meter(ap.tx_power_dbm())
     } else {
         config.probe.unmodulated_meter(ap.tx_power_dbm())
     };
-    // A posture draws nothing from `rng`, so every θ₁'s relay gain is
-    // taken before the first probe, and its gain rows fold when a probe
-    // first reads them. Both of the reflector's beams take θ₁, so where
-    // its arrays hold the same pattern at every θ₁, one page over both
-    // legs' bearings serves both; the check falls back to a page per
-    // array.
-    let rx_table = PatternTable::new(reflector.rx_array(), &config.reflector_codebook);
-    let tx_table = PatternTable::new(reflector.tx_array(), &config.reflector_codebook);
-    let posture_rows = LegRows::fill(&rx_table, fwd.arrival_deg(), &tx_table, bck.departure_deg());
-    let relay_gains: Vec<Option<f64>> = rx_table
+    // Both of the reflector's beams take θ₁, and its two arrays share one
+    // mount, so one table serves both, and one page over both legs'
+    // bearings gives both posture rows. A posture draws nothing from
+    // `rng`, so every θ₁'s relay gain is taken before the first probe,
+    // and its gain rows fold when a probe first reads them.
+    let posture_table = PatternTable::new(reflector.rx_array(), &config.reflector_codebook);
+    let posture_rows = LegRows::new(&posture_table, fwd.arrival_deg(), bck.departure_deg());
+    let relay_gains: Vec<Option<f64>> = posture_table
         .entries()
-        .zip(tx_table.entries())
-        .map(|((_, rx), (_, tx))| {
-            reflector.adopt_steering(rx, tx);
+        .map(|(_, posture)| {
+            reflector.adopt_steering(posture, posture);
             reflector.effective_gain_db()
         })
         .collect();
@@ -207,22 +171,18 @@ pub fn estimate_incidence_recorded(
     // largest bound less the jitter. A probe at posture i is skipped when
     // its round-trip bound is below the amplitude whose carrier would
     // read `lower` less the jitter and the slack.
-    let bounds = (!rec.enabled()).then(|| {
-        round_trip_bounds(&ap_table, &rx_table, &tx_table, &fwd, &bck, &relay_gains)
-    });
+    let bounds = round_trip_bounds(&ap_table, &posture_table, &fwd, &bck, &relay_gains);
     let ap_beams = ap_table.len();
     let jitter_db = meter.jitter_bound_db();
     let mut lower = f64::NEG_INFINITY;
-    if let Some(bounds) = &bounds {
-        let best_bounded = first_max(relay_gains.iter().enumerate().filter_map(|(i, gain_db)| {
-            let gain_db = (*gain_db)?;
-            let row = &bounds[i * ap_beams..(i + 1) * ap_beams];
-            let (j, b) = first_max(row.iter().copied().enumerate())?;
-            Some(((i, j), gain_db + amplitude_to_db(b)))
-        }));
-        if let Some(((i, j), _)) = best_bounded {
-            lower = lower.max(meter.pre_jitter_dbm(round_trip_dbm(i, j)) - jitter_db);
-        }
+    let best_bounded = first_max(relay_gains.iter().enumerate().filter_map(|(i, gain_db)| {
+        let gain_db = (*gain_db)?;
+        let row = &bounds[i * ap_beams..(i + 1) * ap_beams];
+        let (j, b) = first_max(row.iter().copied().enumerate())?;
+        Some(((i, j), gain_db + amplitude_to_db(b)))
+    }));
+    if let Some(((i, j), _)) = best_bounded {
+        lower = lower.max(meter.pre_jitter_dbm(round_trip_dbm(i, j)) - jitter_db);
     }
     let skip_below = |lower: f64, relay_gain_db: Option<f64>| {
         relay_gain_db.map_or(0.0, |gain_db| {
@@ -233,25 +193,15 @@ pub fn estimate_incidence_recorded(
 
     let beams = config.reflector_codebook.beams().iter();
     for (i, (&theta1, &relay_gain_db)) in beams.zip(&relay_gains).enumerate() {
-        cursor += config.beam_command_latency;
-        let row_bounds = bounds.as_ref().map(|b| &b[i * ap_beams..(i + 1) * ap_beams]);
+        let row_bounds = &bounds[i * ap_beams..(i + 1) * ap_beams];
         let mut threshold = skip_below(lower, relay_gain_db);
         for (j, (theta2, _)) in ap_table.entries().enumerate() {
             measurements += 1;
-            cursor += config.dwell;
-            if row_bounds.is_some_and(|row| row[j] < threshold) {
+            if row_bounds[j] < threshold {
                 rng.skip_std_normal();
                 continue;
             }
             let reading = meter.measure(round_trip_dbm(i, j), rng);
-            if rec.enabled() {
-                rec.record(
-                    Event::new(cursor, "beam_probe")
-                        .with("theta1_deg", theta1)
-                        .with("theta2_deg", theta2)
-                        .with("power_dbm", reading.power_dbm),
-                );
-            }
             if reading.power_dbm > best.0 {
                 best = (reading.power_dbm, theta1, theta2);
                 if best.0 > lower {
@@ -262,31 +212,37 @@ pub fn estimate_incidence_recorded(
         }
     }
 
-    let n1 = convert::usize_to_u64(config.reflector_codebook.len());
-    let n2 = convert::usize_to_u64(config.ap_codebook.len());
-    let elapsed = SimTime::from_nanos(
-        n1 * config.beam_command_latency.as_nanos() + n1 * n2 * config.dwell.as_nanos(),
+    let elapsed = sweep_cost(
+        convert::usize_to_u64(config.reflector_codebook.len()),
+        convert::usize_to_u64(config.ap_codebook.len()),
+        config.beam_command_latency,
+        config.dwell,
     );
-    debug_assert_eq!(start + elapsed, cursor, "cursor must mirror the cost model");
-
-    if let Some(id) = span {
-        rec.record(
-            Event::new(cursor, "alignment_chosen")
-                .with("reflector_deg", best.1)
-                .with("ap_deg", best.2)
-                .with("peak_dbm", best.0)
-                .with("measurements", measurements),
-        );
-        rec.end_span(cursor, "alignment_sweep", id);
-    }
-
     AlignmentResult {
         reflector_angle_deg: best.1,
         ap_angle_deg: best.2,
         peak_power_dbm: best.0,
         measurements,
-        elapsed,
+        elapsed: elapsed.unwrap_or(SimTime::MAX),
     }
+}
+
+/// The cost of a sweep of `commands` beam commands, each followed by
+/// `dwells_per_command` dwells: `commands` command latencies plus
+/// `commands · dwells_per_command` dwells, or `None` when it does not fit
+/// in a [`SimTime`].
+pub fn sweep_cost(
+    commands: u64,
+    dwells_per_command: u64,
+    beam_command_latency: SimTime,
+    dwell: SimTime,
+) -> Option<SimTime> {
+    let commands = u128::from(commands);
+    let command_ns = commands * u128::from(beam_command_latency.as_nanos());
+    let dwell_ns =
+        (commands * u128::from(dwells_per_command)).checked_mul(u128::from(dwell.as_nanos()))?;
+    let total = command_ns.checked_add(dwell_ns)?;
+    u64::try_from(total).ok().map(SimTime::from_nanos)
 }
 
 /// The outcome of the reflection-angle (reflector → headset) estimation.
@@ -300,7 +256,8 @@ pub struct ReflectionResult {
     pub peak_snr_db: f64,
     /// Number of measurements taken.
     pub measurements: usize,
-    /// Wall-clock cost of the sweep.
+    /// Wall-clock cost of the sweep: its [`sweep_cost`], or
+    /// [`SimTime::MAX`] when that does not fit.
     pub elapsed: SimTime,
 }
 
@@ -321,47 +278,14 @@ pub struct SweepParams<'a> {
 /// the (already estimated) AP bearing; its transmit beam sweeps
 /// `sweep.tx_codebook` while the headset sweeps `sweep.headset_codebook`
 /// and reports SNR. SNR reports carry `snr_sigma_db` of measurement
-/// noise.
+/// noise. Each candidate TX beam first runs the §4.2 gain loop.
 pub fn estimate_reflection(
-    scene: &Scene,
-    ap: &RadioEndpoint,
-    reflector: MovrReflector,
-    headset: RadioEndpoint,
-    sweep: &SweepParams<'_>,
-    rng: &mut SimRng,
-) -> ReflectionResult {
-    estimate_reflection_recorded(
-        scene,
-        ap,
-        reflector,
-        headset,
-        sweep,
-        rng,
-        SimTime::ZERO,
-        &mut NullRecorder,
-    )
-}
-
-/// [`estimate_reflection`] with observability: a `reflection_sweep` span
-/// starting at `start` wraps the search; each candidate TX beam first
-/// runs the recorded §4.2 gain loop (so its `gain_ramp` span nests
-/// inside), then each headset probe emits `reflect_probe` (`tx_deg`,
-/// `rx_deg`, `snr_db`); the winner is announced as `reflection_chosen`.
-/// The estimate is bit-identical to the plain function, which skips
-/// only probes that report below its peak.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the sweep inputs plus the (start, recorder) pair every `_recorded` fn takes"
-)]
-pub fn estimate_reflection_recorded(
     scene: &Scene,
     ap: &RadioEndpoint,
     mut reflector: MovrReflector,
     headset: RadioEndpoint,
     sweep: &SweepParams<'_>,
     rng: &mut SimRng,
-    start: SimTime,
-    rec: &mut dyn Recorder,
 ) -> ReflectionResult {
     let SweepParams {
         tx_codebook,
@@ -369,12 +293,6 @@ pub fn estimate_reflection_recorded(
         config,
     } = *sweep;
     reflector.set_modulating(false);
-    let span = if rec.enabled() {
-        Some(rec.start_span(start, "reflection_sweep"))
-    } else {
-        None
-    };
-    let mut cursor = start;
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
     let mut measurements = 0usize;
     let snr_sigma_db = 0.5;
@@ -407,12 +325,13 @@ pub fn estimate_reflection_recorded(
     // the end SNR of its best-bounded headset beam less the jitter, where
     // that beam's bound shows it could.
     let hop2_paths = hop2.tap_magnitudes().len();
-    let bounds = (!rec.enabled()).then(|| {
-        let hs = hs_table.amplitude_bounds(hop2.arrival_deg());
-        let hs_rows = |j: usize| &hs[j * hop2_paths..(j + 1) * hop2_paths];
-        let hs = BoundPage::new(hs_table.len(), hs_rows, hop2.tap_magnitudes());
-        (hs, tx_table.amplitude_bounds(hop2.departure_deg()))
-    });
+    let hs_amplitudes = hs_table.amplitude_bounds(hop2.arrival_deg());
+    let hs_bounds = BoundPage::new(
+        hs_table.len(),
+        |j| &hs_amplitudes[j * hop2_paths..(j + 1) * hop2_paths],
+        hop2.tap_magnitudes(),
+    );
+    let tx_bounds = tx_table.amplitude_bounds(hop2.departure_deg());
     let mut hop2_bounds = vec![0.0; hs_table.len()];
     let jitter_db = snr_sigma_db * SimRng::STD_NORMAL_MAX;
     let mut lower = f64::NEG_INFINITY;
@@ -430,16 +349,10 @@ pub fn estimate_reflection_recorded(
     let rx = *reflector.rx_array();
     for (i, (tx_deg, tx)) in tx_table.entries().enumerate() {
         reflector.adopt_steering(&rx, tx);
-        cursor += config.beam_command_latency;
         // Each beam pair has its own leakage; re-run the §4.2 loop so the
         // candidate is evaluated at the gain it would actually be served
         // with.
-        crate::gain_control::run_gain_control_recorded(
-            &mut reflector,
-            &crate::gain_control::GainControlConfig::default(),
-            cursor,
-            rec,
-        );
+        run_gain_control(&mut reflector, &GainControlConfig::default());
         let relay_gain_db = reflector.effective_gain_db();
         let end_snr_db = |j: usize| {
             relay_end_snr_batched(
@@ -451,35 +364,24 @@ pub fn estimate_reflection_recorded(
                 hs_page.row(j),
             )
         };
-        if let Some((hs_bounds, tx_bounds)) = &bounds {
-            let tx_row = &tx_bounds[i * hop2_paths..(i + 1) * hop2_paths];
-            hs_bounds.fold_bounds(tx_row, &mut hop2_bounds);
-            // Below this bound, the beam's end SNR less the jitter stays
-            // below `lower` by the slack, and the update leaves it as is.
-            let raises = skip_below(lower + 2.0 * jitter_db, relay_gain_db);
-            if let Some((j, b)) = first_max(hop2_bounds.iter().copied().enumerate()) {
-                if b >= raises {
-                    lower = lower.max(end_snr_db(j) - jitter_db);
-                }
+        let tx_row = &tx_bounds[i * hop2_paths..(i + 1) * hop2_paths];
+        hs_bounds.fold_bounds(tx_row, &mut hop2_bounds);
+        // Below this bound, the beam's end SNR less the jitter stays
+        // below `lower` by the slack, and the update leaves it as is.
+        let raises = skip_below(lower + 2.0 * jitter_db, relay_gain_db);
+        if let Some((j, b)) = first_max(hop2_bounds.iter().copied().enumerate()) {
+            if b >= raises {
+                lower = lower.max(end_snr_db(j) - jitter_db);
             }
         }
         let mut threshold = skip_below(lower, relay_gain_db);
         for (j, (rx_deg, _)) in hs_table.entries().enumerate() {
             measurements += 1;
-            cursor += config.dwell;
-            if bounds.is_some() && hop2_bounds[j] < threshold {
+            if hop2_bounds[j] < threshold {
                 rng.skip_std_normal();
                 continue;
             }
             let reported = end_snr_db(j) + rng.normal(0.0, snr_sigma_db);
-            if rec.enabled() {
-                rec.record(
-                    Event::new(cursor, "reflect_probe")
-                        .with("tx_deg", tx_deg)
-                        .with("rx_deg", rx_deg)
-                        .with("snr_db", reported),
-                );
-            }
             if reported > best.0 {
                 best = (reported, tx_deg, rx_deg);
                 if best.0 > lower {
@@ -490,124 +392,89 @@ pub fn estimate_reflection_recorded(
         }
     }
 
-    let n1 = convert::usize_to_u64(tx_codebook.len());
-    let n2 = convert::usize_to_u64(headset_codebook.len());
-    let elapsed = SimTime::from_nanos(
-        n1 * config.beam_command_latency.as_nanos() + n1 * n2 * config.dwell.as_nanos(),
+    let elapsed = sweep_cost(
+        convert::usize_to_u64(tx_codebook.len()),
+        convert::usize_to_u64(headset_codebook.len()),
+        config.beam_command_latency,
+        config.dwell,
     );
-    debug_assert_eq!(start + elapsed, cursor, "cursor must mirror the cost model");
-
-    if let Some(id) = span {
-        rec.record(
-            Event::new(cursor, "reflection_chosen")
-                .with("tx_deg", best.1)
-                .with("rx_deg", best.2)
-                .with("peak_snr_db", best.0)
-                .with("measurements", measurements),
-        );
-        rec.end_span(cursor, "reflection_sweep", id);
-    }
-
     ReflectionResult {
         tx_angle_deg: best.1,
         headset_angle_deg: best.2,
         peak_snr_db: best.0,
         measurements,
-        elapsed,
+        elapsed: elapsed.unwrap_or(SimTime::MAX),
     }
 }
 
-/// Per-entry gain rows toward the bearings of a round trip's two legs.
-/// One page over both legs' bearings, read as column ranges, when the
-/// two legs' tables hold the same pattern entry by entry; a page per leg
-/// otherwise. No row is copied per leg.
-enum LegRows {
-    Shared { page: GainPage, split: usize },
-    Separate { first: GainPage, second: GainPage },
+/// One table's gain rows toward the bearings of a round trip's two legs:
+/// one page over the first leg's bearings followed by the second's, each
+/// leg read as a column range of it. No row is copied per leg.
+struct LegRows {
+    page: GainPage,
+    split: usize,
 }
 
 impl LegRows {
-    /// One table's rows toward both legs, from one page.
-    fn shared(table: &PatternTable, first_deg: &[f64], second_deg: &[f64]) -> Self {
-        let both: Vec<f64> = first_deg.iter().chain(second_deg).copied().collect();
-        LegRows::Shared {
-            page: table.fill_page(&both),
+    fn new(table: &PatternTable, first_deg: &[f64], second_deg: &[f64]) -> Self {
+        LegRows {
+            page: table.fill_page(&both_legs(first_deg, second_deg)),
             split: first_deg.len(),
-        }
-    }
-
-    /// `first`'s rows toward `first_deg` and `second`'s toward
-    /// `second_deg`: from one page when the tables hold the same pattern
-    /// entry by entry ([`PatternTable::same_patterns`]), else two.
-    fn fill(
-        first: &PatternTable,
-        first_deg: &[f64],
-        second: &PatternTable,
-        second_deg: &[f64],
-    ) -> Self {
-        if first.same_patterns(second) {
-            LegRows::shared(first, first_deg, second_deg)
-        } else {
-            LegRows::Separate {
-                first: first.fill_page(first_deg),
-                second: second.fill_page(second_deg),
-            }
         }
     }
 
     /// Entry `i`'s gains toward the first leg's bearings.
     fn first(&self, i: usize) -> &[f64] {
-        match self {
-            LegRows::Shared { page, split } => &page.row(i)[..*split],
-            LegRows::Separate { first, .. } => first.row(i),
-        }
+        &self.page.row(i)[..self.split]
     }
 
     /// Entry `i`'s gains toward the second leg's bearings.
     fn second(&self, i: usize) -> &[f64] {
-        match self {
-            LegRows::Shared { page, split } => &page.row(i)[*split..],
-            LegRows::Separate { second, .. } => second.row(i),
-        }
+        &self.page.row(i)[self.split..]
     }
+}
+
+/// The first leg's bearings followed by the second's.
+fn both_legs(first_deg: &[f64], second_deg: &[f64]) -> Vec<f64> {
+    first_deg.iter().chain(second_deg).copied().collect()
 }
 
 /// Per θ₁ index `i`, the bound on each probe's round trip as an
 /// amplitude, at `bounds[i·m + j]` for θ₂ index `j` of `m`: the product
 /// of both legs' fold bounds, so the probe's carrier is at most
 /// `P + G + 20·log10(bound)` for transmit power P and relay gain G. Each
-/// posture's row is computed once, and none for a posture whose
-/// amplifier is off or saturated, whose probes are all read; its row
-/// stays 0.
+/// table is bounded over both legs at once, as for its page: the AP
+/// toward the forward departures and from the back arrivals, the
+/// reflector's posture from the forward arrivals and toward the back
+/// departures. Each posture's row is computed once, and none for a
+/// posture whose amplifier is off or saturated, whose probes are all
+/// read; its row stays 0.
 fn round_trip_bounds(
     ap: &PatternTable,
-    rx: &PatternTable,
-    tx: &PatternTable,
+    posture: &PatternTable,
     fwd: &LinkBatch,
     bck: &LinkBatch,
     relay_gains: &[Option<f64>],
 ) -> Vec<f64> {
     let m = ap.len();
-    let (fwd_paths, bck_paths) = (fwd.tap_magnitudes().len(), bck.tap_magnitudes().len());
-    // The AP toward the forward departures and from the back arrivals,
-    // bounded over both legs at once, as for its page.
-    let both: Vec<f64> = fwd.departure_deg().iter().chain(bck.arrival_deg()).copied().collect();
-    let ap_bounds = ap.amplitude_bounds(&both);
-    let ap_row = |j: usize| &ap_bounds[j * both.len()..(j + 1) * both.len()];
-    let fwd_page = BoundPage::new(m, |j| &ap_row(j)[..fwd_paths], fwd.tap_magnitudes());
-    let bck_page = BoundPage::new(m, |j| &ap_row(j)[fwd_paths..], bck.tap_magnitudes());
-    // Per θ₁: the reflector's receive and transmit amplitudes.
-    let rx_bounds = rx.amplitude_bounds(fwd.arrival_deg());
-    let tx_bounds = tx.amplitude_bounds(bck.departure_deg());
+    let split = fwd.tap_magnitudes().len();
+    let cols = split + bck.tap_magnitudes().len();
+    let ap_bounds = ap.amplitude_bounds(&both_legs(fwd.departure_deg(), bck.arrival_deg()));
+    let ap_row = |j: usize| &ap_bounds[j * cols..(j + 1) * cols];
+    let fwd_page = BoundPage::new(m, |j| &ap_row(j)[..split], fwd.tap_magnitudes());
+    let bck_page = BoundPage::new(m, |j| &ap_row(j)[split..], bck.tap_magnitudes());
+    let posture_bounds =
+        posture.amplitude_bounds(&both_legs(fwd.arrival_deg(), bck.departure_deg()));
     let mut bounds = vec![0.0; relay_gains.len() * m];
     let mut back = vec![0.0; m];
     for (i, gain_db) in relay_gains.iter().enumerate() {
         if gain_db.is_none() {
             continue;
         }
+        let ends = &posture_bounds[i * cols..(i + 1) * cols];
         let row = &mut bounds[i * m..(i + 1) * m];
-        fwd_page.fold_bounds(&rx_bounds[i * fwd_paths..(i + 1) * fwd_paths], row);
-        bck_page.fold_bounds(&tx_bounds[i * bck_paths..(i + 1) * bck_paths], &mut back);
+        fwd_page.fold_bounds(&ends[..split], row);
+        bck_page.fold_bounds(&ends[split..], &mut back);
         for (o, b) in row.iter_mut().zip(&back) {
             *o *= b;
         }
@@ -786,81 +653,35 @@ mod tests {
     }
 
     #[test]
-    fn recorded_sweep_timeline_matches_cost_model() {
-        use movr_obs::MemoryRecorder;
-        let (scene, ap, reflector) = setup();
-        let cfg = coarse_config();
-        let start = SimTime::from_millis(100);
-
-        let mut rng_a = SimRng::seed_from_u64(4);
-        let plain = estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng_a);
-
-        let mut rng_b = SimRng::seed_from_u64(4);
-        let mut rec = MemoryRecorder::new();
-        let rich =
-            estimate_incidence_recorded(&scene, ap, reflector, &cfg, &mut rng_b, start, &mut rec);
-
-        // Observability must not change the answer.
-        assert_eq!(plain.reflector_angle_deg, rich.reflector_angle_deg);
-        assert_eq!(plain.ap_angle_deg, rich.ap_angle_deg);
-        assert_eq!(plain.peak_power_dbm, rich.peak_power_dbm);
-
-        // One probe event per measurement, all inside the sweep span,
-        // which covers exactly the cost model's elapsed time.
-        assert_eq!(rec.of_kind("beam_probe").count(), rich.measurements);
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 1);
-        let (name, t0, t1) = spans[0];
-        assert_eq!(name, "alignment_sweep");
-        assert_eq!(t0, start);
-        assert_eq!(t1, start + rich.elapsed);
-        assert!(rec
-            .of_kind("beam_probe")
-            .all(|e| t0 < e.t && e.t <= t1), "probes inside the span");
-        assert_eq!(rec.of_kind("alignment_chosen").count(), 1);
-    }
-
-    #[test]
-    fn recorded_reflection_nests_gain_ramps() {
-        use movr_obs::MemoryRecorder;
+    fn a_sweep_too_long_for_sim_time_saturates() {
         let (scene, mut ap, mut reflector) = setup();
+        let two_beams = |deg: f64| Codebook::sweep(deg - 1.0, deg, 1.0);
+        let cfg = AlignmentConfig {
+            ap_codebook: two_beams(77.0),
+            reflector_codebook: two_beams(-102.0),
+            dwell: SimTime::from_nanos(u64::MAX / 2),
+            ..Default::default()
+        };
+        let mut rng = SimRng::seed_from_u64(5);
+        let r = estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng);
+        assert_eq!(r.measurements, 2 * 2);
+        assert_eq!(r.elapsed, SimTime::MAX);
+
         let hs_pos = Vec2::new(3.5, 1.0);
         let headset =
             RadioEndpoint::paper_radio(hs_pos, hs_pos.bearing_deg_to(reflector.position()));
         ap.steer_toward(reflector.position());
         reflector.steer_rx(reflector.position().bearing_deg_to(ap.position()));
-        let truth_tx = reflector.position().bearing_deg_to(headset.position());
-        let truth_hs = headset.position().bearing_deg_to(reflector.position());
-        let tx_cb = Codebook::sweep(truth_tx - 9.0, truth_tx + 9.0, 3.0);
-        let hs_cb = Codebook::sweep(truth_hs - 9.0, truth_hs + 9.0, 3.0);
-        let mut rng = SimRng::seed_from_u64(3);
-        let mut rec = MemoryRecorder::new();
-        let cfg = AlignmentConfig::default();
+        let tx_cb = two_beams(reflector.position().bearing_deg_to(hs_pos));
+        let hs_cb = two_beams(hs_pos.bearing_deg_to(reflector.position()));
         let sweep = SweepParams {
             tx_codebook: &tx_cb,
             headset_codebook: &hs_cb,
             config: &cfg,
         };
-        let r = estimate_reflection_recorded(
-            &scene,
-            &ap,
-            reflector,
-            headset,
-            &sweep,
-            &mut rng,
-            SimTime::ZERO,
-            &mut rec,
-        );
-        assert_eq!(rec.of_kind("reflect_probe").count(), r.measurements);
-        // One §4.2 gain ramp per candidate TX beam, inside the sweep.
-        let spans = rec.spans();
-        let ramps = spans.iter().filter(|s| s.0 == "gain_ramp").count();
-        assert_eq!(ramps, tx_cb.len());
-        assert_eq!(
-            spans.iter().filter(|s| s.0 == "reflection_sweep").count(),
-            1
-        );
-        assert_eq!(rec.of_kind("reflection_chosen").count(), 1);
+        let r = estimate_reflection(&scene, &ap, reflector, headset, &sweep, &mut rng);
+        assert_eq!(r.measurements, 2 * 2);
+        assert_eq!(r.elapsed, SimTime::MAX);
     }
 
     #[test]

@@ -116,19 +116,18 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// The cost of a windowed re-sweep: n beam commands and n² dwells,
-    /// with n = ⌊2·`realign_window_deg` + 1⌋ beams, or `None` when the
-    /// window is NaN or negative (the re-sweep would cost nothing) or the
-    /// cost does not fit in a [`SimTime`].
+    /// The cost of a windowed re-sweep: the
+    /// [`sweep_cost`](crate::alignment::sweep_cost) of n × n beams, with
+    /// n = ⌊2·`realign_window_deg` + 1⌋, or `None` when the window is NaN
+    /// or negative (the re-sweep would cost nothing) or the cost does not
+    /// fit in a [`SimTime`].
     pub(crate) fn sweep_cost(&self) -> Option<SimTime> {
         let window = self.realign_window_deg;
         if window.is_nan() || window < 0.0 {
             return None;
         }
         let n = movr_math::convert::f64_to_u64(2.0 * window + 1.0);
-        let commands = n.checked_mul(self.beam_command_latency.as_nanos())?;
-        let dwells = n.checked_mul(self.sweep_dwell.as_nanos())?.checked_mul(n)?;
-        commands.checked_add(dwells).map(SimTime::from_nanos)
+        crate::alignment::sweep_cost(n, n, self.beam_command_latency, self.sweep_dwell)
     }
 }
 

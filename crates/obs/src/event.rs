@@ -75,7 +75,7 @@ impl From<SimTime> for Value {
 pub struct Event {
     /// When the event happened, in simulated time.
     pub t: SimTime,
-    /// Event kind (`"frame"`, `"beam_probe"`, `"gain_step"`, …).
+    /// Event kind (`"frame"`, `"realign"`, `"gain_step"`, …).
     pub kind: &'static str,
     /// Ordered fields; insertion order is serialisation order.
     pub fields: Vec<(&'static str, Value)>,

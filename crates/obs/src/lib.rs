@@ -35,16 +35,17 @@
 //! use movr_sim::SimTime;
 //!
 //! let mut rec = MemoryRecorder::new();
-//! let sweep = rec.start_span(SimTime::ZERO, "alignment_sweep");
+//! let now = SimTime::from_millis(180);
+//! let ramp = rec.start_span(now, "gain_ramp");
 //! if rec.enabled() {
 //!     rec.record(
-//!         Event::new(SimTime::from_micros(50), "beam_probe")
-//!             .with("theta1_deg", -102.0)
-//!             .with("power_dbm", -48.5),
+//!         Event::new(now, "gain_step")
+//!             .with("gain_db", 20.0)
+//!             .with("current_a", 0.21),
 //!     );
 //! }
-//! rec.end_span(SimTime::from_millis(180), "alignment_sweep", sweep);
-//! assert_eq!(rec.spans()[0].0, "alignment_sweep");
+//! rec.end_span(now, "gain_ramp", ramp);
+//! assert_eq!(rec.spans()[0].0, "gain_ramp");
 //!
 //! let mut snr = Histogram::linear(-10.0, 50.0, 60);
 //! snr.observe(21.5);

@@ -62,17 +62,6 @@ impl PatternTable {
         self.entries[i].0
     }
 
-    /// True when both tables hold the same pattern entry by entry
-    /// ([`SteeredArray::same_pattern`]), so that one page serves both.
-    pub fn same_patterns(&self, other: &PatternTable) -> bool {
-        self.len() == other.len()
-            && self
-                .entries
-                .iter()
-                .zip(other.entries.iter())
-                .all(|((_, a), (_, b))| a.same_pattern(b))
-    }
-
     /// Every entry's gains toward `bearings_deg`: row `i` of the returned
     /// page is entry `i`'s [`SteeredArray::gain_dbi_batch`] over
     /// `bearings_deg`, bit for bit. A sweep fills its observation-angle
@@ -251,6 +240,12 @@ mod tests {
                 assert_eq!(live.gain_dbi(theta), steered.gain_dbi(theta), "beam={beam}");
             }
         }
+        // The base's own steering does not matter, only each entry's.
+        live.steer_to(123.0);
+        let from_steered = PatternTable::new(&live, &codebook);
+        assert_eq!(from_steered.len(), table.len());
+        let mut pairs = table.entries().zip(from_steered.entries());
+        assert!(pairs.all(|((_, a), (_, b))| a.same_pattern(b)));
     }
 
     #[test]
@@ -490,20 +485,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn same_patterns_compares_entry_by_entry() {
-        let codebook = Codebook::sweep(40.0, 140.0, 5.0);
-        let a = PatternTable::new(&SteeredArray::paper_array(90.0), &codebook);
-        let mut steered = SteeredArray::paper_array(90.0);
-        steered.steer_to(123.0);
-        // The base's own steering does not matter, only each entry's.
-        assert!(a.same_patterns(&PatternTable::new(&steered, &codebook)));
-        let tilted = PatternTable::new(&SteeredArray::paper_array(91.0), &codebook);
-        assert!(!a.same_patterns(&tilted));
-        let fewer = Codebook::sweep(40.0, 135.0, 5.0);
-        assert!(!a.same_patterns(&PatternTable::new(&SteeredArray::paper_array(90.0), &fewer)));
     }
 
     #[test]

@@ -37,14 +37,16 @@ echo "==> tier-1: every member's tests (the analyzer's fixture self-test and the
 cargo test -q --offline
 
 echo "==> perfbench: build the benchmark against the public API and run its tests"
-cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+# --locked: a change that drops a dependency perfbench/Cargo.lock records
+# fails here, where cargo would otherwise rewrite the lockfile.
+cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 # With --seconds 0 nothing is timed, so each run reports correct=false
 # and exits 1; the comparison below is the check (a crash or a failed
 # operation changes the lines).
 for seed in 1 5; do
     echo "==> perfbench: seed-$seed warm-up outputs match scripts/perfbench-seed$seed.expected"
-    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    cargo run --release --offline --locked -q --manifest-path perfbench/Cargo.toml -- \
         --workload all --seed "$seed" --seconds 0 > "out/perfbench-seed$seed.log" || true
     awk '/^perfbench /{w=$2} /^  (attempted |alignment\.|session\.|fleet\.)/{$1=$1; print w ": " $0}' \
         "out/perfbench-seed$seed.log" > "out/perfbench-seed$seed.txt"
@@ -119,7 +121,7 @@ cargo clippy --workspace --lib --bins --offline -- -D warnings \
     -W clippy::as_conversions -W clippy::float_cmp -W clippy::unwrap_used
 
 echo "==> clippy: perfbench warning-clean under the same settings"
-cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --offline -- -D warnings
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --offline --locked -- -D warnings
 
 echo "==> rustdoc is warning-clean (an intra-doc link to a deleted item fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -12,32 +12,26 @@
 //! exact `f64` it stored, so the references query the patterns
 //! directly.)
 //!
-//! An unrecorded alignment sweep skips every probe whose reading bound
-//! falls below a lower bound on its best reading, and a recorded sweep
-//! reads every probe. So the two alignment tests run each case three
-//! ways — unrecorded, recorded and the scalar reference, which reads
-//! every probe — over seeded mounts and headset poses, codebook windows
-//! that are centred on the truth, fixed off the truth's grid, or miss
-//! the reflector, jitter on and off, both tone meters, the amplifier
-//! off, and a probe gain that saturates some postures, plus the paper's
-//! full 101×101 windows on the paper's mount. All three must agree on
-//! the result's bits, the measurement count, the elapsed time and the
-//! next RNG draw. The incidence sweep shares one reflector page between
-//! its two arrays only when they hold the same pattern at every θ₁; a
-//! reflector whose arrays face different ways runs the fallback, a page
-//! per array, against the same reference.
+//! An alignment sweep skips every probe whose reading bound falls below a
+//! lower bound on its best reading, and the scalar reference reads every
+//! probe. So the two alignment tests run each case both ways over seeded
+//! mounts and headset poses, codebook windows that are centred on the
+//! truth, fixed off the truth's grid, or miss the reflector, jitter on
+//! and off, both tone meters, the amplifier off, and a probe gain that
+//! saturates some postures, plus the paper's full 101×101 windows on the
+//! paper's mount. Both must agree on the result's bits, the measurement
+//! count, the elapsed time and the next RNG draw. The incidence sweep
+//! reads both of the reflector's posture rows from one page, since its
+//! two arrays share one mount; a separate test checks that page against
+//! each steered array.
 
-use movr::alignment::{
-    estimate_incidence, estimate_incidence_recorded, estimate_reflection,
-    estimate_reflection_recorded, AlignmentConfig, SweepParams,
-};
+use movr::alignment::{estimate_incidence, estimate_reflection, AlignmentConfig, SweepParams};
 use movr::baselines::opt_nlos;
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
 use movr::system::PAPER_DEVICE_SEED;
 use movr_math::db::sum_dbm;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
-use movr_obs::MemoryRecorder;
 use movr_phased_array::{Codebook, PatternTable};
 use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
 use movr_rfsim::{NoiseModel, Scene};
@@ -152,36 +146,18 @@ fn memoized_incidence(
     outcome(best, measurements, elapsed, rng)
 }
 
-/// One incidence case run three ways: unrecorded, recorded and the
-/// scalar reference, each from RNG seed `seed`.
-fn incidence_three_ways(
+/// One incidence case run both ways, the sweep and the scalar
+/// reference, each from RNG seed `seed`.
+fn incidence_both_ways(
     scene: &Scene,
     reflector: &MovrReflector,
     cfg: &AlignmentConfig,
     seed: u64,
-) -> [Outcome; 3] {
+) -> [Outcome; 2] {
     let ap = paper_ap();
     let mut rng = SimRng::seed_from_u64(seed);
     let r = estimate_incidence(scene, ap, reflector.clone(), cfg, &mut rng);
-    let unrecorded = outcome(
-        (r.peak_power_dbm, r.reflector_angle_deg, r.ap_angle_deg),
-        r.measurements,
-        r.elapsed,
-        &mut rng,
-    );
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut rec = MemoryRecorder::new();
-    let r = estimate_incidence_recorded(
-        scene,
-        ap,
-        reflector.clone(),
-        cfg,
-        &mut rng,
-        SimTime::ZERO,
-        &mut rec,
-    );
-    assert_eq!(rec.of_kind("beam_probe").count(), r.measurements);
-    let recorded = outcome(
+    let swept = outcome(
         (r.peak_power_dbm, r.reflector_angle_deg, r.ap_angle_deg),
         r.measurements,
         r.elapsed,
@@ -189,7 +165,7 @@ fn incidence_three_ways(
     );
     let mut rng = SimRng::seed_from_u64(seed);
     let scalar = memoized_incidence(scene, &ap, reflector.clone(), cfg, &mut rng);
-    [unrecorded, recorded, scalar]
+    [swept, scalar]
 }
 
 #[test]
@@ -200,7 +176,7 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
     for (m, reflector) in mounts().iter().enumerate() {
         let truth_refl = reflector.position().bearing_deg_to(ap.position());
         let truth_ap = ap.position().bearing_deg_to(reflector.position());
-        // 21×21 windows keep the triple sweep fast; the paper's 101×101
+        // 21×21 windows keep the case sweep fast; the paper's 101×101
         // windows run once each below. The fixed windows hold the paper
         // mount's truth off their 2° grid; the missing reflector window
         // points behind its ground plane.
@@ -218,11 +194,9 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
                     modulated,
                     ..AlignmentConfig::default()
                 };
-                let [unrecorded, recorded, scalar] =
-                    incidence_three_ways(&scene, reflector, &cfg, seed);
+                let [swept, scalar] = incidence_both_ways(&scene, reflector, &cfg, seed);
                 let case = format!("mount {m}, {name} window, σ {sigma_db}, modulated {modulated}");
-                assert_eq!(unrecorded, scalar, "unrecorded, {case}");
-                assert_eq!(recorded, scalar, "recorded, {case}");
+                assert_eq!(swept, scalar, "{case}");
                 seed += 1;
             }
         }
@@ -241,9 +215,8 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
     };
     let mut off = reflector.clone();
     off.set_amplifier_enabled(false);
-    let [unrecorded, recorded, scalar] = incidence_three_ways(&scene, &off, &centred, 7);
-    assert_eq!(unrecorded, scalar, "amplifier off, unrecorded");
-    assert_eq!(recorded, scalar, "amplifier off, recorded");
+    let [swept, scalar] = incidence_both_ways(&scene, &off, &centred, 7);
+    assert_eq!(swept, scalar, "amplifier off");
 
     let saturating = AlignmentConfig {
         probe_gain_db: reflector.amplifier().max_gain_db,
@@ -265,18 +238,15 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
         "{saturated} saturated postures"
     );
     for seed in 8..11 {
-        let [unrecorded, recorded, scalar] =
-            incidence_three_ways(&scene, reflector, &saturating, seed);
-        assert_eq!(unrecorded, scalar, "saturating probe gain, unrecorded, seed {seed}");
-        assert_eq!(recorded, scalar, "saturating probe gain, recorded, seed {seed}");
+        let [swept, scalar] = incidence_both_ways(&scene, reflector, &saturating, seed);
+        assert_eq!(swept, scalar, "saturating probe gain, seed {seed}");
     }
 
     // The paper's full 101×101 sweep at 1° on the paper's mount and
     // device (`mounts()[0]` uses device seed 5, so it is not this one).
     // The default 40°–140° windows point the reflector behind its ground
     // plane, so no probe can be skipped; fixed windows that hold both
-    // true bearings off centre let the unrecorded sweep skip nearly
-    // every probe.
+    // true bearings off centre let the sweep skip nearly every probe.
     let paper = MovrReflector::wall_mounted(Vec2::new(1.0, 4.75), -70.0, PAPER_DEVICE_SEED);
     let visible = AlignmentConfig {
         reflector_codebook: Codebook::sweep(-150.0, -50.0, 1.0),
@@ -284,20 +254,20 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
         ..AlignmentConfig::default()
     };
     for (name, cfg) in [("default", AlignmentConfig::default()), ("visible", visible)] {
-        let [unrecorded, recorded, scalar] = incidence_three_ways(&scene, &paper, &cfg, 7);
+        let [swept, scalar] = incidence_both_ways(&scene, &paper, &cfg, 7);
         assert_eq!(scalar.1, 101 * 101, "{name} window");
-        assert_eq!(unrecorded, scalar, "paper mount, {name} 101×101 window, unrecorded");
-        assert_eq!(recorded, scalar, "paper mount, {name} 101×101 window, recorded");
+        assert_eq!(swept, scalar, "paper mount, {name} 101×101 window");
     }
 }
 
 /// The incidence sweep reads each posture's two gain rows as column
-/// ranges of one page over the forward arrivals and the back departures
-/// when the reflector's arrays hold the same pattern at every θ₁, and
-/// from a page per array otherwise. Both ways must give the rows that
-/// steering the reflector and querying each array gives.
+/// ranges of one page over the forward arrivals and the back departures,
+/// filled from a table on the receive array: a reflector's two arrays
+/// share one mount, so the table's entries are the transmit array's too.
+/// The rows must be those that steering the reflector and querying each
+/// array gives.
 #[test]
-fn reflector_page_is_shared_only_when_both_arrays_hold_one_pattern() {
+fn shared_reflector_page_matches_both_steered_arrays() {
     let scene = Scene::paper_office();
     let ap = paper_ap();
     let wall = mounts().swap_remove(0);
@@ -307,11 +277,6 @@ fn reflector_page_is_shared_only_when_both_arrays_hold_one_pattern() {
     // A window that runs past the scan edge at one end, so rows clamp.
     let codebook = Codebook::sweep(truth - 50.0, truth + 50.0, 1.0);
     let rx = PatternTable::new(wall.rx_array(), &codebook);
-    let tx = PatternTable::new(wall.tx_array(), &codebook);
-    assert!(
-        rx.same_patterns(&tx),
-        "a wall mount's arrays hold one pattern"
-    );
     let both: Vec<f64> = fwd
         .arrival_deg()
         .iter()
@@ -335,33 +300,6 @@ fn reflector_page_is_shared_only_when_both_arrays_hold_one_pattern() {
             bits(&page.row(i)[split..]),
             bits(&tx_row),
             "tx row at θ₁ {theta1}"
-        );
-    }
-
-    // Arrays 25° apart hold different patterns, so the sweep falls back
-    // to a page per array and must still match the scalar reference.
-    let boresight = wall.rx_array().boresight_deg();
-    let corner = MovrReflector::with_boresights(wall.position(), boresight, boresight + 25.0, 5);
-    let rx = PatternTable::new(corner.rx_array(), &codebook);
-    assert!(!rx.same_patterns(&PatternTable::new(corner.tx_array(), &codebook)));
-    let truth_ap = ap.position().bearing_deg_to(corner.position());
-    let refl_windows = windows(truth, -125.3, boresight + 180.0);
-    let ap_windows = windows(truth_ap, 57.7, truth_ap);
-    let cases = refl_windows.into_iter().zip(ap_windows);
-    for (seed, ((name, refl_cb), (_, ap_cb))) in (20..).zip(cases) {
-        let cfg = AlignmentConfig {
-            ap_codebook: ap_cb,
-            reflector_codebook: refl_cb,
-            ..AlignmentConfig::default()
-        };
-        let [unrecorded, recorded, scalar] = incidence_three_ways(&scene, &corner, &cfg, seed);
-        assert_eq!(
-            unrecorded, scalar,
-            "arrays 25° apart, {name} window, unrecorded"
-        );
-        assert_eq!(
-            recorded, scalar,
-            "arrays 25° apart, {name} window, recorded"
         );
     }
 }
@@ -456,10 +394,9 @@ fn batched_reflection_sweep_is_bit_identical_to_memoized_scalar() {
                     config: &config,
                 };
                 let case = format!("mount {m}, headset at {hs_pos:?}, {name} windows");
-                let [unrecorded, recorded, scalar] =
-                    reflection_three_ways(&scene, &ap, &reflector, &headset, &sweep, seed);
-                assert_eq!(unrecorded, scalar, "unrecorded, {case}");
-                assert_eq!(recorded, scalar, "recorded, {case}");
+                let [swept, scalar] =
+                    reflection_both_ways(&scene, &ap, &reflector, &headset, &sweep, seed);
+                assert_eq!(swept, scalar, "{case}");
                 seed += 1;
             }
         }
@@ -480,44 +417,23 @@ fn batched_reflection_sweep_is_bit_identical_to_memoized_scalar() {
         headset_codebook: &headset_codebook,
         config: &config,
     };
-    let [unrecorded, recorded, scalar] =
-        reflection_three_ways(&scene, &ap, &reflector, &headset, &sweep, 3);
-    assert_eq!(unrecorded, scalar, "amplifier off, unrecorded");
-    assert_eq!(recorded, scalar, "amplifier off, recorded");
+    let [swept, scalar] = reflection_both_ways(&scene, &ap, &reflector, &headset, &sweep, 3);
+    assert_eq!(swept, scalar, "amplifier off");
 }
 
-/// One reflection case run three ways: unrecorded, recorded and the
-/// scalar reference, each from RNG seed `seed`.
-fn reflection_three_ways(
+/// One reflection case run both ways, the sweep and the scalar
+/// reference, each from RNG seed `seed`.
+fn reflection_both_ways(
     scene: &Scene,
     ap: &RadioEndpoint,
     reflector: &MovrReflector,
     headset: &RadioEndpoint,
     sweep: &SweepParams<'_>,
     seed: u64,
-) -> [Outcome; 3] {
+) -> [Outcome; 2] {
     let mut rng = SimRng::seed_from_u64(seed);
     let r = estimate_reflection(scene, ap, reflector.clone(), *headset, sweep, &mut rng);
-    let unrecorded = outcome(
-        (r.peak_snr_db, r.tx_angle_deg, r.headset_angle_deg),
-        r.measurements,
-        r.elapsed,
-        &mut rng,
-    );
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut rec = MemoryRecorder::new();
-    let r = estimate_reflection_recorded(
-        scene,
-        ap,
-        reflector.clone(),
-        *headset,
-        sweep,
-        &mut rng,
-        SimTime::ZERO,
-        &mut rec,
-    );
-    assert_eq!(rec.of_kind("reflect_probe").count(), r.measurements);
-    let recorded = outcome(
+    let swept = outcome(
         (r.peak_snr_db, r.tx_angle_deg, r.headset_angle_deg),
         r.measurements,
         r.elapsed,
@@ -525,7 +441,7 @@ fn reflection_three_ways(
     );
     let mut rng = SimRng::seed_from_u64(seed);
     let scalar = memoized_reflection(scene, ap, reflector.clone(), headset, sweep, &mut rng);
-    [unrecorded, recorded, scalar]
+    [swept, scalar]
 }
 
 #[test]
