@@ -243,6 +243,41 @@ fn bench_obs_reduce(opts: &BenchOptions) -> Vec<BenchReport> {
     })]
 }
 
+fn bench_obs_write(opts: &BenchOptions) -> Vec<BenchReport> {
+    // The event writer alone: the canonical 8 x 1 s fleet's events,
+    // captured once in setup, written session-tagged through one
+    // `JsonlWriter<Vec<u8>>` whose buffer is reused, as a recorded fleet
+    // session writes them (about 12k lines, most `gain_step`s). Only
+    // tagging, moving and writing each event is timed, not building it.
+    use movr::session::{run_session_recorded, SessionConfig, Strategy};
+    use movr_motion::RandomWalk;
+    use movr_obs::{JsonlWriter, MemoryRecorder, Recorder, SessionTagged};
+    use movr_rfsim::Room;
+    let room = Room::paper_office();
+    let cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: true });
+    let fleet: Vec<(u64, MemoryRecorder)> = (0..8u64)
+        .map(|id| {
+            let trace = RandomWalk::with_gaze(&room, id, 1.0, Vec2::new(0.5, 2.5));
+            let mut rec = MemoryRecorder::new();
+            run_session_recorded(&trace, &cfg, &mut rec);
+            (id, rec)
+        })
+        .collect();
+    let mut buf = Vec::new();
+    vec![bench_fn("obs_write_fleet_8x1s", opts, || {
+        buf.clear();
+        let mut writer = JsonlWriter::new(std::mem::take(&mut buf));
+        for (id, rec) in &fleet {
+            let mut tagged = SessionTagged::new(&mut writer, *id);
+            for e in rec.events() {
+                tagged.record(*e);
+            }
+        }
+        buf = writer.finish().expect("in-memory sink never fails");
+        buf.len()
+    })]
+}
+
 fn bench_array_gain(opts: &BenchOptions) -> Vec<BenchReport> {
     // One steered array, one full 101-bearing probe row (what a single
     // θ₁ of the alignment sweep asks for), queried bearing by bearing:
@@ -308,7 +343,7 @@ fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
 
 fn main() {
     let opts = BenchOptions::from_args(std::env::args().skip(1));
-    let suites: [fn(&BenchOptions) -> Vec<BenchReport>; 12] = [
+    let suites: [fn(&BenchOptions) -> Vec<BenchReport>; 13] = [
         bench_link_budget,
         bench_relay_budget,
         bench_gain_control,
@@ -318,6 +353,7 @@ fn main() {
         bench_session_second,
         bench_obs_overhead,
         bench_obs_reduce,
+        bench_obs_write,
         bench_array_gain,
         bench_pool_overhead,
         bench_lint_workspace,

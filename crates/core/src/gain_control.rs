@@ -15,7 +15,7 @@
 
 use crate::reflector::MovrReflector;
 use movr_analog::{CurrentSensor, VariableGainAmplifier};
-use movr_obs::{Event, NullRecorder, Recorder};
+use movr_obs::{Event, Key, Kind, NullRecorder, Recorder};
 use movr_sim::SimTime;
 
 /// Gain-control loop parameters.
@@ -173,9 +173,9 @@ pub fn run_gain_control_recorded(
     let step = |rec: &mut dyn Recorder, gain: f64, current: f64| {
         if rec.enabled() {
             rec.record(
-                Event::new(now, "gain_step")
-                    .with("gain_db", gain)
-                    .with("current_a", current),
+                Event::new(now, Kind::GainStep)
+                    .with(Key::GainDb, gain)
+                    .with(Key::CurrentA, current),
             );
         }
     };
@@ -223,9 +223,7 @@ pub fn run_gain_control_recorded(
             // Ceiling reached without a knee: the leakage is deeper than
             // the amplifier can chase; the maximum gain is safe.
             if let Some(id) = span {
-                rec.record(
-                    Event::new(now, "gain_ceiling").with("chosen_gain_db", gain),
-                );
+                rec.record(Event::new(now, Kind::GainCeiling).with(Key::ChosenGainDb, gain));
                 rec.end_span(now, "gain_ramp", id);
             }
             return GainControlResult {
@@ -266,9 +264,9 @@ pub fn run_gain_control_recorded(
             let chosen = reflector.set_gain_db(safe);
             if let Some(id) = span {
                 rec.record(
-                    Event::new(now, "gain_backoff")
-                        .with("chosen_gain_db", chosen)
-                        .with("knee_gain_db", gain),
+                    Event::new(now, Kind::GainBackoff)
+                        .with(Key::ChosenGainDb, chosen)
+                        .with(Key::KneeGainDb, gain),
                 );
                 rec.end_span(now, "gain_ramp", id);
             }
@@ -439,17 +437,17 @@ mod tests {
         assert_eq!(plain.knee_detected, recorded.knee_detected);
         assert_eq!(plain.trace, recorded.trace);
         let stepped: Vec<_> = rec
-            .of_kind("gain_step")
-            .map(|e| e.field("gain_db").copied())
+            .of_kind(Kind::GainStep)
+            .map(|e| e.field(Key::GainDb).copied())
             .collect();
         let traced: Vec<_> = recorded.trace.iter().map(|&g| Some(g.into())).collect();
         assert_eq!(stepped, traced);
         let spans = rec.spans();
         assert_eq!(spans, [("gain_ramp", SimTime::from_millis(20), SimTime::from_millis(20))]);
         let terminal = if recorded.knee_detected {
-            "gain_backoff"
+            Kind::GainBackoff
         } else {
-            "gain_ceiling"
+            Kind::GainCeiling
         };
         assert_eq!(rec.of_kind(terminal).count(), 1);
     }

@@ -17,7 +17,7 @@ use crate::system::{LinkMode, MovrSystem, SystemConfig};
 use movr_math::convert::{f64_to_u64, u64_to_f64, usize_to_f64, usize_to_u64};
 use movr_math::{SimRng, Summary};
 use movr_motion::MotionTrace;
-use movr_obs::{Event, Histogram, MetricsSnapshot, NullRecorder, Recorder};
+use movr_obs::{Event, Histogram, Key, Kind, MetricsSnapshot, NullRecorder, Recorder};
 use movr_radio::{FrameConfig, McsEntry, PerModel, RateAdapter};
 use movr_sim::SimTime;
 use movr_vr::{GlitchReport, GlitchTracker, LatencyBudget, VrTrafficModel};
@@ -382,9 +382,9 @@ impl Session {
                     }
                     if rec.enabled() {
                         rec.record(
-                            Event::new(now, "realign")
-                                .with("mode", mode_name(d.mode))
-                                .with("cost_ns", d.realignment_cost),
+                            Event::new(now, Kind::Realign)
+                                .with(Key::Mode, mode_name(d.mode))
+                                .with(Key::CostNs, d.realignment_cost),
                         );
                         if d.realignment_cost > SimTime::ZERO {
                             let id = rec.start_span(now, "realign_stall");
@@ -397,13 +397,13 @@ impl Session {
                         st.mode_switches += 1;
                     }
                     if rec.enabled() {
-                        let mut e = Event::new(now, "mode_switch")
-                            .with("to", mode_name(d.mode));
+                        let mut e =
+                            Event::new(now, Kind::ModeSwitch).with(Key::To, mode_name(d.mode));
                         if let Some(prev) = st.last_mode {
-                            e = e.with("from", mode_name(prev));
+                            e = e.with(Key::From, mode_name(prev));
                         }
                         if let LinkMode::Reflector(i) = d.mode {
-                            e = e.with("reflector", usize_to_u64(i));
+                            e = e.with(Key::Reflector, usize_to_u64(i));
                         }
                         rec.record(e);
                     }
@@ -443,26 +443,26 @@ impl Session {
             let change = match (before.map(|m| m.index), chosen.map(|m| m.index)) {
                 (Some(b), Some(a)) if a > b => {
                     st.rate_up += 1;
-                    Some("rate_up")
+                    Some(Kind::RateUp)
                 }
                 (Some(b), Some(a)) if a < b => {
                     st.rate_down += 1;
-                    Some("rate_down")
+                    Some(Kind::RateDown)
                 }
                 (Some(_), None) => {
                     st.rate_outage += 1;
-                    Some("rate_outage")
+                    Some(Kind::RateOutage)
                 }
-                (None, Some(_)) => Some("rate_restore"),
+                (None, Some(_)) => Some(Kind::RateRestore),
                 _ => None,
             };
             if let Some(kind) = change.filter(|_| rec.enabled()) {
-                let mut e = Event::new(now, kind).with("snr_report_db", report);
+                let mut e = Event::new(now, kind).with(Key::SnrReportDb, report);
                 if let Some(m) = before {
-                    e = e.with("from_mcs", usize_to_u64(m.index));
+                    e = e.with(Key::FromMcs, usize_to_u64(m.index));
                 }
                 if let Some(m) = chosen {
-                    e = e.with("to_mcs", usize_to_u64(m.index));
+                    e = e.with(Key::ToMcs, usize_to_u64(m.index));
                 }
                 rec.record(e);
             }
@@ -490,23 +490,23 @@ impl Session {
         if rec.enabled() {
             if delivered && stall_before > 0 {
                 rec.record(
-                    Event::new(now, "stall_recovered").with("stall_frames", stall_before),
+                    Event::new(now, Kind::StallRecovered).with(Key::StallFrames, stall_before),
                 );
             }
-            let mut e = Event::new(now, "frame")
-                .with("delivered", delivered)
-                .with("snr_db", snr_db)
-                .with("stall_ns", st.blocked_until.saturating_since(now));
+            let mut e = Event::new(now, Kind::Frame)
+                .with(Key::Delivered, delivered)
+                .with(Key::SnrDb, snr_db)
+                .with(Key::StallNs, st.blocked_until.saturating_since(now));
             if let Some(mcs) = frame_mcs {
-                e = e.with("mcs", usize_to_u64(mcs.index));
+                e = e.with(Key::Mcs, usize_to_u64(mcs.index));
             }
             if let Some(airtime) = frame_airtime {
-                e = e.with("airtime_ns", airtime);
+                e = e.with(Key::AirtimeNs, airtime);
             }
             if let Some(mode) = frame_mode {
-                e = e.with("mode", mode_name(mode));
+                e = e.with(Key::Mode, mode_name(mode));
                 if let LinkMode::Reflector(i) = mode {
-                    e = e.with("reflector", usize_to_u64(i));
+                    e = e.with(Key::Reflector, usize_to_u64(i));
                 }
             }
             rec.record(e);
@@ -548,7 +548,8 @@ impl Session {
 
 /// The session's metrics, derived from its typed accounting: a counter
 /// appears once it is non-zero and a histogram once it exists, each list
-/// sorted by name.
+/// sorted by name. The rate counters carry the names of the event kinds
+/// they count.
 fn metrics_snapshot(st: &SessionState, glitches: &GlitchReport) -> MetricsSnapshot {
     let counters = [
         ("frames_delivered", glitches.frames_delivered),
@@ -558,9 +559,9 @@ fn metrics_snapshot(st: &SessionState, glitches: &GlitchReport) -> MetricsSnapsh
         ),
         ("frames_total", glitches.frames_total),
         ("mode_switches", st.mode_switches),
-        ("rate_down", st.rate_down),
-        ("rate_outage", st.rate_outage),
-        ("rate_up", st.rate_up),
+        (Kind::RateDown.name(), st.rate_down),
+        (Kind::RateOutage.name(), st.rate_outage),
+        (Kind::RateUp.name(), st.rate_up),
         ("realignments", st.realignments),
         ("reflector_frames", st.reflector_frames),
     ];
@@ -625,11 +626,12 @@ pub fn run_session_on(
     session.outcome(trace.duration_s())
 }
 
-/// Stable short name for a link mode, for event fields.
+/// Stable short name for a link mode, for event fields. A reflected
+/// mode is named after the key that carries its reflector's index.
 fn mode_name(mode: LinkMode) -> &'static str {
     match mode {
         LinkMode::Direct => "direct",
-        LinkMode::Reflector(_) => "reflector",
+        LinkMode::Reflector(_) => Key::Reflector.name(),
     }
 }
 
@@ -973,23 +975,23 @@ mod tests {
         let out = run_session_recorded(&trace, &cfg, &mut rec);
 
         // One frame event per frame, flagged exactly like the report.
-        assert_eq!(rec.of_kind("frame").count(), out.glitches.frames_total);
+        assert_eq!(rec.of_kind(Kind::Frame).count(), out.glitches.frames_total);
         let delivered = rec
-            .of_kind("frame")
-            .filter(|e| e.field("delivered") == Some(&Value::Bool(true)))
+            .of_kind(Kind::Frame)
+            .filter(|e| e.field(Key::Delivered) == Some(&Value::Bool(true)))
             .count();
         assert_eq!(delivered, out.glitches.frames_delivered);
         // Transitions match the counters.
-        assert_eq!(rec.of_kind("mode_switch").count(), out.mode_switches + 1);
-        assert_eq!(rec.of_kind("realign").count(), out.realignments);
+        assert_eq!(rec.of_kind(Kind::ModeSwitch).count(), out.mode_switches + 1);
+        assert_eq!(rec.of_kind(Kind::Realign).count(), out.realignments);
         // Every glitch run that ended within the session announced its
         // recovery (a final unrecovered stall would not).
-        assert!(rec.of_kind("stall_recovered").count() <= out.glitches.glitch_events);
+        assert!(rec.of_kind(Kind::StallRecovered).count() <= out.glitches.glitch_events);
         assert!(out.glitches.glitch_events > 0, "scenario must glitch");
         // Frame timestamps are monotonically increasing. (The full stream
         // is not sorted: a realign_stall span's end event is stamped at
         // the future unblock instant the moment the stall is known.)
-        let ts: Vec<_> = rec.of_kind("frame").map(|e| e.t).collect();
+        let ts: Vec<_> = rec.of_kind(Kind::Frame).map(|e| e.t).collect();
         assert!(ts.windows(2).all(|w| w[0] < w[1]));
     }
 

@@ -2,13 +2,17 @@
 //!
 //! Writers across the workspace (events, metrics, rollups, bench lines)
 //! hand-roll their serialisation and spell every string through
-//! [`write_str`]. Event lines, the hot writer, also spell integers
-//! through [`write_u64`] and floats through [`write_f64`], so a line is
-//! appended in one pass with no `fmt` machinery. `write_f64` is an
-//! in-tree Ryū (Adams, PLDI 2018) that prints exactly the text Rust's
-//! `Display` gives: shortest round-trip digits, fixed notation, exact
-//! ties rounded up. `tests/float_writer.rs` holds it to `format!` over
-//! a million random bit patterns and every exponent's edge mantissas.
+//! [`write_str`]. Each writer routine has one implementation, over a
+//! `Vec<u8>`: [`write_str_bytes`], [`write_u64_bytes`] and
+//! [`write_f64_bytes`]. Event lines, the hot writer, call them directly,
+//! so a line is appended in one pass with no `fmt` machinery and no UTF-8
+//! check; the `String` forms ([`write_str`], [`write_u64`],
+//! [`write_f64`]) run the byte form into a scratch buffer and append its
+//! text. `write_f64_bytes` is an in-tree Ryū (Adams, PLDI 2018) that
+//! prints exactly the text Rust's `Display` gives: shortest round-trip
+//! digits, fixed notation, exact ties rounded up. `tests/float_writer.rs`
+//! holds it to `format!` over a million random bit patterns and every
+//! exponent's edge mantissas.
 //!
 //! The rest of this module is the matching *reading* half, used by
 //! movr-obs's fleet reducer (JSONL event lines), rollup differ and perf
@@ -46,7 +50,6 @@
 use crate::convert::{f64_to_u64, u64_to_f64};
 use std::borrow::Cow;
 use std::fmt;
-use std::iter;
 use std::ops::Deref;
 
 /// The largest integer [`Json::as_u64`] reads, 2^53 − 1: past it, two
@@ -55,36 +58,55 @@ pub const MAX_EXACT_INTEGER: u64 = (1 << 53) - 1;
 
 /// Appends `s` to `out` as a JSON string literal: quotes, `"` and `\`
 /// backslash-escaped, control characters as `\u00XX`, everything else
-/// verbatim. [`Json::parse`] reads the result back to `s`. Text before
-/// the first byte that needs escaping goes in as one slice.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    // The byte found is ASCII, so the split falls on a character boundary.
-    let plain = s
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-        .unwrap_or(s.len());
-    out.push_str(&s[..plain]);
-    for c in s[plain..].chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if u32::from(c) < 0x20 => {
-                let n = u32::from(c);
-                out.push_str("\\u00");
-                out.extend(char::from_digit(n >> 4, 16));
-                out.extend(char::from_digit(n & 0xf, 16));
-            }
-            c => out.push(c),
+/// verbatim. [`Json::parse`] reads the result back to `s`. Each run of
+/// text between bytes that need escaping goes in as one slice; those
+/// bytes are ASCII, so no run splits a character.
+pub fn write_str_bytes(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut plain = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.extend_from_slice(&bytes[plain..i]);
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            _ => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ]),
+        }
+        plain = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[plain..]);
+    out.push(b'"');
 }
 
-/// Appends the decimal digits of `n`, as `format!("{n}")` would.
+/// [`write_str_bytes`] onto a `String`.
+pub fn write_str(out: &mut String, s: &str) {
+    append_text(out, |bytes| write_str_bytes(bytes, s));
+}
+
+/// Appends the decimal digits of `n`, as `format!("{n}")` would: the
+/// digits are laid out left-aligned in a 20-byte buffer, which goes in
+/// as one fixed-size copy before the excess is cut off.
+pub fn write_u64_bytes(out: &mut Vec<u8>, n: u64) {
+    let (buf, len) = decimal_digits(n);
+    let end = out.len() + len;
+    out.extend_from_slice(&buf);
+    out.truncate(end);
+}
+
+/// [`write_u64_bytes`] onto a `String`.
 pub fn write_u64(out: &mut String, n: u64) {
-    let (buf, start) = decimal_digits(n);
-    push_ascii(out, &buf[start..]);
+    append_text(out, |bytes| write_u64_bytes(bytes, n));
 }
 
 /// Appends `x` exactly as `format!("{x}")` writes it, without the
@@ -101,53 +123,61 @@ pub fn write_u64(out: &mut String, n: u64) {
     clippy::as_conversions,
     reason = "digit counts and the decimal point's position stay within ±330"
 )]
-pub fn write_f64(out: &mut String, x: f64) {
+pub fn write_f64_bytes(out: &mut Vec<u8>, x: f64) {
     if x.is_nan() {
-        out.push_str("NaN");
+        out.extend_from_slice(b"NaN");
         return;
     }
     if x.is_sign_negative() {
-        out.push('-');
+        out.push(b'-');
     }
     if x.is_infinite() {
-        out.push_str("inf");
+        out.extend_from_slice(b"inf");
         return;
     }
     let bits = x.to_bits();
     let (mantissa, exponent) = (bits & ((1 << 52) - 1), (bits >> 52) & 0x7ff);
     if mantissa == 0 && exponent == 0 {
-        out.push('0');
+        out.push(b'0');
         return;
     }
     let (digits, exp10) = shortest_digits(mantissa, exponent);
-    let (buf, start) = decimal_digits(digits);
-    let digits = &buf[start..];
+    let (buf, len) = decimal_digits(digits);
+    let digits = &buf[..len];
     // `x = 0.d₁d₂…dₙ · 10^point`.
-    let point = exp10 + digits.len() as i32;
+    let point = exp10 + len as i32;
     if point <= 0 {
-        out.push_str("0.");
-        out.extend(iter::repeat_n('0', -point as usize));
-        push_ascii(out, digits);
-    } else if (point as usize) < digits.len() {
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + (-point) as usize, b'0');
+        out.extend_from_slice(digits);
+    } else if (point as usize) < len {
         let (int, frac) = digits.split_at(point as usize);
-        push_ascii(out, int);
-        out.push('.');
-        push_ascii(out, frac);
+        out.extend_from_slice(int);
+        out.push(b'.');
+        out.extend_from_slice(frac);
     } else {
-        push_ascii(out, digits);
-        out.extend(iter::repeat_n('0', point as usize - digits.len()));
+        out.extend_from_slice(digits);
+        out.resize(out.len() + (point as usize - len), b'0');
     }
 }
 
-/// Appends digits from [`decimal_digits`].
-fn push_ascii(out: &mut String, digits: &[u8]) {
-    out.push_str(std::str::from_utf8(digits).expect("decimal digits are ASCII"));
+/// [`write_f64_bytes`] onto a `String`.
+pub fn write_f64(out: &mut String, x: f64) {
+    append_text(out, |bytes| write_f64_bytes(bytes, x));
 }
 
-/// The decimal digits of `n` in `buf[start..]`, two at a time.
+/// Runs a byte writer into a scratch buffer and appends what it wrote.
+fn append_text(out: &mut String, write: impl FnOnce(&mut Vec<u8>)) {
+    let mut bytes = Vec::new();
+    write(&mut bytes);
+    out.push_str(std::str::from_utf8(&bytes).expect("the JSON writers write UTF-8"));
+}
+
+/// The decimal digits of `n` in `buf[..len]`, two at a time from the
+/// last.
 #[expect(
     clippy::as_conversions,
-    reason = "remainders below 100 index the pair table"
+    reason = "a digit count is at most 20 and remainders below 100 index the pair table"
 )]
 fn decimal_digits(mut n: u64) -> ([u8; 20], usize) {
     const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
@@ -155,19 +185,19 @@ fn decimal_digits(mut n: u64) -> ([u8; 20], usize) {
         4041424344454647484950515253545556575859\
         6061626364656667686970717273747576777879\
         8081828384858687888990919293949596979899";
+    let len = n.checked_ilog10().map_or(1, |d| d as usize + 1);
     let mut buf = [b'0'; 20];
-    let mut start = buf.len();
+    let mut end = len;
     while n >= 10 {
         let r = (n % 100) as usize * 2;
-        start -= 2;
-        buf[start..start + 2].copy_from_slice(&PAIRS[r..r + 2]);
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&PAIRS[r..r + 2]);
         n /= 100;
     }
-    if n > 0 || start == buf.len() {
-        start -= 1;
-        buf[start] = b'0' + n as u8;
+    if end > 0 {
+        buf[0] = b'0' + n as u8;
     }
-    (buf, start)
+    (buf, len)
 }
 
 /// Significant bits of each [`POW5`] entry.
@@ -1236,6 +1266,33 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, "a\"\\\n");
         assert_eq!(out, "\"a\\\"\\\\\\u000a\"");
+    }
+
+    #[test]
+    fn byte_forms_append_what_the_string_forms_write() {
+        let mut bytes = b"[".to_vec();
+        let mut text = String::from("[");
+        let mut expected = String::from("[");
+        for n in [0, 9, 10, 99, 100, 12_345, 999_999, 1 << 53, u64::MAX] {
+            write_u64_bytes(&mut bytes, n);
+            write_u64(&mut text, n);
+            expected.push_str(&n.to_string());
+            bytes.push(b',');
+            text.push(',');
+            expected.push(',');
+        }
+        for x in [0.5, -0.0, 21.53, 1e-7, f64::MAX, f64::NAN, -f64::INFINITY] {
+            write_f64_bytes(&mut bytes, x);
+            write_f64(&mut text, x);
+            expected.push_str(&x.to_string());
+        }
+        for s in ["", "plain", "q\"b\\s\u{1}", "mé"] {
+            write_str_bytes(&mut bytes, s);
+            write_str(&mut text, s);
+            expected.push_str(&format!("{:?}", s).replace("\\u{1}", "\\u0001"));
+        }
+        assert_eq!(text, expected);
+        assert_eq!(bytes, expected.into_bytes());
     }
 
     /// Asserts that the flat reader accepts `line` and reads every field

@@ -8,9 +8,11 @@
 //! into the 90 Hz loop, not just an aggregate outcome. This crate
 //! provides it with three pieces:
 //!
-//! * **Events** ([`Event`], [`Value`]) — structured timeline rows stamped
-//!   with [`movr_sim::SimTime`], never wall-clock, so recorded streams
-//!   are bit-deterministic per seed.
+//! * **Events** ([`Event`], [`Kind`], [`Key`], [`Value`]) — structured
+//!   timeline rows stamped with [`movr_sim::SimTime`], never wall-clock,
+//!   so recorded streams are bit-deterministic per seed. Kinds and keys
+//!   form one closed vocabulary, and an event holds its fields inline,
+//!   so building, tagging, writing and dropping one never allocates.
 //! * **Recorders** ([`Recorder`], [`NullRecorder`], [`MemoryRecorder`],
 //!   [`JsonlWriter`]) — pluggable sinks. The instrumented hot paths hold
 //!   a `&mut dyn Recorder` and guard event construction with
@@ -31,7 +33,7 @@
 //! ## Example
 //!
 //! ```
-//! use movr_obs::{Event, Histogram, MemoryRecorder, MetricsSnapshot, Recorder};
+//! use movr_obs::{Event, Histogram, Key, Kind, MemoryRecorder, MetricsSnapshot, Recorder};
 //! use movr_sim::SimTime;
 //!
 //! let mut rec = MemoryRecorder::new();
@@ -39,13 +41,17 @@
 //! let ramp = rec.start_span(now, "gain_ramp");
 //! if rec.enabled() {
 //!     rec.record(
-//!         Event::new(now, "gain_step")
-//!             .with("gain_db", 20.0)
-//!             .with("current_a", 0.21),
+//!         Event::new(now, Kind::GainStep)
+//!             .with(Key::GainDb, 20.0)
+//!             .with(Key::CurrentA, 0.21),
 //!     );
 //! }
 //! rec.end_span(now, "gain_ramp", ramp);
 //! assert_eq!(rec.spans()[0].0, "gain_ramp");
+//! assert_eq!(
+//!     rec.events()[1].json_line(),
+//!     r#"{"t_ns":180000000,"kind":"gain_step","gain_db":20,"current_a":0.21}"#
+//! );
 //!
 //! let mut snr = Histogram::linear(-10.0, 50.0, 60);
 //! snr.observe(21.5);
@@ -68,7 +74,7 @@ mod reduce;
 mod rollup;
 mod sketch;
 
-pub use event::{Event, Value};
+pub use event::{Event, Key, Kind, Value, MAX_FIELDS};
 pub use metrics::{Histogram, InvalidHistogram, MergeError, MetricsSnapshot};
 // The JSON reader lives in movr-math; re-exported for the callers
 // that read rollups and bench lines through `movr_obs::Json`.

@@ -13,7 +13,7 @@
 //! [`movr_math::Summary`] rides along for exact mean/min/max.
 
 use movr_math::convert::{usize_to_f64, usize_to_i32, usize_to_u64};
-use movr_math::json::write_f64;
+use movr_math::json::{write_f64, write_str};
 use movr_math::Summary;
 use std::fmt::Write as _;
 
@@ -297,29 +297,29 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// One deterministic JSON object holding the whole snapshot.
+    /// One deterministic JSON object holding the whole snapshot. Names
+    /// are spelled through [`write_str`], so any name reads back.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
+        fn name(out: &mut String, i: usize, k: &str) {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{k}\":{v}");
+            write_str(out, k);
+            out.push(':');
+        }
+        let mut out = String::from("{\"counters\":{");
+        for (i, (k, v)) in self.counters.iter().enumerate() {
+            name(&mut out, i, k);
+            let _ = write!(out, "{v}");
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":");
+            name(&mut out, i, k);
             write_json_f64(&mut out, *v);
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":");
+            name(&mut out, i, k);
             h.write_json(&mut out);
         }
         out.push_str("}}");
@@ -574,6 +574,40 @@ mod tests {
         assert_eq!(m.counter("zeta"), Some(1));
         assert_eq!(m.histogram("h").map(Histogram::count), Some(1));
         assert_eq!(m.counter("missing"), None);
+    }
+
+    #[test]
+    fn snapshot_json_escapes_names_and_reads_back() {
+        use movr_math::json::Json;
+        let names = [
+            "say \"hi\"",
+            "back\\slash",
+            "tab\there",
+            "nul\u{0}",
+            "plain",
+        ];
+        let mut h = Histogram::linear(0.0, 1.0, 2);
+        h.observe(0.25);
+        let m = MetricsSnapshot {
+            counters: names.iter().map(|n| (n.to_string(), 3)).collect(),
+            gauges: names.iter().map(|n| (n.to_string(), 0.75)).collect(),
+            histograms: names.iter().map(|n| (n.to_string(), h.clone())).collect(),
+        };
+        let json = m.to_json();
+        let doc = Json::parse(&json).unwrap_or_else(|e| panic!("{e} in {json}"));
+        let read = |group: &str, name: &str, field: Option<&str>| {
+            let v = doc.get(group).and_then(|g| g.get(name));
+            field
+                .map_or(v, |f| v.and_then(|h| h.get(f)))
+                .and_then(Json::as_f64)
+        };
+        for name in names {
+            assert_eq!(read("counters", name, None), Some(3.0), "{name:?}");
+            assert_eq!(read("gauges", name, None), Some(0.75), "{name:?}");
+            let hist = |field| read("histograms", name, Some(field));
+            assert_eq!(hist("count"), Some(1.0), "{name:?}");
+            assert_eq!(hist("mean"), Some(0.25), "{name:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`NullRecorder`] — observability off. `enabled()` is `false`, so
 //!   instrumented code skips building events entirely; the cost is one
-//!   virtual call per would-be event.
+//!   virtual call per would-be event. (Building one costs no allocation
+//!   either: an [`Event`] holds its fields inline.)
 //! * [`MemoryRecorder`] — in-memory capture for tests and analysis.
 //! * [`JsonlWriter`] — streams one JSON object per line to any
 //!   `io::Write` (a file, a `Vec<u8>`, stdout).
@@ -16,7 +17,7 @@
 //! sim-time stamps, span durations are exact simulation quantities, not
 //! wall-clock measurements.
 
-use crate::event::Event;
+use crate::event::{Event, Key, Kind, Value};
 use movr_sim::SimTime;
 use std::io;
 
@@ -27,7 +28,8 @@ pub struct SpanId(pub u64);
 /// A sink for structured events.
 pub trait Recorder {
     /// Whether events will be kept. Hot paths guard event construction
-    /// with this so a disabled recorder costs no allocations.
+    /// with this, so a disabled recorder costs one virtual call per
+    /// would-be event and no field is computed for it.
     fn enabled(&self) -> bool {
         true
     }
@@ -43,11 +45,14 @@ pub trait Recorder {
     fn end_span(&mut self, t: SimTime, name: &'static str, id: SpanId);
 }
 
-fn span_event(kind: &'static str, t: SimTime, name: &'static str, id: SpanId) -> Event {
-    Event::new(t, kind).with("span", name).with("span_id", id.0)
+fn span_event(kind: Kind, t: SimTime, name: &'static str, id: SpanId) -> Event {
+    Event::new(t, kind)
+        .with(Key::Span, name)
+        .with(Key::SpanId, id.0)
 }
 
-/// Observability off: drops everything, reports `enabled() == false`.
+/// Observability off: drops everything, reports `enabled() == false`,
+/// so instrumented code builds no event for it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 
@@ -107,30 +112,34 @@ impl MemoryRecorder {
     }
 
     /// Events of one kind, in order.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
+    pub fn of_kind(&self, kind: Kind) -> impl Iterator<Item = &Event> + '_ {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Closed spans as `(name, start, end)`, in start order. Unclosed
-    /// spans are omitted.
+    /// Closed spans as `(name, start, end)`, in start order. A start
+    /// pairs with the first `span_end` after it that has the same
+    /// `(session, span_id)`, as the reducer's open-span table pairs them
+    /// ([`SessionTagged`] numbers spans per session). Unclosed spans are
+    /// omitted.
     pub fn spans(&self) -> Vec<(&'static str, SimTime, SimTime)> {
-        use crate::event::Value;
-        let id_of = |e: &Event| match e.field("span_id") {
-            Some(&Value::U64(id)) => Some(id),
-            _ => None,
-        };
-        let name_of = |e: &Event| match e.field("span") {
-            Some(&Value::Str(s)) => Some(s),
+        // An untagged event belongs to session 0, as the reducer folds it.
+        let id_of = |e: &Event| match (e.field(Key::Session), e.field(Key::SpanId)) {
+            (Some(&Value::U64(session)), Some(&Value::U64(id))) => Some((session, id)),
+            (None, Some(&Value::U64(id))) => Some((0, id)),
             _ => None,
         };
         let mut out = Vec::new();
-        for start in self.of_kind("span_start") {
-            let (Some(id), Some(name)) = (id_of(start), name_of(start)) else {
+        for (i, start) in self.events.iter().enumerate() {
+            if start.kind != Kind::SpanStart {
+                continue;
+            }
+            let name = start.field(Key::Span);
+            let (Some(id), Some(&Value::Str(name))) = (id_of(start), name) else {
                 continue;
             };
-            let end = self
-                .of_kind("span_end")
-                .find(|e| id_of(e) == Some(id));
+            let end = self.events[i + 1..]
+                .iter()
+                .find(|e| e.kind == Kind::SpanEnd && id_of(e) == Some(id));
             if let Some(end) = end {
                 out.push((name, start.t, end.t));
             }
@@ -142,12 +151,12 @@ impl MemoryRecorder {
     /// newline included) — byte-identical to what a [`JsonlWriter`] fed
     /// the same events would have written.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for e in &self.events {
             e.write_json(&mut out);
-            out.push('\n');
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("event lines are UTF-8")
     }
 }
 
@@ -158,11 +167,11 @@ impl Recorder for MemoryRecorder {
     fn start_span(&mut self, t: SimTime, name: &'static str) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
-        self.events.push(span_event("span_start", t, name, id));
+        self.events.push(span_event(Kind::SpanStart, t, name, id));
         id
     }
     fn end_span(&mut self, t: SimTime, name: &'static str, id: SpanId) {
-        self.events.push(span_event("span_end", t, name, id));
+        self.events.push(span_event(Kind::SpanEnd, t, name, id));
     }
 }
 
@@ -206,7 +215,7 @@ pub struct JsonlWriter<W: io::Write> {
     sink: W,
     /// The line being written, cleared and refilled per event so its
     /// capacity carries over.
-    line: String,
+    line: Vec<u8>,
     next_span: u64,
     lines: u64,
     error: Option<JsonlSinkError>,
@@ -224,7 +233,7 @@ impl<W: io::Write> JsonlWriter<W> {
     pub fn with_next_span_id(sink: W, next: u64) -> Self {
         JsonlWriter {
             sink,
-            line: String::new(),
+            line: Vec::new(),
             next_span: next,
             lines: 0,
             error: None,
@@ -270,8 +279,8 @@ impl<W: io::Write> JsonlWriter<W> {
         }
         self.line.clear();
         event.write_json(&mut self.line);
-        self.line.push('\n');
-        match self.sink.write_all(self.line.as_bytes()) {
+        self.line.push(b'\n');
+        match self.sink.write_all(&self.line) {
             Ok(()) => self.lines += 1,
             Err(error) => {
                 self.error = Some(JsonlSinkError {
@@ -290,11 +299,11 @@ impl<W: io::Write> Recorder for JsonlWriter<W> {
     fn start_span(&mut self, t: SimTime, name: &'static str) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
-        self.write_line(&span_event("span_start", t, name, id));
+        self.write_line(&span_event(Kind::SpanStart, t, name, id));
         id
     }
     fn end_span(&mut self, t: SimTime, name: &'static str, id: SpanId) {
-        self.write_line(&span_event("span_end", t, name, id));
+        self.write_line(&span_event(Kind::SpanEnd, t, name, id));
     }
 }
 
@@ -317,7 +326,7 @@ pub struct SessionTagged<'a> {
 impl std::fmt::Debug for SessionTagged<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionTagged")
-            .field("session", &self.session)
+            .field(Key::Session.name(), &self.session)
             .field("next_span", &self.next_span)
             .finish_non_exhaustive()
     }
@@ -348,16 +357,16 @@ impl Recorder for SessionTagged<'_> {
         self.inner.enabled()
     }
     fn record(&mut self, event: Event) {
-        self.inner.record(event.with("session", self.session));
+        self.inner.record(event.with(Key::Session, self.session));
     }
     fn start_span(&mut self, t: SimTime, name: &'static str) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
-        self.record(span_event("span_start", t, name, id));
+        self.record(span_event(Kind::SpanStart, t, name, id));
         id
     }
     fn end_span(&mut self, t: SimTime, name: &'static str, id: SpanId) {
-        self.record(span_event("span_end", t, name, id));
+        self.record(span_event(Kind::SpanEnd, t, name, id));
     }
 }
 
@@ -367,7 +376,7 @@ mod tests {
 
     fn feed(rec: &mut dyn Recorder) {
         let id = rec.start_span(SimTime::from_millis(1), "sweep");
-        rec.record(Event::new(SimTime::from_millis(2), "probe").with("power_dbm", -42.5));
+        rec.record(Event::new(SimTime::from_millis(2), Kind::GainStep).with(Key::GainDb, -42.5));
         rec.end_span(SimTime::from_millis(3), "sweep", id);
     }
 
@@ -385,10 +394,10 @@ mod tests {
         assert!(r.enabled());
         feed(&mut r);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.events()[0].kind, "span_start");
-        assert_eq!(r.events()[1].kind, "probe");
-        assert_eq!(r.events()[2].kind, "span_end");
-        assert_eq!(r.of_kind("probe").count(), 1);
+        assert_eq!(r.events()[0].kind, Kind::SpanStart);
+        assert_eq!(r.events()[1].kind, Kind::GainStep);
+        assert_eq!(r.events()[2].kind, Kind::SpanEnd);
+        assert_eq!(r.of_kind(Kind::GainStep).count(), 1);
     }
 
     #[test]
@@ -473,14 +482,46 @@ mod tests {
         assert_eq!(tagged.session(), 7);
         feed(&mut tagged);
         assert_eq!(mem.len(), 3);
-        use crate::event::Value;
         for e in mem.events() {
-            assert_eq!(e.field("session"), Some(&Value::U64(7)), "{}", e.json_line());
+            let line = e.json_line();
+            assert_eq!(e.field(Key::Session), Some(&Value::U64(7)), "{line}");
             // The tag is the last field, so untagged lines are a prefix.
-            assert_eq!(e.fields.last().map(|(n, _)| *n), Some("session"));
+            assert_eq!(e.fields().last().map(|(k, _)| k), Some(Key::Session));
         }
         // Span pairing still works on the tagged stream.
         assert_eq!(mem.spans().len(), 1);
+    }
+
+    #[test]
+    fn spans_pair_within_a_session() {
+        // Two tagged sessions whose span 0s overlap: each start pairs with
+        // its own session's end, not with the first `span_id` 0 to close.
+        let mut mem = MemoryRecorder::new();
+        let a_id = SessionTagged::new(&mut mem, 1).start_span(SimTime::from_millis(1), "a");
+        let b_id = SessionTagged::new(&mut mem, 2).start_span(SimTime::from_millis(2), "b");
+        assert_eq!((a_id, b_id), (SpanId(0), SpanId(0)));
+        SessionTagged::new(&mut mem, 2).end_span(SimTime::from_millis(3), "b", b_id);
+        SessionTagged::new(&mut mem, 1).end_span(SimTime::from_millis(5), "a", a_id);
+        assert_eq!(
+            mem.spans(),
+            [
+                ("a", SimTime::from_millis(1), SimTime::from_millis(5)),
+                ("b", SimTime::from_millis(2), SimTime::from_millis(3)),
+            ]
+        );
+    }
+
+    #[test]
+    fn spans_pair_with_the_first_end_after_the_start() {
+        // A recorder resumed from a checkpoint continues its span ids, so
+        // an id can reappear only after its span closed; an end before a
+        // start closes an earlier span, never that start.
+        let mut r = MemoryRecorder::new();
+        r.end_span(SimTime::from_millis(1), "stale", SpanId(0));
+        let id = r.start_span(SimTime::from_millis(2), "fresh");
+        r.end_span(SimTime::from_millis(4), "fresh", id);
+        let fresh = ("fresh", SimTime::from_millis(2), SimTime::from_millis(4));
+        assert_eq!(r.spans(), [fresh]);
     }
 
     #[test]

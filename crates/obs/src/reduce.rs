@@ -25,6 +25,7 @@
 //! `span_end`, and unclosed spans are dropped, matching
 //! [`crate::MemoryRecorder::spans`].)
 
+use crate::event::{Key, Kind, KIND_KEY, TIME_KEY};
 use crate::rollup::Rollup;
 use movr_math::json::{FlatObject, Json, Scalar};
 use std::collections::BTreeMap;
@@ -113,50 +114,55 @@ fn fold_line(
 }
 
 /// Folds one event line, read through `get`: its fields by name, first
-/// match.
+/// match. Kinds and keys are read by the names [`Kind`] and [`Key`]
+/// spell; a kind outside the vocabulary is counted and skipped.
 fn fold_fields<'d, F: Field + 'd>(
     rollup: &mut Rollup,
     open: &mut OpenSpans,
     get: impl Fn(&str) -> Option<&'d F>,
 ) -> Result<(), String> {
-    let kind = get("kind")
+    let kind = get(KIND_KEY)
         .and_then(F::as_str)
-        .ok_or("event line has no string `kind` field")?;
-    let t_ns = int_field(&get, "event line", "t_ns")?;
-    let session = match get("session") {
+        .ok_or_else(|| missing(None, "string ", KIND_KEY))?;
+    let t_ns = int_field(&get, None, TIME_KEY)?;
+    let session = match get(Key::Session.name()) {
         None => 0,
-        Some(v) => v
-            .as_u64()
-            .ok_or("`session` field is not an integer in 0..=2^53 - 1")?,
+        Some(v) => v.as_u64().ok_or_else(|| not_a(None, Key::Session, INT))?,
     };
 
     rollup.session_mut(session).events += 1;
+    // Unknown kinds are counted in `events` and otherwise skipped, so
+    // older reducers tolerate newer instrumented binaries.
+    let Some(kind) = Kind::from_name(kind) else {
+        return Ok(());
+    };
+    let field = |key: Key| get(key.name());
     match kind {
-        "frame" => {
-            let delivered = get("delivered")
+        Kind::Frame => {
+            let delivered = field(Key::Delivered)
                 .and_then(F::as_bool)
-                .ok_or("frame event has no bool `delivered` field")?;
+                .ok_or_else(|| missing(Some(kind), "bool ", Key::Delivered.name()))?;
             let s = rollup.session_mut(session);
             s.frames_total += 1;
             if delivered {
                 s.frames_delivered += 1;
             }
-            if let Some(snr) = get("snr_db").and_then(F::as_f64) {
+            if let Some(snr) = field(Key::SnrDb).and_then(F::as_f64) {
                 rollup.observe(SK_SNR, snr);
             }
-            if let Some(air) = get("airtime_ns").and_then(F::as_f64) {
+            if let Some(air) = field(Key::AirtimeNs).and_then(F::as_f64) {
                 rollup.observe(SK_AIRTIME, air);
             }
         }
-        "mode_switch" => {
-            let to = get("to")
+        Kind::ModeSwitch => {
+            let to = field(Key::To)
                 .and_then(F::as_str)
-                .ok_or("mode_switch event has no string `to` field")?;
-            let from = match get("from") {
+                .ok_or_else(|| missing(Some(kind), "string ", Key::To.name()))?;
+            let from = match field(Key::From) {
                 None => "start",
                 Some(v) => v
                     .as_str()
-                    .ok_or("mode_switch `from` field is not a string")?,
+                    .ok_or_else(|| not_a(Some(kind), Key::From, "a string"))?,
             };
             let s = rollup.session_mut(session);
             if from != "start" {
@@ -166,25 +172,25 @@ fn fold_fields<'d, F: Field + 'd>(
                 .entry((from.to_string(), to.to_string()))
                 .or_insert(0) += 1;
         }
-        "realign" => {
-            let cost = int_field(&get, "realign event", "cost_ns")?;
+        Kind::Realign => {
+            let cost = int_field(&get, Some(kind), Key::CostNs.name())?;
             let s = rollup.session_mut(session);
             s.realigns += 1;
             s.realign_time_ns += cost;
             rollup.observe(SK_REALIGN, movr_math::convert::u64_to_f64(cost));
         }
-        "stall_recovered" => {
-            let frames = int_field(&get, "stall_recovered event", "stall_frames")?;
+        Kind::StallRecovered => {
+            let frames = int_field(&get, Some(kind), Key::StallFrames.name())?;
             let s = rollup.session_mut(session);
             s.glitches += 1;
             s.glitch_frames += frames;
         }
-        "span_start" => {
-            let (name, id) = span_fields(&get)?;
+        Kind::SpanStart => {
+            let (name, id) = span_fields(&get, kind)?;
             open.insert((session, id), (name.to_string(), t_ns));
         }
-        "span_end" => {
-            let (name, id) = span_fields(&get)?;
+        Kind::SpanEnd => {
+            let (name, id) = span_fields(&get, kind)?;
             // An end without a matching start (stream cut mid-span) is
             // dropped, like an unclosed start.
             if let Some((start_name, start_ns)) = open.remove(&(session, id)) {
@@ -202,33 +208,71 @@ fn fold_fields<'d, F: Field + 'd>(
                 }
             }
         }
-        // Unknown kinds are counted in `events` and otherwise skipped,
-        // so older reducers tolerate newer instrumented binaries.
-        _ => {}
+        // Counted in `events` only: the rollup keeps no rate or gain
+        // accounting.
+        Kind::RateUp
+        | Kind::RateDown
+        | Kind::RateOutage
+        | Kind::RateRestore
+        | Kind::GainStep
+        | Kind::GainBackoff
+        | Kind::GainCeiling => {}
     }
     Ok(())
 }
 
+/// What an integer field must hold: the readers hold integers exactly
+/// only up to 2^53 − 1 (see [`Json::as_u64`]).
+const INT: &str = "an integer in 0..=2^53 - 1";
+
+/// The error for a line (of kind `kind`, once known) that lacks a field
+/// `key` of type `ty`. Error texts are built out of line, so the fold's
+/// hot path holds none of their code.
+#[cold]
+fn missing(kind: Option<Kind>, ty: &str, key: &str) -> String {
+    match kind {
+        None => format!("event line has no {ty}`{key}` field"),
+        Some(kind) => format!("{} event has no {ty}`{key}` field", kind.name()),
+    }
+}
+
+/// The error for a line that lacks an integer field `key`.
+#[cold]
+fn missing_int(kind: Option<Kind>, key: &str) -> String {
+    missing(kind, "", key) + " holding " + INT
+}
+
+/// The error for a field `key` (of a `kind` event) that does not hold
+/// `what`.
+#[cold]
+fn not_a(kind: Option<Kind>, key: Key, what: &str) -> String {
+    match kind {
+        None => format!("`{}` field is not {what}", key.name()),
+        Some(kind) => format!("{} `{}` field is not {what}", kind.name(), key.name()),
+    }
+}
+
 fn span_fields<'d, F: Field + 'd>(
     get: &impl Fn(&str) -> Option<&'d F>,
+    kind: Kind,
 ) -> Result<(&'d str, u64), String> {
-    let name = get("span")
+    let name = get(Key::Span.name())
         .and_then(F::as_str)
-        .ok_or("span event has no string `span` field")?;
-    let id = int_field(get, "span event", "span_id")?;
+        .ok_or_else(|| missing(Some(kind), "string ", Key::Span.name()))?;
+    let id = int_field(get, Some(kind), Key::SpanId.name())?;
     Ok((name, id))
 }
 
-/// Field `name` as an integer. The readers hold integers exactly only up
-/// to 2^53 − 1 (see [`Json::as_u64`]), so the error names that range.
+/// Field `name` of a `kind` event (`None`: of any line) as an integer,
+/// which the error says must be [`INT`].
 fn int_field<'d, F: Field + 'd>(
     get: &impl Fn(&str) -> Option<&'d F>,
-    what: &str,
+    kind: Option<Kind>,
     name: &str,
 ) -> Result<u64, String> {
     get(name)
         .and_then(F::as_u64)
-        .ok_or_else(|| format!("{what} has no `{name}` field holding an integer in 0..=2^53 - 1"))
+        .ok_or_else(|| missing_int(kind, name))
 }
 
 /// Folds borrowed JSONL lines (blank lines skipped) into `rollup`.
@@ -447,7 +491,8 @@ mod tests {
         use movr_math::json::MAX_EXACT_INTEGER;
         let stream = |session: u64| {
             let mut w = JsonlWriter::new(Vec::new());
-            SessionTagged::new(&mut w, session).record(Event::new(movr_sim::SimTime::ZERO, "x"));
+            SessionTagged::new(&mut w, session)
+                .record(Event::new(movr_sim::SimTime::ZERO, Kind::GainStep));
             w.finish().expect("in-memory sink cannot fail")
         };
         let (r, _) = reduce_one_stream("<last>", &stream(MAX_EXACT_INTEGER)[..]).expect("in range");

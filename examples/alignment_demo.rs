@@ -10,7 +10,7 @@ use movr::alignment::{estimate_incidence, AlignmentConfig};
 use movr::gain_control::{run_gain_control_recorded, GainControlConfig};
 use movr::reflector::MovrReflector;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
-use movr_obs::{MemoryRecorder, Value};
+use movr_obs::{Key, Kind, MemoryRecorder, Value};
 use movr_phased_array::Codebook;
 use movr_radio::RadioEndpoint;
 use movr_rfsim::Scene;
@@ -85,10 +85,10 @@ fn main() {
         dev.loop_attenuation_db()
     );
     println!("  last gain steps (gain dB -> supply current A):");
-    let steps: Vec<_> = rec.of_kind("gain_step").collect();
+    let steps: Vec<_> = rec.of_kind(Kind::GainStep).collect();
     for e in &steps[steps.len().saturating_sub(6)..] {
         if let (Some(Value::F64(gain)), Some(Value::F64(current))) =
-            (e.field("gain_db"), e.field("current_a"))
+            (e.field(Key::GainDb), e.field(Key::CurrentA))
         {
             println!("    {gain:>5.1} -> {current:.3}");
         }

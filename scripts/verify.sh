@@ -155,6 +155,10 @@ grep -q '"name":"obs_session_60s_jsonl"' out/BENCH_micro.json || {
     echo "JSONL-writer session bench missing from microbench output" >&2
     exit 1
 }
+grep -q '"name":"obs_write_fleet_8x1s"' out/BENCH_micro.json || {
+    echo "event-writer bench missing from microbench output" >&2
+    exit 1
+}
 grep -q '"name":"gain_control_loop"' out/BENCH_micro.json || {
     echo "gain-control ramp bench missing from microbench output" >&2
     exit 1

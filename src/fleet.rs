@@ -17,7 +17,7 @@
 use movr::session::{run_session_recorded, SessionConfig, SessionOutcome, Strategy};
 use movr_math::Vec2;
 use movr_motion::RandomWalk;
-use movr_obs::{Recorder, SessionTagged};
+use movr_obs::{JsonlWriter, Recorder, SessionTagged};
 use movr_rfsim::Room;
 
 /// The gaze focus every fleet session uses: the AP on the west wall.
@@ -39,12 +39,13 @@ pub fn run_fleet_session(
 }
 
 /// Fleet session `session`'s timeline as JSONL (one event per line,
-/// trailing newline), byte-identical to what a
-/// [`movr_obs::JsonlWriter`] recording the same session would write.
+/// trailing newline), streamed through a [`JsonlWriter`] into memory as
+/// the benchmark's recorded fleet is.
 pub fn session_jsonl(session: u64, duration_s: f64) -> String {
-    let mut rec = movr_obs::MemoryRecorder::new();
-    run_fleet_session(session, duration_s, &mut rec);
-    rec.to_jsonl()
+    let mut writer = JsonlWriter::new(Vec::new());
+    run_fleet_session(session, duration_s, &mut writer);
+    let bytes = writer.finish().expect("an in-memory sink cannot fail");
+    String::from_utf8(bytes).expect("event lines are UTF-8")
 }
 
 /// All `sessions` timelines of a fleet, fanned out over `threads`

@@ -25,7 +25,7 @@ use movr::snapshot::{config_fingerprint, SnapshotError, FORMAT_VERSION};
 use movr::{GainControlConfig, SystemConfig};
 use movr_math::fnv1a64;
 use movr_motion::{HandRaise, MotionTrace, PlayerState};
-use movr_obs::MemoryRecorder;
+use movr_obs::{Key, Kind, MemoryRecorder};
 use movr_math::Vec2;
 use movr_radio::FrameConfig;
 use movr_sim::SimTime;
@@ -693,8 +693,8 @@ fn sweep_bases() -> Vec<(HandRaise, SessionConfig, Vec<u8>)> {
             .map(|h| metrics.histogram(h).is_some());
         // Only MoVR frames set the serving mode (announced by the first
         // `mode_switch`) and the tracked pose.
-        let mode = rec.of_kind("mode_switch").next().is_some();
-        let mcs = rec.of_kind("frame").last().is_some_and(|e| e.field("mcs").is_some());
+        let mode = rec.of_kind(Kind::ModeSwitch).next().is_some();
+        let mcs = rec.of_kind(Kind::Frame).last().is_some_and(|e| e.field(Key::Mcs).is_some());
         assert_eq!(
             [held[0], held[1], held[2], mode, mcs],
             sections,

@@ -13,7 +13,7 @@ use movr::session::{
 use movr::system::{MovrSystem, SystemConfig};
 use movr_math::Vec2;
 use movr_motion::{HandRaise, PlayerState, WorldState};
-use movr_obs::{JsonlWriter, MemoryRecorder, NullRecorder};
+use movr_obs::{JsonlWriter, Key, Kind, MemoryRecorder, NullRecorder};
 
 fn moving_world(t_s: f64) -> WorldState {
     // A player orbiting the room centre: the pose changes every frame, so
@@ -299,10 +299,10 @@ fn rate_event_sessions_match_their_pinned_digests() {
         for policy in RATE_EVENT_POLICIES {
             let (out, rec) = rate_event_session(strategy, policy);
             if strategy == Strategy::DirectOnly {
-                for kind in ["rate_up", "rate_down", "rate_outage", "rate_restore"] {
+                for kind in [Kind::RateUp, Kind::RateDown, Kind::RateOutage, Kind::RateRestore] {
                     assert!(
                         rec.of_kind(kind).count() > 0,
-                        "{policy:?}: the DirectOnly stream holds no {kind}"
+                        "{policy:?}: the DirectOnly stream holds no {kind:?}"
                     );
                 }
             }
@@ -323,36 +323,37 @@ fn rate_events_match_their_counters() {
     use movr_obs::Value;
     for policy in RATE_EVENT_POLICIES {
         let (out, rec) = rate_event_session(Strategy::DirectOnly, policy);
-        for kind in ["rate_up", "rate_down", "rate_outage"] {
+        for kind in [Kind::RateUp, Kind::RateDown, Kind::RateOutage] {
             assert_eq!(
                 rec.of_kind(kind).count() as u64,
-                out.metrics.counter(kind).unwrap_or(0),
-                "{policy:?}: {kind} events vs counter"
+                out.metrics.counter(kind.name()).unwrap_or(0),
+                "{policy:?}: {kind:?} events vs counter"
             );
         }
-        let mcs = |e: &movr_obs::Event, name: &str| match e.field(name) {
+        let mcs = |e: &movr_obs::Event, key: Key| match e.field(key) {
             Some(&Value::U64(i)) => Some(i),
             None => None,
-            Some(other) => panic!("{name} is not an index: {other:?}"),
+            Some(other) => panic!("{key:?} is not an index: {other:?}"),
         };
-        for e in rec.events().iter().filter(|e| e.kind.starts_with("rate_")) {
-            let (from, to) = (mcs(e, "from_mcs"), mcs(e, "to_mcs"));
+        let rated = |e: &&movr_obs::Event| e.kind.name().starts_with("rate_");
+        for e in rec.events().iter().filter(rated) {
+            let (from, to) = (mcs(e, Key::FromMcs), mcs(e, Key::ToMcs));
             assert!(
-                e.field("snr_report_db").is_some(),
-                "{policy:?}: {} has no report",
+                e.field(Key::SnrReportDb).is_some(),
+                "{policy:?}: {:?} has no report",
                 e.kind
             );
             match e.kind {
-                "rate_up" => assert!(
+                Kind::RateUp => assert!(
                     to > from && from.is_some(),
                     "{policy:?}: {from:?} -> {to:?}"
                 ),
-                "rate_down" => {
+                Kind::RateDown => {
                     assert!(to < from && to.is_some(), "{policy:?}: {from:?} -> {to:?}");
                 }
-                "rate_outage" => assert!(from.is_some() && to.is_none()),
-                "rate_restore" => assert!(from.is_none() && to.is_some()),
-                other => panic!("unknown rate event {other}"),
+                Kind::RateOutage => assert!(from.is_some() && to.is_none()),
+                Kind::RateRestore => assert!(from.is_none() && to.is_some()),
+                other => panic!("unknown rate event {other:?}"),
             }
         }
     }

@@ -14,7 +14,7 @@ use movr::gain_control::{run_gain_control, run_gain_control_recorded, GainContro
 use movr::reflector::MovrReflector;
 use movr::relay::{relay_end_snr_batched, relay_input_noise, relay_link_on};
 use movr_math::{db_to_linear, linear_to_db, wrap_deg_180, Cdf, Vec2};
-use movr_obs::{MemoryRecorder, Value};
+use movr_obs::{Key, Kind, MemoryRecorder, Value};
 use movr_phased_array::UniformLinearArray;
 use movr_radio::{ArrayPattern, RadioEndpoint, RateTable};
 use movr_rfsim::{
@@ -271,8 +271,8 @@ property! {
         prop_assert_eq!(res.trace.iter().map(|g| g.to_bits()).collect::<Vec<_>>(), gains);
         prop_assert_eq!(recorded.sensor_rng_state(), reference.sensor_rng_state());
         let stepped: Vec<Option<u64>> = rec
-            .of_kind("gain_step")
-            .map(|e| match e.field("current_a") {
+            .of_kind(Kind::GainStep)
+            .map(|e| match e.field(Key::CurrentA) {
                 Some(Value::F64(a)) => Some(a.to_bits()),
                 _ => None,
             })
