@@ -15,6 +15,7 @@
 
 use movr::tracking::BeamPredictor;
 use movr_bench::{figure_header, reflector_position};
+use movr_control::BLE_LATENCY;
 use movr_math::{wrap_deg_180, Summary, Vec2};
 use movr_motion::{LighthouseTracker, PlayerState};
 use movr_phased_array::{PatchElement, PhaseShifter, UniformLinearArray};
@@ -33,7 +34,7 @@ fn main() {
         "beam-pointing error and gain loss vs player speed, with/without §6 prediction",
     ));
 
-    let latency_s = 0.0075;
+    let latency_s = BLE_LATENCY.as_secs_f64();
     let frame_s = 1.0 / 90.0;
     let arr10 = UniformLinearArray::paper_array();
     let arr32 = UniformLinearArray::new(

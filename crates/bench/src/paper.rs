@@ -15,6 +15,7 @@ use movr::baselines::{aligned_direct_snr, opt_nlos};
 use movr::gain_control::GainControlConfig;
 use movr::reflector::MovrReflector;
 use movr::system::{MovrSystem, SystemConfig};
+use movr_control::BLE_LATENCY;
 use movr_math::angle::sweep_deg;
 use movr_math::{wrap_deg_180, Cdf, SimRng, Summary, Vec2};
 use movr_motion::{PlayerState, WorldState};
@@ -24,7 +25,8 @@ use movr_radio::{RadioEndpoint, RateTable, VR_REQUIRED_RATE_MBPS, VR_REQUIRED_SN
 use movr_rfsim::{BodyPart, Obstacle, Scene};
 use movr_sim::SimTime;
 use movr_vr::battery::{Battery, VIVE_MAX_DRAW_A, VIVE_TYPICAL_DRAW_A};
-use movr_vr::{LatencyBudget, VrTrafficModel};
+use movr_vr::latency;
+use movr_vr::traffic::frame_airtime;
 use Kind::{Calibrated, Reproduced};
 
 /// What a claim's statistic says about the simulator.
@@ -513,28 +515,23 @@ pub fn battery() -> Experiment {
 pub fn latency() -> Experiment {
     let mut out = figure_header("§6 latency", "component latencies vs the 10 ms frame budget");
 
-    let budget = LatencyBudget::default();
-    let traffic = VrTrafficModel::vive();
     let sys = MovrSystem::paper_setup(SystemConfig::default());
-    let cfg = SystemConfig::default();
 
-    // Gain control: ~ (max_gain / step) sensor reads at the Arduino's ADC
-    // rate (~10 µs per read, 3 reads per step).
+    // Gain control: a ramp over the whole gain range, ~ (max_gain / step)
+    // steps, each of `reads_per_step` ADC reads on the Arduino.
     let gc = GainControlConfig::default();
-    let steps = movr_math::convert::f64_to_u64((53.0 / gc.step_db).ceil());
-    let gain_control =
-        SimTime::from_nanos(steps * movr_math::convert::usize_to_u64(gc.reads_per_step) * 10_000);
+    let steps = movr_math::convert::f64_to_usize((53.0 / gc.step_db).ceil());
+    let gain_control = gc.ramp_time(steps);
 
     // Full install-time sweep: 101 × 101 beams.
-    let full_sweep =
-        sweep_cost(101, 101, cfg.beam_command_latency, cfg.sweep_dwell).unwrap_or(SimTime::MAX);
+    let full_sweep = sweep_cost(101, 101).unwrap_or(SimTime::MAX);
 
-    let airtime = traffic.frame_airtime(6756.75).expect("max rate");
+    let airtime = frame_airtime(6756.75).expect("max rate");
     let (track, sweep) = (sys.tracking_realignment_cost(), sys.sweep_realignment_cost());
 
     let rows: [(&str, SimTime, bool); 7] = [
         ("electronic beam steering", SimTime::from_secs_f64(STEERING_LATENCY_S), true),
-        ("one control command (BLE)", cfg.beam_command_latency, true),
+        ("one control command (BLE)", BLE_LATENCY, true),
         ("gain-control loop", gain_control, true),
         ("tracking-assisted realignment (§6)", track, true),
         ("windowed re-sweep (no tracking)", sweep, false),
@@ -546,7 +543,7 @@ pub fn latency() -> Experiment {
     let _ = writeln!(out, "{}", "-".repeat(66));
     let mut as_expected = 0;
     for (label, t, expect_fits) in &rows {
-        let fits = *t + budget.processing <= budget.budget;
+        let fits = latency::meets_deadline(*t, SimTime::ZERO);
         as_expected += usize::from(fits == *expect_fits);
         let _ = writeln!(out, "{label:<36} {:>14} {:>14}", format!("{t}"), if fits { "yes" } else { "NO" });
     }

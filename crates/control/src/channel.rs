@@ -8,11 +8,17 @@
 //!
 //! Latency here is what makes control-plane round trips *expensive*
 //! relative to the 10 ms frame budget — the quantitative reason §6 wants
-//! tracking-assisted realignment instead of chatty full sweeps.
+//! tracking-assisted realignment instead of chatty full sweeps. The
+//! BLE link's median one-way latency, [`BLE_LATENCY`], is the one cost
+//! of a reflector beam command everywhere the simulator charges one:
+//! the §4.1 sweeps, the link manager's realignments and §6's table.
 
 use crate::message::ControlMessage;
 use movr_math::SimRng;
 use movr_sim::SimTime;
+
+/// A BLE-class link's median one-way latency: 7.5 ms.
+pub const BLE_LATENCY: SimTime = SimTime::from_micros(7_500);
 
 /// A lossy, delayed control link.
 ///
@@ -24,7 +30,7 @@ use movr_sim::SimTime;
 /// let sent_at = SimTime::ZERO;
 /// if let Some(arrives) = ch.send(sent_at, ControlMessage::StopModulation) {
 ///     // BLE-class latency: several milliseconds, never instant.
-///     assert!(arrives >= SimTime::from_micros(7_500));
+///     assert!(arrives >= movr_control::BLE_LATENCY);
 ///     assert!(ch.deliveries(arrives).len() == 1);
 /// }
 /// ```
@@ -42,10 +48,10 @@ pub struct ControlChannel {
 }
 
 impl ControlChannel {
-    /// A BLE-class link: 7.5 ms latency, up to 2.5 ms jitter, 1 % loss.
+    /// A BLE-class link: [`BLE_LATENCY`], up to 2.5 ms jitter, 1 % loss.
     pub fn bluetooth(seed: u64) -> Self {
         ControlChannel {
-            latency: SimTime::from_micros(7_500),
+            latency: BLE_LATENCY,
             jitter: SimTime::from_micros(2_500),
             loss_probability: 0.01,
             rng: SimRng::seed_from_u64(seed),

@@ -22,6 +22,6 @@ pub mod channel;
 pub mod message;
 pub mod protocol;
 
-pub use channel::ControlChannel;
+pub use channel::{ControlChannel, BLE_LATENCY};
 pub use message::ControlMessage;
 pub use protocol::{CommandSession, SessionStats, SessionStatus};

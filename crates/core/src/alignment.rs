@@ -29,18 +29,23 @@
 //! only advancing the RNG past its draw. Results, probe counts, elapsed
 //! time and the RNG state are bit-identical to reading every probe
 //! (DESIGN.md, "Performance: the sweep-rate link engine"). A sweep's
-//! elapsed time is its [`sweep_cost`]: one beam command per outer beam
-//! and one dwell per probe. The sweeps record no events; a caller that
-//! owns a recorder records their results.
+//! elapsed time is its [`sweep_cost`]: one beam command per outer beam,
+//! at the BLE link's [`BLE_LATENCY`], and one [`PROBE_DWELL`] per probe.
+//! The sweeps record no events; a caller that owns a recorder records
+//! their results.
 
 use crate::gain_control::{run_gain_control, GainControlConfig};
 use crate::reflector::MovrReflector;
 use crate::relay::{relay_end_snr_batched, relay_input_noise, round_trip_reflection_batched};
+use movr_control::BLE_LATENCY;
 use movr_math::{amplitude_to_db, convert, db_to_amplitude, SimRng};
 use movr_phased_array::{Codebook, GainPage, PatternTable};
-use movr_radio::{RadioEndpoint, ToneProbe};
+use movr_radio::{RadioEndpoint, ToneProbe, SNR_REPORT_SIGMA_DB};
 use movr_rfsim::{LinkBatch, Scene};
 use movr_sim::SimTime;
+
+/// The AP's or headset's dwell per probe of a sweep: 50 µs.
+pub const PROBE_DWELL: SimTime = SimTime::from_micros(50);
 
 /// The skip test's rounding slack, dB: a probe is skipped only when its
 /// reading bound plus this slack stays below the lower bound on the best
@@ -65,10 +70,6 @@ pub struct AlignmentConfig {
     /// Whether the reflector modulates (true = the paper's protocol;
     /// false = the ablation that shows why modulation is necessary).
     pub modulated: bool,
-    /// AP-side dwell per (θ₁, θ₂) measurement.
-    pub dwell: SimTime,
-    /// Control-channel latency to command each reflector beam change.
-    pub beam_command_latency: SimTime,
 }
 
 impl Default for AlignmentConfig {
@@ -79,8 +80,6 @@ impl Default for AlignmentConfig {
             probe: ToneProbe::default(),
             probe_gain_db: 20.0,
             modulated: true,
-            dwell: SimTime::from_micros(50),
-            beam_command_latency: SimTime::from_micros(7_500),
         }
     }
 }
@@ -215,8 +214,6 @@ pub fn estimate_incidence(
     let elapsed = sweep_cost(
         convert::usize_to_u64(config.reflector_codebook.len()),
         convert::usize_to_u64(config.ap_codebook.len()),
-        config.beam_command_latency,
-        config.dwell,
     );
     AlignmentResult {
         reflector_angle_deg: best.1,
@@ -228,19 +225,14 @@ pub fn estimate_incidence(
 }
 
 /// The cost of a sweep of `commands` beam commands, each followed by
-/// `dwells_per_command` dwells: `commands` command latencies plus
-/// `commands · dwells_per_command` dwells, or `None` when it does not fit
-/// in a [`SimTime`].
-pub fn sweep_cost(
-    commands: u64,
-    dwells_per_command: u64,
-    beam_command_latency: SimTime,
-    dwell: SimTime,
-) -> Option<SimTime> {
+/// `dwells_per_command` probes: `commands` [`BLE_LATENCY`]s plus
+/// `commands · dwells_per_command` [`PROBE_DWELL`]s, or `None` when it
+/// does not fit in a [`SimTime`].
+pub fn sweep_cost(commands: u64, dwells_per_command: u64) -> Option<SimTime> {
     let commands = u128::from(commands);
-    let command_ns = commands * u128::from(beam_command_latency.as_nanos());
-    let dwell_ns =
-        (commands * u128::from(dwells_per_command)).checked_mul(u128::from(dwell.as_nanos()))?;
+    let command_ns = commands * u128::from(BLE_LATENCY.as_nanos());
+    let dwell_ns = (commands * u128::from(dwells_per_command))
+        .checked_mul(u128::from(PROBE_DWELL.as_nanos()))?;
     let total = command_ns.checked_add(dwell_ns)?;
     u64::try_from(total).ok().map(SimTime::from_nanos)
 }
@@ -263,22 +255,25 @@ pub struct ReflectionResult {
 
 /// What the reflection-angle search sweeps over: the reflector's
 /// transmit-beam candidates, the headset's receive-beam candidates, and
-/// the shared protocol knobs (dwell, command latency, probe chain).
+/// the shared protocol knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepParams<'a> {
     /// Reflector transmit-beam candidates (absolute bearings, degrees).
     pub tx_codebook: &'a Codebook,
     /// Headset receive-beam candidates (absolute bearings, degrees).
     pub headset_codebook: &'a Codebook,
-    /// Protocol knobs shared with the incidence stage.
+    /// The incidence stage's protocol knobs. The search reads none of
+    /// them: its commands and dwells cost [`BLE_LATENCY`] and
+    /// [`PROBE_DWELL`] like the incidence sweep's.
     pub config: &'a AlignmentConfig,
 }
 
 /// Estimates the reflection angle: the reflector's receive beam stays on
 /// the (already estimated) AP bearing; its transmit beam sweeps
 /// `sweep.tx_codebook` while the headset sweeps `sweep.headset_codebook`
-/// and reports SNR. SNR reports carry `snr_sigma_db` of measurement
-/// noise. Each candidate TX beam first runs the §4.2 gain loop.
+/// and reports SNR. SNR reports carry [`SNR_REPORT_SIGMA_DB`] of
+/// measurement noise. Each candidate TX beam first runs the §4.2 gain
+/// loop.
 pub fn estimate_reflection(
     scene: &Scene,
     ap: &RadioEndpoint,
@@ -290,12 +285,11 @@ pub fn estimate_reflection(
     let SweepParams {
         tx_codebook,
         headset_codebook,
-        config,
+        config: _,
     } = *sweep;
     reflector.set_modulating(false);
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
     let mut measurements = 0usize;
-    let snr_sigma_db = 0.5;
 
     // Geometry is frozen for the sweep: trace both relay hops once and
     // freeze them into tap batches. The AP's and the reflector's RX
@@ -333,7 +327,7 @@ pub fn estimate_reflection(
     );
     let tx_bounds = tx_table.amplitude_bounds(hop2.departure_deg());
     let mut hop2_bounds = vec![0.0; hs_table.len()];
-    let jitter_db = snr_sigma_db * SimRng::STD_NORMAL_MAX;
+    let jitter_db = SNR_REPORT_SIGMA_DB * SimRng::STD_NORMAL_MAX;
     let mut lower = f64::NEG_INFINITY;
     let skip_below = |lower: f64, relay_gain_db: Option<f64>| {
         let level = lower - jitter_db - SKIP_SLACK_DB;
@@ -381,7 +375,7 @@ pub fn estimate_reflection(
                 rng.skip_std_normal();
                 continue;
             }
-            let reported = end_snr_db(j) + rng.normal(0.0, snr_sigma_db);
+            let reported = end_snr_db(j) + rng.normal(0.0, SNR_REPORT_SIGMA_DB);
             if reported > best.0 {
                 best = (reported, tx_deg, rx_deg);
                 if best.0 > lower {
@@ -395,8 +389,6 @@ pub fn estimate_reflection(
     let elapsed = sweep_cost(
         convert::usize_to_u64(tx_codebook.len()),
         convert::usize_to_u64(headset_codebook.len()),
-        config.beam_command_latency,
-        config.dwell,
     );
     ReflectionResult {
         tx_angle_deg: best.1,
@@ -610,9 +602,8 @@ mod tests {
         let cfg = coarse_config();
         let mut rng = SimRng::seed_from_u64(2);
         let r = estimate_incidence(&scene, ap, reflector, &cfg, &mut rng);
-        let expect = SimTime::from_nanos(
-            21 * cfg.beam_command_latency.as_nanos() + 21 * 21 * cfg.dwell.as_nanos(),
-        );
+        let expect =
+            SimTime::from_nanos(21 * BLE_LATENCY.as_nanos() + 21 * 21 * PROBE_DWELL.as_nanos());
         assert_eq!(r.elapsed, expect);
     }
 
@@ -654,34 +645,21 @@ mod tests {
 
     #[test]
     fn a_sweep_too_long_for_sim_time_saturates() {
-        let (scene, mut ap, mut reflector) = setup();
-        let two_beams = |deg: f64| Codebook::sweep(deg - 1.0, deg, 1.0);
-        let cfg = AlignmentConfig {
-            ap_codebook: two_beams(77.0),
-            reflector_codebook: two_beams(-102.0),
-            dwell: SimTime::from_nanos(u64::MAX / 2),
-            ..Default::default()
-        };
-        let mut rng = SimRng::seed_from_u64(5);
-        let r = estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng);
-        assert_eq!(r.measurements, 2 * 2);
-        assert_eq!(r.elapsed, SimTime::MAX);
-
-        let hs_pos = Vec2::new(3.5, 1.0);
-        let headset =
-            RadioEndpoint::paper_radio(hs_pos, hs_pos.bearing_deg_to(reflector.position()));
-        ap.steer_toward(reflector.position());
-        reflector.steer_rx(reflector.position().bearing_deg_to(ap.position()));
-        let tx_cb = two_beams(reflector.position().bearing_deg_to(hs_pos));
-        let hs_cb = two_beams(hs_pos.bearing_deg_to(reflector.position()));
-        let sweep = SweepParams {
-            tx_codebook: &tx_cb,
-            headset_codebook: &hs_cb,
-            config: &cfg,
-        };
-        let r = estimate_reflection(&scene, &ap, reflector, headset, &sweep, &mut rng);
-        assert_eq!(r.measurements, 2 * 2);
-        assert_eq!(r.elapsed, SimTime::MAX);
+        // At most ⌊(2^64 − 1) ns / 7.5 ms⌋ command latencies fit in a
+        // `SimTime`; one more does not, and a sweep reports that as
+        // `SimTime::MAX`.
+        let most = u64::MAX / BLE_LATENCY.as_nanos();
+        let cost = sweep_cost(most, 0).expect("fits");
+        assert_eq!(cost.as_nanos(), most * BLE_LATENCY.as_nanos());
+        assert_eq!(sweep_cost(most + 1, 0), None);
+        // Codebook counts whose product of dwells overflows, in 128-bit
+        // arithmetic too, do not fit either.
+        assert_eq!(sweep_cost(1 << 32, 1 << 32), None);
+        assert_eq!(sweep_cost(u64::MAX, u64::MAX), None);
+        // The paper's 101 × 101 install sweep: 101 commands and 10,201
+        // dwells, 1.268 s.
+        let paper = sweep_cost(101, 101).expect("fits");
+        assert_eq!(paper, SimTime::from_micros(101 * 7_500 + 101 * 101 * 50));
     }
 
     #[test]

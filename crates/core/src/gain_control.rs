@@ -11,12 +11,18 @@
 //! > amplification gain just below this point.
 //!
 //! [`run_gain_control`] is that loop, operating only on what the firmware
-//! can actually observe (the quantised, noisy current sensor).
+//! can actually observe (the quantised, noisy current sensor). Each read
+//! of that sensor costs the reflector's microcontroller one
+//! [`ADC_READ`], so a ramp takes [`GainControlConfig::ramp_time`].
 
 use crate::reflector::MovrReflector;
 use movr_analog::{CurrentSensor, VariableGainAmplifier};
 use movr_obs::{Event, Key, Kind, NullRecorder, Recorder};
 use movr_sim::SimTime;
+
+/// One current-sensor read on the reflector's microcontroller: 10 µs of
+/// ADC conversion.
+pub const ADC_READ: SimTime = SimTime::from_micros(10);
 
 /// Gain-control loop parameters.
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +46,16 @@ impl Default for GainControlConfig {
             backoff_db: 1.0,
             reads_per_step: 3,
         }
+    }
+}
+
+impl GainControlConfig {
+    /// The reflector's time to ramp through `steps` gain steps: each takes
+    /// `reads_per_step` sensor reads of [`ADC_READ`].
+    pub fn ramp_time(&self, steps: usize) -> SimTime {
+        let reads = movr_math::convert::usize_to_u64(steps)
+            .saturating_mul(movr_math::convert::usize_to_u64(self.reads_per_step));
+        SimTime::from_nanos(reads.saturating_mul(ADC_READ.as_nanos()))
     }
 }
 

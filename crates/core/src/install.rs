@@ -153,8 +153,8 @@ pub fn install_reflector(
         converged = false;
     }
     let gain = run_gain_control(reflector, &config.gain_control);
-    // The gain loop runs on the Arduino: ~30 µs of ADC work per step.
-    now += SimTime::from_nanos(movr_math::convert::usize_to_u64(gain.trace.len()) * 30_000);
+    // The gain loop runs on the Arduino, one ADC read at a time.
+    now += config.gain_control.ramp_time(gain.trace.len());
     if let Some(at) = command(
         link,
         now,
@@ -181,6 +181,7 @@ pub fn install_reflector(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gain_control::ADC_READ;
     use movr_control::ControlChannel;
     use movr_math::{wrap_deg_180, Vec2};
     use movr_phased_array::Codebook;
@@ -243,6 +244,31 @@ mod tests {
             report.elapsed
         );
         assert!(report.elapsed < SimTime::from_secs_f64(5.0));
+    }
+
+    #[test]
+    fn the_ramp_is_charged_per_sensor_read() {
+        // The same install with one sensor read per ramp step and with
+        // three: the link draws and every command are the same, so the
+        // two differ in elapsed time only by their ramps, each step
+        // charged one ADC read per read it takes.
+        let run = |reads_per_step| {
+            let (scene, ap, mut reflector, mut config) = setup();
+            config.gain_control.reads_per_step = reads_per_step;
+            let mut link = CommandSession::bluetooth(42, 5);
+            let mut rng = SimRng::seed_from_u64(2);
+            install_reflector(&scene, &ap, &mut reflector, &mut link, &config, &mut rng)
+        };
+        let (one, three) = (run(1), run(3));
+        let (steps_1, steps_3) = (one.gain.trace.len() as u64, three.gain.trace.len() as u64);
+        assert!(steps_1 > 0 && steps_3 > 0);
+        let read_ns = ADC_READ.as_nanos();
+        assert_eq!(read_ns, 10_000);
+        assert_eq!(
+            i128::from(one.elapsed.as_nanos()) - i128::from(three.elapsed.as_nanos()),
+            (i128::from(steps_1) - 3 * i128::from(steps_3)) * i128::from(read_ns),
+            "{steps_1} steps of one read against {steps_3} of three"
+        );
     }
 
     #[test]

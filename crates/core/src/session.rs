@@ -6,6 +6,15 @@
 //! beam-realignment stall in progress? The output is the player-facing
 //! quality the paper argues MoVR delivers and the baselines do not.
 //!
+//! The headset's stream and link are those the paper evaluates: each frame
+//! is the Vive's [`FRAME_BITS`], framed into 802.11ad PPDUs
+//! ([`burst_airtime`]), inflated by the expected retransmissions at the
+//! frame SNR's [`packet_error_rate`], and due within the 10 ms
+//! [`latency::BUDGET`]; a non-oracle rate policy picks its MCS from
+//! reports with [`SNR_REPORT_SIGMA_DB`] of noise. These are constants: a
+//! [`SessionConfig`] holds only what some caller varies, and a session
+//! refuses the values of those inputs it cannot run under.
+//!
 //! The loop is exposed two ways: the one-shot [`run_session`] family, and
 //! the stepwise [`Session`], which advances one frame per call and keeps
 //! *all* mutable state in a [`SessionState`] — the unit the checkpoint
@@ -18,9 +27,12 @@ use movr_math::convert::{f64_to_u64, u64_to_f64, usize_to_f64, usize_to_u64};
 use movr_math::{SimRng, Summary};
 use movr_motion::MotionTrace;
 use movr_obs::{Event, Histogram, Key, Kind, MetricsSnapshot, NullRecorder, Recorder};
-use movr_radio::{FrameConfig, McsEntry, PerModel, RateAdapter};
+use movr_radio::frame::burst_airtime;
+use movr_radio::per::packet_error_rate;
+use movr_radio::{McsEntry, RateAdapter, SNR_REPORT_SIGMA_DB};
 use movr_sim::SimTime;
-use movr_vr::{GlitchReport, GlitchTracker, LatencyBudget, VrTrafficModel};
+use movr_vr::traffic::FRAME_BITS;
+use movr_vr::{latency, GlitchReport, GlitchTracker, VrTrafficModel};
 
 pub use movr_radio::RatePolicy;
 
@@ -46,21 +58,15 @@ pub struct SessionConfig {
     pub strategy: Strategy,
     /// VR traffic generator parameters.
     pub traffic: VrTrafficModel,
-    /// Motion-to-photon latency budget.
-    pub latency: LatencyBudget,
     /// Physical-layer system parameters.
     pub system: SystemConfig,
     /// MCS selection policy.
     pub rate_policy: RatePolicy,
-    /// 802.11ad PPDU framing used for airtime accounting.
-    pub framing: FrameConfig,
-    /// RMS noise on the SNR reports fed to non-oracle policies, dB.
-    pub snr_report_sigma_db: f64,
 }
 
 impl SessionConfig {
-    /// A session with the given strategy and all defaults (oracle rate
-    /// selection, standard framing).
+    /// A session with the given strategy and all defaults (the Vive's
+    /// 90 Hz and oracle rate selection).
     pub fn with_strategy(strategy: Strategy) -> Self {
         let mut system = SystemConfig::default();
         if let Strategy::Movr { tracking } = strategy {
@@ -69,11 +75,8 @@ impl SessionConfig {
         SessionConfig {
             strategy,
             traffic: VrTrafficModel::vive(),
-            latency: LatencyBudget::default(),
             system,
             rate_policy: RatePolicy::Oracle,
-            framing: FrameConfig::default(),
-            snr_report_sigma_db: 0.5,
         }
     }
 }
@@ -105,9 +108,10 @@ pub struct SessionOutcome {
 }
 
 impl SessionOutcome {
-    /// Grades the session with the default QoE model.
+    /// Grades the session against the QoE thresholds of
+    /// [`movr_vr::quality`].
     pub fn grade(&self) -> movr_vr::QualityGrade {
-        movr_vr::QualityModel::default().grade(&self.glitches, self.duration_s)
+        movr_vr::quality::grade(&self.glitches, self.duration_s)
     }
 }
 
@@ -175,24 +179,15 @@ pub struct Session {
     state: SessionState,
 }
 
-/// The largest `traffic.frame_bits` a session runs: 2^53, the largest
-/// bit count an `f64` holds exactly.
-const MAX_FRAME_BITS: f64 = 9_007_199_254_740_992.0;
-
 /// Why `config` cannot run a session, if it cannot: a
 /// `traffic.refresh_hz` that gives no frame interval of at least 1 ns (a
 /// rate that is zero, negative or NaN, or one above 2 GHz, whose interval
-/// rounds to 0 ns and would stop the frame clock), a `traffic.frame_bits`
-/// that is NaN, negative or above [`MAX_FRAME_BITS`], a
+/// rounds to 0 ns and would stop the frame clock), a
 /// `system.command_loss_probability` outside [0, 1] (which
 /// [`SimRng::chance`] clamps) or NaN (which it reads as "never lost"), a
 /// NaN `system.snr_switch_threshold_db` (no frame would ever be served
-/// direct), a `system.realign_window_deg` that is NaN or negative (the
-/// re-sweep would cost nothing) or whose re-sweep cost, with
-/// `beam_command_latency` and `sweep_dwell`, does not fit in a
-/// [`SimTime`], an `snr_report_sigma_db` that is negative, NaN or
-/// infinite (a NaN makes every noisy report NaN), or a hysteresis rate
-/// policy with `up_count = 0`, which [`RateAdapter::new`] rejects.
+/// direct), or a hysteresis rate policy with `up_count = 0`, which
+/// [`RateAdapter::new`] rejects.
 pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
     let hz = config.traffic.refresh_hz;
     // `VrTrafficModel::frame_interval` without its panic on a negative,
@@ -202,13 +197,6 @@ pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
         return Some(format!(
             "refresh_hz = {hz} Hz gives no frame interval of at least 1 ns; \
              it must be positive and at most 2 GHz"
-        ));
-    }
-    let bits = config.traffic.frame_bits;
-    if !(0.0..=MAX_FRAME_BITS).contains(&bits) {
-        return Some(format!(
-            "frame_bits = {bits:?} is not a frame size; \
-             it must be a bit count from 0 to 2^53"
         ));
     }
     let loss = config.system.command_loss_probability;
@@ -223,23 +211,6 @@ pub(crate) fn config_error(config: &SessionConfig) -> Option<String> {
         return Some(format!(
             "snr_switch_threshold_db = {threshold:?} dB is not a threshold; \
              no frame would be served direct"
-        ));
-    }
-    let s = &config.system;
-    if s.sweep_cost().is_none() {
-        return Some(format!(
-            "realign_window_deg = {:?} with beam_command_latency = {} ns and sweep_dwell = {} ns \
-             gives no re-sweep cost; the window must be at least 0 and the cost below 2^64 ns",
-            s.realign_window_deg,
-            s.beam_command_latency.as_nanos(),
-            s.sweep_dwell.as_nanos()
-        ));
-    }
-    let sigma = config.snr_report_sigma_db;
-    if !(sigma.is_finite() && sigma >= 0.0) {
-        return Some(format!(
-            "snr_report_sigma_db = {sigma:?} dB is not a noise level; \
-             it must be finite and at least 0"
         ));
     }
     if let RatePolicy::HysteresisPolicy { up_count: 0, .. } = config.rate_policy {
@@ -264,12 +235,9 @@ impl Session {
     /// Panics if `config.traffic.refresh_hz` does not give a frame
     /// interval of at least 1 ns (a rate that is zero, negative or NaN,
     /// or one above 2 GHz, whose interval rounds to 0 ns and would stop
-    /// the frame clock), if `config.traffic.frame_bits` is NaN, negative
-    /// or above 2^53, if `config.system.command_loss_probability` is
+    /// the frame clock), if `config.system.command_loss_probability` is
     /// outside [0, 1] or NaN, if `config.system.snr_switch_threshold_db`
-    /// is NaN, if the no-tracking re-sweep's window or cost is out of range,
-    /// if `config.snr_report_sigma_db` is negative, NaN or infinite, or if
-    /// the rate policy is hysteresis with `up_count = 0`.
+    /// is NaN, or if the rate policy is hysteresis with `up_count = 0`.
     pub fn on_system(system: MovrSystem, config: &SessionConfig) -> Self {
         if let Some(why) = config_error(config) {
             panic!("{why}");
@@ -361,7 +329,6 @@ impl Session {
             return false;
         }
         st.now = now;
-        let per_model = PerModel::default();
         let t_s = now.as_secs_f64();
         let world = trace.world_at(t_s);
 
@@ -433,7 +400,7 @@ impl Session {
             // the latency budget together with any realignment stall.
             let report = match config.rate_policy {
                 RatePolicy::Oracle => snr_db,
-                _ => snr_db + st.report_rng.normal(0.0, config.snr_report_sigma_db),
+                _ => snr_db + st.report_rng.normal(0.0, SNR_REPORT_SIGMA_DB),
             };
             let before = st.adapter.current();
             let chosen = st.adapter.on_snr_report(report);
@@ -470,10 +437,8 @@ impl Session {
                 None => false,
                 Some(mcs) => {
                     frame_mcs = Some(mcs);
-                    let per = per_model.per(mcs, snr_db).min(0.99);
-                    let base = config
-                        .framing
-                        .burst_airtime(mcs, f64_to_u64(config.traffic.frame_bits));
+                    let per = packet_error_rate(mcs, snr_db).min(0.99);
+                    let base = burst_airtime(mcs, f64_to_u64(FRAME_BITS));
                     let airtime =
                         SimTime::from_secs_f64(base.as_secs_f64() / (1.0 - per));
                     frame_airtime = Some(airtime);
@@ -481,7 +446,7 @@ impl Session {
                         .get_or_insert_with(airtime_layout)
                         .observe(u64_to_f64(airtime.as_nanos()));
                     let stall = st.blocked_until.saturating_since(now);
-                    config.latency.meets_deadline(airtime, stall)
+                    latency::meets_deadline(airtime, stall)
                 }
             }
         };
@@ -686,42 +651,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "frame_bits = 1.7976931348623157e308")]
-    fn unbounded_frame_size_is_rejected() {
-        let mut cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
-        cfg.traffic.frame_bits = f64::MAX;
-        Session::new(&cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "realign_window_deg = NaN with")]
-    fn nan_realign_window_is_rejected() {
-        // At a NaN window the no-tracking re-sweep cost 0 ns.
-        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
-        cfg.system.realign_window_deg = f64::NAN;
-        Session::new(&cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "realign_window_deg = -0.4 with")]
-    fn negative_realign_window_is_rejected() {
-        // ⌊2 · (−0.4) + 1⌋ = 0 beams: the re-sweep cost 0 ns.
-        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
-        cfg.system.realign_window_deg = -0.4;
-        Session::new(&cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "realign_window_deg = 10000000.0 with")]
-    fn overflowing_re_sweep_cost_is_rejected() {
-        // 2e7 + 1 beams: n² dwells of 50 µs are about 2.0e19 ns; 2^64 ns is
-        // about 1.8e19.
-        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
-        cfg.system.realign_window_deg = 1e7;
-        Session::new(&cfg);
-    }
-
-    #[test]
     #[should_panic(expected = "command_loss_probability = 1.5 is not a probability")]
     fn out_of_range_command_loss_is_rejected() {
         let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: true });
@@ -735,51 +664,6 @@ mod tests {
         let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: true });
         cfg.system.snr_switch_threshold_db = f64::NAN;
         Session::new(&cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "snr_report_sigma_db = -0.5 dB is not a noise level")]
-    fn negative_report_noise_is_rejected() {
-        let mut cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
-        cfg.snr_report_sigma_db = -0.5;
-        Session::new(&cfg);
-    }
-
-    #[test]
-    fn a_realignment_past_the_clock_limit_saturates_it() {
-        // One command of 2^64 − 11 ns is a re-sweep cost that fits, so the
-        // config is accepted, but the frame time plus it does not: the
-        // first reflector frame of the hand raise overflowed the clock.
-        let mut cfg = SessionConfig::with_strategy(Strategy::Movr { tracking: false });
-        cfg.system.realign_window_deg = 0.0;
-        cfg.system.sweep_dwell = SimTime::ZERO;
-        cfg.system.beam_command_latency = SimTime::from_nanos(u64::MAX - 10);
-        let trace = HandRaise {
-            base: facing_ap(),
-            raise_at_s: 0.2,
-            lower_at_s: 0.6,
-            duration_s: 0.8,
-        };
-        let mut session = Session::new(&cfg);
-        while session.step_frame(&trace) {}
-        let state = session.state();
-        assert!(state.realignments > 0, "the hand raise realigns");
-        assert_eq!(state.blocked_until, SimTime::MAX);
-    }
-
-    #[test]
-    fn the_largest_frame_size_steps() {
-        // 2^53 bits is about 4.3e9 full PPDUs per frame; each frame's
-        // airtime is one product over them, not a loop.
-        for strategy in [Strategy::DirectOnly, Strategy::Movr { tracking: true }] {
-            let mut cfg = SessionConfig::with_strategy(strategy);
-            cfg.traffic.frame_bits = MAX_FRAME_BITS;
-            let trace = StaticScene::new(facing_ap(), 1.0);
-            let mut session = Session::new(&cfg);
-            for frame in 0..3 {
-                assert!(session.step_frame(&trace), "{strategy:?} frame {frame}");
-            }
-        }
     }
 
     #[test]
@@ -914,15 +798,14 @@ mod tests {
         // payload airtime plus framing overhead: it no longer fits the
         // 10 ms budget. The session's effective VR threshold is therefore
         // MCS 13+, slightly stricter than the bare ladder suggests.
-        let cfg = SessionConfig::with_strategy(Strategy::DirectOnly);
         let table = movr_radio::RateTable;
         let mcs12 = &table.entries()[12];
         let mcs13 = &table.entries()[13];
-        let bits = cfg.traffic.frame_bits as u64;
-        let at12 = cfg.framing.burst_airtime(mcs12, bits);
-        let at13 = cfg.framing.burst_airtime(mcs13, bits);
-        assert!(!cfg.latency.meets_deadline(at12, movr_sim::SimTime::ZERO));
-        assert!(cfg.latency.meets_deadline(at13, movr_sim::SimTime::ZERO));
+        let bits = FRAME_BITS as u64;
+        let at12 = burst_airtime(mcs12, bits);
+        let at13 = burst_airtime(mcs13, bits);
+        assert!(!latency::meets_deadline(at12, SimTime::ZERO));
+        assert!(latency::meets_deadline(at13, SimTime::ZERO));
     }
 
     #[test]

@@ -62,19 +62,24 @@
 //! attempt migration — a snapshot is a short-lived mid-run artifact, not
 //! an archival format.
 
+use crate::alignment::PROBE_DWELL;
 use crate::session::{
     airtime_layout, snr_layout, stall_layout, RatePolicy, Session, SessionConfig, SessionState,
     Strategy,
 };
-use crate::system::{LinkMode, MovrSystem, ReflectorCheckpoint, SystemCheckpoint};
+use crate::system::{
+    LinkMode, MovrSystem, ReflectorCheckpoint, SystemCheckpoint, REALIGN_WINDOW_DEG,
+};
+use movr_control::BLE_LATENCY;
 use movr_math::convert::usize_to_u64;
 use movr_math::{fnv1a64, SimRng, Summary, WireError, WireReader, WireWriter};
 use movr_motion::TrackedPose;
 use movr_obs::Histogram;
-use movr_radio::RateAdapter;
+use movr_radio::{frame, RateAdapter, SNR_REPORT_SIGMA_DB};
 use movr_rfsim::{BodyPart, Obstacle};
 use movr_sim::SimTime;
-use movr_vr::GlitchTracker;
+use movr_vr::traffic::FRAME_BITS;
+use movr_vr::{latency, GlitchTracker};
 use std::fmt;
 
 /// The snapshot format version this build writes and reads.
@@ -256,9 +261,16 @@ impl Snapshot {
 
 /// Canonical fingerprint of a [`SessionConfig`]: FNV-1a 64 over the
 /// wire-encoded fields. Two configs fingerprint equal iff every field —
-/// strategy, traffic, latency budget, system knobs, rate policy,
-/// framing, report noise — is bit-identical; a snapshot refuses to
-/// restore under a config that fingerprints differently.
+/// strategy, refresh rate, system knobs, rate policy — is bit-identical;
+/// a snapshot refuses to restore under a config that fingerprints
+/// differently.
+///
+/// The session's fixed facts — the frame size, the latency budget, the
+/// re-sweep window, the BLE command latency and probe dwell, the PPDU
+/// framing and the report noise — are written too, each as its constant
+/// at its place in the version-2 layout: every config fingerprints as
+/// format version 2 defines it, and a build whose constants differ
+/// refuses this build's snapshots.
 pub fn config_fingerprint(config: &SessionConfig) -> u64 {
     let mut w = WireWriter::new();
     match config.strategy {
@@ -270,9 +282,9 @@ pub fn config_fingerprint(config: &SessionConfig) -> u64 {
         }
     }
     w.f64(config.traffic.refresh_hz);
-    w.f64(config.traffic.frame_bits);
-    w.u64(config.latency.budget.as_nanos());
-    w.u64(config.latency.processing.as_nanos());
+    w.f64(FRAME_BITS);
+    w.u64(latency::BUDGET.as_nanos());
+    w.u64(latency::PROCESSING.as_nanos());
     let s = &config.system;
     w.f64(s.snr_switch_threshold_db);
     w.bool(s.use_tracking);
@@ -281,9 +293,9 @@ pub fn config_fingerprint(config: &SessionConfig) -> u64 {
     w.f64(s.gain_control.jump_threshold_a);
     w.f64(s.gain_control.backoff_db);
     w.usize(s.gain_control.reads_per_step);
-    w.f64(s.realign_window_deg);
-    w.u64(s.beam_command_latency.as_nanos());
-    w.u64(s.sweep_dwell.as_nanos());
+    w.f64(REALIGN_WINDOW_DEG);
+    w.u64(BLE_LATENCY.as_nanos());
+    w.u64(PROBE_DWELL.as_nanos());
     w.f64(s.command_loss_probability);
     w.u64(s.seed);
     match config.rate_policy {
@@ -303,11 +315,11 @@ pub fn config_fingerprint(config: &SessionConfig) -> u64 {
             w.f64(backoff_db);
         }
     }
-    w.u64(config.framing.preamble_ns);
-    w.u64(config.framing.header_ns);
-    w.u64(config.framing.sifs_ns);
-    w.u64(config.framing.max_psdu_bits);
-    w.f64(config.snr_report_sigma_db);
+    w.u64(frame::PREAMBLE_NS);
+    w.u64(frame::HEADER_NS);
+    w.u64(frame::SIFS_NS);
+    w.u64(frame::MAX_PSDU_BITS);
+    w.f64(SNR_REPORT_SIGMA_DB);
     fnv1a64(w.bytes())
 }
 
@@ -803,18 +815,27 @@ mod tests {
 
     #[test]
     fn config_fingerprint_is_sensitive_to_every_knob() {
+        // One row per settable value of a `SessionConfig`.
         let base = config();
         let fp = config_fingerprint(&base);
-        let mut c1 = base;
-        c1.snr_report_sigma_db += 0.1;
-        let mut c2 = base;
-        c2.system.seed ^= 1;
-        let mut c3 = base;
-        c3.rate_policy = RatePolicy::Oracle;
-        let mut c4 = base;
-        c4.latency.budget += SimTime::from_nanos(1);
-        for (i, c) in [c1, c2, c3, c4].iter().enumerate() {
-            assert_ne!(fp, config_fingerprint(c), "knob {i} must change the fingerprint");
+        let knobs: [fn(&mut SessionConfig); 12] = [
+            |c| c.strategy = Strategy::DirectOnly,
+            |c| c.traffic.refresh_hz += 1.0,
+            |c| c.system.snr_switch_threshold_db += 0.1,
+            |c| c.system.use_tracking = !c.system.use_tracking,
+            |c| c.system.use_prediction = !c.system.use_prediction,
+            |c| c.system.gain_control.step_db += 0.1,
+            |c| c.system.gain_control.jump_threshold_a += 0.01,
+            |c| c.system.gain_control.backoff_db += 0.1,
+            |c| c.system.gain_control.reads_per_step += 1,
+            |c| c.system.command_loss_probability += 0.1,
+            |c| c.system.seed ^= 1,
+            |c| c.rate_policy = RatePolicy::Oracle,
+        ];
+        for (i, knob) in knobs.iter().enumerate() {
+            let mut c = base;
+            knob(&mut c);
+            assert_ne!(fp, config_fingerprint(&c), "knob {i} must change the fingerprint");
         }
         assert_eq!(fp, config_fingerprint(&base));
     }

@@ -17,13 +17,17 @@
 //!    to the best reflector (§4: "in the case of a blockage ... the AP
 //!    steers its beam towards the MoVR reflector"),
 //! 4. accounts the realignment *cost*: with §6 tracking assistance the
-//!    reflector's transmit beam follows the tracked headset continuously;
-//!    without it, a blockage triggers a windowed beam re-sweep whose
-//!    latency stalls frames.
+//!    reflector's transmit beam follows the tracked headset continuously,
+//!    and a path switch stalls for one beam command ([`BLE_LATENCY`]);
+//!    without it, a blockage triggers a re-sweep of
+//!    ±[`REALIGN_WINDOW_DEG`] whose latency, the
+//!    [`sweep_cost`](crate::alignment::sweep_cost) of 31 × 31 beams
+//!    (280.55 ms), stalls frames.
 
 use crate::gain_control::{run_gain_control, run_gain_control_recorded, GainControlConfig};
 use crate::reflector::MovrReflector;
 use crate::relay::{relay_budget, RelayBudget};
+use movr_control::BLE_LATENCY;
 use movr_math::{wrap_deg_180, Vec2};
 use movr_motion::{LighthouseTracker, WorldState};
 use movr_obs::{NullRecorder, Recorder};
@@ -43,6 +47,11 @@ use movr_sim::SimTime;
 /// RNG re-rolls the whole batch, and this constant is where the canonical
 /// unit gets re-picked (see `tests/end_to_end.rs`).
 pub const PAPER_DEVICE_SEED: u64 = 2;
+
+/// Half-width of the no-tracking re-sweep window, degrees: the re-sweep
+/// steps the reflector's transmit beam and the headset's receive beam
+/// over ⌊2 · 15 + 1⌋ = 31 bearings at 1° each.
+pub const REALIGN_WINDOW_DEG: f64 = 15.0;
 
 /// Which path carries the data stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,12 +94,6 @@ pub struct SystemConfig {
     pub use_prediction: bool,
     /// Gain-control parameters.
     pub gain_control: GainControlConfig,
-    /// Half-width of the no-tracking re-sweep window, degrees.
-    pub realign_window_deg: f64,
-    /// Control-channel latency per reflector beam command.
-    pub beam_command_latency: SimTime,
-    /// AP/headset measurement dwell per sweep step.
-    pub sweep_dwell: SimTime,
     /// Fault injection: probability that a reflector beam command is
     /// lost in the control plane (the beam then holds its previous
     /// angle until the next command gets through).
@@ -106,28 +109,9 @@ impl Default for SystemConfig {
             use_tracking: true,
             use_prediction: false,
             gain_control: GainControlConfig::default(),
-            realign_window_deg: 15.0,
-            beam_command_latency: SimTime::from_micros(7_500),
-            sweep_dwell: SimTime::from_micros(50),
             command_loss_probability: 0.0,
             seed: 0,
         }
-    }
-}
-
-impl SystemConfig {
-    /// The cost of a windowed re-sweep: the
-    /// [`sweep_cost`](crate::alignment::sweep_cost) of n × n beams, with
-    /// n = ⌊2·`realign_window_deg` + 1⌋, or `None` when the window is NaN
-    /// or negative (the re-sweep would cost nothing) or the cost does not
-    /// fit in a [`SimTime`].
-    pub(crate) fn sweep_cost(&self) -> Option<SimTime> {
-        let window = self.realign_window_deg;
-        if window.is_nan() || window < 0.0 {
-            return None;
-        }
-        let n = movr_math::convert::f64_to_u64(2.0 * window + 1.0);
-        crate::alignment::sweep_cost(n, n, self.beam_command_latency, self.sweep_dwell)
     }
 }
 
@@ -397,16 +381,18 @@ impl MovrSystem {
     }
 
     /// The cost of a no-tracking windowed re-sweep of one reflector's
-    /// transmit beam against the headset's receive beam, or
-    /// [`SimTime::MAX`] for a NaN or negative window or a cost that does
-    /// not fit (a session rejects such a configuration).
+    /// transmit beam against the headset's receive beam: the
+    /// [`sweep_cost`](crate::alignment::sweep_cost) of n × n beams, with
+    /// n = ⌊2·[`REALIGN_WINDOW_DEG`] + 1⌋ = 31, which is 280.55 ms.
     pub fn sweep_realignment_cost(&self) -> SimTime {
-        self.config.sweep_cost().unwrap_or(SimTime::MAX)
+        let n = movr_math::convert::f64_to_u64(2.0 * REALIGN_WINDOW_DEG + 1.0);
+        crate::alignment::sweep_cost(n, n).expect("a 31-beam re-sweep fits in a SimTime")
     }
 
-    /// The cost of a tracking-assisted realignment: one beam command.
+    /// The cost of a tracking-assisted realignment: one beam command,
+    /// [`BLE_LATENCY`].
     pub fn tracking_realignment_cost(&self) -> SimTime {
-        self.config.beam_command_latency
+        BLE_LATENCY
     }
 
     /// Evaluates the link at time `t_s` for the given world and commits
@@ -473,8 +459,7 @@ impl MovrSystem {
                 // data stream, so the cost is zero (mode switches and
                 // sweeps are the stalls).
                 let command = if self.config.use_prediction {
-                    let effect_at =
-                        t_s + self.config.beam_command_latency.as_secs_f64();
+                    let effect_at = t_s + BLE_LATENCY.as_secs_f64();
                     self.predictor
                         .predict_bearing_from(r.unit.position(), effect_at)
                         .unwrap_or(ideal_tx)
@@ -840,6 +825,8 @@ mod tests {
         assert!(track < SimTime::from_millis(10), "track={track}");
         assert!(sweep > SimTime::from_millis(100), "sweep={sweep}");
         assert!(sweep.as_nanos() > 10 * track.as_nanos());
+        // 31 commands of 7.5 ms and 31 × 31 dwells of 50 µs.
+        assert_eq!(sweep, SimTime::from_micros(280_550));
     }
 
     #[test]

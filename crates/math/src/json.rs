@@ -2,13 +2,12 @@
 //!
 //! Writers across the workspace (events, metrics, rollups, bench lines)
 //! hand-roll their serialisation and spell every string through
-//! [`write_str`]. Each writer routine has one implementation, over a
-//! `Vec<u8>`: [`write_str_bytes`], [`write_u64_bytes`] and
-//! [`write_f64_bytes`]. Event lines, the hot writer, call them directly,
-//! so a line is appended in one pass with no `fmt` machinery and no UTF-8
-//! check; the `String` forms ([`write_str`], [`write_u64`],
-//! [`write_f64`]) run the byte form into a scratch buffer and append its
-//! text. `write_f64_bytes` is an in-tree Ryū (Adams, PLDI 2018) that
+//! [`write_str_bytes`]. Each writer routine has one implementation, over
+//! a `Vec<u8>`: [`write_str_bytes`], [`write_u64_bytes`] and
+//! [`write_f64_bytes`]. A writer appends a whole line or document to one
+//! buffer with no `fmt` machinery, and a document that must be a
+//! `String` checks its UTF-8 once, when it is finished.
+//! `write_f64_bytes` is an in-tree Ryū (Adams, PLDI 2018) that
 //! prints exactly the text Rust's `Display` gives: shortest round-trip
 //! digits, fixed notation, exact ties rounded up. `tests/float_writer.rs`
 //! holds it to `format!` over a million random bit patterns and every
@@ -89,11 +88,6 @@ pub fn write_str_bytes(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
 }
 
-/// [`write_str_bytes`] onto a `String`.
-pub fn write_str(out: &mut String, s: &str) {
-    append_text(out, |bytes| write_str_bytes(bytes, s));
-}
-
 /// Appends the decimal digits of `n`, as `format!("{n}")` would: the
 /// digits are laid out left-aligned in a 20-byte buffer, which goes in
 /// as one fixed-size copy before the excess is cut off.
@@ -102,11 +96,6 @@ pub fn write_u64_bytes(out: &mut Vec<u8>, n: u64) {
     let end = out.len() + len;
     out.extend_from_slice(&buf);
     out.truncate(end);
-}
-
-/// [`write_u64_bytes`] onto a `String`.
-pub fn write_u64(out: &mut String, n: u64) {
-    append_text(out, |bytes| write_u64_bytes(bytes, n));
 }
 
 /// Appends `x` exactly as `format!("{x}")` writes it, without the
@@ -159,18 +148,6 @@ pub fn write_f64_bytes(out: &mut Vec<u8>, x: f64) {
         out.extend_from_slice(digits);
         out.resize(out.len() + (point as usize - len), b'0');
     }
-}
-
-/// [`write_f64_bytes`] onto a `String`.
-pub fn write_f64(out: &mut String, x: f64) {
-    append_text(out, |bytes| write_f64_bytes(bytes, x));
-}
-
-/// Runs a byte writer into a scratch buffer and appends what it wrote.
-fn append_text(out: &mut String, write: impl FnOnce(&mut Vec<u8>)) {
-    let mut bytes = Vec::new();
-    write(&mut bytes);
-    out.push_str(std::str::from_utf8(&bytes).expect("the JSON writers write UTF-8"));
 }
 
 /// The decimal digits of `n` in `buf[..len]`, two at a time from the
@@ -1258,40 +1235,37 @@ mod tests {
             "tab\tnl\ncr\r\u{1}\u{1f}",
             "mé/déjà #=",
         ] {
-            let mut out = String::new();
-            write_str(&mut out, s);
+            let mut out = Vec::new();
+            write_str_bytes(&mut out, s);
+            let out = String::from_utf8(out).expect("UTF-8");
             assert!(!out[1..out.len() - 1].bytes().any(|b| b < 0x20), "{out}");
             assert_eq!(Json::parse(&out).expect(&out).as_str(), Some(s));
         }
-        let mut out = String::new();
-        write_str(&mut out, "a\"\\\n");
-        assert_eq!(out, "\"a\\\"\\\\\\u000a\"");
+        let mut out = Vec::new();
+        write_str_bytes(&mut out, "a\"\\\n");
+        assert_eq!(out, b"\"a\\\"\\\\\\u000a\"");
     }
 
     #[test]
     fn byte_forms_append_what_the_string_forms_write() {
+        // Each byte form appends what the value's string form (Display,
+        // or Debug with JSON's control escapes for text) spells.
         let mut bytes = b"[".to_vec();
-        let mut text = String::from("[");
         let mut expected = String::from("[");
         for n in [0, 9, 10, 99, 100, 12_345, 999_999, 1 << 53, u64::MAX] {
             write_u64_bytes(&mut bytes, n);
-            write_u64(&mut text, n);
             expected.push_str(&n.to_string());
             bytes.push(b',');
-            text.push(',');
             expected.push(',');
         }
         for x in [0.5, -0.0, 21.53, 1e-7, f64::MAX, f64::NAN, -f64::INFINITY] {
             write_f64_bytes(&mut bytes, x);
-            write_f64(&mut text, x);
             expected.push_str(&x.to_string());
         }
         for s in ["", "plain", "q\"b\\s\u{1}", "mé"] {
             write_str_bytes(&mut bytes, s);
-            write_str(&mut text, s);
             expected.push_str(&format!("{:?}", s).replace("\\u{1}", "\\u0001"));
         }
-        assert_eq!(text, expected);
         assert_eq!(bytes, expected.into_bytes());
     }
 

@@ -334,7 +334,7 @@ impl fmt::Debug for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use movr_math::json::{write_str, FlatObject, Json, Scalar};
+    use movr_math::json::{write_str_bytes, FlatObject, Json, Scalar};
 
     #[test]
     fn round_trips_event_json() {
@@ -401,9 +401,9 @@ mod tests {
     #[test]
     fn each_name_is_written_as_write_str_spells_it() {
         let spelled = |name: &str| {
-            let mut s = String::new();
-            write_str(&mut s, name);
-            s
+            let mut s = Vec::new();
+            write_str_bytes(&mut s, name);
+            String::from_utf8(s).expect("UTF-8")
         };
         assert_eq!(Kind::ALL.len(), 13);
         assert_eq!(Key::ALL.len(), 21);

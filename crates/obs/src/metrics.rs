@@ -13,7 +13,7 @@
 //! [`movr_math::Summary`] rides along for exact mean/min/max.
 
 use movr_math::convert::{usize_to_f64, usize_to_i32, usize_to_u64};
-use movr_math::json::{write_f64, write_str};
+use movr_math::json::{write_f64_bytes, write_str_bytes, write_u64_bytes};
 use movr_math::Summary;
 use std::fmt::Write as _;
 
@@ -173,30 +173,30 @@ impl Histogram {
         Ok(())
     }
 
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"count\":");
-        let _ = write!(out, "{}", self.total);
-        out.push_str(",\"mean\":");
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"count\":");
+        write_u64_bytes(out, self.total);
+        out.extend_from_slice(b",\"mean\":");
         write_json_f64(out, if self.summary.count() == 0 { f64::NAN } else { self.summary.mean() });
-        out.push_str(",\"min\":");
+        out.extend_from_slice(b",\"min\":");
         write_json_f64(out, self.summary.min());
-        out.push_str(",\"max\":");
+        out.extend_from_slice(b",\"max\":");
         write_json_f64(out, self.summary.max());
-        out.push_str(",\"edges\":[");
+        out.extend_from_slice(b",\"edges\":[");
         for (i, e) in self.edges.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
             write_json_f64(out, *e);
         }
-        out.push_str("],\"counts\":[");
+        out.extend_from_slice(b"],\"counts\":[");
         for (i, c) in self.counts.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            let _ = write!(out, "{c}");
+            write_u64_bytes(out, *c);
         }
-        out.push_str("]}");
+        out.extend_from_slice(b"]}");
     }
 }
 
@@ -265,12 +265,18 @@ impl std::fmt::Display for MergeError {
 impl std::error::Error for MergeError {}
 
 /// Appends `x` as Display prints it, or `null` when it is not finite.
-pub(crate) fn write_json_f64(out: &mut String, x: f64) {
+pub(crate) fn write_json_f64(out: &mut Vec<u8>, x: f64) {
     if x.is_finite() {
-        write_f64(out, x);
+        write_f64_bytes(out, x);
     } else {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     }
+}
+
+/// A finished JSON document as text. Every writer appends UTF-8 (bytes
+/// it spells, and `str` slices whole), so the one check never fails.
+pub(crate) fn into_text(json: Vec<u8>) -> String {
+    String::from_utf8(json).expect("the JSON writers write UTF-8")
 }
 
 /// Named counters, gauges, and histograms, each list sorted by name —
@@ -298,32 +304,32 @@ impl MetricsSnapshot {
     }
 
     /// One deterministic JSON object holding the whole snapshot. Names
-    /// are spelled through [`write_str`], so any name reads back.
+    /// are spelled through [`write_str_bytes`], so any name reads back.
     pub fn to_json(&self) -> String {
-        fn name(out: &mut String, i: usize, k: &str) {
+        fn name(out: &mut Vec<u8>, i: usize, k: &str) {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            write_str(out, k);
-            out.push(':');
+            write_str_bytes(out, k);
+            out.push(b':');
         }
-        let mut out = String::from("{\"counters\":{");
+        let mut out = b"{\"counters\":{".to_vec();
         for (i, (k, v)) in self.counters.iter().enumerate() {
             name(&mut out, i, k);
-            let _ = write!(out, "{v}");
+            write_u64_bytes(&mut out, *v);
         }
-        out.push_str("},\"gauges\":{");
+        out.extend_from_slice(b"},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             name(&mut out, i, k);
             write_json_f64(&mut out, *v);
         }
-        out.push_str("},\"histograms\":{");
+        out.extend_from_slice(b"},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
             name(&mut out, i, k);
             h.write_json(&mut out);
         }
-        out.push_str("}}");
-        out
+        out.extend_from_slice(b"}}");
+        into_text(out)
     }
 
     /// A human-readable metrics table (fixed-width, one metric per line).

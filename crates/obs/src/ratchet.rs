@@ -181,9 +181,9 @@ impl CheckOutcome {
 }
 
 fn fmt_num(x: f64) -> String {
-    let mut s = String::new();
+    let mut s = Vec::new();
     crate::metrics::write_json_f64(&mut s, x);
-    s
+    crate::metrics::into_text(s)
 }
 
 /// Runs the ratchet: every baseline entry against the bench JSON lines

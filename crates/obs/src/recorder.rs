@@ -207,8 +207,7 @@ impl std::error::Error for JsonlSinkError {
 /// design, so instrumented hot paths stay infallible. Instead the first
 /// error is latched, all subsequent events are dropped, and the failure
 /// surfaces as a structured [`JsonlSinkError`] from
-/// [`JsonlWriter::finish`] (or early via [`JsonlWriter::sink_error`]).
-/// Callers that discard the writer without calling `finish` forfeit the
+/// [`JsonlWriter::finish`]. Callers that discard the writer without calling `finish` forfeit the
 /// error — `finish` is the durability check.
 #[derive(Debug)]
 pub struct JsonlWriter<W: io::Write> {
@@ -248,13 +247,6 @@ impl<W: io::Write> JsonlWriter<W> {
     /// Lines successfully written so far.
     pub fn lines(&self) -> u64 {
         self.lines
-    }
-
-    /// The latched sink failure, if any — for callers that want to stop
-    /// a long run early instead of discovering the truncation at
-    /// [`JsonlWriter::finish`].
-    pub fn sink_error(&self) -> Option<&JsonlSinkError> {
-        self.error.as_ref()
     }
 
     /// Flushes and returns the underlying writer, or the first write or
@@ -453,8 +445,6 @@ mod tests {
         });
         feed(&mut w); // 3 events: the third write fails
         assert_eq!(w.lines(), 2);
-        let err = w.sink_error().expect("failure must be latched");
-        assert_eq!(err.line, 3);
         let Err(err) = w.finish() else {
             panic!("finish must report the latched failure");
         };

@@ -17,11 +17,11 @@
 //! golden pinning. [`diff_json`] reports the structural difference of
 //! two such documents path by path.
 
-use crate::metrics::{write_json_f64, MergeError};
+use crate::metrics::{into_text, write_json_f64, MergeError};
 use crate::sketch::{Sketch, SketchSpec, Spacing};
-use movr_math::json::{write_str, Json};
+use movr_math::convert::usize_to_u64;
+use movr_math::json::{write_str_bytes, write_u64_bytes, Json};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// The fleet sketch layouts, in output (alphabetical) order. Changing a
 /// layout is a schema change: rollups only merge when specs match.
@@ -116,52 +116,66 @@ impl SessionRollup {
 
     /// Writes the scalar counters up to and including `realigns`
     /// (everything alphabetically before the fleet-only keys).
-    fn write_scalars_head(&self, out: &mut String) {
-        let _ = write!(
+    fn write_scalars_head(&self, out: &mut Vec<u8>) {
+        write_fields(
             out,
-            "\"events\":{},\"frames_delivered\":{},\"frames_total\":{},\
-             \"glitch_frames\":{},\"glitches\":{},\"mode_switches\":{},\
-             \"realign_time_ns\":{},\"realigns\":{}",
-            self.events,
-            self.frames_delivered,
-            self.frames_total,
-            self.glitch_frames,
-            self.glitches,
-            self.mode_switches,
-            self.realign_time_ns,
-            self.realigns,
+            &[
+                ("events", self.events),
+                ("frames_delivered", self.frames_delivered),
+                ("frames_total", self.frames_total),
+                ("glitch_frames", self.glitch_frames),
+                ("glitches", self.glitches),
+                ("mode_switches", self.mode_switches),
+                ("realign_time_ns", self.realign_time_ns),
+                ("realigns", self.realigns),
+            ],
         );
     }
 
-    fn write_scalars_tail(&self, out: &mut String) {
-        let _ = write!(
+    fn write_scalars_tail(&self, out: &mut Vec<u8>) {
+        write_fields(
             out,
-            "\"stall_spans\":{},\"stall_time_ns\":{},",
-            self.stall_spans, self.stall_time_ns
+            &[("stall_spans", self.stall_spans), ("stall_time_ns", self.stall_time_ns)],
         );
+        out.push(b',');
         write_transitions(out, &self.transitions);
     }
 
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'{');
         self.write_scalars_head(out);
-        out.push(',');
+        out.push(b',');
         self.write_scalars_tail(out);
-        out.push('}');
+        out.push(b'}');
     }
 }
 
-fn write_transitions(out: &mut String, m: &BTreeMap<(String, String), u64>) {
-    out.push_str("\"transitions\":{");
+/// Appends `"name":n` for each field, comma-separated. The names are
+/// this module's own keys, which need no escaping.
+fn write_fields(out: &mut Vec<u8>, fields: &[(&str, u64)]) {
+    for (i, (name, n)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'"');
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b"\":");
+        write_u64_bytes(out, *n);
+    }
+}
+
+fn write_transitions(out: &mut Vec<u8>, m: &BTreeMap<(String, String), u64>) {
+    out.extend_from_slice(b"\"transitions\":{");
     for (i, ((from, to), n)) in m.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         // Mode names come from the input stream, so the key is escaped.
-        write_str(out, &format!("{from}->{to}"));
-        let _ = write!(out, ":{n}");
+        write_str_bytes(out, &format!("{from}->{to}"));
+        out.push(b':');
+        write_u64_bytes(out, *n);
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 /// The full fleet aggregate (see module docs).
@@ -247,30 +261,35 @@ impl Rollup {
     /// bytes regardless of how the streams were split across files or
     /// threads.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
         let fleet = self.fleet_totals();
-        out.push_str("{\"fleet\":{");
+        let mut out = b"{\"fleet\":{".to_vec();
         fleet.write_scalars_head(&mut out);
-        let _ = write!(&mut out, ",\"sessions\":{},\"sketches\":{{", self.sessions.len());
+        out.push(b',');
+        write_fields(&mut out, &[("sessions", usize_to_u64(self.sessions.len()))]);
+        out.extend_from_slice(b",\"sketches\":{");
         for (i, (name, _)) in FLEET_SKETCHES.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            let _ = write!(&mut out, "\"{name}\":");
+            out.push(b'"');
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b"\":");
             self.sketches[i].write_json(&mut out);
         }
-        out.push_str("},");
+        out.extend_from_slice(b"},");
         fleet.write_scalars_tail(&mut out);
-        out.push_str("},\"schema\":1,\"sessions\":{");
+        out.extend_from_slice(b"},\"schema\":1,\"sessions\":{");
         for (i, (id, s)) in self.sessions.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            let _ = write!(&mut out, "\"{id}\":");
+            out.push(b'"');
+            write_u64_bytes(&mut out, *id);
+            out.extend_from_slice(b"\":");
             s.write_json(&mut out);
         }
-        out.push_str("}}");
-        out
+        out.extend_from_slice(b"}}");
+        into_text(out)
     }
 }
 
@@ -300,16 +319,16 @@ impl std::fmt::Display for DiffEntry {
 }
 
 fn render(j: &Json<'_>) -> String {
-    let mut s = String::new();
+    let mut s = Vec::new();
     match j {
-        Json::Null => s.push_str("null"),
-        Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
+        Json::Null => return "null".to_string(),
+        Json::Bool(b) => return b.to_string(),
         Json::Num(x) => write_json_f64(&mut s, *x),
-        Json::Str(text) => write_str(&mut s, text),
-        Json::Arr(a) => s = format!("[…{} items]", a.len()),
-        Json::Obj(o) => s = format!("{{…{} keys}}", o.len()),
+        Json::Str(text) => write_str_bytes(&mut s, text),
+        Json::Arr(a) => return format!("[…{} items]", a.len()),
+        Json::Obj(o) => return format!("{{…{} keys}}", o.len()),
     }
-    s
+    into_text(s)
 }
 
 /// The dotted path of object key `k` under `path`.

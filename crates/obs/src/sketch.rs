@@ -24,8 +24,8 @@
 //! exact order statistics on random data.
 
 use crate::metrics::{write_json_f64, Histogram, MergeError};
-use movr_math::convert::u64_to_f64;
-use std::fmt::Write as _;
+use movr_math::convert::{u64_to_f64, usize_to_u64};
+use movr_math::json::write_u64_bytes;
 
 /// Bucket spacing of a [`Sketch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,31 +181,36 @@ impl Sketch {
     /// Serialises the sketch summary as one JSON object with
     /// alphabetically sorted keys (layout, exact summary, standard
     /// quantiles). Non-finite and absent values encode as `null`.
-    pub fn write_json(&self, out: &mut String) {
+    pub fn write_json(&self, out: &mut Vec<u8>) {
         let s = self.hist.summary();
         let empty = s.count() == 0;
-        let _ = write!(out, "{{\"buckets\":{},\"count\":{}", self.spec.buckets, self.count());
-        out.push_str(",\"hi\":");
+        out.extend_from_slice(b"{\"buckets\":");
+        write_u64_bytes(out, usize_to_u64(self.spec.buckets));
+        out.extend_from_slice(b",\"count\":");
+        write_u64_bytes(out, self.count());
+        out.extend_from_slice(b",\"hi\":");
         write_json_f64(out, self.spec.hi);
-        out.push_str(",\"lo\":");
+        out.extend_from_slice(b",\"lo\":");
         write_json_f64(out, self.spec.lo);
-        out.push_str(",\"max\":");
+        out.extend_from_slice(b",\"max\":");
         write_json_f64(out, if empty { f64::NAN } else { s.max() });
-        out.push_str(",\"mean\":");
+        out.extend_from_slice(b",\"mean\":");
         write_json_f64(out, if empty { f64::NAN } else { s.mean() });
-        out.push_str(",\"min\":");
+        out.extend_from_slice(b",\"min\":");
         write_json_f64(out, if empty { f64::NAN } else { s.min() });
-        let _ = write!(out, ",\"overflow\":{}", self.hist.overflow());
+        out.extend_from_slice(b",\"overflow\":");
+        write_u64_bytes(out, self.hist.overflow());
         for (name, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99), ("p999", 0.999)] {
-            let _ = write!(out, ",\"{name}\":");
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b"\":");
             write_json_f64(out, self.quantile(q).unwrap_or(f64::NAN));
         }
-        let _ = write!(
-            out,
-            ",\"spacing\":\"{}\",\"underflow\":{}}}",
-            self.spec.spacing.name(),
-            self.hist.underflow()
-        );
+        out.extend_from_slice(b",\"spacing\":\"");
+        out.extend_from_slice(self.spec.spacing.name().as_bytes());
+        out.extend_from_slice(b"\",\"underflow\":");
+        write_u64_bytes(out, self.hist.underflow());
+        out.push(b'}');
     }
 }
 
@@ -263,8 +268,9 @@ mod tests {
     fn empty_sketch_has_no_quantiles_and_serialises_nulls() {
         let s = Sketch::new(SketchSpec::log(1.0, 1e6, 12));
         assert_eq!(s.quantile(0.5), None);
-        let mut json = String::new();
+        let mut json = Vec::new();
         s.write_json(&mut json);
+        let json = String::from_utf8(json).expect("UTF-8");
         assert!(json.contains("\"count\":0"));
         assert!(json.contains("\"p50\":null"));
         assert!(json.contains("\"mean\":null"));

@@ -13,8 +13,15 @@
 //! * [`RatePolicy::HysteresisPolicy`] — the same, but an upgrade requires
 //!   the SNR to cross the next boundary by a margin and stay there for
 //!   several reports, suppressing flapping at scenario edges.
+//!
+//! The headset's SNR reports carry [`SNR_REPORT_SIGMA_DB`] of Gaussian
+//! noise, both the ones a non-oracle policy picks from and the ones the
+//! §4.1 reflection search ranks its probes by.
 
 use crate::mcs::{McsEntry, RateTable};
+
+/// RMS noise on a headset's SNR report, dB.
+pub const SNR_REPORT_SIGMA_DB: f64 = 0.5;
 
 /// How the transmitter picks its MCS from SNR reports.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -37,9 +37,7 @@ pub mod mcs;
 pub mod per;
 pub mod tone;
 
-pub use adaptation::{BadMcsIndex, RateAdapter, RatePolicy};
+pub use adaptation::{BadMcsIndex, RateAdapter, RatePolicy, SNR_REPORT_SIGMA_DB};
 pub use endpoint::{evaluate_link, ArrayPattern, RadioEndpoint};
-pub use frame::FrameConfig;
 pub use mcs::{McsEntry, RateTable, VR_REQUIRED_RATE_MBPS, VR_REQUIRED_SNR_DB};
-pub use per::PerModel;
 pub use tone::{ToneMeasurement, ToneMeter, ToneProbe};

@@ -7,37 +7,27 @@
 //! 5 dB above drops essentially none.
 //!
 //! The model is the standard logistic waterfall: PER = 1/2 at the MCS
-//! threshold, falling by roughly a decade per `slope_db` dB of extra SNR.
+//! threshold, falling by roughly a decade per [`SLOPE_DB`] of extra SNR,
+//! down to a residual [`FLOOR`].
 
 use crate::mcs::McsEntry;
 
-/// Logistic PER waterfall around MCS thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct PerModel {
-    /// SNR margin over which PER falls by ~a decade, dB.
-    pub slope_db: f64,
-    /// Residual error floor (implementation imperfections).
-    pub floor: f64,
-}
+/// SNR margin over which PER falls by about a decade, dB.
+pub const SLOPE_DB: f64 = 0.75;
+/// Residual error floor (implementation imperfections).
+pub const FLOOR: f64 = 1e-7;
 
-impl Default for PerModel {
-    fn default() -> Self {
-        PerModel {
-            slope_db: 0.75,
-            floor: 1e-7,
-        }
-    }
-}
-
-impl PerModel {
-    /// Packet error rate at `snr_db` for a given MCS.
-    pub fn per(&self, mcs: &McsEntry, snr_db: f64) -> f64 {
-        let margin = snr_db - mcs.min_snr_db;
-        // ln(10) per decade: logistic in log-odds space.
-        let log_odds = margin / self.slope_db * std::f64::consts::LN_10;
-        let per = 1.0 / (1.0 + log_odds.exp());
-        per.max(self.floor).min(1.0)
-    }
+/// Packet error rate at `snr_db` for a given MCS.
+#[expect(
+    clippy::manual_clamp,
+    reason = "a NaN SNR's error rate reads as the floor through `max`; `clamp` would pass the NaN on"
+)]
+pub fn packet_error_rate(mcs: &McsEntry, snr_db: f64) -> f64 {
+    let margin = snr_db - mcs.min_snr_db;
+    // ln(10) per decade: logistic in log-odds space.
+    let log_odds = margin / SLOPE_DB * std::f64::consts::LN_10;
+    let per = 1.0 / (1.0 + log_odds.exp());
+    per.max(FLOOR).min(1.0)
 }
 
 #[cfg(test)]
@@ -51,26 +41,23 @@ mod tests {
 
     #[test]
     fn half_at_threshold() {
-        let m = PerModel::default();
-        let per = m.per(mcs10(), mcs10().min_snr_db);
+        let per = packet_error_rate(mcs10(), mcs10().min_snr_db);
         assert!((per - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn decade_per_slope() {
-        let m = PerModel::default();
-        let at_1 = m.per(mcs10(), mcs10().min_snr_db + m.slope_db);
+        let at_1 = packet_error_rate(mcs10(), mcs10().min_snr_db + SLOPE_DB);
         // One slope unit above threshold: odds 10:1 → PER ≈ 1/11.
         assert!((at_1 - 1.0 / 11.0).abs() < 1e-6, "per={at_1}");
     }
 
     #[test]
     fn monotone_decreasing_in_snr() {
-        let m = PerModel::default();
         let mut prev = 1.1;
         let mut snr = mcs10().min_snr_db - 5.0;
         while snr < mcs10().min_snr_db + 8.0 {
-            let p = m.per(mcs10(), snr);
+            let p = packet_error_rate(mcs10(), snr);
             assert!(p <= prev);
             prev = p;
             snr += 0.1;
@@ -79,13 +66,11 @@ mod tests {
 
     #[test]
     fn floor_applies_far_above_threshold() {
-        let m = PerModel::default();
-        assert_eq!(m.per(mcs10(), mcs10().min_snr_db + 50.0), m.floor);
+        assert_eq!(packet_error_rate(mcs10(), mcs10().min_snr_db + 50.0), FLOOR);
     }
 
     #[test]
     fn far_below_threshold_loses_everything() {
-        let m = PerModel::default();
-        assert!(m.per(mcs10(), mcs10().min_snr_db - 10.0) > 0.9999);
+        assert!(packet_error_rate(mcs10(), mcs10().min_snr_db - 10.0) > 0.9999);
     }
 }

@@ -13,7 +13,8 @@
 //! (`cargo bench … | grep '^{'`).
 
 use movr_math::convert::{f64_to_usize, u64_to_f64, usize_to_f64};
-use movr_math::json::{write_f64, write_str};
+use movr_math::json::{write_f64_bytes, write_str_bytes};
+use std::fmt::Write as _;
 use std::hint::black_box;
 
 pub use timer::Timer;
@@ -153,14 +154,15 @@ impl BenchReport {
 
     /// One self-contained JSON object, no trailing newline.
     pub fn json_line(&self) -> String {
-        let mut name = String::new();
-        write_str(&mut name, &self.name);
-        let mut kernel_ratio = String::new();
-        write_f64(&mut kernel_ratio, self.kernel_ratio);
-        format!(
-            "{{\"name\":{name},\"kernel_ratio\":{kernel_ratio},\"median_ns\":{:.1},\
-             \"p95_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\
-             \"samples\":{},\"iters_per_sample\":{}}}",
+        let mut head = b"{\"name\":".to_vec();
+        write_str_bytes(&mut head, &self.name);
+        head.extend_from_slice(b",\"kernel_ratio\":");
+        write_f64_bytes(&mut head, self.kernel_ratio);
+        let mut line = String::from_utf8(head).expect("the JSON writers write UTF-8");
+        let _ = write!(
+            line,
+            ",\"median_ns\":{:.1},\"p95_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\
+             \"max_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}}}",
             self.median_ns,
             self.p95_ns,
             self.mean_ns,
@@ -168,7 +170,8 @@ impl BenchReport {
             self.max_ns,
             self.samples,
             self.iters_per_sample
-        )
+        );
+        line
     }
 }
 

@@ -11,6 +11,11 @@
 //!   spends it.
 //! * [`glitch`] — frame-delivery accounting: loss rate, glitch events,
 //!   longest stall.
+//! * [`quality`] — the player-facing grade of a glitch report.
+//!
+//! The Vive's frame size, the 10 ms budget and the grade thresholds
+//! describe the one headset the paper evaluates, so they are constants;
+//! only the refresh rate is a setting.
 //! * [`battery`] — §6's battery-life arithmetic for cutting the USB
 //!   power cable too.
 
@@ -24,6 +29,5 @@ pub mod traffic;
 
 pub use battery::Battery;
 pub use glitch::{GlitchReport, GlitchTracker};
-pub use latency::LatencyBudget;
-pub use quality::{QualityGrade, QualityModel};
+pub use quality::QualityGrade;
 pub use traffic::VrTrafficModel;

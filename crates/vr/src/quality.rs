@@ -2,7 +2,7 @@
 //!
 //! Frame statistics are engineering numbers; what matters to the player
 //! is whether the session feels *solid*. This module maps a
-//! [`GlitchReport`] to a quality grade using
+//! [`GlitchReport`] to a quality grade using fixed
 //! thresholds from the VR comfort literature the paper's motivation
 //! leans on: sustained 90 Hz feels native; occasional single-frame drops
 //! are barely visible; multi-frame stalls break presence; frequent
@@ -25,51 +25,35 @@ pub enum QualityGrade {
     Excellent,
 }
 
-/// Thresholds for grading a session.
-#[derive(Debug, Clone, Copy)]
-pub struct QualityModel {
-    /// Loss rate above which the session is unplayable.
-    pub unplayable_loss: f64,
-    /// Loss rate above which the session is poor.
-    pub poor_loss: f64,
-    /// Stall length (frames) that alone demotes a session below Good.
-    pub stall_limit_frames: usize,
-    /// Glitch events per minute above which the session is at most Fair.
-    pub events_per_minute_limit: f64,
-}
+/// Loss rate at or above which a session is unplayable.
+pub const UNPLAYABLE_LOSS: f64 = 0.10;
+/// Loss rate at or above which a session is poor.
+pub const POOR_LOSS: f64 = 0.02;
+/// Stall length (frames) that alone demotes a session below Good: 100 ms
+/// at 90 Hz.
+pub const STALL_LIMIT_FRAMES: usize = 9;
+/// Glitch events per minute above which a session is at most Fair.
+pub const EVENTS_PER_MINUTE_LIMIT: f64 = 6.0;
 
-impl Default for QualityModel {
-    fn default() -> Self {
-        QualityModel {
-            unplayable_loss: 0.10,
-            poor_loss: 0.02,
-            stall_limit_frames: 9, // 100 ms at 90 Hz
-            events_per_minute_limit: 6.0,
-        }
+/// Grades a session of `duration_s` seconds.
+pub fn grade(report: &GlitchReport, duration_s: f64) -> QualityGrade {
+    assert!(duration_s > 0.0, "duration must be positive");
+    if report.loss_rate >= UNPLAYABLE_LOSS {
+        return QualityGrade::Unplayable;
     }
-}
-
-impl QualityModel {
-    /// Grades a session of `duration_s` seconds.
-    pub fn grade(&self, report: &GlitchReport, duration_s: f64) -> QualityGrade {
-        assert!(duration_s > 0.0, "duration must be positive");
-        if report.loss_rate >= self.unplayable_loss {
-            return QualityGrade::Unplayable;
-        }
-        let events_per_minute = movr_math::convert::usize_to_f64(report.glitch_events) * 60.0 / duration_s;
-        if report.loss_rate >= self.poor_loss {
-            return QualityGrade::Poor;
-        }
-        if report.longest_stall_frames > self.stall_limit_frames
-            || events_per_minute > self.events_per_minute_limit
-        {
-            return QualityGrade::Fair;
-        }
-        if report.glitch_events > 0 {
-            return QualityGrade::Good;
-        }
-        QualityGrade::Excellent
+    let events_per_minute = movr_math::convert::usize_to_f64(report.glitch_events) * 60.0 / duration_s;
+    if report.loss_rate >= POOR_LOSS {
+        return QualityGrade::Poor;
     }
+    if report.longest_stall_frames > STALL_LIMIT_FRAMES
+        || events_per_minute > EVENTS_PER_MINUTE_LIMIT
+    {
+        return QualityGrade::Fair;
+    }
+    if report.glitch_events > 0 {
+        return QualityGrade::Good;
+    }
+    QualityGrade::Excellent
 }
 
 #[cfg(test)]
@@ -88,7 +72,7 @@ mod tests {
     #[test]
     fn perfect_is_excellent() {
         let r = report(&[true; 900]);
-        assert_eq!(QualityModel::default().grade(&r, 10.0), QualityGrade::Excellent);
+        assert_eq!(grade(&r, 10.0), QualityGrade::Excellent);
     }
 
     #[test]
@@ -96,7 +80,7 @@ mod tests {
         let mut p = vec![true; 900];
         p[450] = false;
         let r = report(&p);
-        assert_eq!(QualityModel::default().grade(&r, 10.0), QualityGrade::Good);
+        assert_eq!(grade(&r, 10.0), QualityGrade::Good);
     }
 
     #[test]
@@ -106,7 +90,7 @@ mod tests {
             *slot = false; // 133 ms freeze
         }
         let r = report(&p);
-        assert_eq!(QualityModel::default().grade(&r, 10.0), QualityGrade::Fair);
+        assert_eq!(grade(&r, 10.0), QualityGrade::Fair);
     }
 
     #[test]
@@ -117,7 +101,7 @@ mod tests {
             p[k * 70 + 5] = false;
         }
         let r = report(&p);
-        assert_eq!(QualityModel::default().grade(&r, 10.0), QualityGrade::Fair);
+        assert_eq!(grade(&r, 10.0), QualityGrade::Fair);
     }
 
     #[test]
@@ -128,7 +112,7 @@ mod tests {
             *slot = false;
         }
         let r = report(&p);
-        assert_eq!(QualityModel::default().grade(&r, 10.0), QualityGrade::Poor);
+        assert_eq!(grade(&r, 10.0), QualityGrade::Poor);
         // ~22% loss → Unplayable.
         let mut p = vec![true; 900];
         for slot in p.iter_mut().skip(100).take(200) {
@@ -136,7 +120,7 @@ mod tests {
         }
         let r = report(&p);
         assert_eq!(
-            QualityModel::default().grade(&r, 10.0),
+            grade(&r, 10.0),
             QualityGrade::Unplayable
         );
     }
@@ -152,6 +136,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_duration_rejected() {
-        QualityModel::default().grade(&report(&[true]), 0.0);
+        grade(&report(&[true]), 0.0);
     }
 }

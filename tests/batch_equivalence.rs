@@ -25,15 +25,18 @@
 //! two arrays share one mount; a separate test checks that page against
 //! each steered array.
 
-use movr::alignment::{estimate_incidence, estimate_reflection, AlignmentConfig, SweepParams};
+use movr::alignment::{
+    estimate_incidence, estimate_reflection, AlignmentConfig, SweepParams, PROBE_DWELL,
+};
 use movr::baselines::opt_nlos;
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
 use movr::system::PAPER_DEVICE_SEED;
+use movr_control::BLE_LATENCY;
 use movr_math::db::sum_dbm;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
 use movr_phased_array::{Codebook, PatternTable};
-use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe};
+use movr_radio::{ArrayPattern, RadioEndpoint, ToneProbe, SNR_REPORT_SIGMA_DB};
 use movr_rfsim::{NoiseModel, Scene};
 use movr_sim::SimTime;
 
@@ -123,7 +126,7 @@ fn memoized_incidence(
     let (mut measurements, mut elapsed) = (0, SimTime::ZERO);
     for &theta1 in config.reflector_codebook.beams() {
         reflector.steer_both(theta1);
-        elapsed += config.beam_command_latency;
+        elapsed += BLE_LATENCY;
         let relay_gain_db = reflector.effective_gain_db();
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
@@ -137,7 +140,7 @@ fn memoized_incidence(
             let reading =
                 tone_reading(&config.probe, config.modulated, reflected, ap.tx_power_dbm(), rng);
             measurements += 1;
-            elapsed += config.dwell;
+            elapsed += PROBE_DWELL;
             if reading > best.0 {
                 best = (reading, theta1, theta2);
             }
@@ -321,7 +324,6 @@ fn memoized_reflection(
     rng: &mut SimRng,
 ) -> Outcome {
     reflector.set_modulating(false);
-    let snr_sigma_db = 0.5;
     let front_end = NoiseModel {
         bandwidth_hz: scene.noise().bandwidth_hz,
         noise_figure_db: 4.0,
@@ -337,7 +339,7 @@ fn memoized_reflection(
     let (mut measurements, mut elapsed) = (0, SimTime::ZERO);
     for &tx_deg in sweep.tx_codebook.beams() {
         reflector.steer_tx(tx_deg);
-        elapsed += sweep.config.beam_command_latency;
+        elapsed += BLE_LATENCY;
         run_gain_control(&mut reflector, &GainControlConfig::default());
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
@@ -349,9 +351,9 @@ fn memoized_reflection(
                 let hop2_eval = hop2.evaluate(&tx_pattern, out_dbm, &ArrayPattern(hs_array));
                 hop1_snr_db.min(hop2_eval.snr_db)
             });
-            let reported = end_snr_db + rng.normal(0.0, snr_sigma_db);
+            let reported = end_snr_db + rng.normal(0.0, SNR_REPORT_SIGMA_DB);
             measurements += 1;
-            elapsed += sweep.config.dwell;
+            elapsed += PROBE_DWELL;
             if reported > best.0 {
                 best = (reported, tx_deg, rx_deg);
             }

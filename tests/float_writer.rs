@@ -1,4 +1,4 @@
-//! Oracle for the in-tree float writer: `movr_math::json::write_f64`
+//! Oracle for the in-tree float writer: `movr_math::json::write_f64_bytes`
 //! must append exactly the text `format!("{x}")` gives, for every `f64`.
 //! Every float in a recorded timeline, rollup, metrics snapshot or bench
 //! line goes through it, so one differing byte here is one differing
@@ -10,21 +10,28 @@
 //! the specials, plus the two exact ties that pin Display's round-half-up
 //! rule against reference Ryū's round-half-even.
 
-use movr_math::json::{write_f64, write_u64};
+use movr_math::json::{write_f64_bytes, write_u64_bytes};
 use movr_math::SimRng;
 use std::fmt::Write as _;
 
-/// Checks `write_f64` against `format!` on every value, both signs.
+/// The text `write_f64_bytes` appends for `x`.
+fn written(x: f64) -> String {
+    let mut s = Vec::new();
+    write_f64_bytes(&mut s, x);
+    String::from_utf8(s).expect("the float writer writes ASCII")
+}
+
+/// Checks `write_f64_bytes` against `format!` on every value, both signs.
 fn check(values: impl IntoIterator<Item = f64>) -> usize {
-    let (mut ours, mut std) = (String::new(), String::new());
+    let (mut ours, mut std) = (Vec::new(), String::new());
     let mut n = 0;
     for x in values {
         for x in [x, -x] {
             ours.clear();
             std.clear();
-            write_f64(&mut ours, x);
+            write_f64_bytes(&mut ours, x);
             write!(std, "{x}").expect("writing to a String cannot fail");
-            assert_eq!(ours, std, "bits {:#018x}", x.to_bits());
+            assert_eq!(ours, std.as_bytes(), "bits {:#018x}", x.to_bits());
             n += 1;
         }
     }
@@ -109,16 +116,14 @@ fn subnormals_and_specials_print_as_display_does() {
         f64::EPSILON,
         f64::INFINITY,
     ]);
-    let mut s = String::new();
-    write_f64(&mut s, f64::NAN);
-    write_f64(&mut s, -0.0);
-    write_f64(&mut s, f64::NEG_INFINITY);
-    assert_eq!(s, "NaN-0-inf");
-    s.clear();
-    write_f64(&mut s, 5e-324);
+    let mut s = Vec::new();
+    write_f64_bytes(&mut s, f64::NAN);
+    write_f64_bytes(&mut s, -0.0);
+    write_f64_bytes(&mut s, f64::NEG_INFINITY);
+    assert_eq!(s, b"NaN-0-inf");
+    let s = written(5e-324);
     assert_eq!(s.len(), 2 + 324, "{s}");
-    s.clear();
-    write_f64(&mut s, f64::MAX);
+    let s = written(f64::MAX);
     assert_eq!(s.len(), 309, "{s}");
 }
 
@@ -132,16 +137,14 @@ fn exact_ties_round_half_up_as_display_does() {
         (two_50 + 0.25, "1125899906842624.3"),
         (two_50 + 1.75, "1125899906842625.8"),
     ] {
-        let mut s = String::new();
-        write_f64(&mut s, x);
-        assert_eq!(s, want);
+        assert_eq!(written(x), want);
         assert_eq!(format!("{x}"), want);
     }
 }
 
 #[test]
 fn integers_print_as_display_does() {
-    let mut s = String::new();
+    let mut s = Vec::new();
     for n in [
         0,
         1,
@@ -155,7 +158,7 @@ fn integers_print_as_display_does() {
         u64::MAX,
     ] {
         s.clear();
-        write_u64(&mut s, n);
-        assert_eq!(s, n.to_string());
+        write_u64_bytes(&mut s, n);
+        assert_eq!(s, n.to_string().into_bytes());
     }
 }

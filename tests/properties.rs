@@ -289,15 +289,14 @@ property! {
         bits in u64_range(1, 399_999_999),
         mcs_idx in usize_range(1, 15),
     ) {
-        use movr_radio::FrameConfig;
-        let cfg = FrameConfig::default();
+        use movr_radio::frame::{burst_airtime, ppdu_count};
         let mcs = &RateTable.entries()[mcs_idx];
-        let t = cfg.burst_airtime(mcs, bits).as_secs_f64();
+        let t = burst_airtime(mcs, bits).as_secs_f64();
         let ideal = bits as f64 / (mcs.rate_mbps * 1e6);
         prop_assert!(t >= ideal);
         // Overhead stays bounded: even tiny bursts pay at most one
         // preamble+header+SIFS per PSDU.
-        let n = cfg.ppdu_count(bits) as f64;
+        let n = ppdu_count(bits) as f64;
         let max_overhead = n * 6e-6;
         prop_assert!(t <= ideal + max_overhead, "t={t} ideal={ideal} n={n}");
     }
